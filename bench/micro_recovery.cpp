@@ -111,7 +111,6 @@ struct SeriesPoint {
   double inc_seconds = 0.0;
   bool incremental_used = false;
   std::int64_t blocks_reused = 0;
-  double flow_retained = 0.0;
 };
 
 // Runs the storm series: `initial` random node faults up front, then K
@@ -164,7 +163,6 @@ std::vector<SeriesPoint> storm_series(const MeshShape& shape, int initial,
       if (rep == 0 || tf < pt.full_seconds) pt.full_seconds = tf;
       pt.incremental_used = pt.incremental_used || ri.incremental;
       pt.blocks_reused = ri.blocks_reused;
-      pt.flow_retained = ri.flow_retained;
     }
   }
   return series;
@@ -214,8 +212,7 @@ void write_json(const std::string& path, const std::vector<Result>& results,
         << ", \"full_seconds\": " << pt.full_seconds
         << ", \"incremental_seconds\": " << pt.inc_seconds
         << ", \"incremental_used\": " << (pt.incremental_used ? 1 : 0)
-        << ", \"blocks_reused\": " << pt.blocks_reused
-        << ", \"flow_retained\": " << pt.flow_retained << "}"
+        << ", \"blocks_reused\": " << pt.blocks_reused << "}"
         << (i + 1 < series.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
@@ -286,12 +283,11 @@ int main(int argc, char** argv) {
   std::printf("\n  k-th-fault reconfigure latency (best of 6 series):\n");
   for (const SeriesPoint& pt : series) {
     std::printf("    k=%-2d  full %8.2f us  incremental %8.2f us  (%5.2fx%s, "
-                "%lld blocks reused, %.0f%% flow retained)\n",
+                "%lld blocks reused)\n",
                 pt.k, pt.full_seconds * 1e6, pt.inc_seconds * 1e6,
                 pt.inc_seconds > 0 ? pt.full_seconds / pt.inc_seconds : 0.0,
                 pt.incremental_used ? "" : ", fell back",
-                static_cast<long long>(pt.blocks_reused),
-                pt.flow_retained * 100.0);
+                static_cast<long long>(pt.blocks_reused));
   }
   // The acceptance point: the 8th fault of the storm.
   const SeriesPoint& at8 = series[7];

@@ -1,8 +1,8 @@
 // Incremental re-solve (the O(delta) reconfiguration path): when faults
-// arrive a few at a time, the previous certified solve's intermediates —
-// partitions, reachability matrices, and the cover min-cut flow — are
-// mostly still valid, and solve_lambs_incremental recomputes only what
-// the new faults touched. Three reuse layers:
+// arrive a few at a time, the previous certified solve's partitions and
+// reachability matrices are mostly still valid, and
+// solve_lambs_incremental recomputes only what the new faults touched.
+// Two reuse layers:
 //
 //   1. Partition repair (core/partition.*): SES/DES membership is
 //      recomputed only in the outer-level peel subtrees a new fault
@@ -12,14 +12,11 @@
 //      copied unless a delta fault lies in the bounding box of its
 //      representative pair; chain-product rows are spliced when their
 //      inputs are provably unchanged.
-//   3. Warm-started cover (graph/dinic.*): the previous min-cut flow
-//      decomposition is preloaded into Dinic, which then only augments
-//      the difference.
 //
-// The result is bit-identical to solve_lambs on the same cumulative
-// fault set at any thread count: layers 1 and 2 reproduce the exact
-// matrices, and the cut extracted from any maximum flow is the unique
-// minimal source side, so the warm start cannot change the cover. On any
+// The cover is then found by the same cold min-cut (internal::cover_phase)
+// the full solve runs. The result is bit-identical to solve_lambs on the
+// same cumulative fault set at any thread count: the two layers reproduce
+// the exact matrices, and the cover phase is the same code. On any
 // condition that voids the reuse (escalated or uncovered previous
 // outcome, merged partition regions, changed orderings, flood-backend
 // regime, budget exhaustion mid-reuse) the call falls back to the full
@@ -77,7 +74,6 @@ struct IncrementalStats {
   std::int64_t partition_cells_reused = 0;
   std::int64_t blocks_reused = 0;
   std::int64_t blocks_recomputed = 0;
-  double flow_retained = 0.0;  // fraction of cover flow seeded by hints
 };
 
 // Re-solves after the fault set grew from prev.context's snapshot to

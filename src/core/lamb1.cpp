@@ -22,9 +22,7 @@ namespace internal {
 LambResult cover_phase(const MeshShape& shape, const ReachComputation& reach,
                        const LambOptions& options,
                        const std::vector<NodeId>& predetermined,
-                       const Deadline& deadline,
-                       const std::vector<FlowHint>* warm_rk,
-                       LambCapture* capture) {
+                       const Deadline& deadline) {
   LambResult result;
   const EquivPartition& ses = reach.first_ses();
   const EquivPartition& des = reach.last_des();
@@ -34,17 +32,12 @@ LambResult cover_phase(const MeshShape& shape, const ReachComputation& reach,
   result.stats.rk_density = rk.density();
 
   Stopwatch watch;
-  obs::ScopedTimer cover_timer("solver.cover");
+  obs::Span cover_timer("solver.cover");
   // Relevant SES's: rows of R^(k) with a zero. Relevant DES's: columns
   // with a zero (complement of the all-rows AND).
   std::vector<std::int64_t> relevant_rows;
-  std::vector<std::int64_t> row_slot(static_cast<std::size_t>(rk.rows()), -1);
   for (std::int64_t i = 0; i < rk.rows(); ++i) {
-    if (!rk.row_full(i)) {
-      row_slot[static_cast<std::size_t>(i)] =
-          static_cast<std::int64_t>(relevant_rows.size());
-      relevant_rows.push_back(i);
-    }
+    if (!rk.row_full(i)) relevant_rows.push_back(i);
   }
   const Bits col_all = rk.column_all();
   std::vector<std::int64_t> relevant_cols;
@@ -83,31 +76,9 @@ LambResult cover_phase(const MeshShape& shape, const ReachComputation& reach,
     }
   }
 
-  // Map warm-start hints from R^(k) index space into this instance's
-  // compacted slot space; hints whose row or column is gone or no longer
-  // relevant are dropped (the clamp in the cover solver handles the rest).
-  std::vector<FlowHint> warm_slots;
-  if (warm_rk != nullptr) {
-    warm_slots.reserve(warm_rk->size());
-    for (const FlowHint& h : *warm_rk) {
-      if (h.left < 0 || h.left >= rk.rows() || h.right < 0 ||
-          h.right >= rk.cols()) {
-        continue;
-      }
-      const std::int64_t li = row_slot[static_cast<std::size_t>(h.left)];
-      const std::int64_t rj = col_slot[static_cast<std::size_t>(h.right)];
-      if (li < 0 || rj < 0) continue;
-      warm_slots.push_back(
-          FlowHint{static_cast<int>(li), static_cast<int>(rj), h.amount});
-    }
-  }
-
   deadline.check("cover setup");
-  CoverFlow cover_flow;
-  const BipartiteCover cover = min_weight_bipartite_cover(
-      left_weights, right_weights, edges,
-      warm_slots.empty() ? nullptr : &warm_slots,
-      capture != nullptr ? &cover_flow : nullptr);
+  const BipartiteCover cover =
+      min_weight_bipartite_cover(left_weights, right_weights, edges);
   result.stats.cover_weight = cover.weight;
 
   for (int li : cover.left) {
@@ -126,23 +97,6 @@ LambResult cover_phase(const MeshShape& shape, const ReachComputation& reach,
   result.stats.seconds_cover = watch.seconds();
   obs::counter("solver.lambs_selected").add(result.size());
 
-  if (capture != nullptr) {
-    capture->relevant_rows = std::move(relevant_rows);
-    capture->relevant_cols = std::move(relevant_cols);
-    capture->flow_total = cover_flow.total;
-    capture->flow_preloaded = cover_flow.preloaded;
-    capture->flow.clear();
-    capture->flow.reserve(cover_flow.paths.size());
-    for (const FlowHint& h : cover_flow.paths) {
-      // Back to R^(k) index space for the next epoch.
-      capture->flow.push_back(FlowHint{
-          static_cast<int>(
-              capture->relevant_rows[static_cast<std::size_t>(h.left)]),
-          static_cast<int>(
-              capture->relevant_cols[static_cast<std::size_t>(h.right)]),
-          h.amount});
-    }
-  }
   return result;
 }
 
@@ -161,8 +115,8 @@ LambResult lamb1_core(const MeshShape& shape, const FaultSet& faults,
                            capture != nullptr ? &capture->rcap : nullptr);
   deadline.check("reachability");
 
-  LambResult result = cover_phase(shape, reach, options, predetermined,
-                                  deadline, nullptr, capture);
+  LambResult result =
+      cover_phase(shape, reach, options, predetermined, deadline);
   result.stats.seconds_partition = reach.seconds_partition;
   result.stats.seconds_matrices = reach.seconds_matrices;
   if (capture != nullptr) {

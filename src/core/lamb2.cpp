@@ -34,7 +34,7 @@ LambResult lamb2(const MeshShape& shape, const FaultSet& faults,
   result.stats.rk_density = rk.density();
 
   Stopwatch watch;
-  obs::ScopedTimer cover_timer("solver.cover");
+  obs::Span cover_timer("solver.cover");
   // Rows / columns of R^(k) that contain a zero. A vertex u_{i,j} can have
   // an incident edge only when row i or column j has a zero (every SES and
   // DES is nonempty, so the "other" endpoint always exists).

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/lamb.hpp"
-#include "graph/bipartite_wvc.hpp"
 #include "mesh/rect_set.hpp"
 #include "support/stats.hpp"
 
@@ -96,19 +95,11 @@ inline void finalize_lambs(std::vector<NodeId>* lambs,
 }
 
 // Everything one Lamb1 run leaves behind for the incremental re-solve:
-// the reachability computation plus its capture, which rows/columns of
-// R^(k) were relevant, and the flow decomposition of the cover min-cut in
-// R^(k) index space (FlowHint::left = rk row, right = rk column — NOT the
-// compacted slot indices, which do not survive a partition change).
+// the reachability computation plus its capture.
 struct LambCapture {
   bool valid = false;
   ReachComputation reach;
   ReachCapture rcap;
-  std::vector<std::int64_t> relevant_rows;
-  std::vector<std::int64_t> relevant_cols;
-  std::vector<FlowHint> flow;
-  double flow_total = 0.0;      // total cover min-cut flow
-  double flow_preloaded = 0.0;  // portion seeded from warm-start hints
 };
 
 // Lamb1 with optional capture of reusable intermediates. `capture`, when
@@ -118,16 +109,12 @@ LambResult lamb1_core(const MeshShape& shape, const FaultSet& faults,
 
 // The cover phase of Lamb1 (relevant rows/cols -> WVC -> lamb assembly),
 // shared verbatim by the from-scratch and incremental paths so their
-// iteration order — and therefore their output — is identical. `warm_rk`
-// optionally seeds the min-cut with a previous flow decomposition in
-// R^(k) index space; hints that no longer map are dropped. Fills
+// iteration order — and therefore their output — is identical. Fills
 // result.stats' cover-phase fields (p, q, rk_density, relevant counts,
 // cover_weight, seconds_cover).
 LambResult cover_phase(const MeshShape& shape, const ReachComputation& reach,
                        const LambOptions& options,
                        const std::vector<NodeId>& predetermined,
-                       const Deadline& deadline,
-                       const std::vector<FlowHint>* warm_rk,
-                       LambCapture* capture);
+                       const Deadline& deadline);
 
 }  // namespace lamb::internal

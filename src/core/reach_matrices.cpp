@@ -89,7 +89,7 @@ ReachComputation compute_reachability(const MeshShape& shape,
 
   Stopwatch watch;
   {
-    obs::ScopedTimer partition_timer("solver.partition");
+    obs::Span partition_timer("solver.partition");
     for (const DimOrder& order : distinct) {
       PartitionSpans ses_spans;
       PartitionSpans des_spans;
@@ -106,7 +106,7 @@ ReachComputation compute_reachability(const MeshShape& shape,
   out.seconds_partition = watch.seconds();
 
   watch.reset();
-  obs::ScopedTimer matrices_timer("solver.reach_matrices");
+  obs::Span matrices_timer("solver.reach_matrices");
   if (backend == ReachBackend::kAuto) {
     // Flood wins when the per-representative matrix-product work
     // (~q^2/64 word operations) exceeds the per-representative flood
@@ -219,7 +219,7 @@ bool compute_reachability_incremental(
   std::vector<std::vector<std::int64_t>> ses_map(nu);
   std::vector<std::vector<std::int64_t>> des_map(nu);
   {
-    obs::ScopedTimer partition_timer("solver.partition");
+    obs::Span partition_timer("solver.partition");
     for (std::size_t u = 0; u < nu; ++u) {
       auto sr = repair_partition(shape, faults, delta_nodes, delta_links,
                                  distinct[u], /*des=*/false, prev.ses[u],
@@ -243,7 +243,7 @@ bool compute_reachability_incremental(
   res.seconds_partition = watch.seconds();
 
   watch.reset();
-  obs::ScopedTimer matrices_timer("solver.reach_matrices");
+  obs::Span matrices_timer("solver.reach_matrices");
   {
     // Same heuristic as kAuto: once the fault count grows into the flood
     // backend's regime, hand back to the full computation.
@@ -701,10 +701,6 @@ bool compute_reachability_incremental(
 
   cap.r = std::move(r);
   cap.valid = true;
-  delta->rk_row_old_of_new =
-      cses_map[static_cast<std::size_t>(res.round_part.front())];
-  delta->rk_col_old_of_new =
-      cdes_map[static_cast<std::size_t>(res.round_part.back())];
   res.rk = acc;
   res.seconds_matrices = watch.seconds();
   *out = std::move(res);

@@ -75,13 +75,6 @@ struct ReachDelta {
   // versus entries re-queried / rows re-multiplied.
   std::int64_t blocks_reused = 0;
   std::int64_t blocks_recomputed = 0;
-  // Content maps for the R^(k) index spaces (rows = first-round SES cells,
-  // columns = last-round DES cells): for each new index, the old index
-  // whose cell has the same representative, or -1. Injective, since
-  // representatives are unique within a partition. Lets the caller carry
-  // per-cell state (e.g. a flow decomposition) across the repair.
-  std::vector<std::int64_t> rk_row_old_of_new;
-  std::vector<std::int64_t> rk_col_old_of_new;
 };
 
 // Runs Find-SES/DES-Partition for each distinct ordering in `orders` and

@@ -6,11 +6,10 @@
 // so a stale context can never be reused against newer matrices.
 #include "core/incremental.hpp"
 
-#include <algorithm>
+#include <optional>
 #include <utility>
 #include <vector>
 
-#include "graph/dinic.hpp"
 #include "obs/obs.hpp"
 #include "support/stats.hpp"
 
@@ -93,35 +92,12 @@ SolveOutcome solve_lambs_incremental(const MeshShape& shape,
 
   // The delta: faults present now but not in the context's snapshot. The
   // snapshot must be a subset or the reuse arguments do not hold.
+  const std::optional<FaultDelta> fdelta = fault_delta(*ctx.faults, faults);
+  if (!fdelta) return fall_back(IncrementalFallback::kNotSuperset);
   std::vector<Point> delta_nodes;
-  {
-    const std::vector<NodeId>& now = faults.node_faults();
-    const std::vector<NodeId>& then = ctx.faults->node_faults();
-    std::size_t a = 0;  // both sorted unique: one merge pass
-    for (NodeId id : now) {
-      if (a < then.size() && then[a] == id) {
-        ++a;
-      } else {
-        delta_nodes.push_back(shape.point(id));
-      }
-    }
-    if (a != then.size()) return fall_back(IncrementalFallback::kNotSuperset);
-  }
-  std::vector<LinkFault> delta_links;
-  {
-    const std::vector<LinkFault>& now = faults.link_faults();
-    const std::vector<LinkFault>& then = ctx.faults->link_faults();
-    for (const LinkFault& lf : now) {
-      if (std::find(then.begin(), then.end(), lf) == then.end()) {
-        delta_links.push_back(lf);
-      }
-    }
-    for (const LinkFault& lf : then) {
-      if (std::find(now.begin(), now.end(), lf) == now.end()) {
-        return fall_back(IncrementalFallback::kNotSuperset);
-      }
-    }
-  }
+  delta_nodes.reserve(fdelta->nodes.size());
+  for (const NodeId id : fdelta->nodes) delta_nodes.push_back(shape.point(id));
+  const std::vector<LinkFault>& delta_links = fdelta->links;
   st.delta_nodes = static_cast<std::int64_t>(delta_nodes.size());
   st.delta_links = static_cast<std::int64_t>(delta_links.size());
 
@@ -185,52 +161,8 @@ SolveOutcome solve_lambs_incremental(const MeshShape& shape,
     }
     deadline.check("reachability");
 
-    // The captured flow decomposition lives in the PREVIOUS epoch's R^(k)
-    // index space; after a partition repair the cell indices shift, so
-    // translate each hint through the repair's content maps before the
-    // cover phase looks them up against the new R^(k). Hints on cells
-    // that split or vanished are dropped, and the residual clamp in the
-    // cover solver keeps any surviving preload legal, so this only
-    // affects how much flow is retained — never the cover itself.
-    std::vector<FlowHint> warm;
-    {
-      auto invert = [](const std::vector<std::int64_t>& old_of_new,
-                       std::int64_t old_size) {
-        std::vector<std::int64_t> new_of_old(
-            static_cast<std::size_t>(old_size), -1);
-        for (std::size_t n = 0; n < old_of_new.size(); ++n) {
-          const std::int64_t o = old_of_new[n];
-          if (o >= 0 && o < old_size) {
-            new_of_old[static_cast<std::size_t>(o)] =
-                static_cast<std::int64_t>(n);
-          }
-        }
-        return new_of_old;
-      };
-      const std::int64_t old_rows = ctx.capture.reach.rk.rows();
-      const std::int64_t old_cols = ctx.capture.reach.rk.cols();
-      const std::vector<std::int64_t> row_new_of_old =
-          invert(rdelta.rk_row_old_of_new, old_rows);
-      const std::vector<std::int64_t> col_new_of_old =
-          invert(rdelta.rk_col_old_of_new, old_cols);
-      warm.reserve(ctx.capture.flow.size());
-      for (const FlowHint& h : ctx.capture.flow) {
-        if (h.left < 0 || h.left >= old_rows || h.right < 0 ||
-            h.right >= old_cols) {
-          continue;
-        }
-        const std::int64_t nl = row_new_of_old[static_cast<std::size_t>(h.left)];
-        const std::int64_t nr =
-            col_new_of_old[static_cast<std::size_t>(h.right)];
-        if (nl < 0 || nr < 0) continue;
-        warm.push_back(
-            FlowHint{static_cast<int>(nl), static_cast<int>(nr), h.amount});
-      }
-    }
-
     LambResult result =
-        internal::cover_phase(shape, reach, attempt, predetermined, deadline,
-                              &warm, &ncap);
+        internal::cover_phase(shape, reach, attempt, predetermined, deadline);
     result.stats.seconds_partition = reach.seconds_partition;
     result.stats.seconds_matrices = reach.seconds_matrices;
     ncap.reach = std::move(reach);
@@ -251,18 +183,13 @@ SolveOutcome solve_lambs_incremental(const MeshShape& shape,
   st.partition_cells_reused = rdelta.partition_cells_reused;
   st.blocks_reused = rdelta.blocks_reused;
   st.blocks_recomputed = rdelta.blocks_recomputed;
-  st.flow_retained = ncap.flow_total > Dinic::kEps
-                         ? ncap.flow_preloaded / ncap.flow_total
-                         : 0.0;
   obs::counter("solver.incremental.used").add();
   obs::counter("solver.incremental.partition_cells_recomputed")
       .add(st.partition_cells_recomputed);
   obs::counter("solver.incremental.blocks_reused").add(st.blocks_reused);
   obs::counter("solver.incremental.blocks_recomputed")
       .add(st.blocks_recomputed);
-  obs::gauge("solver.incremental.flow_retained").set(st.flow_retained);
   span.arg("blocks_reused", static_cast<double>(st.blocks_reused));
-  span.arg("flow_retained", st.flow_retained);
 
   if (options.keep_context) {
     auto nctx = std::make_shared<SolveContext>();

@@ -13,36 +13,6 @@
 
 namespace lamb::fleet {
 
-namespace {
-
-// FNV-1a over the outcome stream (same construction as the serve
-// loadgen). Timing never enters; tick-indexed integers only.
-struct Digest {
-  std::uint64_t value = 1469598103934665603ULL;
-  void mix(std::uint64_t x) {
-    for (int i = 0; i < 8; ++i) {
-      value ^= (x >> (8 * i)) & 0xff;
-      value *= 1099511628211ULL;
-    }
-  }
-};
-
-void tally(const serve::Client::Outcome& outcome, FleetLoadgenResult* result) {
-  ++result->outcomes;
-  switch (outcome.status) {
-    case serve::ServeStatus::kFresh: ++result->served_fresh; break;
-    case serve::ServeStatus::kStale: ++result->served_stale; break;
-    case serve::ServeStatus::kFallback: ++result->served_fallback; break;
-    case serve::ServeStatus::kOverloaded: ++result->gave_up_overloaded; break;
-    case serve::ServeStatus::kRejected: ++result->gave_up_rejected; break;
-    case serve::ServeStatus::kUnroutable: ++result->unroutable; break;
-    case serve::ServeStatus::kDeadline: ++result->deadline_exceeded; break;
-    case serve::ServeStatus::kError: ++result->errors; break;
-  }
-}
-
-}  // namespace
-
 FleetLoadgenResult run_fleet_loadgen(const FleetLoadgenConfig& config) {
   Rng rng(config.seed);
   FleetOptions options = config.fleet;
@@ -94,9 +64,8 @@ FleetLoadgenResult run_fleet_loadgen(const FleetLoadgenConfig& config) {
   FleetLoadgenResult result;
   result.storm_events = storm_events;
   result.chaos_events = chaos.size();
-  Digest digest;
+  serve::OutcomeStream stream;
   std::vector<serve::Client::Outcome> outcomes;
-  std::vector<double> latencies;
   bool draining = false;
   std::int64_t t = 0;
   while (true) {
@@ -146,21 +115,12 @@ FleetLoadgenResult run_fleet_loadgen(const FleetLoadgenConfig& config) {
     for (serve::Client& client : clients) client.step(t, &outcomes);
 
     for (const serve::Client::Outcome& outcome : outcomes) {
-      tally(outcome, &result);
-      digest.mix(outcome.client);
-      digest.mix(static_cast<std::uint64_t>(outcome.seq));
-      digest.mix(static_cast<std::uint64_t>(outcome.status));
-      digest.mix(static_cast<std::uint64_t>(outcome.attempts));
-      digest.mix(static_cast<std::uint64_t>(outcome.epoch));
-      digest.mix(static_cast<std::uint64_t>(outcome.route_length));
-      digest.mix(static_cast<std::uint64_t>(outcome.latency_ticks));
-      if (serve::served(outcome.status)) {
-        latencies.push_back(outcome.vend_seconds);
-      }
+      stream.add(outcome);
     }
     ++t;
   }
 
+  static_cast<serve::OutcomeCounts&>(result) = stream.counts();
   result.cooldown_used = std::max<std::int64_t>(0, t - horizon);
   result.service = fleet.service_stats();
   result.fleet = fleet.stats();
@@ -174,30 +134,30 @@ FleetLoadgenResult run_fleet_loadgen(const FleetLoadgenConfig& config) {
   // digest even if the outcome stream happens to coincide. `reopens` is
   // deliberately excluded — it is the one counter the kReopen and kLive
   // arms legitimately disagree on.
-  digest.mix(static_cast<std::uint64_t>(result.outcomes));
-  digest.mix(static_cast<std::uint64_t>(result.service.submitted));
-  digest.mix(static_cast<std::uint64_t>(result.service.shed));
-  digest.mix(static_cast<std::uint64_t>(result.service.queued));
-  digest.mix(static_cast<std::uint64_t>(result.fleet.routed));
-  digest.mix(static_cast<std::uint64_t>(result.fleet.failovers));
-  digest.mix(static_cast<std::uint64_t>(result.fleet.hedges_redirected));
-  digest.mix(static_cast<std::uint64_t>(result.fleet.no_healthy_shard));
-  digest.mix(static_cast<std::uint64_t>(result.fleet.evicted));
-  digest.mix(static_cast<std::uint64_t>(result.fleet.kills));
-  digest.mix(static_cast<std::uint64_t>(result.fleet.hangs));
-  digest.mix(static_cast<std::uint64_t>(result.fleet.restarts));
-  digest.mix(static_cast<std::uint64_t>(result.fleet.quarantines));
-  digest.mix(static_cast<std::uint64_t>(result.fleet.heartbeat_timeouts));
-  digest.mix(static_cast<std::uint64_t>(result.fleet.burn_quarantines));
-  digest.mix(static_cast<std::uint64_t>(result.fleet.degrades));
-  digest.mix(static_cast<std::uint64_t>(result.fleet.readmissions));
-  digest.mix(static_cast<std::uint64_t>(result.fleet.windows_granted));
-  digest.mix(static_cast<std::uint64_t>(result.fleet.window_waits));
+  stream.mix(static_cast<std::uint64_t>(result.outcomes));
+  stream.mix(static_cast<std::uint64_t>(result.service.submitted));
+  stream.mix(static_cast<std::uint64_t>(result.service.shed));
+  stream.mix(static_cast<std::uint64_t>(result.service.queued));
+  stream.mix(static_cast<std::uint64_t>(result.fleet.routed));
+  stream.mix(static_cast<std::uint64_t>(result.fleet.failovers));
+  stream.mix(static_cast<std::uint64_t>(result.fleet.hedges_redirected));
+  stream.mix(static_cast<std::uint64_t>(result.fleet.no_healthy_shard));
+  stream.mix(static_cast<std::uint64_t>(result.fleet.evicted));
+  stream.mix(static_cast<std::uint64_t>(result.fleet.kills));
+  stream.mix(static_cast<std::uint64_t>(result.fleet.hangs));
+  stream.mix(static_cast<std::uint64_t>(result.fleet.restarts));
+  stream.mix(static_cast<std::uint64_t>(result.fleet.quarantines));
+  stream.mix(static_cast<std::uint64_t>(result.fleet.heartbeat_timeouts));
+  stream.mix(static_cast<std::uint64_t>(result.fleet.burn_quarantines));
+  stream.mix(static_cast<std::uint64_t>(result.fleet.degrades));
+  stream.mix(static_cast<std::uint64_t>(result.fleet.readmissions));
+  stream.mix(static_cast<std::uint64_t>(result.fleet.windows_granted));
+  stream.mix(static_cast<std::uint64_t>(result.fleet.window_waits));
   for (const int epoch : result.final_epochs) {
-    digest.mix(static_cast<std::uint64_t>(epoch));
+    stream.mix(static_cast<std::uint64_t>(epoch));
   }
-  result.digest = digest.value;
-  result.vend_latency = support::summarize(&latencies);
+  result.digest = stream.digest();
+  result.vend_latency = stream.vend_latency();
   return result;
 }
 

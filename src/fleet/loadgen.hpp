@@ -19,6 +19,7 @@
 #include "fleet/fleet.hpp"
 #include "fleet/fleet_storm.hpp"
 #include "serve/client.hpp"
+#include "serve/loadgen.hpp"
 #include "support/quantiles.hpp"
 
 namespace lamb::fleet {
@@ -40,17 +41,7 @@ struct FleetLoadgenConfig {
   serve::ClientOptions client;
 };
 
-struct FleetLoadgenResult {
-  // Terminal client outcomes, by status.
-  std::int64_t outcomes = 0;
-  std::int64_t served_fresh = 0;
-  std::int64_t served_stale = 0;
-  std::int64_t served_fallback = 0;
-  std::int64_t gave_up_overloaded = 0;
-  std::int64_t gave_up_rejected = 0;
-  std::int64_t unroutable = 0;
-  std::int64_t deadline_exceeded = 0;
-  std::int64_t errors = 0;
+struct FleetLoadgenResult : serve::OutcomeCounts {
   // Response-level counters summed over shards (retired generations of
   // killed shards included), plus the fleet's own counters.
   serve::ServiceStats service;

@@ -1,9 +1,5 @@
 #include "graph/bipartite_wvc.hpp"
 
-#include <algorithm>
-#include <cstdint>
-#include <unordered_map>
-
 #include "graph/dinic.hpp"
 
 namespace lamb {
@@ -11,15 +7,12 @@ namespace lamb {
 BipartiteCover min_weight_bipartite_cover(
     const std::vector<double>& left_weights,
     const std::vector<double>& right_weights,
-    const std::vector<BipartiteEdge>& edges,
-    const std::vector<FlowHint>* warm, CoverFlow* flow_out) {
+    const std::vector<BipartiteEdge>& edges) {
   const int num_left = static_cast<int>(left_weights.size());
   const int num_right = static_cast<int>(right_weights.size());
   const int source = 0;
   const int sink = 1 + num_left + num_right;
   Dinic flow(sink + 1);
-  // Edge ids: source->left are 0..L-1, right->sink are L..L+R-1, then the
-  // bipartite edges in input order.
   for (int i = 0; i < num_left; ++i) {
     flow.add_edge(source, 1 + i, left_weights[static_cast<std::size_t>(i)]);
   }
@@ -27,79 +20,11 @@ BipartiteCover min_weight_bipartite_cover(
     flow.add_edge(1 + num_left + j, sink,
                   right_weights[static_cast<std::size_t>(j)]);
   }
-  std::vector<int> bip_id(edges.size());
-  for (std::size_t e = 0; e < edges.size(); ++e) {
-    bip_id[e] = flow.add_edge(1 + edges[e].left,
-                              1 + num_left + edges[e].right, Dinic::kInf);
+  for (const BipartiteEdge& e : edges) {
+    flow.add_edge(1 + e.left, 1 + num_left + e.right, Dinic::kInf);
   }
-
-  double preloaded = 0.0;
-  if (warm != nullptr && !warm->empty()) {
-    // Dense (left, right) -> edge-id index. Hashing every edge here cost
-    // more than the warm start saved once the instance grew past a few
-    // thousand edges; L*R ints are cheap at the sizes the solver emits,
-    // with a hash map kept as the fallback for pathological shapes.
-    constexpr std::int64_t kDenseIndexLimit = std::int64_t{1} << 22;
-    const std::int64_t cells =
-        static_cast<std::int64_t>(num_left) * num_right;
-    auto key = [num_right](int l, int r) {
-      return static_cast<std::int64_t>(l) * num_right + r;
-    };
-    std::vector<std::int32_t> dense;
-    std::unordered_map<std::int64_t, int> sparse;
-    const bool use_dense = cells > 0 && cells <= kDenseIndexLimit;
-    if (use_dense) {
-      dense.assign(static_cast<std::size_t>(cells), -1);
-      for (std::size_t e = 0; e < edges.size(); ++e) {
-        dense[static_cast<std::size_t>(key(edges[e].left, edges[e].right))] =
-            bip_id[e];
-      }
-    } else {
-      sparse.reserve(edges.size());
-      for (std::size_t e = 0; e < edges.size(); ++e) {
-        sparse[key(edges[e].left, edges[e].right)] = bip_id[e];
-      }
-    }
-    for (const FlowHint& h : *warm) {
-      if (h.left < 0 || h.left >= num_left || h.right < 0 ||
-          h.right >= num_right || h.amount <= Dinic::kEps) {
-        continue;
-      }
-      int id = -1;
-      if (use_dense) {
-        id = dense[static_cast<std::size_t>(key(h.left, h.right))];
-      } else {
-        const auto it = sparse.find(key(h.left, h.right));
-        if (it != sparse.end()) id = it->second;
-      }
-      if (id < 0) continue;
-      // Clamp to what the source and sink edges can still carry, then
-      // push the same amount on all three arcs of the path — conservation
-      // holds at every vertex.
-      const double m = std::min(
-          {h.amount, flow.residual(h.left), flow.residual(num_left + h.right)});
-      if (m <= Dinic::kEps) continue;
-      flow.push_flow(h.left, m);
-      flow.push_flow(id, m);
-      flow.push_flow(num_left + h.right, m);
-      preloaded += m;
-    }
-  }
-
-  const double augmented = flow.max_flow(source, sink);
+  flow.max_flow(source, sink);
   const std::vector<bool> s_side = flow.min_cut_side();
-
-  if (flow_out != nullptr) {
-    flow_out->paths.clear();
-    flow_out->total = preloaded + augmented;
-    flow_out->preloaded = preloaded;
-    for (std::size_t e = 0; e < edges.size(); ++e) {
-      const double f = flow.flow_on(bip_id[e]);
-      if (f > Dinic::kEps) {
-        flow_out->paths.push_back(FlowHint{edges[e].left, edges[e].right, f});
-      }
-    }
-  }
 
   BipartiteCover cover;
   // A left vertex is in the cover iff the source edge to it is cut (vertex

@@ -20,49 +20,13 @@ struct BipartiteCover {
   double weight = 0.0;
 };
 
-// One unit of warm-start flow: `amount` along source -> left -> right ->
-// sink. Exported from a previous solve and replayed into the next one.
-struct FlowHint {
-  int left = 0;
-  int right = 0;
-  double amount = 0.0;
-};
-
-// Flow decomposition of a solved cover instance, for warm-starting the
-// next one. `paths` lists per-bipartite-edge flow; `preloaded` is how much
-// of `total` was seeded from hints rather than found by augmentation.
-struct CoverFlow {
-  std::vector<FlowHint> paths;
-  double total = 0.0;
-  double preloaded = 0.0;
-};
-
 // Minimum-weight vertex cover of the bipartite graph with the given vertex
-// weights and edges. Runs in O((L + R)^3) via Dinic.
-//
-// `warm` (optional) seeds the max-flow with a previous solution's flow
-// decomposition: each hint is clamped to the current residual capacities
-// and pushed along its three-arc path, so Dinic only augments the
-// difference. The cover returned is IDENTICAL to the cold-start one for
-// any valid hints: the cut extracted is the residual-reachable set from
-// the source, which is the unique minimal min-cut source side and does
-// not depend on which maximum flow was reached. Hints naming vertices or
-// edges absent from this instance are ignored.
-//
-// `flow_out` (optional) receives the flow decomposition of the solved
-// instance for use as the next epoch's hints.
+// weights and edges. Runs in O((L + R)^3) via Dinic. The cover is read off
+// the residual-reachable set from the source, the unique minimal min-cut
+// source side, so it does not depend on which maximum flow Dinic reached.
 BipartiteCover min_weight_bipartite_cover(
     const std::vector<double>& left_weights,
     const std::vector<double>& right_weights,
-    const std::vector<BipartiteEdge>& edges,
-    const std::vector<FlowHint>* warm, CoverFlow* flow_out);
-
-inline BipartiteCover min_weight_bipartite_cover(
-    const std::vector<double>& left_weights,
-    const std::vector<double>& right_weights,
-    const std::vector<BipartiteEdge>& edges) {
-  return min_weight_bipartite_cover(left_weights, right_weights, edges,
-                                    nullptr, nullptr);
-}
+    const std::vector<BipartiteEdge>& edges);
 
 }  // namespace lamb

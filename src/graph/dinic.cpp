@@ -19,7 +19,6 @@ int Dinic::add_edge(int u, int v, double capacity) {
   fu.push_back(Arc{v, static_cast<int>(fv.size()), capacity});
   fv.push_back(Arc{u, static_cast<int>(fu.size()) - 1, 0.0});
   edge_index_.emplace_back(u, static_cast<int>(fu.size()) - 1);
-  original_cap_.push_back(capacity);
   return id;
 }
 
@@ -98,27 +97,11 @@ std::vector<bool> Dinic::min_cut_side() const {
 
 double Dinic::flow_on(int edge_id) const {
   // The reverse arc starts at 0 and mirrors every push exactly, so its
-  // capacity IS the net flow — and unlike original_cap - cap it stays
-  // finite on infinite-capacity edges.
+  // capacity IS the net flow, finite even on infinite-capacity edges.
   const auto [u, pos] = edge_index_[static_cast<std::size_t>(edge_id)];
   const Arc& a = arcs_[static_cast<std::size_t>(u)][static_cast<std::size_t>(pos)];
   return arcs_[static_cast<std::size_t>(a.to)][static_cast<std::size_t>(a.rev)]
       .cap;
-}
-
-double Dinic::residual(int edge_id) const {
-  const auto [u, pos] = edge_index_[static_cast<std::size_t>(edge_id)];
-  return arcs_[static_cast<std::size_t>(u)][static_cast<std::size_t>(pos)].cap;
-}
-
-void Dinic::push_flow(int edge_id, double amount) {
-  assert(amount >= 0);
-  const auto [u, pos] = edge_index_[static_cast<std::size_t>(edge_id)];
-  Arc& a = arcs_[static_cast<std::size_t>(u)][static_cast<std::size_t>(pos)];
-  assert(amount <= a.cap + kEps);
-  a.cap -= amount;
-  arcs_[static_cast<std::size_t>(a.to)][static_cast<std::size_t>(a.rev)].cap +=
-      amount;
 }
 
 }  // namespace lamb

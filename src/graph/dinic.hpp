@@ -21,9 +21,7 @@ class Dinic {
   // Adds a directed edge u -> v with the given capacity and returns its id.
   int add_edge(int u, int v, double capacity);
 
-  // Computes the maximum flow from s to t. Flow already preloaded with
-  // push_flow is respected: the return value is only the augmentation
-  // found here, and the residual network afterwards reflects the total.
+  // Computes the maximum flow from s to t.
   double max_flow(int s, int t);
 
   // After max_flow: vertices reachable from s in the residual network
@@ -31,14 +29,6 @@ class Dinic {
   std::vector<bool> min_cut_side() const;
 
   double flow_on(int edge_id) const;
-
-  // Remaining forward capacity of an edge.
-  double residual(int edge_id) const;
-
-  // Warm-start primitive: forces `amount` units through an edge before
-  // max_flow runs. The caller must push along entire s-t paths (equal
-  // amounts on every edge of the path) or conservation is violated.
-  void push_flow(int edge_id, double amount);
 
  private:
   struct Arc {
@@ -54,7 +44,6 @@ class Dinic {
   std::vector<int> level_;
   std::vector<int> iter_;
   std::vector<std::pair<int, int>> edge_index_;  // edge id -> (vertex, arc pos)
-  std::vector<double> original_cap_;
   int source_ = -1;
 };
 

@@ -462,7 +462,6 @@ void encode(ByteWriter& w, const manager::EpochReport& report) {
   w.u8(report.incremental ? 1 : 0);
   w.i64(report.partition_cells_recomputed);
   w.i64(report.blocks_reused);
-  w.f64(report.flow_retained);
   w.i64(report.routes_retained);
   w.i64(report.routes_dropped);
 }
@@ -485,8 +484,8 @@ bool decode(ByteReader& r, manager::EpochReport* out) {
   }
   std::uint8_t incremental = 0;
   if (!r.u8(&incremental) || !r.i64(&report.partition_cells_recomputed) ||
-      !r.i64(&report.blocks_reused) || !r.f64(&report.flow_retained) ||
-      !r.i64(&report.routes_retained) || !r.i64(&report.routes_dropped)) {
+      !r.i64(&report.blocks_reused) || !r.i64(&report.routes_retained) ||
+      !r.i64(&report.routes_dropped)) {
     return false;
   }
   report.incremental = incremental != 0;

@@ -21,7 +21,8 @@ namespace {
 constexpr char kSnapshotMagic[kMagicSize + 1] = "LAMBSNAP";
 constexpr char kJournalMagic[kMagicSize + 1] = "LAMBJRNL";
 // Version 2: EpochReport gained the incremental-reconfigure fields.
-constexpr std::uint32_t kSnapshotVersion = 2;
+// Version 3: EpochReport dropped the cover warm-start retention field.
+constexpr std::uint32_t kSnapshotVersion = 3;
 constexpr std::uint32_t kJournalVersion = 1;
 constexpr std::size_t kJournalHeaderSize = kMagicSize + 4 + 8 + 4;
 constexpr char kJournalName[] = "journal.lmj";

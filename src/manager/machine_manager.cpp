@@ -192,7 +192,6 @@ EpochReport MachineManager::reconfigure() {
   report.incremental = inc.used;
   report.partition_cells_recomputed = inc.partition_cells_recomputed;
   report.blocks_reused = inc.blocks_reused;
-  report.flow_retained = inc.flow_retained;
   report.solve_seconds = watch.seconds();
   report.partition_seconds = result.stats.seconds_partition;
   report.matrices_seconds = result.stats.seconds_matrices;

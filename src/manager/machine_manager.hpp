@@ -68,7 +68,6 @@ struct EpochReport {
   bool incremental = false;
   std::int64_t partition_cells_recomputed = 0;
   std::int64_t blocks_reused = 0;
-  double flow_retained = 0.0;
   std::int64_t routes_retained = 0;
   std::int64_t routes_dropped = 0;
 };

@@ -88,4 +88,42 @@ FaultSet FaultSet::random_nodes(const MeshShape& shape, std::int64_t count,
   return fs;
 }
 
+std::optional<FaultDelta> fault_delta(const FaultSet& then,
+                                      const FaultSet& now) {
+  FaultDelta delta;
+  const std::vector<NodeId>& then_nodes = then.node_faults();
+  std::size_t a = 0;  // both sorted unique: one merge pass
+  for (const NodeId id : now.node_faults()) {
+    if (a < then_nodes.size() && then_nodes[a] == id) {
+      ++a;
+    } else {
+      delta.nodes.push_back(id);
+    }
+  }
+  if (a != then_nodes.size()) return std::nullopt;
+
+  // Each logical link fault is one sortable key: its directed link id with
+  // the bidirectional flag as the low bit. A set lists each logical fault
+  // once, so `now` contains `then` iff every key of `then` is matched.
+  const MeshShape& shape = now.shape();
+  auto key = [&shape](const LinkFault& lf) {
+    return shape.link_id(lf.from, lf.dim, lf.dir) * 2 +
+           (lf.bidirectional ? 1 : 0);
+  };
+  std::vector<LinkId> then_keys;
+  then_keys.reserve(then.link_faults().size());
+  for (const LinkFault& lf : then.link_faults()) then_keys.push_back(key(lf));
+  std::sort(then_keys.begin(), then_keys.end());
+  std::size_t matched = 0;
+  for (const LinkFault& lf : now.link_faults()) {
+    if (std::binary_search(then_keys.begin(), then_keys.end(), key(lf))) {
+      ++matched;
+    } else {
+      delta.links.push_back(lf);
+    }
+  }
+  if (matched != then_keys.size()) return std::nullopt;
+  return delta;
+}
+
 }  // namespace lamb

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "mesh/mesh.hpp"
@@ -80,5 +81,19 @@ class FaultSet {
   std::vector<LinkFault> link_faults_;      // insertion order
   std::vector<LinkId> bad_directed_links_;  // sorted, unique
 };
+
+// The faults `now` adds over `then`, in `now`'s order: node ids ascending,
+// link faults in insertion order.
+struct FaultDelta {
+  std::vector<NodeId> nodes;
+  std::vector<LinkFault> links;
+};
+
+// `now` minus `then`, or nullopt when `now` does not contain every fault
+// of `then`. Link faults match exactly, `bidirectional` included, so a
+// directed fault is not contained in a bidirectional one on the same link.
+// Both sets must be over equal shapes. O(N + L log L).
+std::optional<FaultDelta> fault_delta(const FaultSet& then,
+                                      const FaultSet& now);
 
 }  // namespace lamb

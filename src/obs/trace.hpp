@@ -97,8 +97,4 @@ class Span {
   std::vector<std::pair<std::string, double>> args_;
 };
 
-// The registry-only flavor shares the implementation: a ScopedTimer still
-// emits a trace event when tracing is on, which is always what you want.
-using ScopedTimer = Span;
-
 }  // namespace lamb::obs

@@ -13,35 +13,38 @@
 
 namespace lamb::serve {
 
-namespace {
-
-// FNV-1a over the outcome stream (same construction as fault_storm's
-// trial digest). Timing never enters; tick-indexed integers only.
-struct Digest {
-  std::uint64_t value = 1469598103934665603ULL;
-  void mix(std::uint64_t x) {
-    for (int i = 0; i < 8; ++i) {
-      value ^= (x >> (8 * i)) & 0xff;
-      value *= 1099511628211ULL;
-    }
-  }
-};
-
-void tally(const Client::Outcome& outcome, LoadgenResult* result) {
-  ++result->outcomes;
+void OutcomeStream::add(const Client::Outcome& outcome) {
+  ++counts_.outcomes;
   switch (outcome.status) {
-    case ServeStatus::kFresh: ++result->served_fresh; break;
-    case ServeStatus::kStale: ++result->served_stale; break;
-    case ServeStatus::kFallback: ++result->served_fallback; break;
-    case ServeStatus::kOverloaded: ++result->gave_up_overloaded; break;
-    case ServeStatus::kRejected: ++result->gave_up_rejected; break;
-    case ServeStatus::kUnroutable: ++result->unroutable; break;
-    case ServeStatus::kDeadline: ++result->deadline_exceeded; break;
-    case ServeStatus::kError: ++result->errors; break;
+    case ServeStatus::kFresh: ++counts_.served_fresh; break;
+    case ServeStatus::kStale: ++counts_.served_stale; break;
+    case ServeStatus::kFallback: ++counts_.served_fallback; break;
+    case ServeStatus::kOverloaded: ++counts_.gave_up_overloaded; break;
+    case ServeStatus::kRejected: ++counts_.gave_up_rejected; break;
+    case ServeStatus::kUnroutable: ++counts_.unroutable; break;
+    case ServeStatus::kDeadline: ++counts_.deadline_exceeded; break;
+    case ServeStatus::kError: ++counts_.errors; break;
+  }
+  mix(outcome.client);
+  mix(static_cast<std::uint64_t>(outcome.seq));
+  mix(static_cast<std::uint64_t>(outcome.status));
+  mix(static_cast<std::uint64_t>(outcome.attempts));
+  mix(static_cast<std::uint64_t>(outcome.epoch));
+  mix(static_cast<std::uint64_t>(outcome.route_length));
+  mix(static_cast<std::uint64_t>(outcome.latency_ticks));
+  if (served(outcome.status)) latencies_.push_back(outcome.vend_seconds);
+}
+
+void OutcomeStream::mix(std::uint64_t x) {
+  for (int i = 0; i < 8; ++i) {
+    digest_ ^= (x >> (8 * i)) & 0xff;
+    digest_ *= 1099511628211ULL;
   }
 }
 
-}  // namespace
+support::QuantileSummary OutcomeStream::vend_latency() {
+  return support::summarize(&latencies_);
+}
 
 LoadgenResult run_loadgen(const LoadgenConfig& config) {
   const MeshShape shape = io::parse_geometry(config.mesh);
@@ -76,9 +79,8 @@ LoadgenResult run_loadgen(const LoadgenConfig& config) {
 
   LoadgenResult result;
   result.storm_events = static_cast<std::int64_t>(storm.events.size());
-  Digest digest;
+  OutcomeStream stream;
   std::vector<Client::Outcome> outcomes;
-  std::vector<double> latencies;
   std::int64_t publish_due = -1;
   bool draining = false;
   std::int64_t t = 0;
@@ -128,20 +130,11 @@ LoadgenResult run_loadgen(const LoadgenConfig& config) {
     }
     for (Client& client : clients) client.step(t, &outcomes);
 
-    for (const Client::Outcome& outcome : outcomes) {
-      tally(outcome, &result);
-      digest.mix(outcome.client);
-      digest.mix(static_cast<std::uint64_t>(outcome.seq));
-      digest.mix(static_cast<std::uint64_t>(outcome.status));
-      digest.mix(static_cast<std::uint64_t>(outcome.attempts));
-      digest.mix(static_cast<std::uint64_t>(outcome.epoch));
-      digest.mix(static_cast<std::uint64_t>(outcome.route_length));
-      digest.mix(static_cast<std::uint64_t>(outcome.latency_ticks));
-      if (served(outcome.status)) latencies.push_back(outcome.vend_seconds);
-    }
+    for (const Client::Outcome& outcome : outcomes) stream.add(outcome);
     ++t;
   }
 
+  static_cast<OutcomeCounts&>(result) = stream.counts();
   result.cooldown_used = std::max<std::int64_t>(0, t - horizon);
   result.service = service.stats();
   result.final_queue_depth = service.queue_depth();
@@ -151,13 +144,13 @@ LoadgenResult run_loadgen(const LoadgenConfig& config) {
       static_cast<std::int64_t>(service.table()->survivors().size());
   // Fold the totals in too, so a dropped-versus-shed misclassification
   // cannot cancel out across the stream.
-  digest.mix(static_cast<std::uint64_t>(result.outcomes));
-  digest.mix(static_cast<std::uint64_t>(result.service.submitted));
-  digest.mix(static_cast<std::uint64_t>(result.service.shed));
-  digest.mix(static_cast<std::uint64_t>(result.service.queued));
-  digest.mix(static_cast<std::uint64_t>(result.final_epoch));
-  result.digest = digest.value;
-  result.vend_latency = support::summarize(&latencies);
+  stream.mix(static_cast<std::uint64_t>(result.outcomes));
+  stream.mix(static_cast<std::uint64_t>(result.service.submitted));
+  stream.mix(static_cast<std::uint64_t>(result.service.shed));
+  stream.mix(static_cast<std::uint64_t>(result.service.queued));
+  stream.mix(static_cast<std::uint64_t>(result.final_epoch));
+  result.digest = stream.digest();
+  result.vend_latency = stream.vend_latency();
   return result;
 }
 

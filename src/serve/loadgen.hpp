@@ -9,11 +9,13 @@
 // it must be bit-identical under any LAMBMESH_THREADS (the parallel pool
 // only runs inside the solver, which is bit-identical at any width).
 // Wall-clock vend latencies are summarized beside the digest but never
-// folded into it.
+// folded into it. fleet/loadgen drives its federation scenario through
+// the same OutcomeStream.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "serve/client.hpp"
 #include "serve/route_service.hpp"
@@ -35,8 +37,8 @@ struct LoadgenConfig {
   ClientOptions client;
 };
 
-struct LoadgenResult {
-  // Terminal client outcomes, by status.
+// Terminal client outcomes, by status.
+struct OutcomeCounts {
   std::int64_t outcomes = 0;
   std::int64_t served_fresh = 0;
   std::int64_t served_stale = 0;
@@ -46,6 +48,29 @@ struct LoadgenResult {
   std::int64_t unroutable = 0;
   std::int64_t deadline_exceeded = 0;
   std::int64_t errors = 0;
+};
+
+// A loadgen's client-outcome stream: every terminal outcome is tallied by
+// status, folded into an FNV-1a digest, and, when served, its wall-clock
+// vend latency is kept. Only tick-indexed integers enter the digest.
+class OutcomeStream {
+ public:
+  void add(const Client::Outcome& outcome);
+  // Folds a scenario total into the digest.
+  void mix(std::uint64_t x);
+
+  const OutcomeCounts& counts() const { return counts_; }
+  std::uint64_t digest() const { return digest_; }
+  // Quantiles of the served vends' latency, in seconds.
+  support::QuantileSummary vend_latency();
+
+ private:
+  OutcomeCounts counts_;
+  std::uint64_t digest_ = 1469598103934665603ULL;  // FNV-1a offset basis
+  std::vector<double> latencies_;
+};
+
+struct LoadgenResult : OutcomeCounts {
   // Response-level counters (retries count each submission).
   ServiceStats service;
   std::int64_t storm_events = 0;

@@ -1,7 +1,5 @@
 #include "serve/route_table.hpp"
 
-#include <algorithm>
-
 #include "obs/obs.hpp"
 #include "reach/dim_order.hpp"
 
@@ -22,12 +20,6 @@ FaultSet copy_faults(const MeshShape& shape, const FaultSet& from) {
     }
   }
   return faults;
-}
-
-bool contains_link(const std::vector<LinkFault>& haystack,
-                   const LinkFault& needle) {
-  return std::find(haystack.begin(), haystack.end(), needle) !=
-         haystack.end();
 }
 
 }  // namespace
@@ -62,27 +54,12 @@ std::shared_ptr<const RouteTable> RouteTable::capture(
     // The carry-forward predicate is only sound when this epoch's faults
     // are a superset of prev's (monotone growth along one timeline); a
     // restore to a divergent timeline fails the check and floods cold.
-    bool superset = true;
-    std::vector<NodeId> delta_nodes;
-    std::vector<LinkFault> delta_links;
-    for (const NodeId id : prev->faults_.node_faults()) {
-      if (!table->faults_.node_faulty(id)) superset = false;
-    }
-    for (const LinkFault& lf : prev->faults_.link_faults()) {
-      if (!contains_link(table->faults_.link_faults(), lf)) superset = false;
-    }
-    if (superset) {
-      for (const NodeId id : table->faults_.node_faults()) {
-        if (!prev->faults_.node_faulty(id)) delta_nodes.push_back(id);
-      }
-      for (const LinkFault& lf : table->faults_.link_faults()) {
-        if (!contains_link(prev->faults_.link_faults(), lf)) {
-          delta_links.push_back(lf);
-        }
-      }
+    const std::optional<FaultDelta> delta =
+        fault_delta(prev->faults_, table->faults_);
+    if (delta) {
       std::scoped_lock lock(table->mu_, prev->mu_);
       const wormhole::RouteCache::InvalidateStats adopted =
-          table->cache_.adopt(prev->cache_, delta_nodes, delta_links);
+          table->cache_.adopt(prev->cache_, delta->nodes, delta->links);
       build.floods_retained = adopted.retained;
       build.floods_dropped = adopted.dropped;
     }

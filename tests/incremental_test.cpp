@@ -10,7 +10,6 @@
 
 #include "core/incremental.hpp"
 #include "core/lamb.hpp"
-#include "graph/bipartite_wvc.hpp"
 #include "manager/machine_manager.hpp"
 #include "mesh/fault_set.hpp"
 #include "support/parallel.hpp"
@@ -247,79 +246,6 @@ TEST(Incremental, DegradedValuesMidStormStayEquivalent) {
     expect_identical(next, solve_lambs(shape, faults, cold));
     prev = std::move(next);
   }
-}
-
-TEST(Incremental, WarmCoverMatchesCold) {
-  Rng rng(909);
-  for (int trial = 0; trial < 60; ++trial) {
-    const int nl = 2 + static_cast<int>(rng.below(6));
-    const int nr = 2 + static_cast<int>(rng.below(6));
-    std::vector<double> lw, rw;
-    for (int i = 0; i < nl; ++i) {
-      lw.push_back(0.05 + 0.95 * rng.uniform01());
-    }
-    for (int i = 0; i < nr; ++i) {
-      rw.push_back(0.05 + 0.95 * rng.uniform01());
-    }
-    std::vector<BipartiteEdge> edges;
-    for (int l = 0; l < nl; ++l) {
-      for (int r = 0; r < nr; ++r) {
-        if (rng.below(3) != 0) edges.push_back({l, r});
-      }
-    }
-    CoverFlow flow;
-    const BipartiteCover cold =
-        min_weight_bipartite_cover(lw, rw, edges, nullptr, &flow);
-    // Replaying the instance's own flow decomposition must reproduce the
-    // same cover with no further augmentation.
-    CoverFlow warm_flow;
-    const BipartiteCover warm =
-        min_weight_bipartite_cover(lw, rw, edges, &flow.paths, &warm_flow);
-    EXPECT_EQ(cold.left, warm.left);
-    EXPECT_EQ(cold.right, warm.right);
-    EXPECT_EQ(cold.weight, warm.weight);
-    EXPECT_DOUBLE_EQ(warm_flow.preloaded, warm_flow.total);
-    // A perturbed instance (one vertex cheaper, an edge added) with the
-    // now-stale hints: hints get clamped, the cover must equal cold.
-    lw[static_cast<std::size_t>(rng.below(static_cast<std::uint64_t>(nl)))] *=
-        0.5;
-    edges.push_back({static_cast<int>(rng.below(static_cast<std::uint64_t>(nl))),
-                     static_cast<int>(rng.below(static_cast<std::uint64_t>(nr)))});
-    const BipartiteCover cold2 = min_weight_bipartite_cover(lw, rw, edges);
-    const BipartiteCover warm2 =
-        min_weight_bipartite_cover(lw, rw, edges, &flow.paths, nullptr);
-    EXPECT_EQ(cold2.left, warm2.left);
-    EXPECT_EQ(cold2.right, warm2.right);
-    EXPECT_EQ(cold2.weight, warm2.weight);
-  }
-}
-
-TEST(Incremental, WarmStartRetainsFlowAcrossRepair) {
-  // The hints are captured in the previous epoch's R^(k) index space and
-  // must be translated through the repair's content maps; if that remap
-  // is broken they bind to the wrong cells and preload nothing. Checked
-  // on the direct API: in the manager's monotone-growth loop the previous
-  // cover becomes predetermined, which zeroes exactly the hinted cells,
-  // so retention is structurally nil there (see docs/RECOVERY.md).
-  const MeshShape shape = MeshShape::cube(2, 16);
-  Rng rng(901);
-  FaultSet faults(shape);
-  for (int i = 0; i < 10; ++i) {
-    faults.add_node(random_good_node(shape, faults, rng));
-  }
-  LambOptions options;
-  options.keep_context = true;
-  SolveOutcome prev = solve_lambs(shape, faults, options);
-  double best = 0.0;
-  for (int e = 0; e < 8; ++e) {
-    faults.add_node(random_good_node(shape, faults, rng));
-    IncrementalStats stats;
-    SolveOutcome next =
-        solve_lambs_incremental(shape, faults, prev, options, 3, &stats);
-    if (stats.used) best = std::max(best, stats.flow_retained);
-    prev = std::move(next);
-  }
-  EXPECT_GT(best, 0.0);
 }
 
 // --------------------------------------------------- route-cache layer

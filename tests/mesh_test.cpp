@@ -3,8 +3,10 @@
 // rectangular sets, and fault sets.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 #include <stdexcept>
+#include <vector>
 
 #include "mesh/fault_set.hpp"
 #include "mesh/mesh.hpp"
@@ -226,6 +228,82 @@ TEST(FaultSet, RandomNodesDeterministicPerSeed) {
   Rng a(5), b(5);
   EXPECT_EQ(FaultSet::random_nodes(m, 10, a).node_faults(),
             FaultSet::random_nodes(m, 10, b).node_faults());
+}
+
+TEST(FaultDelta, SupersetYieldsNewFaultsInNowOrder) {
+  const MeshShape m = MeshShape::mesh({6, 6});
+  FaultSet then(m);
+  then.add_node(NodeId{20});
+  then.add_link(Point{1, 1}, 0, Dir::Pos);
+  FaultSet now(m);
+  now.add_node(NodeId{31});
+  now.add_node(NodeId{20});
+  now.add_node(NodeId{2});
+  now.add_link(Point{4, 0}, 1, Dir::Pos);
+  now.add_link(Point{2, 1}, 0, Dir::Neg);  // then's link, named from its other end
+  now.add_directed_link(Point{0, 3}, 0, Dir::Pos);
+
+  const std::optional<FaultDelta> d = fault_delta(then, now);
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(d->nodes, (std::vector<NodeId>{2, 31}));
+  ASSERT_EQ(d->links.size(), 2u);
+  EXPECT_EQ(d->links[0], now.link_faults()[0]);
+  EXPECT_EQ(d->links[1], now.link_faults()[2]);
+}
+
+TEST(FaultDelta, NonSupersetIsRefused) {
+  const MeshShape m = MeshShape::mesh({6, 6});
+  FaultSet then(m);
+  then.add_node(NodeId{7});
+  then.add_link(Point{0, 0}, 1, Dir::Pos);
+  FaultSet missing_node(m);
+  missing_node.add_node(NodeId{8});
+  missing_node.add_link(Point{0, 0}, 1, Dir::Pos);
+  EXPECT_FALSE(fault_delta(then, missing_node).has_value());
+  FaultSet missing_link(m);
+  missing_link.add_node(NodeId{7});
+  missing_link.add_link(Point{0, 1}, 1, Dir::Pos);
+  EXPECT_FALSE(fault_delta(then, missing_link).has_value());
+}
+
+TEST(FaultDelta, DirectedAndBidirectionalFaultsAreDistinct) {
+  const MeshShape m = MeshShape::mesh({4, 4});
+  FaultSet directed(m);
+  directed.add_directed_link(Point{1, 1}, 0, Dir::Pos);
+  FaultSet bidirectional(m);
+  bidirectional.add_link(Point{1, 1}, 0, Dir::Pos);
+  // A bidirectional fault blocks the directed link, but it is not the
+  // same logical fault.
+  EXPECT_FALSE(fault_delta(directed, bidirectional).has_value());
+  EXPECT_FALSE(fault_delta(bidirectional, directed).has_value());
+
+  FaultSet both(m);
+  both.add_directed_link(Point{1, 1}, 0, Dir::Pos);
+  both.add_link(Point{1, 1}, 0, Dir::Pos);
+  ASSERT_EQ(both.num_link_faults(), 2);
+  const std::optional<FaultDelta> d = fault_delta(bidirectional, both);
+  ASSERT_TRUE(d.has_value());
+  ASSERT_EQ(d->links.size(), 1u);
+  EXPECT_FALSE(d->links[0].bidirectional);
+  EXPECT_EQ(d->links[0], both.link_faults()[0]);
+}
+
+TEST(FaultDelta, EqualSetsGiveEmptyDelta) {
+  const MeshShape m = MeshShape::torus({4, 4});
+  FaultSet a(m), b(m);
+  for (FaultSet* f : {&a, &b}) {
+    f->add_node(NodeId{5});
+    f->add_link(Point{3, 0}, 0, Dir::Pos);
+    f->add_directed_link(Point{2, 2}, 1, Dir::Neg);
+  }
+  const std::optional<FaultDelta> d = fault_delta(a, b);
+  ASSERT_TRUE(d.has_value());
+  EXPECT_TRUE(d->nodes.empty());
+  EXPECT_TRUE(d->links.empty());
+  const std::optional<FaultDelta> none = fault_delta(FaultSet(m), FaultSet(m));
+  ASSERT_TRUE(none.has_value());
+  EXPECT_TRUE(none->nodes.empty());
+  EXPECT_TRUE(none->links.empty());
 }
 
 }  // namespace

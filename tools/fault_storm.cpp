@@ -132,9 +132,12 @@ struct TrialTotals {
 
 // ------------------------------------------------- durable progress file
 //
-// Sealed ("LAMBPROG" v1) epoch-boundary resume point. next_epoch is the
+// Sealed ("LAMBPROG") epoch-boundary resume point. next_epoch is the
 // epoch about to run: in [1, epochs) the checkpoint + rng state rewind
 // the current trial; >= epochs the next trial starts from its own seed.
+// The payload embeds a manager::Checkpoint, so the version must move
+// whenever the snapshot codec's does.
+constexpr std::uint32_t kProgressVersion = 2;
 
 struct Progress {
   bool complete = false;
@@ -170,7 +173,7 @@ std::string encode_progress(const Progress& p, std::uint64_t fingerprint,
     io::encode(w, shape);
     io::encode(w, p.checkpoint, shape.dim());
   }
-  return io::seal("LAMBPROG", 1, w.data());
+  return io::seal("LAMBPROG", kProgressVersion, w.data());
 }
 
 // Returns false on any corruption (treated as a fresh start — the digest
@@ -180,7 +183,9 @@ bool decode_progress(std::string_view bytes, std::uint64_t fingerprint,
                      const MeshShape& shape, Progress* out,
                      bool* config_mismatch) {
   std::string_view payload;
-  if (!io::unseal(bytes, "LAMBPROG", 1, &payload).ok()) return false;
+  if (!io::unseal(bytes, "LAMBPROG", kProgressVersion, &payload).ok()) {
+    return false;
+  }
   io::ByteReader r(payload);
   std::uint64_t fp = 0;
   std::uint8_t complete = 0, has_checkpoint = 0;
