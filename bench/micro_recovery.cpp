@@ -19,6 +19,7 @@
 #include "obs/obs.hpp"
 #include "support/env.hpp"
 #include "support/machine_info.hpp"
+#include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 #include "wormhole/fault_schedule.hpp"
@@ -29,6 +30,12 @@ using namespace lamb;
 
 namespace {
 
+// Repetition counts and the k-series solver pool width, echoed in the
+// JSON.
+constexpr int kSimPairs = 100;     // interleaved schedule-off/storm-on runs
+constexpr int kSeriesReps = 20;    // timed k-series repetitions
+constexpr int kSolverThreads = 1;  // pool width during the k-series
+
 struct Result {
   std::string mode;
   double seconds = 0.0;       // per run, best of reps
@@ -38,31 +45,27 @@ struct Result {
   std::int64_t resolved_by_fault = 0;  // lost + poisoned
 };
 
-Result time_sim(const char* mode, const MeshShape& shape,
-                const FaultSet& faults,
-                const std::vector<wormhole::Message>& messages,
-                const wormhole::FaultSchedule& schedule, int reps) {
-  Result res;
-  res.mode = mode;
-  res.seconds = -1.0;
-  for (int r = 0; r < reps; ++r) {
-    wormhole::SimConfig config;
-    config.vcs_per_link = 2;
-    config.buffer_flits = 4;
-    config.fault_schedule = schedule;
-    wormhole::Network net(shape, faults, config);
-    for (const auto& m : messages) net.submit(m);
-    Stopwatch watch;
-    const auto result = net.run();
-    const double s = watch.seconds();
-    if (res.seconds < 0 || s < res.seconds) res.seconds = s;
-    res.cycles = result.cycles;
-    res.delivered = result.delivered;
-    res.resolved_by_fault = result.lost + result.poisoned;
-  }
-  res.cycles_per_s =
-      res.seconds > 0 ? static_cast<double>(res.cycles) / res.seconds : 0.0;
-  return res;
+// One simulation of `messages` under `schedule`; *res keeps the best
+// wall time of Network::run over the calls made with it.
+void time_sim(const MeshShape& shape, const FaultSet& faults,
+              const std::vector<wormhole::Message>& messages,
+              const wormhole::FaultSchedule& schedule, Result* res) {
+  wormhole::SimConfig config;
+  config.vcs_per_link = 2;
+  config.buffer_flits = 4;
+  config.fault_schedule = schedule;
+  wormhole::Network net(shape, faults, config);
+  for (const auto& m : messages) net.submit(m);
+  Stopwatch watch;
+  const auto result = net.run();
+  const double s = watch.seconds();
+  if (res->seconds <= 0 || s < res->seconds) res->seconds = s;
+  res->cycles = result.cycles;
+  res->delivered = result.delivered;
+  res->resolved_by_fault = result.lost + result.poisoned;
+  res->cycles_per_s =
+      res->seconds > 0 ? static_cast<double>(res->cycles) / res->seconds
+                       : 0.0;
 }
 
 Result time_recovery_epoch(const MeshShape& shape, std::int64_t messages,
@@ -177,6 +180,9 @@ void write_json(const std::string& path, const std::vector<Result>& results,
       << "  \"workload\": \"abl07 uniform, M_3(8), 2 rounds, 2 VCs, "
          "8-flit messages; storm = 3 node + 1 link kills; k-series = 20 "
          "background node faults + 1 node per epoch\",\n"
+      << "  \"sim_pairs\": " << kSimPairs << ",\n"
+      << "  \"series_reps\": " << kSeriesReps << ",\n"
+      << "  \"solver_threads\": " << kSolverThreads << ",\n"
       << "  \"storm_on_overhead_pct\": " << overhead_pct << ",\n"
       // Speedup of the O(delta) reconfigure over the from-scratch solve
       // at the 8th fault of the storm series (the ISSUE acceptance
@@ -243,18 +249,27 @@ int main(int argc, char** argv) {
       generate_traffic(shape, faults, lambs.lambs, builder, tc, rng);
   const int reps = 3;
 
-  std::printf("micro_recovery: %zu messages, best of %d runs each\n\n",
-              traffic.messages.size(), reps);
+  std::printf("micro_recovery: %zu messages, best of %d interleaved "
+              "off/on pairs\n\n",
+              traffic.messages.size(), kSimPairs);
   std::vector<Result> results;
 
+  // An untimed schedule-off run warms up and sizes the storm window.
   const wormhole::FaultSchedule off;  // the one-comparison configuration
-  results.push_back(
-      time_sim("schedule_off", shape, faults, traffic.messages, off, reps));
-
-  wormhole::FaultSchedule storm = wormhole::FaultSchedule::random_storm(
-      shape, faults, 3, 1, results[0].cycles, rng);
-  results.push_back(
-      time_sim("storm_on", shape, faults, traffic.messages, storm, reps));
+  Result warmup;
+  time_sim(shape, faults, traffic.messages, off, &warmup);
+  const wormhole::FaultSchedule storm = wormhole::FaultSchedule::random_storm(
+      shape, faults, 3, 1, warmup.cycles, rng);
+  // Interleaved pairs (off, on, off, on, ...), so host-speed drift hits
+  // both modes alike; each mode keeps its best run.
+  Result off_result{"schedule_off"};
+  Result storm_result{"storm_on"};
+  for (int r = 0; r < kSimPairs; ++r) {
+    time_sim(shape, faults, traffic.messages, off, &off_result);
+    time_sim(shape, faults, traffic.messages, storm, &storm_result);
+  }
+  results.push_back(off_result);
+  results.push_back(storm_result);
 
   results.push_back(time_recovery_epoch(shape, scaled_trials(400), reps));
 
@@ -277,10 +292,17 @@ int main(int argc, char** argv) {
   // 20 background faults (~4% of M_3(8)) put the mesh in the damaged
   // steady state the recovery loop actually operates in; each storm
   // fault is then a one-node delta on top.
+  // The series runs at a pinned solver pool width: the full solve
+  // parallelises better than the incremental one, so the speedup would
+  // otherwise depend on how many cores the host has free.
   bool equivalent = true;
   const int K = 10;
-  const auto series = storm_series(shape, 20, K, 6, &equivalent);
-  std::printf("\n  k-th-fault reconfigure latency (best of 6 series):\n");
+  const int pool_threads = par::threads();
+  par::set_threads(kSolverThreads);
+  const auto series = storm_series(shape, 20, K, kSeriesReps, &equivalent);
+  par::set_threads(pool_threads);
+  std::printf("\n  k-th-fault reconfigure latency (best of %d series):\n",
+              kSeriesReps);
   for (const SeriesPoint& pt : series) {
     std::printf("    k=%-2d  full %8.2f us  incremental %8.2f us  (%5.2fx%s, "
                 "%lld blocks reused)\n",

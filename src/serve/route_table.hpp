@@ -2,11 +2,12 @@
 //
 // A RouteTable is an immutable snapshot of one manager epoch: the fault
 // set, round orders, and survivor set frozen at publish time, plus a
-// memoizing flood cache so repeated vends against the snapshot cost one
-// bitset intersection. RouteService swaps tables with a single atomic
-// shared_ptr store (RCU-style), so readers never block on the solver —
-// they route against whichever epoch they snapshotted, and the old table
-// dies when its last in-flight reader drops the reference.
+// memoizing flood cache so a repeated vend against the snapshot costs one
+// scan of the intersection of two cached floods. RouteService swaps
+// tables with a single atomic shared_ptr store (RCU-style), so readers
+// never block on the solver — they route against whichever epoch they
+// snapshotted, and the old table dies when its last in-flight reader
+// drops the reference.
 //
 // capture() carries the previous table's surviving floods forward via
 // RouteCache::adopt (PR 7's selective-invalidation predicate), so an

@@ -1,6 +1,8 @@
 #include "wormhole/route_cache.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdlib>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -53,6 +55,136 @@ class StaleTest {
  private:
   const std::vector<NodeId>* nodes_;
   std::vector<std::pair<NodeId, NodeId>> link_ends_;
+};
+
+// Picks the k = 2 intermediate. The chosen node and the rng draws are
+// those of the plain scan: visit F∩B (forward flood of src AND backward
+// flood of dst) in ascending id order, score u by l1(src, u) +
+// l1(u, dst), keep the minimum and break ties by reservoir sampling --
+// or, with a NodeLoad, toward the first least-loaded node. This class
+// gets there without copying the floods or dividing ids.
+//
+// The length separates by dimension: sum_j c_j[u_j], where
+// c_j[x] = dist_j(src_j, x) + dist_j(x, dst_j) (the shorter arc on a
+// torus). Walking the id space as nested loops, highest dimension
+// outermost, is ascending id order. A subtree is skipped when its fixed
+// coordinates plus the per-dimension minima of its free ones already
+// exceed the best total: none of its nodes could reach the tie or
+// replace step of the plain scan, because the best only falls. Once the
+// best equals lb = sum_j min_x c_j[x], this leaves exactly the nodes
+// whose every coordinate attains its minimum (the src/dst bounding box on
+// a mesh). Ties met before lb still draw from rng, as in the plain scan.
+class IntermediateScan {
+ public:
+  IntermediateScan(const MeshShape& shape, const Bits& forward,
+                   const Bits& backward, const Point& src, const Point& dst,
+                   std::vector<std::int64_t>* costs, Rng& rng,
+                   NodeLoad* load)
+      : shape_(shape),
+        forward_(forward.words().data()),
+        backward_(backward.words().data()),
+        rng_(rng),
+        load_(load) {
+    std::size_t cells = 0;
+    for (int j = 0; j < shape.dim(); ++j) {
+      cells += static_cast<std::size_t>(shape.width(j));
+    }
+    costs->resize(cells);
+    std::int64_t* c = costs->data();
+    for (int j = 0; j < shape.dim(); ++j) {
+      const Coord n = shape.width(j);
+      const auto dist = [&](Coord a, Coord b) {
+        const std::int64_t d = std::abs(static_cast<std::int64_t>(a) - b);
+        return shape.wraps() ? std::min<std::int64_t>(d, n - d) : d;
+      };
+      std::int64_t low = std::numeric_limits<std::int64_t>::max();
+      for (Coord x = 0; x < n; ++x) {
+        c[x] = dist(src[j], x) + dist(x, dst[j]);
+        low = std::min(low, c[x]);
+      }
+      cost_[j] = c;
+      c += n;
+      floor_[j + 1] = floor_[j] + low;
+    }
+  }
+
+  // Returns the chosen intermediate, or -1 when F∩B is empty.
+  NodeId run() {
+    visit(shape_.dim() - 1, 0, 0);
+    return chosen_;
+  }
+
+  // Length of the route through the chosen intermediate.
+  std::int64_t best() const { return best_; }
+
+ private:
+  // Nodes whose dimensions above j are fixed (id offset `base`, summed
+  // cost `partial`), in ascending id order.
+  void visit(int j, NodeId base, std::int64_t partial) {
+    if (j == 0) {
+      visit_row(base, partial);
+      return;
+    }
+    const std::int64_t* c = cost_[j];
+    const NodeId stride = shape_.stride(j);
+    for (Coord x = 0; x < shape_.width(j); ++x) {
+      const std::int64_t p = partial + c[x];
+      if (p + floor_[j] > best_) continue;
+      visit(j - 1, base + x * stride, p);
+    }
+  }
+
+  // The dimension-0 row [base, base + width(0)) of F∩B.
+  void visit_row(NodeId base, std::int64_t partial) {
+    const std::int64_t* c = cost_[0];
+    const NodeId end = base + shape_.width(0);
+    for (NodeId wi = base >> 6; wi <= (end - 1) >> 6; ++wi) {
+      const NodeId lo = wi * 64;
+      std::uint64_t w = forward_[wi] & backward_[wi];
+      if (lo < base) w &= ~std::uint64_t{0} << (base - lo);
+      if (lo + 64 > end) w &= ~std::uint64_t{0} >> (lo + 64 - end);
+      while (w != 0) {
+        const NodeId u = lo + std::countr_zero(w);
+        w &= w - 1;
+        const std::int64_t total = partial + c[u - base];
+        if (total <= best_) offer(u, total);
+      }
+    }
+  }
+
+  // u scores total <= best_.
+  void offer(NodeId u, std::int64_t total) {
+    if (load_ != nullptr) {
+      // Length first, then least-used intermediate.
+      const std::int32_t u_load = load_->counts[static_cast<std::size_t>(u)];
+      if (total < best_ || u_load < best_load_) {
+        best_ = total;
+        best_load_ = u_load;
+        chosen_ = u;
+      }
+      return;
+    }
+    if (total < best_) {
+      best_ = total;
+      chosen_ = u;
+      ties_ = 1;
+    } else {
+      ++ties_;
+      if (rng_.below(static_cast<std::uint64_t>(ties_)) == 0) chosen_ = u;
+    }
+  }
+
+  const MeshShape& shape_;
+  const std::uint64_t* forward_;
+  const std::uint64_t* backward_;
+  Rng& rng_;
+  NodeLoad* load_;
+  const std::int64_t* cost_[kMaxDim] = {};  // c_j, indexed by coordinate
+  std::int64_t floor_[kMaxDim + 1] = {};    // [j]: sum of min c_i, i < j
+  std::int64_t best_ = std::numeric_limits<std::int64_t>::max();
+  std::int32_t best_load_ = std::numeric_limits<std::int32_t>::max();
+  NodeId chosen_ = -1;
+  std::int64_t ties_ = 0;
 };
 
 }  // namespace
@@ -190,45 +322,20 @@ std::optional<Route> RouteCache::build(NodeId src, NodeId dst, Rng& rng,
     return fallback_.build(src, dst, rng);
   }
 
-  Bits both = forward_of(src);
-  both &= backward_of(dst);
+  const Bits& forward = forward_of(src);
+  const Bits& backward = backward_of(dst);
   const Point src_p = shape_->point(src);
   const Point dst_p = shape_->point(dst);
-
-  std::int64_t best = std::numeric_limits<std::int64_t>::max();
-  std::int32_t best_load = std::numeric_limits<std::int32_t>::max();
-  NodeId chosen = -1;
-  std::int64_t ties = 0;
-  both.for_each([&](NodeId u) {
-    const Point u_p = shape_->point(u);
-    const std::int64_t total =
-        shape_->l1_distance(src_p, u_p) + shape_->l1_distance(u_p, dst_p);
-    if (total > best) return;
-    if (load != nullptr) {
-      // Length first, then least-used intermediate.
-      const std::int32_t u_load = load->counts[static_cast<std::size_t>(u)];
-      if (total < best || u_load < best_load) {
-        best = total;
-        best_load = u_load;
-        chosen = u;
-      }
-      return;
-    }
-    if (total < best) {
-      best = total;
-      chosen = u;
-      ties = 1;
-    } else {
-      ++ties;
-      if (rng.below(static_cast<std::uint64_t>(ties)) == 0) chosen = u;
-    }
-  });
+  IntermediateScan scan(*shape_, forward, backward, src_p, dst_p,
+                        &scan_costs_, rng, load);
+  const NodeId chosen = scan.run();
   if (chosen < 0) return std::nullopt;
 
   Route route;
   route.src = src;
   route.dst = dst;
-  route.intermediates = {chosen};
+  route.intermediates.push_back(chosen);
+  route.hops.reserve(static_cast<std::size_t>(scan.best()));
   const Point mid = shape_->point(chosen);
   int round = 0;
   for (const Point& from : {src_p, mid}) {
@@ -236,9 +343,8 @@ std::optional<Route> RouteCache::build(NodeId src, NodeId dst, Rng& rng,
     for (const RouteSegment& seg :
          dim_ordered_route(*shape_, from, to,
                            orders_[static_cast<std::size_t>(round)])) {
-      for (Coord s = 0; s < seg.steps; ++s) {
-        route.hops.push_back(Hop{seg.dim, seg.dir, round});
-      }
+      route.hops.insert(route.hops.end(), static_cast<std::size_t>(seg.steps),
+                        Hop{seg.dim, seg.dir, round});
     }
     ++round;
   }

@@ -5,8 +5,11 @@
 // same endpoints recur constantly (every survivor sources many messages,
 // hot spots sink many). RouteCache memoizes both floods per node — the
 // state a node's system software would keep between reconfigurations —
-// turning route construction into one bitset intersection. Memory is one
-// N-bit set per distinct endpoint seen, freed on reconfigure().
+// turning route construction into one scan of the intersection of two
+// cached floods for the intermediate. The scan prunes by per-dimension
+// length bounds yet picks the same node with the same rng draws as
+// RouteBuilder. Memory is one N-bit set per distinct endpoint seen, freed
+// on reconfigure().
 //
 // The fast path covers k = 2 (the paper's configuration); other round
 // counts delegate to the exact RouteBuilder DP.
@@ -16,6 +19,7 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "support/bitset.hpp"
 #include "wormhole/route_builder.hpp"
@@ -106,6 +110,7 @@ class RouteCache {
   RouteBuilder fallback_;
   std::unordered_map<NodeId, Bits> forward_;
   std::unordered_map<NodeId, Bits> backward_;
+  std::vector<std::int64_t> scan_costs_;  // build()'s c_j tables, reused
   std::int64_t hits_ = 0;
   std::int64_t misses_ = 0;
 };
