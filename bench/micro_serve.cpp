@@ -1,19 +1,25 @@
-// Serving-layer microbenchmark: the route_loadgen scenario (storm +
-// reconfigurations under thousands of virtual clients) run end to end at
-// solver thread counts 1 and 4, holding two claims to numbers: the
-// request-outcome digest is bit-identical at any pool width (the
-// determinism gate), and every covered pair of a certified epoch vends a
-// route (failed_requests == 0) with the queues fully drained. The
-// single-threaded pass's vend-latency quantiles and throughput are the
-// reported rows. With --json PATH the results are written as a JSON
-// document (BENCH_micro_serve.json in CI).
+// Serving-layer microbenchmark: both route_loadgen scenarios run end to
+// end, each as a sweep of arms —
+//   serve: the `run` scenario (storm + reconfigurations under thousands of
+//          virtual clients) at solver thread counts 1 and 4;
+//   fleet: the `fleet` scenario (per-shard mesh storms plus whole-shard
+//          kills/hangs) at 1/reopen, 4/reopen and 1/live.
+// Each sweep holds two claims to numbers: the outcome digest is
+// bit-identical across its arms (any pool width; for fleet also restart
+// transparency — a shard recovered from its StateDir is outcome-identical
+// to one that never died), and every covered pair of a certified epoch
+// vends a route (failed_requests == 0) with the queues fully drained. The
+// first arm's vend-latency quantiles are the reported rows. With
+// --json PATH the results are written as a JSON document
+// (BENCH_micro_serve.json in CI); the exit status is non-zero when a claim
+// fails or the document cannot be written.
 #include <cinttypes>
 #include <cstdio>
-#include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
-#include "io/cli_args.hpp"
+#include "fleet/loadgen.hpp"
 #include "obs/obs.hpp"
 #include "serve/loadgen.hpp"
 #include "support/machine_info.hpp"
@@ -24,50 +30,94 @@ using namespace lamb;
 
 namespace {
 
-struct Row {
-  int threads = 0;
+struct Arm {
+  int threads;
+  const char* recovery;  // fleet arms only
   double seconds = 0.0;  // whole-scenario wall time
-  serve::LoadgenResult result;
+  serve::ScenarioResult result = {};
 };
 
-void write_json(const std::string& path, const serve::LoadgenConfig& config,
-                const std::vector<Row>& rows, bool digest_stable) {
-  const serve::LoadgenResult& base = rows.front().result;
-  std::ofstream out(path);
-  out << "{\n  \"bench\": \"micro_serve\",\n"
-      << support::machine_info_json() << "  \"workload\": \"" << config.mesh
-      << ", " << config.clients << " clients, " << config.ticks
-      << " issue ticks, " << config.initial_node_faults << "+"
-      << config.storm_node_kills << "n/" << config.storm_link_kills
-      << "l faults, reconfigure window " << config.reconfigure_ticks
-      << "\",\n"
-      << "  \"digest_stable\": " << (digest_stable ? 1 : 0) << ",\n"
-      << "  \"failed_requests\": " << base.failed_requests << ",\n"
-      << "  \"final_queue_depth\": " << base.final_queue_depth << ",\n"
-      << "  \"outcomes\": " << base.outcomes << ",\n"
-      << "  \"served\": "
-      << base.served_fresh + base.served_stale + base.served_fallback
-      << ",\n"
-      << "  \"vend_p99_us\": " << base.vend_latency.p99 * 1e6 << ",\n"
-      << "  \"gates\": [\n"
-      << "    {\"metric\": \"digest_stable\", \"equals\": 1},\n"
-      << "    {\"metric\": \"failed_requests\", \"equals\": 0},\n"
-      << "    {\"metric\": \"final_queue_depth\", \"equals\": 0}\n"
-      << "  ],\n"
-      << "  \"results\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& row = rows[i];
-    char digest[32];
-    std::snprintf(digest, sizeof digest, "0x%016" PRIx64,
-                  row.result.digest);
-    out << "    {\"threads\": " << row.threads
-        << ", \"seconds\": " << row.seconds << ", \"outcomes\": "
-        << row.result.outcomes << ", \"reconfigures\": "
-        << row.result.reconfigures << ", \"digest\": \"" << digest << "\"}"
-        << (i + 1 < rows.size() ? "," : "") << "\n";
+struct Sweep {
+  const char* name;
+  std::string workload;
+  std::vector<Arm> arms;
+  bool digest_stable = true;
+
+  const serve::ScenarioResult& base() const { return arms.front().result; }
+};
+
+// Runs and times every arm of `sweep`, printing one line per arm. Returns
+// whether the sweep's claims hold.
+bool run_sweep(Sweep* sweep,
+               const std::function<serve::ScenarioResult(const Arm&)>& run) {
+  std::printf("%s: %s\n", sweep->name, sweep->workload.c_str());
+  for (Arm& arm : sweep->arms) {
+    par::set_threads(arm.threads);
+    Stopwatch watch;
+    arm.result = run(arm);
+    arm.seconds = watch.seconds();
+    sweep->digest_stable &= arm.result.digest == sweep->base().digest;
+    std::printf("  threads=%d %-6s  %7.3f s  %6lld outcomes  "
+                "digest 0x%016" PRIx64 "\n",
+                arm.threads, arm.recovery ? arm.recovery : "", arm.seconds,
+                static_cast<long long>(arm.result.outcomes),
+                arm.result.digest);
   }
-  out << "  ]\n}\n";
-  std::printf("wrote %s\n", path.c_str());
+  par::set_threads(0);
+  const serve::ScenarioResult& base = sweep->base();
+  std::printf("  served %lld/%lld, vend p99 %.1f us, digest %s\n\n",
+              static_cast<long long>(base.served_fresh + base.served_stale +
+                                     base.served_fallback),
+              static_cast<long long>(base.outcomes),
+              base.vend_latency.p99 * 1e6,
+              sweep->digest_stable ? "bit-identical" : "MISMATCH");
+  return sweep->digest_stable && base.failed_requests == 0 &&
+         base.final_queue_depth == 0;
+}
+
+bool write_json(const std::string& path, const std::vector<Sweep>& sweeps) {
+  std::FILE* out = std::fopen(path.c_str(), "w");
+  if (out == nullptr) return false;
+  std::fprintf(out, "{\n  \"bench\": \"micro_serve\",\n%s",
+               support::machine_info_json().c_str());
+  for (const Sweep& sweep : sweeps) {
+    const serve::ScenarioResult& base = sweep.base();
+    std::fprintf(
+        out,
+        "  \"%s\": {\"workload\": \"%s\", \"digest_stable\": %d, "
+        "\"failed_requests\": %lld, \"final_queue_depth\": %lld, "
+        "\"outcomes\": %lld, \"vend_p99_us\": %.3f, \"results\": [\n",
+        sweep.name, sweep.workload.c_str(), sweep.digest_stable ? 1 : 0,
+        static_cast<long long>(base.failed_requests),
+        static_cast<long long>(base.final_queue_depth),
+        static_cast<long long>(base.outcomes), base.vend_latency.p99 * 1e6);
+    for (std::size_t i = 0; i < sweep.arms.size(); ++i) {
+      const Arm& arm = sweep.arms[i];
+      std::fprintf(out, "    {\"threads\": %d, ", arm.threads);
+      if (arm.recovery) {
+        std::fprintf(out, "\"recovery\": \"%s\", ", arm.recovery);
+      }
+      std::fprintf(out,
+                   "\"seconds\": %.6f, \"outcomes\": %lld, "
+                   "\"digest\": \"0x%016" PRIx64 "\"}%s\n",
+                   arm.seconds, static_cast<long long>(arm.result.outcomes),
+                   arm.result.digest, i + 1 < sweep.arms.size() ? "," : "");
+    }
+    std::fprintf(out, "  ]},\n");
+  }
+  std::fprintf(out, "  \"gates\": [\n");
+  for (std::size_t i = 0; i < sweeps.size(); ++i) {
+    const char* name = sweeps[i].name;
+    std::fprintf(out,
+                 "    {\"metric\": \"%s.digest_stable\", \"equals\": 1},\n"
+                 "    {\"metric\": \"%s.failed_requests\", \"equals\": 0},\n"
+                 "    {\"metric\": \"%s.final_queue_depth\", \"equals\": 0}"
+                 "%s\n",
+                 name, name, name, i + 1 < sweeps.size() ? "," : "");
+  }
+  std::fprintf(out, "  ]\n}\n");
+  const bool written = std::ferror(out) == 0;
+  return std::fclose(out) == 0 && written;
 }
 
 }  // namespace
@@ -79,59 +129,48 @@ int main(int argc, char** argv) {
     if (std::string(argv[i]) == "--json") json_path = argv[i + 1];
   }
 
-  serve::LoadgenConfig config;
-  config.clients = 256;
-  config.ticks = 160;
+  serve::LoadgenConfig serve_config;
+  serve_config.clients = 256;
+  serve_config.ticks = 160;
   // Tight admission so the shed/backoff/hedge paths are exercised, not
   // just the fresh-route fast path.
-  config.service.admission.refill_per_tick = 12.0;
-  config.service.admission.bucket_capacity = 24.0;
-  config.service.admission.max_queue_depth = 32;
-  config.client.hedge = true;
+  serve_config.service.admission.refill_per_tick = 12.0;
+  serve_config.service.admission.bucket_capacity = 24.0;
+  serve_config.service.admission.max_queue_depth = 32;
+  serve_config.client.hedge = true;
+  Sweep serve_sweep{"serve",
+                    serve_config.mesh + ", " +
+                        std::to_string(serve_config.clients) + " clients, " +
+                        std::to_string(serve_config.ticks) + " ticks",
+                    {{1, nullptr}, {4, nullptr}}};
+  bool ok = run_sweep(&serve_sweep, [&](const Arm&) {
+    return serve::run_loadgen(serve_config);
+  });
 
-  std::printf("micro_serve: %s, %lld clients, %lld issue ticks\n\n",
-              config.mesh.c_str(), static_cast<long long>(config.clients),
-              static_cast<long long>(config.ticks));
-
-  std::vector<Row> rows;
-  for (const int threads : {1, 4}) {
-    par::set_threads(threads);
-    Row row;
-    row.threads = threads;
-    Stopwatch watch;
-    row.result = serve::run_loadgen(config);
-    row.seconds = watch.seconds();
-    std::printf(
-        "  threads=%d  %7.3f s  %6lld outcomes  %2lld reconfigures  "
-        "digest 0x%016" PRIx64 "\n",
-        threads, row.seconds, static_cast<long long>(row.result.outcomes),
-        static_cast<long long>(row.result.reconfigures), row.result.digest);
-    rows.push_back(std::move(row));
-  }
-  par::set_threads(0);
-
-  const serve::LoadgenResult& base = rows.front().result;
-  bool digest_stable = true;
-  for (const Row& row : rows) {
-    if (row.result.digest != base.digest) digest_stable = false;
-  }
-  std::printf(
-      "\n  served %lld/%lld (fresh %lld, stale %lld, fallback %lld), "
-      "vend p99 %.1f us\n",
-      static_cast<long long>(base.served_fresh + base.served_stale +
-                             base.served_fallback),
-      static_cast<long long>(base.outcomes),
-      static_cast<long long>(base.served_fresh),
-      static_cast<long long>(base.served_stale),
-      static_cast<long long>(base.served_fallback),
-      base.vend_latency.p99 * 1e6);
-  std::printf("  digest across thread counts: %s\n",
-              digest_stable ? "bit-identical" : "MISMATCH");
+  fleet::FleetLoadgenConfig fleet_config;
+  fleet_config.fleet.state_root = "micro-fleet-state";
+  fleet_config.clients = 64;
+  fleet_config.ticks = 240;
+  fleet_config.client.hedge = true;
+  Sweep fleet_sweep{"fleet",
+                    std::to_string(fleet_config.fleet.shards) + " x " +
+                        fleet_config.fleet.mesh + " shards, " +
+                        std::to_string(fleet_config.clients) + " clients, " +
+                        std::to_string(fleet_config.ticks) + " ticks",
+                    {{1, "reopen"}, {4, "reopen"}, {1, "live"}}};
+  ok &= run_sweep(&fleet_sweep, [&](const Arm& arm) {
+    fleet_config.fleet.recovery = std::string(arm.recovery) == "live"
+                                      ? fleet::RecoveryMode::kLive
+                                      : fleet::RecoveryMode::kReopen;
+    return fleet::run_fleet_loadgen(fleet_config);
+  });
 
   if (!json_path.empty()) {
-    write_json(json_path, config, rows, digest_stable);
+    if (!write_json(json_path, {serve_sweep, fleet_sweep})) {
+      std::fprintf(stderr, "error: cannot write %s\n", json_path.c_str());
+      return 2;
+    }
+    std::printf("wrote %s\n", json_path.c_str());
   }
-  if (!digest_stable) return 1;
-  if (base.failed_requests > 0 || base.final_queue_depth > 0) return 1;
-  return 0;
+  return ok ? 0 : 1;
 }

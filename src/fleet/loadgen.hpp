@@ -1,5 +1,6 @@
 // Seeded federation load-generation scenario for the fleet layer,
-// shared by tools/fleet_loadgen (the CLI) and bench/micro_fleet.
+// shared by `tools/route_loadgen fleet` and bench/micro_serve, and driven
+// by serve::run_scenario like the lone-service scenario.
 //
 // The scenario stacks both fault regimes: per-shard fault storms strike
 // each shard's mesh (node/link kills, as in the serve loadgen) while a
@@ -20,7 +21,6 @@
 #include "fleet/fleet_storm.hpp"
 #include "serve/client.hpp"
 #include "serve/loadgen.hpp"
-#include "support/quantiles.hpp"
 
 namespace lamb::fleet {
 
@@ -41,30 +41,19 @@ struct FleetLoadgenConfig {
   serve::ClientOptions client;
 };
 
-struct FleetLoadgenResult : serve::OutcomeCounts {
-  // Response-level counters summed over shards (retired generations of
-  // killed shards included), plus the fleet's own counters.
-  serve::ServiceStats service;
+struct FleetLoadgenResult : serve::ScenarioResult {
+  // `service` sums over shards (retired generations of killed shards
+  // included); storm_events counts mesh-level events on all shards.
   FleetStats fleet;
-  std::int64_t storm_events = 0;  // mesh-level fault events, all shards
   std::int64_t chaos_events = 0;  // shard-level kill/hang events
-  std::int64_t cooldown_used = 0;
-  std::int64_t final_queue_depth = 0;
-  // Guarantee violations (ServeStatus::kError) anywhere in the fleet:
-  // the headline zero, even under shard chaos.
-  std::int64_t failed_requests = 0;
-  std::uint64_t digest = 0;
-  std::vector<int> final_epochs;           // per shard
-  support::QuantileSummary vend_latency;   // global, served vends only
+  std::vector<int> final_epochs;  // per shard
 };
 
 FleetLoadgenResult run_fleet_loadgen(const FleetLoadgenConfig& config);
 
-// Writes the BENCH_fleet.json document: config echo, outcome/response
-// counts, fleet counters, global vend-latency quantiles, the SLO
-// snapshot, machine info, and the gates array (failed_requests == 0,
-// final_queue_depth == 0, fleet_availability burn <= 1) that
-// tools/check_bench_gates.py asserts on.
+// Writes the BENCH_fleet.json document over serve::write_scenario_json:
+// config echo, fleet counters and the shared sections; the burn gate is
+// fleet_availability.
 bool write_fleet_json(const std::string& path,
                       const FleetLoadgenConfig& config,
                       const FleetLoadgenResult& result);

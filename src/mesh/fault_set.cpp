@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string>
 
 namespace lamb {
 
@@ -81,6 +82,12 @@ bool FaultSet::link_faulty(NodeId from, int dim, Dir dir) const {
 
 FaultSet FaultSet::random_nodes(const MeshShape& shape, std::int64_t count,
                                 Rng& rng) {
+  if (count < 0 || count > shape.size()) {
+    throw std::invalid_argument(
+        std::to_string(count) + " random node faults do not fit " +
+        shape.to_string() + " (" + std::to_string(shape.size()) +
+        " nodes)");
+  }
   FaultSet fs(shape);
   for (NodeId id : sample_without_replacement(shape.size(), count, rng)) {
     fs.add_node(id);

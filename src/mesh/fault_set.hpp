@@ -70,7 +70,8 @@ class FaultSet {
   NodeId num_good_nodes() const { return shape_->size() - num_node_faults(); }
 
   // Uniformly random node faults without replacement (the simulation model
-  // of paper Section 8).
+  // of paper Section 8). Throws std::invalid_argument unless
+  // 0 <= count <= shape.size().
   static FaultSet random_nodes(const MeshShape& shape, std::int64_t count,
                                Rng& rng);
 

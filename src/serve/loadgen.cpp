@@ -35,15 +35,62 @@ void OutcomeStream::add(const Client::Outcome& outcome) {
   if (served(outcome.status)) latencies_.push_back(outcome.vend_seconds);
 }
 
-void OutcomeStream::mix(std::uint64_t x) {
-  for (int i = 0; i < 8; ++i) {
-    digest_ ^= (x >> (8 * i)) & 0xff;
-    digest_ *= 1099511628211ULL;
-  }
-}
+void OutcomeStream::mix(std::uint64_t x) { digest_.mix(x); }
 
 support::QuantileSummary OutcomeStream::vend_latency() {
   return support::summarize(&latencies_);
+}
+
+std::int64_t run_scenario(const ScenarioSteps& steps,
+                          std::vector<Client>* clients,
+                          OutcomeStream* stream) {
+  std::vector<Client::Outcome> outcomes;
+  bool draining = false;
+  std::int64_t t = 0;
+  while (true) {
+    if (t >= steps.horizon && !draining) {
+      draining = true;
+      for (Client& client : *clients) client.set_draining(true);
+    }
+    if (draining) {
+      const bool settled =
+          steps.quiescent() &&
+          std::all_of(clients->begin(), clients->end(),
+                      [](const Client& client) { return client.settled(); });
+      if (settled || t >= steps.horizon + steps.max_cooldown) break;
+    }
+
+    steps.strike(t);
+    outcomes.clear();
+    for (const RouteService::Drained& drained : steps.advance(t)) {
+      (*clients)[static_cast<std::size_t>(drained.request.client_id - 1)]
+          .on_response(drained.request, drained.response, t, &outcomes);
+    }
+    for (Client& client : *clients) client.step(t, &outcomes);
+
+    for (const Client::Outcome& outcome : outcomes) stream->add(outcome);
+    ++t;
+  }
+  return std::max<std::int64_t>(0, t - steps.horizon);
+}
+
+void finish_scenario(OutcomeStream* stream, const ServiceStats& service,
+                     std::int64_t queue_depth,
+                     const std::vector<std::int64_t>& totals,
+                     ScenarioResult* result) {
+  static_cast<OutcomeCounts&>(*result) = stream->counts();
+  result->service = service;
+  result->final_queue_depth = queue_depth;
+  result->failed_requests = service.errors;
+  stream->mix(static_cast<std::uint64_t>(result->outcomes));
+  stream->mix(static_cast<std::uint64_t>(service.submitted));
+  stream->mix(static_cast<std::uint64_t>(service.shed));
+  stream->mix(static_cast<std::uint64_t>(service.queued));
+  for (const std::int64_t total : totals) {
+    stream->mix(static_cast<std::uint64_t>(total));
+  }
+  result->digest = stream->digest();
+  result->vend_latency = stream->vend_latency();
 }
 
 LoadgenResult run_loadgen(const LoadgenConfig& config) {
@@ -79,31 +126,13 @@ LoadgenResult run_loadgen(const LoadgenConfig& config) {
 
   LoadgenResult result;
   result.storm_events = static_cast<std::int64_t>(storm.events.size());
-  OutcomeStream stream;
-  std::vector<Client::Outcome> outcomes;
   std::int64_t publish_due = -1;
-  bool draining = false;
-  std::int64_t t = 0;
-  while (true) {
-    if (t >= horizon && !draining) {
-      draining = true;
-      for (Client& client : clients) client.set_draining(true);
-    }
-    if (draining) {
-      bool settled = publish_due < 0 && service.queue_depth() == 0;
-      if (settled) {
-        for (const Client& client : clients) {
-          if (!client.settled()) {
-            settled = false;
-            break;
-          }
-        }
-      }
-      if (settled || t >= horizon + config.max_cooldown) break;
-    }
-
-    // Storm strikes the manager; the serving window opens at once, the
-    // new epoch publishes when the (simulated) solver is done.
+  ScenarioSteps steps;
+  steps.horizon = horizon;
+  steps.max_cooldown = config.max_cooldown;
+  // Storm strikes the manager; the serving window opens at once, the new
+  // epoch publishes when the (simulated) solver is done.
+  steps.strike = [&](std::int64_t t) {
     const auto due = events.find(t);
     if (due != events.end()) {
       for (const wormhole::FaultEvent& ev : due->second) {
@@ -122,114 +151,53 @@ LoadgenResult run_loadgen(const LoadgenConfig& config) {
       service.publish(t);
       publish_due = -1;
     }
+  };
+  steps.advance = [&](std::int64_t t) { return service.advance(t); };
+  steps.quiescent = [&] {
+    return publish_due < 0 && service.queue_depth() == 0;
+  };
+  OutcomeStream stream;
+  result.cooldown_used = run_scenario(steps, &clients, &stream);
 
-    outcomes.clear();
-    for (const RouteService::Drained& drained : service.advance(t)) {
-      clients[static_cast<std::size_t>(drained.request.client_id - 1)]
-          .on_response(drained.request, drained.response, t, &outcomes);
-    }
-    for (Client& client : clients) client.step(t, &outcomes);
-
-    for (const Client::Outcome& outcome : outcomes) stream.add(outcome);
-    ++t;
-  }
-
-  static_cast<OutcomeCounts&>(result) = stream.counts();
-  result.cooldown_used = std::max<std::int64_t>(0, t - horizon);
-  result.service = service.stats();
-  result.final_queue_depth = service.queue_depth();
-  result.failed_requests = result.service.errors;
   result.final_epoch = manager.epoch();
   result.survivors =
       static_cast<std::int64_t>(service.table()->survivors().size());
-  // Fold the totals in too, so a dropped-versus-shed misclassification
-  // cannot cancel out across the stream.
-  stream.mix(static_cast<std::uint64_t>(result.outcomes));
-  stream.mix(static_cast<std::uint64_t>(result.service.submitted));
-  stream.mix(static_cast<std::uint64_t>(result.service.shed));
-  stream.mix(static_cast<std::uint64_t>(result.service.queued));
-  stream.mix(static_cast<std::uint64_t>(result.final_epoch));
-  result.digest = stream.digest();
-  result.vend_latency = stream.vend_latency();
+  finish_scenario(&stream, service.stats(), service.queue_depth(),
+                  {result.final_epoch}, &result);
   return result;
 }
 
-bool write_serve_json(const std::string& path, const LoadgenConfig& config,
-                      const LoadgenResult& result) {
+void json_fields(std::FILE* out, JsonFields fields) {
+  for (const auto& [key, value] : fields) {
+    std::fprintf(out, "  \"%s\": %lld,\n", key, static_cast<long long>(value));
+  }
+}
+
+bool write_scenario_json(const std::string& path, const char* name,
+                         const std::function<void(std::FILE*)>& fields,
+                         const ScenarioResult& r, const char* burn_metric) {
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) return false;
-  const ServiceStats& s = result.service;
-  const support::QuantileSummary& lat = result.vend_latency;
-  std::fprintf(out, "{\n");
-  std::fprintf(out, "  \"bench\": \"serve\",\n");
-  std::fprintf(out, "  \"mesh\": \"%s\",\n", config.mesh.c_str());
-  std::fprintf(
-      out,
-      "  \"clients\": %lld,\n  \"ticks\": %lld,\n  \"seed\": %llu,\n"
-      "  \"initial_node_faults\": %lld,\n  \"storm_node_kills\": %lld,\n"
-      "  \"storm_link_kills\": %lld,\n  \"reconfigure_ticks\": %lld,\n"
-      "  \"staleness_cap\": %lld,\n  \"shards\": %d,\n"
-      "  \"refill_per_tick\": %g,\n  \"bucket_capacity\": %g,\n"
-      "  \"queue_depth_per_shard\": %lld,\n",
-      static_cast<long long>(config.clients),
-      static_cast<long long>(config.ticks),
-      static_cast<unsigned long long>(config.seed),
-      static_cast<long long>(config.initial_node_faults),
-      static_cast<long long>(config.storm_node_kills),
-      static_cast<long long>(config.storm_link_kills),
-      static_cast<long long>(config.reconfigure_ticks),
-      static_cast<long long>(config.service.staleness_cap),
-      config.service.admission.shards,
-      config.service.admission.refill_per_tick,
-      config.service.admission.bucket_capacity,
-      static_cast<long long>(config.service.admission.max_queue_depth));
-  std::fprintf(
-      out,
-      "  \"outcomes\": %lld,\n  \"served_fresh\": %lld,\n"
-      "  \"served_stale\": %lld,\n  \"served_fallback\": %lld,\n"
-      "  \"gave_up_overloaded\": %lld,\n  \"gave_up_rejected\": %lld,\n"
-      "  \"unroutable\": %lld,\n  \"deadline_exceeded\": %lld,\n"
-      "  \"errors\": %lld,\n",
-      static_cast<long long>(result.outcomes),
-      static_cast<long long>(result.served_fresh),
-      static_cast<long long>(result.served_stale),
-      static_cast<long long>(result.served_fallback),
-      static_cast<long long>(result.gave_up_overloaded),
-      static_cast<long long>(result.gave_up_rejected),
-      static_cast<long long>(result.unroutable),
-      static_cast<long long>(result.deadline_exceeded),
-      static_cast<long long>(result.errors));
-  std::fprintf(
-      out,
-      "  \"submitted\": %lld,\n  \"accepted\": %lld,\n  \"queued\": %lld,\n"
-      "  \"shed\": %lld,\n  \"stale\": %lld,\n  \"fallback\": %lld,\n"
-      "  \"rejected\": %lld,\n",
-      static_cast<long long>(s.submitted),
-      static_cast<long long>(s.fresh + s.stale + s.fallback),
-      static_cast<long long>(s.queued), static_cast<long long>(s.shed),
-      static_cast<long long>(s.stale), static_cast<long long>(s.fallback),
-      static_cast<long long>(s.rejected));
-  std::fprintf(
-      out,
-      "  \"failed_requests\": %lld,\n  \"final_queue_depth\": %lld,\n"
-      "  \"max_queue_depth_observed\": %lld,\n  \"queue_bound\": %lld,\n"
-      "  \"floods_retained\": %lld,\n  \"floods_dropped\": %lld,\n"
-      "  \"storm_events\": %lld,\n  \"reconfigures\": %lld,\n"
-      "  \"cooldown_used\": %lld,\n  \"final_epoch\": %d,\n"
-      "  \"survivors\": %lld,\n",
-      static_cast<long long>(result.failed_requests),
-      static_cast<long long>(result.final_queue_depth),
-      static_cast<long long>(s.max_queue_depth),
-      static_cast<long long>(config.service.admission.shards *
-                             config.service.admission.max_queue_depth),
-      static_cast<long long>(s.floods_retained),
-      static_cast<long long>(s.floods_dropped),
-      static_cast<long long>(result.storm_events),
-      static_cast<long long>(result.reconfigures),
-      static_cast<long long>(result.cooldown_used), result.final_epoch,
-      static_cast<long long>(result.survivors));
+  const ServiceStats& s = r.service;
+  const support::QuantileSummary& lat = r.vend_latency;
+  std::fprintf(out, "{\n  \"bench\": \"%s\",\n", name);
+  fields(out);
+  json_fields(out, {{"outcomes", r.outcomes}, {"served_fresh", r.served_fresh},
+                    {"served_stale", r.served_stale},
+                    {"served_fallback", r.served_fallback},
+                    {"gave_up_overloaded", r.gave_up_overloaded},
+                    {"gave_up_rejected", r.gave_up_rejected},
+                    {"unroutable", r.unroutable},
+                    {"deadline_exceeded", r.deadline_exceeded},
+                    {"errors", r.errors}, {"submitted", s.submitted},
+                    {"accepted", s.fresh + s.stale + s.fallback},
+                    {"queued", s.queued}, {"shed", s.shed},
+                    {"failed_requests", r.failed_requests},
+                    {"final_queue_depth", r.final_queue_depth},
+                    {"storm_events", r.storm_events},
+                    {"cooldown_used", r.cooldown_used}});
   std::fprintf(out, "  \"digest\": \"0x%016llx\",\n",
-               static_cast<unsigned long long>(result.digest));
+               static_cast<unsigned long long>(r.digest));
   std::fprintf(
       out,
       "  \"vend_latency\": {\"count\": %lld, \"mean_us\": %.3f, "
@@ -246,12 +214,47 @@ bool write_serve_json(const std::string& path, const LoadgenConfig& config,
                "  \"gates\": [\n"
                "    {\"metric\": \"failed_requests\", \"equals\": 0},\n"
                "    {\"metric\": \"final_queue_depth\", \"equals\": 0},\n"
-               "    {\"metric\": \"slo.route_vend_latency.burn\", "
-               "\"max\": 1.0}\n"
-               "  ]\n");
-  std::fprintf(out, "}\n");
-  std::fclose(out);
-  return true;
+               "    {\"metric\": \"%s\", \"max\": 1.0}\n"
+               "  ]\n}\n",
+               burn_metric);
+  const bool written = std::ferror(out) == 0;
+  return std::fclose(out) == 0 && written;
+}
+
+bool write_serve_json(const std::string& path, const LoadgenConfig& config,
+                      const LoadgenResult& result) {
+  const ServiceStats& s = result.service;
+  const AdmissionOptions& a = config.service.admission;
+  return write_scenario_json(
+      path, "serve",
+      [&](std::FILE* out) {
+        std::fprintf(out, "  \"mesh\": \"%s\",\n  \"seed\": %llu,\n",
+                     config.mesh.c_str(),
+                     static_cast<unsigned long long>(config.seed));
+        std::fprintf(out,
+                     "  \"refill_per_tick\": %g,\n"
+                     "  \"bucket_capacity\": %g,\n",
+                     a.refill_per_tick, a.bucket_capacity);
+        json_fields(
+            out, {{"clients", config.clients}, {"ticks", config.ticks},
+                  {"initial_node_faults", config.initial_node_faults},
+                  {"storm_node_kills", config.storm_node_kills},
+                  {"storm_link_kills", config.storm_link_kills},
+                  {"reconfigure_ticks", config.reconfigure_ticks},
+                  {"staleness_cap", config.service.staleness_cap},
+                  {"shards", a.shards},
+                  {"queue_depth_per_shard", a.max_queue_depth},
+                  {"stale", s.stale}, {"fallback", s.fallback},
+                  {"rejected", s.rejected},
+                  {"max_queue_depth_observed", s.max_queue_depth},
+                  {"queue_bound", a.shards * a.max_queue_depth},
+                  {"floods_retained", s.floods_retained},
+                  {"floods_dropped", s.floods_dropped},
+                  {"reconfigures", result.reconfigures},
+                  {"final_epoch", result.final_epoch},
+                  {"survivors", result.survivors}});
+      },
+      result, "slo.route_vend_latency.burn");
 }
 
 }  // namespace lamb::serve

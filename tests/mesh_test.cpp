@@ -230,6 +230,15 @@ TEST(FaultSet, RandomNodesDeterministicPerSeed) {
             FaultSet::random_nodes(m, 10, b).node_faults());
 }
 
+TEST(FaultSet, RandomNodesRejectsCountOutsideMesh) {
+  const MeshShape m = MeshShape::mesh({4, 4});
+  Rng rng(1);
+  EXPECT_THROW(FaultSet::random_nodes(m, 17, rng), std::invalid_argument);
+  EXPECT_THROW(FaultSet::random_nodes(m, -1, rng), std::invalid_argument);
+  EXPECT_EQ(FaultSet::random_nodes(m, 16, rng).num_node_faults(), 16);
+  EXPECT_EQ(FaultSet::random_nodes(m, 0, rng).num_node_faults(), 0);
+}
+
 TEST(FaultDelta, SupersetYieldsNewFaultsInNowOrder) {
   const MeshShape m = MeshShape::mesh({6, 6});
   FaultSet then(m);

@@ -49,6 +49,7 @@
 #include "manager/recovery.hpp"
 #include "obs/obs.hpp"
 #include "support/env.hpp"
+#include "support/fnv1a.hpp"
 #include "support/machine_info.hpp"
 #include "support/parallel.hpp"
 #include "support/quantiles.hpp"
@@ -100,16 +101,7 @@ using Args = io::CliArgs;
 
 // FNV-1a over the outcome numbers: a stable fingerprint of the whole run
 // that two invocations (any thread count) can be compared by.
-struct Digest {
-  std::uint64_t h = 1469598103934665603ULL;
-  void mix(std::int64_t v) {
-    auto u = static_cast<std::uint64_t>(v);
-    for (int i = 0; i < 8; ++i) {
-      h ^= (u >> (8 * i)) & 0xffULL;
-      h *= 1099511628211ULL;
-    }
-  }
-};
+using Digest = support::Fnv1a;
 
 // Nearest-rank percentile (shared support::quantiles implementation;
 // copies because the caller keeps insertion order for the per-epoch
