@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <utility>
@@ -28,7 +27,7 @@
 #include "manager/recovery.hpp"
 #include "obs/obs.hpp"
 #include "support/env.hpp"
-#include "support/machine_info.hpp"
+#include "support/json.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 #include "wormhole/fault_schedule.hpp"
@@ -220,31 +219,25 @@ Result time_open(const char* name, int journal_records, int reps) {
 
 void write_json(const std::string& path, const std::vector<Result>& results,
                 double nofsync_pct, double fsync_pct) {
-  std::ofstream out(path);
-  out << "{\n  \"bench\": \"micro_durable\",\n"
-      << support::machine_info_json()
-      << "  \"workload\": \"abl07 uniform, M_3(8), 2 rounds, 2 VCs, "
-         "8-flit messages; storm = 3 node + 1 link kills\",\n"
-      << "  \"durable_nofsync_overhead_pct\": " << nofsync_pct << ",\n"
-      << "  \"durable_fsync_overhead_pct\": " << fsync_pct << ",\n"
-      // The true no-fsync tax is a few percent (buffered journal
-      // appends); the gate's job is to catch an fsync leaking onto the
-      // hot path, which shows up as +50% or worse. 25% leaves headroom
-      // for the ±8% per-process layout noise a 60ms epoch carries even
-      // on an idle machine.
-      << "  \"gates\": [\n"
-      << "    {\"metric\": \"durable_nofsync_overhead_pct\", \"max\": 25.0}\n"
-      << "  ],\n"
-      << "  \"results\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const Result& r = results[i];
-    out << "    {\"mode\": \"" << r.mode << "\", \"seconds\": " << r.seconds
-        << ", \"ops_per_s\": " << r.ops_per_s << ", \"ops\": " << r.ops
-        << ", \"bytes\": " << r.bytes << "}"
-        << (i + 1 < results.size() ? "," : "") << "\n";
+  support::BenchDoc doc("bench", "micro_durable");
+  doc.fields({{"workload",
+               "abl07 uniform, M_3(8), 2 rounds, 2 VCs, 8-flit messages; "
+               "storm = 3 node + 1 link kills"},
+              {"durable_nofsync_overhead_pct", nofsync_pct},
+              {"durable_fsync_overhead_pct", fsync_pct}})
+      .array("results");
+  for (const Result& r : results) {
+    doc.record({{"mode", r.mode}, {"seconds", r.seconds},
+                {"ops_per_s", r.ops_per_s}, {"ops", r.ops},
+                {"bytes", r.bytes}});
   }
-  out << "  ]\n}\n";
-  std::printf("wrote %s\n", path.c_str());
+  doc.end();
+  // The true no-fsync tax is a few percent (buffered journal appends);
+  // the gate's job is to catch an fsync leaking onto the hot path, which
+  // shows up as +50% or worse. 25% leaves headroom for the ±8%
+  // per-process layout noise a 60ms epoch carries even on an idle
+  // machine.
+  doc.gate_max("durable_nofsync_overhead_pct", 25.0).write(path);
 }
 
 }  // namespace
@@ -252,10 +245,7 @@ void write_json(const std::string& path, const std::vector<Result>& results,
 int main(int argc, char** argv) {
   obs::init(argc, argv);
   io::init_threads(argc, argv);
-  std::string json_path;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--json") json_path = argv[i + 1];
-  }
+  const std::string json_path = support::BenchDoc::json_path(argc, argv);
 
   const int reps = 5;
   // ~2000 messages puts an epoch around 60ms, long enough that a

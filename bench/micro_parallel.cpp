@@ -8,7 +8,6 @@
 // against the exact-serial 1-thread baseline. With --json PATH the
 // results are also written as a JSON document (see BENCH_parallel.json).
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,7 +17,7 @@
 #include "io/cli_args.hpp"
 #include "obs/obs.hpp"
 #include "support/env.hpp"
-#include "support/machine_info.hpp"
+#include "support/json.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
@@ -90,25 +89,22 @@ void print_result(const Result& r) {
 
 void write_json(const std::string& path, const std::vector<Result>& results) {
   const unsigned hw = std::thread::hardware_concurrency();
-  std::ofstream out(path);
-  out << "{\n  \"bench\": \"micro_parallel\",\n"
-      << support::machine_info_json()
-      << "  \"hardware_concurrency\": " << hw << ",\n";
+  support::BenchDoc doc("bench", "micro_parallel");
+  doc.field("hardware_concurrency", hw);
   if (hw < 4) {
-    out << "  \"note\": \"machine-limited: fewer than 4 hardware threads, "
-           "so wider pools cannot show wall-clock speedup; re-run on a "
-           "multi-core machine for the >=2x figure\",\n";
+    doc.field("note",
+              "machine-limited: fewer than 4 hardware threads, so wider "
+              "pools cannot show wall-clock speedup; re-run on a multi-core "
+              "machine for the >=2x figure");
   }
-  out << "  \"results\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const Result& r = results[i];
-    out << "    {\"workload\": \"" << r.workload
-        << "\", \"threads\": " << r.threads << ", \"seconds\": " << r.seconds
-        << ", \"gb_per_s\": " << r.gb_per_s << ", \"speedup\": " << r.speedup
-        << "}" << (i + 1 < results.size() ? "," : "") << "\n";
+  doc.array("results");
+  for (const Result& r : results) {
+    doc.record({{"workload", r.workload}, {"threads", r.threads},
+                {"seconds", r.seconds}, {"gb_per_s", r.gb_per_s},
+                {"speedup", r.speedup}});
   }
-  out << "  ]\n}\n";
-  std::printf("wrote %s\n", path.c_str());
+  doc.end();
+  doc.write(path);
 }
 
 }  // namespace
@@ -118,10 +114,7 @@ int main(int argc, char** argv) {
   const int requested = io::init_threads(argc, argv);
   par::set_threads(0);
   const int max_threads = requested > 0 ? requested : par::threads();
-  std::string json_path;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--json") json_path = argv[i + 1];
-  }
+  const std::string json_path = support::BenchDoc::json_path(argc, argv);
 
   std::vector<int> ladder{1};
   if (max_threads >= 2) ladder.push_back(2);

@@ -7,7 +7,6 @@
 // pre-PR simulator (see BENCH_recovery.json). With --json PATH the
 // results are written as a JSON document.
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,7 +17,7 @@
 #include "manager/recovery.hpp"
 #include "obs/obs.hpp"
 #include "support/env.hpp"
-#include "support/machine_info.hpp"
+#include "support/json.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
@@ -174,55 +173,44 @@ std::vector<SeriesPoint> storm_series(const MeshShape& shape, int initial,
 void write_json(const std::string& path, const std::vector<Result>& results,
                 double overhead_pct, const std::vector<SeriesPoint>& series,
                 double incremental_speedup, bool equivalent) {
-  std::ofstream out(path);
-  out << "{\n  \"bench\": \"micro_recovery\",\n"
-      << support::machine_info_json()
-      << "  \"workload\": \"abl07 uniform, M_3(8), 2 rounds, 2 VCs, "
-         "8-flit messages; storm = 3 node + 1 link kills; k-series = 20 "
-         "background node faults + 1 node per epoch\",\n"
-      << "  \"sim_pairs\": " << kSimPairs << ",\n"
-      << "  \"series_reps\": " << kSeriesReps << ",\n"
-      << "  \"solver_threads\": " << kSolverThreads << ",\n"
-      << "  \"storm_on_overhead_pct\": " << overhead_pct << ",\n"
-      // Speedup of the O(delta) reconfigure over the from-scratch solve
-      // at the 8th fault of the storm series (the ISSUE acceptance
-      // point); equivalence is 1 only when both managers produced
-      // identical lamb sets at every k of every repetition.
-      << "  \"incremental_reconfigure_speedup\": " << incremental_speedup
-      << ",\n"
-      << "  \"incremental_equivalent\": " << (equivalent ? 1 : 0) << ",\n"
-      // Live fault processing is amortized (sorted schedule, one probe
-      // per cycle), so the true storm tax sits near zero; the gate
-      // catches a per-cycle scan creeping back in (tens of percent)
-      // while leaving room for run-to-run timing noise.
-      << "  \"gates\": [\n"
-      << "    {\"metric\": \"storm_on_overhead_pct\", \"max\": 15.0},\n"
-      << "    {\"metric\": \"incremental_reconfigure_speedup\", "
-         "\"min\": 3.0},\n"
-      << "    {\"metric\": \"incremental_equivalent\", \"equals\": 1}\n"
-      << "  ],\n"
-      << "  \"results\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const Result& r = results[i];
-    out << "    {\"mode\": \"" << r.mode << "\", \"seconds\": " << r.seconds
-        << ", \"cycles\": " << r.cycles
-        << ", \"cycles_per_s\": " << r.cycles_per_s
-        << ", \"delivered\": " << r.delivered
-        << ", \"resolved_by_fault\": " << r.resolved_by_fault << "}"
-        << (i + 1 < results.size() ? "," : "") << "\n";
+  support::BenchDoc doc("bench", "micro_recovery");
+  // Speedup of the O(delta) reconfigure over the from-scratch solve at the
+  // 8th fault of the storm series (the acceptance point); equivalence is 1
+  // only when both managers produced identical lamb sets at every k of
+  // every repetition.
+  doc.fields({{"workload",
+               "abl07 uniform, M_3(8), 2 rounds, 2 VCs, 8-flit messages; "
+               "storm = 3 node + 1 link kills; k-series = 20 background node "
+               "faults + 1 node per epoch"},
+              {"sim_pairs", kSimPairs},
+              {"series_reps", kSeriesReps},
+              {"solver_threads", kSolverThreads},
+              {"storm_on_overhead_pct", overhead_pct},
+              {"incremental_reconfigure_speedup", incremental_speedup},
+              {"incremental_equivalent", equivalent ? 1 : 0}})
+      .array("results");
+  for (const Result& r : results) {
+    doc.record({{"mode", r.mode}, {"seconds", r.seconds},
+                {"cycles", r.cycles}, {"cycles_per_s", r.cycles_per_s},
+                {"delivered", r.delivered},
+                {"resolved_by_fault", r.resolved_by_fault}});
   }
-  out << "  ],\n  \"kth_fault_series\": [\n";
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    const SeriesPoint& pt = series[i];
-    out << "    {\"k\": " << pt.k
-        << ", \"full_seconds\": " << pt.full_seconds
-        << ", \"incremental_seconds\": " << pt.inc_seconds
-        << ", \"incremental_used\": " << (pt.incremental_used ? 1 : 0)
-        << ", \"blocks_reused\": " << pt.blocks_reused << "}"
-        << (i + 1 < series.size() ? "," : "") << "\n";
+  doc.end().array("kth_fault_series");
+  for (const SeriesPoint& pt : series) {
+    doc.record({{"k", pt.k}, {"full_seconds", pt.full_seconds},
+                {"incremental_seconds", pt.inc_seconds},
+                {"incremental_used", pt.incremental_used ? 1 : 0},
+                {"blocks_reused", pt.blocks_reused}});
   }
-  out << "  ]\n}\n";
-  std::printf("wrote %s\n", path.c_str());
+  doc.end();
+  // Live fault processing is amortized (sorted schedule, one probe per
+  // cycle), so the true storm tax sits near zero; the gate catches a
+  // per-cycle scan creeping back in (tens of percent) while leaving room
+  // for run-to-run timing noise.
+  doc.gate_max("storm_on_overhead_pct", 15.0)
+      .gate_min("incremental_reconfigure_speedup", 3.0)
+      .gate_equals("incremental_equivalent", 1)
+      .write(path);
 }
 
 }  // namespace
@@ -230,10 +218,7 @@ void write_json(const std::string& path, const std::vector<Result>& results,
 int main(int argc, char** argv) {
   obs::init(argc, argv);
   io::init_threads(argc, argv);
-  std::string json_path;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--json") json_path = argv[i + 1];
-  }
+  const std::string json_path = support::BenchDoc::json_path(argc, argv);
 
   const MeshShape shape = MeshShape::cube(3, 8);
   Rng rng(default_seed());

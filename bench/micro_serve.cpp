@@ -22,7 +22,7 @@
 #include "fleet/loadgen.hpp"
 #include "obs/obs.hpp"
 #include "serve/loadgen.hpp"
-#include "support/machine_info.hpp"
+#include "support/json.hpp"
 #include "support/parallel.hpp"
 #include "support/stats.hpp"
 
@@ -75,59 +75,44 @@ bool run_sweep(Sweep* sweep,
          base.final_queue_depth == 0;
 }
 
-bool write_json(const std::string& path, const std::vector<Sweep>& sweeps) {
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) return false;
-  std::fprintf(out, "{\n  \"bench\": \"micro_serve\",\n%s",
-               support::machine_info_json().c_str());
+void write_json(const std::string& path, const std::vector<Sweep>& sweeps) {
+  support::BenchDoc doc("bench", "micro_serve");
   for (const Sweep& sweep : sweeps) {
     const serve::ScenarioResult& base = sweep.base();
-    std::fprintf(
-        out,
-        "  \"%s\": {\"workload\": \"%s\", \"digest_stable\": %d, "
-        "\"failed_requests\": %lld, \"final_queue_depth\": %lld, "
-        "\"outcomes\": %lld, \"vend_p99_us\": %.3f, \"results\": [\n",
-        sweep.name, sweep.workload.c_str(), sweep.digest_stable ? 1 : 0,
-        static_cast<long long>(base.failed_requests),
-        static_cast<long long>(base.final_queue_depth),
-        static_cast<long long>(base.outcomes), base.vend_latency.p99 * 1e6);
-    for (std::size_t i = 0; i < sweep.arms.size(); ++i) {
-      const Arm& arm = sweep.arms[i];
-      std::fprintf(out, "    {\"threads\": %d, ", arm.threads);
-      if (arm.recovery) {
-        std::fprintf(out, "\"recovery\": \"%s\", ", arm.recovery);
-      }
-      std::fprintf(out,
-                   "\"seconds\": %.6f, \"outcomes\": %lld, "
-                   "\"digest\": \"0x%016" PRIx64 "\"}%s\n",
-                   arm.seconds, static_cast<long long>(arm.result.outcomes),
-                   arm.result.digest, i + 1 < sweep.arms.size() ? "," : "");
+    doc.object(sweep.name)
+        .fields({{"workload", sweep.workload},
+                 {"digest_stable", sweep.digest_stable ? 1 : 0},
+                 {"failed_requests", base.failed_requests},
+                 {"final_queue_depth", base.final_queue_depth},
+                 {"outcomes", base.outcomes},
+                 {"vend_p99_us", base.vend_latency.p99 * 1e6}})
+        .array("results");
+    for (const Arm& arm : sweep.arms) {
+      char digest[19];
+      std::snprintf(digest, sizeof(digest), "0x%016" PRIx64,
+                    arm.result.digest);
+      doc.begin_object(support::JsonWriter::kInline)
+          .field("threads", arm.threads);
+      if (arm.recovery) doc.field("recovery", arm.recovery);
+      doc.fields({{"seconds", arm.seconds},
+                  {"outcomes", arm.result.outcomes},
+                  {"digest", digest}})
+          .end();
     }
-    std::fprintf(out, "  ]},\n");
+    doc.end().end();
+    const std::string name = sweep.name;
+    doc.gate_equals(name + ".digest_stable", 1)
+        .gate_equals(name + ".failed_requests", 0)
+        .gate_equals(name + ".final_queue_depth", 0);
   }
-  std::fprintf(out, "  \"gates\": [\n");
-  for (std::size_t i = 0; i < sweeps.size(); ++i) {
-    const char* name = sweeps[i].name;
-    std::fprintf(out,
-                 "    {\"metric\": \"%s.digest_stable\", \"equals\": 1},\n"
-                 "    {\"metric\": \"%s.failed_requests\", \"equals\": 0},\n"
-                 "    {\"metric\": \"%s.final_queue_depth\", \"equals\": 0}"
-                 "%s\n",
-                 name, name, name, i + 1 < sweeps.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  const bool written = std::ferror(out) == 0;
-  return std::fclose(out) == 0 && written;
+  doc.write(path);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   obs::init(argc, argv);
-  std::string json_path;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--json") json_path = argv[i + 1];
-  }
+  const std::string json_path = support::BenchDoc::json_path(argc, argv);
 
   serve::LoadgenConfig serve_config;
   serve_config.clients = 256;
@@ -165,12 +150,6 @@ int main(int argc, char** argv) {
     return fleet::run_fleet_loadgen(fleet_config);
   });
 
-  if (!json_path.empty()) {
-    if (!write_json(json_path, {serve_sweep, fleet_sweep})) {
-      std::fprintf(stderr, "error: cannot write %s\n", json_path.c_str());
-      return 2;
-    }
-    std::printf("wrote %s\n", json_path.c_str());
-  }
+  if (!json_path.empty()) write_json(json_path, {serve_sweep, fleet_sweep});
   return ok ? 0 : 1;
 }

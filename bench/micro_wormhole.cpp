@@ -15,7 +15,6 @@
 // in the bench-gate CI job (see BENCH_wormhole.json).
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -23,7 +22,7 @@
 #include "io/cli_args.hpp"
 #include "obs/obs.hpp"
 #include "support/env.hpp"
-#include "support/machine_info.hpp"
+#include "support/json.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 #include "wormhole/network.hpp"
@@ -39,13 +38,6 @@ struct Result {
   double cycles_per_s = 0.0;  // simulated cycles per wall second
   std::int64_t cycles = 0;
   std::int64_t delivered = 0;
-};
-
-struct Gate {
-  std::string metric;
-  std::string op;  // "max" | "min"
-  double value = 0.0;
-  double measured = 0.0;
 };
 
 struct Variant {
@@ -103,45 +95,6 @@ void print_result(const Result& r) {
               static_cast<long long>(r.delivered));
 }
 
-void write_json(const std::string& path, const std::vector<Result>& results,
-                const std::vector<Gate>& gates) {
-  std::ofstream out(path);
-  out << "{\n  \"bench\": \"micro_wormhole\",\n"
-      << support::machine_info_json()
-      << "  \"workloads\": {\n"
-      << "    \"saturated\": \"abl07 uniform, M_3(8), 2 rounds, 2 VCs, "
-         "8-flit messages, gap 0.25\",\n"
-      << "    \"idle\": \"uniform, M_3(16), 1% active injectors, 8-flit "
-         "messages, gap 20\"\n"
-      << "  },\n";
-  for (const Gate& g : gates) {
-    out << "  \"" << g.metric << "\": " << g.measured << ",\n";
-  }
-  out << "  \"gates\": [\n";
-  for (std::size_t i = 0; i < gates.size(); ++i) {
-    const Gate& g = gates[i];
-    out << "    {\"metric\": \"" << g.metric << "\", \"" << g.op
-        << "\": " << g.value << "}" << (i + 1 < gates.size() ? "," : "")
-        << "\n";
-  }
-  out << "  ],\n  \"results\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const Result& r = results[i];
-    out << "    {\"mode\": \"" << r.mode << "\", \"seconds\": " << r.seconds
-        << ", \"cycles\": " << r.cycles
-        << ", \"cycles_per_s\": " << r.cycles_per_s
-        << ", \"delivered\": " << r.delivered << "}"
-        << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n"
-      << "  \"how_to_reproduce\": \"cmake -B build -S . "
-         "-DCMAKE_BUILD_TYPE=Release && cmake --build build -j && "
-         "./build/bench/micro_wormhole --json BENCH_wormhole.json "
-         "(LAMBMESH_TRIALS scales the message count; LAMBMESH_ENGINE is "
-         "ignored — each row pins its engine explicitly)\"\n}\n";
-  std::printf("wrote %s\n", path.c_str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -154,10 +107,7 @@ int main(int argc, char** argv) {
     std::printf("note: ignoring LAMBMESH_ENGINE; rows pin their engine\n");
     unsetenv("LAMBMESH_ENGINE");
   }
-  std::string json_path;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--json") json_path = argv[i + 1];
-  }
+  const std::string json_path = support::BenchDoc::json_path(argc, argv);
   const int reps = 5;
   // The saturated rows are cheap (tens of ms) and feed two ratio gates,
   // so they get a deeper best-of to shrug off load spikes.
@@ -165,7 +115,15 @@ int main(int argc, char** argv) {
   constexpr auto kCycle = wormhole::Engine::kCycle;
   constexpr auto kEvent = wormhole::Engine::kEvent;
   std::vector<Result> results;
-  std::vector<Gate> gates;
+  // The document collects each gated figure as it is measured.
+  support::BenchDoc doc("bench", "micro_wormhole");
+  doc.object("workloads")
+      .field("saturated",
+             "abl07 uniform, M_3(8), 2 rounds, 2 VCs, 8-flit messages, gap "
+             "0.25")
+      .field("idle",
+             "uniform, M_3(16), 1% active injectors, 8-flit messages, gap 20")
+      .end();
 
   // --- Saturated abl07 workload: M_3(8), heavy uniform traffic ---------
   const MeshShape sat_shape = MeshShape::cube(3, 8);
@@ -212,14 +170,14 @@ int main(int argc, char** argv) {
       results[0].seconds > 0
           ? (results[1].seconds / results[0].seconds - 1.0) * 100.0
           : 0.0;
-  gates.push_back({"telemetry_on_overhead_pct", "max", 15.0,
-                   telemetry_overhead});
+  doc.field("telemetry_on_overhead_pct", telemetry_overhead);
+  doc.gate_max("telemetry_on_overhead_pct", 15.0);
   const double saturated_overhead =
       results[2].seconds > 0
           ? (results[3].seconds / results[2].seconds - 1.0) * 100.0
           : 0.0;
-  gates.push_back({"event_saturated_overhead_pct", "max", 2.0,
-                   saturated_overhead});
+  doc.field("event_saturated_overhead_pct", saturated_overhead);
+  doc.gate_max("event_saturated_overhead_pct", 2.0);
   // Flight recorder (docs/OBSERVABILITY.md): always-on in production, so
   // its enabled-path tax on the same saturated abl07 workload is held to
   // a number the way telemetry's is.
@@ -227,8 +185,8 @@ int main(int argc, char** argv) {
       results[4].seconds > 0
           ? (results[5].seconds / results[4].seconds - 1.0) * 100.0
           : 0.0;
-  gates.push_back({"recorder_on_overhead_pct", "max", 2.0,
-                   recorder_overhead});
+  doc.field("recorder_on_overhead_pct", recorder_overhead);
+  doc.gate_max("recorder_on_overhead_pct", 2.0);
 
   // --- Idle-mesh workload: M_3(16), 1% active injectors ----------------
   // Long gaps and few sources: the mesh is almost always quiet, with a
@@ -272,7 +230,8 @@ int main(int argc, char** argv) {
       results[7].seconds > 0 ? results[6].seconds / results[7].seconds : 0.0;
   // CI gate: never slower than the cycle engine. The measured value (the
   // >= 5x claim) is recorded in the JSON for the trajectory.
-  gates.push_back({"event_idle_speedup_x", "min", 1.0, idle_speedup});
+  doc.field("event_idle_speedup_x", idle_speedup);
+  doc.gate_min("event_idle_speedup_x", 1.0);
 
   for (const Result& r : results) print_result(r);
   std::printf("\n  telemetry-on overhead:     %+.1f%% (gate <= +15%%)\n",
@@ -284,6 +243,20 @@ int main(int argc, char** argv) {
   std::printf("  event idle-mesh speedup:   %.1fx (gate >= 1.0x)\n",
               idle_speedup);
 
-  if (!json_path.empty()) write_json(json_path, results, gates);
+  if (!json_path.empty()) {
+    doc.array("results");
+    for (const Result& r : results) {
+      doc.record({{"mode", r.mode}, {"seconds", r.seconds},
+                  {"cycles", r.cycles}, {"cycles_per_s", r.cycles_per_s},
+                  {"delivered", r.delivered}});
+    }
+    doc.end().field(
+        "how_to_reproduce",
+        "cmake -B build -S . -DCMAKE_BUILD_TYPE=Release && cmake --build "
+        "build -j && ./build/bench/micro_wormhole --json BENCH_wormhole.json "
+        "(LAMBMESH_TRIALS scales the message count; LAMBMESH_ENGINE is "
+        "ignored — each row pins its engine explicitly)");
+    doc.write(json_path);
+  }
   return 0;
 }

@@ -1,7 +1,6 @@
 #include "fleet/loadgen.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -112,52 +111,41 @@ FleetLoadgenResult run_fleet_loadgen(const FleetLoadgenConfig& config) {
   return result;
 }
 
-bool write_fleet_json(const std::string& path,
+void write_fleet_json(const std::string& path,
                       const FleetLoadgenConfig& config,
                       const FleetLoadgenResult& result) {
   const FleetOptions& o = config.fleet;
   const FleetStats& f = result.fleet;
-  return serve::write_scenario_json(
-      path, "fleet",
-      [&](std::FILE* out) {
-        std::fprintf(out,
-                     "  \"mesh\": \"%s\",\n  \"seed\": %llu,\n"
-                     "  \"recovery_mode\": \"%s\",\n  \"final_epochs\": [",
-                     o.mesh.c_str(),
-                     static_cast<unsigned long long>(config.seed),
-                     o.recovery == RecoveryMode::kReopen ? "reopen" : "live");
-        for (std::size_t i = 0; i < result.final_epochs.size(); ++i) {
-          std::fprintf(out, "%s%d", i == 0 ? "" : ", ",
-                       result.final_epochs[i]);
-        }
-        std::fprintf(out, "],\n");
-        serve::json_fields(
-            out, {{"shards", o.shards}, {"clients", config.clients},
-                  {"ticks", config.ticks},
-                  {"initial_node_faults", o.initial_node_faults},
-                  {"storm_node_kills", config.storm_node_kills},
-                  {"storm_link_kills", config.storm_link_kills},
-                  {"shard_kills", config.shard_kills},
-                  {"shard_hangs", config.shard_hangs},
-                  {"reconfigure_ticks", o.reconfigure_ticks},
-                  {"heartbeat_timeout", o.heartbeat_timeout},
-                  {"quarantine_cooloff", o.quarantine_cooloff},
-                  {"recovering_ticks", o.recovering_ticks},
-                  {"publishes", result.service.publishes},
-                  {"fleet_routed", f.routed}, {"failovers", f.failovers},
-                  {"hedges_redirected", f.hedges_redirected},
-                  {"no_healthy_shard", f.no_healthy_shard},
-                  {"evicted", f.evicted}, {"kills", f.kills},
-                  {"hangs", f.hangs}, {"restarts", f.restarts},
-                  {"reopens", f.reopens}, {"quarantines", f.quarantines},
-                  {"heartbeat_timeouts", f.heartbeat_timeouts},
-                  {"burn_quarantines", f.burn_quarantines},
-                  {"degrades", f.degrades}, {"readmissions", f.readmissions},
-                  {"windows_granted", f.windows_granted},
-                  {"window_waits", f.window_waits},
-                  {"chaos_events", result.chaos_events}});
-      },
-      result, "slo.fleet_availability.burn");
+  support::BenchDoc doc("bench", "fleet");
+  doc.fields({{"mesh", o.mesh}, {"seed", config.seed},
+              {"recovery_mode",
+               o.recovery == RecoveryMode::kReopen ? "reopen" : "live"}})
+      .array("final_epochs", support::JsonWriter::kInline);
+  for (const int epoch : result.final_epochs) doc.value(epoch);
+  doc.end().fields(
+      {{"shards", o.shards}, {"clients", config.clients},
+       {"ticks", config.ticks}, {"initial_node_faults", o.initial_node_faults},
+       {"storm_node_kills", config.storm_node_kills},
+       {"storm_link_kills", config.storm_link_kills},
+       {"shard_kills", config.shard_kills},
+       {"shard_hangs", config.shard_hangs},
+       {"reconfigure_ticks", o.reconfigure_ticks},
+       {"heartbeat_timeout", o.heartbeat_timeout},
+       {"quarantine_cooloff", o.quarantine_cooloff},
+       {"recovering_ticks", o.recovering_ticks},
+       {"publishes", result.service.publishes}, {"fleet_routed", f.routed},
+       {"failovers", f.failovers}, {"hedges_redirected", f.hedges_redirected},
+       {"no_healthy_shard", f.no_healthy_shard}, {"evicted", f.evicted},
+       {"kills", f.kills}, {"hangs", f.hangs}, {"restarts", f.restarts},
+       {"reopens", f.reopens}, {"quarantines", f.quarantines},
+       {"heartbeat_timeouts", f.heartbeat_timeouts},
+       {"burn_quarantines", f.burn_quarantines}, {"degrades", f.degrades},
+       {"readmissions", f.readmissions},
+       {"windows_granted", f.windows_granted},
+       {"window_waits", f.window_waits},
+       {"chaos_events", result.chaos_events}});
+  serve::write_scenario_json(path, &doc, result,
+                             "slo.fleet_availability.burn");
 }
 
 }  // namespace lamb::fleet

@@ -53,8 +53,8 @@ FleetLoadgenResult run_fleet_loadgen(const FleetLoadgenConfig& config);
 
 // Writes the BENCH_fleet.json document over serve::write_scenario_json:
 // config echo, fleet counters and the shared sections; the burn gate is
-// fleet_availability.
-bool write_fleet_json(const std::string& path,
+// fleet_availability. A failed write exits 2.
+void write_fleet_json(const std::string& path,
                       const FleetLoadgenConfig& config,
                       const FleetLoadgenResult& result);
 

@@ -9,6 +9,7 @@
 #include "obs/recorder.hpp"
 #include "obs/slo.hpp"
 #include "support/env.hpp"
+#include "support/json.hpp"
 
 namespace lamb::obs {
 
@@ -130,19 +131,6 @@ void print_table(const MetricsRegistry& registry, std::FILE* out) {
   }
 }
 
-namespace {
-
-void write_json_name(std::FILE* out, const std::string& name) {
-  std::fputc('"', out);
-  for (const char c : name) {
-    if (c == '"' || c == '\\') std::fputc('\\', out);
-    std::fputc(c, out);
-  }
-  std::fputc('"', out);
-}
-
-}  // namespace
-
 bool write_json(const MetricsRegistry& registry, const std::string& path) {
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) return false;
@@ -151,34 +139,37 @@ bool write_json(const MetricsRegistry& registry, const std::string& path) {
   for (const Counter* c : registry.counters()) {
     std::fputs(first ? "\n    " : ",\n    ", out);
     first = false;
-    write_json_name(out, c->name());
-    std::fprintf(out, ": %lld", static_cast<long long>(c->value()));
+    std::fprintf(out, "%s: %lld", support::json_string(c->name()).c_str(),
+                 static_cast<long long>(c->value()));
   }
   std::fputs("\n  },\n  \"gauges\": {", out);
   first = true;
   for (const Gauge* g : registry.gauges()) {
     std::fputs(first ? "\n    " : ",\n    ", out);
     first = false;
-    write_json_name(out, g->name());
-    std::fprintf(out, ": %.17g", g->value());
+    std::fprintf(out, "%s: %s", support::json_string(g->name()).c_str(),
+                 support::json_number(g->value()).c_str());
   }
   std::fputs("\n  },\n  \"histograms\": {", out);
   first = true;
   for (const Histogram* h : registry.histograms()) {
     std::fputs(first ? "\n    " : ",\n    ", out);
     first = false;
-    write_json_name(out, h->name());
     std::fprintf(out,
-                 ": {\"count\": %lld, \"sum\": %.17g, \"min\": %.17g, "
-                 "\"max\": %.17g, \"buckets\": [",
-                 static_cast<long long>(h->count()), h->sum(), h->min(),
-                 h->max());
+                 "%s: {\"count\": %lld, \"sum\": %s, \"min\": %s, "
+                 "\"max\": %s, \"buckets\": [",
+                 support::json_string(h->name()).c_str(),
+                 static_cast<long long>(h->count()),
+                 support::json_number(h->sum()).c_str(),
+                 support::json_number(h->min()).c_str(),
+                 support::json_number(h->max()).c_str());
     const auto& bounds = h->bounds();
     const auto counts = h->bucket_counts();
     for (std::size_t b = 0; b < counts.size(); ++b) {
       if (b > 0) std::fputc(',', out);
       if (b < bounds.size()) {
-        std::fprintf(out, "{\"le\": %.17g, \"count\": %lld}", bounds[b],
+        std::fprintf(out, "{\"le\": %s, \"count\": %lld}",
+                     support::json_number(bounds[b]).c_str(),
                      static_cast<long long>(counts[b]));
       } else {
         std::fprintf(out, "{\"le\": \"inf\", \"count\": %lld}",

@@ -261,7 +261,7 @@ ExposeServer::Response ExposeServer::handle(const std::string& target) const {
   }
   if (path == "/slo" && slo_ != nullptr) {
     resp.content_type = "application/json";
-    resp.body = slo_->render_json() + "\n";
+    resp.body = slo_->render_json();
     return resp;
   }
   if (path == "/recorder" && recorder_ != nullptr) {
@@ -271,24 +271,16 @@ ExposeServer::Response ExposeServer::handle(const std::string& target) const {
       const long parsed = std::strtol(query.c_str() + npos + 2, nullptr, 10);
       if (parsed > 0) limit = static_cast<std::size_t>(parsed);
     }
-    const std::vector<FlightEvent> events = recorder_->tail(limit);
-    std::ostringstream os;
-    os << "{\"enabled\": " << (recorder_->enabled() ? "true" : "false")
-       << ", \"capacity\": " << recorder_->capacity()
-       << ", \"next_seq\": " << recorder_->next_seq() << ", \"events\": [";
-    for (std::size_t i = 0; i < events.size(); ++i) {
-      const FlightEvent& ev = events[i];
-      if (i > 0) os << ",";
-      os << "\n  {\"seq\": " << ev.seq << ", \"t_ns\": " << ev.t_ns
-         << ", \"epoch\": " << ev.epoch << ", \"type\": \""
-         << flight_event_type_name(
-                static_cast<FlightEventType>(ev.type))
-         << "\", \"code\": " << ev.code << ", \"a\": " << ev.a
-         << ", \"b\": " << ev.b << "}";
-    }
-    os << (events.empty() ? "]" : "\n]") << "}\n";
+    support::JsonWriter w;
+    w.begin_object()
+        .fields({{"enabled", recorder_->enabled()},
+                 {"capacity", recorder_->capacity()},
+                 {"next_seq", recorder_->next_seq()}})
+        .array("events");
+    for (const FlightEvent& ev : recorder_->tail(limit)) write_json(w, ev);
+    w.end().end();
     resp.content_type = "application/json";
-    resp.body = os.str();
+    resp.body = w.str();
     return resp;
   }
   resp.status = 404;

@@ -83,6 +83,13 @@ const char* flight_event_type_name(FlightEventType type) {
   return "unknown";
 }
 
+void write_json(support::JsonWriter& w, const FlightEvent& ev) {
+  w.record({{"seq", ev.seq}, {"t_ns", ev.t_ns}, {"epoch", ev.epoch},
+            {"type", flight_event_type_name(
+                         static_cast<FlightEventType>(ev.type))},
+            {"code", ev.code}, {"a", ev.a}, {"b", ev.b}});
+}
+
 const char* dump_reason_name(DumpReason reason) {
   switch (reason) {
     case DumpReason::kManual: return "manual";

@@ -33,6 +33,8 @@
 #include <string>
 #include <vector>
 
+#include "support/json.hpp"
+
 namespace lamb::obs {
 
 // Event vocabulary. Values are part of the on-disk format — append only.
@@ -79,6 +81,11 @@ struct FlightEvent {
   std::int64_t a = 0;
   std::int64_t b = 0;
 };
+
+// Writes `ev` as one inline JSON object {"seq", "t_ns", "epoch", "type"
+// (decoded name), "code", "a", "b"}: the event record of both /recorder
+// and `lambmesh_blackbox --json`.
+void write_json(support::JsonWriter& w, const FlightEvent& ev);
 
 // On-disk layout constants, shared with the codec. A live ring file is
 // header + capacity slots; each slot is a FlightEvent with the seq field

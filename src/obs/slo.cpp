@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 #include <memory>
-#include <sstream>
 
 namespace lamb::obs {
 
@@ -100,25 +99,23 @@ std::vector<SloSnapshot> SloTracker::snapshots() const {
   return out;
 }
 
-std::string SloTracker::render_json(const std::string& indent) const {
-  const std::vector<SloSnapshot> snaps = snapshots();
-  std::ostringstream os;
-  os << "{";
-  bool first = true;
-  for (const SloSnapshot& s : snaps) {
-    if (!first) os << ",";
-    first = false;
-    os << "\n" << indent << "  \"" << s.name << "\": {"
-       << "\"objective\": " << s.objective
-       << ", \"threshold_seconds\": " << s.threshold_seconds
-       << ", \"window\": " << s.window << ", \"good\": " << s.good
-       << ", \"bad\": " << s.bad << ", \"total_good\": " << s.total_good
-       << ", \"total_bad\": " << s.total_bad << ", \"burn\": " << s.burn
-       << ", \"met\": " << (s.met ? "true" : "false") << "}";
+void SloTracker::write_json(support::JsonWriter& w) const {
+  w.begin_object();
+  for (const SloSnapshot& s : snapshots()) {
+    w.key(s.name).record({{"objective", s.objective},
+                          {"threshold_seconds", s.threshold_seconds},
+                          {"window", s.window}, {"good", s.good},
+                          {"bad", s.bad}, {"total_good", s.total_good},
+                          {"total_bad", s.total_bad}, {"burn", s.burn},
+                          {"met", s.met}});
   }
-  if (!first) os << "\n" << indent;
-  os << "}";
-  return os.str();
+  w.end();
+}
+
+std::string SloTracker::render_json() const {
+  support::JsonWriter w;
+  write_json(w);
+  return w.str();
 }
 
 SloTracker& SloTracker::global() {

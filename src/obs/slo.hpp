@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "support/json.hpp"
 
 namespace lamb::obs {
 
@@ -95,9 +96,12 @@ class SloTracker {
 
   std::vector<SloSnapshot> snapshots() const;
 
-  // JSON object {"<name>": {"objective": ..., "burn": ...}, ...} with
-  // the repo's two-space indent, for the fault_storm document.
-  std::string render_json(const std::string& indent = "  ") const;
+  // Writes the JSON object {"<name>": {"objective": ..., "burn": ...},
+  // ...}, one objective per line: the "slo" member of the fault_storm and
+  // loadgen documents.
+  void write_json(support::JsonWriter& w) const;
+  // The same object as a document of its own (the /slo endpoint).
+  std::string render_json() const;
 
  private:
   MetricsRegistry* registry_;

@@ -1,6 +1,7 @@
 #include "obs/trace.hpp"
 
 #include "obs/metrics.hpp"
+#include "support/json.hpp"
 
 namespace lamb::obs {
 
@@ -44,39 +45,6 @@ void TraceSink::clear() {
   events_.clear();
 }
 
-namespace {
-
-// Minimal JSON string escaping; metric/span names are code-controlled but
-// args and categories still get the safe treatment.
-void write_json_string(std::FILE* out, const std::string& s) {
-  std::fputc('"', out);
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        std::fputs("\\\"", out);
-        break;
-      case '\\':
-        std::fputs("\\\\", out);
-        break;
-      case '\n':
-        std::fputs("\\n", out);
-        break;
-      case '\t':
-        std::fputs("\\t", out);
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          std::fprintf(out, "\\u%04x", c);
-        } else {
-          std::fputc(c, out);
-        }
-    }
-  }
-  std::fputc('"', out);
-}
-
-}  // namespace
-
 void TraceSink::write_chrome_json(std::FILE* out) const {
   const std::vector<TraceEvent> snapshot = events();
   std::fputs("{\"traceEvents\":[", out);
@@ -84,10 +52,9 @@ void TraceSink::write_chrome_json(std::FILE* out) const {
   for (const TraceEvent& e : snapshot) {
     if (!first) std::fputc(',', out);
     first = false;
-    std::fputs("\n{\"name\":", out);
-    write_json_string(out, e.name);
-    std::fputs(",\"cat\":", out);
-    write_json_string(out, e.category);
+    std::fprintf(out, "\n{\"name\":%s,\"cat\":%s",
+                 support::json_string(e.name).c_str(),
+                 support::json_string(e.category).c_str());
     std::fprintf(out, ",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d",
                  e.ts_us, e.dur_us, e.tid);
     if (!e.args.empty()) {
@@ -96,8 +63,8 @@ void TraceSink::write_chrome_json(std::FILE* out) const {
       for (const auto& [key, value] : e.args) {
         if (!first_arg) std::fputc(',', out);
         first_arg = false;
-        write_json_string(out, key);
-        std::fprintf(out, ":%.17g", value);
+        std::fprintf(out, "%s:%s", support::json_string(key).c_str(),
+                     support::json_number(value).c_str());
       }
       std::fputc('}', out);
     }

@@ -8,7 +8,7 @@
 #include "io/text_format.hpp"
 #include "manager/machine_manager.hpp"
 #include "obs/obs.hpp"
-#include "support/machine_info.hpp"
+#include "support/json.hpp"
 #include "wormhole/fault_schedule.hpp"
 
 namespace lamb::serve {
@@ -167,94 +167,65 @@ LoadgenResult run_loadgen(const LoadgenConfig& config) {
   return result;
 }
 
-void json_fields(std::FILE* out, JsonFields fields) {
-  for (const auto& [key, value] : fields) {
-    std::fprintf(out, "  \"%s\": %lld,\n", key, static_cast<long long>(value));
-  }
-}
-
-bool write_scenario_json(const std::string& path, const char* name,
-                         const std::function<void(std::FILE*)>& fields,
+void write_scenario_json(const std::string& path, support::BenchDoc* doc,
                          const ScenarioResult& r, const char* burn_metric) {
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) return false;
   const ServiceStats& s = r.service;
   const support::QuantileSummary& lat = r.vend_latency;
-  std::fprintf(out, "{\n  \"bench\": \"%s\",\n", name);
-  fields(out);
-  json_fields(out, {{"outcomes", r.outcomes}, {"served_fresh", r.served_fresh},
-                    {"served_stale", r.served_stale},
-                    {"served_fallback", r.served_fallback},
-                    {"gave_up_overloaded", r.gave_up_overloaded},
-                    {"gave_up_rejected", r.gave_up_rejected},
-                    {"unroutable", r.unroutable},
-                    {"deadline_exceeded", r.deadline_exceeded},
-                    {"errors", r.errors}, {"submitted", s.submitted},
-                    {"accepted", s.fresh + s.stale + s.fallback},
-                    {"queued", s.queued}, {"shed", s.shed},
-                    {"failed_requests", r.failed_requests},
-                    {"final_queue_depth", r.final_queue_depth},
-                    {"storm_events", r.storm_events},
-                    {"cooldown_used", r.cooldown_used}});
-  std::fprintf(out, "  \"digest\": \"0x%016llx\",\n",
-               static_cast<unsigned long long>(r.digest));
-  std::fprintf(
-      out,
-      "  \"vend_latency\": {\"count\": %lld, \"mean_us\": %.3f, "
-      "\"min_us\": %.3f, \"max_us\": %.3f, \"p50_us\": %.3f, "
-      "\"p95_us\": %.3f, \"p99_us\": %.3f},\n",
-      static_cast<long long>(lat.count), lat.mean * 1e6, lat.min * 1e6,
-      lat.max * 1e6, lat.p50 * 1e6, lat.p95 * 1e6, lat.p99 * 1e6);
-  std::fprintf(out, "  \"slo\": %s,\n",
-               obs::SloTracker::global().render_json("  ").c_str());
-  // machine_info_json() is a complete `"schema_version"/"machine"` key
-  // fragment, inserted verbatim like the other BENCH writers do.
-  std::fprintf(out, "%s", support::machine_info_json().c_str());
-  std::fprintf(out,
-               "  \"gates\": [\n"
-               "    {\"metric\": \"failed_requests\", \"equals\": 0},\n"
-               "    {\"metric\": \"final_queue_depth\", \"equals\": 0},\n"
-               "    {\"metric\": \"%s\", \"max\": 1.0}\n"
-               "  ]\n}\n",
-               burn_metric);
-  const bool written = std::ferror(out) == 0;
-  return std::fclose(out) == 0 && written;
+  char digest[19];
+  std::snprintf(digest, sizeof(digest), "0x%016llx",
+                static_cast<unsigned long long>(r.digest));
+  doc->fields({{"outcomes", r.outcomes}, {"served_fresh", r.served_fresh},
+               {"served_stale", r.served_stale},
+               {"served_fallback", r.served_fallback},
+               {"gave_up_overloaded", r.gave_up_overloaded},
+               {"gave_up_rejected", r.gave_up_rejected},
+               {"unroutable", r.unroutable},
+               {"deadline_exceeded", r.deadline_exceeded},
+               {"errors", r.errors}, {"submitted", s.submitted},
+               {"accepted", s.fresh + s.stale + s.fallback},
+               {"queued", s.queued}, {"shed", s.shed},
+               {"failed_requests", r.failed_requests},
+               {"final_queue_depth", r.final_queue_depth},
+               {"storm_events", r.storm_events},
+               {"cooldown_used", r.cooldown_used}, {"digest", digest}})
+      .key("vend_latency")
+      .record({{"count", lat.count}, {"mean_us", lat.mean * 1e6},
+               {"min_us", lat.min * 1e6}, {"max_us", lat.max * 1e6},
+               {"p50_us", lat.p50 * 1e6}, {"p95_us", lat.p95 * 1e6},
+               {"p99_us", lat.p99 * 1e6}})
+      .key("slo");
+  obs::SloTracker::global().write_json(*doc);
+  doc->gate_equals("failed_requests", 0)
+      .gate_equals("final_queue_depth", 0)
+      .gate_max(burn_metric, 1.0)
+      .write(path);
 }
 
-bool write_serve_json(const std::string& path, const LoadgenConfig& config,
+void write_serve_json(const std::string& path, const LoadgenConfig& config,
                       const LoadgenResult& result) {
   const ServiceStats& s = result.service;
   const AdmissionOptions& a = config.service.admission;
-  return write_scenario_json(
-      path, "serve",
-      [&](std::FILE* out) {
-        std::fprintf(out, "  \"mesh\": \"%s\",\n  \"seed\": %llu,\n",
-                     config.mesh.c_str(),
-                     static_cast<unsigned long long>(config.seed));
-        std::fprintf(out,
-                     "  \"refill_per_tick\": %g,\n"
-                     "  \"bucket_capacity\": %g,\n",
-                     a.refill_per_tick, a.bucket_capacity);
-        json_fields(
-            out, {{"clients", config.clients}, {"ticks", config.ticks},
-                  {"initial_node_faults", config.initial_node_faults},
-                  {"storm_node_kills", config.storm_node_kills},
-                  {"storm_link_kills", config.storm_link_kills},
-                  {"reconfigure_ticks", config.reconfigure_ticks},
-                  {"staleness_cap", config.service.staleness_cap},
-                  {"shards", a.shards},
-                  {"queue_depth_per_shard", a.max_queue_depth},
-                  {"stale", s.stale}, {"fallback", s.fallback},
-                  {"rejected", s.rejected},
-                  {"max_queue_depth_observed", s.max_queue_depth},
-                  {"queue_bound", a.shards * a.max_queue_depth},
-                  {"floods_retained", s.floods_retained},
-                  {"floods_dropped", s.floods_dropped},
-                  {"reconfigures", result.reconfigures},
-                  {"final_epoch", result.final_epoch},
-                  {"survivors", result.survivors}});
-      },
-      result, "slo.route_vend_latency.burn");
+  support::BenchDoc doc("bench", "serve");
+  doc.fields(
+        {{"mesh", config.mesh}, {"seed", config.seed},
+         {"refill_per_tick", a.refill_per_tick},
+         {"bucket_capacity", a.bucket_capacity},
+         {"clients", config.clients}, {"ticks", config.ticks},
+         {"initial_node_faults", config.initial_node_faults},
+         {"storm_node_kills", config.storm_node_kills},
+         {"storm_link_kills", config.storm_link_kills},
+         {"reconfigure_ticks", config.reconfigure_ticks},
+         {"staleness_cap", config.service.staleness_cap},
+         {"shards", a.shards}, {"queue_depth_per_shard", a.max_queue_depth},
+         {"stale", s.stale}, {"fallback", s.fallback},
+         {"rejected", s.rejected},
+         {"max_queue_depth_observed", s.max_queue_depth},
+         {"queue_bound", a.shards * a.max_queue_depth},
+         {"floods_retained", s.floods_retained},
+         {"floods_dropped", s.floods_dropped},
+         {"reconfigures", result.reconfigures},
+         {"final_epoch", result.final_epoch}, {"survivors", result.survivors}});
+  write_scenario_json(path, &doc, result, "slo.route_vend_latency.burn");
 }
 
 }  // namespace lamb::serve

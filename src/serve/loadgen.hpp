@@ -14,16 +14,14 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <functional>
-#include <initializer_list>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "serve/client.hpp"
 #include "serve/route_service.hpp"
 #include "support/fnv1a.hpp"
+#include "support/json.hpp"
 #include "support/quantiles.hpp"
 
 namespace lamb::serve {
@@ -123,24 +121,17 @@ struct LoadgenResult : ScenarioResult {
 
 LoadgenResult run_loadgen(const LoadgenConfig& config);
 
-// Prints `"key": value,` lines of a scenario document.
-using JsonFields =
-    std::initializer_list<std::pair<const char*, std::int64_t>>;
-void json_fields(std::FILE* out, JsonFields fields);
-
-// Writes a BENCH_serve/BENCH_fleet document: `"bench": name`, the lines
-// `fields` prints (config echo and the scenario's own counters, each a
-// complete `"key": value,` line), then the shared outcome/response
-// counts, digest, vend-latency quantiles, SLO snapshot, machine info,
-// and the gates array tools/check_bench_gates.py asserts on —
-// failed_requests == 0, final_queue_depth == 0, and `burn_metric` <= 1.
-// Returns false when the file cannot be opened or written.
-bool write_scenario_json(const std::string& path, const char* name,
-                         const std::function<void(std::FILE*)>& fields,
+// Completes a BENCH_serve/BENCH_fleet document — `doc` already holds the
+// scenario's config echo and own counters — with the shared outcome and
+// response counts, digest, vend-latency quantiles, SLO snapshot, and the
+// gates tools/check_bench_gates.py asserts on: failed_requests == 0,
+// final_queue_depth == 0 and `burn_metric` <= 1. Then writes it to
+// `path`; a failed write exits 2.
+void write_scenario_json(const std::string& path, support::BenchDoc* doc,
                          const ScenarioResult& r, const char* burn_metric);
 
 // The BENCH_serve.json document, over write_scenario_json.
-bool write_serve_json(const std::string& path, const LoadgenConfig& config,
+void write_serve_json(const std::string& path, const LoadgenConfig& config,
                       const LoadgenResult& result);
 
 }  // namespace lamb::serve

@@ -2,24 +2,9 @@
 
 #include <unistd.h>
 
-#include <sstream>
 #include <thread>
 
 namespace lamb::support {
-
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) >= 0x20) out.push_back(c);
-  }
-  return out;
-}
-
-}  // namespace
 
 MachineInfo machine_info() {
   MachineInfo info;
@@ -37,17 +22,6 @@ MachineInfo machine_info() {
 #endif
   info.pointer_bits = static_cast<int>(8 * sizeof(void*));
   return info;
-}
-
-std::string machine_info_json() {
-  const MachineInfo info = machine_info();
-  std::ostringstream os;
-  os << "  \"schema_version\": " << kBenchSchemaVersion << ",\n"
-     << "  \"machine\": {\"hostname\": \"" << json_escape(info.hostname)
-     << "\", \"hardware_concurrency\": " << info.hardware_concurrency
-     << ", \"build_type\": \"" << info.build_type
-     << "\", \"pointer_bits\": " << info.pointer_bits << "},\n";
-  return os.str();
 }
 
 }  // namespace lamb::support

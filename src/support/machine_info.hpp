@@ -1,6 +1,7 @@
-// Machine / build identification block shared by every JSON emitter
-// (fault_storm --json and the BENCH_*.json microbenches). The bench
-// trajectory is tracked across PRs and across machines; without the
+// Machine / build identification block stamped into every bench, storm
+// and loadgen document by support::BenchDoc (support/json.hpp; the
+// envelope is specified in docs/OBSERVABILITY.md "Bench documents"). The
+// bench trajectory is tracked across PRs and across machines; without the
 // hostname / core count / build type stamped into the document, a
 // regression on a 1-core CI runner is indistinguishable from one on a
 // 64-core dev box.
@@ -22,12 +23,5 @@ struct MachineInfo {
 };
 
 MachineInfo machine_info();
-
-// The envelope fragment every emitter embeds right after its opening
-// brace, using the repo's two-space JSON indent:
-//   "schema_version": 2,
-//   "machine": {"hostname": ..., "hardware_concurrency": ..., ...},
-// The trailing comma is included so call sites just stream it.
-std::string machine_info_json();
 
 }  // namespace lamb::support

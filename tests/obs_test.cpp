@@ -547,7 +547,7 @@ TEST(Slo, TrackerJsonAndGlobalObjectives) {
   tracker.declare({"j1", "first", 0.99, 0.0, 8});
   tracker.declare({"j2", "second", 0.9, 0.5, 8});
   tracker.find("j1")->record(true);
-  const std::string json = tracker.render_json("  ");
+  const std::string json = tracker.render_json();
   EXPECT_NE(json.find("\"j1\""), std::string::npos);
   EXPECT_NE(json.find("\"j2\""), std::string::npos);
   EXPECT_NE(json.find("\"objective\": 0.99"), std::string::npos);

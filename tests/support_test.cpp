@@ -1,14 +1,20 @@
 // Unit tests for the support module: RNG determinism and distribution
 // sanity, sampling without replacement, accumulator statistics, bitsets,
-// and environment helpers.
+// environment helpers, and the JSON writer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <limits>
 #include <set>
+#include <sstream>
 
 #include "support/bitset.hpp"
 #include "support/env.hpp"
+#include "support/json.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 
@@ -204,6 +210,122 @@ TEST(Env, ScaledTrialsMultiplier) {
   ::setenv("LAMBMESH_TRIALS", "0.001", 1);
   EXPECT_EQ(scaled_trials(100), 1);  // at least one trial
   ::unsetenv("LAMBMESH_TRIALS");
+}
+
+using support::BenchDoc;
+using support::JsonWriter;
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+TEST(Json, EscapesQuotesBackslashesAndControls) {
+  EXPECT_EQ(support::json_string("a\"b\\c\nd\te\x01" "f"),
+            "\"a\\\"b\\\\c\\nd\\te\\u0001f\"");
+  EXPECT_EQ(support::json_string(""), "\"\"");
+}
+
+TEST(Json, NonFiniteNumbersAreNull) {
+  EXPECT_EQ(support::json_number(std::nan("")), "null");
+  EXPECT_EQ(support::json_number(std::numeric_limits<double>::infinity()),
+            "null");
+  EXPECT_EQ(support::json_number(-std::numeric_limits<double>::infinity()),
+            "null");
+}
+
+TEST(Json, NumbersPrintShortestRoundTrip) {
+  EXPECT_EQ(support::json_number(0.99), "0.99");
+  EXPECT_EQ(support::json_number(2.5), "2.5");
+  EXPECT_EQ(support::json_number(3.0), "3");
+  EXPECT_EQ(support::json_number(0.1 + 0.2), "0.30000000000000004");
+  JsonWriter w;
+  w.begin_array(JsonWriter::kInline)
+      .value(-7)
+      .value(std::uint64_t{18446744073709551615u})
+      .value(true)
+      .value(1.0)
+      .end();
+  EXPECT_EQ(w.str(), "[-7, 18446744073709551615, true, 1]\n");
+}
+
+TEST(Json, NestedBlockAndInlineLayout) {
+  JsonWriter w;
+  w.begin_object()
+      .field("name", "x")
+      .key("inline")
+      .begin_object(JsonWriter::kInline)
+      .field("a", 1)
+      .array("b")
+      .value(2)
+      .end()
+      .end()
+      .array("rows")
+      .begin_object(JsonWriter::kInline)
+      .field("k", 1)
+      .end()
+      .begin_array()
+      .end()
+      .end()
+      .object("empty")
+      .end()
+      .end();
+  EXPECT_EQ(w.str(),
+            "{\n"
+            "  \"name\": \"x\",\n"
+            "  \"inline\": {\"a\": 1, \"b\": [2]},\n"
+            "  \"rows\": [\n"
+            "    {\"k\": 1},\n"
+            "    []\n"
+            "  ],\n"
+            "  \"empty\": {}\n"
+            "}\n");
+}
+
+TEST(Json, WriteFileReportsFailure) {
+  EXPECT_FALSE(support::write_file("/nonexistent-dir/sub/x.json", "{}\n"));
+  const std::string path = ::testing::TempDir() + "support_test_write.json";
+  ASSERT_TRUE(support::write_file(path, "{}\n"));
+  EXPECT_EQ(slurp(path), "{}\n");
+  std::remove(path.c_str());
+}
+
+TEST(Json, BenchDocEnvelopeAndGates) {
+  BenchDoc doc("bench", "unit");
+  doc.field("ratio", 0.5).field("flag", 1);
+  doc.gate_max("ratio", 1.5).gate_min("ratio", 0.25).gate_equals("flag", 1);
+  const std::string path = ::testing::TempDir() + "support_test_doc.json";
+  testing::internal::CaptureStdout();
+  doc.write(path);
+  EXPECT_EQ(testing::internal::GetCapturedStdout(), "wrote " + path + "\n");
+  const std::string text = slurp(path);
+  std::remove(path.c_str());
+  EXPECT_EQ(text.rfind("{\n  \"bench\": \"unit\",\n  \"schema_version\": 2,\n"
+                       "  \"machine\": {\"hostname\": ",
+                       0),
+            0u);
+  EXPECT_NE(text.find("  \"ratio\": 0.5,\n  \"flag\": 1,\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("  \"gates\": [\n"
+                      "    {\"metric\": \"ratio\", \"max\": 1.5},\n"
+                      "    {\"metric\": \"ratio\", \"min\": 0.25},\n"
+                      "    {\"metric\": \"flag\", \"equals\": 1}\n"
+                      "  ]\n}\n"),
+            std::string::npos);
+}
+
+TEST(Json, BenchDocUsageAndWriteErrorsExitTwo) {
+  const char* plain[] = {"bench", "--json", "out.json", "--x"};
+  EXPECT_EQ(BenchDoc::json_path(4, const_cast<char**>(plain)), "out.json");
+  const char* none[] = {"bench", "--x"};
+  EXPECT_EQ(BenchDoc::json_path(2, const_cast<char**>(none)), "");
+  const char* trailing[] = {"bench", "--json"};
+  EXPECT_EXIT(BenchDoc::json_path(2, const_cast<char**>(trailing)),
+              testing::ExitedWithCode(2), "--json needs a PATH");
+  EXPECT_EXIT(BenchDoc("bench", "unit").write("/nonexistent-dir/x.json"),
+              testing::ExitedWithCode(2), "cannot write /nonexistent-dir");
 }
 
 }  // namespace

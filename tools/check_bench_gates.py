@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Enforce the machine-readable performance gates in BENCH_*.json files.
 
+The document envelope (schema_version, machine, gates, the number and
+null rules) is specified in docs/OBSERVABILITY.md "Bench documents".
 Each bench JSON carries a top-level "gates" array:
 
     "gates": [

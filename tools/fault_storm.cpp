@@ -34,7 +34,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <utility>
@@ -50,7 +49,7 @@
 #include "obs/obs.hpp"
 #include "support/env.hpp"
 #include "support/fnv1a.hpp"
-#include "support/machine_info.hpp"
+#include "support/json.hpp"
 #include "support/parallel.hpp"
 #include "support/quantiles.hpp"
 #include "support/rng.hpp"
@@ -492,31 +491,25 @@ int cmd_run(const Args& args) {
   std::printf("digest: %016llx\n",
               static_cast<unsigned long long>(digest.h));
   if (!json_path.empty()) {
-    std::ofstream out(json_path);
     char digest_hex[17];
     std::snprintf(digest_hex, sizeof(digest_hex), "%016llx",
                   static_cast<unsigned long long>(digest.h));
-    out << "{\n  \"tool\": \"fault_storm\",\n"
-        << support::machine_info_json()
-        << "  \"mesh\": \"" << shape.to_string() << "\",\n"
-        << "  \"trials\": " << trials << ",\n"
-        << "  \"epochs_per_trial\": " << epochs << ",\n"
-        << "  \"digest\": \"" << digest_hex << "\",\n"
-        << "  \"failures\": " << totals.failures << ",\n"
-        << "  \"degraded_epochs\": " << totals.degraded_epochs << ",\n"
-        << "  \"delivered\": " << totals.delivered << ",\n"
-        << "  \"reconfigure_latency_us\": {\"count\": "
-        << reconfigure_seconds.size() << ", \"p50\": " << p50
-        << ", \"p95\": " << p95 << ", \"p99\": " << p99 << "},\n"
-        << "  \"slo\": " << obs::SloTracker::global().render_json("  ")
-        << ",\n"
-        // Machine-enforceable outcome gates, same shape as the BENCH
-        // documents; check_bench_gates.py resolves the dotted SLO paths.
-        << "  \"gates\": [\n"
-        << "    {\"metric\": \"failures\", \"equals\": 0},\n"
-        << "    {\"metric\": \"slo.epoch_completion.burn\", \"max\": 1.0}\n"
-        << "  ]\n}\n";
-    std::printf("wrote %s\n", json_path.c_str());
+    support::BenchDoc doc("tool", "fault_storm");
+    doc.fields({{"mesh", shape.to_string()}, {"trials", trials},
+                {"epochs_per_trial", epochs}, {"digest", digest_hex},
+                {"failures", totals.failures},
+                {"degraded_epochs", totals.degraded_epochs},
+                {"delivered", totals.delivered}})
+        .key("reconfigure_latency_us")
+        .record({{"count", reconfigure_seconds.size()}, {"p50", p50},
+                 {"p95", p95}, {"p99", p99}})
+        .key("slo");
+    obs::SloTracker::global().write_json(doc);
+    // Machine-enforceable outcome gates; check_bench_gates.py resolves
+    // the dotted SLO path.
+    doc.gate_equals("failures", 0)
+        .gate_max("slo.epoch_completion.burn", 1.0)
+        .write(json_path);
   }
   if (totals.failures > 0) {
     std::printf("FAILED: %lld epoch(s) incomplete\n",

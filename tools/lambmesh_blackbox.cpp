@@ -21,6 +21,7 @@
 
 #include "io/recorder_codec.hpp"
 #include "obs/recorder.hpp"
+#include "support/json.hpp"
 
 namespace {
 
@@ -43,16 +44,6 @@ void print_event_text(const FlightEvent& ev) {
               lamb::obs::flight_event_type_name(
                   static_cast<FlightEventType>(ev.type)),
               ev.code, ev.a, ev.b);
-}
-
-void print_event_json(const FlightEvent& ev, bool last) {
-  std::printf("    {\"seq\": %" PRIu64 ", \"t_ns\": %" PRIu64
-              ", \"epoch\": %u, \"type\": \"%s\", \"code\": %u, "
-              "\"a\": %" PRId64 ", \"b\": %" PRId64 "}%s\n",
-              ev.seq, ev.t_ns, ev.epoch,
-              lamb::obs::flight_event_type_name(
-                  static_cast<FlightEventType>(ev.type)),
-              ev.code, ev.a, ev.b, last ? "" : ",");
 }
 
 }  // namespace
@@ -94,22 +85,21 @@ int main(int argc, char** argv) {
   const FlightEvent* last = dump.events.empty() ? nullptr
                                                 : &dump.events.back();
   if (json) {
-    std::printf("{\n  \"file\": \"%s\",\n  \"kind\": \"%s\",\n", path.c_str(),
-                dump.kind.c_str());
+    lamb::support::JsonWriter w;
+    w.begin_object().fields({{"file", path}, {"kind", dump.kind}});
     if (dump.kind == "dump") {
-      std::printf("  \"reason\": \"%s\",\n",
-                  lamb::obs::dump_reason_name(dump.reason));
+      w.field("reason", lamb::obs::dump_reason_name(dump.reason));
     } else {
-      std::printf("  \"ring_capacity\": %zu,\n  \"torn_slots\": %zu,\n",
-                  dump.ring_capacity, dump.torn_slots);
+      w.fields({{"ring_capacity", dump.ring_capacity},
+                {"torn_slots", dump.torn_slots}});
     }
-    std::printf("  \"events_total\": %zu,\n  \"last_epoch\": %u,\n"
-                "  \"events\": [\n",
-                dump.events.size(), last != nullptr ? last->epoch : 0);
+    w.fields({{"events_total", dump.events.size()},
+              {"last_epoch", last != nullptr ? last->epoch : 0}})
+        .array("events");
     for (std::size_t i = first; i < dump.events.size(); ++i) {
-      print_event_json(dump.events[i], i + 1 == dump.events.size());
+      lamb::obs::write_json(w, dump.events[i]);
     }
-    std::printf("  ]\n}\n");
+    std::fputs(w.end().end().str().c_str(), stdout);
     return 0;
   }
 

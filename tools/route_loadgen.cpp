@@ -201,21 +201,15 @@ void print_latency(const char* label, const serve::ScenarioResult& r) {
               static_cast<long long>(r.vend_latency.count));
 }
 
-// The digest line, the --json document, and the exit policy.
+// The digest line, the --json document (a failed write exits 2), and the
+// exit policy.
 int report(const Args& args, const serve::ScenarioResult& r,
-           const std::function<bool(const std::string&)>& write_json) {
+           const std::function<void(const std::string&)>& write_json) {
   // Own line, fault_storm's `^digest:` convention: the soak CI lanes grep
   // and sort -u's these across LAMBMESH_THREADS values (and, for fleet,
   // across --recovery reopen/live).
   std::printf("digest: 0x%016" PRIx64 "\n", r.digest);
-  if (args.has("json")) {
-    const std::string path = args.get("json");
-    if (!write_json(path)) {
-      std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-      return 2;
-    }
-    std::printf("wrote %s\n", path.c_str());
-  }
+  if (args.has("json")) write_json(args.get("json"));
   if (r.failed_requests > 0) {
     std::printf("FAILED: %lld covered request(s) of a certified epoch "
                 "failed to route\n",
@@ -260,7 +254,7 @@ int cmd_run(const Args& args) {
   std::printf("epoch %d, survivors %lld\n", result.final_epoch,
               static_cast<long long>(result.survivors));
   return report(args, result, [&](const std::string& path) {
-    return serve::write_serve_json(path, config, result);
+    serve::write_serve_json(path, config, result);
   });
 }
 
@@ -318,7 +312,7 @@ int cmd_fleet(const Args& args) {
   for (const int epoch : result.final_epochs) std::printf(" %d", epoch);
   std::printf("\n");
   return report(args, result, [&](const std::string& path) {
-    return fleet::write_fleet_json(path, config, result);
+    fleet::write_fleet_json(path, config, result);
   });
 }
 
