@@ -9,13 +9,11 @@
 #include "core/theory.hpp"
 #include "expt/table.hpp"
 #include "io/cli_args.hpp"
-#include "obs/obs.hpp"
 
 using namespace lamb;
 
 int main(int argc, char** argv) {
-  obs::init(argc, argv);
-  io::init_threads(argc, argv);
+  io::parse_cli(argc, argv, {});
   expt::print_banner(
       "Ablation 1 (paper Figure 15)",
       "Lamb1 vs optimal on the adversarial two-fault-row family",

@@ -10,14 +10,12 @@
 #include "expt/table.hpp"
 #include "expt/trial.hpp"
 #include "io/cli_args.hpp"
-#include "obs/obs.hpp"
 #include "support/env.hpp"
 
 using namespace lamb;
 
 int main(int argc, char** argv) {
-  obs::init(argc, argv);
-  io::init_threads(argc, argv);
+  io::parse_cli(argc, argv, {});
   expt::print_banner("Ablation 2 (Prop 6.5 / Thm 6.4)",
                      "SES partition size: worst case vs random faults",
                      "B(d,f) tightness constructions");

@@ -9,7 +9,6 @@
 #include "expt/table.hpp"
 #include "graph/general_wvc.hpp"
 #include "io/cli_args.hpp"
-#include "obs/obs.hpp"
 #include "reduction/vc_gadget.hpp"
 #include "support/rng.hpp"
 
@@ -49,8 +48,7 @@ WeightedGraph named_graph(const char* name) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  obs::init(argc, argv);
-  io::init_threads(argc, argv);
+  io::parse_cli(argc, argv, {});
   expt::print_banner(
       "Ablation 3 (paper Section 9)",
       "VERTEX COVER -> (3,2)-lamb gadget round trip",

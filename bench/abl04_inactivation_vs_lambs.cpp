@@ -13,7 +13,6 @@
 #include "core/lamb.hpp"
 #include "expt/table.hpp"
 #include "io/cli_args.hpp"
-#include "obs/obs.hpp"
 #include "support/env.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
@@ -53,8 +52,7 @@ void run_case(const MeshShape& shape, bool clustered, int trials,
 }  // namespace
 
 int main(int argc, char** argv) {
-  obs::init(argc, argv);
-  io::init_threads(argc, argv);
+  io::parse_cli(argc, argv, {});
   expt::print_banner(
       "Ablation 4 (paper Section 1 open question)",
       "lambs vs inactivated nodes for rectangular fault regions",

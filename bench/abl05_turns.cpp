@@ -20,7 +20,6 @@
 #include "core/lamb.hpp"
 #include "expt/table.hpp"
 #include "io/cli_args.hpp"
-#include "obs/obs.hpp"
 #include "support/env.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
@@ -45,8 +44,7 @@ std::vector<NodeId> survivors_of(const MeshShape& shape, const FaultSet& faults,
 }  // namespace
 
 int main(int argc, char** argv) {
-  obs::init(argc, argv);
-  io::init_threads(argc, argv);
+  io::parse_cli(argc, argv, {});
   expt::print_banner(
       "Ablation 5 (paper Section 1, turns)",
       "fault-ring routing turns vs lamb-route turns",

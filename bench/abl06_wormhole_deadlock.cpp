@@ -55,9 +55,8 @@ std::vector<Message> ring_messages(const MeshShape& shape) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  obs::init(argc, argv);
-  obs::telemetry_init(argc, argv);
-  io::init_threads(argc, argv);
+  constexpr io::Flag kFlags[] = {io::kTelemetryFlag};
+  io::parse_cli(argc, argv, {.flags = kFlags});
   expt::print_banner(
       "Ablation 6 (paper requirements (i)+(iii))",
       "deadlock: virtual channels per round vs shared channels",

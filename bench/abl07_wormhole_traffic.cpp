@@ -17,9 +17,8 @@
 using namespace lamb;
 
 int main(int argc, char** argv) {
-  obs::init(argc, argv);
-  obs::telemetry_init(argc, argv);
-  io::init_threads(argc, argv);
+  constexpr io::Flag kFlags[] = {io::kTelemetryFlag};
+  io::parse_cli(argc, argv, {.flags = kFlags});
   expt::print_banner(
       "Ablation 7 (end-to-end)",
       "wormhole latency/throughput of survivor traffic under faults",

@@ -7,7 +7,6 @@
 #include "core/lamb.hpp"
 #include "expt/table.hpp"
 #include "io/cli_args.hpp"
-#include "obs/obs.hpp"
 #include "support/env.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
@@ -58,8 +57,7 @@ void sweep(const MeshShape& shape, std::int64_t f, int trials) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  obs::init(argc, argv);
-  io::init_threads(argc, argv);
+  io::parse_cli(argc, argv, {});
   expt::print_banner(
       "Ablation 9 (Definition 2.3 generality)",
       "does a different ordering per round shrink the lamb set?",

@@ -10,7 +10,6 @@
 #include "core/lamb.hpp"
 #include "expt/table.hpp"
 #include "io/cli_args.hpp"
-#include "obs/obs.hpp"
 #include "support/env.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
@@ -55,8 +54,7 @@ FaultSet make_faults(const MeshShape& shape, std::int64_t f, FaultKind kind,
 }  // namespace
 
 int main(int argc, char** argv) {
-  obs::init(argc, argv);
-  io::init_threads(argc, argv);
+  io::parse_cli(argc, argv, {});
   expt::print_banner(
       "Ablation 11 (Definition 2.4, footnote 1)",
       "lamb cost of node vs link vs directed-link faults",

@@ -8,7 +8,6 @@
 #include "expt/table.hpp"
 #include "generic/generic_solver.hpp"
 #include "io/cli_args.hpp"
-#include "obs/obs.hpp"
 #include "support/env.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
@@ -16,8 +15,7 @@
 using namespace lamb;
 
 int main(int argc, char** argv) {
-  obs::init(argc, argv);
-  io::init_threads(argc, argv);
+  io::parse_cli(argc, argv, {});
   expt::print_banner(
       "Ablation 12 (Section 7, tori)",
       "lambs on a torus vs the same-size mesh, same fault pattern",

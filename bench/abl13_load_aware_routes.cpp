@@ -77,9 +77,8 @@ Outcome run(const MeshShape& shape, const FaultSet& faults,
 }  // namespace
 
 int main(int argc, char** argv) {
-  obs::init(argc, argv);
-  obs::telemetry_init(argc, argv);
-  io::init_threads(argc, argv);
+  constexpr io::Flag kFlags[] = {io::kTelemetryFlag};
+  io::parse_cli(argc, argv, {.flags = kFlags});
   expt::print_banner(
       "Ablation 13 (Section 2.1, intermediate choice)",
       "random vs load-aware tie-breaking among shortest intermediates",

@@ -11,15 +11,13 @@
 #include "core/lamb.hpp"
 #include "expt/table.hpp"
 #include "io/cli_args.hpp"
-#include "obs/obs.hpp"
 #include "support/env.hpp"
 #include "support/rng.hpp"
 
 using namespace lamb;
 
 int main(int argc, char** argv) {
-  obs::init(argc, argv);
-  io::init_threads(argc, argv);
+  io::parse_cli(argc, argv, {});
   expt::print_banner(
       "Ablation 14 (application collectives)",
       "broadcast / all-reduce exchange time vs fault percentage",

@@ -5,14 +5,12 @@
 #include "expt/experiments.hpp"
 #include "expt/table.hpp"
 #include "io/cli_args.hpp"
-#include "obs/obs.hpp"
 #include "support/env.hpp"
 
 using namespace lamb;
 
 int main(int argc, char** argv) {
-  obs::init(argc, argv);
-  io::init_threads(argc, argv);
+  io::parse_cli(argc, argv, {});
   expt::print_banner("Figure 17", "lambs vs fault % on the 32x32 2D mesh",
                      "M_2(32), f% in {0.5..3.0}, 1000 trials in the paper");
   const MeshShape shape = MeshShape::cube(2, 32);

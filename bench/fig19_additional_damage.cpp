@@ -7,14 +7,12 @@
 #include "expt/experiments.hpp"
 #include "expt/table.hpp"
 #include "io/cli_args.hpp"
-#include "obs/obs.hpp"
 #include "support/env.hpp"
 
 using namespace lamb;
 
 int main(int argc, char** argv) {
-  obs::init(argc, argv);
-  io::init_threads(argc, argv);
+  io::parse_cli(argc, argv, {});
   expt::print_banner("Figure 19", "additional damage %lambs/%faults, 2D vs 3D",
                      "M_2(32) and M_3(32), f% in {0.5..3.0}");
   const std::vector<double> percents{0.5, 1.0, 1.5, 2.0, 2.5, 3.0};

@@ -7,14 +7,12 @@
 #include "expt/experiments.hpp"
 #include "expt/table.hpp"
 #include "io/cli_args.hpp"
-#include "obs/obs.hpp"
 #include "support/env.hpp"
 
 using namespace lamb;
 
 int main(int argc, char** argv) {
-  obs::init(argc, argv);
-  io::init_threads(argc, argv);
+  io::parse_cli(argc, argv, {});
   expt::print_banner(
       "Figure 22", "lamb % vs faults / bisection-width ratio, 3D",
       "M_3(n) for n in {10,16,25}, ratio in {0.5..3.0}, 1000 trials");

@@ -6,14 +6,12 @@
 #include "expt/experiments.hpp"
 #include "expt/table.hpp"
 #include "io/cli_args.hpp"
-#include "obs/obs.hpp"
 #include "support/env.hpp"
 
 using namespace lamb;
 
 int main(int argc, char** argv) {
-  obs::init(argc, argv);
-  io::init_threads(argc, argv);
+  io::parse_cli(argc, argv, {});
   expt::print_banner("Figure 23", "lamb % vs mesh size, 2D, 3% faults",
                      "M_2(n), n^2 ~ 2^i for i in 10..15, 1000 trials");
   const auto rows =

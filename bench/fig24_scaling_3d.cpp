@@ -5,14 +5,12 @@
 #include "expt/experiments.hpp"
 #include "expt/table.hpp"
 #include "io/cli_args.hpp"
-#include "obs/obs.hpp"
 #include "support/env.hpp"
 
 using namespace lamb;
 
 int main(int argc, char** argv) {
-  obs::init(argc, argv);
-  io::init_threads(argc, argv);
+  io::parse_cli(argc, argv, {});
   expt::print_banner("Figure 24", "lamb % vs mesh size, 3D, 3% faults",
                      "M_3(n), n^3 ~ 2^i for i in 10..15, 1000 trials");
   const auto rows =

@@ -11,14 +11,12 @@
 #include "expt/table.hpp"
 #include "expt/trial.hpp"
 #include "io/cli_args.hpp"
-#include "obs/obs.hpp"
 #include "support/env.hpp"
 
 using namespace lamb;
 
 int main(int argc, char** argv) {
-  obs::init(argc, argv);
-  io::init_threads(argc, argv);
+  io::parse_cli(argc, argv, {});
   expt::print_banner("Figure 25", "SES count vs fault % on the 32^3 mesh",
                      "M_3(32), f% in {0.5..3.0}, 1000 trials in the paper");
   const MeshShape shape = MeshShape::cube(3, 32);

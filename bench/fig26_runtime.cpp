@@ -13,7 +13,6 @@
 #include "core/lamb.hpp"
 #include "expt/table.hpp"
 #include "io/cli_args.hpp"
-#include "obs/obs.hpp"
 #include "support/env.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
@@ -55,8 +54,7 @@ void sweep(const MeshShape& shape, int trials) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  obs::init(argc, argv);
-  io::init_threads(argc, argv);
+  io::parse_cli(argc, argv, {});
   expt::print_banner(
       "Figure 26", "average lamb-algorithm running time vs fault %",
       "M_3(32) and M_2(181); paper used a 133 MHz IBM 7248 (AIX), absolute "

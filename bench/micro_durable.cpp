@@ -25,7 +25,6 @@
 #include "io/durable.hpp"
 #include "manager/machine_manager.hpp"
 #include "manager/recovery.hpp"
-#include "obs/obs.hpp"
 #include "support/env.hpp"
 #include "support/json.hpp"
 #include "support/rng.hpp"
@@ -243,9 +242,9 @@ void write_json(const std::string& path, const std::vector<Result>& results,
 }  // namespace
 
 int main(int argc, char** argv) {
-  obs::init(argc, argv);
-  io::init_threads(argc, argv);
-  const std::string json_path = support::BenchDoc::json_path(argc, argv);
+  constexpr io::Flag kFlags[] = {io::kJsonFlag};
+  const io::CliArgs args = io::parse_cli(argc, argv, {.flags = kFlags});
+  const std::string json_path = args.get("json");
 
   const int reps = 5;
   // ~2000 messages puts an epoch around 60ms, long enough that a

@@ -15,7 +15,6 @@
 #include "core/bit_matrix.hpp"
 #include "expt/experiments.hpp"
 #include "io/cli_args.hpp"
-#include "obs/obs.hpp"
 #include "support/env.hpp"
 #include "support/json.hpp"
 #include "support/parallel.hpp"
@@ -110,11 +109,12 @@ void write_json(const std::string& path, const std::vector<Result>& results) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  obs::init(argc, argv);
-  const int requested = io::init_threads(argc, argv);
+  constexpr io::Flag kFlags[] = {io::kJsonFlag};
+  const io::CliArgs args = io::parse_cli(argc, argv, {.flags = kFlags});
+  const int requested = args.get_int("threads", 0);
   par::set_threads(0);
   const int max_threads = requested > 0 ? requested : par::threads();
-  const std::string json_path = support::BenchDoc::json_path(argc, argv);
+  const std::string json_path = args.get("json");
 
   std::vector<int> ladder{1};
   if (max_threads >= 2) ladder.push_back(2);

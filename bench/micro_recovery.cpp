@@ -15,7 +15,6 @@
 #include "io/cli_args.hpp"
 #include "manager/machine_manager.hpp"
 #include "manager/recovery.hpp"
-#include "obs/obs.hpp"
 #include "support/env.hpp"
 #include "support/json.hpp"
 #include "support/parallel.hpp"
@@ -216,9 +215,9 @@ void write_json(const std::string& path, const std::vector<Result>& results,
 }  // namespace
 
 int main(int argc, char** argv) {
-  obs::init(argc, argv);
-  io::init_threads(argc, argv);
-  const std::string json_path = support::BenchDoc::json_path(argc, argv);
+  constexpr io::Flag kFlags[] = {io::kJsonFlag};
+  const io::CliArgs args = io::parse_cli(argc, argv, {.flags = kFlags});
+  const std::string json_path = args.get("json");
 
   const MeshShape shape = MeshShape::cube(3, 8);
   Rng rng(default_seed());

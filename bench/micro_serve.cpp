@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "fleet/loadgen.hpp"
-#include "obs/obs.hpp"
+#include "io/cli_args.hpp"
 #include "serve/loadgen.hpp"
 #include "support/json.hpp"
 #include "support/parallel.hpp"
@@ -111,8 +111,9 @@ void write_json(const std::string& path, const std::vector<Sweep>& sweeps) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  obs::init(argc, argv);
-  const std::string json_path = support::BenchDoc::json_path(argc, argv);
+  constexpr io::Flag kFlags[] = {io::kJsonFlag};
+  const io::CliArgs args = io::parse_cli(argc, argv, {.flags = kFlags});
+  const std::string json_path = args.get("json");
 
   serve::LoadgenConfig serve_config;
   serve_config.clients = 256;

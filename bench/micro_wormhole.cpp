@@ -98,8 +98,8 @@ void print_result(const Result& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  obs::init(argc, argv);
-  io::init_threads(argc, argv);
+  constexpr io::Flag kFlags[] = {io::kJsonFlag};
+  const io::CliArgs args = io::parse_cli(argc, argv, {.flags = kFlags});
   // This bench compares the engines against each other; a process-wide
   // engine override would silently turn every comparison into a no-op
   // (and flunk its own speedup gate), so drop it up front.
@@ -107,7 +107,7 @@ int main(int argc, char** argv) {
     std::printf("note: ignoring LAMBMESH_ENGINE; rows pin their engine\n");
     unsetenv("LAMBMESH_ENGINE");
   }
-  const std::string json_path = support::BenchDoc::json_path(argc, argv);
+  const std::string json_path = args.get("json");
   const int reps = 5;
   // The saturated rows are cheap (tens of ms) and feed two ratio gates,
   // so they get a deeper best-of to shrug off load spikes.

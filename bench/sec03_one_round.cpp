@@ -12,7 +12,6 @@
 #include "expt/table.hpp"
 #include "expt/trial.hpp"
 #include "io/cli_args.hpp"
-#include "obs/obs.hpp"
 #include "support/env.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
@@ -20,8 +19,7 @@
 using namespace lamb;
 
 int main(int argc, char** argv) {
-  obs::init(argc, argv);
-  io::init_threads(argc, argv);
+  io::parse_cli(argc, argv, {});
   expt::print_banner("Section 3", "one round vs two rounds of routing",
                      "M_3(32), f = 32 random node faults");
 

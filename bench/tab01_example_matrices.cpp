@@ -9,13 +9,11 @@
 #include "core/reach_matrices.hpp"
 #include "expt/table.hpp"
 #include "io/cli_args.hpp"
-#include "obs/obs.hpp"
 
 using namespace lamb;
 
 int main(int argc, char** argv) {
-  obs::init(argc, argv);
-  io::init_threads(argc, argv);
+  io::parse_cli(argc, argv, {});
   expt::print_banner(
       "Table 1 + Table 2 (and Figures 2-10)",
       "deterministic 12x12 worked example of the lamb algorithm",

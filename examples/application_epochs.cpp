@@ -13,10 +13,8 @@
 
 #include "collective/schedule.hpp"
 #include "io/cli_args.hpp"
-#include "io/serve_cli.hpp"
 #include "manager/machine_manager.hpp"
 #include "manager/recovery.hpp"
-#include "obs/obs.hpp"
 #include "support/rng.hpp"
 #include "wormhole/fault_schedule.hpp"
 #include "wormhole/route_builder.hpp"
@@ -24,27 +22,9 @@
 using namespace lamb;
 
 int main(int argc, char** argv) {
-  // The example has no subcommands; parse its options under a synthetic
-  // one so it shares the tools' CliArgs conventions (`--serve SPEC`,
-  // `--threads N`) — and the one --serve resolution in io::serve_cli.
-  std::vector<std::string> tokens{"run"};
-  for (int i = 1; i < argc; ++i) tokens.emplace_back(argv[i]);
-  io::CliArgs args;
-  try {
-    args = io::CliArgs::parse(tokens);
-    args.require_known({"serve", "threads"});
-  } catch (const io::ArgError& e) {
-    std::fprintf(stderr,
-                 "error: %s\nusage: application_epochs [--serve SPEC] "
-                 "[--threads N]\n",
-                 e.what());
-    return 2;
-  }
-  if (!io::start_serve_exposition(args, "application_epochs")) return 2;
-  // obs::init still wires LAMBMESH_SERVE / LAMBMESH_METRICS and the
-  // flight recorder for argv-less embedding.
-  obs::init(argc, argv);
-  io::init_threads(argc, argv);
+  // No options of its own: the process flags (--serve SPEC to scrape the
+  // run live, --threads N, --metrics DEST).
+  io::parse_cli(argc, argv, {});
   manager::MachineManager mgr(MeshShape::cube(3, 10));  // 1000 nodes
   Rng rng(20020416);
   mgr.reconfigure();  // epoch 1: pristine machine

@@ -20,7 +20,7 @@
 using namespace lamb;
 
 int main(int argc, char** argv) {
-  io::init_threads(argc, argv);
+  io::parse_cli(argc, argv, {});
   const MeshShape shape = MeshShape::cube(3, 16);
   Rng rng(424242);
   FaultSet faults(shape);

@@ -73,10 +73,18 @@ void draw_lambs(const MeshShape& shape, const FaultSet& faults,
 }  // namespace
 
 int main(int argc, char** argv) {
-  io::init_threads(argc, argv);
+  constexpr io::Flag kFlags[] = {
+      {"", "[FILE]", io::kAllCommands,
+       "fault set in the io text format (default: paper Figure 2)"}};
+  const io::CliArgs args = io::parse_cli(argc, argv, {.flags = kFlags});
   io::Document doc;
-  if (argc > 1) {
-    doc = io::parse_file(argv[1]);
+  if (!args.positionals().empty()) {
+    try {
+      doc = io::parse_file(args.positionals()[0]);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 2;
+    }
   } else {
     doc = io::parse_string(
         "mesh 12 12\n"

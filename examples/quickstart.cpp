@@ -19,7 +19,7 @@
 using namespace lamb;
 
 int main(int argc, char** argv) {
-  io::init_threads(argc, argv);
+  io::parse_cli(argc, argv, {});
   // A 16x16 mesh with 8 random node faults (~3%).
   const MeshShape shape = MeshShape::cube(2, 16);
   Rng rng(2002);

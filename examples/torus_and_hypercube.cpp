@@ -22,7 +22,7 @@
 using namespace lamb;
 
 int main(int argc, char** argv) {
-  io::init_threads(argc, argv);
+  io::parse_cli(argc, argv, {});
   // --- Hypercube ---
   {
     const MeshShape cube = MeshShape::hypercube(6);  // 64 nodes

@@ -16,9 +16,8 @@
 using namespace lamb;
 
 int main(int argc, char** argv) {
-  obs::init(argc, argv);
-  obs::telemetry_init(argc, argv);
-  io::init_threads(argc, argv);
+  constexpr io::Flag kFlags[] = {io::kTelemetryFlag};
+  io::parse_cli(argc, argv, {.flags = kFlags});
   const MeshShape shape = MeshShape::cube(3, 8);
   Rng rng(77);
   const FaultSet faults = FaultSet::random_nodes(shape, 20, rng);  // ~4%

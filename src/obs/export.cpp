@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
 #include <string_view>
 
-#include "obs/expose.hpp"
 #include "obs/recorder.hpp"
 #include "obs/slo.hpp"
 #include "support/env.hpp"
@@ -205,22 +203,7 @@ bool write_csv(const MetricsRegistry& registry, const std::string& path) {
   return true;
 }
 
-namespace {
-
-void start_server(const std::string& spec) {
-  std::string err;
-  ExposeServer* server = serve_global(spec, &err);
-  if (server->running()) {
-    std::fprintf(stderr, "lambmesh: serving metrics on port %d\n",
-                 server->port());
-  } else {
-    std::fprintf(stderr, "lambmesh: --serve failed: %s\n", err.c_str());
-  }
-}
-
-}  // namespace
-
-bool init(int argc, const char* const* argv) {
+void init(const std::string& metrics_dest) {
   // Touch the globals so the env bootstraps have run even when no
   // instrumented code executed yet. FlightRecorder::global() also arms
   // the LAMBMESH_FLIGHT file backing and crash handler.
@@ -228,40 +211,10 @@ bool init(int argc, const char* const* argv) {
   TraceSink::global();
   FlightRecorder::global();
   SloTracker::global();
-  std::string serve_spec = env_string("LAMBMESH_SERVE", "");
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--serve") {
-      // Ephemeral port; the chosen one is printed below.
-      serve_spec = ":0";
-      continue;
-    }
-    if (arg.rfind("--serve=", 0) == 0) {
-      serve_spec = std::string(arg.substr(8));
-      continue;
-    }
-    if (arg == "--metrics") {
-      if (exit_config().metrics_dest.empty()) {
-        exit_config().metrics_dest = "stderr";
-      }
-    } else if (arg.rfind("--metrics=", 0) == 0) {
-      // "--metrics=" with an empty destination still means "show me".
-      std::string dest(arg.substr(10));
-      exit_config().metrics_dest = dest.empty() ? "stderr" : std::move(dest);
-    } else {
-      continue;
-    }
-    registry.set_enabled(true);
-    ensure_atexit();
-  }
-  if (!serve_spec.empty() && !serving_started()) {
-    // A scrape target without metric collection is an empty page;
-    // serving implies collecting. Skipped when io::start_serve_exposition
-    // already started the server from the same flag/env.
-    registry.set_enabled(true);
-    start_server(serve_spec);
-  }
-  return registry.enabled();
+  if (metrics_dest.empty()) return;
+  exit_config().metrics_dest = metrics_dest;
+  registry.set_enabled(true);
+  ensure_atexit();
 }
 
 }  // namespace lamb::obs

@@ -10,16 +10,15 @@
 //
 // The global registry/sink bootstrap themselves from these variables on
 // first use, so every binary that links the instrumented libraries honors
-// them without code changes. Binaries that additionally want `--metrics`
-// / `--serve` command-line flags call init(argc, argv) at the top of
-// main().
+// them without code changes. The command-line binaries also take
+// `--metrics DEST` (same syntax, overriding LAMBMESH_METRICS) through
+// io::apply_process_flags, which calls init().
 //
-// Live exposition (LAMBMESH_SERVE=<spec> or --serve[=<spec>], spec like
-// ":9464"): starts the embedded HTTP server of obs/expose.hpp over the
-// global registry, SLO tracker, and flight recorder. The server starts
-// from init() — never from inside a global()'s magic-static initializer,
-// where the server thread's first scrape could re-enter the initializer
-// and deadlock.
+// Live exposition (LAMBMESH_SERVE=<spec> or `--serve SPEC`, spec like
+// ":9464") is started by io::apply_process_flags through obs/expose.hpp's
+// serve_global — from main, never from inside a global()'s magic-static
+// initializer, where the server thread's first scrape could re-enter the
+// initializer and deadlock.
 #pragma once
 
 #include <cstdio>
@@ -39,12 +38,9 @@ void print_table(const MetricsRegistry& registry, std::FILE* out);
 bool write_json(const MetricsRegistry& registry, const std::string& path);
 bool write_csv(const MetricsRegistry& registry, const std::string& path);
 
-// Ensures the env bootstrap ran and additionally honors
-// `--metrics[=<dest>]` (bare `--metrics` forces the stderr table) and
-// `--serve[=<spec>]` (bare `--serve` picks an ephemeral port and prints
-// it to stderr). Also starts the server for LAMBMESH_SERVE and arms the
-// flight recorder for LAMBMESH_FLIGHT. Returns whether metrics
-// collection is enabled.
-bool init(int argc = 0, const char* const* argv = nullptr);
+// Ensures the env bootstraps ran (which also arms the flight recorder
+// for LAMBMESH_FLIGHT) and, when `metrics_dest` is non-empty, enables
+// collection and replaces the LAMBMESH_METRICS exit-dump destination.
+void init(const std::string& metrics_dest = "");
 
 }  // namespace lamb::obs

@@ -4,10 +4,13 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
@@ -198,11 +201,29 @@ void ExposeServer::serve_loop() {
 }
 
 void ExposeServer::handle_connection(int fd) {
-  // Read until the end of the request head; scrapers send no body.
+  // The accept loop serves one connection at a time, so a peer gets 1 s
+  // to send its request head (scrapers send no body), and each send of
+  // the response waits at most as long: an idle or slow peer is dropped
+  // instead of stalling every later scrape.
+  constexpr auto kDeadline = std::chrono::seconds(1);
+  const auto deadline = std::chrono::steady_clock::now() + kDeadline;
   std::string request;
   char buf[2048];
   while (request.find("\r\n\r\n") == std::string::npos &&
          request.size() < 16 * 1024) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                          deadline - std::chrono::steady_clock::now())
+                          .count();
+    if (left <= 0 || stopping_.load(std::memory_order_acquire)) return;
+    pollfd pfd;
+    pfd.fd = fd;
+    pfd.events = POLLIN;
+    pfd.revents = 0;
+    // Short slices keep stop() prompt while a peer dawdles.
+    const int ready =
+        ::poll(&pfd, 1, static_cast<int>(std::min<long long>(left, 100)));
+    if (ready < 0 && errno != EINTR) return;
+    if (ready <= 0) continue;
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     if (n <= 0) break;
     request.append(buf, static_cast<std::size_t>(n));
@@ -231,6 +252,11 @@ void ExposeServer::handle_connection(int fd) {
                      "\r\nContent-Length: " + std::to_string(resp.body.size()) +
                      "\r\nConnection: close\r\n\r\n";
   const std::string full = head + resp.body;
+  timeval send_timeout{};
+  send_timeout.tv_sec =
+      std::chrono::duration_cast<std::chrono::seconds>(kDeadline).count();
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &send_timeout,
+               sizeof(send_timeout));
   std::size_t sent = 0;
   while (sent < full.size()) {
     const ssize_t n =
@@ -303,13 +329,6 @@ ExposeServer* serve_global(const std::string& spec, std::string* err) {
   }
   server->start(host, port, err);
   return server;
-}
-
-bool serving_started() {
-  std::string err;
-  // Empty spec never starts anything; this only queries the singleton.
-  static ExposeServer* const server = serve_global("", &err);
-  return server->running();
 }
 
 }  // namespace lamb::obs

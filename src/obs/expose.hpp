@@ -10,7 +10,9 @@
 //   /recorder  JSON tail of the flight-recorder ring (?n=K, default 64)
 //
 // The server is deliberately tiny: blocking POSIX sockets, one
-// background accept thread, HTTP/1.1 with Connection: close. It exists
+// background accept thread serving one connection at a time, each with
+// a 1 s deadline (so an idle peer cannot stall later scrapes), HTTP/1.1
+// with Connection: close. It exists
 // so an operator can point curl or a Prometheus scraper at a running
 // fault_storm — not to be a web framework. Scrapes only read atomics
 // and registry snapshots; they never touch simulation state, so trial
@@ -87,14 +89,9 @@ class ExposeServer {
 };
 
 // Starts the process-wide server over the global registry / SLO tracker
-// / flight recorder, once. Called from obs::init() for --serve=SPEC and
-// LAMBMESH_SERVE. Returns the server (running or not) for port queries;
-// never returns null after the first call.
+// / flight recorder, once. Called from io::apply_process_flags for
+// `--serve SPEC` or LAMBMESH_SERVE. Returns the server (running or not)
+// for port queries; never returns null after the first call.
 ExposeServer* serve_global(const std::string& spec, std::string* err = nullptr);
-
-// True once serve_global has a running server in this process. Lets the
-// two resolution paths (obs::init's raw-argv/env scan and the io-level
-// CliArgs helper) coexist without double starts or duplicate banners.
-bool serving_started();
 
 }  // namespace lamb::obs

@@ -20,7 +20,7 @@ std::uint8_t sat8(std::int64_t v) {
   return static_cast<std::uint8_t>(std::clamp<std::int64_t>(v, 0, 0xFF));
 }
 
-// The bootstrapped process default, mutated by telemetry_init().
+// The bootstrapped process default, overridden by telemetry_init().
 TelemetryConfig& mutable_default() {
   static TelemetryConfig config = [] {
     TelemetryConfig c;
@@ -705,20 +705,10 @@ bool Telemetry::write(std::int64_t cycles, std::int64_t run) const {
 
 TelemetryConfig default_telemetry() { return mutable_default(); }
 
-bool telemetry_init(int argc, const char* const* argv) {
+void telemetry_init(const std::string& dest) {
   TelemetryConfig& config = mutable_default();
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--telemetry") {
-      config.enabled = true;
-      if (config.dump.empty()) config.dump = "csv:telemetry.csv";
-    } else if (arg.rfind("--telemetry=", 0) == 0) {
-      config.enabled = true;
-      std::string dest(arg.substr(12));
-      config.dump = dest.empty() ? "csv:telemetry.csv" : std::move(dest);
-    }
-  }
-  return config.enabled;
+  config.enabled = true;
+  config.dump = dest;
 }
 
 std::string telemetry_run_path(const std::string& dest, std::int64_t run) {

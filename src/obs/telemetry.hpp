@@ -12,7 +12,7 @@
 //
 // The whole tier is opt-in per Network via SimConfig::telemetry and
 // costs nothing when disabled (the simulator guards every hook with one
-// null-pointer check). `LAMBMESH_TELEMETRY` / `--telemetry[=<dest>]`
+// null-pointer check). `LAMBMESH_TELEMETRY` / `--telemetry DEST`
 // follow the LAMBMESH_METRICS plumbing (see docs/OBSERVABILITY.md).
 #pragma once
 
@@ -323,10 +323,10 @@ class Telemetry {
 // copy this into SimConfig::telemetry.
 TelemetryConfig default_telemetry();
 
-// Honors --telemetry[=<dest>] (bare flag defaults to csv:telemetry.csv)
-// on top of the environment bootstrap, mirroring obs::init for metrics.
-// Returns whether telemetry is enabled.
-bool telemetry_init(int argc = 0, const char* const* argv = nullptr);
+// Enables telemetry with dump destination `dest` (csv:<path>,
+// json:<path> or <path>), overriding LAMBMESH_TELEMETRY: the
+// `--telemetry DEST` flag of io::apply_process_flags.
+void telemetry_init(const std::string& dest);
 
 // Dump path for the `run`-th dumping Network of this process: the base
 // destination path for run 0, "<path>.<run>" afterwards.

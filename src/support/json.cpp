@@ -124,17 +124,4 @@ void BenchDoc::write(const std::string& path) {
   std::printf("wrote %s\n", path.c_str());
 }
 
-std::string BenchDoc::json_path(int argc, char** argv) {
-  std::string path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) != "--json") continue;
-    if (i + 1 == argc) {
-      std::fprintf(stderr, "error: --json needs a PATH\n");
-      std::exit(2);
-    }
-    path = argv[++i];
-  }
-  return path;
-}
-
 }  // namespace lamb::support

@@ -104,9 +104,6 @@ class BenchDoc : public JsonWriter {
   // Appends the gates, closes the document and writes it, printing
   // "wrote <path>"; a failed write is an error line and exit 2.
   void write(const std::string& path);
-  // The PATH of `--json PATH` in argv, or "". A trailing `--json` with no
-  // PATH is a usage error: an error line and exit 2.
-  static std::string json_path(int argc, char** argv);
 
  private:
   struct Gate {

@@ -9,15 +9,18 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "io/cli_args.hpp"
 #include "obs/obs.hpp"
 
 namespace lamb::obs {
@@ -442,10 +445,14 @@ TEST(Expose, HandleRoutesWithoutSockets) {
   EXPECT_EQ(server.handle("/nope").status, 404);
 }
 
-// Issues one real HTTP GET against a started server.
+// Issues one real HTTP GET against a started server; gives up after 5 s
+// without data so a stalled server fails the test instead of hanging it.
 std::string http_get(int port, const std::string& target) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
+  timeval timeout{};
+  timeout.tv_sec = 5;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<std::uint16_t>(port));
@@ -488,6 +495,41 @@ TEST(Expose, ServerEndToEndOnEphemeralPort) {
 
   server.stop();
   EXPECT_FALSE(server.running());
+}
+
+TEST(Expose, IdlePeerDoesNotStallScrapes) {
+  MetricsRegistry reg(/*enabled=*/true);
+  ExposeServer server(&reg, nullptr, nullptr);
+  std::string err;
+  ASSERT_TRUE(server.start("127.0.0.1", 0, &err)) << err;
+  // A peer that connects and never sends a byte.
+  const int idle = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(idle, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(server.port()));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(
+      ::connect(idle, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+
+  const auto start = std::chrono::steady_clock::now();
+  const std::string health = http_get(server.port(), "/healthz");
+  const auto answered = std::chrono::steady_clock::now() - start;
+  EXPECT_NE(health.find("ok\n"), std::string::npos);
+  EXPECT_LT(answered, std::chrono::seconds(2));
+
+  // A second idle peer, then stop(): the server thread must not sit in
+  // its recv.
+  const int idle2 = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_EQ(
+      ::connect(idle2, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const auto stop_start = std::chrono::steady_clock::now();
+  server.stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - stop_start,
+            std::chrono::seconds(1));
+  ::close(idle);
+  ::close(idle2);
 }
 
 TEST(Slo, BurnMathAndMetricsExport) {
@@ -563,11 +605,13 @@ TEST(Slo, TrackerJsonAndGlobalObjectives) {
 }
 
 TEST(Init, MetricsFlagEnablesCollection) {
-  // init() with --metrics=json:<path> must switch the global registry on.
-  const std::string dest =
-      "--metrics=json:" + ::testing::TempDir() + "obs_test_exit.json";
-  const char* argv[] = {"prog", dest.c_str()};
-  EXPECT_TRUE(init(2, argv));
+  // --metrics=json:<path> through the one process-flag call must switch
+  // the global registry on.
+  constexpr io::CliSpec kNoFlags{};
+  const io::CliArgs args = io::CliArgs::parse(
+      {"--metrics=json:" + ::testing::TempDir() + "obs_test_exit.json"},
+      kNoFlags);
+  EXPECT_TRUE(io::apply_process_flags(args));
   EXPECT_TRUE(MetricsRegistry::global().enabled());
   // Leave the registry recording; the atexit dump writes to TempDir.
 }

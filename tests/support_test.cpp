@@ -316,14 +316,7 @@ TEST(Json, BenchDocEnvelopeAndGates) {
             std::string::npos);
 }
 
-TEST(Json, BenchDocUsageAndWriteErrorsExitTwo) {
-  const char* plain[] = {"bench", "--json", "out.json", "--x"};
-  EXPECT_EQ(BenchDoc::json_path(4, const_cast<char**>(plain)), "out.json");
-  const char* none[] = {"bench", "--x"};
-  EXPECT_EQ(BenchDoc::json_path(2, const_cast<char**>(none)), "");
-  const char* trailing[] = {"bench", "--json"};
-  EXPECT_EXIT(BenchDoc::json_path(2, const_cast<char**>(trailing)),
-              testing::ExitedWithCode(2), "--json needs a PATH");
+TEST(Json, BenchDocWriteErrorExitsTwo) {
   EXPECT_EXIT(BenchDoc("bench", "unit").write("/nonexistent-dir/x.json"),
               testing::ExitedWithCode(2), "cannot write /nonexistent-dir");
 }

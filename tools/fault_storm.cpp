@@ -42,7 +42,6 @@
 #include "io/binary_format.hpp"
 #include "io/cli_args.hpp"
 #include "io/durable.hpp"
-#include "io/serve_cli.hpp"
 #include "io/text_format.hpp"
 #include "manager/machine_manager.hpp"
 #include "manager/recovery.hpp"
@@ -50,7 +49,6 @@
 #include "support/env.hpp"
 #include "support/fnv1a.hpp"
 #include "support/json.hpp"
-#include "support/parallel.hpp"
 #include "support/quantiles.hpp"
 #include "support/rng.hpp"
 #include "wormhole/fault_schedule.hpp"
@@ -61,42 +59,39 @@ namespace {
 
 using Args = io::CliArgs;
 
-[[noreturn]] void usage(const char* error = nullptr) {
-  if (error != nullptr) std::fprintf(stderr, "error: %s\n\n", error);
-  std::fprintf(stderr,
-               "usage: fault_storm run [options]\n"
-               "\n"
-               "options (defaults in parens):\n"
-               "  --mesh WxH..      geometry (8x8), 't' suffix for torus\n"
-               "  --trials N        independent seeded trials (25)\n"
-               "  --seed S          master seed (20020416)\n"
-               "  --initial-faults F  static faults before epoch 1 (6)\n"
-               "  --epochs E        application epochs per trial (3)\n"
-               "  --messages M      survivor pairs per epoch (64)\n"
-               "  --node-kills K    live node kills per epoch storm (2)\n"
-               "  --link-kills L    live link kills per epoch storm (1)\n"
-               "  --horizon C       storm cycle horizon per epoch (400)\n"
-               "  --flits F         flits per message (8)\n"
-               "  --max-attempts A  recovery retry bound per epoch (8)\n"
-               "  --budget SECS     solver budget; 0 = unlimited (0)\n"
-               "  --state DIR       crash-safe mode: persist progress and\n"
-               "                    the manager's durable state under DIR;\n"
-               "                    rerunning resumes after a kill\n"
-               "  --json PATH       write outcome totals, digest, and the\n"
-               "                    reconfigure-latency percentiles as JSON\n"
-               "  --serve SPEC      serve /metrics, /healthz, /slo, and\n"
-               "                    /recorder over HTTP while the storm\n"
-               "                    runs (SPEC like :9464; port 0 is\n"
-               "                    ephemeral, printed to stderr)\n"
-               "  --flight PATH     back the flight-recorder ring with a\n"
-               "                    mmap'd file at PATH (decodable by\n"
-               "                    lambmesh_blackbox even after SIGKILL);\n"
-               "                    auto-dumps land at PATH.dump\n"
-               "  --threads T       worker threads; result is identical\n"
-               "                    at any value\n"
-               "  --verbose         per-epoch log lines\n");
-  std::exit(2);
-}
+constexpr io::Command kCommands[] = {
+    {"run", "seeded trials of live fault storms under the recovery loop"}};
+
+constexpr unsigned kRun = 1;
+
+constexpr io::Flag kFlags[] = {
+    {"mesh", "WxH..", kRun, "geometry (8x8), 't' suffix for torus"},
+    {"trials", "N", kRun, "independent seeded trials (25)"},
+    {"seed", "S", kRun, "master seed (20020416)"},
+    {"initial-faults", "F", kRun, "static faults before epoch 1 (6)"},
+    {"epochs", "E", kRun, "application epochs per trial (3)"},
+    {"messages", "M", kRun, "survivor pairs per epoch (64)"},
+    {"node-kills", "K", kRun, "live node kills per epoch storm (2)"},
+    {"link-kills", "L", kRun, "live link kills per epoch storm (1)"},
+    {"horizon", "C", kRun, "storm cycle horizon per epoch (400)"},
+    {"flits", "F", kRun, "flits per message (8)"},
+    {"max-attempts", "A", kRun, "recovery retry bound per epoch (8)"},
+    {"budget", "SECS", kRun, "solver budget; 0 = unlimited (0)"},
+    {"state", "DIR", kRun,
+     "crash-safe mode: persist progress and the manager's\n"
+     "                        durable state under DIR; rerunning resumes\n"
+     "                        after a kill"},
+    {"json", "PATH", kRun,
+     "write outcome totals, digest, and the reconfigure-\n"
+     "                        latency percentiles as JSON"},
+    {"verbose", "", kRun, "per-epoch log lines"},
+    io::kTelemetryFlag,
+    io::kFlightFlag,
+};
+
+constexpr io::CliSpec kCli{kCommands, kFlags,
+                           "Defaults in parens. The result is identical at "
+                           "any --threads value."};
 
 // FNV-1a over the outcome numbers: a stable fingerprint of the whole run
 // that two invocations (any thread count) can be compared by.
@@ -523,39 +518,12 @@ int cmd_run(const Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  obs::telemetry_init(argc, argv);
-  Args args;
+  // Observability plane (--serve, --flight, --telemetry, --metrics).
+  // None of it touches simulation state, so the digest is bit-identical
+  // with all of it enabled.
+  const Args args = io::parse_cli(argc, argv, kCli);
   try {
-    args = Args::parse(argc, argv, {"verbose", "telemetry"});
-    args.require_known({"mesh", "trials", "seed", "initial-faults",
-                        "epochs", "messages", "node-kills", "link-kills",
-                        "horizon", "flits", "max-attempts", "budget",
-                        "state", "threads", "verbose", "telemetry", "json",
-                        "serve", "flight"});
-    if (args.has("threads")) {
-      par::set_threads(args.get_int("threads", 0));
-    }
-  } catch (const io::ArgError& e) {
-    usage(e.what());
-  }
-  // Observability plane. Neither the recorder nor the server touches
-  // simulation state, so the digest is bit-identical with both enabled.
-  if (args.has("flight")) {
-    obs::FlightRecorder& recorder = obs::FlightRecorder::global();
-    const std::string flight_path = args.get("flight");
-    std::string err;
-    if (recorder.open_file(flight_path, &err)) {
-      recorder.set_dump_path(flight_path + ".dump");
-      obs::FlightRecorder::install_crash_handler();
-    } else {
-      std::fprintf(stderr, "warning: --flight: %s (recording in memory)\n",
-                   err.c_str());
-    }
-  }
-  if (!io::start_serve_exposition(args, "fault_storm")) return 2;
-  try {
-    if (args.command() == "run") return cmd_run(args);
-    usage(("unknown command " + args.command()).c_str());
+    return cmd_run(args);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;

@@ -19,6 +19,7 @@
 #include <cstring>
 #include <string>
 
+#include "io/cli_args.hpp"
 #include "io/recorder_codec.hpp"
 #include "obs/recorder.hpp"
 #include "support/json.hpp"
@@ -31,11 +32,11 @@ using lamb::obs::DumpReason;
 using lamb::obs::FlightEvent;
 using lamb::obs::FlightEventType;
 
-int usage() {
-  std::fprintf(stderr,
-               "usage: lambmesh_blackbox <flight-file> [--tail N] [--json]\n");
-  return 2;
-}
+constexpr lamb::io::Flag kFlags[] = {
+    {"", "FILE", lamb::io::kAllCommands, "flight ring or sealed dump"},
+    {"tail", "N", lamb::io::kAllCommands, "show only the last N events"},
+    {"json", "", lamb::io::kAllCommands, "print the events as JSON"},
+};
 
 void print_event_text(const FlightEvent& ev) {
   std::printf("  seq %8" PRIu64 "  t+%12.6fs  epoch %4u  %-18s code %u"
@@ -49,24 +50,20 @@ void print_event_text(const FlightEvent& ev) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string path;
+  // The process flags arm this process's own flight recorder, which
+  // re-homes onto LAMBMESH_FLIGHT and truncates it: never the file being
+  // inspected.
+  unsetenv("LAMBMESH_FLIGHT");
+  const lamb::io::CliArgs args = lamb::io::parse_cli(argc, argv, {{}, kFlags});
+  const std::string& path = args.positionals()[0];
+  const bool json = args.has("json");
   std::size_t tail = 0;  // 0 = everything
-  bool json = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json") {
-      json = true;
-    } else if (arg == "--tail" && i + 1 < argc) {
-      tail = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (!arg.empty() && arg[0] == '-') {
-      return usage();
-    } else if (path.empty()) {
-      path = arg;
-    } else {
-      return usage();
-    }
+  try {
+    tail = static_cast<std::size_t>(args.get_long("tail", 0, 1));
+  } catch (const lamb::io::ArgError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   }
-  if (path.empty()) return usage();
 
   FlightDump dump;
   const LoadError err = lamb::io::load_flight_file(path, &dump);

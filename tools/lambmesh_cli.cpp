@@ -30,7 +30,6 @@
 #include "generic/generic_solver.hpp"
 #include "io/text_format.hpp"
 #include "support/env.hpp"
-#include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "support/samples.hpp"
 #include "wormhole/network.hpp"
@@ -43,28 +42,33 @@ namespace {
 
 using Args = io::CliArgs;
 
-[[noreturn]] void usage(const char* error = nullptr) {
-  if (error != nullptr) std::fprintf(stderr, "error: %s\n\n", error);
-  std::fprintf(stderr,
-               "usage: lambmesh_cli <command> [options]\n"
-               "\n"
-               "commands:\n"
-               "  solve     --geometry WxHx.. | --input FILE\n"
-               "            [--random-faults N] [--seed S] [--rounds K]\n"
-               "            [--solver lamb1|lamb2|lamb2-exact|generic]\n"
-               "            [--output FILE]\n"
-               "  verify    --input FILE [--rounds K]\n"
-               "  info      --geometry .. | --input FILE [--rounds K]\n"
-               "            [--random-faults N] [--seed S]\n"
-               "  simulate  --input FILE [--rounds K] [--messages N]\n"
-               "            [--flits F] [--vcs V] [--buffers B] [--seed S]\n"
-               "            [--pattern uniform|transpose|bitrev|hotspot]\n"
-               "\n"
-               "Every command also accepts --threads N (solver thread\n"
-               "pool; 0 = LAMBMESH_THREADS / hardware default, 1 = serial).\n"
-               "Geometries: 32x32x32 (mesh), 8x8t (torus).\n");
-  std::exit(2);
-}
+constexpr io::Command kCommands[] = {
+    {"solve", "compute a lamb set; emit the document with lamb lines"},
+    {"verify", "brute-force check of a document's lamb set"},
+    {"info", "partition / reachability diagnostics for a fault set"},
+    {"simulate", "run survivor traffic through the wormhole simulator"},
+};
+constexpr unsigned kSolve = 1, kSimulate = 8;
+
+constexpr io::Flag kFlags[] = {
+    {"geometry", "WxH..", io::kAllCommands,
+     "fault-free mesh, e.g. 32x32x32 (mesh), 8x8t (torus)"},
+    {"input", "FILE", io::kAllCommands, "document in the io text format"},
+    {"random-faults", "N", io::kAllCommands, "add N random node faults (0)"},
+    {"seed", "S", io::kAllCommands, "seed for faults and traffic"},
+    {"rounds", "K", io::kAllCommands, "routing rounds (2)"},
+    {"solver", "NAME", kSolve, "lamb1 | lamb2 | lamb2-exact | generic (lamb1)"},
+    {"output", "FILE", kSolve, "write the document here (stdout)"},
+    {"messages", "N", kSimulate, "messages (500)"},
+    {"flits", "F", kSimulate, "flits per message (8)"},
+    {"vcs", "V", kSimulate, "virtual channels per link (rounds)"},
+    {"buffers", "B", kSimulate, "flit buffers per channel (4)"},
+    {"pattern", "NAME", kSimulate,
+     "uniform | transpose | bitrev | hotspot (uniform)"},
+};
+
+constexpr io::CliSpec kCli{kCommands, kFlags,
+                           "Every command reads --input FILE or --geometry."};
 
 // Loads or synthesizes the (shape, faults, predetermined lambs) triple.
 io::Document load_document(const Args& args) {
@@ -75,7 +79,7 @@ io::Document load_document(const Args& args) {
     doc.shape = std::make_unique<MeshShape>(io::parse_geometry(args.get("geometry")));
     doc.faults = std::make_unique<FaultSet>(*doc.shape);
   } else {
-    usage("need --input or --geometry");
+    throw io::ArgError("need --input or --geometry");
   }
   const long random_faults = args.get_long("random-faults", 0);
   if (random_faults > 0) {
@@ -119,7 +123,7 @@ int cmd_solve(const Args& args) {
     } else if (solver == "lamb2-exact") {
       result = lamb2(*doc.shape, *doc.faults, options, /*exact=*/true);
     } else {
-      usage(("unknown solver " + solver).c_str());
+      throw io::ArgError("unknown solver " + solver);
     }
     lambs = result.lambs;
     std::fprintf(stderr,
@@ -210,7 +214,7 @@ int cmd_simulate(const Args& args) {
   } else if (pattern == "hotspot") {
     tc.pattern = wormhole::Pattern::kHotSpot;
   } else {
-    usage(("unknown pattern " + pattern).c_str());
+    throw io::ArgError("unknown pattern " + pattern);
   }
 
   const wormhole::RouteBuilder builder(*doc.shape, *doc.faults, orders);
@@ -239,24 +243,12 @@ int cmd_simulate(const Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Args args;
-  try {
-    args = Args::parse(argc, argv);
-    args.require_known({"geometry", "input", "output", "random-faults",
-                        "seed", "rounds", "solver", "messages", "flits",
-                        "vcs", "buffers", "pattern", "threads"});
-    if (args.has("threads")) {
-      par::set_threads(args.get_int("threads", 0));
-    }
-  } catch (const io::ArgError& e) {
-    usage(e.what());
-  }
+  const Args args = io::parse_cli(argc, argv, kCli);
   try {
     if (args.command() == "solve") return cmd_solve(args);
     if (args.command() == "verify") return cmd_verify(args);
     if (args.command() == "info") return cmd_info(args);
-    if (args.command() == "simulate") return cmd_simulate(args);
-    usage(("unknown command " + args.command()).c_str());
+    return cmd_simulate(args);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;

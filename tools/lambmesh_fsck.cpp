@@ -15,10 +15,12 @@
 // state directory — the magic is sniffed; tools/lambmesh_blackbox is
 // the full-featured decoder, this is the health check.
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 
 #include "io/binary_format.hpp"
+#include "io/cli_args.hpp"
 #include "io/durable.hpp"
 #include "io/recorder_codec.hpp"
 #include "manager/machine_manager.hpp"
@@ -30,11 +32,16 @@ using lamb::MeshShape;
 using lamb::io::LoadError;
 using lamb::io::StateDir;
 
-int usage() {
-  std::fprintf(stderr,
-               "usage: lambmesh_fsck <verify|dump|compact> <state-dir>\n");
-  return 2;
-}
+constexpr lamb::io::Command kCommands[] = {
+    {"verify", "read-only health report; exit 0 iff recoverable"},
+    {"dump", "verify + print the state the newest snapshot recovers to"},
+    {"compact", "full recovery (repairs) followed by a fresh snapshot"},
+};
+
+constexpr lamb::io::Flag kFlags[] = {
+    {"", "DIR", lamb::io::kAllCommands,
+     "state directory, or a flight-recorder file (verify, dump)"},
+};
 
 bool validate_manager_payload(std::string_view payload, LoadError* err) {
   lamb::io::ByteReader r(payload);
@@ -176,9 +183,14 @@ int cmd_flight(const std::string& path, const std::string& bytes,
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc != 3) return usage();
-  const std::string cmd = argv[1];
-  const std::string dir = argv[2];
+  // The process flags arm this process's own flight recorder, which
+  // re-homes onto LAMBMESH_FLIGHT and truncates it: never the file being
+  // inspected.
+  unsetenv("LAMBMESH_FLIGHT");
+  const lamb::io::CliArgs args =
+      lamb::io::parse_cli(argc, argv, {kCommands, kFlags});
+  const std::string& cmd = args.command();
+  const std::string& dir = args.positionals()[0];
   if (cmd == "verify" || cmd == "dump") {
     // A flight artifact is a file, not a directory; sniff the magic and
     // route it to the flight decoder.
@@ -191,6 +203,5 @@ int main(int argc, char** argv) {
   }
   if (cmd == "verify") return cmd_verify(dir, /*dump=*/false);
   if (cmd == "dump") return cmd_verify(dir, /*dump=*/true);
-  if (cmd == "compact") return cmd_compact(dir);
-  return usage();
+  return cmd_compact(dir);
 }

@@ -28,14 +28,10 @@
 #include <functional>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "fleet/loadgen.hpp"
 #include "io/cli_args.hpp"
-#include "io/serve_cli.hpp"
-#include "obs/obs.hpp"
 #include "serve/loadgen.hpp"
-#include "support/parallel.hpp"
 
 using namespace lamb;
 
@@ -43,17 +39,15 @@ namespace {
 
 using Args = io::CliArgs;
 
-enum Scope { kRun = 1, kFleet = 2, kBoth = kRun | kFleet };
-
-struct Flag {
-  const char* name;
-  const char* arg;
-  int scope;
-  const char* help;  // with defaults, "(run | fleet)" where they differ
+constexpr io::Command kCommands[] = {
+    {"run", "one RouteService under a mesh fault storm"},
+    {"fleet", "a shard fleet under mesh storms plus whole-shard kills and\n"
+              "           hangs"},
 };
+constexpr unsigned kRun = 1, kFleet = 2, kBoth = kRun | kFleet;
 
 // The one flag table: usage text and each command's known flags.
-constexpr Flag kFlags[] = {
+constexpr io::Flag kFlags[] = {
     {"mesh", "WxH..", kBoth, "geometry, per shard; t = torus (16x16 | 8x8)"},
     {"fleet-shards", "N", kFleet, "manager+service shards (3)"},
     {"clients", "N", kBoth, "simulated concurrent clients (512 | 96)"},
@@ -84,52 +78,32 @@ constexpr Flag kFlags[] = {
     {"deadline", "D", kBoth, "per-request deadline, ticks; -1 none (-1)"},
     {"hedge", "", kBoth, "re-submit a first shed to another shard"},
     {"json", "PATH", kBoth, "write BENCH_serve.json / BENCH_fleet.json"},
-    {"serve", "SPEC", kBoth, "serve /metrics, /healthz, /slo over HTTP"},
-    {"threads", "T", kBoth, "solver threads (the digest is the same)"},
 };
 
-[[noreturn]] void usage(const std::string& error = "") {
-  if (!error.empty()) std::fprintf(stderr, "error: %s\n\n", error.c_str());
-  std::fprintf(stderr,
-               "usage: route_loadgen run|fleet [options]\n"
-               "\n"
-               "  run    one RouteService under a mesh fault storm\n"
-               "  fleet  a shard fleet under mesh storms plus whole-shard\n"
-               "         kills and hangs\n"
-               "\n"
-               "options (defaults in parens, run | fleet):\n");
-  for (const Flag& flag : kFlags) {
-    const std::string head = std::string(flag.name) + " " + flag.arg;
-    std::fprintf(stderr, "  --%-19s %s%s\n", head.c_str(), flag.help,
-                 flag.scope == kRun     ? " [run]"
-                 : flag.scope == kFleet ? " [fleet]"
-                                        : "");
-  }
-  std::exit(2);
-}
+constexpr io::CliSpec kCli{kCommands, kFlags,
+                           "Defaults in parens (run | fleet where they "
+                           "differ).\n--threads never changes the digest."};
 
 // Range checks for both commands, over the flags as given (defaults are
-// in range).
+// in range). Throws io::ArgError.
 void validate(const Args& args) {
   const std::pair<const char*, long> minimums[] = {
       {"initial-faults", 0}, {"node-kills", 0},   {"link-kills", 0},
       {"shard-kills", 0},    {"shard-hangs", 0},  {"clients", 1},
       {"ticks", 1},          {"period", 1},       {"max-attempts", 1},
       {"shards", 1},         {"fleet-shards", 2}};
-  for (const auto& [name, min] : minimums) {
-    if (args.get_long(name, min) < min) {
-      usage(std::string("--") + name + " must be >= " + std::to_string(min));
-    }
+  for (const auto& [name, min] : minimums) args.get_long(name, min, min);
+  if (args.get_double("rate", 1.0) <= 0.0) {
+    throw io::ArgError("--rate must be > 0");
   }
-  if (args.get_double("rate", 1.0) <= 0.0) usage("--rate must be > 0");
   const fleet::FleetLoadgenConfig fleet_defaults;
   if (args.get_long("downtime-min", fleet_defaults.min_downtime) >
       args.get_long("downtime-max", fleet_defaults.max_downtime)) {
-    usage("--downtime-min must be <= --downtime-max");
+    throw io::ArgError("--downtime-min must be <= --downtime-max");
   }
   const std::string mode = args.get("recovery", "reopen");
   if (mode != "reopen" && mode != "live") {
-    usage("--recovery must be reopen or live");
+    throw io::ArgError("--recovery must be reopen or live");
   }
 }
 
@@ -160,7 +134,8 @@ void read_shared(const Args& args, const Shared& c) {
       args.get_long("reconfigure-ticks", c.reconfigure_ticks);
   c.service.staleness_cap =
       args.get_long("staleness-cap", c.service.staleness_cap);
-  // --shards and --burst are run-only; main() rejects them for fleet.
+  // --shards and --burst are run-only; the flag table rejects them for
+  // fleet.
   serve::AdmissionOptions& admission = c.service.admission;
   admission.shards = args.get_int("shards", admission.shards);
   admission.refill_per_tick =
@@ -319,30 +294,9 @@ int cmd_fleet(const Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Args args;
+  const Args args = io::parse_cli(argc, argv, kCli);
   try {
-    args = Args::parse(argc, argv, {"hedge"});
-    const int scope = args.command() == "run"     ? kRun
-                      : args.command() == "fleet" ? kFleet
-                                                  : 0;
-    if (scope == 0) usage("unknown command " + args.command());
-    std::vector<std::string> known;
-    for (const Flag& flag : kFlags) {
-      if ((flag.scope & scope) != 0) known.emplace_back(flag.name);
-    }
-    args.require_known(known);
     validate(args);
-    if (args.has("threads")) {
-      par::set_threads(args.get_int("threads", 0));
-    }
-  } catch (const io::ArgError& e) {
-    usage(e.what());
-  }
-  // Helper first: obs::init's raw --serve scan defers to an already
-  // running server, so the one spec resolution lives in io::serve_cli.
-  if (!io::start_serve_exposition(args, "route_loadgen")) return 2;
-  obs::init(argc, argv);
-  try {
     return args.command() == "run" ? cmd_run(args) : cmd_fleet(args);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

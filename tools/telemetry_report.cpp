@@ -26,21 +26,22 @@
 
 namespace {
 
+namespace io = lamb::io;
 namespace support = lamb::support;
-using lamb::io::ArgError;
-using lamb::io::CliArgs;
 
-[[noreturn]] void usage(const char* error = nullptr) {
-  if (error != nullptr) std::fprintf(stderr, "error: %s\n\n", error);
-  std::fprintf(stderr,
-               "usage: telemetry_report <command> --input FILE [options]\n"
-               "\n"
-               "commands:\n"
-               "  summary   run overview (windows, flits, latency, stalls)\n"
-               "  hot       [--top N] hottest channels by flit count\n"
-               "  heatmap   [--csv FILE] 2D per-node traffic heat map\n");
-  std::exit(2);
-}
+constexpr io::Command kCommands[] = {
+    {"summary", "run overview (windows, flits, latency, stalls)"},
+    {"hot", "hottest channels by flit count"},
+    {"heatmap", "2D per-node traffic heat map"},
+};
+
+constexpr unsigned kHot = 2, kHeatmap = 4;
+
+constexpr io::Flag kFlags[] = {
+    {"input", "FILE", io::kAllCommands, "telemetry CSV dump (required)"},
+    {"top", "N", kHot, "channels listed (10)"},
+    {"csv", "FILE", kHeatmap, "also write the raw heat matrix as CSV"},
+};
 
 std::vector<std::string> split(const std::string& line) {
   std::vector<std::string> fields;
@@ -285,24 +286,17 @@ int cmd_heatmap(const Dump& dump, const std::string& csv_path) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const io::CliArgs args = io::parse_cli(argc, argv, {kCommands, kFlags});
   try {
-    const CliArgs args = CliArgs::parse(argc, argv);
     const std::string input = args.get("input");
-    if (input.empty()) usage("--input is required");
-    if (args.command() == "summary") {
-      args.require_known({"input"});
-      return cmd_summary(read_dump(input));
-    }
+    if (input.empty()) throw io::ArgError("--input is required");
+    if (args.command() == "summary") return cmd_summary(read_dump(input));
     if (args.command() == "hot") {
-      args.require_known({"input", "top"});
       return cmd_hot(read_dump(input), args.get_long("top", 10));
     }
-    if (args.command() == "heatmap") {
-      args.require_known({"input", "csv"});
-      return cmd_heatmap(read_dump(input), args.get("csv"));
-    }
-    usage(("unknown command '" + args.command() + "'").c_str());
-  } catch (const ArgError& e) {
-    usage(e.what());
+    return cmd_heatmap(read_dump(input), args.get("csv"));
+  } catch (const io::ArgError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   }
 }
