@@ -23,7 +23,7 @@
 #include "support/env.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
-#include "wormhole/route_builder.hpp"
+#include "wormhole/route_cache.hpp"
 
 using namespace lamb;
 
@@ -87,14 +87,14 @@ int main(int argc, char** argv) {
     const FaultSet faults =
         FaultSet::random_nodes(shape, shape.size() / 50, rng);
     const LambResult lambs = lamb1(shape, faults, {});
-    const wormhole::RouteBuilder builder(shape, faults, ascending_rounds(2, 2));
+    wormhole::RouteCache routes(shape, faults, ascending_rounds(2, 2));
     const auto survivors = survivors_of(shape, faults, lambs.lambs);
     Accumulator lamb_turns;
     for (int t = 0; t < 300 && survivors.size() >= 2; ++t) {
       const NodeId a = survivors[rng.below(survivors.size())];
       const NodeId b = survivors[rng.below(survivors.size())];
       if (a == b) continue;
-      if (const auto route = builder.build(a, b, rng)) {
+      if (const auto route = routes.build(a, b, rng)) {
         lamb_turns.add((double)route->turns());
       }
     }

@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
   Rng frng(default_seed());
   const FaultSet bigf = FaultSet::random_nodes(big, 4, frng);
   const LambResult lambs = lamb1(big, bigf, {});
-  const wormhole::RouteBuilder builder(big, bigf, ascending_rounds(2, 2));
+  wormhole::RouteCache routes(big, bigf, ascending_rounds(2, 2));
   expt::TableWriter rand_table({"vcs", "trials", "deadlocks", "avg_cycles"});
   rand_table.print_header();
   for (int vcs : {1, 2}) {
@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
       tc.message_flits = 16;
       tc.injection_gap = 0.25;
       const auto traffic =
-          generate_traffic(big, bigf, lambs.lambs, builder, tc, rng);
+          generate_traffic(big, bigf, lambs.lambs, routes, tc, rng);
       wormhole::SimConfig config;
       config.vcs_per_link = vcs;
       config.buffer_flits = 2;

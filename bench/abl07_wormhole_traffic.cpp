@@ -35,8 +35,7 @@ int main(int argc, char** argv) {
     const std::int64_t f = (std::int64_t)(shape.size() * pct / 100.0);
     const FaultSet faults = FaultSet::random_nodes(shape, f, rng);
     const LambResult lambs = lamb1(shape, faults, {});
-    const wormhole::RouteBuilder builder(shape, faults,
-                                         ascending_rounds(3, 2));
+    wormhole::RouteCache routes(shape, faults, ascending_rounds(3, 2));
     for (const auto& [pattern, name] :
          std::vector<std::pair<wormhole::Pattern, const char*>>{
              {wormhole::Pattern::kUniform, "uniform"},
@@ -48,7 +47,7 @@ int main(int argc, char** argv) {
       tc.message_flits = 8;
       tc.injection_gap = 1.0;
       const auto traffic =
-          generate_traffic(shape, faults, lambs.lambs, builder, tc, rng);
+          generate_traffic(shape, faults, lambs.lambs, routes, tc, rng);
       wormhole::SimConfig config;
       config.vcs_per_link = 2;
       config.buffer_flits = 4;

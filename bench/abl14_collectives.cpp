@@ -35,15 +35,14 @@ int main(int argc, char** argv) {
     const LambResult lambs = lamb1(shape, faults, {});
     const auto survivors =
         collective::survivor_list(shape, faults, lambs.lambs);
-    const wormhole::RouteBuilder builder(shape, faults,
-                                         ascending_rounds(3, 2));
+    wormhole::RouteCache routes(shape, faults, ascending_rounds(3, 2));
 
     const auto bcast = collective::simulate_schedule(
-        shape, faults, collective::binomial_broadcast(survivors, 0), builder,
+        shape, faults, collective::binomial_broadcast(survivors, 0), routes,
         wormhole::SimConfig{}, 8, rng);
     const auto xchg = collective::simulate_schedule(
         shape, faults, collective::recursive_doubling_exchange(survivors),
-        builder, wormhole::SimConfig{}, 8, rng);
+        routes, wormhole::SimConfig{}, 8, rng);
     if (!bcast.sim.all_delivered() || !xchg.sim.all_delivered()) {
       std::printf("UNEXPECTED: collective failed to drain\n");
       return 1;

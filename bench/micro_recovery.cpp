@@ -224,13 +224,13 @@ int main(int argc, char** argv) {
   const FaultSet faults =
       FaultSet::random_nodes(shape, shape.size() * 3 / 100, rng);
   const LambResult lambs = lamb1(shape, faults, {});
-  const wormhole::RouteBuilder builder(shape, faults, ascending_rounds(3, 2));
+  wormhole::RouteCache routes(shape, faults, ascending_rounds(3, 2));
   wormhole::TrafficConfig tc;
   tc.num_messages = scaled_trials(2000);
   tc.message_flits = 8;
   tc.injection_gap = 1.0;
   const auto traffic =
-      generate_traffic(shape, faults, lambs.lambs, builder, tc, rng);
+      generate_traffic(shape, faults, lambs.lambs, routes, tc, rng);
   const int reps = 3;
 
   std::printf("micro_recovery: %zu messages, best of %d interleaved "

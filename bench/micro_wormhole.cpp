@@ -131,8 +131,8 @@ int main(int argc, char** argv) {
   const FaultSet sat_faults =
       FaultSet::random_nodes(sat_shape, sat_shape.size() * 3 / 100, rng);
   const LambResult sat_lambs = lamb1(sat_shape, sat_faults, {});
-  const wormhole::RouteBuilder sat_builder(sat_shape, sat_faults,
-                                           ascending_rounds(3, 2));
+  wormhole::RouteCache sat_routes(sat_shape, sat_faults,
+                                  ascending_rounds(3, 2));
   wormhole::TrafficConfig tc;
   // Long enough (~2k cycles) that the telemetry comparison measures the
   // steady-state tax rather than one-time setup (discovery, buffer
@@ -145,7 +145,7 @@ int main(int argc, char** argv) {
   // kept only ~30 worms in flight — a trickle, not saturation.)
   tc.injection_gap = 0.25;
   const auto sat_traffic = generate_traffic(sat_shape, sat_faults,
-                                            sat_lambs.lambs, sat_builder, tc,
+                                            sat_lambs.lambs, sat_routes, tc,
                                             rng);
 
   std::printf("micro_wormhole: saturated %zu messages, best of %d runs\n\n",
@@ -198,8 +198,8 @@ int main(int argc, char** argv) {
   const FaultSet idle_faults = FaultSet::random_nodes(
       idle_shape, idle_shape.size() * 1 / 100, idle_rng);
   const LambResult idle_lambs = lamb1(idle_shape, idle_faults, {});
-  const wormhole::RouteBuilder idle_builder(idle_shape, idle_faults,
-                                            ascending_rounds(3, 2));
+  wormhole::RouteCache idle_routes(idle_shape, idle_faults,
+                                   ascending_rounds(3, 2));
   wormhole::TrafficConfig idle_tc;
   // Enough messages that the cycle engine's per-cycle poll of every
   // message dominates its cost; the event engine's awake scan grows only
@@ -214,7 +214,7 @@ int main(int argc, char** argv) {
   idle_tc.injector_fraction = 0.01;
   const auto idle_traffic =
       generate_traffic(idle_shape, idle_faults, idle_lambs.lambs,
-                       idle_builder, idle_tc, idle_rng);
+                       idle_routes, idle_tc, idle_rng);
 
   std::printf("\nmicro_wormhole: idle-mesh %zu messages, best of %d runs\n\n",
               idle_traffic.messages.size(), reps);

@@ -17,7 +17,7 @@
 #include "manager/recovery.hpp"
 #include "support/rng.hpp"
 #include "wormhole/fault_schedule.hpp"
-#include "wormhole/route_builder.hpp"
+#include "wormhole/route_cache.hpp"
 
 using namespace lamb;
 
@@ -62,15 +62,14 @@ int main(int argc, char** argv) {
     const auto& report = mgr.history().back();
 
     // Compute step: all-reduce over the survivors of the (possibly just
-    // reconfigured) machine. The builder uses the manager's current
+    // reconfigured) machine. The picker uses the manager's current
     // rounds — escalation under a solve budget would need the extra VC.
     const auto post_survivors = mgr.survivors();
-    const wormhole::RouteBuilder builder(mgr.shape(), mgr.faults(),
-                                         mgr.orders());
+    wormhole::RouteCache routes(mgr.shape(), mgr.faults(), mgr.orders());
     const auto schedule =
         collective::recursive_doubling_exchange(post_survivors);
     const auto result = collective::simulate_schedule(
-        mgr.shape(), mgr.faults(), schedule, builder, wormhole::SimConfig{},
+        mgr.shape(), mgr.faults(), schedule, routes, wormhole::SimConfig{},
         /*message_flits=*/8, rng);
     if (!result.sim.all_delivered() || result.sim.deadlocked) {
       std::printf("FATAL: collective failed at epoch %d\n", epoch);

@@ -14,7 +14,7 @@
 #include "core/verifier.hpp"
 #include "io/cli_args.hpp"
 #include "support/rng.hpp"
-#include "wormhole/route_builder.hpp"
+#include "wormhole/route_cache.hpp"
 
 using namespace lamb;
 
@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
 
   // Route between two survivors: round 1 on virtual channel 0, round 2 on
   // virtual channel 1.
-  const wormhole::RouteBuilder builder(shape, faults, orders);
+  wormhole::RouteCache routes(shape, faults, orders);
   auto is_survivor = [&](NodeId id) {
     return faults.node_good(id) &&
            !std::binary_search(result.lambs.begin(), result.lambs.end(), id);
@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
   while (!is_survivor(src)) ++src;    // first survivor
   while (!is_survivor(dst)) --dst;    // last survivor
 
-  if (const auto route = builder.build(src, dst, rng)) {
+  if (const auto route = routes.build(src, dst, rng)) {
     const Point a = shape.point(src), b = shape.point(dst);
     std::printf("route (%d,%d) -> (%d,%d): %lld hops, %d turns, VCs:", a[0],
                 a[1], b[0], b[1], (long long)route->length(), route->turns());

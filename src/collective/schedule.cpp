@@ -69,7 +69,7 @@ Schedule recursive_doubling_exchange(const std::vector<NodeId>& survivors) {
 CollectiveResult simulate_schedule(const MeshShape& shape,
                                    const FaultSet& faults,
                                    const Schedule& schedule,
-                                   const wormhole::RouteBuilder& builder,
+                                   wormhole::RouteCache& routes,
                                    const wormhole::SimConfig& config,
                                    int message_flits, Rng& rng) {
   wormhole::Network net(shape, faults, config);
@@ -89,7 +89,7 @@ CollectiveResult simulate_schedule(const MeshShape& shape,
       this_phase.clear();
       current_phase = step.phase;
     }
-    auto route = builder.build(step.src, step.dst, rng);
+    auto route = routes.build(step.src, step.dst, rng);
     if (!route) {
       throw std::runtime_error(
           "simulate_schedule: unroutable step (survivors must come from a "

@@ -23,7 +23,6 @@
 #include "mesh/mesh.hpp"
 #include "support/rng.hpp"
 #include "wormhole/network.hpp"
-#include "wormhole/route_builder.hpp"
 
 namespace lamb::collective {
 
@@ -56,12 +55,12 @@ struct CollectiveResult {
   std::int64_t messages = 0;
 };
 
-// Routes every step with `builder` (dependencies: each message waits for
+// Routes every step with `routes` (dependencies: each message waits for
 // the last message its source received) and runs the simulation.
 CollectiveResult simulate_schedule(const MeshShape& shape,
                                    const FaultSet& faults,
                                    const Schedule& schedule,
-                                   const wormhole::RouteBuilder& builder,
+                                   wormhole::RouteCache& routes,
                                    const wormhole::SimConfig& config,
                                    int message_flits, Rng& rng);
 

@@ -24,7 +24,6 @@
 #include "mesh/fault_set.hpp"
 #include "mesh/mesh.hpp"
 #include "support/rng.hpp"
-#include "wormhole/route_builder.hpp"
 #include "wormhole/route_cache.hpp"
 
 namespace lamb::serve {
@@ -87,7 +86,7 @@ class RouteTable {
   RouteTable(const manager::MachineManager& manager,
              std::int64_t published_tick);
 
-  MeshShape shape_;  // declared first: faults_/builders hold references
+  MeshShape shape_;  // declared first: faults_/cache_ hold references
   FaultSet faults_;
   MultiRoundOrder orders_;
   int epoch_ = 0;
@@ -95,8 +94,7 @@ class RouteTable {
   std::int64_t published_tick_ = 0;
   std::vector<NodeId> survivors_;
   std::vector<std::uint8_t> is_survivor_;
-  wormhole::RouteBuilder dim_order_;  // single ascending round
-  mutable std::mutex mu_;             // guards cache_ memoization only
+  mutable std::mutex mu_;  // guards cache_ memoization only
   mutable wormhole::RouteCache cache_;
 };
 

@@ -44,7 +44,7 @@
 #include "support/stats.hpp"
 #include "wormhole/event_queue.hpp"
 #include "wormhole/fault_schedule.hpp"
-#include "wormhole/route_builder.hpp"
+#include "wormhole/route_cache.hpp"
 
 namespace lamb::wormhole {
 

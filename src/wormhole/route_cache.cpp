@@ -189,6 +189,26 @@ class IntermediateScan {
 
 }  // namespace
 
+int Route::turns() const {
+  int turns = 0;
+  bool have_prev = false;
+  int prev_dim = -1;
+  for (const Hop& hop : hops) {
+    if (have_prev && hop.dim != prev_dim) ++turns;
+    prev_dim = hop.dim;
+    have_prev = true;
+  }
+  return turns;
+}
+
+void append_round(const MeshShape& shape, const Point& from, const Point& to,
+                  const DimOrder& order, int round, Route* out) {
+  for (const RouteSegment& seg : dim_ordered_route(shape, from, to, order)) {
+    out->hops.insert(out->hops.end(), static_cast<std::size_t>(seg.steps),
+                     Hop{seg.dim, seg.dir, round});
+  }
+}
+
 std::int64_t NodeLoad::total() const {
   std::int64_t sum = 0;
   for (const std::int32_t c : counts) sum += c;
@@ -229,10 +249,7 @@ void NodeLoad::reset() { std::fill(counts.begin(), counts.end(), 0); }
 
 RouteCache::RouteCache(const MeshShape& shape, const FaultSet& faults,
                        MultiRoundOrder orders)
-    : shape_(&shape),
-      faults_(&faults),
-      orders_(std::move(orders)),
-      fallback_(shape, faults, orders_) {}
+    : shape_(&shape), faults_(&faults), orders_(std::move(orders)) {}
 
 void RouteCache::reconfigure() {
   obs::counter("wormhole.route_cache.reconfigures").add();
@@ -315,43 +332,106 @@ const Bits& RouteCache::backward_of(NodeId dst) {
       .first->second;
 }
 
-std::optional<Route> RouteCache::build(NodeId src, NodeId dst, Rng& rng,
-                                       NodeLoad* load) {
-  if (orders_.size() != 2) {
-    obs::counter("wormhole.route_cache.fallback").add();
-    return fallback_.build(src, dst, rng);
-  }
-
-  const Bits& forward = forward_of(src);
-  const Bits& backward = backward_of(dst);
+// The shortest-intermediate DP. cost[r][u] = fewest hops to be at u after
+// r + 1 rounds, and pred[r][u] (r >= 1) the first (lowest-id) round-r
+// start that attains it. The last round picks, among nodes that can
+// 1-reach dst, the minimum total and breaks ties by reservoir sampling --
+// the k = 2 scan's rule.
+std::vector<NodeId> RouteCache::pick_chain(NodeId src, NodeId dst, Rng& rng) {
+  constexpr std::int64_t kUnreachable = std::numeric_limits<std::int64_t>::max();
+  const FloodOracle flood(*shape_, *faults_);
+  const int k = static_cast<int>(orders_.size());
+  const std::size_t n = static_cast<std::size_t>(shape_->size());
   const Point src_p = shape_->point(src);
   const Point dst_p = shape_->point(dst);
-  IntermediateScan scan(*shape_, forward, backward, src_p, dst_p,
-                        &scan_costs_, rng, load);
-  const NodeId chosen = scan.run();
-  if (chosen < 0) return std::nullopt;
+  std::vector<std::vector<std::int64_t>> cost(
+      static_cast<std::size_t>(k - 1), std::vector<std::int64_t>(n, kUnreachable));
+  std::vector<std::vector<NodeId>> pred(static_cast<std::size_t>(k - 1),
+                                        std::vector<NodeId>(n, -1));
 
+  forward_of(src).for_each([&](NodeId u) {
+    cost[0][static_cast<std::size_t>(u)] =
+        shape_->l1_distance(src_p, shape_->point(u));
+  });
+  for (std::size_t r = 1; r + 1 < static_cast<std::size_t>(k); ++r) {
+    for (std::size_t u = 0; u < n; ++u) {
+      const std::int64_t c = cost[r - 1][u];
+      if (c == kUnreachable) continue;
+      const Point u_p = shape_->point(static_cast<NodeId>(u));
+      flood.reach1_from(u_p, orders_[r]).for_each([&](NodeId w) {
+        const std::int64_t nc = c + shape_->l1_distance(u_p, shape_->point(w));
+        if (nc < cost[r][static_cast<std::size_t>(w)]) {
+          cost[r][static_cast<std::size_t>(w)] = nc;
+          pred[r][static_cast<std::size_t>(w)] = static_cast<NodeId>(u);
+        }
+      });
+    }
+  }
+
+  const std::vector<std::int64_t>& last = cost.back();
+  std::int64_t best = kUnreachable;
+  NodeId chosen = -1;
+  std::int64_t ties = 0;
+  backward_of(dst).for_each([&](NodeId u) {
+    const std::int64_t c = last[static_cast<std::size_t>(u)];
+    if (c == kUnreachable) return;
+    const std::int64_t total = c + shape_->l1_distance(shape_->point(u), dst_p);
+    if (total < best) {
+      best = total;
+      chosen = u;
+      ties = 1;
+    } else if (total == best) {
+      ++ties;
+      if (rng.below(static_cast<std::uint64_t>(ties)) == 0) chosen = u;
+    }
+  });
+  if (chosen < 0) return {};
+
+  std::vector<NodeId> chain(static_cast<std::size_t>(k - 1));
+  chain.back() = chosen;
+  for (std::size_t r = chain.size() - 1; r >= 1; --r) {
+    chain[r - 1] = pred[r][static_cast<std::size_t>(chain[r])];
+  }
+  return chain;
+}
+
+std::optional<Route> RouteCache::build(NodeId src, NodeId dst, Rng& rng,
+                                       NodeLoad* load) {
+  if (src < 0 || dst < 0 || src >= shape_->size() || dst >= shape_->size()) {
+    return std::nullopt;
+  }
+  const std::size_t k = orders_.size();
+  const Point src_p = shape_->point(src);
+  const Point dst_p = shape_->point(dst);
   Route route;
   route.src = src;
   route.dst = dst;
-  route.intermediates.push_back(chosen);
-  route.hops.reserve(static_cast<std::size_t>(scan.best()));
-  const Point mid = shape_->point(chosen);
-  int round = 0;
-  for (const Point& from : {src_p, mid}) {
-    const Point& to = round == 0 ? mid : dst_p;
-    for (const RouteSegment& seg :
-         dim_ordered_route(*shape_, from, to,
-                           orders_[static_cast<std::size_t>(round)])) {
-      route.hops.insert(route.hops.end(), static_cast<std::size_t>(seg.steps),
-                        Hop{seg.dim, seg.dir, round});
-    }
-    ++round;
+  if (k == 1) {
+    if (!forward_of(src).test(dst)) return std::nullopt;
+  } else if (k == 2) {
+    const Bits& forward = forward_of(src);
+    const Bits& backward = backward_of(dst);
+    IntermediateScan scan(*shape_, forward, backward, src_p, dst_p,
+                          &scan_costs_, rng, load);
+    const NodeId chosen = scan.run();
+    if (chosen < 0) return std::nullopt;
+    route.intermediates.push_back(chosen);
+    route.hops.reserve(static_cast<std::size_t>(scan.best()));
+  } else {
+    route.intermediates = pick_chain(src, dst, rng);
+    if (route.intermediates.empty()) return std::nullopt;
   }
-  if (load != nullptr) {
+
+  Point at = src_p;
+  for (std::size_t r = 0; r < k; ++r) {
+    const Point to = r + 1 < k ? shape_->point(route.intermediates[r]) : dst_p;
+    append_round(*shape_, at, to, orders_[r], static_cast<int>(r), &route);
+    at = to;
+  }
+  if (load != nullptr && k == 2) {
     // Charge every node the worm will occupy.
-    Point at = src_p;
     ++load->counts[static_cast<std::size_t>(src)];
+    at = src_p;
     for (const Hop& hop : route.hops) {
       Point next;
       shape_->neighbor(at, hop.dim, hop.dir, &next);

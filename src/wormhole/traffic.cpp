@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <sstream>
 
 namespace lamb::wormhole {
@@ -31,14 +30,12 @@ NodeId bit_reverse_in_range(NodeId id, NodeId size) {
   return rev % size;
 }
 
-using RouteFn =
-    std::function<std::optional<Route>(NodeId src, NodeId dst, Rng& rng)>;
+}  // namespace
 
-TrafficResult generate_traffic_impl(const MeshShape& shape,
-                                    const FaultSet& faults,
-                                    const std::vector<NodeId>& lambs,
-                                    const RouteFn& route_of,
-                                    const TrafficConfig& config, Rng& rng) {
+TrafficResult generate_traffic(const MeshShape& shape, const FaultSet& faults,
+                               const std::vector<NodeId>& lambs,
+                               RouteCache& routes, const TrafficConfig& config,
+                               Rng& rng, NodeLoad* load) {
   std::vector<char> excluded(static_cast<std::size_t>(shape.size()), 0);
   for (NodeId id : lambs) excluded[static_cast<std::size_t>(id)] = 1;
   std::vector<NodeId> survivors;
@@ -109,7 +106,7 @@ TrafficResult generate_traffic_impl(const MeshShape& shape,
     }
     if (dst == src) continue;
 
-    auto route = route_of(src, dst, rng);
+    auto route = routes.build(src, dst, rng, load);
     if (!route) {
       ++out.unroutable;
       continue;
@@ -124,32 +121,6 @@ TrafficResult generate_traffic_impl(const MeshShape& shape,
     out.messages.push_back(std::move(msg));
   }
   return out;
-}
-
-}  // namespace
-
-TrafficResult generate_traffic(const MeshShape& shape, const FaultSet& faults,
-                               const std::vector<NodeId>& lambs,
-                               const RouteBuilder& builder,
-                               const TrafficConfig& config, Rng& rng) {
-  return generate_traffic_impl(
-      shape, faults, lambs,
-      [&builder](NodeId src, NodeId dst, Rng& r) {
-        return builder.build(src, dst, r);
-      },
-      config, rng);
-}
-
-TrafficResult generate_traffic(const MeshShape& shape, const FaultSet& faults,
-                               const std::vector<NodeId>& lambs,
-                               RouteCache& cache, const TrafficConfig& config,
-                               Rng& rng, NodeLoad* load) {
-  return generate_traffic_impl(
-      shape, faults, lambs,
-      [&cache, load](NodeId src, NodeId dst, Rng& r) {
-        return cache.build(src, dst, r, load);
-      },
-      config, rng);
 }
 
 }  // namespace lamb::wormhole

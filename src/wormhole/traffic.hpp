@@ -15,7 +15,6 @@
 #include "support/rng.hpp"
 #include "support/samples.hpp"
 #include "wormhole/network.hpp"
-#include "wormhole/route_builder.hpp"
 #include "wormhole/route_cache.hpp"
 
 namespace lamb::wormhole {
@@ -54,19 +53,12 @@ struct TrafficResult {
   std::string summary() const;
 };
 
-// Generates routed messages between survivors. `lambs` (sorted or not)
+// Generates routed messages between survivors, routed through `routes`
+// (optionally load-aware, see RouteCache::build). `lambs` (sorted or not)
 // are excluded as endpoints.
 TrafficResult generate_traffic(const MeshShape& shape, const FaultSet& faults,
                                const std::vector<NodeId>& lambs,
-                               const RouteBuilder& builder,
-                               const TrafficConfig& config, Rng& rng);
-
-// As above, but routes through a RouteCache (memoized endpoint floods,
-// optionally load-aware intermediates) — the configuration a running
-// machine would use between reconfigurations.
-TrafficResult generate_traffic(const MeshShape& shape, const FaultSet& faults,
-                               const std::vector<NodeId>& lambs,
-                               RouteCache& cache, const TrafficConfig& config,
+                               RouteCache& routes, const TrafficConfig& config,
                                Rng& rng, NodeLoad* load = nullptr);
 
 }  // namespace lamb::wormhole

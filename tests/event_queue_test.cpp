@@ -15,7 +15,7 @@
 #include "wormhole/event_queue.hpp"
 #include "wormhole/fault_schedule.hpp"
 #include "wormhole/network.hpp"
-#include "wormhole/route_builder.hpp"
+#include "wormhole/route_cache.hpp"
 #include "wormhole/traffic.hpp"
 
 namespace lamb {
@@ -169,15 +169,14 @@ TEST(EngineEquivalence, UniformTrafficMatchesBitForBit) {
   Rng frng(21);
   const FaultSet faults = FaultSet::random_nodes(shape, 5, frng);
   const LambResult lambs = lamb1(shape, faults, {});
-  const wormhole::RouteBuilder builder(shape, faults,
-                                       ascending_rounds(3, 2));
+  wormhole::RouteCache routes(shape, faults, ascending_rounds(3, 2));
   TrafficConfig tc;
   tc.num_messages = 300;
   tc.message_flits = 8;
   tc.injection_gap = 0.5;
   Rng rng(22);
   const auto traffic =
-      generate_traffic(shape, faults, lambs.lambs, builder, tc, rng);
+      generate_traffic(shape, faults, lambs.lambs, routes, tc, rng);
 
   SimConfig config;
   const SimResult cycle = run_engine(shape, faults, traffic.messages,
@@ -264,15 +263,14 @@ TEST(EngineEquivalence, FaultsBetweenActivationsMatch) {
   Rng frng(31);
   const FaultSet faults = FaultSet::random_nodes(shape, 4, frng);
   const LambResult lambs = lamb1(shape, faults, {});
-  const wormhole::RouteBuilder builder(shape, faults,
-                                       ascending_rounds(3, 2));
+  wormhole::RouteCache routes(shape, faults, ascending_rounds(3, 2));
   TrafficConfig tc;
   tc.num_messages = 40;
   tc.message_flits = 8;
   tc.injection_gap = 50.0;  // long idle gaps between injections
   Rng rng(32);
   const auto traffic =
-      generate_traffic(shape, faults, lambs.lambs, builder, tc, rng);
+      generate_traffic(shape, faults, lambs.lambs, routes, tc, rng);
 
   Rng srng(33);
   SimConfig config;
@@ -372,15 +370,14 @@ TEST(EngineEquivalence, DeterministicAcrossConcurrentRuns) {
   Rng frng(41);
   const FaultSet faults = FaultSet::random_nodes(shape, 5, frng);
   const LambResult lambs = lamb1(shape, faults, {});
-  const wormhole::RouteBuilder builder(shape, faults,
-                                       ascending_rounds(3, 2));
+  wormhole::RouteCache routes(shape, faults, ascending_rounds(3, 2));
   TrafficConfig tc;
   tc.num_messages = 200;
   tc.message_flits = 8;
   tc.injection_gap = 0.5;
   Rng rng(42);
   const auto traffic =
-      generate_traffic(shape, faults, lambs.lambs, builder, tc, rng);
+      generate_traffic(shape, faults, lambs.lambs, routes, tc, rng);
 
   SimConfig config;
   const SimResult baseline = run_engine(shape, faults, traffic.messages,

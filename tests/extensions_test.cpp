@@ -100,12 +100,12 @@ TEST(LoadAwareRoutes, SpreadsTiesAcrossIntermediates) {
 TEST(SimulatorStats, LatencySamplesAndLinkLoadPopulated) {
   const MeshShape shape = MeshShape::cube(2, 8);
   const FaultSet faults(shape);
-  const wormhole::RouteBuilder builder(shape, faults, ascending_rounds(2, 2));
+  wormhole::RouteCache routes(shape, faults, ascending_rounds(2, 2));
   Rng rng(34);
   wormhole::TrafficConfig tc;
   tc.num_messages = 60;
   const auto traffic =
-      wormhole::generate_traffic(shape, faults, {}, builder, tc, rng);
+      wormhole::generate_traffic(shape, faults, {}, routes, tc, rng);
   wormhole::Network net(shape, faults, wormhole::SimConfig{});
   for (const auto& m : traffic.messages) net.submit(m);
   const auto result = net.run();
@@ -125,13 +125,13 @@ TEST(TorusWormhole, TrafficDrainsAcrossWrapLinks) {
   const FaultSet faults = FaultSet::random_nodes(torus, 5, frng);
   const GenericLambResult lambs =
       generic_lamb(torus, faults, ascending_rounds(2, 2));
-  const wormhole::RouteBuilder builder(torus, faults, ascending_rounds(2, 2));
+  wormhole::RouteCache routes(torus, faults, ascending_rounds(2, 2));
   Rng rng(36);
   wormhole::TrafficConfig tc;
   tc.num_messages = 100;
   tc.message_flits = 6;
   const auto traffic =
-      wormhole::generate_traffic(torus, faults, lambs.lambs, builder, tc, rng);
+      wormhole::generate_traffic(torus, faults, lambs.lambs, routes, tc, rng);
   EXPECT_EQ(traffic.unroutable, 0);
   wormhole::Network net(torus, faults, wormhole::SimConfig{});
   for (const auto& m : traffic.messages) net.submit(m);
@@ -145,9 +145,9 @@ TEST(TorusWormhole, TrafficDrainsAcrossWrapLinks) {
 TEST(TorusWormhole, WrapRouteIsShorterThanMeshRoute) {
   const MeshShape torus = MeshShape::torus({8, 8});
   const FaultSet faults(torus);
-  const wormhole::RouteBuilder builder(torus, faults, ascending_rounds(2, 2));
+  wormhole::RouteCache routes(torus, faults, ascending_rounds(2, 2));
   Rng rng(37);
-  const auto route = builder.build(torus.index(Point{0, 0}),
+  const auto route = routes.build(torus.index(Point{0, 0}),
                                    torus.index(Point{7, 7}), rng);
   ASSERT_TRUE(route.has_value());
   EXPECT_EQ(route->length(), 2);  // one wrap hop per dimension

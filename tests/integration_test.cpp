@@ -44,13 +44,13 @@ TEST_P(EndToEnd, FaultsToLambsToDeliveredTraffic) {
 
   // 3. Route survivor traffic: with a valid lamb set NOTHING is
   // unroutable.
-  const wormhole::RouteBuilder builder(shape, faults, orders);
+  wormhole::RouteCache routes(shape, faults, orders);
   wormhole::TrafficConfig tc;
   tc.num_messages = 80;
   tc.message_flits = 4;
   tc.injection_gap = 1.0;
   const auto traffic =
-      wormhole::generate_traffic(shape, faults, lambs.lambs, builder, tc, rng);
+      wormhole::generate_traffic(shape, faults, lambs.lambs, routes, tc, rng);
   EXPECT_EQ(traffic.unroutable, 0);
 
   // 4. Simulate with one VC per round: everything drains, no deadlock.

@@ -190,11 +190,11 @@ TEST(Collective, BroadcastSimulationDeliversInPhaseOrder) {
   const auto survivors = collective::survivor_list(shape, faults, lambs.lambs);
   ASSERT_GE(survivors.size(), 8u);
 
-  const wormhole::RouteBuilder builder(shape, faults, ascending_rounds(2, 2));
+  wormhole::RouteCache routes(shape, faults, ascending_rounds(2, 2));
   Rng rng(85);
   const auto schedule = collective::binomial_broadcast(survivors, 0);
   const auto result = collective::simulate_schedule(
-      shape, faults, schedule, builder, wormhole::SimConfig{}, 4, rng);
+      shape, faults, schedule, routes, wormhole::SimConfig{}, 4, rng);
   EXPECT_TRUE(result.sim.all_delivered());
   EXPECT_FALSE(result.sim.deadlocked);
   EXPECT_EQ(result.messages, (std::int64_t)survivors.size() - 1);
@@ -206,11 +206,11 @@ TEST(Collective, ExchangeSimulationCompletes) {
   const MeshShape shape = MeshShape::cube(2, 8);
   const FaultSet faults(shape);
   const auto survivors = collective::survivor_list(shape, faults, {});
-  const wormhole::RouteBuilder builder(shape, faults, ascending_rounds(2, 2));
+  wormhole::RouteCache routes(shape, faults, ascending_rounds(2, 2));
   Rng rng(86);
   const auto schedule = collective::recursive_doubling_exchange(survivors);
   const auto result = collective::simulate_schedule(
-      shape, faults, schedule, builder, wormhole::SimConfig{}, 4, rng);
+      shape, faults, schedule, routes, wormhole::SimConfig{}, 4, rng);
   EXPECT_TRUE(result.sim.all_delivered());
   EXPECT_FALSE(result.sim.deadlocked);
 }
@@ -221,7 +221,7 @@ TEST(Collective, DependencyChainSerializes) {
   // individual pipelined latencies.
   const MeshShape shape = MeshShape::cube(2, 8);
   const FaultSet faults(shape);
-  const wormhole::RouteBuilder builder(shape, faults, ascending_rounds(2, 2));
+  wormhole::RouteCache routes(shape, faults, ascending_rounds(2, 2));
   Rng rng(87);
   wormhole::Network net(shape, faults, wormhole::SimConfig{});
   const NodeId a = shape.index(Point{0, 0});
@@ -231,7 +231,7 @@ TEST(Collective, DependencyChainSerializes) {
   std::int64_t expected_serial = 0;
   for (const auto& [src, dst] : {std::pair{a, b}, std::pair{b, c},
                                  std::pair{c, a}}) {
-    auto route = builder.build(src, dst, rng);
+    auto route = routes.build(src, dst, rng);
     ASSERT_TRUE(route.has_value());
     expected_serial += route->length() + 4 - 1;
     wormhole::Message m;
@@ -250,10 +250,10 @@ TEST(Collective, DependencyChainSerializes) {
 TEST(Collective, DependentZeroHopMessageWaits) {
   const MeshShape shape = MeshShape::cube(2, 6);
   const FaultSet faults(shape);
-  const wormhole::RouteBuilder builder(shape, faults, ascending_rounds(2, 2));
+  wormhole::RouteCache routes(shape, faults, ascending_rounds(2, 2));
   Rng rng(88);
   wormhole::Network net(shape, faults, wormhole::SimConfig{});
-  auto route = builder.build(0, shape.size() - 1, rng);
+  auto route = routes.build(0, shape.size() - 1, rng);
   ASSERT_TRUE(route.has_value());
   wormhole::Message first;
   first.id = 0;

@@ -21,7 +21,7 @@
 #include "support/rng.hpp"
 #include "wormhole/fault_schedule.hpp"
 #include "wormhole/network.hpp"
-#include "wormhole/route_builder.hpp"
+#include "wormhole/route_cache.hpp"
 
 namespace lamb {
 namespace {

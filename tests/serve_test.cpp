@@ -14,10 +14,13 @@
 #include <vector>
 
 #include "manager/machine_manager.hpp"
+#include "reach/flood_oracle.hpp"
+#include "reach/route.hpp"
 #include "serve/admission.hpp"
 #include "serve/client.hpp"
 #include "serve/loadgen.hpp"
 #include "serve/route_service.hpp"
+#include "serve/route_table.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
 
@@ -140,6 +143,78 @@ TEST(RouteService, DegradationLadderStaleThenFallbackThenReject) {
   EXPECT_EQ(stats.fallback, 1);
   EXPECT_EQ(stats.rejected, 1);
   EXPECT_EQ(stats.publishes, 2);  // constructor + explicit publish
+}
+
+// The fallback rung walks one e-cube path instead of flooding: for every
+// ordered pair it must equal "dst is in src's ascending one-round flood"
+// plus the ascending dimension-ordered hops on VC 0, with node faults and
+// directed link faults, on a mesh and a torus.
+TEST(RouteTable, DimOrderRouteMatchesOneRoundFlood) {
+  for (const MeshShape& shape :
+       {MeshShape::cube(2, 6), MeshShape::cube(3, 4), MeshShape::torus({5, 4})}) {
+    SCOPED_TRACE(shape.to_string());
+    // Restoring a hand-built epoch puts directed link faults (and a torus,
+    // which the manager's solver does not handle) under a table.
+    manager::MachineManager mgr(shape);
+    manager::Checkpoint cp;
+    cp.orders = ascending_rounds(shape.dim(), 2);
+    cp.rounds = 2;
+    cp.history.emplace_back();
+    Rng frng(31);
+    for (int i = 0; i < 3; ++i) {
+      cp.node_faults.push_back((NodeId)frng.below((std::uint64_t)shape.size()));
+    }
+    for (int i = 0; i < 6; ++i) {
+      const Point from =
+          shape.point((NodeId)frng.below((std::uint64_t)shape.size()));
+      const int dim = (int)frng.below((std::uint64_t)shape.dim());
+      const Dir dir = frng.below(2) == 0 ? Dir::Pos : Dir::Neg;
+      Point to;
+      if (shape.neighbor(from, dim, dir, &to)) {
+        cp.link_faults.push_back(LinkFault{from, dim, dir, false});
+      }
+    }
+    mgr.restore(cp);
+    ASSERT_GT(mgr.faults().num_link_faults(), 0);
+    const auto table = serve::RouteTable::capture(mgr, /*published_tick=*/0);
+    const DimOrder ascending = DimOrder::ascending(shape.dim());
+    const FloodOracle flood(table->shape(), table->faults());
+    int routed = 0;
+    int blocked = 0;
+    for (NodeId a = 0; a < shape.size(); ++a) {
+      const Bits reach = flood.reach1_from(shape.point(a), ascending);
+      EXPECT_FALSE(table->dim_order_route(a, a).has_value());
+      for (NodeId b = 0; b < shape.size(); ++b) {
+        if (a == b) continue;
+        const auto route = table->dim_order_route(a, b);
+        ASSERT_EQ(reach.test(b), route.has_value()) << a << " -> " << b;
+        if (!route) {
+          ++blocked;
+          continue;
+        }
+        ++routed;
+        std::vector<wormhole::Hop> want;
+        for (const RouteSegment& seg : dim_ordered_route(
+                 shape, shape.point(a), shape.point(b), ascending)) {
+          want.insert(want.end(), (std::size_t)seg.steps,
+                      wormhole::Hop{seg.dim, seg.dir, 0});
+        }
+        EXPECT_EQ(route->src, a);
+        EXPECT_EQ(route->dst, b);
+        EXPECT_TRUE(route->intermediates.empty());
+        ASSERT_EQ(route->hops.size(), want.size());
+        for (std::size_t h = 0; h < want.size(); ++h) {
+          EXPECT_EQ(route->hops[h].dim, want[h].dim);
+          EXPECT_EQ(route->hops[h].dir, want[h].dir);
+          EXPECT_EQ(route->hops[h].vc, 0);
+        }
+      }
+    }
+    EXPECT_GT(routed, 0);
+    EXPECT_GT(blocked, 0);
+    EXPECT_FALSE(table->dim_order_route(-1, 0).has_value());
+    EXPECT_FALSE(table->dim_order_route(0, shape.size()).has_value());
+  }
 }
 
 TEST(RouteService, BoundedQueueShedsWithTypedRetryAfter) {

@@ -18,7 +18,7 @@
 #include "support/rng.hpp"
 #include "support/samples.hpp"
 #include "wormhole/network.hpp"
-#include "wormhole/route_builder.hpp"
+#include "wormhole/route_cache.hpp"
 #include "wormhole/traffic.hpp"
 
 namespace lamb {
@@ -31,7 +31,7 @@ using obs::TelemetryConfig;
 using wormhole::Hop;
 using wormhole::Message;
 using wormhole::Network;
-using wormhole::RouteBuilder;
+using wormhole::RouteCache;
 using wormhole::SimConfig;
 using wormhole::SimResult;
 using wormhole::TrafficConfig;
@@ -192,14 +192,14 @@ TEST(LatencyRecord, DecompositionAddsUp) {
 std::vector<Message> sample_traffic(const MeshShape& shape,
                                     const FaultSet& faults) {
   const LambResult lambs = lamb1(shape, faults, {});
-  const RouteBuilder builder(shape, faults, ascending_rounds(2, 2));
+  RouteCache routes(shape, faults, ascending_rounds(2, 2));
   Rng rng(42);
   TrafficConfig tc;
   tc.num_messages = 120;
   tc.message_flits = 6;
   tc.injection_gap = 0.8;
   const auto traffic =
-      generate_traffic(shape, faults, lambs.lambs, builder, tc, rng);
+      generate_traffic(shape, faults, lambs.lambs, routes, tc, rng);
   EXPECT_EQ(traffic.unroutable, 0);
   return traffic.messages;
 }

@@ -11,7 +11,7 @@
 #include "reach/flood_oracle.hpp"
 #include "support/rng.hpp"
 #include "wormhole/network.hpp"
-#include "wormhole/route_builder.hpp"
+#include "wormhole/route_cache.hpp"
 #include "wormhole/traffic.hpp"
 
 namespace lamb {
@@ -22,7 +22,7 @@ using wormhole::Message;
 using wormhole::Network;
 using wormhole::Pattern;
 using wormhole::Route;
-using wormhole::RouteBuilder;
+using wormhole::RouteCache;
 using wormhole::SimConfig;
 using wormhole::SimResult;
 using wormhole::TrafficConfig;
@@ -40,27 +40,27 @@ std::vector<NodeId> walk(const MeshShape& shape, const Route& route) {
   return nodes;
 }
 
-TEST(RouteBuilder, FaultFreeMeshBuildsMinimalRoute) {
+TEST(RoutePicker, FaultFreeMeshBuildsMinimalRoute) {
   const MeshShape shape = MeshShape::cube(2, 8);
   const FaultSet faults(shape);
-  const RouteBuilder builder(shape, faults, ascending_rounds(2, 2));
+  RouteCache routes(shape, faults, ascending_rounds(2, 2));
   Rng rng(1);
   const auto route =
-      builder.build(shape.index(Point{0, 0}), shape.index(Point{5, 3}), rng);
+      routes.build(shape.index(Point{0, 0}), shape.index(Point{5, 3}), rng);
   ASSERT_TRUE(route.has_value());
   EXPECT_EQ(route->length(), 8);  // L1 distance: no detour needed
   EXPECT_EQ(walk(shape, *route).back(), shape.index(Point{5, 3}));
   EXPECT_LE(route->turns(), 3);  // k(d-1) + (k-1) = 3 for 2D, 2 rounds
 }
 
-TEST(RouteBuilder, RouteAvoidsFaultsAndUsesRoundVcs) {
+TEST(RoutePicker, RouteAvoidsFaultsAndUsesRoundVcs) {
   const MeshShape shape = MeshShape::cube(2, 8);
   FaultSet faults(shape);
   for (Coord y = 0; y < 7; ++y) faults.add_node(Point{4, y});  // near-wall
-  const RouteBuilder builder(shape, faults, ascending_rounds(2, 2));
+  RouteCache routes(shape, faults, ascending_rounds(2, 2));
   Rng rng(2);
   const auto route =
-      builder.build(shape.index(Point{0, 0}), shape.index(Point{7, 0}), rng);
+      routes.build(shape.index(Point{0, 0}), shape.index(Point{7, 0}), rng);
   ASSERT_TRUE(route.has_value());
   for (NodeId id : walk(shape, *route)) {
     EXPECT_FALSE(faults.node_faulty(id));
@@ -74,41 +74,41 @@ TEST(RouteBuilder, RouteAvoidsFaultsAndUsesRoundVcs) {
   }
 }
 
-TEST(RouteBuilder, UnreachablePairReturnsNullopt) {
+TEST(RoutePicker, UnreachablePairReturnsNullopt) {
   const MeshShape shape = MeshShape::cube(2, 8);
   FaultSet faults(shape);
   for (Coord y = 0; y < 8; ++y) faults.add_node(Point{4, y});  // full wall
-  const RouteBuilder builder(shape, faults, ascending_rounds(2, 2));
+  RouteCache routes(shape, faults, ascending_rounds(2, 2));
   Rng rng(3);
   EXPECT_FALSE(
-      builder.build(shape.index(Point{0, 0}), shape.index(Point{7, 0}), rng)
+      routes.build(shape.index(Point{0, 0}), shape.index(Point{7, 0}), rng)
           .has_value());
 }
 
-TEST(RouteBuilder, PicksShortestIntermediate) {
+TEST(RoutePicker, PicksShortestIntermediate) {
   // With no faults the best intermediate is on a minimal path, so total
   // length equals the L1 distance for many random pairs.
   const MeshShape shape = MeshShape::cube(3, 6);
   const FaultSet faults(shape);
-  const RouteBuilder builder(shape, faults, ascending_rounds(3, 2));
+  RouteCache routes(shape, faults, ascending_rounds(3, 2));
   Rng rng(4);
   for (int t = 0; t < 30; ++t) {
     const NodeId a = static_cast<NodeId>(rng.below(
         static_cast<std::uint64_t>(shape.size())));
     const NodeId b = static_cast<NodeId>(rng.below(
         static_cast<std::uint64_t>(shape.size())));
-    const auto route = builder.build(a, b, rng);
+    const auto route = routes.build(a, b, rng);
     ASSERT_TRUE(route.has_value());
     EXPECT_EQ(route->length(),
               shape.l1_distance(shape.point(a), shape.point(b)));
   }
 }
 
-TEST(RouteBuilder, ThreeRoundRoutesWork) {
+TEST(RoutePicker, ThreeRoundRoutesWork) {
   const MeshShape shape = MeshShape::cube(2, 8);
   Rng frng(7);
   const FaultSet faults = FaultSet::random_nodes(shape, 6, frng);
-  const RouteBuilder builder(shape, faults, ascending_rounds(2, 3));
+  RouteCache routes(shape, faults, ascending_rounds(2, 3));
   const FloodOracle flood(shape, faults);
   Rng rng(8);
   int built = 0;
@@ -120,7 +120,7 @@ TEST(RouteBuilder, ThreeRoundRoutesWork) {
     if (faults.node_faulty(a) || faults.node_faulty(b)) continue;
     const bool reachable =
         flood.reach_from(shape.point(a), ascending_rounds(2, 3)).test(b);
-    const auto route = builder.build(a, b, rng);
+    const auto route = routes.build(a, b, rng);
     EXPECT_EQ(route.has_value(), reachable);
     if (route) {
       ++built;
@@ -135,10 +135,10 @@ TEST(RouteBuilder, ThreeRoundRoutesWork) {
 
 // --- Flit-level network ----------------------------------------------------
 
-Message make_message(const MeshShape& shape [[maybe_unused]], const RouteBuilder& builder,
+Message make_message(const MeshShape& shape [[maybe_unused]], RouteCache& routes,
                      NodeId src, NodeId dst, int flits, std::int64_t when,
                      Rng& rng, std::int64_t id = 0) {
-  auto route = builder.build(src, dst, rng);
+  auto route = routes.build(src, dst, rng);
   EXPECT_TRUE(route.has_value());
   Message msg;
   msg.id = id;
@@ -151,11 +151,11 @@ Message make_message(const MeshShape& shape [[maybe_unused]], const RouteBuilder
 TEST(Network, SingleMessagePipelinedLatency) {
   const MeshShape shape = MeshShape::cube(2, 8);
   const FaultSet faults(shape);
-  const RouteBuilder builder(shape, faults, ascending_rounds(2, 2));
+  RouteCache routes(shape, faults, ascending_rounds(2, 2));
   Rng rng(10);
   Network net(shape, faults, SimConfig{});
   // (0,0) -> (5,0): 5 hops, 4 flits: tail ejects at cycle hops + flits - 1.
-  net.submit(make_message(shape, builder, shape.index(Point{0, 0}),
+  net.submit(make_message(shape, routes, shape.index(Point{0, 0}),
                           shape.index(Point{5, 0}), 4, 0, rng));
   const SimResult result = net.run();
   EXPECT_TRUE(result.all_delivered());
@@ -181,14 +181,14 @@ TEST(Network, ZeroHopMessageDeliversImmediately) {
 TEST(Network, TwoMessagesShareALinkFairly) {
   const MeshShape shape = MeshShape::cube(2, 8);
   const FaultSet faults(shape);
-  const RouteBuilder builder(shape, faults, ascending_rounds(2, 2));
+  RouteCache routes(shape, faults, ascending_rounds(2, 2));
   Rng rng(11);
   Network net(shape, faults, SimConfig{});
   // Same source row, same path prefix; they must serialize on the links
   // but both arrive.
-  net.submit(make_message(shape, builder, shape.index(Point{0, 0}),
+  net.submit(make_message(shape, routes, shape.index(Point{0, 0}),
                           shape.index(Point{7, 0}), 6, 0, rng, 0));
-  net.submit(make_message(shape, builder, shape.index(Point{0, 0}),
+  net.submit(make_message(shape, routes, shape.index(Point{0, 0}),
                           shape.index(Point{7, 0}), 6, 0, rng, 1));
   const SimResult result = net.run();
   EXPECT_TRUE(result.all_delivered());
@@ -202,14 +202,14 @@ TEST(Network, HeavyRandomTrafficDeliversWithTwoVcs) {
   Rng frng(12);
   const FaultSet faults = FaultSet::random_nodes(shape, 4, frng);
   const LambResult lambs = lamb1(shape, faults, {});
-  const RouteBuilder builder(shape, faults, ascending_rounds(2, 2));
+  RouteCache routes(shape, faults, ascending_rounds(2, 2));
   Rng rng(13);
   TrafficConfig tc;
   tc.num_messages = 150;
   tc.message_flits = 6;
   tc.injection_gap = 0.5;  // saturating
   const auto traffic =
-      generate_traffic(shape, faults, lambs.lambs, builder, tc, rng);
+      generate_traffic(shape, faults, lambs.lambs, routes, tc, rng);
   EXPECT_EQ(traffic.unroutable, 0);
   Network net(shape, faults, SimConfig{});
   for (const Message& m : traffic.messages) net.submit(m);
@@ -296,7 +296,7 @@ TEST(Traffic, EndpointsAreSurvivorsOnly) {
   Rng frng(15);
   const FaultSet faults = FaultSet::random_nodes(shape, 6, frng);
   const LambResult lambs = lamb1(shape, faults, {});
-  const RouteBuilder builder(shape, faults, ascending_rounds(2, 2));
+  RouteCache routes(shape, faults, ascending_rounds(2, 2));
   Rng rng(16);
   for (Pattern pattern : {Pattern::kUniform, Pattern::kTranspose,
                           Pattern::kBitReversal, Pattern::kHotSpot}) {
@@ -304,7 +304,7 @@ TEST(Traffic, EndpointsAreSurvivorsOnly) {
     tc.pattern = pattern;
     tc.num_messages = 60;
     const auto traffic =
-        generate_traffic(shape, faults, lambs.lambs, builder, tc, rng);
+        generate_traffic(shape, faults, lambs.lambs, routes, tc, rng);
     EXPECT_EQ(traffic.unroutable, 0);
     for (const Message& m : traffic.messages) {
       for (NodeId endpoint : {m.route.src, m.route.dst}) {
@@ -320,12 +320,12 @@ TEST(Traffic, EndpointsAreSurvivorsOnly) {
 TEST(Traffic, InjectionTimesRespectGap) {
   const MeshShape shape = MeshShape::cube(2, 6);
   const FaultSet faults(shape);
-  const RouteBuilder builder(shape, faults, ascending_rounds(2, 2));
+  RouteCache routes(shape, faults, ascending_rounds(2, 2));
   Rng rng(17);
   TrafficConfig tc;
   tc.num_messages = 10;
   tc.injection_gap = 3.0;
-  const auto traffic = generate_traffic(shape, faults, {}, builder, tc, rng);
+  const auto traffic = generate_traffic(shape, faults, {}, routes, tc, rng);
   for (std::size_t i = 1; i < traffic.messages.size(); ++i) {
     EXPECT_GE(traffic.messages[i].inject_cycle,
               traffic.messages[i - 1].inject_cycle);
@@ -336,12 +336,12 @@ TEST(Traffic, InjectionTimesRespectGap) {
 TEST(Traffic, HotSpotHasSingleDestination) {
   const MeshShape shape = MeshShape::cube(2, 8);
   const FaultSet faults(shape);
-  const RouteBuilder builder(shape, faults, ascending_rounds(2, 2));
+  RouteCache routes(shape, faults, ascending_rounds(2, 2));
   Rng rng(18);
   TrafficConfig tc;
   tc.pattern = Pattern::kHotSpot;
   tc.num_messages = 40;
-  const auto traffic = generate_traffic(shape, faults, {}, builder, tc, rng);
+  const auto traffic = generate_traffic(shape, faults, {}, routes, tc, rng);
   ASSERT_FALSE(traffic.messages.empty());
   const NodeId dst = traffic.messages.front().route.dst;
   for (const Message& m : traffic.messages) EXPECT_EQ(m.route.dst, dst);

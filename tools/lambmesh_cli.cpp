@@ -217,9 +217,9 @@ int cmd_simulate(const Args& args) {
     throw io::ArgError("unknown pattern " + pattern);
   }
 
-  const wormhole::RouteBuilder builder(*doc.shape, *doc.faults, orders);
+  wormhole::RouteCache routes(*doc.shape, *doc.faults, orders);
   const auto traffic = wormhole::generate_traffic(*doc.shape, *doc.faults,
-                                                  doc.lambs, builder, tc, rng);
+                                                  doc.lambs, routes, tc, rng);
   wormhole::SimConfig config;
   config.vcs_per_link = args.get_int("vcs", (int)orders.size());
   config.buffer_flits = args.get_int("buffers", 4);
