@@ -10,7 +10,8 @@
 // reconfigure() recomputes the lamb set — monotonically, using the
 // Section 7 predetermined-lamb extension, so nodes once sacrificed stay
 // sacrificed — and logs an epoch record. Between reconfigurations the
-// manager vends verified survivor routes through a cached route builder.
+// manager vends verified survivor routes through the route picker
+// (wormhole::RouteCache).
 #pragma once
 
 #include <cstdint>

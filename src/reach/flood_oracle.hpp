@@ -1,7 +1,7 @@
 // Set-valued ("spanning tree") reachability, the O(N)-per-source approach
 // the paper mentions in Section 4 and footnote 7. Used for:
 //   * brute-force verification of lamb sets and of SES/DES partitions,
-//   * choosing intermediate nodes for k-round routes (wormhole RouteBuilder),
+//   * choosing intermediate nodes for k-round routes (wormhole RouteCache),
 //   * the generic-topology solver.
 #pragma once
 

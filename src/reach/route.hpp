@@ -1,7 +1,8 @@
 // Explicit dimension-ordered routes: the unique pi-route between two nodes
 // as a list of axis-aligned segments, plus helpers to walk it hop by hop.
-// Used by the brute-force reachability check, the wormhole route builder,
-// and the turn-counting analyses.
+// Used by the brute-force reachability check, the wormhole route picker
+// (RouteCache), the serving layer's one-round fallback and the
+// turn-counting analyses.
 #pragma once
 
 #include <cstdint>

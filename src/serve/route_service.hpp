@@ -64,7 +64,9 @@ struct RouteResponse {
   int epoch = 0;                      // epoch that produced the route
   std::int64_t retry_after_ticks = 0;  // kOverloaded hint
   std::int64_t stale_age = 0;          // ticks into the window, kStale
-  double vend_seconds = 0.0;           // wall time in the route builder
+  double vend_seconds = 0.0;           // wall time of serve(): table load
+                                       // through route pick; excludes
+                                       // admission and queue wait
   std::optional<wormhole::Route> route;
 };
 
