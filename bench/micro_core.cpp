@@ -1,14 +1,16 @@
 // Microbenchmarks (google-benchmark) for the performance-critical pieces
 // whose costs Section 6 analyzes: Find-SES-Partition (O(d^3 f)), the
 // prefix-sum reachability oracle (construction O(dN), queries O(d)) vs
-// the O(dn) route walk, the word-parallel Boolean matrix product, Dinic
-// on the WVC network, and the full Lamb1 pipeline scaling in f.
+// the O(dn) route walk, the word-parallel floods of FloodOracle, the
+// word-parallel Boolean matrix product, Dinic on the WVC network, and the
+// full Lamb1 pipeline scaling in f.
 #include <benchmark/benchmark.h>
 
 #include "core/bit_matrix.hpp"
 #include "core/lamb.hpp"
 #include "core/partition.hpp"
 #include "graph/bipartite_wvc.hpp"
+#include "reach/flood_oracle.hpp"
 #include "reach/reach_oracle.hpp"
 #include "reach/route.hpp"
 #include "support/rng.hpp"
@@ -69,6 +71,91 @@ void BM_RouteWalkQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RouteWalkQuery);
+
+// Flood inputs: Arg 0 is M_3(16) with 4% node faults plus 40 link
+// faults, half of them directed; Arg 1 is M_2(32) with 5% node faults.
+struct FloodCase {
+  MeshShape shape;
+  FaultSet faults;
+
+  explicit FloodCase(std::int64_t which)
+      : shape(which == 0 ? MeshShape::cube(3, 16) : MeshShape::cube(2, 32)),
+        faults(make_faults(shape, which == 0 ? 164 : 51, 5)) {
+    Rng rng(6);
+    for (int added = 0; which == 0 && added < 40;) {
+      const Point from =
+          shape.point((NodeId)rng.below((std::uint64_t)shape.size()));
+      const int dim = (int)rng.below((std::uint64_t)shape.dim());
+      const Dir dir = rng.bernoulli(0.5) ? Dir::Pos : Dir::Neg;
+      Point to;
+      if (!shape.neighbor(from, dim, dir, &to)) continue;
+      if (added % 2 == 0) {
+        faults.add_link(from, dim, dir);
+      } else {
+        faults.add_directed_link(from, dim, dir);
+      }
+      ++added;
+    }
+  }
+  FloodCase(const FloodCase&) = delete;  // faults points at shape
+
+  // Good nodes, to cycle through as flood endpoints.
+  std::vector<Point> good_points() const {
+    std::vector<Point> out;
+    for (NodeId id = 0; id < shape.size(); ++id) {
+      if (faults.node_good(id)) out.push_back(shape.point(id));
+    }
+    return out;
+  }
+};
+
+void BM_FloodOracleBuild(benchmark::State& state) {
+  const FloodCase c(state.range(0));
+  for (auto _ : state) {
+    FloodOracle oracle(c.shape, c.faults);
+    benchmark::DoNotOptimize(oracle);
+  }
+}
+BENCHMARK(BM_FloodOracleBuild)->Arg(0)->Arg(1);
+
+void BM_FloodReach1Forward(benchmark::State& state) {
+  const FloodCase c(state.range(0));
+  const FloodOracle oracle(c.shape, c.faults);
+  const std::vector<Point> points = c.good_points();
+  const DimOrder order = DimOrder::ascending(c.shape.dim());
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(oracle.reach1_from(points[i], order));
+    i = (i + 1) % points.size();
+  }
+}
+BENCHMARK(BM_FloodReach1Forward)->Arg(0)->Arg(1);
+
+void BM_FloodReach1Backward(benchmark::State& state) {
+  const FloodCase c(state.range(0));
+  const FloodOracle oracle(c.shape, c.faults);
+  const std::vector<Point> points = c.good_points();
+  const DimOrder order = DimOrder::ascending(c.shape.dim());
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(oracle.reach1_to(points[i], order));
+    i = (i + 1) % points.size();
+  }
+}
+BENCHMARK(BM_FloodReach1Backward)->Arg(0)->Arg(1);
+
+void BM_FloodReachK2(benchmark::State& state) {
+  const FloodCase c(state.range(0));
+  const FloodOracle oracle(c.shape, c.faults);
+  const std::vector<Point> points = c.good_points();
+  const MultiRoundOrder orders = ascending_rounds(c.shape.dim(), 2);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(oracle.reach_from(points[i], orders));
+    i = (i + 1) % points.size();
+  }
+}
+BENCHMARK(BM_FloodReachK2)->Arg(0)->Arg(1);
 
 void BM_BitMatrixMultiply(benchmark::State& state) {
   const std::int64_t m = state.range(0);

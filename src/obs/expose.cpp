@@ -39,6 +39,35 @@ std::string help_line(const std::string& prom_name, std::string_view raw,
   return out;
 }
 
+// Request heads at or past this size are refused with 431.
+constexpr std::size_t kMaxHead = 16 * 1024;
+
+// Splits an HTTP request line "METHOD SP target SP HTTP/x.y". False for
+// anything else: a method that is not an upper-case token, a target that
+// is not an absolute path, a missing version or extra fields.
+bool parse_request_line(const std::string& line, std::string* method,
+                        std::string* target) {
+  std::istringstream in(line);
+  std::string version;
+  std::string extra;
+  if (!(in >> *method >> *target >> version) || (in >> extra)) return false;
+  const bool token = std::all_of(method->begin(), method->end(), [](char c) {
+    return c >= 'A' && c <= 'Z';
+  });
+  return token && target->front() == '/' && version.rfind("HTTP/", 0) == 0;
+}
+
+const char* status_text(int status) {
+  switch (status) {
+    case 200: return "OK";
+    case 400: return "Bad Request";
+    case 404: return "Not Found";
+    case 405: return "Method Not Allowed";
+    case 431: return "Request Header Fields Too Large";
+    default: return "Internal Server Error";
+  }
+}
+
 }  // namespace
 
 std::string prometheus_name(std::string_view name) {
@@ -209,8 +238,17 @@ void ExposeServer::handle_connection(int fd) {
   const auto deadline = std::chrono::steady_clock::now() + kDeadline;
   std::string request;
   char buf[2048];
-  while (request.find("\r\n\r\n") == std::string::npos &&
-         request.size() < 16 * 1024) {
+  // The head is complete once its blank line arrives within kMaxHead
+  // bytes; a peer that closes first sent a truncated head.
+  bool complete = false;
+  bool closed = false;
+  while (!closed) {
+    const std::size_t end = request.find("\r\n\r\n");
+    if (end != std::string::npos && end + 4 <= kMaxHead) {
+      complete = true;
+      break;
+    }
+    if (request.size() >= kMaxHead) break;
     const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
                           deadline - std::chrono::steady_clock::now())
                           .count();
@@ -225,30 +263,33 @@ void ExposeServer::handle_connection(int fd) {
     if (ready < 0 && errno != EINTR) return;
     if (ready <= 0) continue;
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) break;
-    request.append(buf, static_cast<std::size_t>(n));
+    if (n <= 0) {
+      closed = true;
+    } else {
+      request.append(buf, static_cast<std::size_t>(n));
+    }
   }
-  const std::size_t line_end = request.find("\r\n");
   std::string method;
   std::string target;
-  if (line_end != std::string::npos) {
-    std::istringstream line(request.substr(0, line_end));
-    line >> method >> target;
-  }
-
   Response resp;
-  if (method != "GET") {
+  if (!complete && !closed) {
+    resp.status = 431;
+    resp.body = "request header fields too large\n";
+  } else if (!complete ||
+             !parse_request_line(request.substr(0, request.find("\r\n")),
+                                 &method, &target)) {
+    resp.status = 400;
+    resp.body = "bad request\n";
+  } else if (method != "GET") {
     resp.status = 405;
     resp.body = "method not allowed\n";
   } else {
     resp = handle(target);
   }
 
-  const char* status_text = resp.status == 200   ? "OK"
-                            : resp.status == 404 ? "Not Found"
-                                                 : "Method Not Allowed";
   std::string head = "HTTP/1.1 " + std::to_string(resp.status) + " " +
-                     status_text + "\r\nContent-Type: " + resp.content_type +
+                     status_text(resp.status) +
+                     "\r\nContent-Type: " + resp.content_type +
                      "\r\nContent-Length: " + std::to_string(resp.body.size()) +
                      "\r\nConnection: close\r\n\r\n";
   const std::string full = head + resp.body;

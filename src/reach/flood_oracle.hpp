@@ -1,9 +1,24 @@
-// Set-valued ("spanning tree") reachability, the O(N)-per-source approach
-// the paper mentions in Section 4 and footnote 7. Used for:
+// Set-valued ("spanning tree") reachability, the approach the paper
+// mentions in Section 4 and footnote 7, computed with the word-parallel
+// Boolean operations of Section 6.2 (Lemma 5.1, Fig. 12). Used for:
 //   * brute-force verification of lamb sets and of SES/DES partitions,
 //   * choosing intermediate nodes for k-round routes (wormhole RouteCache),
 //   * the generic-topology solver.
+//
+// Cost. The constructor builds, for every (dimension j, direction), a
+// passability mask (bit v set when one step from v crosses a good link
+// into a good node) and its doubling levels, O(d * log n * N/64 + |F|)
+// word operations in all. A one-round flood then costs, per dimension and
+// direction, ceil(log2(n_j)) AND/shift/OR passes over N/64 words, however
+// many nodes the frontier holds: one source, a set, or a middle round of
+// a k-round flood.
+//
+// The masks are a snapshot of the fault set at construction; build a new
+// oracle after the FaultSet changes. The oracle is immutable after
+// construction, so const calls may share one oracle across threads.
 #pragma once
+
+#include <vector>
 
 #include "mesh/fault_set.hpp"
 #include "mesh/mesh.hpp"
@@ -20,10 +35,9 @@ class FloodOracle {
 
   // { w : w is (F, pi)-reachable from v }.
   Bits reach1_from(const Point& v, const DimOrder& order) const;
-  // Union of reach1_from over all (good) members of `sources`: the
-  // per-dimension expansion composes, so one set-valued flood costs the
-  // same as a single-source flood with a dense frontier. This is the
-  // engine of the "spanning tree" k-round backend (paper footnote 7).
+  // Union of reach1_from over all (good) members of `sources`, at the cost
+  // of a single-source flood. This is the engine of the "spanning tree"
+  // k-round backend (paper footnote 7).
   Bits reach1_from_set(const Bits& sources, const DimOrder& order) const;
   // { u : u can (F, pi)-reach w }.
   Bits reach1_to(const Point& w, const DimOrder& order) const;
@@ -31,22 +45,36 @@ class FloodOracle {
   Bits reach_from(const Point& v, const MultiRoundOrder& orders) const;
 
  private:
-  // Forward expansion: every coordinate b on the dim-j line through `p`
-  // such that the directed dim-j travel p[j] -> b is fault-free; bits are
-  // set in `out` at the corresponding node ids.
-  void expand_line_from(const Point& p, int j, Bits* out) const;
-  // Backward expansion: every coordinate a such that travel a -> p[j] is
-  // fault-free.
-  void expand_line_to(const Point& p, int j, Bits* out) const;
-  // One per-dimension step of a flood: expands every member of `frontier`
-  // along dimension j (forward or backward) and returns the union. Dense
-  // frontiers fan out over the par::parallel_for pool, each band OR-merging
-  // a private bitset — bitwise OR commutes, so the result is identical at
-  // any thread count.
-  Bits expand_dimension(const Bits& frontier, int j, bool forward) const;
+  // One part of a travel along a line: every node v with bit v of `mask`
+  // set lands on node v + shift. In a level, the mask also holds only the
+  // nodes whose whole travel is passable.
+  struct Part {
+    Bits mask;
+    NodeId shift = 0;
+  };
+  // One Kogge-Stone level: each frontier member may travel the level's
+  // length further. Levels of lengths 1, 2, 4, ... and a remainder compose
+  // every travel up to the longest.
+  using Level = std::vector<Part>;
+
+  // A `len`-step travel along dimension j in direction dir, as parts
+  // whose masks are the nodes each part moves: those whose travel stays
+  // inside the line and, on a torus, those whose travel wraps.
+  static std::vector<Part> travel(const MeshShape& shape, int j, Dir dir,
+                                  Coord len);
+  // Bit v of the result is bit (v moved by `parts`) of x; clear when the
+  // move leaves a mesh.
+  static Bits pull(const Bits& x, const std::vector<Part>& parts);
+
+  // Replaces `cur` with every node a member reaches (forward) or every
+  // node that reaches a member (backward) by travel along dimension j.
+  void expand(int j, bool forward, Bits* cur) const;
 
   const MeshShape* shape_;
-  const FaultSet* faults_;
+  Bits good_;
+  // levels_[2 * j + (dir == Dir::Pos)]: the levels of dim-j travel in
+  // direction dir, whose lengths sum to the longest travel allowed.
+  std::vector<std::vector<Level>> levels_;
 };
 
 }  // namespace lamb

@@ -35,6 +35,23 @@ class Bits {
 
   void clear() { words_.assign(words_.size(), 0); }
 
+  // Sets every bit in [begin, end).
+  void set_range(std::int64_t begin, std::int64_t end) {
+    assert(0 <= begin && begin <= end && end <= size_);
+    if (begin == end) return;
+    const std::size_t first = static_cast<std::size_t>(begin >> 6);
+    const std::size_t last = static_cast<std::size_t>((end - 1) >> 6);
+    const std::uint64_t head = ~std::uint64_t{0} << (begin & 63);
+    const std::uint64_t tail = ~std::uint64_t{0} >> (63 - ((end - 1) & 63));
+    if (first == last) {
+      words_[first] |= head & tail;
+      return;
+    }
+    words_[first] |= head;
+    for (std::size_t i = first + 1; i < last; ++i) words_[i] = ~std::uint64_t{0};
+    words_[last] |= tail;
+  }
+
   std::int64_t count() const {
     std::int64_t total = 0;
     for (std::uint64_t w : words_) total += std::popcount(w);
@@ -76,6 +93,9 @@ class Bits {
   }
 
   const std::vector<std::uint64_t>& words() const { return words_; }
+  // Raw word access for word-parallel kernels. Bits at or past size() must
+  // stay clear.
+  std::uint64_t* word_data() { return words_.data(); }
 
  private:
   std::int64_t size_ = 0;

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "obs/obs.hpp"
-#include "reach/flood_oracle.hpp"
 #include "reach/route.hpp"
 
 namespace lamb::wormhole {
@@ -253,6 +252,7 @@ RouteCache::RouteCache(const MeshShape& shape, const FaultSet& faults,
 
 void RouteCache::reconfigure() {
   obs::counter("wormhole.route_cache.reconfigures").add();
+  oracle_.reset();
   forward_.clear();
   backward_.clear();
 }
@@ -261,6 +261,7 @@ RouteCache::InvalidateStats RouteCache::invalidate(
     const std::vector<NodeId>& delta_nodes,
     const std::vector<LinkFault>& delta_links) {
   obs::counter("wormhole.route_cache.invalidates").add();
+  oracle_.reset();
   const StaleTest stale(*shape_, delta_nodes, delta_links);
   InvalidateStats stats;
   for (auto* cache : {&forward_, &backward_}) {
@@ -302,6 +303,16 @@ RouteCache::InvalidateStats RouteCache::adopt(
   return stats;
 }
 
+const FloodOracle& RouteCache::oracle() {
+  if (!oracle_ || oracle_node_faults_ != faults_->num_node_faults() ||
+      oracle_link_faults_ != faults_->num_link_faults()) {
+    oracle_.emplace(*shape_, *faults_);
+    oracle_node_faults_ = faults_->num_node_faults();
+    oracle_link_faults_ = faults_->num_link_faults();
+  }
+  return *oracle_;
+}
+
 const Bits& RouteCache::forward_of(NodeId src) {
   auto it = forward_.find(src);
   if (it != forward_.end()) {
@@ -311,9 +322,8 @@ const Bits& RouteCache::forward_of(NodeId src) {
   }
   ++misses_;
   miss_counter().add();
-  const FloodOracle flood(*shape_, *faults_);
-  return forward_.emplace(src, flood.reach1_from(shape_->point(src),
-                                                 orders_.front()))
+  return forward_.emplace(src, oracle().reach1_from(shape_->point(src),
+                                                    orders_.front()))
       .first->second;
 }
 
@@ -326,9 +336,8 @@ const Bits& RouteCache::backward_of(NodeId dst) {
   }
   ++misses_;
   miss_counter().add();
-  const FloodOracle flood(*shape_, *faults_);
-  return backward_.emplace(dst, flood.reach1_to(shape_->point(dst),
-                                                orders_.back()))
+  return backward_.emplace(dst, oracle().reach1_to(shape_->point(dst),
+                                                   orders_.back()))
       .first->second;
 }
 
@@ -339,7 +348,7 @@ const Bits& RouteCache::backward_of(NodeId dst) {
 // the k = 2 scan's rule.
 std::vector<NodeId> RouteCache::pick_chain(NodeId src, NodeId dst, Rng& rng) {
   constexpr std::int64_t kUnreachable = std::numeric_limits<std::int64_t>::max();
-  const FloodOracle flood(*shape_, *faults_);
+  const FloodOracle& flood = oracle();
   const int k = static_cast<int>(orders_.size());
   const std::size_t n = static_cast<std::size_t>(shape_->size());
   const Point src_p = shape_->point(src);

@@ -19,7 +19,9 @@
 //   * k >= 3 runs the exact shortest-intermediate DP, flooding the middle
 //     rounds directly.
 // Memory is one N-bit set per distinct endpoint seen, freed on
-// reconfigure().
+// reconfigure(). All floods of one fault-set state come from one
+// FloodOracle, built on the first miss and rebuilt after reconfigure(),
+// invalidate(), or growth of the referenced FaultSet.
 #pragma once
 
 #include <cstdint>
@@ -30,6 +32,7 @@
 #include "mesh/fault_set.hpp"
 #include "mesh/mesh.hpp"
 #include "reach/dim_order.hpp"
+#include "reach/flood_oracle.hpp"
 #include "support/bitset.hpp"
 #include "support/rng.hpp"
 
@@ -135,6 +138,11 @@ class RouteCache {
   std::int64_t misses() const { return misses_; }
 
  private:
+  // The oracle for the referenced FaultSet's current state. That set may
+  // grow in place between reconfigures (MachineManager::report_*_fault),
+  // so a node or link count that moved since the last build also
+  // triggers a rebuild.
+  const FloodOracle& oracle();
   const Bits& forward_of(NodeId src);
   const Bits& backward_of(NodeId dst);
   // k >= 3: the intermediates u_1 .. u_{k-1} (empty when unreachable).
@@ -143,6 +151,9 @@ class RouteCache {
   const MeshShape* shape_;
   const FaultSet* faults_;
   MultiRoundOrder orders_;
+  std::optional<FloodOracle> oracle_;
+  std::int64_t oracle_node_faults_ = 0;  // counts oracle_ was built at
+  std::int64_t oracle_link_faults_ = 0;
   std::unordered_map<NodeId, Bits> forward_;
   std::unordered_map<NodeId, Bits> backward_;
   std::vector<std::int64_t> scan_costs_;  // build()'s c_j tables, reused

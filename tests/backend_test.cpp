@@ -230,8 +230,10 @@ std::optional<wormhole::Route> brute_force_route(const MeshShape& shape,
 // The picker must make the brute-force choice with the same rng draws,
 // so routes and post-call generator states match exactly -- from a cold
 // cache and from a warm one, for k = 1, 2 and 3. A k = 3 pick floods from
-// every round-0 target (~0.3 s a call on M_3(16)), so the large shapes
-// sample fewer k = 3 pairs, and M_3(16) none.
+// every round-0 target and scores every node each flood reaches (50-120 ms
+// a call on M_3(16), measured on a 4-vCPU x86-64 host), and the
+// brute-force k = 3 reference costs more still, so the large shapes sample
+// fewer k = 3 pairs, and M_3(16) one.
 TEST(RouteCache, MatchesBruteForceExactly) {
   struct Case {
     ExactCase shape;
@@ -240,7 +242,7 @@ TEST(RouteCache, MatchesBruteForceExactly) {
   const Case cases[] = {
       {{MeshShape::cube(2, 10), 8, 4, 400}, 100},
       {{MeshShape::cube(2, 32), 51, 10, 400}, 6},
-      {{MeshShape::cube(3, 16), 164, 20, 300}, 0},
+      {{MeshShape::cube(3, 16), 164, 20, 300}, 1},
       {{MeshShape::torus({8, 8}), 5, 3, 400}, 80},
       {{MeshShape::torus({7, 6, 5}), 10, 5, 400}, 12},
   };
@@ -371,6 +373,157 @@ TEST(RouteCache, ReconfigureDropsState) {
   cache.reconfigure();
   cache.build(0, 10, rng);
   EXPECT_EQ(cache.misses(), before + 2);
+}
+
+// Nodes a route visits strictly between its endpoints.
+std::vector<NodeId> interior_nodes(const MeshShape& shape,
+                                   const wormhole::Route& route) {
+  std::vector<NodeId> out;
+  Point at = shape.point(route.src);
+  for (std::size_t h = 0; h + 1 < route.hops.size(); ++h) {
+    Point next;
+    shape.neighbor(at, route.hops[h].dim, route.hops[h].dir, &next);
+    at = next;
+    out.push_back(shape.index(at));
+  }
+  return out;
+}
+
+bool visits(const MeshShape& shape, const wormhole::Route& route, NodeId id) {
+  const std::vector<NodeId> inside = interior_nodes(shape, route);
+  return std::find(inside.begin(), inside.end(), id) != inside.end();
+}
+
+// The middle interior node of the route a cache over `faults` would vend
+// for src -> dst under rng seed `seed` (the stale answer a cache that kept
+// its old flood masks would give after that node dies).
+NodeId node_on_route(const MeshShape& shape, const FaultSet& faults,
+                     const MultiRoundOrder& orders, NodeId src, NodeId dst,
+                     std::uint64_t seed) {
+  wormhole::RouteCache before(shape, faults, orders);
+  Rng rng(seed);
+  const auto route = before.build(src, dst, rng);
+  EXPECT_TRUE(route.has_value());
+  if (!route) return -1;
+  const std::vector<NodeId> inside = interior_nodes(shape, *route);
+  EXPECT_FALSE(inside.empty());
+  return inside.empty() ? -1 : inside[inside.size() / 2];
+}
+
+// A miss on a fresh endpoint must match a brand-new cache over the
+// current faults, rng draws included.
+void expect_fresh_miss(wormhole::RouteCache& cache, const MeshShape& shape,
+                       const FaultSet& faults, const MultiRoundOrder& orders,
+                       NodeId src, NodeId dst, std::uint64_t seed) {
+  Rng r_got(seed), r_want(seed);
+  const auto got = cache.build(src, dst, r_got);
+  wormhole::RouteCache fresh(shape, faults, orders);
+  expect_same_route(fresh.build(src, dst, r_want), got);
+  EXPECT_EQ(r_want.state(), r_got.state());
+}
+
+// report_*_fault grows the FaultSet a cache references in place; the
+// next miss must flood against the grown set, not the masks built before.
+TEST(RouteCache, MissAfterFaultSetGrowsSeesTheNewFaults) {
+  const MeshShape shape = MeshShape::cube(2, 12);
+  Rng frng(30);
+  FaultSet faults = random_faults(shape, 4, 2, frng);
+  const auto orders = ascending_rounds(2, 2);
+  const NodeId n = shape.size();
+  ASSERT_TRUE(faults.node_good(0) && faults.node_good(n - 1));
+  wormhole::RouteCache cache(shape, faults, orders);
+  Rng rng(31);
+  ASSERT_TRUE(cache.build(1, n - 2, rng).has_value());  // builds the masks
+
+  const NodeId x = node_on_route(shape, faults, orders, 0, n - 1, 32);
+  ASSERT_GE(x, 0);
+  faults.add_node(x);
+  expect_fresh_miss(cache, shape, faults, orders, 0, n - 1, 32);
+  Rng r_check(32);
+  const auto avoided = cache.build(0, n - 1, r_check);
+  ASSERT_TRUE(avoided.has_value());
+  EXPECT_FALSE(visits(shape, *avoided, x));
+
+  // A link fault moves the link count alone.
+  wormhole::RouteCache probe(shape, faults, orders);
+  Rng r_probe(33);
+  const auto route = probe.build(n - 1, 0, r_probe);
+  ASSERT_TRUE(route.has_value() && route->hops.size() > 2);
+  Point at = shape.point(n - 1);
+  shape.neighbor(at, route->hops[0].dim, route->hops[0].dir, &at);
+  faults.add_link(at, route->hops[1].dim, route->hops[1].dir);
+  expect_fresh_miss(cache, shape, faults, orders, n - 1, 0, 33);
+}
+
+// reconfigure() and invalidate() rebuild the masks too, which a change
+// that keeps the fault counts (here one node fault swapped for another)
+// is only caught by.
+TEST(RouteCache, ReconfigureAndInvalidateRebuildTheMasks) {
+  const MeshShape shape = MeshShape::cube(2, 12);
+  const auto orders = ascending_rounds(2, 2);
+  const NodeId n = shape.size();
+  for (const bool use_invalidate : {false, true}) {
+    SCOPED_TRACE(use_invalidate ? "invalidate" : "reconfigure");
+    FaultSet faults(shape);
+    faults.add_node(NodeId{5});
+    wormhole::RouteCache cache(shape, faults, orders);
+    Rng rng(34);
+    ASSERT_TRUE(cache.build(1, n - 2, rng).has_value());
+
+    const NodeId x = node_on_route(shape, faults, orders, 0, n - 1, 35);
+    ASSERT_GE(x, 0);
+    FaultSet swapped(shape);
+    swapped.add_node(x);
+    faults = swapped;
+    if (use_invalidate) {
+      cache.invalidate({x}, {});
+    } else {
+      cache.reconfigure();
+    }
+    expect_fresh_miss(cache, shape, faults, orders, 0, n - 1, 35);
+
+    // And the grow-then-invalidate order the manager uses.
+    const NodeId y = node_on_route(shape, faults, orders, n - 1, 0, 36);
+    ASSERT_GE(y, 0);
+    faults.add_node(y);
+    cache.invalidate({y}, {});
+    expect_fresh_miss(cache, shape, faults, orders, n - 1, 0, 36);
+  }
+}
+
+// Through the manager: a fault reported inside a fresh endpoint's route
+// stops every vend until reconfigure(); the first miss after it equals a
+// brand-new cache over the updated faults, load and rng included.
+TEST(RouteCache, ManagerMissAfterReportMatchesAFreshCache) {
+  const MeshShape shape = MeshShape::cube(2, 12);
+  const NodeId n = shape.size();
+  manager::MachineManager mgr(shape);
+  for (const NodeId id : {NodeId{17}, NodeId{40}, NodeId{77}}) {
+    mgr.report_node_fault(id);
+  }
+  mgr.reconfigure();
+  Rng rng(37);
+  ASSERT_TRUE(mgr.route(1, n - 2, rng).has_value());
+
+  const NodeId x =
+      node_on_route(shape, mgr.faults(), mgr.orders(), 0, n - 1, 38);
+  ASSERT_GE(x, 0);
+  mgr.report_node_fault(x);
+  Rng r_stale(38);
+  EXPECT_THROW(mgr.route(0, n - 1, r_stale), std::logic_error);
+  mgr.reconfigure();
+  ASSERT_TRUE(mgr.is_survivor(0) && mgr.is_survivor(n - 1));
+
+  wormhole::NodeLoad load = mgr.route_load();
+  wormhole::RouteCache fresh(shape, mgr.faults(), mgr.orders());
+  Rng r_got(38), r_want(38);
+  const auto want = fresh.build(0, n - 1, r_want, &load);
+  const auto got = mgr.route(0, n - 1, r_got);
+  expect_same_route(want, got);
+  EXPECT_EQ(r_want.state(), r_got.state());
+  EXPECT_EQ(load.counts, mgr.route_load().counts);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_FALSE(visits(shape, *got, x));
 }
 
 // k = 3 takes its endpoint floods from the memo too; only the middle

@@ -532,6 +532,154 @@ TEST(Expose, IdlePeerDoesNotStallScrapes) {
   ::close(idle2);
 }
 
+// Hostile peers. Each case must leave the server answering the next
+// /healthz, and stop() must still return promptly.
+int connect_loopback(int port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  timeval timeout{};
+  timeout.tv_sec = 5;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  EXPECT_EQ(
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  return fd;
+}
+
+std::string read_until_close(int fd) {
+  std::string response;
+  char chunk[4096];
+  ssize_t n;
+  while ((n = ::recv(fd, chunk, sizeof(chunk), 0)) > 0) {
+    response.append(chunk, static_cast<std::size_t>(n));
+  }
+  return response;
+}
+
+// Sends `bytes` (then half-closes when `close_write`) and returns all the
+// server answers.
+std::string raw_exchange(int port, const std::string& bytes,
+                         bool close_write = false) {
+  const int fd = connect_loopback(port);
+  std::size_t sent = 0;
+  while (sent < bytes.size()) {
+    const ssize_t n =
+        ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
+    if (n <= 0) break;
+    sent += static_cast<std::size_t>(n);
+  }
+  EXPECT_EQ(sent, bytes.size());
+  if (close_write) ::shutdown(fd, SHUT_WR);
+  const std::string response = read_until_close(fd);
+  ::close(fd);
+  return response;
+}
+
+void expect_healthy_then_stop(ExposeServer& server) {
+  EXPECT_EQ(http_get(server.port(), "/healthz").rfind("HTTP/1.1 200 OK", 0),
+            0u);
+  const auto start = std::chrono::steady_clock::now();
+  server.stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::seconds(1));
+}
+
+TEST(Expose, SlowlorisIsDroppedAtTheDeadline) {
+  MetricsRegistry reg(/*enabled=*/true);
+  ExposeServer server(&reg, nullptr, nullptr);
+  std::string err;
+  ASSERT_TRUE(server.start("127.0.0.1", 0, &err)) << err;
+  const int fd = connect_loopback(server.port());
+  const std::string head = "GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n";
+  // One byte every 200 ms: the whole head would take ~8 s.
+  const auto start = std::chrono::steady_clock::now();
+  for (const char c : head) {
+    if (::send(fd, &c, 1, MSG_NOSIGNAL) != 1) break;
+    if (std::chrono::steady_clock::now() - start > std::chrono::seconds(2)) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  }
+  // Dropped without an answer once the 1 s deadline passed.
+  EXPECT_EQ(read_until_close(fd), "");
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::seconds(3));
+  ::close(fd);
+  expect_healthy_then_stop(server);
+}
+
+TEST(Expose, OversizedHeadGets431) {
+  MetricsRegistry reg(/*enabled=*/true);
+  ExposeServer server(&reg, nullptr, nullptr);
+  std::string err;
+  ASSERT_TRUE(server.start("127.0.0.1", 0, &err)) << err;
+  // Exactly 16 KiB with no blank line: the server reads all of it, so
+  // its close carries no unread bytes that would reset the answer.
+  std::string head = "GET /healthz HTTP/1.1\r\nX-Pad: ";
+  head.resize(16 * 1024, 'a');
+  EXPECT_EQ(raw_exchange(server.port(), head)
+                .rfind("HTTP/1.1 431 Request Header Fields Too Large\r\n", 0),
+            0u);
+  expect_healthy_then_stop(server);
+}
+
+TEST(Expose, GarbageAndTruncatedHeadsGet400) {
+  MetricsRegistry reg(/*enabled=*/true);
+  ExposeServer server(&reg, nullptr, nullptr);
+  std::string err;
+  ASSERT_TRUE(server.start("127.0.0.1", 0, &err)) << err;
+  const std::string bad_request = "HTTP/1.1 400 Bad Request\r\n";
+  // A TLS ClientHello-like prefix, a request line without a version, and
+  // a lower-case method.
+  for (const std::string& head :
+       {std::string("\x16\x03\x01\x02\x01 garbage\r\n\r\n"),
+        std::string("GET /healthz\r\n\r\n"),
+        std::string("get /healthz HTTP/1.1\r\n\r\n")}) {
+    EXPECT_EQ(raw_exchange(server.port(), head).rfind(bad_request, 0), 0u)
+        << head;
+  }
+  // The peer closes before the blank line.
+  EXPECT_EQ(raw_exchange(server.port(), "GET /healthz HTTP/1.1\r\nHost: x\r\n",
+                         /*close_write=*/true)
+                .rfind(bad_request, 0),
+            0u);
+  // A well-formed head with another method is still 405.
+  EXPECT_EQ(raw_exchange(server.port(), "POST /metrics HTTP/1.1\r\n\r\n")
+                .rfind("HTTP/1.1 405 Method Not Allowed\r\n", 0),
+            0u);
+  EXPECT_EQ(raw_exchange(server.port(), "GET /nope HTTP/1.1\r\n\r\n")
+                .rfind("HTTP/1.1 404 Not Found\r\n", 0),
+            0u);
+  expect_healthy_then_stop(server);
+}
+
+TEST(Expose, PeerClosingMidResponseIsSurvived) {
+  MetricsRegistry reg(/*enabled=*/true);
+  // A /metrics body far larger than the socket buffers.
+  for (int i = 0; i < 4000; ++i) {
+    reg.counter("hostile.padding_counter_" + std::to_string(i)).add(i);
+  }
+  ExposeServer server(&reg, nullptr, nullptr);
+  std::string err;
+  ASSERT_TRUE(server.start("127.0.0.1", 0, &err)) << err;
+  const int fd = connect_loopback(server.port());
+  const int small = 4096;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &small, sizeof(small));
+  const std::string request = "GET /metrics HTTP/1.1\r\n\r\n";
+  ASSERT_EQ(::send(fd, request.data(), request.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(request.size()));
+  char chunk[64];
+  EXPECT_GT(::recv(fd, chunk, sizeof(chunk), 0), 0);
+  // Abort: the unread remainder turns the close into a reset.
+  const linger abort_close{1, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &abort_close, sizeof(abort_close));
+  ::close(fd);
+  expect_healthy_then_stop(server);
+}
+
 TEST(Slo, BurnMathAndMetricsExport) {
   MetricsRegistry reg(/*enabled=*/true);
   SloTracker tracker(&reg);

@@ -15,7 +15,6 @@
 #include "expt/experiments.hpp"
 #include "expt/trial.hpp"
 #include "mesh/fault_set.hpp"
-#include "reach/flood_oracle.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
 
@@ -168,22 +167,6 @@ TEST(Determinism, ReachabilityMatricesIdenticalAcrossThreadCounts) {
                                    ReachBackend::kFlood)
                   .rk,
               rk_flood)
-        << threads << " threads";
-  }
-}
-
-TEST(Determinism, FloodFanOutIdenticalAcrossThreadCounts) {
-  PoolWidthGuard guard;
-  // 24x24 = 576 nodes: the round-2 frontier is dense enough to cross the
-  // parallel fan-out threshold.
-  const MeshShape shape = MeshShape::cube(2, 24);
-  const FaultSet faults = fixed_faults(shape, 17, 31337);
-  const FloodOracle oracle(shape, faults);
-  par::set_threads(1);
-  const Bits serial = oracle.reach_from(Point{0, 0}, ascending_rounds(2, 2));
-  for (int threads : {2, 8}) {
-    par::set_threads(threads);
-    EXPECT_EQ(oracle.reach_from(Point{0, 0}, ascending_rounds(2, 2)), serial)
         << threads << " threads";
   }
 }

@@ -5,7 +5,10 @@
 // link faults, meshes and tori.
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "mesh/fault_set.hpp"
 #include "reach/dim_order.hpp"
@@ -165,6 +168,39 @@ TEST_P(OracleSweep, PrefixSumOracleMatchesRouteWalk) {
   }
 }
 
+DimOrder random_order(int d, Rng& rng) {
+  std::vector<int> perm(static_cast<std::size_t>(d));
+  std::iota(perm.begin(), perm.end(), 0);
+  for (std::size_t i = perm.size(); i > 1; --i) {
+    std::swap(perm[i - 1], perm[rng.below(i)]);
+  }
+  return DimOrder(std::move(perm));
+}
+
+// { w : w is (k, F, orders)-reachable from v }, composed round by round
+// from pairwise ReachOracle queries.
+Bits brute_reach(const ReachOracle& oracle, const Point& v,
+                 const MultiRoundOrder& orders) {
+  const MeshShape& shape = oracle.shape();
+  Bits cur(shape.size());
+  for (NodeId w = 0; w < shape.size(); ++w) {
+    if (oracle.reach1(v, shape.point(w), orders.front())) cur.set(w);
+  }
+  for (std::size_t r = 1; r < orders.size(); ++r) {
+    Bits next(shape.size());
+    cur.for_each([&](NodeId u) {
+      const Point up = shape.point(u);
+      for (NodeId w = 0; w < shape.size(); ++w) {
+        if (!next.test(w) && oracle.reach1(up, shape.point(w), orders[r])) {
+          next.set(w);
+        }
+      }
+    });
+    cur = std::move(next);
+  }
+  return cur;
+}
+
 TEST_P(OracleSweep, FloodOracleMatchesRouteWalk) {
   const OracleSweepParam p = GetParam();
   const MeshShape shape =
@@ -172,16 +208,61 @@ TEST_P(OracleSweep, FloodOracleMatchesRouteWalk) {
   Rng rng(p.seed ^ 0xabcdef);
   const FaultSet faults = random_faults(shape, p, rng);
   const FloodOracle flood(shape, faults);
-  const DimOrder order = DimOrder::ascending(shape.dim());
-  for (int trial = 0; trial < 12; ++trial) {
+  const int d = shape.dim();
+  const DimOrder perm = random_order(d, rng);
+  const std::vector<DimOrder> orders{DimOrder::ascending(d),
+                                     DimOrder::descending(d), perm};
+
+  // Every source and target (every row has N <= 512).
+  ASSERT_LE(shape.size(), 512);
+  for (const DimOrder& order : orders) {
+    std::int64_t mismatches = 0;
+    for (NodeId v = 0; v < shape.size(); ++v) {
+      const Point vp = shape.point(v);
+      const Bits from = flood.reach1_from(vp, order);
+      const Bits to = flood.reach1_to(vp, order);
+      for (NodeId w = 0; w < shape.size(); ++w) {
+        const Point wp = shape.point(w);
+        if (from.test(w) != route_clear(shape, faults, vp, wp, order) ||
+            to.test(w) != route_clear(shape, faults, wp, vp, order)) {
+          ++mismatches;
+          ADD_FAILURE() << shape.to_string() << " " << order.to_string()
+                        << " v=" << v << " w=" << w;
+        }
+        if (mismatches > 5) return;
+      }
+    }
+  }
+
+  // A set-valued flood is the union of its members' floods; faulty
+  // members contribute nothing.
+  for (const DimOrder& order : orders) {
+    for (const double density : {0.02, 0.2, 1.0}) {
+      Bits set(shape.size());
+      Bits want(shape.size());
+      for (NodeId v = 0; v < shape.size(); ++v) {
+        if (!rng.bernoulli(density)) continue;
+        set.set(v);
+        want |= flood.reach1_from(shape.point(v), order);
+      }
+      EXPECT_EQ(flood.reach1_from_set(set, order), want)
+          << shape.to_string() << " " << order.to_string()
+          << " density=" << density;
+    }
+  }
+
+  // k = 2 and 3 against a round-by-round composition of 1-round queries.
+  const ReachOracle oracle(shape, faults);
+  const std::vector<MultiRoundOrder> multi{
+      {DimOrder::ascending(d), perm},
+      {DimOrder::ascending(d), perm, DimOrder::descending(d)}};
+  for (int trial = 0; trial < 3; ++trial) {
     const Point v = shape.point(static_cast<NodeId>(
         rng.below(static_cast<std::uint64_t>(shape.size()))));
-    const Bits from = flood.reach1_from(v, order);
-    const Bits to = flood.reach1_to(v, order);
-    for (NodeId w = 0; w < shape.size(); ++w) {
-      const Point wp = shape.point(w);
-      EXPECT_EQ(from.test(w), route_clear(shape, faults, v, wp, order));
-      EXPECT_EQ(to.test(w), route_clear(shape, faults, wp, v, order));
+    for (const MultiRoundOrder& rounds : multi) {
+      EXPECT_EQ(flood.reach_from(v, rounds), brute_reach(oracle, v, rounds))
+          << shape.to_string() << " k=" << rounds.size()
+          << " v=" << shape.index(v);
     }
   }
 }
@@ -208,23 +289,34 @@ INSTANTIATE_TEST_SUITE_P(
     Sweeps, OracleSweep,
     ::testing::Values(
         OracleSweepParam{{8, 8}, false, 4, 0, 0, 1},
-        OracleSweepParam{{8, 8}, false, 0, 5, 0, 2},
+        OracleSweepParam{{8, 8}, false, 0, 5, 2, 2},
         OracleSweepParam{{8, 8}, false, 3, 3, 3, 3},
         OracleSweepParam{{9, 7}, false, 5, 2, 2, 4},
         OracleSweepParam{{6, 6, 6}, false, 8, 0, 0, 5},
         OracleSweepParam{{6, 6, 6}, false, 4, 4, 4, 6},
-        OracleSweepParam{{5, 4, 3, 3}, false, 6, 3, 0, 7},
+        OracleSweepParam{{5, 4, 3, 3}, false, 6, 3, 2, 7},
         OracleSweepParam{{8, 8}, true, 4, 0, 0, 8},
         OracleSweepParam{{8, 8}, true, 3, 3, 3, 9},
         OracleSweepParam{{7, 5}, true, 4, 2, 2, 10},
         OracleSweepParam{{5, 5, 5}, true, 6, 3, 3, 11},
-        OracleSweepParam{{2, 2, 2, 2, 2}, false, 3, 2, 0, 12},
+        OracleSweepParam{{2, 2, 2, 2, 2}, false, 3, 2, 2, 12},
         OracleSweepParam{{16, 3}, false, 6, 2, 1, 13},
         OracleSweepParam{{3, 16}, false, 6, 2, 1, 14},
         OracleSweepParam{{8, 8}, false, 20, 0, 0, 15},
         OracleSweepParam{{6, 6, 6}, true, 10, 4, 4, 16},
         OracleSweepParam{{4, 9, 5}, true, 8, 3, 3, 17},
-        OracleSweepParam{{2, 2, 2, 2, 2, 2, 2}, false, 6, 3, 3, 18}));
+        OracleSweepParam{{2, 2, 2, 2, 2, 2, 2}, false, 6, 3, 3, 18},
+        // Lines that cross a 64-bit word boundary.
+        OracleSweepParam{{65, 2}, false, 6, 3, 3, 19},
+        OracleSweepParam{{64, 3}, false, 8, 3, 3, 20},
+        OracleSweepParam{{3, 65}, false, 8, 3, 3, 21},
+        // Power-of-two widths.
+        OracleSweepParam{{16, 16}, false, 12, 4, 4, 22},
+        // Tori with even, odd and width-2 dimensions.
+        OracleSweepParam{{6, 6}, true, 3, 2, 2, 23},
+        OracleSweepParam{{7, 5}, true, 6, 0, 0, 24},
+        OracleSweepParam{{2, 5}, true, 1, 1, 1, 25},
+        OracleSweepParam{{3, 3, 3, 3}, true, 5, 3, 3, 26}));
 
 TEST(FloodOracle, NoFaultsReachesEverything) {
   const MeshShape m = MeshShape::mesh({5, 5});
