@@ -2,13 +2,14 @@
 // whose costs Section 6 analyzes: Find-SES-Partition (O(d^3 f)), the
 // prefix-sum reachability oracle (construction O(dN), queries O(d)) vs
 // the O(dn) route walk, the word-parallel floods of FloodOracle, the
-// word-parallel Boolean matrix product, Dinic on the WVC network, and the
-// full Lamb1 pipeline scaling in f.
+// word-parallel Boolean matrix product, one incremental Find-Reachability
+// step, Dinic on the WVC network, and the full Lamb1 pipeline scaling in f.
 #include <benchmark/benchmark.h>
 
 #include "core/bit_matrix.hpp"
 #include "core/lamb.hpp"
 #include "core/partition.hpp"
+#include "core/reach_matrices.hpp"
 #include "graph/bipartite_wvc.hpp"
 #include "reach/flood_oracle.hpp"
 #include "reach/reach_oracle.hpp"
@@ -192,6 +193,75 @@ void BM_SparseLeftMultiply(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SparseLeftMultiply)->Arg(10)->Arg(100)->Arg(500);
+
+// The solver's reach layer on one incremental reconfigure: M_3(16) with
+// 4% node faults and k = 2, captured once, then one new node fault or one
+// new bidirectional link fault applied to the captured matrices by
+// compute_reachability_incremental. The delta is the first random
+// candidate the call accepts (one whose partition repair does not bail).
+struct ReachDeltaCase {
+  MeshShape shape;
+  MultiRoundOrder orders;
+  FaultSet before;
+  FaultSet after;
+  ReachComputation reach;
+  ReachCapture cap;
+  std::vector<Point> delta_nodes;
+  std::vector<LinkFault> delta_links;
+
+  explicit ReachDeltaCase(bool link)
+      : shape(MeshShape::cube(3, 16)),
+        orders(ascending_rounds(3, 2)),
+        before(make_faults(shape, 164, 11)),
+        after(before) {
+    reach = compute_reachability(shape, before, orders, ReachBackend::kMatrix,
+                                 &cap);
+    Rng rng(12);
+    for (;;) {
+      const Point p =
+          shape.point((NodeId)rng.below((std::uint64_t)shape.size()));
+      Point nb = p;
+      nb[0] += 1;
+      if (before.node_faulty(p) || (link && nb[0] >= shape.width(0)) ||
+          (link && before.node_faulty(nb))) {
+        continue;
+      }
+      delta_nodes.clear();
+      delta_links.clear();
+      if (link) {
+        delta_links.push_back(LinkFault{p, 0, Dir::Pos, true});
+      } else {
+        delta_nodes.push_back(p);
+      }
+      after = before;
+      for (const Point& q : delta_nodes) after.add_node(q);
+      for (const LinkFault& lf : delta_links) after.add(lf);
+      if (step()) return;
+    }
+  }
+  ReachDeltaCase(const ReachDeltaCase&) = delete;  // faults point at shape
+
+  bool step() const {
+    ReachComputation out;
+    ReachCapture out_cap;
+    ReachDelta delta;
+    return compute_reachability_incremental(shape, after, orders, delta_nodes,
+                                            delta_links, reach, cap, &out,
+                                            &out_cap, &delta);
+  }
+};
+
+void BM_ReachIncrementalNode(benchmark::State& state) {
+  const ReachDeltaCase c(/*link=*/false);
+  for (auto _ : state) benchmark::DoNotOptimize(c.step());
+}
+BENCHMARK(BM_ReachIncrementalNode)->Unit(benchmark::kMicrosecond);
+
+void BM_ReachIncrementalLink(benchmark::State& state) {
+  const ReachDeltaCase c(/*link=*/true);
+  for (auto _ : state) benchmark::DoNotOptimize(c.step());
+}
+BENCHMARK(BM_ReachIncrementalLink)->Unit(benchmark::kMicrosecond);
 
 void BM_BipartiteWvc(benchmark::State& state) {
   const int side = (int)state.range(0);

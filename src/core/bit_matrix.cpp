@@ -68,12 +68,12 @@ Bits BitMatrix::column_all() const {
   return acc;
 }
 
-void BitMatrix::product(const BitMatrix& a, const BitMatrix& b, BitMatrix* out,
-                        bool accumulate) {
+void BitMatrix::product(const BitMatrix& a, const BitMatrix& b,
+                        BitMatrix* out) {
   assert(a.cols_ == b.rows_);
   if (out->rows_ != a.rows_ || out->cols_ != b.cols_) {
     *out = BitMatrix(a.rows_, b.cols_);
-  } else if (!accumulate) {
+  } else {
     std::fill(out->data_.begin(), out->data_.end(), 0);
   }
   if (a.rows_ == 0 || a.cols_ == 0 || b.cols_ == 0) return;
@@ -174,19 +174,13 @@ void BitMatrix::product(const BitMatrix& a, const BitMatrix& b, BitMatrix* out,
 
 BitMatrix BitMatrix::multiply(const BitMatrix& a, const BitMatrix& b) {
   BitMatrix out;
-  product(a, b, &out, /*accumulate=*/false);
+  product(a, b, &out);
   return out;
 }
 
 void BitMatrix::multiply_into(const BitMatrix& a, const BitMatrix& b,
                               BitMatrix* out) {
-  product(a, b, out, /*accumulate=*/false);
-}
-
-void BitMatrix::multiply_accumulate(const BitMatrix& a, const BitMatrix& b,
-                                    BitMatrix* out) {
-  assert(out->rows_ == a.rows_ && out->cols_ == b.cols_);
-  product(a, b, out, /*accumulate=*/true);
+  product(a, b, out);
 }
 
 void BitMatrix::multiply_rows_into(const BitMatrix& a, const BitMatrix& b,
@@ -216,28 +210,6 @@ void BitMatrix::multiply_rows_into(const BitMatrix& a, const BitMatrix& b,
       }
     }
   }
-}
-
-bool BitMatrix::row_equals_mapped(
-    std::int64_t i, const BitMatrix& other, std::int64_t oi,
-    const std::vector<std::int64_t>& old_col_of_new) const {
-  assert(static_cast<std::int64_t>(old_col_of_new.size()) == cols_);
-  std::int64_t mapped_old_ones = 0;
-  for (std::int64_t j = 0; j < cols_; ++j) {
-    const std::int64_t oj = old_col_of_new[static_cast<std::size_t>(j)];
-    const bool old_bit = oj >= 0 && other.get(oi, oj);
-    if (get(i, j) != old_bit) return false;
-    if (old_bit) ++mapped_old_ones;
-  }
-  // Every set old bit must be accounted for by the map, or the rows only
-  // looked equal because a dropped old column was never compared.
-  std::int64_t old_ones = 0;
-  const std::uint64_t* old_row =
-      &other.data_[static_cast<std::size_t>(oi * other.words_per_row_)];
-  for (std::int64_t wi = 0; wi < other.words_per_row_; ++wi) {
-    old_ones += std::popcount(old_row[wi]);
-  }
-  return old_ones == mapped_old_ones;
 }
 
 namespace {

@@ -9,10 +9,10 @@
 // 32-bit words; we use 64). For dense left factors the k loop is blocked
 // so a strip of right-operand rows stays cache-resident while every
 // output row in a band is updated; bands of output rows run on the
-// par::parallel_for pool. multiply_into / multiply_accumulate reuse the
-// caller's output storage, which lets the R1 I1 R2 ... chain in
-// reach_matrices.cpp ping-pong two buffers instead of allocating one
-// fresh matrix per product.
+// par::parallel_for pool. multiply_into reuses the caller's output
+// storage, which lets the R1 I1 R2 ... chain in reach_matrices.cpp
+// ping-pong two buffers instead of allocating one fresh matrix per
+// product.
 #pragma once
 
 #include <cstdint>
@@ -57,9 +57,6 @@ class BitMatrix {
   // (a.rows x b.cols) — the steady state of the product chain.
   static void multiply_into(const BitMatrix& a, const BitMatrix& b,
                             BitMatrix* out);
-  // out |= a * b. `out` must already be a.rows x b.cols.
-  static void multiply_accumulate(const BitMatrix& a, const BitMatrix& b,
-                                  BitMatrix* out);
 
   // Masked product for the incremental chain: recomputes out's row i only
   // where compute_row[i] != 0 (those rows are cleared first); all other
@@ -68,16 +65,6 @@ class BitMatrix {
   static void multiply_rows_into(const BitMatrix& a, const BitMatrix& b,
                                  const std::vector<std::uint8_t>& compute_row,
                                  BitMatrix* out);
-
-  // True iff row i equals row `oi` of `other` column-remapped through
-  // `old_col_of_new` (entry -1 = no old column): every new bit must map
-  // to a set old bit and every set old bit must be hit by the map. The
-  // strict both-ways check is what lets a product row be spliced — a row
-  // that merely matches on the mapped columns could still have dropped
-  // old bits.
-  bool row_equals_mapped(std::int64_t i, const BitMatrix& other,
-                         std::int64_t oi,
-                         const std::vector<std::int64_t>& old_col_of_new) const;
 
   // --- Word-level row-range primitives (the incremental splice paths
   // turn per-entry copies and compares into a handful of shifted word
@@ -108,8 +95,7 @@ class BitMatrix {
   friend bool operator==(const BitMatrix&, const BitMatrix&) = default;
 
  private:
-  static void product(const BitMatrix& a, const BitMatrix& b, BitMatrix* out,
-                      bool accumulate);
+  static void product(const BitMatrix& a, const BitMatrix& b, BitMatrix* out);
 
   std::uint64_t& word(std::int64_t i, std::int64_t j) {
     return data_[static_cast<std::size_t>(i * words_per_row_ + (j >> 6))];

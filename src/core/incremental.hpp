@@ -8,10 +8,13 @@
 //      recomputed only in the outer-level peel subtrees a new fault
 //      landed in; untouched subtrees are spliced from the previous
 //      partition. Bails when the damage merges regions.
-//   2. Reach-matrix block reuse (core/reach_matrices.*): an R_t entry is
-//      copied unless a delta fault lies in the bounding box of its
-//      representative pair; chain-product rows are spliced when their
-//      inputs are provably unchanged.
+//   2. Reach-matrix block reuse (core/reach_matrices.*): R_t rows and
+//      columns are copied from the previous matrices, then every entry
+//      whose dimension-ordered route runs through a delta fault (a node
+//      on it, or a link it traverses in a now-faulty direction) is
+//      cleared by exact bit masks; chain-product rows are spliced when
+//      their inputs are provably unchanged. No reachability oracle is
+//      kept or queried.
 //
 // The cover is then found by the same cold min-cut (internal::cover_phase)
 // the full solve runs. The result is bit-identical to solve_lambs on the
@@ -32,22 +35,20 @@
 #include "core/reach_matrices.hpp"
 #include "mesh/fault_set.hpp"
 #include "mesh/mesh.hpp"
-#include "reach/reach_oracle.hpp"
 
 namespace lamb {
 
 // Solver state retained on a SolveOutcome (LambOptions::keep_context).
-// Owns a snapshot of the fault set it was solved against plus the oracle
-// bound to it; on a successful incremental step both are MOVED into the
-// new outcome's context (updated in place with the delta) rather than
-// rebuilt, so the old context is consumed.
+// Owns a snapshot of the fault set it was solved against; on a successful
+// incremental step the snapshot is MOVED into the new outcome's context
+// (updated in place with the delta) rather than copied, so the old
+// context is consumed.
 struct SolveContext {
-  // Shared so the FaultSet/oracle pointers into it stay valid when the
-  // ownership of `faults`/`oracle` moves to the next epoch's context.
+  // Shared so the FaultSet's pointer into it stays valid when the
+  // ownership of `faults` moves to the next epoch's context.
   std::shared_ptr<const MeshShape> shape;
   MultiRoundOrder orders;  // the orders the outcome was certified with
-  std::unique_ptr<FaultSet> faults;     // cumulative set at solve time
-  std::unique_ptr<ReachOracle> oracle;  // bound to *faults
+  std::unique_ptr<FaultSet> faults;  // cumulative set at solve time
   internal::LambCapture capture;
 };
 

@@ -72,6 +72,21 @@ std::vector<DimOrder> distinct_orders(const MultiRoundOrder& orders,
   return distinct;
 }
 
+// Whether the flood backend should replace the matrix product chain:
+// true when the per-representative product work (~q^2/64 word operations
+// for q last-round DES cells) exceeds the per-representative flood work,
+// modelled as 2 k d N node visits. That flood cost models the per-node
+// line walker floods ran on before FloodOracle's word-parallel kernel; it
+// has not been re-derived for that kernel. For random faults at a few
+// percent on the paper's meshes this keeps the matrix path; for fault
+// counts comparable to N (the Section 9 gadgets) it picks flood.
+bool flood_backend_wins(const MeshShape& shape, int k, std::int64_t q) {
+  const double qd = static_cast<double>(q);
+  const double flood_cost = 2.0 * static_cast<double>(k) * shape.dim() *
+                            static_cast<double>(shape.size());
+  return qd * qd / 64.0 > flood_cost;
+}
+
 }  // namespace
 
 ReachComputation compute_reachability(const MeshShape& shape,
@@ -108,16 +123,9 @@ ReachComputation compute_reachability(const MeshShape& shape,
   watch.reset();
   obs::Span matrices_timer("solver.reach_matrices");
   if (backend == ReachBackend::kAuto) {
-    // Flood wins when the per-representative matrix-product work
-    // (~q^2/64 word operations) exceeds the per-representative flood
-    // work (~2 k d N node visits). For random faults at a few percent on
-    // the paper's meshes this picks the matrix path; for fault counts
-    // comparable to N (the Section 9 gadgets) it picks flood.
-    const double q = static_cast<double>(out.last_des().size());
-    const double flood_cost = 2.0 * static_cast<double>(orders.size()) *
-                              shape.dim() * static_cast<double>(shape.size());
-    backend = (q * q / 64.0 > flood_cost) ? ReachBackend::kFlood
-                                          : ReachBackend::kMatrix;
+    backend = flood_backend_wins(shape, k, out.last_des().size())
+                  ? ReachBackend::kFlood
+                  : ReachBackend::kMatrix;
   }
   if (backend == ReachBackend::kFlood) {
     const FloodOracle flood(shape, faults);
@@ -143,17 +151,20 @@ ReachComputation compute_reachability(const MeshShape& shape,
     return out;
   }
 
+  obs::Span blocks_timer("solver.reach.blocks");
   const ReachOracle oracle(shape, faults);
   std::vector<BitMatrix> r(distinct.size());
   for (std::size_t u = 0; u < distinct.size(); ++u) {
     r[u] = one_round_reach_matrix(oracle, out.ses[u], out.des[u], distinct[u]);
   }
+  blocks_timer.stop();
 
   // Product R1 I1 R2 ... I_{k-1} R_k. Intersection matrices are cached per
   // (prev_ordering, next_ordering) pair. acc and scratch ping-pong, so
   // after the shapes stabilize (round 2 onward with repeated orderings)
   // each product reuses the buffer freed by the one before it instead of
   // allocating.
+  obs::Span chain_timer("solver.reach.chain");
   BitMatrix acc = r[static_cast<std::size_t>(out.round_part[0])];
   BitMatrix scratch;
   std::vector<std::vector<BitMatrix>> icache(
@@ -189,15 +200,14 @@ ReachComputation compute_reachability(const MeshShape& shape,
 
 bool compute_reachability_incremental(
     const MeshShape& shape, const FaultSet& faults,
-    const MultiRoundOrder& orders, const ReachOracle& oracle,
-    const std::vector<Point>& delta_nodes,
+    const MultiRoundOrder& orders, const std::vector<Point>& delta_nodes,
     const std::vector<LinkFault>& delta_links, const ReachComputation& prev,
     const ReachCapture& prev_cap, ReachComputation* out, ReachCapture* out_cap,
     ReachDelta* delta) {
   if (orders.empty() || !prev_cap.valid) return false;
-  // The bounding-box dirty test below assumes routes stay inside the box
-  // of their endpoints; torus routes may wrap, so the incremental path
-  // only handles plain meshes.
+  // The route masks below assume a route moves monotonically from its
+  // source to its destination in every dimension; torus routes may wrap,
+  // so the incremental path only handles plain meshes.
   if (shape.wraps()) return false;
   const int k = static_cast<int>(orders.size());
 
@@ -244,33 +254,15 @@ bool compute_reachability_incremental(
 
   watch.reset();
   obs::Span matrices_timer("solver.reach_matrices");
-  {
-    // Same heuristic as kAuto: once the fault count grows into the flood
-    // backend's regime, hand back to the full computation.
-    const double q = static_cast<double>(res.last_des().size());
-    const double flood_cost = 2.0 * static_cast<double>(k) * shape.dim() *
-                              static_cast<double>(shape.size());
-    if (q * q / 64.0 > flood_cost) return false;
-  }
+  // Once the fault count grows into the flood backend's regime, hand back
+  // to the full computation.
+  if (flood_backend_wins(shape, k, res.last_des().size())) return false;
 
-  // Delta endpoints for the bounding-box dirty test. A dimension-ordered
-  // route from v to w never leaves box(v, w), so entry (i, j) can only
-  // change if a delta node lies in the box — or, for a link, both of its
-  // endpoints do (a traversed link has both endpoints on the route).
-  std::vector<std::pair<Point, Point>> dpts;
-  dpts.reserve(delta_nodes.size() + delta_links.size());
-  for (const Point& p : delta_nodes) dpts.emplace_back(p, p);
-  for (const LinkFault& lf : delta_links) {
-    Point b = lf.from;
-    b[lf.dim] += lf.dir == Dir::Pos ? 1 : -1;
-    dpts.emplace_back(lf.from, b);
-  }
-
+  obs::Span maps_timer("solver.reach.maps");
   // The old-of-new maps from partition repair are monotone, so they
   // decompose into a handful of identity-with-offset runs. Every splice
-  // and row comparison below works run-by-run at word granularity; the
-  // per-entry loops this replaces cost as much as the oracle calls they
-  // saved, which is why the incremental path used to break even.
+  // and row comparison below works run-by-run at word granularity rather
+  // than entry by entry.
   struct MapRuns {
     struct Run {
       std::int64_t dst;  // first new index of the run
@@ -339,13 +331,27 @@ bool compute_reachability_incremental(
   // parent's, and the delta masks below apply the new faults exactly.
   // Unlike the content maps these are not injective (several pieces may
   // share a parent), so they are value-reuse only, never splice or flag
-  // bookkeeping.
-  auto parent_of = [](const EquivPartition& old_part,
-                      const Point& rep) -> std::int64_t {
-    for (std::int64_t o = 0; o < old_part.size(); ++o) {
-      if (old_part.sets[static_cast<std::size_t>(o)].contains(rep)) return o;
+  // bookkeeping. Every new cell has a parent: its representative is good
+  // under the new faults, hence under the old ones, hence in an old cell.
+  // A cell without one means that invariant broke, and the caller's full
+  // computation is the safe answer.
+  auto parents = [](const EquivPartition& old_part,
+                    const EquivPartition& new_part,
+                    const std::vector<std::int64_t>& content_map,
+                    std::vector<std::int64_t>* out) {
+    out->assign(content_map.size(), -1);
+    for (std::size_t i = 0; i < content_map.size(); ++i) {
+      if (content_map[i] >= 0) continue;
+      const Point rep = new_part.rep(static_cast<std::int64_t>(i));
+      for (std::int64_t o = 0; o < old_part.size(); ++o) {
+        if (old_part.sets[static_cast<std::size_t>(o)].contains(rep)) {
+          (*out)[i] = o;
+          break;
+        }
+      }
+      if ((*out)[i] < 0) return false;
     }
-    return -1;
+    return true;
   };
   std::vector<MapRuns> ses_runs(nu);
   std::vector<MapRuns> cdes_runs(nu);
@@ -354,26 +360,30 @@ bool compute_reachability_incremental(
   for (std::size_t u = 0; u < nu; ++u) {
     upgrade_by_rep(prev.ses[u], res.ses[u], &cses_map[u]);
     upgrade_by_rep(prev.des[u], res.des[u], &cdes_map[u]);
+    if (!parents(prev.ses[u], res.ses[u], cses_map[u], &pses_map[u]) ||
+        !parents(prev.des[u], res.des[u], cdes_map[u], &pdes_map[u])) {
+      return false;
+    }
     ses_runs[u] = make_runs(ses_map[u], prev.ses[u].size());
     cdes_runs[u] = make_runs(cdes_map[u], prev.des[u].size());
-    pses_map[u].assign(cses_map[u].size(), -1);
-    pdes_map[u].assign(cdes_map[u].size(), -1);
-    for (std::size_t i = 0; i < cses_map[u].size(); ++i) {
-      if (cses_map[u][i] < 0) {
-        pses_map[u][i] =
-            parent_of(prev.ses[u], res.ses[u].rep(static_cast<std::int64_t>(i)));
-      }
-    }
-    for (std::size_t j = 0; j < cdes_map[u].size(); ++j) {
-      if (cdes_map[u][j] < 0) {
-        pdes_map[u][j] =
-            parent_of(prev.des[u], res.des[u].rep(static_cast<std::int64_t>(j)));
-      }
-    }
   }
+  maps_timer.stop();
 
+  // Delta endpoints for the route masks: one per new node fault, then two
+  // per new link fault (`from`, then its neighbour along the link).
+  std::vector<Point> ends;
+  ends.reserve(delta_nodes.size() + 2 * delta_links.size());
+  for (const Point& p : delta_nodes) ends.push_back(p);
+  for (const LinkFault& lf : delta_links) {
+    Point b = lf.from;
+    b[lf.dim] += static_cast<Coord>(dir_sign(lf.dir));
+    ends.push_back(lf.from);
+    ends.push_back(b);
+  }
+  const std::size_t num_node_ends = delta_nodes.size();
 
   // Layer 2: per-ordering R_u with entry-level reuse.
+  obs::Span blocks_timer("solver.reach.blocks");
   const int d = shape.dim();
   std::vector<BitMatrix> r(nu);
   std::vector<std::vector<std::uint8_t>> r_changed(nu);
@@ -386,9 +396,6 @@ bool compute_reachability_incremental(
     const std::vector<std::int64_t>& pdes = pdes_map[u];
     const std::int64_t p = ses.size();
     const std::int64_t q = des.size();
-    std::vector<Point> des_reps;
-    des_reps.reserve(static_cast<std::size_t>(q));
-    for (std::int64_t j = 0; j < q; ++j) des_reps.push_back(des.rep(j));
 
     // Per delta endpoint e and dimension dd: DES columns whose
     // representative has coord dd >= the endpoint's (ge), <= it (le), or
@@ -396,28 +403,24 @@ bool compute_reachability_incremental(
     // from v to rep_j" into a few word-wide ANDs per row below; only the
     // coordinates the delta actually touches get a mask, not full
     // per-coordinate tables.
-    const std::int64_t ne = 2 * static_cast<std::int64_t>(dpts.size());
+    const std::int64_t ne = static_cast<std::int64_t>(ends.size());
     std::vector<Bits> ge_ep(static_cast<std::size_t>(ne * d), Bits(q));
     std::vector<Bits> le_ep(static_cast<std::size_t>(ne * d), Bits(q));
     std::vector<Bits> eq_ep(static_cast<std::size_t>(ne * d), Bits(q));
-    for (std::int64_t e = 0; e < ne; ++e) {
-      const Point& x = (e & 1) == 0 ? dpts[static_cast<std::size_t>(e >> 1)].first
-                                    : dpts[static_cast<std::size_t>(e >> 1)].second;
-      for (int dd = 0; dd < d; ++dd) {
-        Bits& gmask = ge_ep[static_cast<std::size_t>(e * d + dd)];
-        Bits& lmask = le_ep[static_cast<std::size_t>(e * d + dd)];
-        Bits& emask = eq_ep[static_cast<std::size_t>(e * d + dd)];
-        for (std::int64_t j = 0; j < q; ++j) {
-          const Coord c = des_reps[static_cast<std::size_t>(j)][dd];
-          if (c >= x[dd]) gmask.set(j);
-          if (c <= x[dd]) lmask.set(j);
-          if (c == x[dd]) emask.set(j);
+    for (std::int64_t j = 0; j < q; ++j) {
+      const Point w = des.rep(j);
+      for (std::int64_t e = 0; e < ne; ++e) {
+        const Point& x = ends[static_cast<std::size_t>(e)];
+        for (int dd = 0; dd < d; ++dd) {
+          const std::size_t at = static_cast<std::size_t>(e * d + dd);
+          if (w[dd] >= x[dd]) ge_ep[at].set(j);
+          if (w[dd] <= x[dd]) le_ep[at].set(j);
+          if (w[dd] == x[dd]) eq_ep[at].set(j);
         }
       }
     }
     Bits all_cols(q);
     for (std::int64_t j = 0; j < q; ++j) all_cols.set(j);
-    const std::size_t num_node_dpts = delta_nodes.size();
 
     r[u] = BitMatrix(p, q);
     r_changed[u].assign(static_cast<std::size_t>(p), 0);
@@ -429,8 +432,7 @@ bool compute_reachability_incremental(
     par::parallel_for(0, p, 0, [&](std::int64_t i0, std::int64_t i1) {
       // Scratch masks live outside the row loop so the copy-assignments
       // below reuse their buffers instead of reallocating per row.
-      Bits node_dirty(q);
-      Bits link_dirty(q);
+      Bits dirty(q);
       Bits m(q);
       Bits m2(q);
       Bits pe(q);
@@ -440,19 +442,6 @@ bool compute_reachability_incremental(
         const std::int64_t oi =
             oic >= 0 ? oic : pses[static_cast<std::size_t>(i)];
         const Point v = ses.rep(i);
-        if (oi < 0) {
-          // No old counterpart and no parent (defensive; the old
-          // partition covers every then-good node): full oracle row.
-          for (std::int64_t j = 0; j < q; ++j) {
-            if (oracle.reach1(v, des_reps[static_cast<std::size_t>(j)],
-                              distinct[u])) {
-              ru.set(i, j);
-            }
-          }
-          r_changed[u][static_cast<std::size_t>(i)] = 1;
-          recomputed[static_cast<std::size_t>(i)] = q;
-          continue;
-        }
         // Columns j whose dimension-ordered route from v to rep_j passes
         // through endpoint x. The route corrects dimensions in `order`;
         // x sits on the segment at position t iff the already-corrected
@@ -460,7 +449,8 @@ bool compute_reachability_incremental(
         // not-yet-corrected ones match x on the source side (scalar
         // compares against v), and x's coordinate in the segment
         // dimension lies between v's and the destination's.
-        auto route_mask = [&](std::int64_t e, const Point& x, Bits* out) {
+        auto route_mask = [&](std::int64_t e, Bits* out) {
+          const Point& x = ends[static_cast<std::size_t>(e)];
           out->clear();
           int t_min = 0;
           for (int t = 0; t < d; ++t) {
@@ -484,21 +474,31 @@ bool compute_reachability_incremental(
             }
           }
         };
-        node_dirty.clear();
-        link_dirty.clear();
-        for (std::size_t dp = 0; dp < dpts.size(); ++dp) {
-          if (dp < num_node_dpts) {
-            route_mask(static_cast<std::int64_t>(2 * dp), dpts[dp].first, &m);
-            node_dirty |= m;
-          } else {
-            // Traversing the faulted link requires both of its endpoints
-            // on the route: the mask intersection is a sound superset.
-            route_mask(static_cast<std::int64_t>(2 * dp), dpts[dp].first, &m);
-            route_mask(static_cast<std::int64_t>(2 * dp + 1), dpts[dp].second,
-                       &m2);
-            m &= m2;
-            link_dirty |= m;
+        // The entries the delta flips are exactly the copied 1s whose
+        // route meets it: the route's point set is fault-independent, and
+        // a copied 0 stays 0 by monotonicity (the incremental path only
+        // adds faults). A route through both endpoints of a link runs
+        // along it, since every other coordinate is corrected once and
+        // cannot change between the two visits; it crosses in the
+        // direction that leads away from v's side. So a directed link
+        // fault only masks rows whose v lies on its `from` side.
+        dirty.clear();
+        for (std::size_t e = 0; e < num_node_ends; ++e) {
+          route_mask(static_cast<std::int64_t>(e), &m);
+          dirty |= m;
+        }
+        for (std::size_t l = 0; l < delta_links.size(); ++l) {
+          const LinkFault& lf = delta_links[l];
+          const Coord a = lf.from[lf.dim];
+          if (!lf.bidirectional &&
+              (lf.dir == Dir::Pos ? v[lf.dim] > a : v[lf.dim] < a)) {
+            continue;
           }
+          const std::size_t e = num_node_ends + 2 * l;
+          route_mask(static_cast<std::int64_t>(e), &m);
+          route_mask(static_cast<std::int64_t>(e + 1), &m2);
+          m &= m2;
+          dirty |= m;
         }
         // Clean mapped entries are copied run-by-run at word granularity;
         // the row itself may be a parent copy (oic < 0), which is the old
@@ -506,52 +506,22 @@ bool compute_reachability_incremental(
         for (const auto& run : druns.runs) {
           ru.copy_row_range(i, run.dst, old_r, oi, run.src, run.len);
         }
-        bool changed = oic < 0;
-        std::int64_t rec = 0;
         // Brand-new columns source their old value from the parent cell
-        // the same way; only a parentless column (defensive) asks the
-        // oracle.
+        // the same way.
+        std::int64_t rec = 0;
         druns.unmapped_new.for_each([&](std::int64_t j) {
-          const std::int64_t pj = pdes[static_cast<std::size_t>(j)];
-          if (pj >= 0) {
-            if (old_r.get(oi, pj)) ru.set(i, j);
-          } else if (oracle.reach1(v, des_reps[static_cast<std::size_t>(j)],
-                                   distinct[u])) {
-            ru.set(i, j);
-          }
+          if (old_r.get(oi, pdes[static_cast<std::size_t>(j)])) ru.set(i, j);
           ++rec;
         });
-        // Node deltas need no oracle at all: the route point set is
-        // fault-independent, so a copied 1 whose route passes through a
-        // newly faulted node flips to 0 deterministically, and a copied 0
-        // stays 0 by monotonicity (the incremental path only adds
-        // faults).
-        const std::int64_t cleared = ru.row_clear_masked(i, node_dirty);
-        if (cleared > 0) {
-          changed = true;
-          rec += cleared;
-        }
-        // Link deltas keep the oracle check on surviving 1s: the mask is
-        // a superset of actual traversals, and link direction matters.
-        if (link_dirty.any()) {
-          link_dirty.for_each([&](std::int64_t j) {
-            if (!ru.get(i, j)) return;
-            if (!oracle.reach1(v, des_reps[static_cast<std::size_t>(j)],
-                               distinct[u])) {
-              ru.reset(i, j);
-              changed = true;
-            }
-            ++rec;
-          });
-        }
+        const std::int64_t cleared = ru.row_clear_masked(i, dirty);
+        rec += cleared;
         // The copied runs match the old row by construction, so the only
         // remaining differences are bits in brand-new columns or old bits
         // in columns the map dropped; that keeps the flag exactly the
         // strict both-ways equality the chain splice relies on.
-        if (!changed) {
-          changed = ru.row_intersects(i, druns.unmapped_new) ||
-                    old_r.row_intersects(oi, druns.unmatched_old);
-        }
+        const bool changed = oic < 0 || cleared > 0 ||
+                             ru.row_intersects(i, druns.unmapped_new) ||
+                             old_r.row_intersects(oi, druns.unmatched_old);
         recomputed[static_cast<std::size_t>(i)] = rec;
         r_changed[u][static_cast<std::size_t>(i)] = changed ? 1 : 0;
       }
@@ -561,14 +531,16 @@ bool compute_reachability_incremental(
       delta->blocks_reused += q - recomputed[static_cast<std::size_t>(i)];
     }
   }
-
+  blocks_timer.stop();
 
   // Layer 2b: the product chain, splicing rows whose inputs are provably
-  // unchanged. A row splices when its left-factor row strictly equals the
-  // old one (row_equals_mapped) and touches no changed right-factor row;
-  // the copied row is the old product row remapped through the right
-  // factor's column map. Changed flags for the next step are derived by
-  // strict comparison of the recomputed rows, not conservatively.
+  // unchanged. A row splices when its left-factor row is flagged
+  // unchanged (strictly equal to the old one) and touches no changed
+  // right-factor row; the copied row is the old product row remapped
+  // through the right factor's column runs. Changed flags for the next
+  // step are derived by strict comparison of the recomputed rows
+  // (row_range_equals over the runs), not conservatively.
+  obs::Span chain_timer("solver.reach.chain");
   BitMatrix acc = r[static_cast<std::size_t>(res.round_part[0])];
   std::vector<std::uint8_t> acc_changed =
       r_changed[static_cast<std::size_t>(res.round_part[0])];

@@ -72,7 +72,8 @@ struct ReachDelta {
   std::int64_t partition_cells_recomputed = 0;
   // "Blocks" are the splice units of the matrix layer: R_t entries copied
   // from the previous run plus chain-product rows spliced wholesale,
-  // versus entries re-queried / rows re-multiplied.
+  // versus entries recomputed (brand-new columns, entries a delta fault
+  // flipped) and rows re-multiplied.
   std::int64_t blocks_reused = 0;
   std::int64_t blocks_recomputed = 0;
 };
@@ -91,19 +92,22 @@ ReachComputation compute_reachability(const MeshShape& shape,
 // Incremental Find-Reachability: recomputes `prev` (captured as
 // `prev_cap`) after `delta_nodes` / `delta_links` were added, producing
 // exactly what compute_reachability(shape, faults, orders, kMatrix)
-// would. `faults` is the new cumulative set and `oracle` must already be
-// bound to it. Partitions are repaired locally; an R_t entry is copied
-// whenever both its representatives survived the repair unchanged and no
-// delta fault lies in the bounding box of the pair (a dimension-ordered
-// route never leaves that box); chain-product rows are spliced when their
-// inputs are provably unchanged. Returns false — caller must fall back to
-// the full computation — when the partition repair bails, the orderings
-// do not match the capture, or the fault count has grown into the flood
-// backend's regime.
+// would. `faults` is the new cumulative set. Partitions are repaired
+// locally; R_t rows and columns are copied from the previous matrices
+// (a split cell's from the old cell containing its representative), and
+// the delta is applied with exact bit masks: an entry turns 0 iff its
+// dimension-ordered route holds a new faulty node, or both endpoints of a
+// new bidirectional link, or both endpoints of a new directed link with
+// the route's source on the link's `from` side. No reachability oracle
+// is queried. Chain-product rows are spliced when their inputs are
+// provably unchanged. Returns false — caller must fall back to the full
+// computation — when the partition repair bails, the orderings do not
+// match the capture, the mesh wraps, the fault count has grown into the
+// flood backend's regime, or a new cell has no old cell containing its
+// representative (an invariant break, never expected).
 bool compute_reachability_incremental(
     const MeshShape& shape, const FaultSet& faults,
-    const MultiRoundOrder& orders, const ReachOracle& oracle,
-    const std::vector<Point>& delta_nodes,
+    const MultiRoundOrder& orders, const std::vector<Point>& delta_nodes,
     const std::vector<LinkFault>& delta_links, const ReachComputation& prev,
     const ReachCapture& prev_cap, ReachComputation* out, ReachCapture* out_cap,
     ReachDelta* delta);

@@ -1,7 +1,7 @@
 // The incremental re-solve path (see core/incremental.hpp for the
 // contract). The previous context is CONSUMED by an attempt that gets as
-// far as folding the delta into it: its fault snapshot and oracle are
-// updated in place and either move into the new outcome's context or,
+// far as folding the delta into it: its fault snapshot is updated in
+// place and either move into the new outcome's context or,
 // when a later layer bails, are left behind with the capture invalidated
 // so a stale context can never be reused against newer matrices.
 #include "core/incremental.hpp"
@@ -38,18 +38,8 @@ std::shared_ptr<SolveContext> make_context(const MeshShape& shape,
   ctx->shape = std::make_shared<const MeshShape>(shape);
   ctx->orders = orders;
   ctx->capture = std::move(capture);
-  // Own copy of the fault set, bound to the shared shape: replaying the
-  // adds reproduces the same sorted node list and link order.
-  ctx->faults = std::make_unique<FaultSet>(*ctx->shape);
-  for (NodeId id : faults.node_faults()) ctx->faults->add_node(id);
-  for (const LinkFault& lf : faults.link_faults()) {
-    if (lf.bidirectional) {
-      ctx->faults->add_link(lf.from, lf.dim, lf.dir);
-    } else {
-      ctx->faults->add_directed_link(lf.from, lf.dim, lf.dir);
-    }
-  }
-  ctx->oracle = std::make_unique<ReachOracle>(*ctx->shape, *ctx->faults);
+  // Own copy of the fault set, bound to the shared shape.
+  ctx->faults = std::make_unique<FaultSet>(faults, *ctx->shape);
   return ctx;
 }
 
@@ -75,7 +65,7 @@ SolveOutcome solve_lambs_incremental(const MeshShape& shape,
   };
 
   if (prev.context == nullptr || !prev.context->capture.valid ||
-      prev.context->faults == nullptr || prev.context->oracle == nullptr) {
+      prev.context->faults == nullptr) {
     return fall_back(IncrementalFallback::kNoContext);
   }
   if (!prev.certified()) return fall_back(IncrementalFallback::kNotCertified);
@@ -101,44 +91,12 @@ SolveOutcome solve_lambs_incremental(const MeshShape& shape,
   st.delta_nodes = static_cast<std::int64_t>(delta_nodes.size());
   st.delta_links = static_cast<std::int64_t>(delta_links.size());
 
-  // Point of no return: fold the delta into the context's fault snapshot
-  // and oracle. The old context is consumed — mark its capture invalid so
-  // a retry can never pair the mutated snapshot with the old matrices.
+  // Point of no return: fold the delta into the context's fault
+  // snapshot. The old context is consumed — mark its capture invalid so a
+  // retry can never pair the mutated snapshot with the old matrices.
   ctx.capture.valid = false;
-  for (const Point& p : delta_nodes) {
-    ctx.faults->add_node(p);
-    ctx.oracle->apply_node_fault(p);
-  }
-  for (const LinkFault& lf : delta_links) {
-    // Directions that actually turn faulty now (another logical fault may
-    // already cover one of them) get the O(width) prefix update.
-    struct DirectedLink {
-      Point from;
-      Dir dir;
-    };
-    std::vector<DirectedLink> fresh;
-    auto consider = [&](const Point& from, Dir dir) {
-      if (!ctx.faults->link_faulty(from, lf.dim, dir)) {
-        fresh.push_back(DirectedLink{from, dir});
-      }
-    };
-    consider(lf.from, lf.dir);
-    if (lf.bidirectional) {
-      Point nb = lf.from;
-      const Coord w = shape.width(lf.dim);
-      nb[lf.dim] = static_cast<Coord>(
-          ((nb[lf.dim] + dir_sign(lf.dir)) % w + w) % w);
-      consider(nb, opposite(lf.dir));
-    }
-    if (lf.bidirectional) {
-      ctx.faults->add_link(lf.from, lf.dim, lf.dir);
-    } else {
-      ctx.faults->add_directed_link(lf.from, lf.dim, lf.dir);
-    }
-    for (const DirectedLink& dl : fresh) {
-      ctx.oracle->apply_directed_link_fault(dl.from, lf.dim, dl.dir);
-    }
-  }
+  for (const NodeId id : fdelta->nodes) ctx.faults->add_node(id);
+  for (const LinkFault& lf : delta_links) ctx.faults->add(lf);
 
   const std::vector<NodeId> predetermined =
       internal::checked_predetermined(faults, options);
@@ -154,7 +112,7 @@ SolveOutcome solve_lambs_incremental(const MeshShape& shape,
     deadline.check("setup");
     ReachComputation reach;
     if (!compute_reachability_incremental(
-            shape, faults, orders, *ctx.oracle, delta_nodes, delta_links,
+            shape, faults, orders, delta_nodes, delta_links,
             ctx.capture.reach, ctx.capture.rcap, &reach, &ncap.rcap,
             &rdelta)) {
       return fall_back(IncrementalFallback::kReachBailed);
@@ -196,7 +154,6 @@ SolveOutcome solve_lambs_incremental(const MeshShape& shape,
     nctx->shape = ctx.shape;
     nctx->orders = orders;
     nctx->faults = std::move(ctx.faults);
-    nctx->oracle = std::move(ctx.oracle);
     nctx->capture = std::move(ncap);
     outcome.context = std::move(nctx);
   }

@@ -287,11 +287,7 @@ bool decode(ByteReader& r, const MeshShape& shape, FaultSet* out) {
       return r.fail(LoadError::Code::kMalformed,
                     "link fault leaves the mesh");
     }
-    if (bidir) {
-      faults.add_link(from, dim, d);
-    } else {
-      faults.add_directed_link(from, dim, d);
-    }
+    faults.add(LinkFault{from, dim, d, bidir != 0});
   }
   *out = std::move(faults);
   return true;

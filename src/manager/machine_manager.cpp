@@ -347,13 +347,7 @@ void MachineManager::apply_state(const Checkpoint& snapshot) {
   // holds a pointer to the (now replaced) fault set contents.
   FaultSet faults(*shape_);
   for (NodeId id : snapshot.node_faults) faults.add_node(id);
-  for (const LinkFault& lf : snapshot.link_faults) {
-    if (lf.bidirectional) {
-      faults.add_link(lf.from, lf.dim, lf.dir);
-    } else {
-      faults.add_directed_link(lf.from, lf.dim, lf.dir);
-    }
-  }
+  for (const LinkFault& lf : snapshot.link_faults) faults.add(lf);
   faults_ = std::move(faults);
   lambs_ = snapshot.lambs;
   values_ = snapshot.values;

@@ -11,6 +11,14 @@ FaultSet::FaultSet(const MeshShape& shape) : shape_(&shape) {
   node_bad_.assign(static_cast<std::size_t>(shape.size()), 0);
 }
 
+FaultSet::FaultSet(const FaultSet& other, const MeshShape& shape)
+    : FaultSet(other) {
+  if (!(shape == other.shape())) {
+    throw std::invalid_argument("FaultSet: copy bound to a different shape");
+  }
+  shape_ = &shape;
+}
+
 void FaultSet::add_node(const Point& p) {
   assert(shape_->in_bounds(p));
   const NodeId id = shape_->index(p);
@@ -71,6 +79,14 @@ void FaultSet::add_directed_link(const Point& from, int dim, Dir dir) {
   if (it != bad_directed_links_.end() && *it == id) return;
   bad_directed_links_.insert(it, id);
   link_faults_.push_back(LinkFault{from, dim, dir, /*bidirectional=*/false});
+}
+
+void FaultSet::add(const LinkFault& lf) {
+  if (lf.bidirectional) {
+    add_link(lf.from, lf.dim, lf.dir);
+  } else {
+    add_directed_link(lf.from, lf.dim, lf.dir);
+  }
 }
 
 bool FaultSet::link_faulty(NodeId from, int dim, Dir dir) const {

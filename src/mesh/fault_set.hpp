@@ -32,6 +32,10 @@ struct LinkFault {
 class FaultSet {
  public:
   explicit FaultSet(const MeshShape& shape);
+  // Copy of `other` bound to `shape`, which must equal other.shape(): the
+  // same nodes and the same link records in the same order. Lets an owner
+  // keep a copy that outlives the shape `other` was built over.
+  FaultSet(const FaultSet& other, const MeshShape& shape);
 
   const MeshShape& shape() const { return *shape_; }
 
@@ -41,6 +45,8 @@ class FaultSet {
   void add_link(const Point& from, int dim, Dir dir);
   // Single-direction link failure (counts as one fault).
   void add_directed_link(const Point& from, int dim, Dir dir);
+  // Replays one link record: add_link or add_directed_link by its flag.
+  void add(const LinkFault& lf);
 
   bool node_faulty(NodeId id) const {
     return node_bad_[static_cast<std::size_t>(id)] != 0;

@@ -5,10 +5,11 @@
 namespace lamb {
 
 ReachOracle::ReachOracle(const MeshShape& shape, const FaultSet& faults)
-    : shape_(&shape), faults_(&faults) {
+    : shape_(&shape),
+      faults_(&faults),
+      have_link_faults_(faults.num_link_faults() > 0) {
   const int d = shape.dim();
   const NodeId n = shape.size();
-  have_link_faults_ = faults.num_link_faults() > 0;
 
   node_pfx_.resize(static_cast<std::size_t>(d));
   for (int j = 0; j < d; ++j) {
@@ -24,21 +25,16 @@ ReachOracle::ReachOracle(const MeshShape& shape, const FaultSet& faults)
           below + (faults.node_faulty(id) ? 1 : 0);
     }
   }
-  if (have_link_faults_) build_link_prefixes();
-}
-
-void ReachOracle::build_link_prefixes() {
-  const int d = shape_->dim();
-  const NodeId n = shape_->size();
-  pos_link_pfx_.assign(static_cast<std::size_t>(d), {});
-  neg_link_pfx_.assign(static_cast<std::size_t>(d), {});
+  if (!have_link_faults_) return;
+  pos_link_pfx_.resize(static_cast<std::size_t>(d));
+  neg_link_pfx_.resize(static_cast<std::size_t>(d));
   for (int j = 0; j < d; ++j) {
     auto& pl = pos_link_pfx_[static_cast<std::size_t>(j)];
     auto& nl = neg_link_pfx_[static_cast<std::size_t>(j)];
     pl.resize(static_cast<std::size_t>(n));
     nl.resize(static_cast<std::size_t>(n));
-    const NodeId st = shape_->stride(j);
-    const Coord w = shape_->width(j);
+    const NodeId st = shape.stride(j);
+    const Coord w = shape.width(j);
     for (NodeId id = 0; id < n; ++id) {
       const Coord x = static_cast<Coord>((id / st) % w);
       if (x == 0) {
@@ -47,59 +43,12 @@ void ReachOracle::build_link_prefixes() {
       } else {
         pl[static_cast<std::size_t>(id)] =
             pl[static_cast<std::size_t>(id - st)] +
-            (faults_->link_faulty(id - st, j, Dir::Pos) ? 1 : 0);
+            (faults.link_faulty(id - st, j, Dir::Pos) ? 1 : 0);
         nl[static_cast<std::size_t>(id)] =
             nl[static_cast<std::size_t>(id - st)] +
-            (faults_->link_faulty(id, j, Dir::Neg) ? 1 : 0);
+            (faults.link_faulty(id, j, Dir::Neg) ? 1 : 0);
       }
     }
-  }
-}
-
-void ReachOracle::apply_node_fault(const Point& p) {
-  assert(faults_->node_faulty(shape_->index(p)));
-  const NodeId id = shape_->index(p);
-  for (int j = 0; j < shape_->dim(); ++j) {
-    auto& np = node_pfx_[static_cast<std::size_t>(j)];
-    const NodeId st = shape_->stride(j);
-    const Coord w = shape_->width(j);
-    const NodeId line0 = id - static_cast<NodeId>(p[j]) * st;
-    for (Coord x = p[j]; x < w; ++x) {
-      np[static_cast<std::size_t>(line0 + x * st)] += 1;
-    }
-  }
-}
-
-void ReachOracle::apply_directed_link_fault(const Point& from, int dim,
-                                            Dir dir) {
-  if (!have_link_faults_) {
-    // First link fault ever: the full build (over the already-updated
-    // FaultSet) covers this one too.
-    have_link_faults_ = true;
-    build_link_prefixes();
-    return;
-  }
-  const NodeId st = shape_->stride(dim);
-  const Coord w = shape_->width(dim);
-  const Coord s = from[dim];
-  // Wrap links are excluded from the prefix arrays (checked directly
-  // against the FaultSet), so a wrap link fault needs no update.
-  if (dir == Dir::Pos) {
-    if (s == w - 1) return;  // wrap
-    // pl at coord x counts +link sources in [0, x-1].
-    auto& pl = pos_link_pfx_[static_cast<std::size_t>(dim)];
-    const NodeId line0 = shape_->index(from) - static_cast<NodeId>(s) * st;
-    for (Coord x = s + 1; x < w; ++x) {
-      pl[static_cast<std::size_t>(line0 + x * st)] += 1;
-    }
-    return;
-  }
-  if (s == 0) return;  // wrap
-  // nl at coord x counts -link sources in [1, x].
-  auto& nl = neg_link_pfx_[static_cast<std::size_t>(dim)];
-  const NodeId line0 = shape_->index(from) - static_cast<NodeId>(s) * st;
-  for (Coord x = s; x < w; ++x) {
-    nl[static_cast<std::size_t>(line0 + x * st)] += 1;
   }
 }
 

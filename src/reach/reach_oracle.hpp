@@ -7,6 +7,11 @@
 // This is the workhorse behind building the reachability matrices R_t of
 // Section 6.2, whose p*q entries dominate without it.
 //
+// Immutable once built, like FloodOracle: the prefix counts describe the
+// bound FaultSet as it was at construction, so a fault set that grows
+// needs a new oracle. (The incremental solver needs none: it applies new
+// faults to the previous matrices as exact route masks.)
+//
 // Torus routes travel the shorter way around (ties positive); a wrapping
 // segment decomposes into two straight pieces plus the wrap link.
 #pragma once
@@ -30,17 +35,7 @@ class ReachOracle {
   // Whether w is (F, pi)-reachable from v.
   bool reach1(const Point& v, const Point& w, const DimOrder& order) const;
 
-  // Incremental prefix-count maintenance for the incremental solver: the
-  // bound FaultSet has just gained the given fault (it must already
-  // contain it); updates the affected grid lines in O(d * width) instead
-  // of rebuilding in O(d * N). The directed-link variant must be called
-  // once per direction that actually turned faulty (a bidirectional
-  // report whose directions were both already bad needs no call).
-  void apply_node_fault(const Point& p);
-  void apply_directed_link_fault(const Point& from, int dim, Dir dir);
-
  private:
-  void build_link_prefixes();
   // Faulty nodes on the line through `line0` (node id with coordinate j
   // zeroed) with coordinate j in [lo, hi].
   std::int64_t faulty_nodes(NodeId line0, int j, Coord lo, Coord hi) const;
@@ -55,7 +50,7 @@ class ReachOracle {
 
   const MeshShape* shape_;
   const FaultSet* faults_;
-  bool have_link_faults_ = false;
+  bool have_link_faults_;
   // node_pfx_[j][id] = # faulty nodes with coord j in [0 .. coord_j(id)]
   // on id's line.
   std::vector<std::vector<std::int32_t>> node_pfx_;

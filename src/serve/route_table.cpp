@@ -6,29 +6,12 @@
 
 namespace lamb::serve {
 
-namespace {
-
-// A table snapshot owns its fault set (the manager's keeps mutating), so
-// the manager's records are replayed against the table's own shape.
-FaultSet copy_faults(const MeshShape& shape, const FaultSet& from) {
-  FaultSet faults(shape);
-  for (const NodeId id : from.node_faults()) faults.add_node(id);
-  for (const LinkFault& lf : from.link_faults()) {
-    if (lf.bidirectional) {
-      faults.add_link(lf.from, lf.dim, lf.dir);
-    } else {
-      faults.add_directed_link(lf.from, lf.dim, lf.dir);
-    }
-  }
-  return faults;
-}
-
-}  // namespace
-
 RouteTable::RouteTable(const manager::MachineManager& manager,
                        std::int64_t published_tick)
     : shape_(manager.shape()),
-      faults_(copy_faults(shape_, manager.faults())),
+      // A table snapshot owns its fault set (the manager's keeps
+      // mutating), bound to the table's own shape.
+      faults_(manager.faults(), shape_),
       orders_(manager.orders()),
       epoch_(manager.epoch()),
       certified_(!manager.history().empty() &&

@@ -10,8 +10,10 @@
 
 #include "core/incremental.hpp"
 #include "core/lamb.hpp"
+#include "core/reach_matrices.hpp"
 #include "manager/machine_manager.hpp"
 #include "mesh/fault_set.hpp"
+#include "reach/route.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "wormhole/route_cache.hpp"
@@ -43,8 +45,13 @@ NodeId random_good_node(const MeshShape& shape, const FaultSet& faults,
   }
 }
 
-// Adds one random not-yet-faulty bidirectional link fault.
-void add_random_link(const MeshShape& shape, FaultSet& faults, Rng& rng) {
+// Which link faults a storm mixes in with its node faults.
+enum class Links { kNone, kBidirectional, kDirected };
+
+// Adds one random link fault that blocks a not-yet-faulty direction:
+// bidirectional, or a single direction for Links::kDirected.
+void add_random_link(const MeshShape& shape, FaultSet& faults, Rng& rng,
+                     Links kind) {
   for (;;) {
     const Point from = shape.point(
         static_cast<NodeId>(rng.below(static_cast<std::uint64_t>(shape.size()))));
@@ -53,6 +60,11 @@ void add_random_link(const MeshShape& shape, FaultSet& faults, Rng& rng) {
     const Dir dir = rng.below(2) == 0 ? Dir::Pos : Dir::Neg;
     Point nb;
     if (!shape.neighbor(from, dim, dir, &nb)) continue;
+    if (kind == Links::kDirected) {
+      if (faults.link_faulty(from, dim, dir)) continue;
+      faults.add_directed_link(from, dim, dir);
+      return;
+    }
     if (faults.link_faulty(from, dim, dir) &&
         faults.link_faulty(nb, dim, opposite(dir))) {
       continue;
@@ -63,11 +75,12 @@ void add_random_link(const MeshShape& shape, FaultSet& faults, Rng& rng) {
 }
 
 // Runs a storm: `initial` node faults up front, then `epochs` epochs of
-// `per_epoch` new faults each, chaining solve_lambs_incremental and
-// checking it against a from-scratch solve every epoch. Returns how many
-// epochs the incremental path actually produced (vs fell back).
+// `per_epoch` new faults each (half of them links, unless kNone),
+// chaining solve_lambs_incremental and checking it against a from-scratch
+// solve every epoch. Returns how many epochs the incremental path
+// actually produced (vs fell back).
 int run_storm(const MeshShape& shape, std::uint64_t seed, int initial,
-              int epochs, int per_epoch, bool with_links) {
+              int epochs, int per_epoch, Links links) {
   Rng rng(seed);
   FaultSet faults(shape);
   for (int i = 0; i < initial; ++i) {
@@ -80,8 +93,8 @@ int run_storm(const MeshShape& shape, std::uint64_t seed, int initial,
   int used = 0;
   for (int e = 0; e < epochs; ++e) {
     for (int i = 0; i < per_epoch; ++i) {
-      if (with_links && rng.below(2) == 0) {
-        add_random_link(shape, faults, rng);
+      if (links != Links::kNone && rng.below(2) == 0) {
+        add_random_link(shape, faults, rng, links);
       } else {
         faults.add_node(random_good_node(shape, faults, rng));
       }
@@ -104,24 +117,126 @@ int run_storm(const MeshShape& shape, std::uint64_t seed, int initial,
 }
 
 TEST(Incremental, NodeStormMatchesFullSolve) {
-  const int used = run_storm(MeshShape::cube(2, 16), 901, 10, 8, 1, false);
+  const int used =
+      run_storm(MeshShape::cube(2, 16), 901, 10, 8, 1, Links::kNone);
   // The point of the suite is equivalence, but it is vacuous if the
   // incremental path never engages.
   EXPECT_GT(used, 0);
 }
 
 TEST(Incremental, LinkStormMatchesFullSolve) {
-  const int used = run_storm(MeshShape::cube(2, 14), 902, 8, 8, 1, true);
+  const int used = run_storm(MeshShape::cube(2, 14), 902, 8, 8, 1,
+                             Links::kBidirectional);
   EXPECT_GT(used, 0);
+}
+
+TEST(Incremental, DirectedLinkStormMatchesFullSolve) {
+  // Single-direction link faults take the incremental path too: the route
+  // masks keep only rows on the fault's `from` side.
+  const int epochs = 12;
+  const int used =
+      run_storm(MeshShape::cube(2, 14), 908, 8, epochs, 1, Links::kDirected);
+  EXPECT_GT(used, epochs / 2);
+}
+
+// Whether the pi-route from v to w steps from `from` straight to `to`.
+bool route_steps(const MeshShape& shape, const Point& v, const Point& w,
+                 const DimOrder& order, const Point& from, const Point& to) {
+  const std::vector<Point> nodes = route_nodes(shape, v, w, order);
+  for (std::size_t h = 0; h + 1 < nodes.size(); ++h) {
+    if (nodes[h] == from && nodes[h + 1] == to) return true;
+  }
+  return false;
+}
+
+// The link delta case by case: a directed fault a -> a+e0, crossed
+// forward by routes from rows with v[0] < a[0] and v[0] == a[0] and
+// backward (still open) by rows with v[0] > a[0]+1; plus a bidirectional
+// fault c <-> c+e1 whose c -> c+e1 direction was already dead. The
+// incremental matrices must equal a full capture of the new set.
+TEST(Incremental, ReachDeltaAppliesDirectedAndHalfDeadLinksExactly) {
+  const MeshShape shape = MeshShape::cube(2, 12);
+  const MultiRoundOrder orders = {DimOrder::ascending(2),
+                                  DimOrder::descending(2)};
+  Rng rng(909);
+  FaultSet before(shape);
+  for (int i = 0; i < 14; ++i) {
+    before.add_node(random_good_node(shape, before, rng));
+  }
+  const Point c{8, 2};
+  before.add_directed_link(c, 1, Dir::Pos);
+  const Point a{8, 1};
+  FaultSet after(before, shape);
+  after.add_directed_link(a, 0, Dir::Pos);
+  after.add_link(c, 1, Dir::Pos);
+
+  ReachCapture before_cap;
+  const ReachComputation before_reach = compute_reachability(
+      shape, before, orders, ReachBackend::kMatrix, &before_cap);
+  ReachCapture want_cap;
+  const ReachComputation want = compute_reachability(
+      shape, after, orders, ReachBackend::kMatrix, &want_cap);
+
+  // The fixture must reach every case, judged by route walks over the new
+  // partitions (independent of the masks under test).
+  const Point b{a[0] + 1, a[1]};
+  const Point c1{c[0], c[1] + 1};
+  int flips_below = 0;
+  int flips_at = 0;
+  int open_beyond = 0;
+  int half_dead_flips = 0;
+  for (std::size_t u = 0; u < orders.size(); ++u) {
+    const EquivPartition& ses = want.ses[u];
+    const EquivPartition& des = want.des[u];
+    for (std::int64_t i = 0; i < ses.size(); ++i) {
+      const Point v = ses.rep(i);
+      for (std::int64_t j = 0; j < des.size(); ++j) {
+        const Point w = des.rep(j);
+        const bool was_open = route_clear(shape, before, v, w, orders[u]);
+        if (was_open && route_steps(shape, v, w, orders[u], a, b)) {
+          if (v[0] < a[0]) ++flips_below;
+          if (v[0] == a[0]) ++flips_at;
+        }
+        if (v[0] > b[0] && want_cap.r[u].get(i, j) &&
+            route_steps(shape, v, w, orders[u], b, a)) {
+          ++open_beyond;
+        }
+        if (was_open && route_steps(shape, v, w, orders[u], c1, c)) {
+          ++half_dead_flips;
+        }
+      }
+    }
+  }
+  EXPECT_GT(flips_below, 0);
+  EXPECT_GT(flips_at, 0);
+  EXPECT_GT(open_beyond, 0);
+  EXPECT_GT(half_dead_flips, 0);
+
+  const std::optional<FaultDelta> delta = fault_delta(before, after);
+  ASSERT_TRUE(delta.has_value());
+  ASSERT_TRUE(delta->nodes.empty());
+  ASSERT_EQ(delta->links.size(), 2u);
+  ReachComputation got;
+  ReachCapture got_cap;
+  ReachDelta counts;
+  ASSERT_TRUE(compute_reachability_incremental(
+      shape, after, orders, {}, delta->links, before_reach, before_cap, &got,
+      &got_cap, &counts));
+  EXPECT_EQ(got.rk, want.rk);
+  EXPECT_EQ(got_cap.r, want_cap.r);
+  EXPECT_EQ(got_cap.inters, want_cap.inters);
+  EXPECT_EQ(got_cap.chain, want_cap.chain);
+  EXPECT_GT(counts.blocks_recomputed, 0);
 }
 
 TEST(Incremental, BurstStormMatchesFullSolve) {
   // Multi-fault epochs stress the bail-to-full region-merge logic.
-  run_storm(MeshShape::cube(2, 16), 903, 6, 5, 4, true);
+  run_storm(MeshShape::cube(2, 16), 903, 6, 5, 4, Links::kBidirectional);
 }
 
 TEST(Incremental, ThreeDimensionalStormMatchesFullSolve) {
-  const int used = run_storm(MeshShape::cube(3, 8), 904, 8, 6, 1, false);
+  const int used =
+      run_storm(MeshShape::cube(3, 8), 904, 8, 6, 1, Links::kNone);
   EXPECT_GT(used, 0);
 }
 
@@ -129,7 +244,8 @@ TEST(Incremental, EquivalentAtEveryPoolWidth) {
   for (const int threads : {1, 4, 16}) {
     SCOPED_TRACE(threads);
     par::set_threads(threads);
-    const int used = run_storm(MeshShape::cube(2, 16), 905, 10, 5, 1, false);
+    const int used =
+        run_storm(MeshShape::cube(2, 16), 905, 10, 5, 1, Links::kNone);
     EXPECT_GT(used, 0);
   }
   par::set_threads(0);

@@ -143,23 +143,6 @@ TEST(BitMatrix, MultiplyIntoReusesStorage) {
   EXPECT_EQ(out, naive_multiply(b, c));
 }
 
-TEST(BitMatrix, MultiplyAccumulateOrsIntoExistingBits) {
-  Rng rng(123);
-  const BitMatrix a = random_matrix(33, 65, 0.2, rng);
-  const BitMatrix b = random_matrix(65, 50, 0.2, rng);
-  BitMatrix out(33, 50);
-  out.set(0, 0);
-  out.set(32, 49);
-  BitMatrix::multiply_accumulate(a, b, &out);
-  const BitMatrix product = naive_multiply(a, b);
-  for (std::int64_t i = 0; i < 33; ++i) {
-    for (std::int64_t j = 0; j < 50; ++j) {
-      const bool preset = (i == 0 && j == 0) || (i == 32 && j == 49);
-      EXPECT_EQ(out.get(i, j), preset || product.get(i, j));
-    }
-  }
-}
-
 TEST(BitMatrix, MultiplyIdentityIsNoop) {
   BitMatrix a(5, 5), id(5, 5);
   Rng rng(3);

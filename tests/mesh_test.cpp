@@ -3,6 +3,7 @@
 // rectangular sets, and fault sets.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 #include <set>
 #include <stdexcept>
@@ -204,6 +205,26 @@ TEST(FaultSet, RejectsNonexistentLink) {
   EXPECT_THROW(f.add_link(Point{3, 0}, 0, Dir::Pos), std::invalid_argument);
   EXPECT_THROW(f.add_directed_link(Point{0, 0}, 1, Dir::Neg),
                std::invalid_argument);
+}
+
+TEST(FaultSet, RebindingCopyKeepsRecordsInOrder) {
+  auto m = std::make_unique<MeshShape>(MeshShape::mesh({4, 4}));
+  FaultSet f(*m);
+  f.add_node(Point{2, 2});
+  f.add_node(Point{0, 1});
+  f.add(LinkFault{Point{1, 1}, 1, Dir::Pos, /*bidirectional=*/false});
+  f.add(LinkFault{Point{2, 1}, 0, Dir::Neg, /*bidirectional=*/true});
+  const MeshShape own = *m;
+  const FaultSet copy(f, own);
+  m.reset();  // the copy must not point at the shape it was copied from
+  EXPECT_EQ(&copy.shape(), &own);
+  EXPECT_EQ(copy.node_faults(), f.node_faults());
+  EXPECT_EQ(copy.link_faults(), f.link_faults());
+  EXPECT_TRUE(copy.link_faulty(Point{1, 1}, 1, Dir::Pos));
+  EXPECT_FALSE(copy.link_faulty(Point{1, 2}, 1, Dir::Neg));
+  EXPECT_TRUE(copy.link_faulty(Point{1, 1}, 0, Dir::Pos));
+  const MeshShape other = MeshShape::mesh({4, 5});
+  EXPECT_THROW({ const FaultSet bad(copy, other); }, std::invalid_argument);
 }
 
 TEST(FaultSet, TorusWrapLinkExists) {
