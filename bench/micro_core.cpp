@@ -2,8 +2,9 @@
 // whose costs Section 6 analyzes: Find-SES-Partition (O(d^3 f)), the
 // prefix-sum reachability oracle (construction O(dN), queries O(d)) vs
 // the O(dn) route walk, the word-parallel floods of FloodOracle, the
-// word-parallel Boolean matrix product, one incremental Find-Reachability
-// step, Dinic on the WVC network, and the full Lamb1 pipeline scaling in f.
+// saturating Boolean matrix product and the R-chain built on it, one
+// incremental Find-Reachability step, Dinic on the WVC network, and the
+// full Lamb1 pipeline scaling in f.
 #include <benchmark/benchmark.h>
 
 #include "core/bit_matrix.hpp"
@@ -158,6 +159,9 @@ void BM_FloodReachK2(benchmark::State& state) {
 }
 BENCHMARK(BM_FloodReachK2)->Arg(0)->Arg(1);
 
+// Dense random square factors at the paper's R density: each output row
+// has ~0.17 m set bits to visit but fills after a few dozen ORs, where the
+// saturating kernel stops it.
 void BM_BitMatrixMultiply(benchmark::State& state) {
   const std::int64_t m = state.range(0);
   Rng rng(6);
@@ -177,7 +181,8 @@ BENCHMARK(BM_BitMatrixMultiply)->Range(256, 2048)->Complexity(benchmark::oNCubed
 
 void BM_SparseLeftMultiply(benchmark::State& state) {
   // Sparse left factor (the intersection matrix I, density ~0.01): the
-  // set-bit-iterating kernel gets proportionally faster.
+  // set-bit loop visits proportionally fewer b-rows; at the lowest
+  // densities no output row fills, so nothing stops early.
   const std::int64_t m = 1024;
   Rng rng(7);
   BitMatrix a(m, m), b(m, m);
@@ -193,6 +198,30 @@ void BM_SparseLeftMultiply(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SparseLeftMultiply)->Arg(10)->Arg(100)->Arg(500);
+
+// The R-chain alone (reach_chain, right to left) on the factors R_t and
+// I_t captured from one full matrix-backend run at k = 2: Arg 0 is M_3(16)
+// with 4% node faults (the pipebench geometry), Arg 1 M_2(181) with 1.5%
+// and Arg 2 M_3(32) with 2%.
+void BM_ReachChain(benchmark::State& state) {
+  struct Case {
+    int dim;
+    Coord width;
+    std::int64_t faults;
+  };
+  constexpr Case kCases[] = {{3, 16, 164}, {2, 181, 491}, {3, 32, 655}};
+  const Case& c = kCases[state.range(0)];
+  const MeshShape shape = MeshShape::cube(c.dim, c.width);
+  const FaultSet faults = make_faults(shape, c.faults, 13);
+  ReachCapture cap;
+  const ReachComputation reach =
+      compute_reachability(shape, faults, ascending_rounds(c.dim, 2),
+                           ReachBackend::kMatrix, &cap);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(reach_chain(cap.r, cap.inters, reach.round_part));
+  }
+}
+BENCHMARK(BM_ReachChain)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
 
 // The solver's reach layer on one incremental reconfigure: M_3(16) with
 // 4% node faults and k = 2, captured once, then one new node fault or one

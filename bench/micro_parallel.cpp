@@ -1,5 +1,5 @@
 // Serial-vs-parallel microbenchmark for the support/parallel.hpp layer:
-//   1. the cache-blocked BitMatrix::multiply kernel (dense and sparse
+//   1. the saturating BitMatrix::multiply kernel (dense and sparse
 //      left factors), reported as wall time and effective GB/s, and
 //   2. a figure-level percent sweep on M_2(32) (the Figure 17 workload),
 //      the trial-level tier that dominates real reproduction runs.
@@ -46,7 +46,9 @@ BitMatrix random_matrix(std::int64_t rows, std::int64_t cols, double density,
 
 // Times `reps` products a*b. The bytes-moved model charges one read of a
 // b-row (out_words words) per set bit of a, plus one write of the output:
-// the word traffic of the inner OR loop.
+// the word traffic of the inner OR loop if no row stopped early. The
+// kernel stops a row once it fills, so on dense factors this is an upper
+// bound and the GB/s figure overstates the traffic actually moved.
 Result time_multiply(const char* workload, const BitMatrix& a,
                      const BitMatrix& b, int reps, int threads) {
   par::set_threads(threads);

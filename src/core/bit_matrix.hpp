@@ -1,18 +1,17 @@
-// Dense Boolean matrices over 64-bit words with a sparsity-adaptive,
-// cache-blocked product, implementing the matrix machinery of paper
-// Sections 5 and 6.2: R^(k) = R1 I1 R2 I2 ... R_k.
+// Dense Boolean matrices over 64-bit words with a saturating set-bit
+// product, implementing the matrix machinery of paper Sections 5 and 6.2:
+// R^(k) = R1 I1 R2 I2 ... R_k.
 //
-// The product kernel iterates the set bits of the left operand's rows and
-// ORs whole rows of the right operand, so a sparse left factor (the paper
-// measured intersection-matrix density ~0.01) costs proportionally less
-// while dense factors still run at full word parallelism (the paper used
-// 32-bit words; we use 64). For dense left factors the k loop is blocked
-// so a strip of right-operand rows stays cache-resident while every
-// output row in a band is updated; bands of output rows run on the
+// The product kernel iterates the set bits of each left-operand row and
+// ORs whole rows of the right operand into the output row (the paper used
+// 32-bit words; we use 64), stopping the row as soon as every logical
+// column is set. A sparse left factor (the intersection matrices, density
+// ~0.03) costs proportionally less, and a dense one costs only the few
+// ORs its output rows take to fill, which is why reach_matrices.cpp
+// evaluates the chain right to left. Bands of output rows run on the
 // par::parallel_for pool. multiply_into reuses the caller's output
-// storage, which lets the R1 I1 R2 ... chain in reach_matrices.cpp
-// ping-pong two buffers instead of allocating one fresh matrix per
-// product.
+// storage, which lets the chain ping-pong two buffers instead of
+// allocating one fresh matrix per product.
 #pragma once
 
 #include <cstdint>
@@ -58,35 +57,15 @@ class BitMatrix {
   static void multiply_into(const BitMatrix& a, const BitMatrix& b,
                             BitMatrix* out);
 
-  // Masked product for the incremental chain: recomputes out's row i only
-  // where compute_row[i] != 0 (those rows are cleared first); all other
-  // rows of `out` are left exactly as the caller filled them. `out` must
-  // already be a.rows x b.cols and compute_row must have a.rows entries.
-  static void multiply_rows_into(const BitMatrix& a, const BitMatrix& b,
-                                 const std::vector<std::uint8_t>& compute_row,
-                                 BitMatrix* out);
-
-  // --- Word-level row-range primitives (the incremental splice paths
-  // turn per-entry copies and compares into a handful of shifted word
-  // operations per run of consecutively mapped columns) ---
+  // --- Word-level row primitives (the incremental R_t reuse turns
+  // per-entry copies into a handful of shifted word operations per run of
+  // consecutively mapped columns) ---
 
   // Copies `len` bits of src row `oi` starting at column `src_start` into
   // row `i` starting at column `dst_start` (other row-i bits untouched).
   void copy_row_range(std::int64_t i, std::int64_t dst_start,
                       const BitMatrix& src, std::int64_t oi,
                       std::int64_t src_start, std::int64_t len);
-
-  // True iff bits [start, start+len) of row i equal bits
-  // [ostart, ostart+len) of row `oi` of `other`.
-  bool row_range_equals(std::int64_t i, std::int64_t start,
-                        const BitMatrix& other, std::int64_t oi,
-                        std::int64_t ostart, std::int64_t len) const;
-
-  // Popcount of (row i AND mask); mask.size() must equal cols().
-  std::int64_t row_and_count(std::int64_t i, const Bits& mask) const;
-
-  // True iff (row i AND mask) has any set bit.
-  bool row_intersects(std::int64_t i, const Bits& mask) const;
 
   // Clears every bit of row i that is set in mask; returns how many bits
   // were actually cleared.

@@ -12,9 +12,11 @@
 //      columns are copied from the previous matrices, then every entry
 //      whose dimension-ordered route runs through a delta fault (a node
 //      on it, or a link it traverses in a now-faulty direction) is
-//      cleared by exact bit masks; chain-product rows are spliced when
-//      their inputs are provably unchanged. No reachability oracle is
-//      kept or queried.
+//      cleared by exact bit masks; intersection matrices splice their
+//      mapped entries. No reachability oracle is kept or queried. The
+//      R-chain itself is recomputed in full (core/reach_matrices.hpp,
+//      reach_chain), which the saturating product makes cheaper than
+//      splicing its rows.
 //
 // The cover is then found by the same cold min-cut (internal::cover_phase)
 // the full solve runs. The result is bit-identical to solve_lambs on the

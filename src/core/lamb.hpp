@@ -66,7 +66,8 @@ struct LambOptions {
   double budget_seconds = 0.0;
   // solve_lambs only: retain the solver's intermediates on the returned
   // SolveOutcome so a later solve_lambs_incremental (core/incremental.hpp)
-  // can reuse them. Costs memory proportional to the matrix chain.
+  // can reuse them. Costs memory proportional to the chain's factors
+  // (the R_t and I_t matrices).
   bool keep_context = false;
 
   MultiRoundOrder resolved_orders(int dim) const {

@@ -75,11 +75,14 @@ std::vector<DimOrder> distinct_orders(const MultiRoundOrder& orders,
 // Whether the flood backend should replace the matrix product chain:
 // true when the per-representative product work (~q^2/64 word operations
 // for q last-round DES cells) exceeds the per-representative flood work,
-// modelled as 2 k d N node visits. That flood cost models the per-node
-// line walker floods ran on before FloodOracle's word-parallel kernel; it
-// has not been re-derived for that kernel. For random faults at a few
-// percent on the paper's meshes this keeps the matrix path; for fault
-// counts comparable to N (the Section 9 gadgets) it picks flood.
+// modelled as 2 k d N node visits. Both sides are stale models: the flood
+// cost is that of the per-node line walker floods ran on before
+// FloodOracle's word-parallel kernel, and the q^2/64 product cost is that
+// of the full-width row ORs before the right-to-left chain and the
+// saturating kernel, whose dense products stop a row once it fills.
+// Neither has been re-derived. For random faults at a few percent on the
+// paper's meshes this keeps the matrix path; for fault counts comparable
+// to N (the Section 9 gadgets) it picks flood.
 bool flood_backend_wins(const MeshShape& shape, int k, std::int64_t q) {
   const double qd = static_cast<double>(q);
   const double flood_cost = 2.0 * static_cast<double>(k) * shape.dim() *
@@ -88,6 +91,32 @@ bool flood_backend_wins(const MeshShape& shape, int k, std::int64_t q) {
 }
 
 }  // namespace
+
+BitMatrix reach_chain(const std::vector<BitMatrix>& r,
+                      const std::vector<BitMatrix>& inters,
+                      const std::vector<int>& round_part) {
+  const std::size_t k = round_part.size();
+  assert(k >= 1 && inters.size() == k - 1);
+  auto round = [&](std::size_t t) -> const BitMatrix& {
+    return r[static_cast<std::size_t>(round_part[t])];
+  };
+  if (k == 1) return round(0);
+  // T = R_k, then T = I_t T and T = R_t T for t = k-1 down to 1. I_t is
+  // sparse, and the rows of I_t T are near full, so R_t's dense rows stop
+  // after a few ORs in the saturating kernel. acc and scratch ping-pong,
+  // so each product reuses the buffer freed by the one before it.
+  BitMatrix acc;
+  BitMatrix scratch;
+  const BitMatrix* right = &round(k - 1);
+  for (std::size_t t = k - 1; t-- > 0;) {
+    BitMatrix::multiply_into(inters[t], *right, &scratch);
+    std::swap(acc, scratch);
+    BitMatrix::multiply_into(round(t), acc, &scratch);
+    std::swap(acc, scratch);
+    right = &acc;
+  }
+  return acc;
+}
 
 ReachComputation compute_reachability(const MeshShape& shape,
                                       const FaultSet& faults,
@@ -159,41 +188,31 @@ ReachComputation compute_reachability(const MeshShape& shape,
   }
   blocks_timer.stop();
 
-  // Product R1 I1 R2 ... I_{k-1} R_k. Intersection matrices are cached per
-  // (prev_ordering, next_ordering) pair. acc and scratch ping-pong, so
-  // after the shapes stabilize (round 2 onward with repeated orderings)
-  // each product reuses the buffer freed by the one before it instead of
-  // allocating.
+  // Intersection matrices depend only on the (previous, next) ordering
+  // pair, so a repeated pair copies the step that first built it.
   obs::Span chain_timer("solver.reach.chain");
-  BitMatrix acc = r[static_cast<std::size_t>(out.round_part[0])];
-  BitMatrix scratch;
-  std::vector<std::vector<BitMatrix>> icache(
-      distinct.size(), std::vector<BitMatrix>(distinct.size()));
+  const std::size_t nu = distinct.size();
+  std::vector<int> first_step(nu * nu, -1);
+  std::vector<BitMatrix> inters;
   for (int t = 1; t < k; ++t) {
-    const int prev = out.round_part[static_cast<std::size_t>(t - 1)];
-    const int next = out.round_part[static_cast<std::size_t>(t)];
-    BitMatrix& inter = icache[static_cast<std::size_t>(prev)]
-                             [static_cast<std::size_t>(next)];
-    if (inter.rows() == 0) {
-      inter = intersection_matrix(out.des[static_cast<std::size_t>(prev)],
-                                  out.ses[static_cast<std::size_t>(next)]);
-    }
-    BitMatrix::multiply_into(acc, inter, &scratch);
-    std::swap(acc, scratch);
-    if (capture != nullptr) {
-      capture->inters.push_back(inter);
-      capture->chain.push_back(acc);
-    }
-    BitMatrix::multiply_into(acc, r[static_cast<std::size_t>(next)], &scratch);
-    std::swap(acc, scratch);
-    if (capture != nullptr) capture->chain.push_back(acc);
+    const std::size_t prev =
+        static_cast<std::size_t>(out.round_part[static_cast<std::size_t>(t - 1)]);
+    const std::size_t next =
+        static_cast<std::size_t>(out.round_part[static_cast<std::size_t>(t)]);
+    int& first = first_step[prev * nu + next];
+    BitMatrix inter = first >= 0
+                          ? inters[static_cast<std::size_t>(first)]
+                          : intersection_matrix(out.des[prev], out.ses[next]);
+    if (first < 0) first = t - 1;
+    inters.push_back(std::move(inter));
   }
+  out.rk = reach_chain(r, inters, out.round_part);
   if (capture != nullptr) {
     capture->distinct = distinct;
-    capture->r = r;
+    capture->r = std::move(r);
+    capture->inters = std::move(inters);
     capture->valid = true;
   }
-  out.rk = std::move(acc);
   out.seconds_matrices = watch.seconds();
   return out;
 }
@@ -261,8 +280,8 @@ bool compute_reachability_incremental(
   obs::Span maps_timer("solver.reach.maps");
   // The old-of-new maps from partition repair are monotone, so they
   // decompose into a handful of identity-with-offset runs. Every splice
-  // and row comparison below works run-by-run at word granularity rather
-  // than entry by entry.
+  // below copies run-by-run at word granularity rather than entry by
+  // entry.
   struct MapRuns {
     struct Run {
       std::int64_t dst;  // first new index of the run
@@ -270,23 +289,18 @@ bool compute_reachability_incremental(
       std::int64_t len;
     };
     std::vector<Run> runs;
-    Bits unmapped_new;   // new indices with no old counterpart
-    Bits unmatched_old;  // old indices the map dropped
+    Bits unmapped_new;  // new indices with no old counterpart
   };
-  auto make_runs = [](const std::vector<std::int64_t>& old_of_new,
-                      std::int64_t old_size) {
+  auto make_runs = [](const std::vector<std::int64_t>& old_of_new) {
     MapRuns mr;
     const std::int64_t n = static_cast<std::int64_t>(old_of_new.size());
     mr.unmapped_new = Bits(n);
-    mr.unmatched_old = Bits(old_size);
-    for (std::int64_t o = 0; o < old_size; ++o) mr.unmatched_old.set(o);
     for (std::int64_t j = 0; j < n; ++j) {
       const std::int64_t o = old_of_new[static_cast<std::size_t>(j)];
       if (o < 0) {
         mr.unmapped_new.set(j);
         continue;
       }
-      mr.unmatched_old.reset(o);
       if (!mr.runs.empty() && mr.runs.back().dst + mr.runs.back().len == j &&
           mr.runs.back().src + mr.runs.back().len == o) {
         ++mr.runs.back().len;
@@ -330,9 +344,9 @@ bool compute_reachability_incremental(
   // piece that kept neither corner) sources its row or column from the
   // parent's, and the delta masks below apply the new faults exactly.
   // Unlike the content maps these are not injective (several pieces may
-  // share a parent), so they are value-reuse only, never splice or flag
-  // bookkeeping. Every new cell has a parent: its representative is good
-  // under the new faults, hence under the old ones, hence in an old cell.
+  // share a parent), so they are value-reuse only, never run splices.
+  // Every new cell has a parent: its representative is good under the
+  // new faults, hence under the old ones, hence in an old cell.
   // A cell without one means that invariant broke, and the caller's full
   // computation is the safe answer.
   auto parents = [](const EquivPartition& old_part,
@@ -364,8 +378,8 @@ bool compute_reachability_incremental(
         !parents(prev.des[u], res.des[u], cdes_map[u], &pdes_map[u])) {
       return false;
     }
-    ses_runs[u] = make_runs(ses_map[u], prev.ses[u].size());
-    cdes_runs[u] = make_runs(cdes_map[u], prev.des[u].size());
+    ses_runs[u] = make_runs(ses_map[u]);
+    cdes_runs[u] = make_runs(cdes_map[u]);
   }
   maps_timer.stop();
 
@@ -386,7 +400,6 @@ bool compute_reachability_incremental(
   obs::Span blocks_timer("solver.reach.blocks");
   const int d = shape.dim();
   std::vector<BitMatrix> r(nu);
-  std::vector<std::vector<std::uint8_t>> r_changed(nu);
   for (std::size_t u = 0; u < nu; ++u) {
     const EquivPartition& ses = res.ses[u];
     const EquivPartition& des = res.des[u];
@@ -423,7 +436,6 @@ bool compute_reachability_incremental(
     for (std::int64_t j = 0; j < q; ++j) all_cols.set(j);
 
     r[u] = BitMatrix(p, q);
-    r_changed[u].assign(static_cast<std::size_t>(p), 0);
     std::vector<std::int64_t> recomputed(static_cast<std::size_t>(p), 0);
     const MapRuns& druns = cdes_runs[u];
     BitMatrix& ru = r[u];
@@ -513,17 +525,8 @@ bool compute_reachability_incremental(
           if (old_r.get(oi, pdes[static_cast<std::size_t>(j)])) ru.set(i, j);
           ++rec;
         });
-        const std::int64_t cleared = ru.row_clear_masked(i, dirty);
-        rec += cleared;
-        // The copied runs match the old row by construction, so the only
-        // remaining differences are bits in brand-new columns or old bits
-        // in columns the map dropped; that keeps the flag exactly the
-        // strict both-ways equality the chain splice relies on.
-        const bool changed = oic < 0 || cleared > 0 ||
-                             ru.row_intersects(i, druns.unmapped_new) ||
-                             old_r.row_intersects(oi, druns.unmatched_old);
+        rec += ru.row_clear_masked(i, dirty);
         recomputed[static_cast<std::size_t>(i)] = rec;
-        r_changed[u][static_cast<std::size_t>(i)] = changed ? 1 : 0;
       }
     });
     for (std::int64_t i = 0; i < p; ++i) {
@@ -533,91 +536,9 @@ bool compute_reachability_incremental(
   }
   blocks_timer.stop();
 
-  // Layer 2b: the product chain, splicing rows whose inputs are provably
-  // unchanged. A row splices when its left-factor row is flagged
-  // unchanged (strictly equal to the old one) and touches no changed
-  // right-factor row; the copied row is the old product row remapped
-  // through the right factor's column runs. Changed flags for the next
-  // step are derived by strict comparison of the recomputed rows
-  // (row_range_equals over the runs), not conservatively.
+  // Layer 2b: intersection matrices spliced from the previous run, then
+  // the chain recomputed in full by the shared right-to-left helper.
   obs::Span chain_timer("solver.reach.chain");
-  BitMatrix acc = r[static_cast<std::size_t>(res.round_part[0])];
-  std::vector<std::uint8_t> acc_changed =
-      r_changed[static_cast<std::size_t>(res.round_part[0])];
-  const std::vector<std::int64_t>& acc_row_map =
-      cses_map[static_cast<std::size_t>(res.round_part[0])];
-  std::size_t chain_idx = 0;
-
-  auto chain_step = [&](const BitMatrix& b,
-                        const std::vector<std::uint8_t>& b_row_changed,
-                        const MapRuns& bruns) {
-    // For narrow right factors the word-parallel product outruns the
-    // per-row splice bookkeeping (several scattered loads per row versus
-    // a couple of OR words), so small steps just multiply. The bits are
-    // identical either way; only the reuse accounting differs. The
-    // all-ones flags stay sound for later steps: a 1 only forces a
-    // recompute.
-    constexpr std::int64_t kSpliceMinWords = 4;
-    if ((b.cols() + 63) / 64 < kSpliceMinWords) {
-      BitMatrix prod;
-      BitMatrix::multiply_into(acc, b, &prod);
-      acc = std::move(prod);
-      acc_changed.assign(static_cast<std::size_t>(acc.rows()), 1);
-      delta->blocks_recomputed += acc.rows();
-      cap.chain.push_back(acc);
-      ++chain_idx;
-      return;
-    }
-    const BitMatrix& prev_out = prev_cap.chain[chain_idx];
-    BitMatrix nout(acc.rows(), b.cols());
-    std::vector<std::uint8_t> compute(static_cast<std::size_t>(acc.rows()), 0);
-    std::vector<std::uint8_t> nchanged(static_cast<std::size_t>(acc.rows()), 0);
-    Bits changed_rows(b.rows());
-    for (std::int64_t rr = 0; rr < b.rows(); ++rr) {
-      if (b_row_changed[static_cast<std::size_t>(rr)] != 0) {
-        changed_rows.set(rr);
-      }
-    }
-    for (std::int64_t i = 0; i < acc.rows(); ++i) {
-      const std::int64_t old_i = acc_row_map[static_cast<std::size_t>(i)];
-      if (acc_changed[static_cast<std::size_t>(i)] != 0 || old_i < 0 ||
-          acc.row_intersects(i, changed_rows)) {
-        compute[static_cast<std::size_t>(i)] = 1;
-        continue;
-      }
-      for (const auto& run : bruns.runs) {
-        nout.copy_row_range(i, run.dst, prev_out, old_i, run.src, run.len);
-      }
-      // The spliced content is exact, but the row still counts as changed
-      // if the old product row had bits in columns the map dropped — a
-      // later splice keyed on this flag would resurrect them.
-      nchanged[static_cast<std::size_t>(i)] =
-          prev_out.row_intersects(old_i, bruns.unmatched_old) ? 1 : 0;
-      delta->blocks_reused += 1;
-    }
-    BitMatrix::multiply_rows_into(acc, b, compute, &nout);
-    for (std::int64_t i = 0; i < acc.rows(); ++i) {
-      if (compute[static_cast<std::size_t>(i)] == 0) continue;
-      delta->blocks_recomputed += 1;
-      const std::int64_t old_i = acc_row_map[static_cast<std::size_t>(i)];
-      bool changed = old_i < 0;
-      for (const auto& run : bruns.runs) {
-        if (changed) break;
-        changed = !nout.row_range_equals(i, run.dst, prev_out, old_i,
-                                         run.src, run.len);
-      }
-      if (!changed) {
-        changed = nout.row_intersects(i, bruns.unmapped_new) ||
-                  prev_out.row_intersects(old_i, bruns.unmatched_old);
-      }
-      nchanged[static_cast<std::size_t>(i)] = changed ? 1 : 0;
-    }
-    acc = std::move(nout);
-    acc_changed = std::move(nchanged);
-    cap.chain.push_back(acc);
-    ++chain_idx;
-  };
-
   for (int t = 1; t < k; ++t) {
     const std::size_t pu =
         static_cast<std::size_t>(res.round_part[static_cast<std::size_t>(t - 1)]);
@@ -635,7 +556,6 @@ bool compute_reachability_incremental(
     std::vector<std::int64_t> new_cols;
     sruns.unmapped_new.for_each(
         [&](std::int64_t j) { new_cols.push_back(j); });
-    std::vector<std::uint8_t> ichanged(static_cast<std::size_t>(inter.rows()), 0);
     for (std::int64_t rr = 0; rr < inter.rows(); ++rr) {
       const std::int64_t orr = des_map[pu][static_cast<std::size_t>(rr)];
       if (orr < 0) {
@@ -645,7 +565,6 @@ bool compute_reachability_incremental(
             inter.set(rr, j);
           }
         }
-        ichanged[static_cast<std::size_t>(rr)] = 1;
         continue;
       }
       for (const auto& run : sruns.runs) {
@@ -657,23 +576,13 @@ bool compute_reachability_incremental(
           inter.set(rr, j);
         }
       }
-      // Mapped columns match the old row verbatim, so the row changed only
-      // if a new column intersects or the map dropped an old column that
-      // held a bit.
-      ichanged[static_cast<std::size_t>(rr)] =
-          inter.row_intersects(rr, sruns.unmapped_new) ||
-                  old_inter.row_intersects(orr, sruns.unmatched_old)
-              ? 1
-              : 0;
     }
-    cap.inters.push_back(inter);
-    chain_step(inter, ichanged, sruns);
-    chain_step(r[su], r_changed[su], cdes_runs[su]);
+    cap.inters.push_back(std::move(inter));
   }
+  res.rk = reach_chain(r, cap.inters, res.round_part);
 
   cap.r = std::move(r);
   cap.valid = true;
-  res.rk = acc;
   res.seconds_matrices = watch.seconds();
   *out = std::move(res);
   *out_cap = std::move(cap);

@@ -3,7 +3,8 @@
 // the intersection matrices I_t, and their Boolean product
 // R^(k) = R1 I1 R2 I2 ... I_{k-1} R_k, whose zeros are exactly the
 // (SES, DES) pairs that cannot communicate in k rounds (Lemma 5.1
-// generalized).
+// generalized). The product is associative; reach_chain evaluates it
+// right to left.
 #pragma once
 
 #include <vector>
@@ -23,6 +24,17 @@ BitMatrix one_round_reach_matrix(const ReachOracle& oracle,
 // I_t(j, i) = 1 iff des_prev[j] and ses_next[i] share a node.
 BitMatrix intersection_matrix(const EquivPartition& des_prev,
                               const EquivPartition& ses_next);
+
+// R^(k) = R_{u_1} I_1 R_{u_2} ... I_{k-1} R_{u_k} with u_t = round_part[t-1]:
+// `r` holds one R per distinct ordering, `inters` one I_t per chain step
+// (size k-1). Evaluated right to left — T = R_k, then T = I_t T and
+// T = R_t T for t = k-1 down to 1 — so every product has either a sparse
+// left factor (I_t) or output rows that fill after a few ORs (R_t times a
+// near-full I_t T), which the saturating BitMatrix kernel stops early.
+// The one chain rule of the full, incremental and generic solvers.
+BitMatrix reach_chain(const std::vector<BitMatrix>& r,
+                      const std::vector<BitMatrix>& inters,
+                      const std::vector<int>& round_part);
 
 // Everything the lamb solvers need about reachability, for one fault set.
 struct ReachComputation {
@@ -54,7 +66,9 @@ enum class ReachBackend { kAuto, kMatrix, kFlood };
 
 // Intermediate state of one matrix-backend Find-Reachability run, kept so
 // a later solve over a superset fault set can reuse it (the incremental
-// reconfiguration path). `valid` is false when the flood backend ran —
+// reconfiguration path): the partitions' spans and the chain's factors
+// R_u and I_t. The chain's products are not kept; the incremental path
+// recomputes them in full. `valid` is false when the flood backend ran —
 // floods keep no reusable intermediates.
 struct ReachCapture {
   bool valid = false;
@@ -63,17 +77,16 @@ struct ReachCapture {
   std::vector<PartitionSpans> des_spans;
   std::vector<BitMatrix> r;                // R_u per distinct ordering
   std::vector<BitMatrix> inters;           // I_t per chain step t = 1..k-1
-  std::vector<BitMatrix> chain;            // acc after every product (2(k-1))
 };
 
 // Per-layer reuse counters of one incremental Find-Reachability run.
 struct ReachDelta {
   std::int64_t partition_cells_reused = 0;
   std::int64_t partition_cells_recomputed = 0;
-  // "Blocks" are the splice units of the matrix layer: R_t entries copied
-  // from the previous run plus chain-product rows spliced wholesale,
-  // versus entries recomputed (brand-new columns, entries a delta fault
-  // flipped) and rows re-multiplied.
+  // "Blocks" are the reuse units of the matrix layer: R_t entries copied
+  // from the previous run versus entries recomputed (brand-new columns,
+  // entries a delta fault flipped). The chain products are recomputed in
+  // full and not counted.
   std::int64_t blocks_reused = 0;
   std::int64_t blocks_recomputed = 0;
 };
@@ -99,12 +112,12 @@ ReachComputation compute_reachability(const MeshShape& shape,
 // dimension-ordered route holds a new faulty node, or both endpoints of a
 // new bidirectional link, or both endpoints of a new directed link with
 // the route's source on the link's `from` side. No reachability oracle
-// is queried. Chain-product rows are spliced when their inputs are
-// provably unchanged. Returns false — caller must fall back to the full
-// computation — when the partition repair bails, the orderings do not
-// match the capture, the mesh wraps, the fault count has grown into the
-// flood backend's regime, or a new cell has no old cell containing its
-// representative (an invariant break, never expected).
+// is queried. Intersection matrices splice their mapped entries, and the
+// chain is recomputed in full by reach_chain. Returns false — caller must
+// fall back to the full computation — when the partition repair bails,
+// the orderings do not match the capture, the mesh wraps, the fault count
+// has grown into the flood backend's regime, or a new cell has no old cell
+// containing its representative (an invariant break, never expected).
 bool compute_reachability_incremental(
     const MeshShape& shape, const FaultSet& faults,
     const MultiRoundOrder& orders, const std::vector<Point>& delta_nodes,

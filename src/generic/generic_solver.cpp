@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "core/bit_matrix.hpp"
+#include "core/reach_matrices.hpp"
 #include "graph/bipartite_wvc.hpp"
 #include "reach/flood_oracle.hpp"
 
@@ -119,8 +120,13 @@ GenericLambResult generic_lamb_from_rows(
     return m;
   };
 
-  BitMatrix acc = reach_matrix(0);
-  for (int r = 1; r < k; ++r) {
+  std::vector<BitMatrix> reach(static_cast<std::size_t>(k));
+  std::vector<BitMatrix> inters;
+  std::vector<int> round_part(static_cast<std::size_t>(k));
+  for (int r = 0; r < k; ++r) {
+    reach[static_cast<std::size_t>(r)] = reach_matrix(r);
+    round_part[static_cast<std::size_t>(r)] = r;
+    if (r == 0) continue;
     const Classes& d_prev = dec[static_cast<std::size_t>(r - 1)];
     const Classes& s_next = sec[static_cast<std::size_t>(r)];
     BitMatrix inter(static_cast<std::int64_t>(d_prev.members.size()),
@@ -130,9 +136,9 @@ GenericLambResult generic_lamb_from_rows(
       inter.set(d_prev.of_node[static_cast<std::size_t>(v)],
                 s_next.of_node[static_cast<std::size_t>(v)]);
     }
-    acc = BitMatrix::multiply(acc, inter);
-    acc = BitMatrix::multiply(acc, reach_matrix(r));
+    inters.push_back(std::move(inter));
   }
+  const BitMatrix acc = reach_chain(reach, inters, round_part);
 
   const Classes& first_sec = sec.front();
   const Classes& last_dec = dec.back();

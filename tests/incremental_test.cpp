@@ -225,7 +225,6 @@ TEST(Incremental, ReachDeltaAppliesDirectedAndHalfDeadLinksExactly) {
   EXPECT_EQ(got.rk, want.rk);
   EXPECT_EQ(got_cap.r, want_cap.r);
   EXPECT_EQ(got_cap.inters, want_cap.inters);
-  EXPECT_EQ(got_cap.chain, want_cap.chain);
   EXPECT_GT(counts.blocks_recomputed, 0);
 }
 

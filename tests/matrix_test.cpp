@@ -4,11 +4,14 @@
 // (two-round matrix R^(2) = R I R) for the 12x12 example.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <string>
 
 #include "core/bit_matrix.hpp"
+#include "core/lamb.hpp"
 #include "core/reach_matrices.hpp"
+#include "support/fnv1a.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
 
@@ -98,9 +101,10 @@ BitMatrix random_matrix(std::int64_t rows, std::int64_t cols, double density,
 }
 
 TEST(BitMatrix, MultiplyPropertyAcrossShapesAndDensities) {
-  // Covers both kernel paths (sparse-left gather below 5% density, blocked
-  // dense above) and the word-boundary edge cases: widths 1, 63, 64, 65,
-  // 127, 128 and a couple of deliberately skewed shapes.
+  // Covers the saturating kernel from both ends — sparse left factors
+  // whose rows never fill and dense ones whose rows fill after a few ORs
+  // and stop early — and the word-boundary edge cases: widths 1, 63, 64,
+  // 65, 127, 128 and a couple of deliberately skewed shapes.
   const std::int64_t shapes[][3] = {{1, 1, 1},    {1, 64, 1},   {63, 65, 64},
                                     {64, 64, 64}, {65, 127, 33}, {128, 1, 190},
                                     {7, 128, 65}};
@@ -112,6 +116,80 @@ TEST(BitMatrix, MultiplyPropertyAcrossShapesAndDensities) {
       EXPECT_EQ(BitMatrix::multiply(a, b), naive_multiply(a, b))
           << s[0] << "x" << s[1] << "x" << s[2] << " @ " << density;
     }
+  }
+}
+
+TEST(BitMatrix, MultiplyMatchesNaiveAtEveryTailWidth) {
+  // Output widths on both sides of each word boundary. Dense factors fill
+  // rows early, so a fill test that counted the last word's padding bits
+  // as set would stop a row before its tail columns arrive; the product
+  // must never set padding either (count_ones and == see every word).
+  Rng rng(4242);
+  for (const std::int64_t width : {1, 63, 64, 65, 128, 130}) {
+    for (const std::int64_t inner : {1, 40, 130}) {
+      for (const double density : {0.0, 0.05, 0.3, 0.9, 1.0}) {
+        const BitMatrix a = random_matrix(37, inner, density, rng);
+        const BitMatrix b = random_matrix(inner, width, density, rng);
+        const BitMatrix got = BitMatrix::multiply(a, b);
+        const BitMatrix want = naive_multiply(a, b);
+        EXPECT_EQ(got, want) << inner << "x" << width << " @ " << density;
+        EXPECT_EQ(got.count_ones(), want.count_ones());
+      }
+    }
+  }
+}
+
+TEST(BitMatrix, MultiplyTailColumnArrivesLast) {
+  // Every b-row sets all columns but the last, which only the final b-row
+  // sets: each output row looks full everywhere except its tail word until
+  // that row is ORed in. A fill test that let padding stand in for the
+  // missing tail column would stop too early.
+  for (const std::int64_t width : {1, 63, 65, 130}) {
+    const std::int64_t inner = 5;
+    BitMatrix b(inner, width);
+    for (std::int64_t k = 0; k < inner; ++k) {
+      for (std::int64_t j = 0; j + 1 < width; ++j) b.set(k, j);
+    }
+    b.set(inner - 1, width - 1);
+    BitMatrix a(3, inner);
+    for (std::int64_t k = 0; k < inner; ++k) a.set(0, k);  // reaches the tail
+    a.set(1, 0);                                          // never does
+    a.set(1, 2);
+    const BitMatrix got = BitMatrix::multiply(a, b);
+    EXPECT_EQ(got, naive_multiply(a, b)) << width;
+    EXPECT_TRUE(got.row_full(0)) << width;
+    EXPECT_FALSE(got.row_full(1)) << width;
+    EXPECT_FALSE(got.get(1, width - 1)) << width;
+  }
+}
+
+TEST(BitMatrix, MultiplySaturatingRowShapes) {
+  Rng rng(515);
+  const std::int64_t inner = 70;
+  const std::int64_t width = 130;
+  // A b-row of all ones: every a-row whose first set bit hits it fills on
+  // that bit, and the bits after it must not matter.
+  BitMatrix b = random_matrix(inner, width, 0.2, rng);
+  for (std::int64_t j = 0; j < width; ++j) b.set(3, j);
+  BitMatrix a = random_matrix(6, inner, 0.5, rng);
+  for (std::int64_t k = 0; k < 3; ++k) a.reset(0, k);
+  a.set(0, 3);
+  for (std::int64_t k = 0; k < inner; ++k) a.reset(1, k);  // empty left row
+  BitMatrix got = BitMatrix::multiply(a, b);
+  EXPECT_EQ(got, naive_multiply(a, b));
+  EXPECT_TRUE(got.row_full(0));
+  for (std::int64_t j = 0; j < width; ++j) EXPECT_FALSE(got.get(1, j)) << j;
+
+  // An all-zero column of b: no output row can ever fill, so every row
+  // runs through all of its set bits.
+  BitMatrix dense = random_matrix(inner, width, 0.95, rng);
+  for (std::int64_t k = 0; k < inner; ++k) dense.reset(k, 100);
+  const BitMatrix full_left = random_matrix(9, inner, 1.0, rng);
+  got = BitMatrix::multiply(full_left, dense);
+  EXPECT_EQ(got, naive_multiply(full_left, dense));
+  for (std::int64_t i = 0; i < got.rows(); ++i) {
+    EXPECT_FALSE(got.row_full(i));
+    EXPECT_FALSE(got.get(i, 100));
   }
 }
 
@@ -295,10 +373,117 @@ TEST(ReachComputation, NoFaultsAllReachable) {
   EXPECT_TRUE(reach.rk.get(0, 0));
 }
 
+TEST(ReachComputation, ChainMatchesNaiveLeftToRight) {
+  // reach_chain evaluates R1 I1 R2 ... right to left; the captured factors
+  // multiplied naively left to right must give the same R^(k), for k = 2,
+  // 3 and 4 with orderings that repeat out of order (round_part {0,1,0}
+  // and {0,1,1,0}), under node and directed-link faults.
+  struct Case {
+    int dim;
+    Coord width;
+  };
+  for (const Case& c : {Case{2, 12}, Case{3, 6}}) {
+    const MeshShape shape = MeshShape::cube(c.dim, c.width);
+    Rng rng(static_cast<std::uint64_t>(600 + c.dim));
+    FaultSet faults = FaultSet::random_nodes(shape, shape.size() / 20, rng);
+    for (int added = 0; added < 6;) {
+      const Point from =
+          shape.point(static_cast<NodeId>(rng.below(static_cast<std::uint64_t>(shape.size()))));
+      const int dim = static_cast<int>(rng.below(static_cast<std::uint64_t>(c.dim)));
+      const Dir dir = rng.bernoulli(0.5) ? Dir::Pos : Dir::Neg;
+      Point to;
+      if (!shape.neighbor(from, dim, dir, &to)) continue;
+      faults.add_directed_link(from, dim, dir);
+      ++added;
+    }
+    const DimOrder asc = DimOrder::ascending(c.dim);
+    const DimOrder desc = DimOrder::descending(c.dim);
+    const std::vector<std::pair<MultiRoundOrder, std::vector<int>>> runs = {
+        {{asc, desc}, {0, 1}},
+        {{asc, desc, asc}, {0, 1, 0}},
+        {{desc, asc, asc, desc}, {0, 1, 1, 0}},
+    };
+    for (const auto& [orders, round_part] : runs) {
+      ReachCapture cap;
+      const ReachComputation reach = compute_reachability(
+          shape, faults, orders, ReachBackend::kMatrix, &cap);
+      ASSERT_TRUE(cap.valid);
+      ASSERT_EQ(reach.round_part, round_part);
+      ASSERT_EQ(cap.inters.size(), orders.size() - 1);
+      BitMatrix want = cap.r[static_cast<std::size_t>(round_part[0])];
+      for (std::size_t t = 1; t < orders.size(); ++t) {
+        want = naive_multiply(want, cap.inters[t - 1]);
+        want = naive_multiply(want, cap.r[static_cast<std::size_t>(round_part[t])]);
+      }
+      EXPECT_EQ(reach.rk, want)
+          << "M_" << c.dim << "(" << c.width << ") k=" << orders.size();
+      EXPECT_EQ(reach_chain(cap.r, cap.inters, reach.round_part), want);
+    }
+  }
+}
+
 TEST(ReachComputation, RejectsZeroRounds) {
   const MeshShape shape = MeshShape::cube(2, 4);
   const FaultSet faults(shape);
   EXPECT_THROW(compute_reachability(shape, faults, {}), std::invalid_argument);
+}
+
+// --- Paper-scale behaviour lock ---------------------------------------------
+
+// FNV-1a over rk's shape, then its row words (bit b of word w is column
+// 64w + b; tail padding zero), built from get() so any storage layout
+// hashes alike.
+std::uint64_t rk_digest(const BitMatrix& m) {
+  support::Fnv1a h;
+  h.mix(static_cast<std::uint64_t>(m.rows()));
+  h.mix(static_cast<std::uint64_t>(m.cols()));
+  for (std::int64_t i = 0; i < m.rows(); ++i) {
+    for (std::int64_t w0 = 0; w0 < m.cols(); w0 += 64) {
+      std::uint64_t word = 0;
+      for (std::int64_t j = w0; j < std::min(w0 + 64, m.cols()); ++j) {
+        if (m.get(i, j)) word |= std::uint64_t{1} << (j - w0);
+      }
+      h.mix(word);
+    }
+  }
+  return h.h;
+}
+
+TEST(ReachComputation, PaperScaleChainPinned) {
+  // The paper's two simulation meshes at k = 2 on the matrix backend,
+  // with uniformly random node faults: M_2(181) at 1.5% and M_3(32) at 1%.
+  // The pinned values were computed with the chain evaluated left to
+  // right, so they check the right-to-left reach_chain and the product
+  // kernel at the paper's scale: a flipped bit of R^(2) or a changed
+  // Lamb1 lamb count fails here.
+  struct Case {
+    int dim;
+    Coord width;
+    std::int64_t faults;
+    std::uint64_t seed;
+    std::int64_t p, q;
+    std::uint64_t digest;
+    std::int64_t lambs;
+  };
+  const Case cases[] = {
+      {2, 181, 491, 21, 657, 666, 0x0cf8bfd6a7ab0e5bULL, 678},
+      {3, 32, 328, 22, 792, 789, 0xe619ae9bb1c4b36eULL, 2},
+  };
+  for (const Case& c : cases) {
+    const MeshShape shape = MeshShape::cube(c.dim, c.width);
+    Rng rng(c.seed);
+    const FaultSet faults = FaultSet::random_nodes(shape, c.faults, rng);
+    const ReachComputation reach = compute_reachability(
+        shape, faults, ascending_rounds(c.dim, 2), ReachBackend::kMatrix);
+    LambOptions options;
+    options.backend = ReachBackend::kMatrix;
+    const LambResult lambs = lamb1(shape, faults, options);
+    EXPECT_EQ(reach.rk.rows(), c.p) << "M_" << c.dim << "(" << c.width << ")";
+    EXPECT_EQ(reach.rk.cols(), c.q) << "M_" << c.dim << "(" << c.width << ")";
+    EXPECT_EQ(rk_digest(reach.rk), c.digest)
+        << "M_" << c.dim << "(" << c.width << ")";
+    EXPECT_EQ(lambs.size(), c.lambs) << "M_" << c.dim << "(" << c.width << ")";
+  }
 }
 
 }  // namespace
