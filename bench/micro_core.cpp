@@ -75,16 +75,24 @@ void BM_RouteWalkQuery(benchmark::State& state) {
 BENCHMARK(BM_RouteWalkQuery);
 
 // Flood inputs: Arg 0 is M_3(16) with 4% node faults plus 40 link
-// faults, half of them directed; Arg 1 is M_2(32) with 5% node faults.
+// faults, half of them directed; Arg 1 is M_2(32) with 5% node faults;
+// Arg 2 is the torus T_3(16) with the faults of Arg 0, whose levels have
+// a wrap part and so read a snapshot.
+MeshShape flood_shape(std::int64_t which) {
+  if (which == 1) return MeshShape::cube(2, 32);
+  const std::vector<Coord> widths{16, 16, 16};
+  return which == 0 ? MeshShape::mesh(widths) : MeshShape::torus(widths);
+}
+
 struct FloodCase {
   MeshShape shape;
   FaultSet faults;
 
   explicit FloodCase(std::int64_t which)
-      : shape(which == 0 ? MeshShape::cube(3, 16) : MeshShape::cube(2, 32)),
-        faults(make_faults(shape, which == 0 ? 164 : 51, 5)) {
+      : shape(flood_shape(which)),
+        faults(make_faults(shape, which == 1 ? 51 : 164, 5)) {
     Rng rng(6);
-    for (int added = 0; which == 0 && added < 40;) {
+    for (int added = 0; which != 1 && added < 40;) {
       const Point from =
           shape.point((NodeId)rng.below((std::uint64_t)shape.size()));
       const int dim = (int)rng.below((std::uint64_t)shape.dim());
@@ -120,18 +128,31 @@ void BM_FloodOracleBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_FloodOracleBuild)->Arg(0)->Arg(1);
 
-void BM_FloodReach1Forward(benchmark::State& state) {
+// One forward flood per iteration, cycling through the good nodes.
+void flood_forward(benchmark::State& state, const DimOrder& order) {
   const FloodCase c(state.range(0));
   const FloodOracle oracle(c.shape, c.faults);
   const std::vector<Point> points = c.good_points();
-  const DimOrder order = DimOrder::ascending(c.shape.dim());
   std::size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(oracle.reach1_from(points[i], order));
     i = (i + 1) % points.size();
   }
 }
-BENCHMARK(BM_FloodReach1Forward)->Arg(0)->Arg(1);
+
+void BM_FloodReach1Forward(benchmark::State& state) {
+  flood_forward(state, DimOrder::ascending(flood_shape(state.range(0)).dim()));
+}
+BENCHMARK(BM_FloodReach1Forward)->Arg(0)->Arg(1)->Arg(2);
+
+// The worst single-source order: the first dimension routed is the one at
+// the largest stride, so the frontier spans the most words from the first
+// dimension on.
+void BM_FloodReach1Descending(benchmark::State& state) {
+  flood_forward(state,
+                DimOrder::descending(flood_shape(state.range(0)).dim()));
+}
+BENCHMARK(BM_FloodReach1Descending)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_FloodReach1Backward(benchmark::State& state) {
   const FloodCase c(state.range(0));
@@ -144,7 +165,7 @@ void BM_FloodReach1Backward(benchmark::State& state) {
     i = (i + 1) % points.size();
   }
 }
-BENCHMARK(BM_FloodReach1Backward)->Arg(0)->Arg(1);
+BENCHMARK(BM_FloodReach1Backward)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_FloodReachK2(benchmark::State& state) {
   const FloodCase c(state.range(0));

@@ -75,12 +75,18 @@ std::vector<DimOrder> distinct_orders(const MultiRoundOrder& orders,
 // Whether the flood backend should replace the matrix product chain:
 // true when the per-representative product work (~q^2/64 word operations
 // for q last-round DES cells) exceeds the per-representative flood work,
-// modelled as 2 k d N node visits. Both sides are stale models: the flood
-// cost is that of the per-node line walker floods ran on before
-// FloodOracle's word-parallel kernel, and the q^2/64 product cost is that
-// of the full-width row ORs before the right-to-left chain and the
-// saturating kernel, whose dense products stop a row once it fills.
-// Neither has been re-derived. For random faults at a few percent on the
+// modelled as 2 k d N node visits. Both sides are stale models and have
+// not been re-derived. The flood cost is measured instead:
+// abl08_backend_crossover's reach-only columns (M_2(48), k = 2, width 1,
+// three runs) time the flood backend's compute_reachability at ~0.17 ms
+// at 1% faults and 0.5-1.7 ms at 5-60% (p = 155-568 SES cells), against
+// ~0.17 ms and 0.7-7 ms for the matrix chain. The floods, word-parallel
+// and clipped to their frontier's words, tie at 1% and win from 5% on,
+// where this model still picks the matrix path; the q^2/64 product cost
+// predates the right-to-left chain and the saturating kernel. The
+// constant stays until a re-derivation also weighs what a switch costs:
+// the flood backend keeps no intermediates, so the incremental path
+// loses its block reuse. For random faults at a few percent on the
 // paper's meshes this keeps the matrix path; for fault counts comparable
 // to N (the Section 9 gadgets) it picks flood.
 bool flood_backend_wins(const MeshShape& shape, int k, std::int64_t q) {

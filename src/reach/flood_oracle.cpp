@@ -1,5 +1,6 @@
 #include "reach/flood_oracle.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 
@@ -11,28 +12,72 @@ namespace {
 
 using Word = std::uint64_t;
 
-// out[i] |= post(i, word i of the set whose word w is pre(w), shifted by
-// `shift` bit positions -- toward higher ids when positive). Bits shifted
-// past either end are dropped.
+// out[i] |= post(i, word i of the set x shifted by `shift` bit positions --
+// toward higher ids when positive), where x is nonzero only over `src` and
+// its word k is pre(k). Bits shifted past either end are dropped. Writes
+// only the words the shifted span reaches and returns them. Positive
+// shifts run from high words to low and negative from low to high, so each
+// output word depends only on input words not yet written: `out` may be
+// the buffer that `pre` reads.
 template <typename Pre, typename Post>
-void or_shifted(Word* out, std::int64_t nwords, NodeId shift, Pre pre,
-                Post post) {
+WordSpan or_shifted(Word* out, WordSpan src, std::int64_t nwords,
+                    NodeId shift, Pre pre, Post post) {
   const NodeId dist = shift >= 0 ? shift : -shift;
   const std::int64_t q = dist >> 6;
   const int b = static_cast<int>(dist & 63);
+  const std::int64_t spill = b != 0 ? 1 : 0;
   if (shift >= 0) {
-    for (std::int64_t i = q; i < nwords; ++i) {
-      Word w = pre(i - q) << b;
-      if (b != 0 && i > q) w |= pre(i - q - 1) >> (64 - b);
-      out[i] |= post(i, w);
+    const WordSpan dst{src.lo + q, std::min(nwords, src.hi + q + spill)};
+    if (b == 0) {
+      for (std::int64_t i = dst.hi - 1; i >= dst.lo; --i) {
+        out[i] |= post(i, pre(i - q));
+      }
+      return dst;
     }
-  } else {
-    for (std::int64_t i = 0; i + q < nwords; ++i) {
-      Word w = pre(i + q) >> b;
-      if (b != 0 && i + q + 1 < nwords) w |= pre(i + q + 1) << (64 - b);
-      out[i] |= post(i, w);
+    // Word i takes the low bits of word i - q and the high bits of the
+    // word below it; the span's top and bottom words lack one of the two.
+    std::int64_t i = dst.hi - 1;
+    if (i >= dst.lo && i - q == src.hi) {
+      out[i] |= post(i, pre(src.hi - 1) >> (64 - b));
+      --i;
     }
+    for (; i > dst.lo; --i) {
+      out[i] |= post(i, (pre(i - q) << b) | (pre(i - q - 1) >> (64 - b)));
+    }
+    if (i == dst.lo) out[i] |= post(i, pre(src.lo) << b);
+    return dst;
   }
+  const WordSpan dst{std::max<std::int64_t>(0, src.lo - q - spill),
+                     src.hi - q};
+  if (b == 0) {
+    for (std::int64_t i = dst.lo; i < dst.hi; ++i) {
+      out[i] |= post(i, pre(i + q));
+    }
+    return dst;
+  }
+  std::int64_t i = dst.lo;
+  if (i < dst.hi && i + q == src.lo - 1) {
+    out[i] |= post(i, pre(src.lo) << (64 - b));
+    ++i;
+  }
+  for (; i < dst.hi - 1; ++i) {
+    out[i] |= post(i, (pre(i + q) >> b) | (pre(i + q + 1) << (64 - b)));
+  }
+  if (i == dst.hi - 1) out[i] |= post(i, pre(src.hi - 1) >> b);
+  return dst;
+}
+
+// The smallest span holding `a` and the nonempty `b`.
+WordSpan hull(WordSpan a, WordSpan b) {
+  if (b.lo >= b.hi) return a;
+  return {std::min(a.lo, b.lo), std::max(a.hi, b.hi)};
+}
+
+// `span` without its leading and trailing zero words.
+WordSpan trim(const Word* w, WordSpan span) {
+  while (span.lo < span.hi && w[span.lo] == 0) ++span.lo;
+  while (span.hi > span.lo && w[span.hi - 1] == 0) --span.hi;
+  return span;
 }
 
 std::int64_t num_words(const Bits& b) {
@@ -77,7 +122,7 @@ Bits FloodOracle::pull(const Bits& x, const std::vector<Part>& parts) {
   for (const Part& part : parts) {
     const Word* mw = part.mask.words().data();
     or_shifted(
-        out.word_data(), num_words(x), -part.shift,
+        out.word_data(), {0, num_words(x)}, num_words(x), -part.shift,
         [xw](std::int64_t i) { return xw[i]; },
         [mw](std::int64_t i, Word w) { return w & mw[i]; });
   }
@@ -156,40 +201,74 @@ FloodOracle::FloodOracle(const MeshShape& shape, const FaultSet& faults)
   }
 }
 
-void FloodOracle::expand(int j, bool forward, Bits* cur) const {
-  const std::int64_t nwords = num_words(*cur);
-  Bits out = *cur;
-  Bits run;
-  Bits next;
-  for (const Dir dir : {Dir::Neg, Dir::Pos}) {
-    const std::vector<Level>& levels =
-        levels_[static_cast<std::size_t>(2 * j + (dir == Dir::Pos))];
-    if (levels.empty()) continue;
-    run = *cur;
-    for (const Level& level : levels) {
-      next = run;
-      const Word* rw = run.words().data();
-      for (const Part& part : level) {
-        const Word* mw = part.mask.words().data();
-        if (forward) {
-          // Members on a passable start travel the level's length.
-          or_shifted(
-              next.word_data(), nwords, part.shift,
-              [rw, mw](std::int64_t i) { return rw[i] & mw[i]; },
-              [](std::int64_t, Word w) { return w; });
-        } else {
-          // Passable starts whose travel lands on a member.
-          or_shifted(
-              next.word_data(), nwords, -part.shift,
-              [rw](std::int64_t i) { return rw[i]; },
-              [mw](std::int64_t i, Word w) { return w & mw[i]; });
-        }
-      }
-      std::swap(run, next);
+WordSpan FloodOracle::advance(const std::vector<Level>& levels,
+                              bool forward, Word* run, WordSpan span,
+                              Word* snap) const {
+  const std::int64_t nwords = num_words(good_);
+  for (const Level& level : levels) {
+    // Every part of a level reads the level's input. One part may update
+    // `run` in place; the two parts of a torus level read a snapshot,
+    // since each would see the other's writes.
+    const Word* in = run;
+    if (level.size() > 1) {
+      std::copy(run + span.lo, run + span.hi, snap + span.lo);
+      in = snap;
     }
-    out |= run;
+    WordSpan grown = span;
+    for (const Part& part : level) {
+      const Word* mw = part.mask.words().data();
+      WordSpan wrote;
+      if (forward) {
+        // Members on a passable start travel the level's length.
+        wrote = or_shifted(
+            run, span, nwords, part.shift,
+            [in, mw](std::int64_t i) { return in[i] & mw[i]; },
+            [](std::int64_t, Word w) { return w; });
+      } else {
+        // Passable starts whose travel lands on a member.
+        wrote = or_shifted(
+            run, span, nwords, -part.shift,
+            [in](std::int64_t i) { return in[i]; },
+            [mw](std::int64_t i, Word w) { return w & mw[i]; });
+      }
+      grown = hull(grown, wrote);
+    }
+    span = trim(run, grown);
   }
-  *cur = std::move(out);
+  return span;
+}
+
+WordSpan FloodOracle::expand(int j, bool forward, Word* cur, WordSpan span,
+                             Word* scratch) const {
+  const std::int64_t nwords = num_words(good_);
+  const std::vector<Level>& neg = levels_[static_cast<std::size_t>(2 * j)];
+  const std::vector<Level>& pos = levels_[static_cast<std::size_t>(2 * j + 1)];
+  Word* snap = scratch + nwords;
+  if (neg.empty() || pos.empty()) {
+    return advance(neg.empty() ? pos : neg, forward, cur, span, snap);
+  }
+  // Both directions start from the same set: the negative one runs on a
+  // copy, the positive one on `cur`, and the copy is ORed back and zeroed.
+  Word* run = scratch;
+  std::copy(cur + span.lo, cur + span.hi, run + span.lo);
+  const WordSpan neg_span = advance(neg, forward, run, span, snap);
+  const WordSpan pos_span = advance(pos, forward, cur, span, snap);
+  for (std::int64_t i = neg_span.lo; i < neg_span.hi; ++i) {
+    cur[i] |= run[i];
+    run[i] = 0;
+  }
+  return hull(pos_span, neg_span);
+}
+
+void FloodOracle::flood(const DimOrder& order, bool forward, Bits* cur) const {
+  const std::int64_t nwords = num_words(*cur);
+  WordSpan span = trim(cur->words().data(), {0, nwords});
+  if (span.lo == span.hi) return;
+  std::vector<Word> scratch(static_cast<std::size_t>(2 * nwords), 0);
+  for (int t = 0; t < order.dim(); ++t) {
+    const int j = order.at(forward ? t : order.dim() - 1 - t);
+    span = expand(j, forward, cur->word_data(), span, scratch.data());
+  }
 }
 
 Bits FloodOracle::reach1_from(const Point& v, const DimOrder& order) const {
@@ -199,9 +278,7 @@ Bits FloodOracle::reach1_from(const Point& v, const DimOrder& order) const {
   const NodeId id = shape_->index(v);
   if (!good_.test(id)) return cur;
   cur.set(id);
-  for (int t = 0; t < order.dim(); ++t) {
-    expand(order.at(t), /*forward=*/true, &cur);
-  }
+  flood(order, /*forward=*/true, &cur);
   return cur;
 }
 
@@ -211,9 +288,7 @@ Bits FloodOracle::reach1_from_set(const Bits& sources,
   floods.add();
   Bits cur = sources;
   cur &= good_;
-  for (int t = 0; t < order.dim(); ++t) {
-    expand(order.at(t), /*forward=*/true, &cur);
-  }
+  flood(order, /*forward=*/true, &cur);
   return cur;
 }
 
@@ -224,9 +299,7 @@ Bits FloodOracle::reach1_to(const Point& w, const DimOrder& order) const {
   const NodeId id = shape_->index(w);
   if (!good_.test(id)) return cur;
   cur.set(id);
-  for (int t = order.dim() - 1; t >= 0; --t) {
-    expand(order.at(t), /*forward=*/false, &cur);
-  }
+  flood(order, /*forward=*/false, &cur);
   return cur;
 }
 

@@ -8,16 +8,20 @@
 // Cost. The constructor builds, for every (dimension j, direction), a
 // passability mask (bit v set when one step from v crosses a good link
 // into a good node) and its doubling levels, O(d * log n * N/64 + |F|)
-// word operations in all. A one-round flood then costs, per dimension and
-// direction, ceil(log2(n_j)) AND/shift/OR passes over N/64 words, however
-// many nodes the frontier holds: one source, a set, or a middle round of
-// a k-round flood.
+// word operations in all. A one-round flood then makes, per dimension and
+// direction, ceil(log2(n_j)) AND/shift/OR passes, each over only the word
+// span its frontier can reach: the words between the frontier's lowest and
+// highest nonzero word, widened by the pass's shift. A single source
+// starts on one word, so the first dimensions of its flood touch a few
+// words; a dense frontier, such as a middle round of a k-round flood,
+// pays the full N/64 words per pass.
 //
 // The masks are a snapshot of the fault set at construction; build a new
 // oracle after the FaultSet changes. The oracle is immutable after
 // construction, so const calls may share one oracle across threads.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "mesh/fault_set.hpp"
@@ -26,6 +30,12 @@
 #include "support/bitset.hpp"
 
 namespace lamb {
+
+// The words [lo, hi) of a set outside which every word is zero.
+struct WordSpan {
+  std::int64_t lo = 0;
+  std::int64_t hi = 0;
+};
 
 class FloodOracle {
  public:
@@ -66,9 +76,21 @@ class FloodOracle {
   // move leaves a mesh.
   static Bits pull(const Bits& x, const std::vector<Part>& parts);
 
-  // Replaces `cur` with every node a member reaches (forward) or every
-  // node that reaches a member (backward) by travel along dimension j.
-  void expand(int j, bool forward, Bits* cur) const;
+  // Floods the set `cur` through the dimensions of `order`: forward (every
+  // node a member reaches) in order, backward (every node that reaches a
+  // member) in reverse order.
+  void flood(const DimOrder& order, bool forward, Bits* cur) const;
+  // Replaces the set `cur`, nonzero only over `span`, with its expansion by
+  // travel along dimension j, and returns the new span. `scratch` holds
+  // 2 * N/64 words: a run buffer, zero on entry and on return, then room
+  // for a snapshot.
+  WordSpan expand(int j, bool forward, std::uint64_t* cur, WordSpan span,
+                  std::uint64_t* scratch) const;
+  // Runs the levels of one direction on `run` in place and returns the
+  // new span; `snap` is room for a snapshot of a multi-part level's input.
+  WordSpan advance(const std::vector<Level>& levels, bool forward,
+                   std::uint64_t* run, WordSpan span,
+                   std::uint64_t* snap) const;
 
   const MeshShape* shape_;
   Bits good_;

@@ -23,6 +23,7 @@
 #include "support/rng.hpp"
 #include "support/samples.hpp"
 #include "wormhole/route_cache.hpp"
+#include "sweep_name.hpp"
 
 namespace lamb {
 namespace {
@@ -75,7 +76,10 @@ INSTANTIATE_TEST_SUITE_P(
                       BackendParam{{5, 7, 4}, 15, 2, 8},
                       BackendParam{{12, 12}, 70, 2, 9},
                       BackendParam{{10, 10}, 50, 4, 10},
-                      BackendParam{{2, 2, 2, 2, 2}, 6, 2, 11}));
+                      BackendParam{{2, 2, 2, 2, 2}, 6, 2, 11}),
+    [](const ::testing::TestParamInfo<BackendParam>& info) {
+      return sweep_name(info.param.widths, false, info.param.seed);
+    });
 
 TEST(FloodSet, SetFloodEqualsUnionOfNodeFloods) {
   const MeshShape shape = MeshShape::cube(2, 10);

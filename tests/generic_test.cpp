@@ -13,6 +13,7 @@
 #include "core/verifier.hpp"
 #include "generic/generic_solver.hpp"
 #include "support/rng.hpp"
+#include "sweep_name.hpp"
 
 namespace lamb {
 namespace {
@@ -79,7 +80,10 @@ INSTANTIATE_TEST_SUITE_P(
                       GenericSweepParam{{2, 2, 2, 2, 2}, false, 4, 2, 8},
                       GenericSweepParam{{12, 6}, true, 8, 2, 9},
                       GenericSweepParam{{6, 12}, true, 8, 2, 10},
-                      GenericSweepParam{{8, 8}, true, 16, 2, 11}));
+                      GenericSweepParam{{8, 8}, true, 16, 2, 11}),
+    [](const ::testing::TestParamInfo<GenericSweepParam>& info) {
+      return sweep_name(info.param.widths, info.param.torus, info.param.seed);
+    });
 
 TEST(GenericSolver, ClassCountsNeverExceedRectangularPartition) {
   Rng rng(91);

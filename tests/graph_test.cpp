@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "graph/bipartite_wvc.hpp"
 #include "graph/dinic.hpp"
@@ -195,7 +196,12 @@ INSTANTIATE_TEST_SUITE_P(
                       WvcSweepParam{6, 5, 0.4, false, 3},
                       WvcSweepParam{8, 8, 0.2, false, 4},
                       WvcSweepParam{8, 8, 0.6, true, 5},
-                      WvcSweepParam{10, 3, 0.5, false, 6}));
+                      WvcSweepParam{10, 3, 0.5, false, 6}),
+    [](const ::testing::TestParamInfo<WvcSweepParam>& info) {
+      return std::to_string(info.param.left) + "x" +
+             std::to_string(info.param.right) + "_seed" +
+             std::to_string(info.param.seed);
+    });
 
 // --- General WVC -----------------------------------------------------------
 

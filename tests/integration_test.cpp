@@ -14,6 +14,7 @@
 #include "support/rng.hpp"
 #include "wormhole/network.hpp"
 #include "wormhole/traffic.hpp"
+#include "sweep_name.hpp"
 
 namespace lamb {
 namespace {
@@ -78,7 +79,10 @@ INSTANTIATE_TEST_SUITE_P(
                       E2eParam{{8, 8}, 6, 3, 106},
                       E2eParam{{16, 8}, 10, 2, 107},
                       E2eParam{{5, 5, 5}, 10, 2, 108},
-                      E2eParam{{10, 10}, 20, 2, 109}));
+                      E2eParam{{10, 10}, 20, 2, 109}),
+    [](const ::testing::TestParamInfo<E2eParam>& info) {
+      return sweep_name(info.param.widths, false, info.param.seed);
+    });
 
 TEST(Harness, TrialRunnerDeterministicPerSeed) {
   const MeshShape shape = MeshShape::cube(2, 12);

@@ -14,6 +14,7 @@
 #include "core/theory.hpp"
 #include "core/verifier.hpp"
 #include "support/rng.hpp"
+#include "sweep_name.hpp"
 
 namespace lamb {
 namespace {
@@ -172,7 +173,10 @@ INSTANTIATE_TEST_SUITE_P(
                       LambSweepParam{{9, 9}, 16, 0, 2, 15},
                       LambSweepParam{{10, 10}, 0, 10, 2, 16},
                       LambSweepParam{{5, 5, 5}, 15, 5, 2, 17},
-                      LambSweepParam{{8, 8}, 12, 0, 4, 18}));
+                      LambSweepParam{{8, 8}, 12, 0, 4, 18}),
+    [](const ::testing::TestParamInfo<LambSweepParam>& info) {
+      return sweep_name(info.param.widths, false, info.param.seed);
+    });
 
 TEST(Lamb, MixedPerRoundOrderingsAreValid) {
   const MeshShape shape = MeshShape::cube(2, 10);

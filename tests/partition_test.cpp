@@ -14,6 +14,7 @@
 #include "core/theory.hpp"
 #include "reach/flood_oracle.hpp"
 #include "support/rng.hpp"
+#include "sweep_name.hpp"
 
 namespace lamb {
 namespace {
@@ -213,7 +214,10 @@ INSTANTIATE_TEST_SUITE_P(
                       PartitionSweepParam{{4, 16}, 8, 2, true, 15},
                       PartitionSweepParam{{3, 3, 3, 3, 3}, 9, 3, false, 16},
                       PartitionSweepParam{{10, 10}, 50, 10, false, 17},
-                      PartitionSweepParam{{7, 11}, 0, 12, true, 18}));
+                      PartitionSweepParam{{7, 11}, 0, 12, true, 18}),
+    [](const ::testing::TestParamInfo<PartitionSweepParam>& info) {
+      return sweep_name(info.param.widths, false, info.param.seed);
+    });
 
 // --- Degenerate and structured cases --------------------------------------
 

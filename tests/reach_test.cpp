@@ -5,7 +5,12 @@
 // link faults, meshes and tori.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <numeric>
+#include <optional>
+#include <string>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -16,6 +21,7 @@
 #include "reach/reach_oracle.hpp"
 #include "reach/route.hpp"
 #include "support/rng.hpp"
+#include "sweep_name.hpp"
 
 namespace lamb {
 namespace {
@@ -316,7 +322,10 @@ INSTANTIATE_TEST_SUITE_P(
         OracleSweepParam{{6, 6}, true, 3, 2, 2, 23},
         OracleSweepParam{{7, 5}, true, 6, 0, 0, 24},
         OracleSweepParam{{2, 5}, true, 1, 1, 1, 25},
-        OracleSweepParam{{3, 3, 3, 3}, true, 5, 3, 3, 26}));
+        OracleSweepParam{{3, 3, 3, 3}, true, 5, 3, 3, 26}),
+    [](const ::testing::TestParamInfo<OracleSweepParam>& info) {
+      return sweep_name(info.param.widths, info.param.torus, info.param.seed);
+    });
 
 TEST(FloodOracle, NoFaultsReachesEverything) {
   const MeshShape m = MeshShape::mesh({5, 5});
@@ -361,6 +370,233 @@ TEST(FloodOracle, KRoundsMonotoneInK) {
     both &= cur;
     EXPECT_EQ(both, prev) << "k-round reachability must grow with k";
     prev = std::move(cur);
+  }
+}
+
+// --- Flood kernel exactness ------------------------------------------------
+//
+// The flood runs each doubling pass in place over only the words its
+// frontier spans, so these cases aim at the edges of that bookkeeping:
+// every dimension order, tori (whose levels read a snapshot), node counts
+// that are not a multiple of 64, and sources and source sets at word
+// boundaries. Each flood is checked against route walks.
+
+// Route-walk reference sets for one order; each forward row is walked at
+// most once.
+class WalkRows {
+ public:
+  WalkRows(const MeshShape& shape, const FaultSet& faults, DimOrder order)
+      : shape_(&shape),
+        faults_(&faults),
+        order_(std::move(order)),
+        rows_(static_cast<std::size_t>(shape.size())) {}
+
+  // { w : route_clear(v, w) }.
+  const Bits& from(NodeId v) {
+    std::optional<Bits>& row = rows_[static_cast<std::size_t>(v)];
+    if (!row) row = walk(v, /*forward=*/true);
+    return *row;
+  }
+  // { u : route_clear(u, v) }.
+  Bits to(NodeId v) const { return walk(v, /*forward=*/false); }
+  // The union of from(u) over the members u of `set`.
+  Bits from_set(const Bits& set) {
+    Bits out(shape_->size());
+    set.for_each([&](NodeId u) { out |= from(u); });
+    return out;
+  }
+
+ private:
+  Bits walk(NodeId v, bool forward) const {
+    Bits out(shape_->size());
+    const Point vp = shape_->point(v);
+    for (NodeId w = 0; w < shape_->size(); ++w) {
+      const Point wp = shape_->point(w);
+      if (forward ? route_clear(*shape_, *faults_, vp, wp, order_)
+                  : route_clear(*shape_, *faults_, wp, vp, order_)) {
+        out.set(w);
+      }
+    }
+    return out;
+  }
+
+  const MeshShape* shape_;
+  const FaultSet* faults_;
+  DimOrder order_;
+  std::vector<std::optional<Bits>> rows_;
+};
+
+std::vector<DimOrder> all_orders(int d) {
+  std::vector<int> perm(static_cast<std::size_t>(d));
+  std::iota(perm.begin(), perm.end(), 0);
+  std::vector<DimOrder> out;
+  do {
+    out.emplace_back(perm);
+  } while (std::next_permutation(perm.begin(), perm.end()));
+  return out;
+}
+
+// Sources at the ends and word boundaries of the id range, plus a few
+// random ones; every id when the shape is small.
+std::vector<NodeId> edge_sources(const MeshShape& shape, Rng& rng) {
+  const NodeId n = shape.size();
+  std::vector<NodeId> out;
+  if (n <= 256) {
+    for (NodeId v = 0; v < n; ++v) out.push_back(v);
+    return out;
+  }
+  for (const NodeId v : {NodeId{0}, NodeId{1}, NodeId{63}, NodeId{64},
+                         NodeId{65}, NodeId{127}, NodeId{128}, n / 2,
+                         (n - 1) / 64 * 64 - 1, (n - 1) / 64 * 64, n - 2,
+                         n - 1}) {
+    out.push_back(v);
+  }
+  for (int i = 0; i < 6; ++i) {
+    out.push_back(
+        static_cast<NodeId>(rng.below(static_cast<std::uint64_t>(n))));
+  }
+  return out;
+}
+
+// Source sets that span several words: two far-apart nodes, a run across
+// a word boundary, and random sets from sparse to dense.
+std::vector<Bits> edge_source_sets(const MeshShape& shape, Rng& rng) {
+  const NodeId n = shape.size();
+  std::vector<Bits> out;
+  Bits ends(n);
+  ends.set(0);
+  ends.set(n - 1);
+  out.push_back(ends);
+  Bits run(n);
+  run.set_range(60, std::min<NodeId>(n, 70));
+  out.push_back(run);
+  for (const double density : {0.01, 0.1, 0.5}) {
+    Bits set(n);
+    for (NodeId v = 0; v < n; ++v) {
+      if (rng.bernoulli(density)) set.set(v);
+    }
+    out.push_back(set);
+  }
+  return out;
+}
+
+struct KernelCase {
+  std::vector<Coord> widths;
+  bool torus;
+  bool every_order;  // every permutation, else ascending, descending and one
+  std::uint64_t seed;
+};
+
+class FloodKernel : public ::testing::TestWithParam<KernelCase> {};
+
+TEST_P(FloodKernel, MatchesRouteWalk) {
+  const KernelCase c = GetParam();
+  const MeshShape shape =
+      c.torus ? MeshShape::torus(c.widths) : MeshShape::mesh(c.widths);
+  const int d = shape.dim();
+  Rng rng(c.seed);
+  // Node, bidirectional-link and directed-link faults.
+  const OracleSweepParam faults_of{c.widths, c.torus,
+                                   static_cast<int>(shape.size() / 25) + 1, 4,
+                                   4, 0};
+  const FaultSet faults = random_faults(shape, faults_of, rng);
+  const FloodOracle flood(shape, faults);
+
+  std::vector<DimOrder> orders = all_orders(d);
+  if (!c.every_order) {
+    orders = {DimOrder::ascending(d), DimOrder::descending(d),
+              random_order(d, rng)};
+  }
+  const std::vector<NodeId> sources = edge_sources(shape, rng);
+  const std::vector<Bits> sets = edge_source_sets(shape, rng);
+  std::map<std::string, WalkRows> walks;
+  auto walks_of = [&](const DimOrder& order) -> WalkRows& {
+    return walks.try_emplace(order.to_string(), shape, faults, order)
+        .first->second;
+  };
+  for (const DimOrder& order : orders) {
+    WalkRows& ref = walks_of(order);
+    for (const NodeId v : sources) {
+      const Point vp = shape.point(v);
+      ASSERT_EQ(flood.reach1_from(vp, order), ref.from(v))
+          << shape.to_string() << " " << order.to_string() << " from " << v;
+      ASSERT_EQ(flood.reach1_to(vp, order), ref.to(v))
+          << shape.to_string() << " " << order.to_string() << " to " << v;
+    }
+    for (const Bits& set : sets) {
+      ASSERT_EQ(flood.reach1_from_set(set, order), ref.from_set(set))
+          << shape.to_string() << " " << order.to_string() << " set of "
+          << set.count();
+    }
+    // Two rounds: this order, then the reverse one.
+    const MultiRoundOrder rounds{order, order.reversed()};
+    for (const NodeId v : {sources.front(), sources.back()}) {
+      ASSERT_EQ(flood.reach_from(shape.point(v), rounds),
+                walks_of(rounds[1]).from_set(ref.from(v)))
+          << shape.to_string() << " " << order.to_string() << " k=2 from " << v;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, FloodKernel,
+    ::testing::Values(
+        // N not a multiple of 64.
+        KernelCase{{13, 13}, false, true, 1},
+        KernelCase{{13, 13}, true, true, 2},
+        KernelCase{{5, 5, 5}, false, true, 3},
+        KernelCase{{5, 5, 5}, true, true, 4},
+        // One step of a stride above a word, or of exactly one word.
+        KernelCase{{70, 3}, false, true, 5},
+        KernelCase{{3, 70}, true, true, 6},
+        KernelCase{{8, 8, 5}, false, true, 7},
+        KernelCase{{4, 16, 3}, true, true, 8},
+        KernelCase{{9, 9, 5}, true, false, 9},
+        KernelCase{{4, 3, 3, 5}, false, false, 10}),
+    [](const ::testing::TestParamInfo<KernelCase>& info) {
+      return sweep_name(info.param.widths, info.param.torus, info.param.seed);
+    });
+
+// One const oracle serves many threads at once (the flood backend's
+// parallel_for, the verifier and RouteTable share one), so a flood may
+// keep no state in the oracle: four threads must get the serial sets.
+TEST(FloodOracle, ConcurrentFloodsMatchSerial) {
+  const MeshShape shape = MeshShape::torus({9, 8, 7});
+  Rng rng(77);
+  const OracleSweepParam faults_of{{9, 8, 7}, true, 20, 6, 6, 0};
+  const FaultSet faults = random_faults(shape, faults_of, rng);
+  const FloodOracle flood(shape, faults);
+  const DimOrder asc = DimOrder::ascending(3);
+  const DimOrder desc = DimOrder::descending(3);
+
+  // Per source: forward, backward, and two-round floods.
+  auto floods_of = [&](NodeId v) {
+    const Point vp = shape.point(v);
+    return std::vector<Bits>{flood.reach1_from(vp, desc),
+                             flood.reach1_to(vp, asc),
+                             flood.reach_from(vp, {asc, desc})};
+  };
+  std::vector<std::vector<Bits>> serial;
+  for (NodeId v = 0; v < shape.size(); ++v) serial.push_back(floods_of(v));
+
+  constexpr int kThreads = 4;
+  std::vector<std::vector<std::vector<Bits>>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread walks every source, from a different start, so the
+      // threads flood different sources at the same time.
+      std::vector<std::vector<Bits>>& mine = got[static_cast<std::size_t>(t)];
+      mine.resize(static_cast<std::size_t>(shape.size()));
+      for (NodeId i = 0; i < shape.size(); ++i) {
+        const NodeId v = (i + t * shape.size() / kThreads) % shape.size();
+        mine[static_cast<std::size_t>(v)] = floods_of(v);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(got[static_cast<std::size_t>(t)], serial) << "thread " << t;
   }
 }
 
