@@ -41,16 +41,11 @@
 namespace lamb {
 
 // Solver state retained on a SolveOutcome (LambOptions::keep_context).
-// Owns a snapshot of the fault set it was solved against; on a successful
-// incremental step the snapshot is MOVED into the new outcome's context
-// (updated in place with the delta) rather than copied, so the old
-// context is consumed.
+// Immutable once built: it shares the sealed snapshot it was solved
+// against, and an incremental step reads it without consuming it.
 struct SolveContext {
-  // Shared so the FaultSet's pointer into it stays valid when the
-  // ownership of `faults` moves to the next epoch's context.
-  std::shared_ptr<const MeshShape> shape;
+  std::shared_ptr<const FaultSnapshot> snapshot;  // cumulative faults
   MultiRoundOrder orders;  // the orders the outcome was certified with
-  std::unique_ptr<FaultSet> faults;  // cumulative set at solve time
   internal::LambCapture capture;
 };
 
@@ -80,27 +75,15 @@ struct IncrementalStats {
 };
 
 // Re-solves after the fault set grew from prev.context's snapshot to
-// `faults` (which must be a superset; anything else falls back). The
+// `snapshot` (which must be a superset; anything else falls back). The
 // returned outcome — status, LambResult, everything — is bit-identical
-// to solve_lambs(shape, faults, options, max_rounds). `options` should
-// be the same options the previous solve ran with; keep_context on the
-// options controls whether the NEW outcome carries a context in turn.
-SolveOutcome solve_lambs_incremental(const MeshShape& shape,
-                                     const FaultSet& faults,
-                                     const SolveOutcome& prev,
-                                     const LambOptions& options,
-                                     int max_rounds = 3,
-                                     IncrementalStats* stats = nullptr);
-
-namespace internal {
-
-// Packages a finished solve's capture into a SolveContext (used by
-// solve_lambs when LambOptions::keep_context is set).
-std::shared_ptr<SolveContext> make_context(const MeshShape& shape,
-                                           const FaultSet& faults,
-                                           const MultiRoundOrder& orders,
-                                           LambCapture&& capture);
-
-}  // namespace internal
+// to solve_lambs(snapshot, options, max_rounds). `options` should be the
+// same options the previous solve ran with; keep_context on the options
+// controls whether the NEW outcome carries a context in turn, which then
+// shares `snapshot` on the incremental path and its fallback alike.
+SolveOutcome solve_lambs_incremental(
+    const std::shared_ptr<const FaultSnapshot>& snapshot,
+    const SolveOutcome& prev, const LambOptions& options, int max_rounds = 3,
+    IncrementalStats* stats = nullptr);
 
 }  // namespace lamb

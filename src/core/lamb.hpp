@@ -139,8 +139,8 @@ struct SolveOutcome {
   bool certified() const { return status != SolveStatus::kUncovered; }
 
   // Set when LambOptions::keep_context was on and the solve left reusable
-  // intermediates; consumed by solve_lambs_incremental. Null otherwise.
-  std::shared_ptr<SolveContext> context;
+  // intermediates; read by solve_lambs_incremental. Null otherwise.
+  std::shared_ptr<const SolveContext> context;
 };
 
 // Runs lamb1 under options.budget_seconds, degrading instead of
@@ -150,6 +150,10 @@ struct SolveOutcome {
 // pairs. Exceptions other than SolveBudgetExceeded (caller errors such
 // as bad predetermined lambs) still propagate.
 SolveOutcome solve_lambs(const MeshShape& shape, const FaultSet& faults,
+                         const LambOptions& options, int max_rounds = 3);
+// The same solve over a sealed snapshot; a kept context shares `snapshot`
+// instead of sealing a copy of the faults.
+SolveOutcome solve_lambs(const std::shared_ptr<const FaultSnapshot>& snapshot,
                          const LambOptions& options, int max_rounds = 3);
 
 }  // namespace lamb

@@ -7,6 +7,7 @@
 // out, report the survivor pairs the fallback configuration leaves
 // uncovered so the caller can choose degrade-vs-abort.
 #include <algorithm>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -28,8 +29,13 @@ const char* solve_status_name(SolveStatus status) {
   return "?";
 }
 
-SolveOutcome solve_lambs(const MeshShape& shape, const FaultSet& faults,
-                         const LambOptions& options, int max_rounds) {
+namespace {
+
+// The ladder over `faults`. A kept context holds `sealed`, which must be
+// null or a snapshot of exactly `faults`; null seals one on demand.
+SolveOutcome solve_ladder(const MeshShape& shape, const FaultSet& faults,
+                          std::shared_ptr<const FaultSnapshot> sealed,
+                          const LambOptions& options, int max_rounds) {
   obs::Span span("solver.solve_lambs", "solver");
   Stopwatch watch;
   SolveOutcome outcome;
@@ -67,9 +73,9 @@ SolveOutcome solve_lambs(const MeshShape& shape, const FaultSet& faults,
             .add(outcome.escalations);
       }
       if (options.keep_context && capture.valid) {
-        outcome.context = internal::make_context(shape, faults,
-                                                 *attempt.orders,
-                                                 std::move(capture));
+        if (sealed == nullptr) sealed = seal(faults);
+        outcome.context = std::make_shared<const SolveContext>(SolveContext{
+            std::move(sealed), *attempt.orders, std::move(capture)});
       }
       span.arg("rounds", rounds);
       span.arg("escalations", outcome.escalations);
@@ -98,6 +104,19 @@ SolveOutcome solve_lambs(const MeshShape& shape, const FaultSet& faults,
   obs::counter("solver.degrade.uncovered").add();
   span.arg("rounds", 0);
   return outcome;
+}
+
+}  // namespace
+
+SolveOutcome solve_lambs(const MeshShape& shape, const FaultSet& faults,
+                         const LambOptions& options, int max_rounds) {
+  return solve_ladder(shape, faults, nullptr, options, max_rounds);
+}
+
+SolveOutcome solve_lambs(const std::shared_ptr<const FaultSnapshot>& snapshot,
+                         const LambOptions& options, int max_rounds) {
+  return solve_ladder(*snapshot->shape, snapshot->faults, snapshot, options,
+                      max_rounds);
 }
 
 }  // namespace lamb

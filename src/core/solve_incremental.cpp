@@ -1,9 +1,5 @@
 // The incremental re-solve path (see core/incremental.hpp for the
-// contract). The previous context is CONSUMED by an attempt that gets as
-// far as folding the delta into it: its fault snapshot is updated in
-// place and either move into the new outcome's context or,
-// when a later layer bails, are left behind with the capture invalidated
-// so a stale context can never be reused against newer matrices.
+// contract).
 #include "core/incremental.hpp"
 
 #include <optional>
@@ -28,30 +24,13 @@ const char* incremental_fallback_name(IncrementalFallback reason) {
   return "?";
 }
 
-namespace internal {
-
-std::shared_ptr<SolveContext> make_context(const MeshShape& shape,
-                                           const FaultSet& faults,
-                                           const MultiRoundOrder& orders,
-                                           LambCapture&& capture) {
-  auto ctx = std::make_shared<SolveContext>();
-  ctx->shape = std::make_shared<const MeshShape>(shape);
-  ctx->orders = orders;
-  ctx->capture = std::move(capture);
-  // Own copy of the fault set, bound to the shared shape.
-  ctx->faults = std::make_unique<FaultSet>(faults, *ctx->shape);
-  return ctx;
-}
-
-}  // namespace internal
-
-SolveOutcome solve_lambs_incremental(const MeshShape& shape,
-                                     const FaultSet& faults,
-                                     const SolveOutcome& prev,
-                                     const LambOptions& options,
-                                     int max_rounds,
-                                     IncrementalStats* stats) {
+SolveOutcome solve_lambs_incremental(
+    const std::shared_ptr<const FaultSnapshot>& snapshot,
+    const SolveOutcome& prev, const LambOptions& options, int max_rounds,
+    IncrementalStats* stats) {
   obs::Span span("solver.solve_incremental", "solver");
+  const MeshShape& shape = *snapshot->shape;
+  const FaultSet& faults = snapshot->faults;
   IncrementalStats local;
   IncrementalStats& st = stats != nullptr ? *stats : local;
   st = IncrementalStats{};
@@ -61,16 +40,15 @@ SolveOutcome solve_lambs_incremental(const MeshShape& shape,
     st.fallback = reason;
     obs::counter("solver.incremental.fallback").add();
     span.arg("fallback", static_cast<double>(reason));
-    return solve_lambs(shape, faults, options, max_rounds);
+    return solve_lambs(snapshot, options, max_rounds);
   };
 
-  if (prev.context == nullptr || !prev.context->capture.valid ||
-      prev.context->faults == nullptr) {
+  if (prev.context == nullptr || !prev.context->capture.valid) {
     return fall_back(IncrementalFallback::kNoContext);
   }
   if (!prev.certified()) return fall_back(IncrementalFallback::kNotCertified);
-  SolveContext& ctx = *prev.context;
-  if (!(*ctx.shape == shape)) {
+  const SolveContext& ctx = *prev.context;
+  if (!(*ctx.snapshot->shape == shape)) {
     return fall_back(IncrementalFallback::kShapeMismatch);
   }
   const MultiRoundOrder orders = options.resolved_orders(shape.dim());
@@ -82,7 +60,8 @@ SolveOutcome solve_lambs_incremental(const MeshShape& shape,
 
   // The delta: faults present now but not in the context's snapshot. The
   // snapshot must be a subset or the reuse arguments do not hold.
-  const std::optional<FaultDelta> fdelta = fault_delta(*ctx.faults, faults);
+  const std::optional<FaultDelta> fdelta =
+      fault_delta(ctx.snapshot->faults, faults);
   if (!fdelta) return fall_back(IncrementalFallback::kNotSuperset);
   std::vector<Point> delta_nodes;
   delta_nodes.reserve(fdelta->nodes.size());
@@ -90,13 +69,6 @@ SolveOutcome solve_lambs_incremental(const MeshShape& shape,
   const std::vector<LinkFault>& delta_links = fdelta->links;
   st.delta_nodes = static_cast<std::int64_t>(delta_nodes.size());
   st.delta_links = static_cast<std::int64_t>(delta_links.size());
-
-  // Point of no return: fold the delta into the context's fault
-  // snapshot. The old context is consumed — mark its capture invalid so a
-  // retry can never pair the mutated snapshot with the old matrices.
-  ctx.capture.valid = false;
-  for (const NodeId id : fdelta->nodes) ctx.faults->add_node(id);
-  for (const LinkFault& lf : delta_links) ctx.faults->add(lf);
 
   const std::vector<NodeId> predetermined =
       internal::checked_predetermined(faults, options);
@@ -150,12 +122,8 @@ SolveOutcome solve_lambs_incremental(const MeshShape& shape,
   span.arg("blocks_reused", static_cast<double>(st.blocks_reused));
 
   if (options.keep_context) {
-    auto nctx = std::make_shared<SolveContext>();
-    nctx->shape = ctx.shape;
-    nctx->orders = orders;
-    nctx->faults = std::move(ctx.faults);
-    nctx->capture = std::move(ncap);
-    outcome.context = std::move(nctx);
+    outcome.context = std::make_shared<const SolveContext>(
+        SolveContext{snapshot, orders, std::move(ncap)});
   }
   return outcome;
 }

@@ -30,12 +30,14 @@ constexpr std::uint8_t kRecReconfigure = 4;  // i32 epoch produced
 
 MachineManager::MachineManager(const MeshShape& shape, LambOptions options,
                                int max_rounds)
-    : shape_(std::make_unique<MeshShape>(shape)),
+    : shape_(std::make_shared<const MeshShape>(shape)),
       options_(std::move(options)),
       max_rounds_(max_rounds),
       orders_(options_.resolved_orders(shape.dim())),
       values_(static_cast<std::size_t>(shape.size()), 1.0),
       faults_(*shape_),
+      snapshot_(seal(shape_, faults_)),
+      routes_(std::make_unique<wormhole::RouteCache>(snapshot_, orders_)),
       load_(*shape_) {
   if (!options_.predetermined.empty()) {
     throw std::invalid_argument(
@@ -68,7 +70,6 @@ void MachineManager::report_node_fault(const Point& p) {
     journal_append(w.data());
   }
   faults_.add_node(p);
-  cache_delta_nodes_.push_back(shape_->index(p));
   obs::FlightRecorder::global().record(obs::FlightEventType::kFaultApplied,
                                        0, shape_->index(p));
   pending_ = true;
@@ -101,7 +102,10 @@ void MachineManager::report_link_fault(const Point& from, int dim, Dir dir) {
   }
   const bool fwd_new = !faults_.link_faulty(from, dim, dir);
   const bool rev_new = !faults_.link_faulty(neighbor, dim, opposite(dir));
-  if (state_ != nullptr && fwd_new) {
+  // Either direction being new makes the report change the fault set (a
+  // restored directed fault plus this report blocks the reverse too), so
+  // either one must reach the journal.
+  if (state_ != nullptr && (fwd_new || rev_new)) {
     io::ByteWriter w;
     w.u8(kRecLinkFault);
     w.i64(shape_->index(from));
@@ -111,7 +115,6 @@ void MachineManager::report_link_fault(const Point& from, int dim, Dir dir) {
   }
   faults_.add_link(from, dim, dir);
   if (fwd_new || rev_new) {
-    cache_delta_links_.push_back(LinkFault{from, dim, dir, true});
     obs::FlightRecorder::global().record(
         obs::FlightEventType::kFaultApplied, 1, shape_->index(from),
         dim * 2 + (dir == Dir::Pos ? 0 : 1));
@@ -142,10 +145,15 @@ void MachineManager::degrade_node(NodeId id, double value) {
 
 EpochReport MachineManager::reconfigure() {
   obs::Span span("manager.reconfigure", "manager");
+  // Faults only grow between seals, so the new ones are the count over
+  // the previous epoch's snapshot.
+  const std::int64_t new_node_faults =
+      faults_.num_node_faults() - snapshot_->faults.num_node_faults();
+  const std::int64_t new_link_faults =
+      faults_.num_link_faults() - snapshot_->faults.num_link_faults();
   obs::FlightRecorder::global().record(
-      obs::FlightEventType::kReconfigureBegin, 0,
-      faults_.num_node_faults() - seen_node_faults_,
-      faults_.num_link_faults() - seen_link_faults_);
+      obs::FlightEventType::kReconfigureBegin, 0, new_node_faults,
+      new_link_faults);
   if (state_ != nullptr) {
     // Intent record: if we crash mid-solve, recovery re-runs the
     // reconfigure (the solve is deterministic given the same state). On
@@ -165,10 +173,9 @@ EpochReport MachineManager::reconfigure() {
   report.route_load_hottest = load_.hottest();
   load_.reset();
   routes_vended_ = 0;
-  report.new_node_faults = faults_.num_node_faults() - seen_node_faults_;
-  report.new_link_faults = faults_.num_link_faults() - seen_link_faults_;
-  seen_node_faults_ = faults_.num_node_faults();
-  seen_link_faults_ = faults_.num_link_faults();
+  report.new_node_faults = new_node_faults;
+  report.new_link_faults = new_link_faults;
+  std::shared_ptr<const FaultSnapshot> sealed = seal(shape_, faults_);
 
   // Previous lambs that are still good stay lambs (monotone growth).
   LambOptions options = options_;
@@ -179,15 +186,14 @@ EpochReport MachineManager::reconfigure() {
     if (faults_.node_good(id)) options.predetermined.push_back(id);
   }
   options.keep_context = incremental_enabled_;
-  const int rounds_before = rounds();
 
   Stopwatch watch;
   IncrementalStats inc;
   SolveOutcome outcome =
       incremental_enabled_
-          ? solve_lambs_incremental(*shape_, faults_, last_outcome_, options,
+          ? solve_lambs_incremental(sealed, last_outcome_, options,
                                     max_rounds_, &inc)
-          : solve_lambs(*shape_, faults_, options, max_rounds_);
+          : solve_lambs(sealed, options, max_rounds_);
   const LambResult& result = outcome.result;
   report.incremental = inc.used;
   report.partition_cells_recomputed = inc.partition_cells_recomputed;
@@ -230,21 +236,18 @@ EpochReport MachineManager::reconfigure() {
     report.survivor_value += values_[static_cast<std::size_t>(id)];
   }
 
-  // Route cache: when the routing rounds are unchanged, the cached floods
-  // were built against the same orders and only the newly reported faults
-  // can have changed them — invalidate selectively. Escalation (or no
-  // cache yet) forces a rebuild.
-  if (routes_ != nullptr && rounds() == rounds_before) {
-    const wormhole::RouteCache::InvalidateStats cache_stats =
-        routes_->invalidate(cache_delta_nodes_, cache_delta_links_);
-    report.routes_retained = cache_stats.retained;
-    report.routes_dropped = cache_stats.dropped;
+  // Route cache: a new cache over the new snapshot, carrying forward the
+  // floods the new faults cannot have changed. Escalated orders carry
+  // none forward.
+  auto routes = std::make_unique<wormhole::RouteCache>(sealed, orders_);
+  if (const auto adopted = routes->adopt(*routes_)) {
+    report.routes_retained = adopted->retained;
+    report.routes_dropped = adopted->dropped;
   } else {
-    if (routes_ != nullptr) report.routes_dropped = routes_->cached_entries();
-    rebuild_routes();
+    report.routes_dropped = routes_->cached_entries();
   }
-  cache_delta_nodes_.clear();
-  cache_delta_links_.clear();
+  routes_ = std::move(routes);
+  snapshot_ = std::move(sealed);
   last_outcome_ = std::move(outcome);
   pending_ = false;
   history_.push_back(report);
@@ -342,9 +345,8 @@ void MachineManager::restore(const Checkpoint& snapshot) {
 }
 
 void MachineManager::apply_state(const Checkpoint& snapshot) {
-  // Rebuild the fault set from the snapshot's plain lists; everything
-  // else is value state. The route cache must be rebuilt because it
-  // holds a pointer to the (now replaced) fault set contents.
+  // Rebuild the fault set from the checkpoint's plain lists; everything
+  // else is value state.
   FaultSet faults(*shape_);
   for (NodeId id : snapshot.node_faults) faults.add_node(id);
   for (const LinkFault& lf : snapshot.link_faults) faults.add(lf);
@@ -353,8 +355,6 @@ void MachineManager::apply_state(const Checkpoint& snapshot) {
   values_ = snapshot.values;
   history_ = snapshot.history;
   orders_ = snapshot.orders;
-  seen_node_faults_ = faults_.num_node_faults();
-  seen_link_faults_ = faults_.num_link_faults();
   // Restore (not reset) the mid-epoch route-vending state so load-aware
   // tie-breaking stays deterministic across a crash-and-resume. Older
   // checkpoints without counts fall back to the historical reset.
@@ -370,18 +370,13 @@ void MachineManager::apply_state(const Checkpoint& snapshot) {
   // snapshot (kNotSuperset) or diverges in orders/rounds. The recovery
   // loop's roll-back restores precisely the state the context was solved
   // at, so the post-roll-back reconfigure — the recovery critical path —
-  // stays incremental. The route-cache delta, by contrast, is relative
-  // to the abandoned timeline and must go.
-  cache_delta_nodes_.clear();
-  cache_delta_links_.clear();
-  rebuild_routes();
+  // stays incremental. The route cache starts cold: its floods belong to
+  // the abandoned timeline.
+  snapshot_ = seal(shape_, faults_);
+  routes_ = std::make_unique<wormhole::RouteCache>(snapshot_, orders_);
   // Epoch 0 only exists once reconfigure() establishes it, and a durable
   // snapshot taken while reports were pending restores that obligation.
   pending_ = snapshot.pending || history_.empty();
-}
-
-void MachineManager::rebuild_routes() {
-  routes_ = std::make_unique<wormhole::RouteCache>(*shape_, faults_, orders_);
 }
 
 void MachineManager::require_configured() const {

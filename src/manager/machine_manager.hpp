@@ -9,9 +9,11 @@
 // epochs. Diagnostics are queued with report_* / degrade_node; a call to
 // reconfigure() recomputes the lamb set — monotonically, using the
 // Section 7 predetermined-lamb extension, so nodes once sacrificed stay
-// sacrificed — and logs an epoch record. Between reconfigurations the
-// manager vends verified survivor routes through the route picker
-// (wormhole::RouteCache).
+// sacrificed — and logs an epoch record. Each reconfigure() seals the
+// epoch's faults into one immutable FaultSnapshot, shared by the solver
+// context, the manager's route picker (wormhole::RouteCache, through which
+// it vends verified survivor routes between reconfigurations) and every
+// serving table captured from the epoch.
 #pragma once
 
 #include <cstdint>
@@ -64,8 +66,9 @@ struct EpochReport {
   NodeId route_load_hottest = -1;
   // Incremental-reconfigure telemetry: whether the O(delta) path produced
   // this epoch (false = full solve, including every fallback), the
-  // per-layer reuse counters (see core/incremental.hpp), and how the
-  // route cache fared under selective invalidation.
+  // per-layer reuse counters (see core/incremental.hpp), and how many of
+  // the previous epoch's cached floods the new route cache adopted or
+  // dropped (RouteCache::adopt).
   bool incremental = false;
   std::int64_t partition_cells_recomputed = 0;
   std::int64_t blocks_reused = 0;
@@ -132,15 +135,23 @@ class MachineManager {
       OpenReport* report = nullptr, io::LoadError* err = nullptr,
       io::DurableOptions durable_options = {});
 
-  // Not movable: the internal route cache refers to the fault-set member,
-  // whose address must stay stable.
+  // Neither copyable nor movable: serve::RouteService and RecoveryDriver
+  // hold the manager's address.
   MachineManager(const MachineManager&) = delete;
   MachineManager& operator=(const MachineManager&) = delete;
   MachineManager(MachineManager&&) = delete;
   MachineManager& operator=(MachineManager&&) = delete;
 
   const MeshShape& shape() const { return *shape_; }
+  // The working fault set: the current epoch's faults plus any reports
+  // still pending.
   const FaultSet& faults() const { return faults_; }
+  // The current epoch's faults, sealed by the last reconfigure() or
+  // restore() (empty before either). Unlike faults() it never changes in
+  // place; the next epoch seals a new snapshot.
+  const std::shared_ptr<const FaultSnapshot>& snapshot() const {
+    return snapshot_;
+  }
   const std::vector<NodeId>& lambs() const { return lambs_; }
   int epoch() const { return static_cast<int>(history_.size()); }
   const std::vector<EpochReport>& history() const { return history_; }
@@ -184,9 +195,10 @@ class MachineManager {
   // --- Checkpoint / roll-back (paper Section 1's recovery loop) ---
   // Snapshots the CURRENT configuration; throws std::logic_error while
   // reports are pending (a stale configuration is not a valid roll-back
-  // target). restore() replaces all manager state with the snapshot and
-  // rebuilds the route cache, leaving no reports pending; diagnostics
-  // discovered after the snapshot must be re-reported.
+  // target). restore() replaces all manager state with the checkpoint,
+  // seals its faults and starts a cold route cache, leaving no reports
+  // pending; diagnostics discovered after the checkpoint must be
+  // re-reported.
   Checkpoint checkpoint() const;
   void restore(const Checkpoint& snapshot);
 
@@ -212,6 +224,9 @@ class MachineManager {
   // toggle only trades memory for reconfigure latency.
   void set_incremental(bool enabled);
   bool incremental_enabled() const { return incremental_enabled_; }
+  // The last reconfigure()'s solve outcome. With incremental on, its
+  // context holds the same snapshot() the epoch's route tables share.
+  const SolveOutcome& last_outcome() const { return last_outcome_; }
 
   // --- Durability (crash-safe state; docs/RECOVERY.md "Durability") ---
   // Attaches a state directory and writes an initial snapshot. From then
@@ -234,7 +249,6 @@ class MachineManager {
 
  private:
   void require_configured() const;
-  void rebuild_routes();
   // Checkpoint of the raw member state; unlike checkpoint() this works
   // while reports are pending (durable snapshots must not lose them —
   // pending reports are in the journal, not the snapshot).
@@ -247,34 +261,28 @@ class MachineManager {
   // is malformed or semantically invalid. Never throws.
   bool replay_record(std::string_view record);
 
-  std::unique_ptr<MeshShape> shape_;
+  std::shared_ptr<const MeshShape> shape_;
   LambOptions options_;
   int max_rounds_ = 3;
   MultiRoundOrder orders_;  // current (possibly escalated) rounds
   std::vector<double> values_;
-  FaultSet faults_;
+  FaultSet faults_;  // working set: snapshot_ plus pending reports
+  std::shared_ptr<const FaultSnapshot> snapshot_;
   std::vector<NodeId> lambs_;  // sorted
   std::vector<EpochReport> history_;
-  std::unique_ptr<wormhole::RouteCache> routes_;
+  std::unique_ptr<wormhole::RouteCache> routes_;  // over snapshot_
   wormhole::NodeLoad load_;
   std::int64_t routes_vended_ = 0;
-  std::int64_t seen_node_faults_ = 0;  // totals at the last reconfigure
-  std::int64_t seen_link_faults_ = 0;
   bool pending_ = true;  // epoch 0 must be established by reconfigure()
   std::unique_ptr<io::StateDir> state_;  // null when not durable
   // Incremental path: previous solve outcome (carries the SolveContext
-  // when incremental is enabled) and the faults newly reported since the
-  // route cache was last built/invalidated. The outcome survives
-  // restore() — its context knows the fault set it was solved for, and
-  // the solver falls back by itself when a restored timeline diverges
-  // from it — so the recovery loop's roll-back → report → reconfigure
-  // stays incremental. The route-cache delta is cleared on restore (it
-  // is relative to the abandoned timeline); a reopened manager starts
-  // with no context either way.
+  // when incremental is enabled). The outcome survives restore() — its
+  // context holds the snapshot it was solved for, and the solver falls
+  // back by itself when a restored timeline diverges from it — so the
+  // recovery loop's roll-back → report → reconfigure stays incremental.
+  // A reopened manager starts with no context.
   bool incremental_enabled_ = true;
   SolveOutcome last_outcome_;
-  std::vector<NodeId> cache_delta_nodes_;
-  std::vector<LinkFault> cache_delta_links_;
 };
 
 }  // namespace lamb::manager

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace lamb {
 
@@ -109,6 +110,19 @@ FaultSet FaultSet::random_nodes(const MeshShape& shape, std::int64_t count,
     fs.add_node(id);
   }
   return fs;
+}
+
+FaultSnapshot::FaultSnapshot(std::shared_ptr<const MeshShape> shape,
+                             const FaultSet& faults)
+    : shape(std::move(shape)), faults(faults, *this->shape) {}
+
+std::shared_ptr<const FaultSnapshot> seal(
+    std::shared_ptr<const MeshShape> shape, const FaultSet& faults) {
+  return std::make_shared<const FaultSnapshot>(std::move(shape), faults);
+}
+
+std::shared_ptr<const FaultSnapshot> seal(const FaultSet& faults) {
+  return seal(std::make_shared<const MeshShape>(faults.shape()), faults);
 }
 
 std::optional<FaultDelta> fault_delta(const FaultSet& then,

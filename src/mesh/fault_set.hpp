@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -88,6 +89,25 @@ class FaultSet {
   std::vector<LinkFault> link_faults_;      // insertion order
   std::vector<LinkId> bad_directed_links_;  // sorted, unique
 };
+
+// One epoch's fault set, sealed: the paper's reconfiguration runs
+// "assuming static faults and global knowledge", so once an epoch is
+// solved its faults are one immutable value. Every holder of the epoch
+// (the manager, its route cache, the solver context, each serving table)
+// shares the same snapshot instead of keeping its own copy.
+struct FaultSnapshot {
+  // Copy of `faults` bound to `shape`, which must equal faults.shape().
+  FaultSnapshot(std::shared_ptr<const MeshShape> shape, const FaultSet& faults);
+
+  const std::shared_ptr<const MeshShape> shape;
+  const FaultSet faults;  // bound to *shape
+};
+
+// Seals `faults` into a snapshot sharing `shape`; the second form copies
+// faults.shape() into a snapshot of its own.
+std::shared_ptr<const FaultSnapshot> seal(
+    std::shared_ptr<const MeshShape> shape, const FaultSet& faults);
+std::shared_ptr<const FaultSnapshot> seal(const FaultSet& faults);
 
 // The faults `now` adds over `then`, in `now`'s order: node ids ascending,
 // link faults in insertion order.

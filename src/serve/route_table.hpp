@@ -1,17 +1,18 @@
 // Epoch-versioned, read-mostly route tables for the serving layer.
 //
-// A RouteTable is an immutable snapshot of one manager epoch: the fault
-// set, round orders, and survivor set frozen at publish time, plus a
-// memoizing flood cache so a repeated vend against the snapshot costs one
-// scan of the intersection of two cached floods. RouteService swaps
+// A RouteTable is an immutable view of one manager epoch: the epoch's
+// sealed FaultSnapshot (shared with the manager, not copied), round
+// orders, and survivor set frozen at publish time, plus a memoizing flood
+// cache so a repeated vend against the epoch costs one scan of the
+// intersection of two cached floods. RouteService swaps
 // tables with a single atomic shared_ptr store (RCU-style), so readers
 // never block on the solver — they route against whichever epoch they
 // snapshotted, and the old table dies when its last in-flight reader
 // drops the reference.
 //
 // capture() carries the previous table's surviving floods forward via
-// RouteCache::adopt (PR 7's selective-invalidation predicate), so an
-// epoch swap only re-floods endpoints the new faults could have touched.
+// RouteCache::adopt, so an epoch swap only re-floods endpoints the new
+// faults could have touched.
 #pragma once
 
 #include <cstdint>
@@ -36,12 +37,13 @@ class RouteTable {
     std::int64_t floods_dropped = 0;
   };
 
-  // Snapshots the manager's CURRENT configuration (the manager must have
-  // no pending reports — publish after reconfigure()). When `prev` is the
-  // table of an earlier epoch of the same timeline with identical shape
-  // and orders, its surviving floods are adopted; any mismatch (order
-  // escalation, shape change, a fault `prev` knew that this epoch does
-  // not) silently falls back to a cold cache.
+  // Captures the manager's CURRENT configuration (the manager must have
+  // no pending reports — publish after reconfigure()), sharing its
+  // sealed manager.snapshot(). When `prev` is the table of an earlier
+  // epoch of the same timeline with identical shape and orders, its
+  // surviving floods are adopted; any mismatch (order escalation, shape
+  // change, a fault `prev` knew that this epoch does not) silently falls
+  // back to a cold cache.
   static std::shared_ptr<const RouteTable> capture(
       const manager::MachineManager& manager, std::int64_t published_tick,
       const RouteTable* prev = nullptr, BuildStats* stats = nullptr);
@@ -55,12 +57,12 @@ class RouteTable {
   bool certified() const { return certified_; }
   std::int64_t published_tick() const { return published_tick_; }
   int rounds() const { return static_cast<int>(orders_.size()); }
-  const MeshShape& shape() const { return shape_; }
-  const FaultSet& faults() const { return faults_; }
+  const MeshShape& shape() const { return *cache_.snapshot()->shape; }
+  const FaultSet& faults() const { return cache_.snapshot()->faults; }
 
   const std::vector<NodeId>& survivors() const { return survivors_; }
   bool covers(NodeId id) const {
-    return id >= 0 && id < shape_.size() &&
+    return id >= 0 && id < static_cast<NodeId>(is_survivor_.size()) &&
            is_survivor_[static_cast<std::size_t>(id)] != 0;
   }
   bool covers(NodeId src, NodeId dst) const {
@@ -86,8 +88,6 @@ class RouteTable {
   RouteTable(const manager::MachineManager& manager,
              std::int64_t published_tick);
 
-  MeshShape shape_;  // declared first: faults_/cache_ hold references
-  FaultSet faults_;
   MultiRoundOrder orders_;
   int epoch_ = 0;
   bool certified_ = false;

@@ -24,9 +24,9 @@ obs::Counter& miss_counter() {
   return c;
 }
 
-// Shared staleness predicate for invalidate()/adopt(): a flood may have
-// used a dead element iff it contains a delta node or both endpoints of
-// a delta link (see invalidate() in the header for the argument).
+// adopt()'s staleness predicate: a flood may have used a dead element iff
+// it contains a delta node or both endpoints of a delta link (see adopt()
+// in the header for the argument).
 class StaleTest {
  public:
   StaleTest(const MeshShape& shape, const std::vector<NodeId>& delta_nodes,
@@ -246,46 +246,27 @@ NodeId NodeLoad::hottest() const {
 
 void NodeLoad::reset() { std::fill(counts.begin(), counts.end(), 0); }
 
+RouteCache::RouteCache(std::shared_ptr<const FaultSnapshot> snapshot,
+                       MultiRoundOrder orders)
+    : snapshot_(std::move(snapshot)), orders_(std::move(orders)) {}
+
 RouteCache::RouteCache(const MeshShape& shape, const FaultSet& faults,
                        MultiRoundOrder orders)
-    : shape_(&shape), faults_(&faults), orders_(std::move(orders)) {}
+    : RouteCache(seal(std::make_shared<const MeshShape>(shape), faults),
+                 std::move(orders)) {}
 
-void RouteCache::reconfigure() {
-  obs::counter("wormhole.route_cache.reconfigures").add();
-  oracle_.reset();
-  forward_.clear();
-  backward_.clear();
-}
-
-RouteCache::InvalidateStats RouteCache::invalidate(
-    const std::vector<NodeId>& delta_nodes,
-    const std::vector<LinkFault>& delta_links) {
-  obs::counter("wormhole.route_cache.invalidates").add();
-  oracle_.reset();
-  const StaleTest stale(*shape_, delta_nodes, delta_links);
-  InvalidateStats stats;
-  for (auto* cache : {&forward_, &backward_}) {
-    for (auto it = cache->begin(); it != cache->end();) {
-      if (stale(it->second)) {
-        it = cache->erase(it);
-        ++stats.dropped;
-      } else {
-        ++it;
-        ++stats.retained;
-      }
-    }
+std::optional<RouteCache::AdoptStats> RouteCache::adopt(
+    const RouteCache& prev) {
+  if (!(*prev.snapshot_->shape == *snapshot_->shape) ||
+      prev.orders_ != orders_) {
+    return std::nullopt;
   }
-  obs::counter("wormhole.route_cache.retained").add(stats.retained);
-  obs::counter("wormhole.route_cache.dropped").add(stats.dropped);
-  return stats;
-}
-
-RouteCache::InvalidateStats RouteCache::adopt(
-    const RouteCache& prev, const std::vector<NodeId>& delta_nodes,
-    const std::vector<LinkFault>& delta_links) {
+  const std::optional<FaultDelta> delta =
+      fault_delta(prev.snapshot_->faults, snapshot_->faults);
+  if (!delta) return std::nullopt;
   obs::counter("wormhole.route_cache.adopts").add();
-  const StaleTest stale(*shape_, delta_nodes, delta_links);
-  InvalidateStats stats;
+  const StaleTest stale(*snapshot_->shape, delta->nodes, delta->links);
+  AdoptStats stats;
   const std::pair<const std::unordered_map<NodeId, Bits>*,
                   std::unordered_map<NodeId, Bits>*>
       sides[] = {{&prev.forward_, &forward_}, {&prev.backward_, &backward_}};
@@ -304,12 +285,7 @@ RouteCache::InvalidateStats RouteCache::adopt(
 }
 
 const FloodOracle& RouteCache::oracle() {
-  if (!oracle_ || oracle_node_faults_ != faults_->num_node_faults() ||
-      oracle_link_faults_ != faults_->num_link_faults()) {
-    oracle_.emplace(*shape_, *faults_);
-    oracle_node_faults_ = faults_->num_node_faults();
-    oracle_link_faults_ = faults_->num_link_faults();
-  }
+  if (!oracle_) oracle_.emplace(*snapshot_->shape, snapshot_->faults);
   return *oracle_;
 }
 
@@ -322,8 +298,8 @@ const Bits& RouteCache::forward_of(NodeId src) {
   }
   ++misses_;
   miss_counter().add();
-  return forward_.emplace(src, oracle().reach1_from(shape_->point(src),
-                                                    orders_.front()))
+  const Point src_p = snapshot_->shape->point(src);
+  return forward_.emplace(src, oracle().reach1_from(src_p, orders_.front()))
       .first->second;
 }
 
@@ -336,8 +312,8 @@ const Bits& RouteCache::backward_of(NodeId dst) {
   }
   ++misses_;
   miss_counter().add();
-  return backward_.emplace(dst, oracle().reach1_to(shape_->point(dst),
-                                                   orders_.back()))
+  const Point dst_p = snapshot_->shape->point(dst);
+  return backward_.emplace(dst, oracle().reach1_to(dst_p, orders_.back()))
       .first->second;
 }
 
@@ -348,11 +324,12 @@ const Bits& RouteCache::backward_of(NodeId dst) {
 // the k = 2 scan's rule.
 std::vector<NodeId> RouteCache::pick_chain(NodeId src, NodeId dst, Rng& rng) {
   constexpr std::int64_t kUnreachable = std::numeric_limits<std::int64_t>::max();
+  const MeshShape& shape = *snapshot_->shape;
   const FloodOracle& flood = oracle();
   const int k = static_cast<int>(orders_.size());
-  const std::size_t n = static_cast<std::size_t>(shape_->size());
-  const Point src_p = shape_->point(src);
-  const Point dst_p = shape_->point(dst);
+  const std::size_t n = static_cast<std::size_t>(shape.size());
+  const Point src_p = shape.point(src);
+  const Point dst_p = shape.point(dst);
   std::vector<std::vector<std::int64_t>> cost(
       static_cast<std::size_t>(k - 1), std::vector<std::int64_t>(n, kUnreachable));
   std::vector<std::vector<NodeId>> pred(static_cast<std::size_t>(k - 1),
@@ -360,15 +337,15 @@ std::vector<NodeId> RouteCache::pick_chain(NodeId src, NodeId dst, Rng& rng) {
 
   forward_of(src).for_each([&](NodeId u) {
     cost[0][static_cast<std::size_t>(u)] =
-        shape_->l1_distance(src_p, shape_->point(u));
+        shape.l1_distance(src_p, shape.point(u));
   });
   for (std::size_t r = 1; r + 1 < static_cast<std::size_t>(k); ++r) {
     for (std::size_t u = 0; u < n; ++u) {
       const std::int64_t c = cost[r - 1][u];
       if (c == kUnreachable) continue;
-      const Point u_p = shape_->point(static_cast<NodeId>(u));
+      const Point u_p = shape.point(static_cast<NodeId>(u));
       flood.reach1_from(u_p, orders_[r]).for_each([&](NodeId w) {
-        const std::int64_t nc = c + shape_->l1_distance(u_p, shape_->point(w));
+        const std::int64_t nc = c + shape.l1_distance(u_p, shape.point(w));
         if (nc < cost[r][static_cast<std::size_t>(w)]) {
           cost[r][static_cast<std::size_t>(w)] = nc;
           pred[r][static_cast<std::size_t>(w)] = static_cast<NodeId>(u);
@@ -384,7 +361,7 @@ std::vector<NodeId> RouteCache::pick_chain(NodeId src, NodeId dst, Rng& rng) {
   backward_of(dst).for_each([&](NodeId u) {
     const std::int64_t c = last[static_cast<std::size_t>(u)];
     if (c == kUnreachable) return;
-    const std::int64_t total = c + shape_->l1_distance(shape_->point(u), dst_p);
+    const std::int64_t total = c + shape.l1_distance(shape.point(u), dst_p);
     if (total < best) {
       best = total;
       chosen = u;
@@ -406,12 +383,13 @@ std::vector<NodeId> RouteCache::pick_chain(NodeId src, NodeId dst, Rng& rng) {
 
 std::optional<Route> RouteCache::build(NodeId src, NodeId dst, Rng& rng,
                                        NodeLoad* load) {
-  if (src < 0 || dst < 0 || src >= shape_->size() || dst >= shape_->size()) {
+  const MeshShape& shape = *snapshot_->shape;
+  if (src < 0 || dst < 0 || src >= shape.size() || dst >= shape.size()) {
     return std::nullopt;
   }
   const std::size_t k = orders_.size();
-  const Point src_p = shape_->point(src);
-  const Point dst_p = shape_->point(dst);
+  const Point src_p = shape.point(src);
+  const Point dst_p = shape.point(dst);
   Route route;
   route.src = src;
   route.dst = dst;
@@ -420,7 +398,7 @@ std::optional<Route> RouteCache::build(NodeId src, NodeId dst, Rng& rng,
   } else if (k == 2) {
     const Bits& forward = forward_of(src);
     const Bits& backward = backward_of(dst);
-    IntermediateScan scan(*shape_, forward, backward, src_p, dst_p,
+    IntermediateScan scan(shape, forward, backward, src_p, dst_p,
                           &scan_costs_, rng, load);
     const NodeId chosen = scan.run();
     if (chosen < 0) return std::nullopt;
@@ -433,8 +411,8 @@ std::optional<Route> RouteCache::build(NodeId src, NodeId dst, Rng& rng,
 
   Point at = src_p;
   for (std::size_t r = 0; r < k; ++r) {
-    const Point to = r + 1 < k ? shape_->point(route.intermediates[r]) : dst_p;
-    append_round(*shape_, at, to, orders_[r], static_cast<int>(r), &route);
+    const Point to = r + 1 < k ? shape.point(route.intermediates[r]) : dst_p;
+    append_round(shape, at, to, orders_[r], static_cast<int>(r), &route);
     at = to;
   }
   if (load != nullptr && k == 2) {
@@ -443,9 +421,9 @@ std::optional<Route> RouteCache::build(NodeId src, NodeId dst, Rng& rng,
     at = src_p;
     for (const Hop& hop : route.hops) {
       Point next;
-      shape_->neighbor(at, hop.dim, hop.dir, &next);
+      shape.neighbor(at, hop.dim, hop.dir, &next);
       at = next;
-      ++load->counts[static_cast<std::size_t>(shape_->index(at))];
+      ++load->counts[static_cast<std::size_t>(shape.index(at))];
     }
   }
   return route;

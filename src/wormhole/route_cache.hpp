@@ -18,13 +18,16 @@
 //     intersection of the two cached floods for the intermediate;
 //   * k >= 3 runs the exact shortest-intermediate DP, flooding the middle
 //     rounds directly.
-// Memory is one N-bit set per distinct endpoint seen, freed on
-// reconfigure(). All floods of one fault-set state come from one
-// FloodOracle, built on the first miss and rebuilt after reconfigure(),
-// invalidate(), or growth of the referenced FaultSet.
+// Memory is one N-bit set per distinct endpoint seen. A cache is bound to
+// one sealed FaultSnapshot and one set of orders for its whole life, so
+// its floods never go stale; all of them come from one FloodOracle, built
+// on the first miss. A new epoch gets a new cache, which adopt()s the
+// floods of the previous epoch's cache that the new faults cannot have
+// changed.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -82,8 +85,16 @@ struct NodeLoad {
 
 class RouteCache {
  public:
+  RouteCache(std::shared_ptr<const FaultSnapshot> snapshot,
+             MultiRoundOrder orders);
+  // Seals its own snapshot of `faults`: later changes to `faults` do not
+  // reach this cache.
   RouteCache(const MeshShape& shape, const FaultSet& faults,
              MultiRoundOrder orders);
+
+  const std::shared_ptr<const FaultSnapshot>& snapshot() const {
+    return snapshot_;
+  }
 
   // Fault-free k-round route from src to dst, or nullopt when dst is not
   // (k, F, orders)-reachable from src or either id lies outside [0, N).
@@ -94,41 +105,24 @@ class RouteCache {
   std::optional<Route> build(NodeId src, NodeId dst, Rng& rng,
                              NodeLoad* load = nullptr);
 
-  // Drops all cached floods (call after the fault set / lamb set
-  // changes — the referenced FaultSet must reflect the new state).
-  void reconfigure();
-
-  // Outcome of a selective invalidation: how many cached floods survived
-  // and how many had to be dropped.
-  struct InvalidateStats {
+  // Outcome of a carry-forward: how many of the previous cache's floods
+  // were adopted and how many the new faults made stale.
+  struct AdoptStats {
     std::int64_t retained = 0;
     std::int64_t dropped = 0;
   };
 
-  // Selective invalidation for the incremental reconfigure path: drops
-  // only the cached floods that could have traversed a newly dead node or
-  // link, keeping the rest. A flood is dropped when it contains a delta
-  // node, or both endpoints of a delta link — any route through the dead
-  // element would put it (or both its endpoints) in the flood, so a flood
-  // failing the test is provably unchanged. The referenced FaultSet must
-  // already reflect the new cumulative state; `delta_links` uses the
-  // logical LinkFault records (both endpoints are checked regardless of
-  // direction). Orders and shape must be unchanged since the floods were
-  // built — callers that changed them must use reconfigure() instead.
-  InvalidateStats invalidate(const std::vector<NodeId>& delta_nodes,
-                             const std::vector<LinkFault>& delta_links);
-
-  // Carry-forward for epoch-versioned tables (serve::RouteTable): seeds
-  // this cache with every flood of `prev` that survives the fault delta,
-  // leaving `prev` untouched. Equivalent to copying `prev` and calling
-  // invalidate(delta_nodes, delta_links) on the copy, with the same
-  // preconditions: this cache's FaultSet must already reflect the new
-  // cumulative state, and shape/orders must match `prev`'s. Floods this
-  // cache already holds for an adopted endpoint are kept (not
-  // overwritten); they were built against the newer fault set.
-  InvalidateStats adopt(const RouteCache& prev,
-                        const std::vector<NodeId>& delta_nodes,
-                        const std::vector<LinkFault>& delta_links);
+  // Carry-forward across an epoch swap: seeds this cache with every flood
+  // of `prev` that the fault delta between the two snapshots cannot have
+  // changed, leaving `prev` untouched. A flood is stale when it contains
+  // a delta node, or both endpoints of a delta link: any route through
+  // the dead element puts it (or both its endpoints) in the flood, so a
+  // flood failing the test is provably unchanged. Adopts nothing and
+  // returns nullopt when the shapes or orders differ or when this
+  // snapshot does not contain every fault of prev's (a restore to a
+  // divergent timeline). Floods this cache already holds for an adopted
+  // endpoint are kept; they were built against the newer snapshot.
+  std::optional<AdoptStats> adopt(const RouteCache& prev);
 
   std::int64_t cached_entries() const {
     return static_cast<std::int64_t>(forward_.size() + backward_.size());
@@ -138,22 +132,15 @@ class RouteCache {
   std::int64_t misses() const { return misses_; }
 
  private:
-  // The oracle for the referenced FaultSet's current state. That set may
-  // grow in place between reconfigures (MachineManager::report_*_fault),
-  // so a node or link count that moved since the last build also
-  // triggers a rebuild.
   const FloodOracle& oracle();
   const Bits& forward_of(NodeId src);
   const Bits& backward_of(NodeId dst);
   // k >= 3: the intermediates u_1 .. u_{k-1} (empty when unreachable).
   std::vector<NodeId> pick_chain(NodeId src, NodeId dst, Rng& rng);
 
-  const MeshShape* shape_;
-  const FaultSet* faults_;
+  std::shared_ptr<const FaultSnapshot> snapshot_;
   MultiRoundOrder orders_;
-  std::optional<FloodOracle> oracle_;
-  std::int64_t oracle_node_faults_ = 0;  // counts oracle_ was built at
-  std::int64_t oracle_link_faults_ = 0;
+  std::optional<FloodOracle> oracle_;  // over *snapshot_, built lazily
   std::unordered_map<NodeId, Bits> forward_;
   std::unordered_map<NodeId, Bits> backward_;
   std::vector<std::int64_t> scan_costs_;  // build()'s c_j tables, reused

@@ -35,6 +35,11 @@ struct BackendParam {
   std::uint64_t seed;
 };
 
+// Failure messages print the case as its test name.
+void PrintTo(const BackendParam& p, std::ostream* os) {
+  *os << sweep_name(p.widths, false, p.seed);
+}
+
 class BackendSweep : public ::testing::TestWithParam<BackendParam> {};
 
 TEST_P(BackendSweep, MatrixAndFloodAgreeBitForBit) {
@@ -77,9 +82,7 @@ INSTANTIATE_TEST_SUITE_P(
                       BackendParam{{12, 12}, 70, 2, 9},
                       BackendParam{{10, 10}, 50, 4, 10},
                       BackendParam{{2, 2, 2, 2, 2}, 6, 2, 11}),
-    [](const ::testing::TestParamInfo<BackendParam>& info) {
-      return sweep_name(info.param.widths, false, info.param.seed);
-    });
+    ::testing::PrintToStringParamName());
 
 TEST(FloodSet, SetFloodEqualsUnionOfNodeFloods) {
   const MeshShape shape = MeshShape::cube(2, 10);
@@ -262,7 +265,6 @@ TEST(RouteCache, MatchesBruteForceExactly) {
       const auto orders = ascending_rounds(c.shape.dim(), k);
       const ReachOracle oracle(c.shape, faults);
       wormhole::RouteCache warm(c.shape, faults, orders);
-      wormhole::RouteCache cold(c.shape, faults, orders);
       Rng pick(22);
       const int pairs = k == 3 ? cs.three_round_pairs : c.pairs;
       for (int t = 0; t < pairs; ++t) {
@@ -272,7 +274,7 @@ TEST(RouteCache, MatchesBruteForceExactly) {
         Rng r_want(seed), r_warm(seed), r_cold(seed);
         const auto want =
             brute_force_route(c.shape, oracle, orders, a, b, r_want);
-        cold.reconfigure();
+        wormhole::RouteCache cold(warm.snapshot(), orders);
         expect_same_route(want, cold.build(a, b, r_cold));
         expect_same_route(want, warm.build(a, b, r_warm));
         // Asked again, the warm cache answers from its memoised floods.
@@ -367,16 +369,22 @@ TEST(RouteCache, HitsAccumulateOnRepeatedEndpoints) {
   EXPECT_EQ(cache.hits(), 38);
 }
 
+// Reconfiguring binds a new cache: one over the same snapshot starts
+// cold, while the old cache keeps its floods.
 TEST(RouteCache, ReconfigureDropsState) {
   const MeshShape shape = MeshShape::cube(2, 8);
   const FaultSet faults(shape);
-  wormhole::RouteCache cache(shape, faults, ascending_rounds(2, 2));
+  const auto orders = ascending_rounds(2, 2);
+  wormhole::RouteCache cache(shape, faults, orders);
   Rng rng(24);
   cache.build(0, 10, rng);
   const std::int64_t before = cache.misses();
-  cache.reconfigure();
+  wormhole::RouteCache next(cache.snapshot(), orders);
+  next.build(0, 10, rng);
+  EXPECT_EQ(next.misses(), before);
+  EXPECT_EQ(next.hits(), 0);
   cache.build(0, 10, rng);
-  EXPECT_EQ(cache.misses(), before + 2);
+  EXPECT_EQ(cache.misses(), before);
 }
 
 // Nodes a route visits strictly between its endpoints.
@@ -426,8 +434,10 @@ void expect_fresh_miss(wormhole::RouteCache& cache, const MeshShape& shape,
   EXPECT_EQ(r_want.state(), r_got.state());
 }
 
-// report_*_fault grows the FaultSet a cache references in place; the
-// next miss must flood against the grown set, not the masks built before.
+// A cache seals the faults it was built over: growing the source FaultSet
+// (as report_*_fault grows the manager's working set) does not reach it,
+// and a cache over the next snapshot floods against the grown set, for a
+// node and for a link, whether or not it adopted the older floods.
 TEST(RouteCache, MissAfterFaultSetGrowsSeesTheNewFaults) {
   const MeshShape shape = MeshShape::cube(2, 12);
   Rng frng(30);
@@ -441,58 +451,68 @@ TEST(RouteCache, MissAfterFaultSetGrowsSeesTheNewFaults) {
 
   const NodeId x = node_on_route(shape, faults, orders, 0, n - 1, 32);
   ASSERT_GE(x, 0);
+  const FaultSet sealed = faults;
   faults.add_node(x);
-  expect_fresh_miss(cache, shape, faults, orders, 0, n - 1, 32);
+  EXPECT_FALSE(cache.snapshot()->faults.node_faulty(x));
+  expect_fresh_miss(cache, shape, sealed, orders, 0, n - 1, 32);
+  Rng r_stale(32);
+  const auto stale = cache.build(0, n - 1, r_stale);
+  ASSERT_TRUE(stale.has_value());
+  EXPECT_TRUE(visits(shape, *stale, x));
+
+  wormhole::RouteCache next(shape, faults, orders);
+  ASSERT_TRUE(next.adopt(cache).has_value());
+  expect_fresh_miss(next, shape, faults, orders, 0, n - 1, 32);
   Rng r_check(32);
-  const auto avoided = cache.build(0, n - 1, r_check);
+  const auto avoided = next.build(0, n - 1, r_check);
   ASSERT_TRUE(avoided.has_value());
   EXPECT_FALSE(visits(shape, *avoided, x));
 
-  // A link fault moves the link count alone.
-  wormhole::RouteCache probe(shape, faults, orders);
+  // A link fault on a route the next cache would vend.
+  wormhole::RouteCache probe(next.snapshot(), orders);
   Rng r_probe(33);
   const auto route = probe.build(n - 1, 0, r_probe);
   ASSERT_TRUE(route.has_value() && route->hops.size() > 2);
   Point at = shape.point(n - 1);
   shape.neighbor(at, route->hops[0].dim, route->hops[0].dir, &at);
   faults.add_link(at, route->hops[1].dim, route->hops[1].dir);
-  expect_fresh_miss(cache, shape, faults, orders, n - 1, 0, 33);
+  ASSERT_TRUE(next.build(n - 1, 0, r_probe).has_value());  // warm both ends
+  wormhole::RouteCache linked(shape, faults, orders);
+  ASSERT_TRUE(linked.adopt(next).has_value());
+  expect_fresh_miss(linked, shape, faults, orders, n - 1, 0, 33);
 }
 
-// reconfigure() and invalidate() rebuild the masks too, which a change
-// that keeps the fault counts (here one node fault swapped for another)
-// is only caught by.
+// A new epoch's cache floods against its own snapshot whether it starts
+// cold or adopts: a swap that keeps the fault counts (one node fault
+// traded for another) is no superset, so adopt() takes nothing, and on a
+// grown set the first miss still matches a fresh cache.
 TEST(RouteCache, ReconfigureAndInvalidateRebuildTheMasks) {
   const MeshShape shape = MeshShape::cube(2, 12);
   const auto orders = ascending_rounds(2, 2);
   const NodeId n = shape.size();
-  for (const bool use_invalidate : {false, true}) {
-    SCOPED_TRACE(use_invalidate ? "invalidate" : "reconfigure");
-    FaultSet faults(shape);
-    faults.add_node(NodeId{5});
-    wormhole::RouteCache cache(shape, faults, orders);
-    Rng rng(34);
-    ASSERT_TRUE(cache.build(1, n - 2, rng).has_value());
+  FaultSet faults(shape);
+  faults.add_node(NodeId{5});
+  wormhole::RouteCache cache(shape, faults, orders);
+  Rng rng(34);
+  ASSERT_TRUE(cache.build(1, n - 2, rng).has_value());
+  ASSERT_TRUE(cache.build(0, n - 1, rng).has_value());
 
-    const NodeId x = node_on_route(shape, faults, orders, 0, n - 1, 35);
-    ASSERT_GE(x, 0);
-    FaultSet swapped(shape);
-    swapped.add_node(x);
-    faults = swapped;
-    if (use_invalidate) {
-      cache.invalidate({x}, {});
-    } else {
-      cache.reconfigure();
-    }
-    expect_fresh_miss(cache, shape, faults, orders, 0, n - 1, 35);
+  const NodeId x = node_on_route(shape, faults, orders, 0, n - 1, 35);
+  ASSERT_GE(x, 0);
+  FaultSet swapped(shape);
+  swapped.add_node(x);
+  wormhole::RouteCache next(shape, swapped, orders);
+  EXPECT_FALSE(next.adopt(cache).has_value());
+  EXPECT_EQ(next.cached_entries(), 0);
+  expect_fresh_miss(next, shape, swapped, orders, 0, n - 1, 35);
 
-    // And the grow-then-invalidate order the manager uses.
-    const NodeId y = node_on_route(shape, faults, orders, n - 1, 0, 36);
-    ASSERT_GE(y, 0);
-    faults.add_node(y);
-    cache.invalidate({y}, {});
-    expect_fresh_miss(cache, shape, faults, orders, n - 1, 0, 36);
-  }
+  // And the grow-then-adopt order the manager uses.
+  const NodeId y = node_on_route(shape, swapped, orders, n - 1, 0, 36);
+  ASSERT_GE(y, 0);
+  swapped.add_node(y);
+  wormhole::RouteCache grown(shape, swapped, orders);
+  ASSERT_TRUE(grown.adopt(next).has_value());
+  expect_fresh_miss(grown, shape, swapped, orders, n - 1, 0, 36);
 }
 
 // Through the manager: a fault reported inside a fresh endpoint's route

@@ -231,6 +231,41 @@ TEST(DurableManager, ReopenRestoresStateAndPendingReports) {
   EXPECT_EQ(epoch_report.epoch, epoch_before + 1);
 }
 
+// A link report whose forward direction is already faulty (a restored
+// directed fault) still blocks the reverse direction, so it must be
+// journaled: a crash before the next reconfigure must not lose it.
+TEST(DurableManager, ReportOverDirectedFaultSurvivesReopen) {
+  const std::string dir = state_dir("mgr_half_dead_link");
+  const MeshShape shape = MeshShape::cube(2, 8);
+  const Point from{0, 0};
+  const Point to{1, 0};
+  {
+    manager::MachineManager mgr(shape);
+    mgr.reconfigure();
+    manager::Checkpoint directed = mgr.checkpoint();
+    directed.link_faults.push_back(LinkFault{from, 0, Dir::Pos, false});
+    mgr.restore(directed);
+    mgr.reconfigure();
+    mgr.enable_durability(dir, fast());
+    ASSERT_TRUE(mgr.faults().link_faulty(from, 0, Dir::Pos));
+    ASSERT_FALSE(mgr.faults().link_faulty(to, 0, Dir::Neg));
+
+    mgr.report_link_fault(from, 0, Dir::Pos);
+    EXPECT_TRUE(mgr.faults().link_faulty(to, 0, Dir::Neg));
+    EXPECT_EQ(mgr.faults().num_link_faults(), 2);
+  }  // process dies here, before any reconfigure
+
+  manager::OpenReport report;
+  LoadError err;
+  auto mgr = manager::MachineManager::open(dir, {}, 3, &report, &err);
+  ASSERT_NE(mgr, nullptr) << err.to_string();
+  EXPECT_EQ(report.records_replayed, 1);
+  EXPECT_TRUE(mgr->has_pending_reports());
+  EXPECT_TRUE(mgr->faults().link_faulty(from, 0, Dir::Pos));
+  EXPECT_TRUE(mgr->faults().link_faulty(to, 0, Dir::Neg));
+  EXPECT_EQ(mgr->faults().num_link_faults(), 2);
+}
+
 TEST(DurableManager, ReplaysReconfigureIntentAfterMidSolveCrash) {
   const std::string dir = state_dir("mgr_intent");
   const MeshShape shape = MeshShape::cube(2, 6);

@@ -42,6 +42,11 @@ struct GenericSweepParam {
   std::uint64_t seed;
 };
 
+// Failure messages print the case as its test name.
+void PrintTo(const GenericSweepParam& p, std::ostream* os) {
+  *os << sweep_name(p.widths, p.torus, p.seed);
+}
+
 class GenericSweep : public ::testing::TestWithParam<GenericSweepParam> {};
 
 TEST_P(GenericSweep, ProducesValidLambSets) {
@@ -81,9 +86,7 @@ INSTANTIATE_TEST_SUITE_P(
                       GenericSweepParam{{12, 6}, true, 8, 2, 9},
                       GenericSweepParam{{6, 12}, true, 8, 2, 10},
                       GenericSweepParam{{8, 8}, true, 16, 2, 11}),
-    [](const ::testing::TestParamInfo<GenericSweepParam>& info) {
-      return sweep_name(info.param.widths, info.param.torus, info.param.seed);
-    });
+    ::testing::PrintToStringParamName());
 
 TEST(GenericSolver, ClassCountsNeverExceedRectangularPartition) {
   Rng rng(91);

@@ -154,6 +154,11 @@ struct WvcSweepParam {
   std::uint64_t seed;
 };
 
+// Failure messages print the case as its test name.
+void PrintTo(const WvcSweepParam& p, std::ostream* os) {
+  *os << p.left << "x" << p.right << "_seed" << p.seed;
+}
+
 class BipartiteWvcSweep : public ::testing::TestWithParam<WvcSweepParam> {};
 
 TEST_P(BipartiteWvcSweep, MatchesBruteForce) {
@@ -197,11 +202,7 @@ INSTANTIATE_TEST_SUITE_P(
                       WvcSweepParam{8, 8, 0.2, false, 4},
                       WvcSweepParam{8, 8, 0.6, true, 5},
                       WvcSweepParam{10, 3, 0.5, false, 6}),
-    [](const ::testing::TestParamInfo<WvcSweepParam>& info) {
-      return std::to_string(info.param.left) + "x" +
-             std::to_string(info.param.right) + "_seed" +
-             std::to_string(info.param.seed);
-    });
+    ::testing::PrintToStringParamName());
 
 // --- General WVC -----------------------------------------------------------
 

@@ -6,6 +6,7 @@
 // selectively invalidated route cache.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <vector>
 
 #include "core/incremental.hpp"
@@ -13,6 +14,7 @@
 #include "core/reach_matrices.hpp"
 #include "manager/machine_manager.hpp"
 #include "mesh/fault_set.hpp"
+#include "reach/flood_oracle.hpp"
 #include "reach/route.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
@@ -101,7 +103,7 @@ int run_storm(const MeshShape& shape, std::uint64_t seed, int initial,
     }
     IncrementalStats stats;
     SolveOutcome next =
-        solve_lambs_incremental(shape, faults, prev, options, 3, &stats);
+        solve_lambs_incremental(seal(faults), prev, options, 3, &stats);
     LambOptions cold = options;
     cold.keep_context = false;
     const SolveOutcome full = solve_lambs(shape, faults, cold);
@@ -263,7 +265,7 @@ TEST(Incremental, NoContextFallsBack) {
   faults.add_node(random_good_node(shape, faults, rng));
   IncrementalStats stats;
   const SolveOutcome next =
-      solve_lambs_incremental(shape, faults, prev, options, 3, &stats);
+      solve_lambs_incremental(seal(faults), prev, options, 3, &stats);
   EXPECT_FALSE(stats.used);
   EXPECT_EQ(stats.fallback, IncrementalFallback::kNoContext);
   expect_identical(next, solve_lambs(shape, faults, options));
@@ -284,7 +286,7 @@ TEST(Incremental, NotSupersetFallsBack) {
   rolled.add_node(Point{5, 9});
   IncrementalStats stats;
   const SolveOutcome next =
-      solve_lambs_incremental(shape, rolled, prev, options, 3, &stats);
+      solve_lambs_incremental(seal(rolled), prev, options, 3, &stats);
   EXPECT_FALSE(stats.used);
   EXPECT_EQ(stats.fallback, IncrementalFallback::kNotSuperset);
   expect_identical(next, solve_lambs(shape, rolled, options));
@@ -303,7 +305,7 @@ TEST(Incremental, ChangedOrdersFallBack) {
   three.rounds = 3;
   IncrementalStats stats;
   const SolveOutcome next =
-      solve_lambs_incremental(shape, faults, prev, three, 3, &stats);
+      solve_lambs_incremental(seal(faults), prev, three, 3, &stats);
   EXPECT_FALSE(stats.used);
   EXPECT_EQ(stats.fallback, IncrementalFallback::kShapeMismatch);
   expect_identical(next, solve_lambs(shape, faults, three));
@@ -327,7 +329,7 @@ TEST(Incremental, TinyBudgetFallsBackAndDegradesIdentically) {
   strangled.budget_seconds = 1e-12;
   IncrementalStats stats;
   const SolveOutcome next =
-      solve_lambs_incremental(shape, faults, prev, strangled, 3, &stats);
+      solve_lambs_incremental(seal(faults), prev, strangled, 3, &stats);
   EXPECT_FALSE(stats.used);
   EXPECT_EQ(stats.fallback, IncrementalFallback::kBudgetExceeded);
   expect_identical(next, solve_lambs(shape, faults, strangled));
@@ -355,7 +357,7 @@ TEST(Incremental, DegradedValuesMidStormStayEquivalent) {
         0.25;
     IncrementalStats stats;
     SolveOutcome next =
-        solve_lambs_incremental(shape, faults, prev, options, 3, &stats);
+        solve_lambs_incremental(seal(faults), prev, options, 3, &stats);
     LambOptions cold = options;
     cold.keep_context = false;
     expect_identical(next, solve_lambs(shape, faults, cold));
@@ -387,7 +389,8 @@ TEST(Incremental, RouteCacheSelectiveInvalidation) {
   // under XY routing, in both directions.
   faults.add_node(Point{8, 9});
   faults.add_node(Point{9, 8});
-  wormhole::RouteCache cache(shape, faults, ascending_rounds(2, 2));
+  const MultiRoundOrder orders = ascending_rounds(2, 2);
+  wormhole::RouteCache cache(shape, faults, orders);
   std::vector<std::pair<NodeId, NodeId>> pairs;
   Rng pick(910);
   while (pairs.size() < 12) {
@@ -404,25 +407,51 @@ TEST(Incremental, RouteCacheSelectiveInvalidation) {
   EXPECT_GT(before, 0);
 
   // The shielded corner dies: no cached flood can contain it, so the
-  // whole cache survives.
+  // next epoch's cache adopts every flood.
   faults.add_node(Point{9, 9});
-  const auto corner = cache.invalidate({shape.index(Point{9, 9})}, {});
-  EXPECT_EQ(corner.retained, before);
-  EXPECT_EQ(corner.dropped, 0);
+  wormhole::RouteCache quiet(shape, faults, orders);
+  const auto corner = quiet.adopt(cache);
+  ASSERT_TRUE(corner.has_value());
+  EXPECT_EQ(corner->retained, before);
+  EXPECT_EQ(corner->dropped, 0);
 
-  // A central link dies: floods holding both endpoints must go.
+  // A central link dies: floods holding both endpoints must go, and
+  // exactly those (the staleness predicate, checked flood by flood).
   faults.add_link(Point{1, 1}, 0, Dir::Pos);
-  const auto central = cache.invalidate(
-      {}, {LinkFault{Point{1, 1}, 0, Dir::Pos, true}});
-  EXPECT_EQ(central.retained + central.dropped, before);
-  EXPECT_GT(central.dropped, 0);
+  wormhole::RouteCache loud(shape, faults, orders);
+  const auto central = loud.adopt(quiet);
+  ASSERT_TRUE(central.has_value());
+  EXPECT_EQ(central->retained + central->dropped, before);
+  EXPECT_GT(central->dropped, 0);
+  EXPECT_EQ(loud.cached_entries(), central->retained);
+  // The cached floods are one forward flood per distinct source and one
+  // backward flood per distinct destination, over the pre-link faults.
+  const FloodOracle flood(shape, quiet.snapshot()->faults);
+  const NodeId a = shape.index(Point{1, 1});
+  const NodeId b = shape.index(Point{2, 1});
+  std::set<NodeId> sources;
+  std::set<NodeId> sinks;
+  for (const auto& [s, d] : pairs) {
+    sources.insert(s);
+    sinks.insert(d);
+  }
+  std::int64_t holding_both = 0;
+  for (const NodeId s : sources) {
+    const Bits f = flood.reach1_from(shape.point(s), orders[0]);
+    if (f.test(a) && f.test(b)) ++holding_both;
+  }
+  for (const NodeId d : sinks) {
+    const Bits f = flood.reach1_to(shape.point(d), orders[1]);
+    if (f.test(a) && f.test(b)) ++holding_both;
+  }
+  EXPECT_EQ(central->dropped, holding_both);
 
-  // Every route the invalidated cache now vends matches a cache built
-  // from scratch against the new fault set, under identical rng streams.
-  wormhole::RouteCache fresh(shape, faults, ascending_rounds(2, 2));
+  // Every route the adopting cache now vends matches a cache built from
+  // scratch against the new fault set, under identical rng streams.
+  wormhole::RouteCache fresh(shape, faults, orders);
   Rng ra(912), rb(912);
   for (const auto& [s, d] : pairs) {
-    expect_same_route(cache.build(s, d, ra), fresh.build(s, d, rb));
+    expect_same_route(loud.build(s, d, ra), fresh.build(s, d, rb));
   }
 }
 

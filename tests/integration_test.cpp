@@ -26,6 +26,11 @@ struct E2eParam {
   std::uint64_t seed;
 };
 
+// Failure messages print the case as its test name.
+void PrintTo(const E2eParam& p, std::ostream* os) {
+  *os << sweep_name(p.widths, false, p.seed);
+}
+
 class EndToEnd : public ::testing::TestWithParam<E2eParam> {};
 
 TEST_P(EndToEnd, FaultsToLambsToDeliveredTraffic) {
@@ -80,9 +85,7 @@ INSTANTIATE_TEST_SUITE_P(
                       E2eParam{{16, 8}, 10, 2, 107},
                       E2eParam{{5, 5, 5}, 10, 2, 108},
                       E2eParam{{10, 10}, 20, 2, 109}),
-    [](const ::testing::TestParamInfo<E2eParam>& info) {
-      return sweep_name(info.param.widths, false, info.param.seed);
-    });
+    ::testing::PrintToStringParamName());
 
 TEST(Harness, TrialRunnerDeterministicPerSeed) {
   const MeshShape shape = MeshShape::cube(2, 12);

@@ -91,6 +91,11 @@ struct LambSweepParam {
   std::uint64_t seed;
 };
 
+// Failure messages print the case as its test name.
+void PrintTo(const LambSweepParam& p, std::ostream* os) {
+  *os << sweep_name(p.widths, false, p.seed);
+}
+
 class LambSweep : public ::testing::TestWithParam<LambSweepParam> {
  protected:
   void SetUp() override {
@@ -174,9 +179,7 @@ INSTANTIATE_TEST_SUITE_P(
                       LambSweepParam{{10, 10}, 0, 10, 2, 16},
                       LambSweepParam{{5, 5, 5}, 15, 5, 2, 17},
                       LambSweepParam{{8, 8}, 12, 0, 4, 18}),
-    [](const ::testing::TestParamInfo<LambSweepParam>& info) {
-      return sweep_name(info.param.widths, false, info.param.seed);
-    });
+    ::testing::PrintToStringParamName());
 
 TEST(Lamb, MixedPerRoundOrderingsAreValid) {
   const MeshShape shape = MeshShape::cube(2, 10);

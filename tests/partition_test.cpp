@@ -100,6 +100,11 @@ struct PartitionSweepParam {
   std::uint64_t seed;
 };
 
+// Failure messages print the case as its test name.
+void PrintTo(const PartitionSweepParam& p, std::ostream* os) {
+  *os << sweep_name(p.widths, false, p.seed);
+}
+
 class PartitionSweep : public ::testing::TestWithParam<PartitionSweepParam> {
  protected:
   void SetUp() override {
@@ -215,9 +220,7 @@ INSTANTIATE_TEST_SUITE_P(
                       PartitionSweepParam{{3, 3, 3, 3, 3}, 9, 3, false, 16},
                       PartitionSweepParam{{10, 10}, 50, 10, false, 17},
                       PartitionSweepParam{{7, 11}, 0, 12, true, 18}),
-    [](const ::testing::TestParamInfo<PartitionSweepParam>& info) {
-      return sweep_name(info.param.widths, false, info.param.seed);
-    });
+    ::testing::PrintToStringParamName());
 
 // --- Degenerate and structured cases --------------------------------------
 

@@ -132,6 +132,11 @@ struct OracleSweepParam {
   std::uint64_t seed;
 };
 
+// Failure messages print the case as its test name.
+void PrintTo(const OracleSweepParam& p, std::ostream* os) {
+  *os << sweep_name(p.widths, p.torus, p.seed);
+}
+
 class OracleSweep : public ::testing::TestWithParam<OracleSweepParam> {};
 
 FaultSet random_faults(const MeshShape& shape, const OracleSweepParam& p,
@@ -323,9 +328,7 @@ INSTANTIATE_TEST_SUITE_P(
         OracleSweepParam{{7, 5}, true, 6, 0, 0, 24},
         OracleSweepParam{{2, 5}, true, 1, 1, 1, 25},
         OracleSweepParam{{3, 3, 3, 3}, true, 5, 3, 3, 26}),
-    [](const ::testing::TestParamInfo<OracleSweepParam>& info) {
-      return sweep_name(info.param.widths, info.param.torus, info.param.seed);
-    });
+    ::testing::PrintToStringParamName());
 
 TEST(FloodOracle, NoFaultsReachesEverything) {
   const MeshShape m = MeshShape::mesh({5, 5});
@@ -487,6 +490,11 @@ struct KernelCase {
   std::uint64_t seed;
 };
 
+// Failure messages print the case as its test name.
+void PrintTo(const KernelCase& p, std::ostream* os) {
+  *os << sweep_name(p.widths, p.torus, p.seed);
+}
+
 class FloodKernel : public ::testing::TestWithParam<KernelCase> {};
 
 TEST_P(FloodKernel, MatchesRouteWalk) {
@@ -553,9 +561,7 @@ INSTANTIATE_TEST_SUITE_P(
         KernelCase{{4, 16, 3}, true, true, 8},
         KernelCase{{9, 9, 5}, true, false, 9},
         KernelCase{{4, 3, 3, 5}, false, false, 10}),
-    [](const ::testing::TestParamInfo<KernelCase>& info) {
-      return sweep_name(info.param.widths, info.param.torus, info.param.seed);
-    });
+    ::testing::PrintToStringParamName());
 
 // One const oracle serves many threads at once (the flood backend's
 // parallel_for, the verifier and RouteTable share one), so a flood may

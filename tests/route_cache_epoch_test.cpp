@@ -1,16 +1,25 @@
-// RouteCache carry-forward across a reconfigure epoch swap: adopt() is
-// equivalent to invalidate() on a copy, retained floods keep producing
-// legal routes, dropped endpoints re-vend against the new fault set, and
-// no route served by the new epoch's table ever crosses a new fault.
-// This is the serving layer's correctness spine — RouteTable::capture
-// leans on exactly these properties.
+// RouteCache carry-forward across a reconfigure epoch swap: adopt() drops
+// exactly the floods the staleness predicate names, retained floods keep
+// producing the routes a fresh cache would, dropped endpoints re-vend
+// against the new fault set, and no route served by the new epoch's table
+// ever crosses a new fault. This is the serving layer's correctness spine
+// — RouteTable::capture leans on exactly these properties. The epoch's
+// sealed FaultSnapshot is shared, not copied, by the manager, its solver
+// context and every table, and concurrent vends across epochs stay legal
+// while the manager vends and publishes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <set>
+#include <thread>
 #include <vector>
 
+#include "core/incremental.hpp"
 #include "core/lamb.hpp"
 #include "manager/machine_manager.hpp"
+#include "reach/flood_oracle.hpp"
+#include "serve/route_service.hpp"
 #include "serve/route_table.hpp"
 #include "support/rng.hpp"
 #include "wormhole/route_cache.hpp"
@@ -50,11 +59,10 @@ std::vector<std::pair<NodeId, NodeId>> survivor_pairs(
 
 TEST(RouteCacheAdopt, EquivalentToInvalidateAndRoutesStayLegal) {
   const MeshShape shape = MeshShape::cube(2, 8);
-  FaultSet faults(shape);  // shared by both caches; mutated mid-test
+  FaultSet faults(shape);
   faults.add_node(Point{2, 2});
   const MultiRoundOrder orders = ascending_rounds(2, 2);
   RouteCache warmed(shape, faults, orders);
-  RouteCache adopter(shape, faults, orders);
 
   std::vector<NodeId> good;
   for (NodeId id = 0; id < shape.size(); ++id) {
@@ -68,31 +76,51 @@ TEST(RouteCacheAdopt, EquivalentToInvalidateAndRoutesStayLegal) {
   const std::int64_t warmed_entries = warmed.cached_entries();
   ASSERT_GT(warmed_entries, 0);
 
-  // The epoch's fault delta: one more dead node, visible to both caches
-  // through the shared FaultSet (the adopt/invalidate precondition).
+  // The epoch's fault delta: one more dead node.
   const NodeId victim = shape.index(Point{5, 4});
   faults.add_node(victim);
-  const std::vector<NodeId> delta{victim};
+  RouteCache adopter(shape, faults, orders);
+  const auto stats = adopter.adopt(warmed);
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_EQ(stats->retained + stats->dropped, warmed_entries);
+  EXPECT_EQ(adopter.cached_entries(), stats->retained);
+  EXPECT_EQ(warmed.cached_entries(), warmed_entries);  // prev untouched
 
-  const auto adopt_stats = adopter.adopt(warmed, delta, {});
-  const auto inval_stats = warmed.invalidate(delta, {});
-  EXPECT_EQ(adopt_stats.retained, inval_stats.retained);
-  EXPECT_EQ(adopt_stats.dropped, inval_stats.dropped);
-  EXPECT_EQ(adopt_stats.retained + adopt_stats.dropped, warmed_entries);
-  EXPECT_EQ(adopter.cached_entries(), warmed.cached_entries());
+  // The staleness predicate, flood by flood: one forward flood per
+  // distinct source and one backward flood per distinct destination, over
+  // the old faults; exactly those holding the victim go.
+  const FloodOracle flood(shape, warmed.snapshot()->faults);
+  std::set<NodeId> sources;
+  std::set<NodeId> sinks;
+  for (const auto& [src, dst] : pairs) {
+    sources.insert(src);
+    sinks.insert(dst);
+  }
+  std::int64_t stale = 0;
+  for (const NodeId src : sources) {
+    if (flood.reach1_from(shape.point(src), orders[0]).test(victim)) ++stale;
+  }
+  for (const NodeId dst : sinks) {
+    if (flood.reach1_to(shape.point(dst), orders[1]).test(victim)) ++stale;
+  }
+  EXPECT_GT(stale, 0);
+  EXPECT_EQ(stats->dropped, stale);
 
-  // Both caches now vend identical, legal routes: retained floods are
-  // provably unchanged, dropped endpoints re-flood against the new
-  // faults, and same-seeded tie-breaks match.
+  // The adopting cache vends what a fresh cache over the new snapshot
+  // vends, and legally: retained floods are provably unchanged, dropped
+  // endpoints re-flood against the new faults, and same-seeded
+  // tie-breaks match.
+  RouteCache fresh(adopter.snapshot(), orders);
   for (const auto& [src, dst] : pairs) {
     if (src == victim || dst == victim) continue;
     Rng rng_a(src * 1000 + dst), rng_b(src * 1000 + dst);
     const auto via_adopt = adopter.build(src, dst, rng_a);
-    const auto via_inval = warmed.build(src, dst, rng_b);
-    ASSERT_EQ(via_adopt.has_value(), via_inval.has_value());
+    const auto via_fresh = fresh.build(src, dst, rng_b);
+    ASSERT_EQ(via_adopt.has_value(), via_fresh.has_value());
+    EXPECT_EQ(rng_a.state(), rng_b.state());
     if (!via_adopt) continue;
     const auto nodes = walk(shape, *via_adopt);
-    EXPECT_EQ(nodes, walk(shape, *via_inval));
+    EXPECT_EQ(nodes, walk(shape, *via_fresh));
     for (const NodeId node : nodes) {
       EXPECT_TRUE(faults.node_good(node))
           << "route " << src << "->" << dst << " crosses dead node " << node;
@@ -113,8 +141,9 @@ TEST(RouteCacheAdopt, LinkDeltaDropsOnlyFloodsHoldingBothEndpoints) {
   }
   faults.add_link(Point{3, 3}, 0, Dir::Pos);
   RouteCache next(shape, faults, orders);
-  const auto stats = next.adopt(prev, {}, faults.link_faults());
-  EXPECT_EQ(stats.retained + stats.dropped,
+  const auto stats = next.adopt(prev);
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_EQ(stats->retained + stats->dropped,
             prev.cached_entries());  // prev itself untouched
   // Every adopted flood still routes clear of the dead link: walk each
   // route and assert it never uses the (3,3)->(4,3) channel either way.
@@ -198,6 +227,103 @@ TEST(RouteTableEpochSwap, MismatchedTimelineFallsBackToColdCache) {
   EXPECT_EQ(stats.floods_retained, 0);
   EXPECT_EQ(stats.floods_dropped, 0);
   EXPECT_EQ(table->cached_floods(), 0);
+}
+
+// One FaultSet per epoch: the manager's snapshot, the solver context of
+// the epoch's outcome and every table captured from it are one object.
+void expect_one_fault_set(const manager::MachineManager& mgr) {
+  const auto table = serve::RouteTable::capture(mgr, 0);
+  const auto again = serve::RouteTable::capture(mgr, 1, table.get());
+  EXPECT_EQ(&table->faults(), &mgr.snapshot()->faults);
+  EXPECT_EQ(&again->faults(), &mgr.snapshot()->faults);
+  EXPECT_EQ(&table->shape(), mgr.snapshot()->shape.get());
+  ASSERT_NE(mgr.last_outcome().context, nullptr);
+  EXPECT_EQ(mgr.last_outcome().context->snapshot, mgr.snapshot());
+  // The working set stays separate: reports land there, not in the seal.
+  EXPECT_NE(&mgr.faults(), &mgr.snapshot()->faults);
+}
+
+TEST(FaultSnapshotSharing, ManagerSolverAndTablesShareOneFaultSet) {
+  manager::MachineManager mgr(MeshShape::cube(2, 12));
+  mgr.set_incremental(true);
+  mgr.report_node_fault(Point{3, 3});
+  // No context yet: the incremental call falls back to the full solve.
+  EXPECT_FALSE(mgr.reconfigure().incremental);
+  expect_one_fault_set(mgr);
+  const FaultSnapshot* first = mgr.snapshot().get();
+
+  mgr.report_node_fault(Point{8, 5});
+  EXPECT_EQ(mgr.snapshot().get(), first);  // a report does not reseal
+  EXPECT_FALSE(mgr.snapshot()->faults.node_faulty(Point{8, 5}));
+  EXPECT_TRUE(mgr.reconfigure().incremental);
+  expect_one_fault_set(mgr);
+  EXPECT_NE(mgr.snapshot().get(), first);
+  EXPECT_TRUE(mgr.snapshot()->faults.node_faulty(Point{8, 5}));
+}
+
+// Four threads vend from an old and a new epoch's table (both kept alive)
+// and from the newest certified table, while this thread vends through
+// the manager and publishes new tables, each adopting from the table the
+// readers are vending on. Every route must stay clear of its own table's
+// faults; run under ThreadSanitizer this is the shared-snapshot race
+// check.
+TEST(FaultSnapshotSharing, ConcurrentVendsAcrossEpochsWhilePublishing) {
+  const MeshShape shape = MeshShape::cube(2, 12);
+  manager::MachineManager mgr(shape);
+  for (const Point p : {Point{2, 7}, Point{9, 3}, Point{5, 5}}) {
+    mgr.report_node_fault(p);
+  }
+  mgr.reconfigure();
+  serve::RouteService service(mgr, serve::ServiceOptions{}, 0);
+  const auto old_table = service.table();
+  mgr.report_node_fault(Point{6, 9});
+  mgr.reconfigure();
+  service.publish(1);
+  const auto new_table = service.table();
+  ASSERT_NE(&old_table->faults(), &new_table->faults());
+
+  std::atomic<int> illegal{0};
+  std::atomic<int> vended{0};
+  auto vend_legal = [&](const serve::RouteTable& table, NodeId src,
+                        NodeId dst, Rng& rng) {
+    if (!table.covers(src, dst)) return;
+    const auto route = table.route(src, dst, rng);
+    if (!route) {
+      ++illegal;  // a certified table covers every survivor pair
+      return;
+    }
+    ++vended;
+    for (const NodeId node : walk(table.shape(), *route)) {
+      if (table.faults().node_faulty(node)) ++illegal;
+    }
+  };
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&, t] {
+      Rng rng(100 + static_cast<std::uint64_t>(t));
+      for (int i = 0; i < 150; ++i) {
+        const auto src = static_cast<NodeId>(
+            rng.below(static_cast<std::uint64_t>(shape.size())));
+        const auto dst = static_cast<NodeId>(
+            rng.below(static_cast<std::uint64_t>(shape.size())));
+        vend_legal(*old_table, src, dst, rng);
+        vend_legal(*new_table, src, dst, rng);
+        vend_legal(*service.last_certified(), src, dst, rng);
+      }
+    });
+  }
+  Rng rng(7);
+  const std::vector<NodeId> survivors = mgr.survivors();
+  for (int i = 0; i < 40; ++i) {
+    const NodeId src = survivors[rng.below(survivors.size())];
+    const NodeId dst = survivors[rng.below(survivors.size())];
+    if (src != dst) EXPECT_TRUE(mgr.route(src, dst, rng).has_value());
+    service.publish(2 + i);
+  }
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(illegal.load(), 0);
+  EXPECT_GT(vended.load(), 0);
+  EXPECT_EQ(&service.table()->faults(), &mgr.snapshot()->faults);
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 // Test names for the value-parameterized sweeps. Without a name generator
 // a sweep case is named after the printed bytes of its parameter struct,
 // which hold heap pointers, so the names differ between builds; these
-// names come from the case's shape and seed and stay the same.
+// names come from the case's shape and seed and stay the same. Each param
+// struct's PrintTo prints this name, so failure messages name the case
+// too, and ::testing::PrintToStringParamName() turns it into the test name.
 #pragma once
 
 #include <cstdint>
