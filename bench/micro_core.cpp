@@ -1,248 +1,179 @@
-// Microbenchmarks (google-benchmark) for the performance-critical pieces
-// whose costs Section 6 analyzes: Find-SES-Partition (O(d^3 f)), the
-// prefix-sum reachability oracle (construction O(dN), queries O(d)) vs
-// the O(dn) route walk, the word-parallel floods of FloodOracle, the
-// saturating Boolean matrix product and the R-chain built on it, one
-// incremental Find-Reachability step, Dinic on the WVC network, and the
-// full Lamb1 pipeline scaling in f.
-#include <benchmark/benchmark.h>
+// Microbenchmarks for the performance-critical pieces whose costs Section
+// 6 analyzes: Find-SES-Partition (O(d^3 f)), the prefix-sum reachability
+// oracle (construction O(dN), queries O(d)) vs the O(dn) route walk, the
+// word-parallel floods of FloodOracle, the saturating Boolean matrix
+// product and the R-chain built on it, one incremental Find-Reachability
+// step against the full one, Dinic on the WVC network, and the full Lamb1
+// pipeline scaling in f.
+//
+// Every case is one row: a named operation timed in batches (sub-µs
+// operations run many calls per batch, calibrated once), every row
+// interleaved with every other rep by rep, each keeping its best batch as
+// ns per call. `--only PREFIX` times just the rows whose name starts with
+// PREFIX. With --json PATH the rows and the in-process ratio gates are
+// written as a JSON document (BENCH_core.json): incremental reach over the
+// full solve, the oracle query over the route walk, and the incremental
+// result equal to the full one. No gate bounds an absolute time. Rows run
+// at the process pool width; the bounds were set at width 1, so the
+// document is written with `--threads 1`.
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <functional>
+#include <limits>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/bit_matrix.hpp"
 #include "core/lamb.hpp"
 #include "core/partition.hpp"
 #include "core/reach_matrices.hpp"
 #include "graph/bipartite_wvc.hpp"
+#include "io/cli_args.hpp"
 #include "reach/flood_oracle.hpp"
 #include "reach/reach_oracle.hpp"
 #include "reach/route.hpp"
+#include "support/json.hpp"
+#include "support/parallel.hpp"
 #include "support/rng.hpp"
+#include "support/stats.hpp"
 
-namespace lamb {
+using namespace lamb;
+
 namespace {
 
-FaultSet make_faults(const MeshShape& shape, std::int64_t f, std::uint64_t seed) {
+// Interleaved rounds per row, and the wall time a calibrated batch aims
+// for: long enough that timer and scheduler granularity stay small
+// against it, short enough that a full run stays well under a minute.
+constexpr int kReps = 15;
+constexpr double kBatchSeconds = 0.005;
+
+// Keeps the compiler from discarding a result the timed loop computes.
+template <class T>
+void keep(const T& value) {
+  asm volatile("" : : "g"(&value) : "memory");
+}
+
+FaultSet make_faults(const MeshShape& shape, std::int64_t f,
+                     std::uint64_t seed) {
   Rng rng(seed);
   return FaultSet::random_nodes(shape, f, rng);
 }
 
-void BM_FindSesPartition3D(benchmark::State& state) {
-  const MeshShape shape = MeshShape::cube(3, 32);
-  const FaultSet faults = make_faults(shape, state.range(0), 1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        find_ses_partition(shape, faults, DimOrder::ascending(3)));
-  }
-  state.SetComplexityN(state.range(0));
+Point random_point(const MeshShape& shape, Rng& rng) {
+  return shape.point((NodeId)rng.below((std::uint64_t)shape.size()));
 }
-BENCHMARK(BM_FindSesPartition3D)->Range(32, 1024)->Complexity(benchmark::oN);
 
-void BM_ReachOracleBuild(benchmark::State& state) {
-  const MeshShape shape = MeshShape::cube(3, (Coord)state.range(0));
-  const FaultSet faults = make_faults(shape, shape.size() / 50, 2);
-  for (auto _ : state) {
-    ReachOracle oracle(shape, faults);
-    benchmark::DoNotOptimize(oracle);
-  }
+// A mesh with `f` random node faults.
+struct Faulted {
+  MeshShape shape;
+  FaultSet faults;
+
+  Faulted(MeshShape s, std::int64_t f, std::uint64_t seed)
+      : shape(std::move(s)), faults(make_faults(shape, f, seed)) {}
+  Faulted(const Faulted&) = delete;  // faults points at shape
+};
+
+std::shared_ptr<const Faulted> faulted(MeshShape shape, std::int64_t f,
+                                       std::uint64_t seed) {
+  return std::make_shared<const Faulted>(std::move(shape), f, seed);
 }
-BENCHMARK(BM_ReachOracleBuild)->Arg(16)->Arg(32);
 
-void BM_ReachOracleQuery(benchmark::State& state) {
-  const MeshShape shape = MeshShape::cube(3, 32);
-  const FaultSet faults = make_faults(shape, 983, 3);
-  const ReachOracle oracle(shape, faults);
-  Rng rng(4);
-  const DimOrder order = DimOrder::ascending(3);
-  for (auto _ : state) {
-    const Point v = shape.point((NodeId)rng.below((std::uint64_t)shape.size()));
-    const Point w = shape.point((NodeId)rng.below((std::uint64_t)shape.size()));
-    benchmark::DoNotOptimize(oracle.reach1(v, w, order));
-  }
-}
-BENCHMARK(BM_ReachOracleQuery);
-
-void BM_RouteWalkQuery(benchmark::State& state) {
-  // The O(dn) reference the oracle replaces.
-  const MeshShape shape = MeshShape::cube(3, 32);
-  const FaultSet faults = make_faults(shape, 983, 3);
-  Rng rng(5);
-  const DimOrder order = DimOrder::ascending(3);
-  for (auto _ : state) {
-    const Point v = shape.point((NodeId)rng.below((std::uint64_t)shape.size()));
-    const Point w = shape.point((NodeId)rng.below((std::uint64_t)shape.size()));
-    benchmark::DoNotOptimize(route_clear(shape, faults, v, w, order));
-  }
-}
-BENCHMARK(BM_RouteWalkQuery);
-
-// Flood inputs: Arg 0 is M_3(16) with 4% node faults plus 40 link
-// faults, half of them directed; Arg 1 is M_2(32) with 5% node faults;
-// Arg 2 is the torus T_3(16) with the faults of Arg 0, whose levels have
-// a wrap part and so read a snapshot.
-MeshShape flood_shape(std::int64_t which) {
+// Flood inputs: case 0 is M_3(16) with 4% node faults plus 40 link
+// faults, half of them directed; case 1 is M_2(32) with 5% node faults;
+// case 2 is the torus T_3(16) with the faults of case 0, whose levels
+// have a wrap part and so read a snapshot.
+MeshShape flood_shape(int which) {
   if (which == 1) return MeshShape::cube(2, 32);
   const std::vector<Coord> widths{16, 16, 16};
   return which == 0 ? MeshShape::mesh(widths) : MeshShape::torus(widths);
 }
 
+FaultSet flood_faults(const MeshShape& shape, int which) {
+  FaultSet faults = make_faults(shape, which == 1 ? 51 : 164, 5);
+  Rng rng(6);
+  for (int added = 0; which != 1 && added < 40;) {
+    const Point from = random_point(shape, rng);
+    const int dim = (int)rng.below((std::uint64_t)shape.dim());
+    const Dir dir = rng.bernoulli(0.5) ? Dir::Pos : Dir::Neg;
+    Point to;
+    if (!shape.neighbor(from, dim, dir, &to)) continue;
+    if (added % 2 == 0) {
+      faults.add_link(from, dim, dir);
+    } else {
+      faults.add_directed_link(from, dim, dir);
+    }
+    ++added;
+  }
+  return faults;
+}
+
 struct FloodCase {
   MeshShape shape;
   FaultSet faults;
+  FloodOracle oracle;
+  std::vector<Point> good;  // flood endpoints, cycled through
 
-  explicit FloodCase(std::int64_t which)
+  explicit FloodCase(int which)
       : shape(flood_shape(which)),
-        faults(make_faults(shape, which == 1 ? 51 : 164, 5)) {
-    Rng rng(6);
-    for (int added = 0; which != 1 && added < 40;) {
-      const Point from =
-          shape.point((NodeId)rng.below((std::uint64_t)shape.size()));
-      const int dim = (int)rng.below((std::uint64_t)shape.dim());
-      const Dir dir = rng.bernoulli(0.5) ? Dir::Pos : Dir::Neg;
-      Point to;
-      if (!shape.neighbor(from, dim, dir, &to)) continue;
-      if (added % 2 == 0) {
-        faults.add_link(from, dim, dir);
-      } else {
-        faults.add_directed_link(from, dim, dir);
-      }
-      ++added;
+        faults(flood_faults(shape, which)),
+        oracle(shape, faults) {
+    for (NodeId id = 0; id < shape.size(); ++id) {
+      if (faults.node_good(id)) good.push_back(shape.point(id));
     }
   }
   FloodCase(const FloodCase&) = delete;  // faults points at shape
-
-  // Good nodes, to cycle through as flood endpoints.
-  std::vector<Point> good_points() const {
-    std::vector<Point> out;
-    for (NodeId id = 0; id < shape.size(); ++id) {
-      if (faults.node_good(id)) out.push_back(shape.point(id));
-    }
-    return out;
-  }
 };
 
-void BM_FloodOracleBuild(benchmark::State& state) {
-  const FloodCase c(state.range(0));
-  for (auto _ : state) {
-    FloodOracle oracle(c.shape, c.faults);
-    benchmark::DoNotOptimize(oracle);
-  }
-}
-BENCHMARK(BM_FloodOracleBuild)->Arg(0)->Arg(1);
-
-// One forward flood per iteration, cycling through the good nodes.
-void flood_forward(benchmark::State& state, const DimOrder& order) {
-  const FloodCase c(state.range(0));
-  const FloodOracle oracle(c.shape, c.faults);
-  const std::vector<Point> points = c.good_points();
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(oracle.reach1_from(points[i], order));
-    i = (i + 1) % points.size();
-  }
-}
-
-void BM_FloodReach1Forward(benchmark::State& state) {
-  flood_forward(state, DimOrder::ascending(flood_shape(state.range(0)).dim()));
-}
-BENCHMARK(BM_FloodReach1Forward)->Arg(0)->Arg(1)->Arg(2);
-
-// The worst single-source order: the first dimension routed is the one at
-// the largest stride, so the frontier spans the most words from the first
-// dimension on.
-void BM_FloodReach1Descending(benchmark::State& state) {
-  flood_forward(state,
-                DimOrder::descending(flood_shape(state.range(0)).dim()));
-}
-BENCHMARK(BM_FloodReach1Descending)->Arg(0)->Arg(1)->Arg(2);
-
-void BM_FloodReach1Backward(benchmark::State& state) {
-  const FloodCase c(state.range(0));
-  const FloodOracle oracle(c.shape, c.faults);
-  const std::vector<Point> points = c.good_points();
-  const DimOrder order = DimOrder::ascending(c.shape.dim());
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(oracle.reach1_to(points[i], order));
-    i = (i + 1) % points.size();
-  }
-}
-BENCHMARK(BM_FloodReach1Backward)->Arg(0)->Arg(1)->Arg(2);
-
-void BM_FloodReachK2(benchmark::State& state) {
-  const FloodCase c(state.range(0));
-  const FloodOracle oracle(c.shape, c.faults);
-  const std::vector<Point> points = c.good_points();
-  const MultiRoundOrder orders = ascending_rounds(c.shape.dim(), 2);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(oracle.reach_from(points[i], orders));
-    i = (i + 1) % points.size();
-  }
-}
-BENCHMARK(BM_FloodReachK2)->Arg(0)->Arg(1);
-
-// Dense random square factors at the paper's R density: each output row
-// has ~0.17 m set bits to visit but fills after a few dozen ORs, where the
-// saturating kernel stops it.
-void BM_BitMatrixMultiply(benchmark::State& state) {
-  const std::int64_t m = state.range(0);
-  Rng rng(6);
+// Random square factors: a at `density`, b at the paper's R density
+// (~0.17).
+std::pair<BitMatrix, BitMatrix> random_factors(std::int64_t m,
+                                               double density,
+                                               std::uint64_t seed) {
+  Rng rng(seed);
   BitMatrix a(m, m), b(m, m);
-  for (std::int64_t i = 0; i < m; ++i) {
-    for (std::int64_t j = 0; j < m; ++j) {
-      if (rng.bernoulli(0.17)) a.set(i, j);  // paper's R density ~0.175
-      if (rng.bernoulli(0.17)) b.set(i, j);
-    }
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(BitMatrix::multiply(a, b));
-  }
-  state.SetComplexityN(m);
-}
-BENCHMARK(BM_BitMatrixMultiply)->Range(256, 2048)->Complexity(benchmark::oNCubed);
-
-void BM_SparseLeftMultiply(benchmark::State& state) {
-  // Sparse left factor (the intersection matrix I, density ~0.01): the
-  // set-bit loop visits proportionally fewer b-rows; at the lowest
-  // densities no output row fills, so nothing stops early.
-  const std::int64_t m = 1024;
-  Rng rng(7);
-  BitMatrix a(m, m), b(m, m);
-  const double density = (double)state.range(0) / 1000.0;
   for (std::int64_t i = 0; i < m; ++i) {
     for (std::int64_t j = 0; j < m; ++j) {
       if (rng.bernoulli(density)) a.set(i, j);
       if (rng.bernoulli(0.17)) b.set(i, j);
     }
   }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(BitMatrix::multiply(a, b));
-  }
+  return {std::move(a), std::move(b)};
 }
-BENCHMARK(BM_SparseLeftMultiply)->Arg(10)->Arg(100)->Arg(500);
 
-// The R-chain alone (reach_chain, right to left) on the factors R_t and
-// I_t captured from one full matrix-backend run at k = 2: Arg 0 is M_3(16)
-// with 4% node faults (the pipebench geometry), Arg 1 M_2(181) with 1.5%
-// and Arg 2 M_3(32) with 2%.
-void BM_ReachChain(benchmark::State& state) {
-  struct Case {
-    int dim;
-    Coord width;
-    std::int64_t faults;
-  };
-  constexpr Case kCases[] = {{3, 16, 164}, {2, 181, 491}, {3, 32, 655}};
-  const Case& c = kCases[state.range(0)];
-  const MeshShape shape = MeshShape::cube(c.dim, c.width);
-  const FaultSet faults = make_faults(shape, c.faults, 13);
+// The factors R_t and I_t captured from one full matrix-backend run at
+// k = 2.
+struct ChainCase : Faulted {
   ReachCapture cap;
-  const ReachComputation reach =
-      compute_reachability(shape, faults, ascending_rounds(c.dim, 2),
-                           ReachBackend::kMatrix, &cap);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(reach_chain(cap.r, cap.inters, reach.round_part));
+  ReachComputation reach;
+
+  ChainCase(int dim, Coord width, std::int64_t f)
+      : Faulted(MeshShape::cube(dim, width), f, 13) {
+    reach = compute_reachability(shape, faults, ascending_rounds(dim, 2),
+                                 ReachBackend::kMatrix, &cap);
   }
-}
-BENCHMARK(BM_ReachChain)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
+};
+
+// A min-weight vertex cover instance: `side` + `side` vertices of weight
+// 1..50, each edge present with probability 0.1.
+struct WvcCase {
+  std::vector<double> lw, rw;
+  std::vector<BipartiteEdge> edges;
+
+  explicit WvcCase(int side) : lw((std::size_t)side), rw((std::size_t)side) {
+    Rng rng(8);
+    for (auto& w : lw) w = (double)(1 + rng.below(50));
+    for (auto& w : rw) w = (double)(1 + rng.below(50));
+    for (int i = 0; i < side; ++i) {
+      for (int j = 0; j < side; ++j) {
+        if (rng.bernoulli(0.1)) edges.push_back({i, j});
+      }
+    }
+  }
+};
 
 // The solver's reach layer on one incremental reconfigure: M_3(16) with
 // 4% node faults and k = 2, captured once, then one new node fault or one
@@ -268,8 +199,7 @@ struct ReachDeltaCase {
                                  &cap);
     Rng rng(12);
     for (;;) {
-      const Point p =
-          shape.point((NodeId)rng.below((std::uint64_t)shape.size()));
+      const Point p = random_point(shape, rng);
       Point nb = p;
       nb[0] += 1;
       if (before.node_faulty(p) || (link && nb[0] >= shape.width(0)) ||
@@ -291,66 +221,345 @@ struct ReachDeltaCase {
   }
   ReachDeltaCase(const ReachDeltaCase&) = delete;  // faults point at shape
 
-  bool step() const {
+  bool step(ReachComputation* result = nullptr) const {
     ReachComputation out;
     ReachCapture out_cap;
     ReachDelta delta;
-    return compute_reachability_incremental(shape, after, orders, delta_nodes,
-                                            delta_links, reach, cap, &out,
-                                            &out_cap, &delta);
+    const bool ok = compute_reachability_incremental(
+        shape, after, orders, delta_nodes, delta_links, reach, cap, &out,
+        &out_cap, &delta);
+    if (result != nullptr) *result = std::move(out);
+    return ok;
+  }
+  // The full solve of the same fault set, capturing as the manager's
+  // full path does.
+  ReachComputation full() const {
+    ReachCapture full_cap;
+    return compute_reachability(shape, after, orders, ReachBackend::kMatrix,
+                                &full_cap);
+  }
+  bool incremental_equals_full() const {
+    ReachComputation inc;
+    return step(&inc) && inc.rk == full().rk;
   }
 };
 
-void BM_ReachIncrementalNode(benchmark::State& state) {
-  const ReachDeltaCase c(/*link=*/false);
-  for (auto _ : state) benchmark::DoNotOptimize(c.step());
-}
-BENCHMARK(BM_ReachIncrementalNode)->Unit(benchmark::kMicrosecond);
+// One row: `run(n)` performs the timed operation n times.
+struct Case {
+  std::string name;
+  std::function<void(std::int64_t)> run;
+  std::int64_t batch = 1;  // calls per timed rep
+  double ns_per_op = std::numeric_limits<double>::quiet_NaN();
+};
 
-void BM_ReachIncrementalLink(benchmark::State& state) {
-  const ReachDeltaCase c(/*link=*/true);
-  for (auto _ : state) benchmark::DoNotOptimize(c.step());
-}
-BENCHMARK(BM_ReachIncrementalLink)->Unit(benchmark::kMicrosecond);
+struct Suite {
+  std::vector<Case> cases;
+  std::vector<std::pair<const char*, const char*>> workloads;
+  bool incremental_equivalent = false;
 
-void BM_BipartiteWvc(benchmark::State& state) {
-  const int side = (int)state.range(0);
-  Rng rng(8);
-  std::vector<double> lw((std::size_t)side), rw((std::size_t)side);
-  for (auto& w : lw) w = (double)(1 + rng.below(50));
-  for (auto& w : rw) w = (double)(1 + rng.below(50));
-  std::vector<BipartiteEdge> edges;
-  for (int i = 0; i < side; ++i) {
-    for (int j = 0; j < side; ++j) {
-      if (rng.bernoulli(0.1)) edges.push_back({i, j});
+  void family(const char* name, const char* workload) {
+    workloads.push_back({name, workload});
+  }
+  // Adds a row timing `op()`, whose result is kept from the optimizer.
+  template <class Op>
+  void add(std::string name, Op op) {
+    cases.push_back({std::move(name), [op](std::int64_t n) mutable {
+                       for (std::int64_t i = 0; i < n; ++i) keep(op());
+                     }});
+  }
+  double ns(const std::string& name) const {
+    for (const Case& c : cases) {
+      if (c.name == name) return c.ns_per_op;
     }
+    return std::numeric_limits<double>::quiet_NaN();
   }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(min_weight_bipartite_cover(lw, rw, edges));
-  }
-}
-BENCHMARK(BM_BipartiteWvc)->Arg(32)->Arg(128)->Arg(512);
+};
 
-void BM_Lamb1FullPipeline3D(benchmark::State& state) {
-  const MeshShape shape = MeshShape::cube(3, 32);
-  const FaultSet faults = make_faults(shape, state.range(0), 9);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(lamb1(shape, faults, {}));
-  }
-  state.SetComplexityN(state.range(0));
+double time_batch(const Case& c, std::int64_t n) {
+  Stopwatch watch;
+  c.run(n);
+  return watch.seconds();
 }
-BENCHMARK(BM_Lamb1FullPipeline3D)->RangeMultiplier(2)->Range(64, 1024)
-    ->Complexity(benchmark::oAuto)->Unit(benchmark::kMillisecond);
 
-void BM_Lamb1FullPipeline2D(benchmark::State& state) {
-  const MeshShape shape = MeshShape::cube(2, 181);
-  const FaultSet faults = make_faults(shape, state.range(0), 10);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(lamb1(shape, faults, {}));
+// Grows the batch eightfold until it takes an eighth of kBatchSeconds,
+// then scales it to kBatchSeconds; an operation slower than that runs
+// once per rep.
+std::int64_t calibrate(const Case& c) {
+  std::int64_t n = 1;
+  for (;;) {
+    const double t = time_batch(c, n);
+    if (t >= kBatchSeconds / 8 || n >= (std::int64_t{1} << 30)) {
+      return std::max<std::int64_t>(
+          1, std::llround(static_cast<double>(n) * kBatchSeconds /
+                          std::max(t, 1e-9)));
+    }
+    n *= 8;
   }
 }
-BENCHMARK(BM_Lamb1FullPipeline2D)->Arg(164)->Arg(491)->Arg(983)
-    ->Unit(benchmark::kMillisecond);
+
+void add_cases(Suite& s) {
+  s.family("FindSesPartition3D",
+           "M_3(32), f random node faults (seed 1), ascending order");
+  for (const std::int64_t f : {32, 64, 512, 1024}) {
+    const auto m = faulted(MeshShape::cube(3, 32), f, 1);
+    s.add("FindSesPartition3D/" + std::to_string(f), [m] {
+      return find_ses_partition(m->shape, m->faults, DimOrder::ascending(3));
+    });
+  }
+
+  s.family("ReachOracleBuild", "M_3(n), 2% random node faults (seed 2)");
+  for (const Coord width : {16, 32}) {
+    const MeshShape shape = MeshShape::cube(3, width);
+    const auto m = faulted(shape, shape.size() / 50, 2);
+    s.add("ReachOracleBuild/" + std::to_string(width),
+          [m] { return ReachOracle(m->shape, m->faults); });
+  }
+
+  // The oracle query and the O(dn) route walk it replaces, on random
+  // pairs (drawing and decoding the pair is part of both).
+  s.family("ReachOracleQuery",
+           "M_3(32), 983 random node faults (seed 3), random pairs");
+  s.family("RouteWalkQuery",
+           "M_3(32), 983 random node faults (seed 3), random pairs");
+  {
+    const auto m = faulted(MeshShape::cube(3, 32), 983, 3);
+    auto oracle = std::make_shared<const ReachOracle>(m->shape, m->faults);
+    const DimOrder order = DimOrder::ascending(3);
+    s.add("ReachOracleQuery", [m, oracle, order, rng = Rng(4)]() mutable {
+      const Point v = random_point(m->shape, rng);
+      const Point w = random_point(m->shape, rng);
+      return oracle->reach1(v, w, order);
+    });
+    s.add("RouteWalkQuery", [m, order, rng = Rng(5)]() mutable {
+      const Point v = random_point(m->shape, rng);
+      const Point w = random_point(m->shape, rng);
+      return route_clear(m->shape, m->faults, v, w, order);
+    });
+  }
+
+  s.family("FloodOracleBuild",
+           "/0 M_3(16), 4% node faults (seed 5) + 40 link faults (seed 6), "
+           "half directed; /1 M_2(32), 5% node faults (seed 5)");
+  s.family("FloodReach1Forward",
+           "floods of /0, /1 and /2 (T_3(16) with the faults of /0), "
+           "ascending order");
+  s.family("FloodReach1Descending",
+           "floods of /0, /1, /2, descending: the worst single-source "
+           "order");
+  s.family("FloodReach1Backward", "floods of /0, /1, /2, ascending order");
+  s.family("FloodReachK2", "floods of /0, /1, two ascending rounds");
+  std::shared_ptr<const FloodCase> floods[3];
+  for (int w = 0; w < 3; ++w) floods[w] = std::make_shared<const FloodCase>(w);
+  for (int w = 0; w < 2; ++w) {
+    s.add("FloodOracleBuild/" + std::to_string(w),
+          [c = floods[w]] { return FloodOracle(c->shape, c->faults); });
+  }
+  // One flood per call, `flood(oracle, endpoint)`, cycling through the
+  // good nodes as endpoints.
+  const auto add_flood = [&](const char* name, int w, auto flood) {
+    s.add(std::string(name) + "/" + std::to_string(w),
+          [c = floods[w], flood, i = std::size_t{0}]() mutable {
+            const Point& p = c->good[i];
+            i = (i + 1) % c->good.size();
+            return flood(c->oracle, p);
+          });
+  };
+  for (int w = 0; w < 3; ++w) {
+    const DimOrder order = DimOrder::ascending(floods[w]->shape.dim());
+    add_flood("FloodReach1Forward", w,
+              [order](const FloodOracle& o, const Point& p) {
+                return o.reach1_from(p, order);
+              });
+  }
+  for (int w = 0; w < 3; ++w) {
+    const DimOrder order = DimOrder::descending(floods[w]->shape.dim());
+    add_flood("FloodReach1Descending", w,
+              [order](const FloodOracle& o, const Point& p) {
+                return o.reach1_from(p, order);
+              });
+  }
+  for (int w = 0; w < 3; ++w) {
+    const DimOrder order = DimOrder::ascending(floods[w]->shape.dim());
+    add_flood("FloodReach1Backward", w,
+              [order](const FloodOracle& o, const Point& p) {
+                return o.reach1_to(p, order);
+              });
+  }
+  for (int w = 0; w < 2; ++w) {
+    const MultiRoundOrder orders =
+        ascending_rounds(floods[w]->shape.dim(), 2);
+    add_flood("FloodReachK2", w,
+              [orders](const FloodOracle& o, const Point& p) {
+                return o.reach_from(p, orders);
+              });
+  }
+
+  // Each output row has ~0.17 m set bits to visit but fills after a few
+  // dozen ORs, where the saturating kernel stops it.
+  s.family("BitMatrixMultiply",
+           "m x m random factors, both at the paper's R density 0.17 "
+           "(seed 6)");
+  for (const std::int64_t m : {256, 512, 2048}) {
+    auto ab = std::make_shared<const std::pair<BitMatrix, BitMatrix>>(
+        random_factors(m, 0.17, 6));
+    s.add("BitMatrixMultiply/" + std::to_string(m),
+          [ab] { return BitMatrix::multiply(ab->first, ab->second); });
+  }
+  // A sparse left factor (the intersection matrix I, density ~0.01)
+  // visits proportionally fewer b-rows; at the lowest densities no output
+  // row fills, so nothing stops early.
+  s.family("SparseLeftMultiply",
+           "1024 x 1024; left factor at density arg/1000, right at 0.17 "
+           "(seed 7)");
+  for (const int permille : {10, 100, 500}) {
+    auto ab = std::make_shared<const std::pair<BitMatrix, BitMatrix>>(
+        random_factors(1024, permille / 1000.0, 7));
+    s.add("SparseLeftMultiply/" + std::to_string(permille),
+          [ab] { return BitMatrix::multiply(ab->first, ab->second); });
+  }
+
+  s.family("ReachChain",
+           "reach_chain alone on captured k = 2 factors: /0 M_3(16) 4%, "
+           "/1 M_2(181) 1.5%, /2 M_3(32) 2% (seed 13)");
+  const std::shared_ptr<const ChainCase> chains[] = {
+      std::make_shared<const ChainCase>(3, 16, 164),
+      std::make_shared<const ChainCase>(2, 181, 491),
+      std::make_shared<const ChainCase>(3, 32, 655)};
+  for (int w = 0; w < 3; ++w) {
+    s.add("ReachChain/" + std::to_string(w), [c = chains[w]] {
+      return reach_chain(c->cap.r, c->cap.inters, c->reach.round_part);
+    });
+  }
+
+  s.family("ReachIncrementalNode",
+           "M_3(16), 164 node faults (seed 11), k = 2, one new node fault");
+  s.family("ReachIncrementalLink",
+           "M_3(16), 164 node faults (seed 11), k = 2, one new "
+           "bidirectional link fault");
+  s.family("ReachFull",
+           "the full matrix-backend solve, with capture, of the "
+           "ReachIncrementalNode fault set");
+  auto node_delta = std::make_shared<const ReachDeltaCase>(/*link=*/false);
+  auto link_delta = std::make_shared<const ReachDeltaCase>(/*link=*/true);
+  s.incremental_equivalent = node_delta->incremental_equals_full() &&
+                             link_delta->incremental_equals_full();
+  s.add("ReachIncrementalNode", [node_delta] { return node_delta->step(); });
+  s.add("ReachIncrementalLink", [link_delta] { return link_delta->step(); });
+  s.add("ReachFull", [node_delta] { return node_delta->full(); });
+
+  s.family("BipartiteWvc",
+           "n + n vertices, weights 1..50, edge probability 0.1 (seed 8)");
+  for (const int side : {32, 128, 512}) {
+    auto g = std::make_shared<const WvcCase>(side);
+    s.add("BipartiteWvc/" + std::to_string(side),
+          [g] { return min_weight_bipartite_cover(g->lw, g->rw, g->edges); });
+  }
+
+  s.family("Lamb1FullPipeline3D",
+           "lamb1 on M_3(32), f random node faults (seed 9)");
+  for (const std::int64_t f : {64, 128, 256, 512, 1024}) {
+    const auto m = faulted(MeshShape::cube(3, 32), f, 9);
+    s.add("Lamb1FullPipeline3D/" + std::to_string(f),
+          [m] { return lamb1(m->shape, m->faults, {}); });
+  }
+  s.family("Lamb1FullPipeline2D",
+           "lamb1 on M_2(181), f random node faults (seed 10)");
+  for (const std::int64_t f : {164, 491, 983}) {
+    const auto m = faulted(MeshShape::cube(2, 181), f, 10);
+    s.add("Lamb1FullPipeline2D/" + std::to_string(f),
+          [m] { return lamb1(m->shape, m->faults, {}); });
+  }
+}
+
+double ratio(double a, double b) {
+  return b > 0 ? a / b : std::numeric_limits<double>::quiet_NaN();
+}
 
 }  // namespace
-}  // namespace lamb
+
+int main(int argc, char** argv) {
+  constexpr io::Flag kFlags[] = {
+      io::kJsonFlag,
+      {"only", "PREFIX", io::kAllCommands,
+       "time only the rows whose name starts with PREFIX"}};
+  const io::CliArgs args = io::parse_cli(argc, argv, {.flags = kFlags});
+  const std::string json_path = args.get("json");
+  const std::string only = args.get("only");
+
+  Suite suite;
+  add_cases(suite);
+  std::vector<Case*> timed;
+  for (Case& c : suite.cases) {
+    if (c.name.starts_with(only)) timed.push_back(&c);
+  }
+  if (timed.empty()) {
+    std::fprintf(stderr, "error: no row starts with '%s'\n", only.c_str());
+    return 2;
+  }
+  std::printf("micro_core: %zu rows, best of %d interleaved reps, pool "
+              "width %d\n\n",
+              timed.size(), kReps, par::threads());
+
+  for (Case* c : timed) c->batch = calibrate(*c);
+  const std::vector<double> best =
+      best_of_interleaved(kReps, timed.size(), [&](std::size_t v) {
+        return time_batch(*timed[v], timed[v]->batch);
+      });
+  for (std::size_t v = 0; v < timed.size(); ++v) {
+    Case& c = *timed[v];
+    c.ns_per_op = best[v] * 1e9 / static_cast<double>(c.batch);
+    std::printf("  %-28s %14.1f ns/op  (batch %lld)\n", c.name.c_str(),
+                c.ns_per_op, static_cast<long long>(c.batch));
+  }
+
+  // The gated figures: ratios of rows timed interleaved in this process,
+  // and the incremental solves' equality with the full one. A ratio whose
+  // rows --only skipped is null, so its gate fails rather than passes.
+  const double node_over_full =
+      ratio(suite.ns("ReachIncrementalNode"), suite.ns("ReachFull"));
+  const double link_over_full =
+      ratio(suite.ns("ReachIncrementalLink"), suite.ns("ReachFull"));
+  const double query_over_walk =
+      ratio(suite.ns("ReachOracleQuery"), suite.ns("RouteWalkQuery"));
+  const bool equivalent = suite.incremental_equivalent;
+  std::printf("\n  incremental node / full reach: %.4f\n"
+              "  incremental link / full reach: %.4f\n"
+              "  oracle query / route walk:     %.4f\n"
+              "  incremental rk == full rk:     %s\n",
+              node_over_full, link_over_full, query_over_walk,
+              equivalent ? "yes" : "NO");
+
+  if (!json_path.empty()) {
+    support::BenchDoc doc("bench", "micro_core");
+    doc.object("workloads");
+    for (const auto& [name, workload] : suite.workloads) {
+      doc.field(name, workload);
+    }
+    doc.end()
+        .fields({{"threads", par::threads()},
+                 {"reps", kReps},
+                 {"batch_seconds", kBatchSeconds},
+                 {"reach_incremental_node_over_full", node_over_full},
+                 {"reach_incremental_link_over_full", link_over_full},
+                 {"reach_oracle_query_over_route_walk", query_over_walk},
+                 {"incremental_equivalent", equivalent ? 1 : 0}})
+        .array("results");
+    for (const Case* c : timed) {
+      doc.record({{"case", c->name},
+                  {"ns_per_op", c->ns_per_op},
+                  {"batch", c->batch}});
+    }
+    doc.end();
+    // Each bound is twice the largest of six width-1 runs on a shared
+    // 4-vCPU x86-64 host (node 0.048-0.060, link 0.047-0.051, query
+    // 0.124-0.142): room for another host's caches, while an incremental
+    // step that lost its reuse (a full solve is ~17x one) or an oracle
+    // query that fell back to walking fails.
+    doc.gate_max("reach_incremental_node_over_full", 0.12)
+        .gate_max("reach_incremental_link_over_full", 0.10)
+        .gate_max("reach_oracle_query_over_route_walk", 0.28)
+        .gate_equals("incremental_equivalent", 1)
+        .write(json_path);
+  }
+  return equivalent ? 0 : 1;
+}

@@ -94,11 +94,12 @@ double run_epoch_once(Durability mode, std::int64_t messages,
   return s;
 }
 
-// The three epoch rows are timed interleaved, rep by rep, so a load
-// spike hits every durability mode instead of biasing whichever row
-// happened to be running; each row keeps its best rep. The gated
-// no-fsync overhead is a ratio of two best-of-N times — sequencing
-// the modes makes that ratio swing with scheduler noise.
+// The three epoch rows are timed interleaved, rep by rep
+// (best_of_interleaved), so a load spike hits every durability mode
+// instead of biasing whichever row happened to be running; each row
+// keeps its best rep. The gated no-fsync overhead is a ratio of two
+// best-of-N times — sequencing the modes makes that ratio swing with
+// scheduler noise.
 std::vector<Result> time_epochs(std::int64_t messages, int reps) {
   struct ModeSpec {
     const char* name;
@@ -110,17 +111,14 @@ std::vector<Result> time_epochs(std::int64_t messages, int reps) {
       {"epoch_durable_fsync", Durability::kFsync},
   };
   std::vector<Result> out(std::size(specs));
+  const std::vector<double> best =
+      best_of_interleaved(reps, out.size(), [&](std::size_t i) {
+        return run_epoch_once(specs[i].mode, messages, &out[i].ops);
+      });
   for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i].mode = specs[i].name;
-    out[i].seconds = -1.0;
-  }
-  for (int r = 0; r < reps; ++r) {
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      const double s = run_epoch_once(specs[i].mode, messages, &out[i].ops);
-      if (out[i].seconds < 0 || s < out[i].seconds) out[i].seconds = s;
-    }
-  }
-  for (Result& res : out) {
+    Result& res = out[i];
+    res.mode = specs[i].name;
+    res.seconds = best[i];
     res.ops_per_s =
         res.seconds > 0 ? static_cast<double>(res.ops) / res.seconds : 0.0;
   }
@@ -147,13 +145,11 @@ Result time_snapshots(const char* name, Durability mode, int per_rep,
   auto mgr = durable_manager(dir, mode);
   Result res;
   res.mode = name;
-  res.seconds = -1.0;
-  for (int r = 0; r < reps; ++r) {
+  res.seconds = best_of_interleaved(reps, 1, [&](std::size_t) {
     Stopwatch watch;
     for (int i = 0; i < per_rep; ++i) mgr->compact();
-    const double s = watch.seconds() / per_rep;
-    if (res.seconds < 0 || s < res.seconds) res.seconds = s;
-  }
+    return watch.seconds() / per_rep;
+  })[0];
   res.ops = per_rep;
   res.ops_per_s = res.seconds > 0 ? 1.0 / res.seconds : 0.0;
   for (const auto& entry : fs::directory_iterator(dir)) {
@@ -174,13 +170,11 @@ Result time_journal(const char* name, Durability mode, int per_rep,
   const std::string record(24, 'r');  // ~ a link-fault record frame
   Result res;
   res.mode = name;
-  res.seconds = -1.0;
-  for (int r = 0; r < reps; ++r) {
+  res.seconds = best_of_interleaved(reps, 1, [&](std::size_t) {
     Stopwatch watch;
     for (int i = 0; i < per_rep; ++i) state.append_journal(record);
-    const double s = watch.seconds() / per_rep;
-    if (res.seconds < 0 || s < res.seconds) res.seconds = s;
-  }
+    return watch.seconds() / per_rep;
+  })[0];
   res.ops = per_rep;
   res.ops_per_s = res.seconds > 0 ? 1.0 / res.seconds : 0.0;
   res.bytes = static_cast<std::int64_t>(record.size());
@@ -200,8 +194,7 @@ Result time_open(const char* name, int journal_records, int reps) {
   }
   Result res;
   res.mode = name;
-  res.seconds = -1.0;
-  for (int r = 0; r < reps; ++r) {
+  res.seconds = best_of_interleaved(reps, 1, [&](std::size_t) {
     Stopwatch watch;
     auto reopened = manager::MachineManager::open(dir);
     const double s = watch.seconds();
@@ -209,8 +202,8 @@ Result time_open(const char* name, int journal_records, int reps) {
       std::fprintf(stderr, "open failed during %s\n", name);
       std::exit(1);
     }
-    if (res.seconds < 0 || s < res.seconds) res.seconds = s;
-  }
+    return s;
+  })[0];
   res.ops = journal_records;
   res.ops_per_s = res.seconds > 0 ? 1.0 / res.seconds : 0.0;
   return res;

@@ -43,11 +43,18 @@ struct Result {
   std::int64_t resolved_by_fault = 0;  // lost + poisoned
 };
 
-// One simulation of `messages` under `schedule`; *res keeps the best
-// wall time of Network::run over the calls made with it.
-void time_sim(const MeshShape& shape, const FaultSet& faults,
-              const std::vector<wormhole::Message>& messages,
-              const wormhole::FaultSchedule& schedule, Result* res) {
+// Best-of-N seconds into *res, with the simulated-cycle rate it implies.
+void set_best(Result* res, double seconds) {
+  res->seconds = seconds;
+  res->cycles_per_s =
+      seconds > 0 ? static_cast<double>(res->cycles) / seconds : 0.0;
+}
+
+// One simulation of `messages` under `schedule`: returns the wall time of
+// Network::run and records the run's counts in *res.
+double time_sim(const MeshShape& shape, const FaultSet& faults,
+                const std::vector<wormhole::Message>& messages,
+                const wormhole::FaultSchedule& schedule, Result* res) {
   wormhole::SimConfig config;
   config.vcs_per_link = 2;
   config.buffer_flits = 4;
@@ -57,21 +64,17 @@ void time_sim(const MeshShape& shape, const FaultSet& faults,
   Stopwatch watch;
   const auto result = net.run();
   const double s = watch.seconds();
-  if (res->seconds <= 0 || s < res->seconds) res->seconds = s;
   res->cycles = result.cycles;
   res->delivered = result.delivered;
   res->resolved_by_fault = result.lost + result.poisoned;
-  res->cycles_per_s =
-      res->seconds > 0 ? static_cast<double>(res->cycles) / res->seconds
-                       : 0.0;
+  return s;
 }
 
 Result time_recovery_epoch(const MeshShape& shape, std::int64_t messages,
                            int reps) {
   Result res;
   res.mode = "recovery_epoch";
-  res.seconds = -1.0;
-  for (int r = 0; r < reps; ++r) {
+  const double best = best_of_interleaved(reps, 1, [&](std::size_t) {
     Rng rng(default_seed());
     manager::MachineManager mgr(shape);
     const FaultSet initial = FaultSet::random_nodes(shape, 8, rng);
@@ -94,13 +97,12 @@ Result time_recovery_epoch(const MeshShape& shape, std::int64_t messages,
     Stopwatch watch;
     const auto out = driver.run_epoch(std::move(pairs), storm, rng);
     const double s = watch.seconds();
-    if (res.seconds < 0 || s < res.seconds) res.seconds = s;
     res.cycles = out.clock;
     res.delivered = out.messages_delivered;
     res.resolved_by_fault = out.rollbacks;  // repurposed: rollback count
-  }
-  res.cycles_per_s =
-      res.seconds > 0 ? static_cast<double>(res.cycles) / res.seconds : 0.0;
+    return s;
+  })[0];
+  set_best(&res, best);
   return res;
 }
 
@@ -246,14 +248,17 @@ int main(int argc, char** argv) {
       shape, faults, 3, 1, warmup.cycles, rng);
   // Interleaved pairs (off, on, off, on, ...), so host-speed drift hits
   // both modes alike; each mode keeps its best run.
-  Result off_result{"schedule_off"};
-  Result storm_result{"storm_on"};
-  for (int r = 0; r < kSimPairs; ++r) {
-    time_sim(shape, faults, traffic.messages, off, &off_result);
-    time_sim(shape, faults, traffic.messages, storm, &storm_result);
+  Result sim[] = {{"schedule_off"}, {"storm_on"}};
+  const wormhole::FaultSchedule* schedules[] = {&off, &storm};
+  const std::vector<double> best =
+      best_of_interleaved(kSimPairs, 2, [&](std::size_t v) {
+        return time_sim(shape, faults, traffic.messages, *schedules[v],
+                        &sim[v]);
+      });
+  for (std::size_t v = 0; v < 2; ++v) {
+    set_best(&sim[v], best[v]);
+    results.push_back(sim[v]);
   }
-  results.push_back(off_result);
-  results.push_back(storm_result);
 
   results.push_back(time_recovery_epoch(shape, scaled_trials(400), reps));
 

@@ -47,40 +47,36 @@ struct Variant {
   bool recorder = true;  // flight recorder is always-on in production
 };
 
-// Times a set of variants over the same workload, interleaved rep by rep
-// (variant A rep 0, variant B rep 0, A rep 1, ...) so a load spike on a
-// shared machine hits all variants of a comparison instead of skewing the
-// ratio, then keeps the best rep of each.
+// Times a set of variants over the same workload with the interleaved
+// best-of-N timer (support/stats.hpp): a load spike on a shared machine
+// hits all variants of a comparison instead of skewing the ratio.
 std::vector<Result> time_variants(const std::vector<Variant>& variants,
                                   const MeshShape& shape,
                                   const FaultSet& faults,
                                   const std::vector<wormhole::Message>& messages,
                                   int reps) {
   std::vector<Result> out(variants.size());
+  const std::vector<double> best =
+      best_of_interleaved(reps, variants.size(), [&](std::size_t v) {
+        wormhole::SimConfig config;
+        config.vcs_per_link = 2;
+        config.buffer_flits = 4;
+        config.telemetry = *variants[v].telemetry;
+        config.engine = variants[v].engine;
+        obs::FlightRecorder::global().set_enabled(variants[v].recorder);
+        wormhole::Network net(shape, faults, config);
+        for (const auto& m : messages) net.submit(m);
+        Stopwatch watch;
+        const auto result = net.run();
+        const double s = watch.seconds();
+        out[v].cycles = result.cycles;
+        out[v].delivered = result.delivered;
+        return s;
+      });
   for (std::size_t v = 0; v < variants.size(); ++v) {
-    out[v].mode = variants[v].mode;
-    out[v].seconds = -1.0;
-  }
-  for (int r = 0; r < reps; ++r) {
-    for (std::size_t v = 0; v < variants.size(); ++v) {
-      wormhole::SimConfig config;
-      config.vcs_per_link = 2;
-      config.buffer_flits = 4;
-      config.telemetry = *variants[v].telemetry;
-      config.engine = variants[v].engine;
-      obs::FlightRecorder::global().set_enabled(variants[v].recorder);
-      wormhole::Network net(shape, faults, config);
-      for (const auto& m : messages) net.submit(m);
-      Stopwatch watch;
-      const auto result = net.run();
-      const double s = watch.seconds();
-      Result& res = out[v];
-      if (res.seconds < 0 || s < res.seconds) res.seconds = s;
-      res.cycles = result.cycles;
-      res.delivered = result.delivered;
-    }
-  }
-  for (Result& res : out) {
+    Result& res = out[v];
+    res.mode = variants[v].mode;
+    res.seconds = best[v];
     res.cycles_per_s =
         res.seconds > 0 ? static_cast<double>(res.cycles) / res.seconds : 0.0;
   }

@@ -102,10 +102,13 @@ void MachineManager::report_link_fault(const Point& from, int dim, Dir dir) {
   }
   const bool fwd_new = !faults_.link_faulty(from, dim, dir);
   const bool rev_new = !faults_.link_faulty(neighbor, dim, opposite(dir));
-  // Either direction being new makes the report change the fault set (a
-  // restored directed fault plus this report blocks the reverse too), so
-  // either one must reach the journal.
-  if (state_ != nullptr && (fwd_new || rev_new)) {
+  // A report of a link already faulty both ways changes nothing, so it
+  // leaves the configuration current, as a known node fault does. Either
+  // direction being new makes the report change the fault set (a restored
+  // directed fault plus this report blocks the reverse too), so either one
+  // must reach the journal.
+  if (!fwd_new && !rev_new) return;
+  if (state_ != nullptr) {
     io::ByteWriter w;
     w.u8(kRecLinkFault);
     w.i64(shape_->index(from));
@@ -114,11 +117,9 @@ void MachineManager::report_link_fault(const Point& from, int dim, Dir dir) {
     journal_append(w.data());
   }
   faults_.add_link(from, dim, dir);
-  if (fwd_new || rev_new) {
-    obs::FlightRecorder::global().record(
-        obs::FlightEventType::kFaultApplied, 1, shape_->index(from),
-        dim * 2 + (dir == Dir::Pos ? 0 : 1));
-  }
+  obs::FlightRecorder::global().record(obs::FlightEventType::kFaultApplied, 1,
+                                       shape_->index(from),
+                                       dim * 2 + (dir == Dir::Pos ? 0 : 1));
   pending_ = true;
 }
 

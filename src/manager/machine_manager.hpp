@@ -167,6 +167,8 @@ class MachineManager {
   // is idempotent.
   void report_node_fault(const Point& p);
   void report_node_fault(NodeId id);
+  // Reports a dead link (both directions). Reporting a link already
+  // faulty both ways is idempotent, from either side.
   void report_link_fault(const Point& from, int dim, Dir dir);
   // Marks a node as partially failed: its sacrifice cost becomes `value`
   // (Section 7 node values, so 0 <= value <= 1). Ignored for faulty

@@ -86,15 +86,18 @@ RouteService::RouteService(const manager::MachineManager& manager,
 }
 
 void RouteService::begin_reconfigure(std::int64_t now) {
-  if (!window_open_.exchange(true)) {
-    window_open_tick_.store(now);
-    obs::counter("serve.windows").add();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (window_open_) return;
+    window_open_ = true;
+    window_open_tick_ = now;
   }
+  obs::counter("serve.windows").add();
 }
 
 void RouteService::publish(std::int64_t now) {
   RouteTable::BuildStats build;
-  const std::shared_ptr<const RouteTable> prev = table_.load();
+  const std::shared_ptr<const RouteTable> prev = table();
   const std::shared_ptr<const RouteTable> next =
       RouteTable::capture(*manager_, now, prev.get(), &build);
   {
@@ -103,9 +106,9 @@ void RouteService::publish(std::int64_t now) {
     stats_.floods_retained += build.floods_retained;
     stats_.floods_dropped += build.floods_dropped;
     if (next->certified()) last_certified_ = next;
+    table_ = next;
+    window_open_ = false;
   }
-  table_.store(next);
-  window_open_.store(false);
   obs::counter("serve.publishes").add();
   obs::gauge("serve.epoch").set(static_cast<double>(next->epoch()));
 }
@@ -122,64 +125,53 @@ int RouteService::shard_of(const RouteRequest& request) const {
 RouteResponse RouteService::serve(const RouteRequest& request,
                                   std::int64_t now) const {
   Stopwatch timer;
-  const std::shared_ptr<const RouteTable> table = table_.load();
-  const std::shared_ptr<const RouteTable> certified = last_certified();
-  const bool window = window_open_.load();
+  std::shared_ptr<const RouteTable> table;
+  std::shared_ptr<const RouteTable> certified;
+  bool window = false;
+  std::int64_t open_tick = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    table = table_;
+    certified = last_certified_;
+    window = window_open_;
+    open_tick = window_open_tick_;
+  }
 
   RouteResponse response;
   response.epoch = table->epoch();
+  // Inside a reconfigure window the serving table is stale, and past the
+  // staleness cap the ladder skips it for the fallback rung.
+  response.stale_age = window ? now - open_tick : 0;
+  const bool covered = table->covers(request.src, request.dst);
+  const bool use_table =
+      covered && (!window || response.stale_age <= options_.staleness_cap);
   Rng rng(request.rng_seed);
-
-  // The last serving rung: a one-round dimension-ordered route for pairs
-  // the last certified solve covered; below it only typed rejection.
-  auto fallback_rung = [&]() {
-    if (certified != nullptr && certified->covers(request.src, request.dst)) {
-      if (auto route =
-              certified->dim_order_route(request.src, request.dst)) {
-        response.status = ServeStatus::kFallback;
-        response.epoch = certified->epoch();
-        response.route = std::move(route);
-        return;
-      }
-      response.status = ServeStatus::kRejected;
-      return;
-    }
-    response.status = table->covers(request.src, request.dst)
-                          ? ServeStatus::kRejected
-                          : ServeStatus::kUnroutable;
-  };
-
-  if (!window) {
-    if (table->covers(request.src, request.dst)) {
-      if (auto route = table->route(request.src, request.dst, rng)) {
-        response.status = ServeStatus::kFresh;
-        response.route = std::move(route);
-      } else if (table->certified()) {
-        // Covered pair of a certified epoch: the lamb guarantee says this
-        // cannot happen. Typed loudly so the soak gate catches it.
-        response.status = ServeStatus::kError;
-      } else {
-        fallback_rung();
-      }
+  std::optional<wormhole::Route> route;
+  if (use_table) route = table->route(request.src, request.dst, rng);
+  if (route) {
+    response.status = window ? ServeStatus::kStale : ServeStatus::kFresh;
+    response.route = std::move(route);
+  } else if (use_table && table->certified()) {
+    // Covered pair of a certified epoch: the lamb guarantee says this
+    // cannot happen. Typed loudly so the soak gate catches it.
+    response.status = ServeStatus::kError;
+  } else if (!window && !covered) {
+    response.status = ServeStatus::kUnroutable;
+  } else if (certified != nullptr &&
+             certified->covers(request.src, request.dst)) {
+    // The last serving rung: a one-round dimension-ordered route for
+    // pairs the last certified solve covered; below it only typed
+    // rejection.
+    response.route = certified->dim_order_route(request.src, request.dst);
+    if (response.route) {
+      response.status = ServeStatus::kFallback;
+      response.epoch = certified->epoch();
     } else {
-      response.status = ServeStatus::kUnroutable;
+      response.status = ServeStatus::kRejected;
     }
   } else {
-    const std::int64_t age = now - window_open_tick_.load();
-    response.stale_age = age;
-    if (age <= options_.staleness_cap &&
-        table->covers(request.src, request.dst)) {
-      if (auto route = table->route(request.src, request.dst, rng)) {
-        response.status = ServeStatus::kStale;
-        response.route = std::move(route);
-      } else if (table->certified()) {
-        response.status = ServeStatus::kError;
-      } else {
-        fallback_rung();
-      }
-    } else {
-      fallback_rung();
-    }
+    response.status =
+        covered ? ServeStatus::kRejected : ServeStatus::kUnroutable;
   }
   response.vend_seconds = timer.seconds();
   return response;
@@ -223,10 +215,10 @@ std::optional<RouteResponse> RouteService::submit(const RouteRequest& request,
   if (request.deadline_tick >= 0 && now > request.deadline_tick) {
     RouteResponse response;
     response.status = ServeStatus::kDeadline;
-    response.epoch = table_.load()->epoch();
     {
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.submitted;
+      response.epoch = table_->epoch();
     }
     count(response);
     return response;
@@ -250,7 +242,7 @@ std::optional<RouteResponse> RouteService::submit(const RouteRequest& request,
       return std::nullopt;
     } else {
       shed.status = ServeStatus::kOverloaded;
-      shed.epoch = table_.load()->epoch();
+      shed.epoch = table_->epoch();
       // How long until the bucket could have drained today's backlog —
       // the typed Overloaded's retry hint, clamped to the admission
       // window so a pathological refill rate cannot instruct clients to
@@ -294,7 +286,7 @@ std::vector<RouteService::Drained> RouteService::advance(std::int64_t now) {
     RouteResponse response;
     if (action.expired) {
       response.status = ServeStatus::kDeadline;
-      response.epoch = table_.load()->epoch();
+      response.epoch = table()->epoch();
     } else {
       response = serve(action.request, now);
     }

@@ -2,11 +2,12 @@
 //
 // Many concurrent clients ask for survivor routes while fault storms and
 // reconfigurations run underneath. The service holds the current
-// RouteTable behind one std::atomic<std::shared_ptr>, so a vend is: load
-// the pointer, route against that immutable epoch. reconfigure publishes
-// a NEW table with a single atomic store — readers never block on the
-// solver, and an in-flight reader keeps its (now previous) epoch alive
-// until it returns.
+// RouteTable as a shared_ptr under its one mutex, so a vend is: copy the
+// epoch state in one short critical section, then route against that
+// immutable epoch outside it. publish() builds a NEW table off to the
+// side and swaps the pointer under the same mutex — readers never block
+// on the solver, and an in-flight reader keeps its (now previous) epoch
+// alive until it returns.
 //
 // The degradation ladder (docs/SERVING.md): while a reconfigure window
 // is open the service keeps serving the stale epoch up to a staleness
@@ -15,7 +16,6 @@
 // outcome is a typed status, never an unbounded queue.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -146,13 +146,19 @@ class RouteService : public Backend {
   // solver is (conceptually) running. Idempotent while open.
   void begin_reconfigure(std::int64_t now);
   // Publishes the manager's current configuration as the new epoch with
-  // one atomic swap and closes the window. Call after reconfigure().
+  // one pointer swap and closes the window. Call after reconfigure().
   void publish(std::int64_t now);
-  bool reconfiguring() const { return window_open_.load(); }
+  bool reconfiguring() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return window_open_;
+  }
 
   // The current table snapshot (never null). Clients use it to pick
   // covered pairs; holding the pointer is what RCU readers do.
-  std::shared_ptr<const RouteTable> table() const { return table_.load(); }
+  std::shared_ptr<const RouteTable> table() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return table_;
+  }
   std::shared_ptr<const RouteTable> last_certified() const {
     std::lock_guard<std::mutex> lock(mu_);
     return last_certified_;
@@ -206,13 +212,15 @@ class RouteService : public Backend {
 
   const manager::MachineManager* manager_;
   ServiceOptions options_;
-  std::atomic<std::shared_ptr<const RouteTable>> table_;
-  std::atomic<bool> window_open_{false};
-  std::atomic<std::int64_t> window_open_tick_{0};
 
-  mutable std::mutex mu_;  // shards, last_certified_, stats_
-  std::vector<Shard> shards_;
+  // The epoch state (table_, last_certified_, the window) and the
+  // admission state (shards_, stats_), all under mu_.
+  mutable std::mutex mu_;
+  std::shared_ptr<const RouteTable> table_;
   std::shared_ptr<const RouteTable> last_certified_;
+  bool window_open_ = false;
+  std::int64_t window_open_tick_ = 0;
+  std::vector<Shard> shards_;
   mutable ServiceStats stats_;
 };
 

@@ -21,4 +21,16 @@ double Accumulator::variance() const {
 
 double Accumulator::stddev() const { return std::sqrt(variance()); }
 
+std::vector<double> best_of_interleaved(
+    int reps, std::size_t variants,
+    const std::function<double(std::size_t)>& run) {
+  std::vector<double> best(variants, std::numeric_limits<double>::infinity());
+  for (int r = 0; r < reps; ++r) {
+    for (std::size_t v = 0; v < variants; ++v) {
+      best[v] = std::min(best[v], run(v));
+    }
+  }
+  return best;
+}
+
 }  // namespace lamb

@@ -1,11 +1,15 @@
-// Streaming statistics accumulators and a wall-clock stopwatch used by the
-// experiment harness (paper Section 8 reports averages and maxima over
-// 1000-trial sweeps, plus running times in Figure 26).
+// Streaming statistics accumulators, a wall-clock stopwatch and the
+// micro benches' interleaved best-of-N timer, used by the experiment
+// harness (paper Section 8 reports averages and maxima over 1000-trial
+// sweeps, plus running times in Figure 26).
 #pragma once
 
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <vector>
 
 namespace lamb {
 
@@ -45,5 +49,16 @@ class Stopwatch {
   using clock = std::chrono::steady_clock;
   clock::time_point start_;
 };
+
+// Interleaved best-of-N: `reps` rounds, each calling `run(v)` once per
+// variant in order (variant 0 rep 0, variant 1 rep 0, variant 0 rep 1,
+// ...), so a load spike on a shared host hits every variant of a
+// comparison alike instead of skewing their ratio. `run` times one rep of
+// variant v itself, so untimed setup stays outside its Stopwatch, and
+// returns the seconds. The result is each variant's minimum (+inf when
+// reps < 1).
+std::vector<double> best_of_interleaved(
+    int reps, std::size_t variants,
+    const std::function<double(std::size_t)>& run);
 
 }  // namespace lamb

@@ -57,6 +57,20 @@ TEST(Manager, MonotoneLambGrowthAcrossEpochs) {
   EXPECT_EQ((int)mgr.history().size(), 6);
 }
 
+// A repeated link report, from either side, changes no fault and so must
+// leave the configuration current, as a repeated node report does.
+TEST(Manager, DuplicateLinkReportLeavesConfigurationCurrent) {
+  manager::MachineManager mgr(MeshShape::cube(2, 8));
+  mgr.report_link_fault(Point{3, 3}, 0, Dir::Pos);
+  mgr.reconfigure();
+  ASSERT_FALSE(mgr.has_pending_reports());
+  mgr.report_link_fault(Point{3, 3}, 0, Dir::Pos);
+  mgr.report_link_fault(Point{4, 3}, 0, Dir::Neg);
+  EXPECT_FALSE(mgr.has_pending_reports());
+  EXPECT_NO_THROW(mgr.survivors());
+  EXPECT_EQ(mgr.faults().num_link_faults(), 1);
+}
+
 TEST(Manager, FaultOnLambIsAbsorbed) {
   manager::MachineManager mgr(MeshShape::cube(2, 12));
   // The paper's example configuration needs exactly two lambs.

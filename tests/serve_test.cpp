@@ -7,9 +7,11 @@
 // solver threads.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -305,6 +307,54 @@ TEST(RouteService, DeadlinesResolveWithoutSpendingTokens) {
   ASSERT_EQ(drained.size(), 1u);
   EXPECT_EQ(drained[0].response.status, ServeStatus::kDeadline);
   EXPECT_EQ(svc.stats().deadline, 2);
+}
+
+// Four threads submit and read table() while this thread reports faults,
+// opens reconfigure windows, reconfigures and publishes. Every answer must
+// be a typed status, never kError; run under ThreadSanitizer this is the
+// epoch-state race check.
+TEST(RouteService, ConcurrentSubmitsWhileTheEpochChanges) {
+  ServiceFixture fx;
+  ServiceOptions options;
+  options.admission.bucket_capacity = 1e9;  // serve every submit now
+  RouteService svc(fx.mgr, options, /*now=*/0);
+
+  std::atomic<int> errors{0};
+  std::atomic<int> served{0};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < 4; ++t) {
+    clients.emplace_back([&, t] {
+      Rng rng(200 + static_cast<std::uint64_t>(t));
+      for (int i = 0; i < 300; ++i) {
+        const auto survivors = svc.table()->survivors();
+        RouteRequest req = fx.request(
+            survivors[rng.below(survivors.size())],
+            survivors[rng.below(survivors.size())], i);
+        req.client_id = static_cast<std::uint64_t>(t);
+        const auto response = svc.submit(req, i);
+        if (!response.has_value()) continue;
+        if (response->status == ServeStatus::kError) ++errors;
+        if (serve::served(response->status)) ++served;
+      }
+    });
+  }
+  Rng rng(9);
+  for (int i = 0; i < 12; ++i) {
+    NodeId victim;
+    do {
+      victim = static_cast<NodeId>(rng.below(64));
+    } while (fx.mgr.faults().node_faulty(victim));
+    svc.begin_reconfigure(2 * i);
+    fx.mgr.report_node_fault(victim);
+    fx.mgr.reconfigure();
+    svc.publish(2 * i + 1);
+  }
+  for (std::thread& client : clients) client.join();
+  EXPECT_EQ(errors.load(), 0);
+  EXPECT_GT(served.load(), 0);
+  EXPECT_FALSE(svc.reconfiguring());
+  EXPECT_EQ(svc.table()->epoch(), 13);
+  EXPECT_EQ(svc.stats().errors, 0);
 }
 
 TEST(ServeClient, RetriesWithBackoffUntilAttemptsExhaust) {

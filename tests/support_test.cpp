@@ -1,6 +1,7 @@
 // Unit tests for the support module: RNG determinism and distribution
-// sanity, sampling without replacement, accumulator statistics, bitsets,
-// environment helpers, and the JSON writer.
+// sanity, sampling without replacement, accumulator statistics, the
+// interleaved best-of-N timer, bitsets, environment helpers, and the JSON
+// writer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,8 @@
 #include <limits>
 #include <set>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "support/bitset.hpp"
 #include "support/env.hpp"
@@ -138,6 +141,35 @@ TEST(Accumulator, SingleSampleVarianceZero) {
   EXPECT_EQ(acc.variance(), 0.0);
   EXPECT_EQ(acc.min(), 7.0);
   EXPECT_EQ(acc.max(), 7.0);
+}
+
+// The timer's contract: reps run interleaved A0 B0 A1 B1 ..., and each
+// variant keeps its own minimum, wherever in the rounds it fell.
+TEST(BestOfInterleaved, InterleavesRepsAndKeepsEachMinimum) {
+  const double times[2][3] = {{3.0, 1.0, 2.0}, {0.5, 4.0, 0.25}};
+  std::vector<std::pair<std::size_t, int>> calls;
+  int rep[2] = {0, 0};
+  const std::vector<double> best =
+      best_of_interleaved(3, 2, [&](std::size_t v) {
+        calls.push_back({v, rep[v]});
+        return times[v][rep[v]++];
+      });
+  const std::vector<std::pair<std::size_t, int>> order = {
+      {0, 0}, {1, 0}, {0, 1}, {1, 1}, {0, 2}, {1, 2}};
+  EXPECT_EQ(calls, order);
+  EXPECT_EQ(best, (std::vector<double>{1.0, 0.25}));
+}
+
+TEST(BestOfInterleaved, OneVariantAlone) {
+  int calls = 0;
+  const double times[] = {0.2, 0.1, 0.3, 0.4};
+  const std::vector<double> best =
+      best_of_interleaved(4, 1, [&](std::size_t v) {
+        EXPECT_EQ(v, 0u);
+        return times[calls++];
+      });
+  EXPECT_EQ(calls, 4);
+  EXPECT_EQ(best, (std::vector<double>{0.1}));
 }
 
 TEST(Bits, SetTestReset) {
