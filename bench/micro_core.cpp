@@ -3,8 +3,9 @@
 // oracle (construction O(dN), queries O(d)) vs the O(dn) route walk, the
 // word-parallel floods of FloodOracle, the saturating Boolean matrix
 // product and the R-chain built on it, one incremental Find-Reachability
-// step against the full one, Dinic on the WVC network, and the full Lamb1
-// pipeline scaling in f.
+// step against the full one, Dinic on the WVC network, the full Lamb1
+// pipeline scaling in f, and one served k = 2 vend (warm, cold, and
+// through RouteService::submit).
 //
 // Every case is one row: a named operation timed in batches (sub-µs
 // operations run many calls per batch, calibrated once), every row
@@ -12,8 +13,9 @@
 // ns per call. `--only PREFIX` times just the rows whose name starts with
 // PREFIX. With --json PATH the rows and the in-process ratio gates are
 // written as a JSON document (BENCH_core.json): incremental reach over the
-// full solve, the oracle query over the route walk, and the incremental
-// result equal to the full one. No gate bounds an absolute time. Rows run
+// full solve, the oracle query over the route walk, a served submit over
+// the warm route pick it wraps, and the incremental result equal to the
+// full one. No gate bounds an absolute time. Rows run
 // at the process pool width; the bounds were set at width 1, so the
 // document is written with `--threads 1`.
 #include <algorithm>
@@ -23,6 +25,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -33,13 +36,16 @@
 #include "core/reach_matrices.hpp"
 #include "graph/bipartite_wvc.hpp"
 #include "io/cli_args.hpp"
+#include "manager/machine_manager.hpp"
 #include "reach/flood_oracle.hpp"
 #include "reach/reach_oracle.hpp"
 #include "reach/route.hpp"
+#include "serve/route_service.hpp"
 #include "support/json.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
+#include "wormhole/route_cache.hpp"
 
 using namespace lamb;
 
@@ -241,6 +247,64 @@ struct ReachDeltaCase {
   bool incremental_equals_full() const {
     ReachComputation inc;
     return step(&inc) && inc.rk == full().rk;
+  }
+};
+
+// The served read path on M_3(16) with 4% random node faults (seed 14):
+// a manager configured on them, a RouteService over it with admission
+// wide open, and 64 pairs cycled through from a pool of 64 random
+// survivors. Before timing, every pair is routed once through `warm` and
+// submitted once, so both floods of every pair are cached in `warm` and
+// in the service's table.
+struct VendCase {
+  manager::MachineManager manager;
+  std::unique_ptr<serve::RouteService> service;
+  std::unique_ptr<wormhole::RouteCache> warm;
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  std::int64_t now = 0;
+
+  VendCase() : manager(MeshShape::cube(3, 16)) {
+    const MeshShape& shape = manager.shape();
+    Rng rng(14);
+    for (const std::int64_t id :
+         sample_without_replacement(shape.size(), 164, rng)) {
+      manager.report_node_fault(id);
+    }
+    manager.reconfigure();
+    const std::vector<NodeId> survivors = manager.survivors();
+    std::vector<NodeId> pool;
+    for (const std::int64_t i : sample_without_replacement(
+             static_cast<std::int64_t>(survivors.size()), 64, rng)) {
+      pool.push_back(survivors[static_cast<std::size_t>(i)]);
+    }
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      pairs.push_back({pool[i], pool[(i * 7 + 1) % pool.size()]});
+    }
+    serve::ServiceOptions options;
+    options.admission.shards = 1;
+    options.admission.bucket_capacity = 1e18;
+    options.admission.refill_per_tick = 1e18;
+    service = std::make_unique<serve::RouteService>(manager, options);
+    warm = std::make_unique<wormhole::RouteCache>(manager.snapshot(),
+                                                  manager.orders());
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      route(*warm, i);
+      submit(i);
+    }
+  }
+  VendCase(const VendCase&) = delete;  // the service holds the manager
+
+  std::optional<wormhole::Route> route(wormhole::RouteCache& cache,
+                                       std::size_t i) const {
+    Rng rng(i);
+    return cache.build(pairs[i].first, pairs[i].second, rng);
+  }
+  std::optional<serve::RouteResponse> submit(std::size_t i) {
+    serve::RouteRequest request;
+    request.src = pairs[i].first;
+    request.dst = pairs[i].second;
+    request.rng_seed = i;
+    return service->submit(request, ++now);
   }
 };
 
@@ -455,6 +519,34 @@ void add_cases(Suite& s) {
           [g] { return min_weight_bipartite_cover(g->lw, g->rw, g->edges); });
   }
 
+  // One served vend three ways: the route picker on a warm cache (both
+  // floods memoised, so the k = 2 intermediate scan and the hops), the
+  // same on a cold cache (flood oracle build and both floods first), and
+  // RouteService::submit on a warm table (admission, the serving ladder,
+  // counters and SLOs around the same warm pick).
+  s.family("VendHit",
+           "RouteCache::build, 64 warm survivor pairs of M_3(16) with 164 "
+           "random node faults (seed 14), k = 2");
+  s.family("VendMiss", "VendHit's pairs on a fresh RouteCache per call");
+  s.family("ServeSubmitHit",
+           "RouteService::submit of VendHit's pairs on a warm table, "
+           "admission wide open");
+  auto vend = std::make_shared<VendCase>();
+  s.add("VendHit", [vend, i = std::size_t{0}]() mutable {
+    i = (i + 1) % vend->pairs.size();
+    return vend->route(*vend->warm, i);
+  });
+  s.add("VendMiss", [vend, i = std::size_t{0}]() mutable {
+    i = (i + 1) % vend->pairs.size();
+    wormhole::RouteCache cold(vend->manager.snapshot(),
+                              vend->manager.orders());
+    return vend->route(cold, i);
+  });
+  s.add("ServeSubmitHit", [vend, i = std::size_t{0}]() mutable {
+    i = (i + 1) % vend->pairs.size();
+    return vend->submit(i);
+  });
+
   s.family("Lamb1FullPipeline3D",
            "lamb1 on M_3(32), f random node faults (seed 9)");
   for (const std::int64_t f : {64, 128, 256, 512, 1024}) {
@@ -521,13 +613,16 @@ int main(int argc, char** argv) {
       ratio(suite.ns("ReachIncrementalLink"), suite.ns("ReachFull"));
   const double query_over_walk =
       ratio(suite.ns("ReachOracleQuery"), suite.ns("RouteWalkQuery"));
+  const double submit_over_hit =
+      ratio(suite.ns("ServeSubmitHit"), suite.ns("VendHit"));
   const bool equivalent = suite.incremental_equivalent;
   std::printf("\n  incremental node / full reach: %.4f\n"
               "  incremental link / full reach: %.4f\n"
               "  oracle query / route walk:     %.4f\n"
+              "  serve submit / route hit:      %.4f\n"
               "  incremental rk == full rk:     %s\n",
               node_over_full, link_over_full, query_over_walk,
-              equivalent ? "yes" : "NO");
+              submit_over_hit, equivalent ? "yes" : "NO");
 
   if (!json_path.empty()) {
     support::BenchDoc doc("bench", "micro_core");
@@ -542,6 +637,7 @@ int main(int argc, char** argv) {
                  {"reach_incremental_node_over_full", node_over_full},
                  {"reach_incremental_link_over_full", link_over_full},
                  {"reach_oracle_query_over_route_walk", query_over_walk},
+                 {"serve_submit_over_route_hit", submit_over_hit},
                  {"incremental_equivalent", equivalent ? 1 : 0}})
         .array("results");
     for (const Case* c : timed) {
@@ -552,12 +648,15 @@ int main(int argc, char** argv) {
     doc.end();
     // Each bound is twice the largest of six width-1 runs on a shared
     // 4-vCPU x86-64 host (node 0.048-0.060, link 0.047-0.051, query
-    // 0.124-0.142): room for another host's caches, while an incremental
-    // step that lost its reuse (a full solve is ~17x one) or an oracle
-    // query that fell back to walking fails.
+    // 0.124-0.142, submit 1.06-1.52): room for another host's caches,
+    // while an incremental step that lost its reuse (a full solve is ~17x
+    // one), an oracle query that fell back to walking, or a submit whose
+    // ladder costs more than the warm route it wraps (a flood miss is ~8x
+    // a hit) fails.
     doc.gate_max("reach_incremental_node_over_full", 0.12)
         .gate_max("reach_incremental_link_over_full", 0.10)
         .gate_max("reach_oracle_query_over_route_walk", 0.28)
+        .gate_max("serve_submit_over_route_hit", 3.0)
         .gate_equals("incremental_equivalent", 1)
         .write(json_path);
   }

@@ -100,10 +100,9 @@ void FleetManager::record_outcome(int shard,
   if (shard >= 0) {
     shards_[static_cast<std::size_t>(shard)].burn.record(good);
   }
-  if (obs::Slo* slo =
-          obs::SloTracker::global().find(obs::kSloFleetAvailability)) {
-    slo->record(good);
-  }
+  static obs::Slo* slo =
+      obs::SloTracker::global().find(obs::kSloFleetAvailability);
+  if (slo != nullptr) slo->record(good);
 }
 
 std::optional<serve::RouteResponse> FleetManager::submit(

@@ -83,7 +83,7 @@ Slo* SloTracker::declare(const SloSpec& spec) {
   return slos_.back().get();
 }
 
-Slo* SloTracker::find(const std::string& name) {
+Slo* SloTracker::find(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
   for (const auto& slo : slos_) {
     if (slo->spec().name == name) return slo.get();

@@ -18,6 +18,7 @@
 #include <deque>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -92,7 +93,7 @@ class SloTracker {
 
   // Find-or-create; the pointer stays valid for the tracker's lifetime.
   Slo* declare(const SloSpec& spec);
-  Slo* find(const std::string& name);
+  Slo* find(std::string_view name);
 
   std::vector<SloSnapshot> snapshots() const;
 

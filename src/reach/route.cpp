@@ -2,9 +2,6 @@
 
 namespace lamb {
 
-namespace {
-
-// Direction and hop count to travel from coordinate a to b in dimension j.
 void segment_geometry(const MeshShape& shape, int j, Coord a, Coord b,
                       Dir* dir, Coord* steps) {
   if (!shape.wraps()) {
@@ -24,8 +21,6 @@ void segment_geometry(const MeshShape& shape, int j, Coord a, Coord b,
     *steps = bwd;
   }
 }
-
-}  // namespace
 
 std::vector<RouteSegment> dim_ordered_route(const MeshShape& shape,
                                             const Point& v, const Point& w,

@@ -25,8 +25,13 @@ struct RouteSegment {
   Coord steps = 0;
 };
 
-// The unique pi-route from v to w. On a torus each dimension travels the
-// shorter way around, breaking ties toward Dir::Pos.
+// Direction and hop count of the leg from coordinate a to b in dimension
+// j: on a torus the shorter way around, ties toward Dir::Pos.
+void segment_geometry(const MeshShape& shape, int j, Coord a, Coord b,
+                      Dir* dir, Coord* steps);
+
+// The unique pi-route from v to w, one segment_geometry leg per
+// dimension.
 std::vector<RouteSegment> dim_ordered_route(const MeshShape& shape,
                                             const Point& v, const Point& w,
                                             const DimOrder& order);

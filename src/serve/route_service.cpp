@@ -92,7 +92,8 @@ void RouteService::begin_reconfigure(std::int64_t now) {
     window_open_ = true;
     window_open_tick_ = now;
   }
-  obs::counter("serve.windows").add();
+  static obs::Counter& windows = obs::counter("serve.windows");
+  windows.add();
 }
 
 void RouteService::publish(std::int64_t now) {
@@ -109,8 +110,10 @@ void RouteService::publish(std::int64_t now) {
     table_ = next;
     window_open_ = false;
   }
-  obs::counter("serve.publishes").add();
-  obs::gauge("serve.epoch").set(static_cast<double>(next->epoch()));
+  static obs::Counter& publishes = obs::counter("serve.publishes");
+  static obs::Gauge& epoch = obs::gauge("serve.epoch");
+  publishes.add();
+  epoch.set(static_cast<double>(next->epoch()));
 }
 
 int RouteService::shard_of(const RouteRequest& request) const {
@@ -192,26 +195,26 @@ void RouteService::count(const RouteResponse& response) const {
     }
   }
   status_counter(response.status).add();
-  if (served(response.status)) {
-    if (obs::Slo* slo =
-            obs::SloTracker::global().find(obs::kSloRouteVendLatency)) {
-      slo->observe_latency(response.vend_seconds);
-    }
+  // The standard objectives, declared with SloTracker::global().
+  static obs::Slo* vend_latency =
+      obs::SloTracker::global().find(obs::kSloRouteVendLatency);
+  static obs::Slo* availability =
+      obs::SloTracker::global().find(obs::kSloServeAvailability);
+  if (served(response.status) && vend_latency != nullptr) {
+    vend_latency->observe_latency(response.vend_seconds);
   }
   // Availability counts answers, good or degraded, against shed/reject;
   // kUnroutable is a correct answer about a dead endpoint, not an
   // availability event, so it does not touch the objective.
-  if (response.status != ServeStatus::kUnroutable) {
-    if (obs::Slo* slo =
-            obs::SloTracker::global().find(obs::kSloServeAvailability)) {
-      slo->record(served(response.status));
-    }
+  if (response.status != ServeStatus::kUnroutable && availability != nullptr) {
+    availability->record(served(response.status));
   }
 }
 
 std::optional<RouteResponse> RouteService::submit(const RouteRequest& request,
                                                   std::int64_t now) {
-  obs::counter("serve.submitted").add();
+  static obs::Counter& submitted = obs::counter("serve.submitted");
+  submitted.add();
   if (request.deadline_tick >= 0 && now > request.deadline_tick) {
     RouteResponse response;
     response.status = ServeStatus::kDeadline;
@@ -238,7 +241,8 @@ std::optional<RouteResponse> RouteService::submit(const RouteRequest& request,
       ++stats_.queued;
       const auto depth = static_cast<std::int64_t>(shard.queue.size());
       if (depth > stats_.max_queue_depth) stats_.max_queue_depth = depth;
-      obs::counter("serve.queued").add();
+      static obs::Counter& queued = obs::counter("serve.queued");
+      queued.add();
       return std::nullopt;
     } else {
       shed.status = ServeStatus::kOverloaded;
@@ -253,7 +257,12 @@ std::optional<RouteResponse> RouteService::submit(const RouteRequest& request,
           std::max<std::int64_t>(options_.admission.retry_after_cap, 1));
     }
   }
-  const RouteResponse response = serve_now ? serve(request, now) : shed;
+  if (!serve_now) {
+    count(shed);
+    return shed;
+  }
+  // Returned by move: the route's hops are not copied into the optional.
+  RouteResponse response = serve(request, now);
   count(response);
   return response;
 }
@@ -304,7 +313,8 @@ std::vector<RouteRequest> RouteService::evict_queue() {
     shard.queue.clear();
   }
   if (!out.empty()) {
-    obs::counter("serve.evicted").add(static_cast<std::int64_t>(out.size()));
+    static obs::Counter& evicted = obs::counter("serve.evicted");
+    evicted.add(static_cast<std::int64_t>(out.size()));
   }
   return out;
 }

@@ -35,8 +35,10 @@ std::shared_ptr<const RouteTable> RouteTable::capture(
       build.floods_dropped = adopted->dropped;
     }
   }
-  obs::counter("serve.table.floods_retained").add(build.floods_retained);
-  obs::counter("serve.table.floods_dropped").add(build.floods_dropped);
+  static obs::Counter& retained = obs::counter("serve.table.floods_retained");
+  static obs::Counter& dropped = obs::counter("serve.table.floods_dropped");
+  retained.add(build.floods_retained);
+  dropped.add(build.floods_dropped);
   if (stats != nullptr) *stats = build;
   return table;
 }

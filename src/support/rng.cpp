@@ -7,19 +7,10 @@
 
 namespace lamb {
 
-std::uint64_t Rng::below(std::uint64_t bound) {
-  assert(bound > 0);
-  // Lemire's nearly-divisionless method.
-  std::uint64_t x = (*this)();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  std::uint64_t lo = static_cast<std::uint64_t>(m);
-  if (lo < bound) {
-    const std::uint64_t threshold = -bound % bound;
-    while (lo < threshold) {
-      x = (*this)();
-      m = static_cast<__uint128_t>(x) * bound;
-      lo = static_cast<std::uint64_t>(m);
-    }
+std::uint64_t Rng::below_rejecting(std::uint64_t bound, __uint128_t m) {
+  const std::uint64_t threshold = -bound % bound;
+  while (static_cast<std::uint64_t>(m) < threshold) {
+    m = static_cast<__uint128_t>((*this)()) * bound;
   }
   return static_cast<std::uint64_t>(m >> 64);
 }

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -51,8 +52,18 @@ class Rng {
     return result;
   }
 
-  // Uniform integer in [0, bound) without modulo bias (Lemire rejection).
-  std::uint64_t below(std::uint64_t bound);
+  // Uniform integer in [0, bound) without modulo bias (Lemire's
+  // nearly-divisionless method). The first draw is accepted unless its
+  // low product word falls below `bound`; only then does the out-of-line
+  // rejection loop run, so the common call is one draw and one multiply.
+  std::uint64_t below(std::uint64_t bound) {
+    assert(bound > 0);
+    const __uint128_t m = static_cast<__uint128_t>((*this)()) * bound;
+    if (static_cast<std::uint64_t>(m) < bound) [[unlikely]] {
+      return below_rejecting(bound, m);
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   // Uniform integer in [lo, hi] inclusive.
   std::int64_t uniform(std::int64_t lo, std::int64_t hi);
@@ -77,6 +88,9 @@ class Rng {
   }
 
  private:
+  // below()'s slow path: `m` is the first draw times `bound`.
+  std::uint64_t below_rejecting(std::uint64_t bound, __uint128_t m);
+
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }

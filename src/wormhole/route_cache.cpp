@@ -73,23 +73,37 @@ class StaleTest {
 // best equals lb = sum_j min_x c_j[x], this leaves exactly the nodes
 // whose every coordinate attains its minimum (the src/dst bounding box on
 // a mesh). Ties met before lb still draw from rng, as in the plain scan.
+//
+// Cost windows keep the loops off the skipped coordinates. For each
+// dimension j and slack t, [lo_j(t), hi_j(t)] is the smallest interval
+// holding every x with c_j[x] <= t: on a mesh that set is itself an
+// interval around [min(src_j, dst_j), max(src_j, dst_j)], on a torus an
+// arc, which may wrap and then bounds to the whole row. A loop over
+// dimension j with slack t = best - partial - floor_j runs over that
+// window only, and a row masks its F∩B words to it. The window is a
+// superset of the coordinates the bound test would keep, and the test
+// itself stays on every coordinate and every candidate, so the nodes
+// offered, their order, and hence every rng draw and the load-aware pick,
+// are exactly the plain scan's.
 class IntermediateScan {
  public:
   IntermediateScan(const MeshShape& shape, const Bits& forward,
                    const Bits& backward, const Point& src, const Point& dst,
-                   std::vector<std::int64_t>* costs, Rng& rng,
+                   std::vector<std::int64_t>* tables, Rng& rng,
                    NodeLoad* load)
       : shape_(shape),
         forward_(forward.words().data()),
         backward_(backward.words().data()),
         rng_(rng),
         load_(load) {
+    // Per dimension: c_j (n entries), then lo_j and hi_j (2n each, enough
+    // for the span of c_j: at most 2(n - 1) on a mesh, n on a torus).
     std::size_t cells = 0;
     for (int j = 0; j < shape.dim(); ++j) {
-      cells += static_cast<std::size_t>(shape.width(j));
+      cells += 5 * static_cast<std::size_t>(shape.width(j));
     }
-    costs->resize(cells);
-    std::int64_t* c = costs->data();
+    tables->resize(cells);
+    std::int64_t* c = tables->data();
     for (int j = 0; j < shape.dim(); ++j) {
       const Coord n = shape.width(j);
       const auto dist = [&](Coord a, Coord b) {
@@ -97,12 +111,34 @@ class IntermediateScan {
         return shape.wraps() ? std::min<std::int64_t>(d, n - d) : d;
       };
       std::int64_t low = std::numeric_limits<std::int64_t>::max();
+      std::int64_t high = 0;
       for (Coord x = 0; x < n; ++x) {
         c[x] = dist(src[j], x) + dist(x, dst[j]);
         low = std::min(low, c[x]);
+        high = std::max(high, c[x]);
+      }
+      // lo/hi at slack low + u: first the extreme x of cost exactly
+      // low + u, then running extremes over u.
+      std::int64_t* lo = c + n;
+      std::int64_t* hi = lo + 2 * n;
+      const std::int64_t span = high - low;
+      std::fill(lo, lo + span + 1, n);
+      std::fill(hi, hi + span + 1, -1);
+      for (Coord x = 0; x < n; ++x) {
+        const std::int64_t u = c[x] - low;
+        lo[u] = std::min<std::int64_t>(lo[u], x);
+        hi[u] = std::max<std::int64_t>(hi[u], x);
+      }
+      for (std::int64_t u = 1; u <= span; ++u) {
+        lo[u] = std::min(lo[u], lo[u - 1]);
+        hi[u] = std::max(hi[u], hi[u - 1]);
       }
       cost_[j] = c;
-      c += n;
+      lo_[j] = lo;
+      hi_[j] = hi;
+      min_[j] = low;
+      span_[j] = span;
+      c += 5 * static_cast<std::size_t>(n);
       floor_[j + 1] = floor_[j] + low;
     }
   }
@@ -117,6 +153,17 @@ class IntermediateScan {
   std::int64_t best() const { return best_; }
 
  private:
+  // The window of dimension j at slack t: lo_j(t), or width(j) (empty)
+  // when no coordinate costs t or less; and hi_j(t), or -1.
+  std::int64_t window_lo(int j, std::int64_t t) const {
+    if (t < min_[j]) return shape_.width(j);
+    return lo_[j][std::min(t - min_[j], span_[j])];
+  }
+  std::int64_t window_hi(int j, std::int64_t t) const {
+    if (t < min_[j]) return -1;
+    return hi_[j][std::min(t - min_[j], span_[j])];
+  }
+
   // Nodes whose dimensions above j are fixed (id offset `base`, summed
   // cost `partial`), in ascending id order.
   void visit(int j, NodeId base, std::int64_t partial) {
@@ -126,21 +173,28 @@ class IntermediateScan {
     }
     const std::int64_t* c = cost_[j];
     const NodeId stride = shape_.stride(j);
-    for (Coord x = 0; x < shape_.width(j); ++x) {
+    const std::int64_t fixed = partial + floor_[j];
+    std::int64_t hi = window_hi(j, best_ - fixed);
+    for (std::int64_t x = window_lo(j, best_ - fixed); x <= hi; ++x) {
       const std::int64_t p = partial + c[x];
       if (p + floor_[j] > best_) continue;
       visit(j - 1, base + x * stride, p);
+      // The best may have fallen, and the window with it.
+      hi = std::min(hi, window_hi(j, best_ - fixed));
     }
   }
 
-  // The dimension-0 row [base, base + width(0)) of F∩B.
+  // The dimension-0 row [base, base + width(0)) of F∩B, masked to the
+  // window of slack best - partial.
   void visit_row(NodeId base, std::int64_t partial) {
     const std::int64_t* c = cost_[0];
-    const NodeId end = base + shape_.width(0);
-    for (NodeId wi = base >> 6; wi <= (end - 1) >> 6; ++wi) {
+    const NodeId begin = base + window_lo(0, best_ - partial);
+    const NodeId end = base + window_hi(0, best_ - partial) + 1;
+    if (begin >= end) return;
+    for (NodeId wi = begin >> 6; wi <= (end - 1) >> 6; ++wi) {
       const NodeId lo = wi * 64;
       std::uint64_t w = forward_[wi] & backward_[wi];
-      if (lo < base) w &= ~std::uint64_t{0} << (base - lo);
+      if (lo < begin) w &= ~std::uint64_t{0} << (begin - lo);
       if (lo + 64 > end) w &= ~std::uint64_t{0} >> (lo + 64 - end);
       while (w != 0) {
         const NodeId u = lo + std::countr_zero(w);
@@ -179,6 +233,10 @@ class IntermediateScan {
   Rng& rng_;
   NodeLoad* load_;
   const std::int64_t* cost_[kMaxDim] = {};  // c_j, indexed by coordinate
+  const std::int64_t* lo_[kMaxDim] = {};    // lo_j(min_j + u), u <= span_j
+  const std::int64_t* hi_[kMaxDim] = {};    // hi_j(min_j + u)
+  std::int64_t min_[kMaxDim] = {};          // min_x c_j[x]
+  std::int64_t span_[kMaxDim] = {};         // max_x c_j[x] - min_j
   std::int64_t floor_[kMaxDim + 1] = {};    // [j]: sum of min c_i, i < j
   std::int64_t best_ = std::numeric_limits<std::int64_t>::max();
   std::int32_t best_load_ = std::numeric_limits<std::int32_t>::max();
@@ -202,9 +260,14 @@ int Route::turns() const {
 
 void append_round(const MeshShape& shape, const Point& from, const Point& to,
                   const DimOrder& order, int round, Route* out) {
-  for (const RouteSegment& seg : dim_ordered_route(shape, from, to, order)) {
-    out->hops.insert(out->hops.end(), static_cast<std::size_t>(seg.steps),
-                     Hop{seg.dim, seg.dir, round});
+  // dim_ordered_route's legs, written as hops without building them.
+  for (int t = 0; t < order.dim(); ++t) {
+    const int j = order.at(t);
+    Dir dir = Dir::Pos;
+    Coord steps = 0;
+    segment_geometry(shape, j, from[j], to[j], &dir, &steps);
+    out->hops.insert(out->hops.end(), static_cast<std::size_t>(steps),
+                     Hop{j, dir, round});
   }
 }
 
@@ -264,7 +327,11 @@ std::optional<RouteCache::AdoptStats> RouteCache::adopt(
   const std::optional<FaultDelta> delta =
       fault_delta(prev.snapshot_->faults, snapshot_->faults);
   if (!delta) return std::nullopt;
-  obs::counter("wormhole.route_cache.adopts").add();
+  static obs::Counter& adopts = obs::counter("wormhole.route_cache.adopts");
+  static obs::Counter& retained =
+      obs::counter("wormhole.route_cache.retained");
+  static obs::Counter& dropped = obs::counter("wormhole.route_cache.dropped");
+  adopts.add();
   const StaleTest stale(*snapshot_->shape, delta->nodes, delta->links);
   AdoptStats stats;
   const std::pair<const std::unordered_map<NodeId, Bits>*,
@@ -279,8 +346,8 @@ std::optional<RouteCache::AdoptStats> RouteCache::adopt(
       }
     }
   }
-  obs::counter("wormhole.route_cache.retained").add(stats.retained);
-  obs::counter("wormhole.route_cache.dropped").add(stats.dropped);
+  retained.add(stats.retained);
+  dropped.add(stats.dropped);
   return stats;
 }
 
@@ -399,7 +466,7 @@ std::optional<Route> RouteCache::build(NodeId src, NodeId dst, Rng& rng,
     const Bits& forward = forward_of(src);
     const Bits& backward = backward_of(dst);
     IntermediateScan scan(shape, forward, backward, src_p, dst_p,
-                          &scan_costs_, rng, load);
+                          &scan_tables_, rng, load);
     const NodeId chosen = scan.run();
     if (chosen < 0) return std::nullopt;
     route.intermediates.push_back(chosen);

@@ -143,7 +143,7 @@ class RouteCache {
   std::optional<FloodOracle> oracle_;  // over *snapshot_, built lazily
   std::unordered_map<NodeId, Bits> forward_;
   std::unordered_map<NodeId, Bits> backward_;
-  std::vector<std::int64_t> scan_costs_;  // build()'s c_j tables, reused
+  std::vector<std::int64_t> scan_tables_;  // build()'s cost windows, reused
   std::int64_t hits_ = 0;
   std::int64_t misses_ = 0;
 };

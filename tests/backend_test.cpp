@@ -252,6 +252,11 @@ TEST(RouteCache, MatchesBruteForceExactly) {
       {{MeshShape::cube(3, 16), 164, 20, 300}, 1},
       {{MeshShape::torus({8, 8}), 5, 3, 400}, 80},
       {{MeshShape::torus({7, 6, 5}), 10, 5, 400}, 12},
+      // Rows of 70 nodes span two words and start mid-word, so the
+      // scan's window masks cut inside and across words.
+      {{MeshShape::mesh({70, 5}), 14, 6, 400}, 20},
+      // Odd widths on a torus: cost windows whose arcs wrap.
+      {{MeshShape::torus({9, 7, 5}), 12, 6, 400}, 12},
   };
   for (const int k : {1, 2, 3}) {
     std::int64_t unreachable = 0;
@@ -300,61 +305,69 @@ TEST(RouteCache, MatchesBruteForceExactly) {
 }
 
 // Load-aware pick, by brute force: the first node of F∩B in ascending id
-// order with the minimum length, then the least load.
+// order with the minimum length, then the least load -- on a mesh and on
+// an odd-width torus, whose cost windows wrap.
 TEST(RouteCache, LoadAwareMatchesBruteForce) {
-  const MeshShape shape = MeshShape::cube(3, 10);
-  Rng frng(26);
-  const FaultSet faults = random_faults(shape, 40, 10, frng);
-  const auto orders = ascending_rounds(3, 2);
-  const FloodOracle flood(shape, faults);
-  wormhole::RouteCache cache(shape, faults, orders);
-  wormhole::NodeLoad load(shape);
-  Rng pick(27);
-  for (std::int32_t& c : load.counts) c = (std::int32_t)pick.below(4);
-  std::vector<std::int32_t> want_counts = load.counts;
-  int routed = 0;
-  for (int t = 0; t < 300; ++t) {
-    const NodeId a = (NodeId)pick.below((std::uint64_t)shape.size());
-    const NodeId b = (NodeId)pick.below((std::uint64_t)shape.size());
-    const Point a_p = shape.point(a);
-    const Point b_p = shape.point(b);
-    Bits both = flood.reach1_from(a_p, orders[0]);
-    both &= flood.reach1_to(b_p, orders[1]);
-    std::int64_t best_len = std::numeric_limits<std::int64_t>::max();
-    std::int32_t best_load = std::numeric_limits<std::int32_t>::max();
-    NodeId want = -1;
-    both.for_each([&](NodeId u) {
-      const Point u_p = shape.point(u);
-      const std::int64_t len =
-          shape.l1_distance(a_p, u_p) + shape.l1_distance(u_p, b_p);
-      const std::int32_t u_load = want_counts[(std::size_t)u];
-      if (len < best_len || (len == best_len && u_load < best_load)) {
-        best_len = len;
-        best_load = u_load;
-        want = u;
-      }
-    });
+  const ExactCase cases[] = {{MeshShape::cube(3, 10), 40, 10, 300},
+                             {MeshShape::torus({9, 7, 5}), 12, 6, 300}};
+  for (const ExactCase& c : cases) {
+    const MeshShape& shape = c.shape;
+    SCOPED_TRACE(shape.to_string());
+    Rng frng(26);
+    const FaultSet faults =
+        random_faults(shape, c.node_faults, c.link_faults, frng);
+    const auto orders = ascending_rounds(shape.dim(), 2);
+    const FloodOracle flood(shape, faults);
+    wormhole::RouteCache cache(shape, faults, orders);
+    wormhole::NodeLoad load(shape);
+    Rng pick(27);
+    for (std::int32_t& n : load.counts) n = (std::int32_t)pick.below(4);
+    std::vector<std::int32_t> want_counts = load.counts;
+    int routed = 0;
+    for (int t = 0; t < c.pairs; ++t) {
+      const NodeId a = (NodeId)pick.below((std::uint64_t)shape.size());
+      const NodeId b = (NodeId)pick.below((std::uint64_t)shape.size());
+      const Point a_p = shape.point(a);
+      const Point b_p = shape.point(b);
+      Bits both = flood.reach1_from(a_p, orders[0]);
+      both &= flood.reach1_to(b_p, orders[1]);
+      std::int64_t best_len = std::numeric_limits<std::int64_t>::max();
+      std::int32_t best_load = std::numeric_limits<std::int32_t>::max();
+      NodeId want = -1;
+      both.for_each([&](NodeId u) {
+        const Point u_p = shape.point(u);
+        const std::int64_t len =
+            shape.l1_distance(a_p, u_p) + shape.l1_distance(u_p, b_p);
+        const std::int32_t u_load = want_counts[(std::size_t)u];
+        if (len < best_len || (len == best_len && u_load < best_load)) {
+          best_len = len;
+          best_load = u_load;
+          want = u;
+        }
+      });
 
-    Rng rng(t);
-    const auto route = cache.build(a, b, rng, &load);
-    EXPECT_EQ(rng.state(), Rng(t).state());  // no tie-break draws
-    ASSERT_EQ(want >= 0, route.has_value());
-    if (want < 0) continue;
-    ++routed;
-    ASSERT_EQ(route->intermediates, std::vector<NodeId>{want});
-    // Charge the reference: every node of both dimension-ordered legs.
-    const Point mid = shape.point(want);
-    ++want_counts[(std::size_t)a];
-    const std::vector<Point> legs[] = {route_nodes(shape, a_p, mid, orders[0]),
-                                       route_nodes(shape, mid, b_p, orders[1])};
-    for (const std::vector<Point>& leg : legs) {
-      for (std::size_t i = 1; i < leg.size(); ++i) {
-        ++want_counts[(std::size_t)shape.index(leg[i])];
+      Rng rng(t);
+      const auto route = cache.build(a, b, rng, &load);
+      EXPECT_EQ(rng.state(), Rng(t).state());  // no tie-break draws
+      ASSERT_EQ(want >= 0, route.has_value());
+      if (want < 0) continue;
+      ++routed;
+      ASSERT_EQ(route->intermediates, std::vector<NodeId>{want});
+      // Charge the reference: every node of both dimension-ordered legs.
+      const Point mid = shape.point(want);
+      ++want_counts[(std::size_t)a];
+      const std::vector<Point> legs[] = {
+          route_nodes(shape, a_p, mid, orders[0]),
+          route_nodes(shape, mid, b_p, orders[1])};
+      for (const std::vector<Point>& leg : legs) {
+        for (std::size_t i = 1; i < leg.size(); ++i) {
+          ++want_counts[(std::size_t)shape.index(leg[i])];
+        }
       }
+      ASSERT_EQ(want_counts, load.counts);
     }
-    ASSERT_EQ(want_counts, load.counts);
+    EXPECT_GT(routed, 100);
   }
-  EXPECT_GT(routed, 100);
 }
 
 TEST(RouteCache, HitsAccumulateOnRepeatedEndpoints) {

@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <set>
 #include <sstream>
@@ -46,6 +48,36 @@ TEST(Rng, BelowStaysInRange) {
 TEST(Rng, BelowOneIsAlwaysZero) {
   Rng rng(3);
   for (int i = 0; i < 50; ++i) EXPECT_EQ(rng.below(1), 0u);
+}
+
+// Pins the below() stream: 27 calls over bounds from 1 to 2^64 - 1. Bound
+// 2^63 + 1 rejects about half its draws; here its first call rejects four
+// and its last one, so the generator ends exactly 32 draws on. Every route
+// tie-break and fault draw in the digests goes through below().
+TEST(Rng, BelowGoldenStream) {
+  const std::uint64_t bounds[] = {
+      1, 2, 3, 7, 1000, (1ULL << 32) + 1, (1ULL << 63) + 1, 3ULL << 62,
+      ~0ULL};
+  const std::uint64_t want[3][9] = {
+      {0x0, 0x1, 0x0, 0x1, 0x305, 0x3eaff086, 0x5c3442844f9c01f0,
+       0xb2e45da2867310a2, 0xe1ca930597a23685},
+      {0x0, 0x1, 0x0, 0x0, 0x28c, 0xcf5faf72, 0x337235cbbc24a811,
+       0x7ca5bc282cb6898c, 0x4dd238a533e0688c},
+      {0x0, 0x0, 0x1, 0x0, 0x1f6, 0x3d87f581, 0x4ae69b5325e0bdce,
+       0xb8f8c2c08e539153, 0x809b649a2194f238}};
+  Rng rng(2024);
+  for (const auto& row : want) {
+    for (std::size_t i = 0; i < std::size(bounds); ++i) {
+      EXPECT_EQ(rng.below(bounds[i]), row[i]) << "bound " << bounds[i];
+    }
+  }
+  const std::array<std::uint64_t, 4> state{
+      0xba68376069880e20, 0x0a23a0dcab0d7681, 0xd11d589503f71b84,
+      0x445d1484c97181ee};
+  EXPECT_EQ(rng.state(), state);
+  Rng draws(2024);
+  for (int i = 0; i < 32; ++i) draws();
+  EXPECT_EQ(draws.state(), state);
 }
 
 TEST(Rng, UniformCoversRangeInclusive) {
