@@ -92,8 +92,7 @@ LambResult lamb2(const MeshShape& shape, const FaultSet& faults,
   result.stats.cover_weight = graph.weight_of(cover);
 
   for (int a : cover) {
-    internal::append_rect(shape, vertices[static_cast<std::size_t>(a)].cell,
-                          &result.lambs);
+    vertices[static_cast<std::size_t>(a)].cell.collect(shape, &result.lambs);
   }
   internal::finalize_lambs(&result.lambs, predetermined);
   result.stats.seconds_cover = watch.seconds();

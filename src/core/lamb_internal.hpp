@@ -81,12 +81,6 @@ inline double rect_weight(const MeshShape& shape, const RectSet& rect,
   return total;
 }
 
-// Appends every member of `rect` to `out`.
-inline void append_rect(const MeshShape& shape, const RectSet& rect,
-                        std::vector<NodeId>* out) {
-  rect.collect(shape, out);
-}
-
 inline void finalize_lambs(std::vector<NodeId>* lambs,
                            const std::vector<NodeId>& predetermined) {
   lambs->insert(lambs->end(), predetermined.begin(), predetermined.end());

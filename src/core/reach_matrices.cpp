@@ -3,6 +3,7 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "graph/bipartite_wvc.hpp"
 #include "obs/obs.hpp"
 #include "reach/flood_oracle.hpp"
 #include "support/parallel.hpp"
@@ -122,6 +123,53 @@ BitMatrix reach_chain(const std::vector<BitMatrix>& r,
     right = &acc;
   }
   return acc;
+}
+
+ReachCover min_weight_reach_cover(const BitMatrix& rk, const CoverSide& rows,
+                                  const CoverSide& cols,
+                                  const std::function<void()>& before_cover) {
+  // Relevant rows and columns: those of R^(k) with a zero (for columns,
+  // the complement of the all-rows AND).
+  std::vector<std::int64_t> relevant_rows, relevant_cols;
+  std::vector<double> left_weights, right_weights;
+  for (std::int64_t i = 0; i < rk.rows(); ++i) {
+    if (rk.row_full(i)) continue;
+    relevant_rows.push_back(i);
+    left_weights.push_back(rows.weight(i));
+  }
+  const Bits col_all = rk.column_all();
+  std::vector<int> col_slot(static_cast<std::size_t>(rk.cols()), -1);
+  for (std::int64_t j = 0; j < rk.cols(); ++j) {
+    if (col_all.test(j)) continue;
+    col_slot[static_cast<std::size_t>(j)] =
+        static_cast<int>(relevant_cols.size());
+    relevant_cols.push_back(j);
+    right_weights.push_back(cols.weight(j));
+  }
+  std::vector<BipartiteEdge> edges;
+  for (std::size_t li = 0; li < relevant_rows.size(); ++li) {
+    for (std::int64_t j = 0; j < rk.cols(); ++j) {
+      if (!rk.get(relevant_rows[li], j)) {
+        edges.push_back(BipartiteEdge{static_cast<int>(li),
+                                      col_slot[static_cast<std::size_t>(j)]});
+      }
+    }
+  }
+
+  if (before_cover) before_cover();
+  const BipartiteCover cover =
+      min_weight_bipartite_cover(left_weights, right_weights, edges);
+  ReachCover out{{},
+                 cover.weight,
+                 static_cast<std::int64_t>(relevant_rows.size()),
+                 static_cast<std::int64_t>(relevant_cols.size())};
+  for (const int li : cover.left) {
+    rows.append(relevant_rows[static_cast<std::size_t>(li)], &out.lambs);
+  }
+  for (const int rj : cover.right) {
+    cols.append(relevant_cols[static_cast<std::size_t>(rj)], &out.lambs);
+  }
+  return out;
 }
 
 ReachComputation compute_reachability(const MeshShape& shape,

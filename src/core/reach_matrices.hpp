@@ -7,6 +7,8 @@
 // right to left.
 #pragma once
 
+#include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "core/bit_matrix.hpp"
@@ -35,6 +37,30 @@ BitMatrix intersection_matrix(const EquivPartition& des_prev,
 BitMatrix reach_chain(const std::vector<BitMatrix>& r,
                       const std::vector<BitMatrix>& inters,
                       const std::vector<int>& round_part);
+
+// One side of the Section 6.3 cover: the classes behind the rows of R^(k)
+// (round-1 sources) or behind its columns (round-k destinations).
+struct CoverSide {
+  std::function<double(std::int64_t)> weight;  // cost of sacrificing class i
+  std::function<void(std::int64_t, std::vector<NodeId>*)> append;  // members
+};
+
+struct ReachCover {
+  std::vector<NodeId> lambs;  // members of the chosen classes, unsorted
+  double weight = 0.0;
+  std::int64_t relevant_rows = 0;  // rows of R^(k) with a zero
+  std::int64_t relevant_cols = 0;  // columns of R^(k) with a zero
+};
+
+// Section 6.3 on R^(k): the relevant rows and columns become weighted
+// vertices, each zero entry (i, j) an edge (row-major order), and the
+// minimum-weight vertex cover picks the classes whose members become
+// lambs (rows first, then columns). `before_cover` runs between that setup
+// and the min-cut. The one cover step of the full, incremental and
+// generic solvers.
+ReachCover min_weight_reach_cover(
+    const BitMatrix& rk, const CoverSide& rows, const CoverSide& cols,
+    const std::function<void()>& before_cover = {});
 
 // Everything the lamb solvers need about reachability, for one fault set.
 struct ReachComputation {

@@ -1,7 +1,5 @@
 #include "expt/trial.hpp"
 
-#include <algorithm>
-#include <thread>
 #include <vector>
 
 #include "mesh/fault_set.hpp"
@@ -11,16 +9,14 @@
 
 namespace lamb::expt {
 
-namespace {
-
-// Shared engine for both runners. Trials land in a records vector indexed
-// by trial number and are aggregated in trial order afterwards, and every
-// trial's RNG is seeded from (seed, trial_index) alone, so all summary
-// statistics are bit-identical at any thread count or grain; only the
-// wall-clock in runtime_s varies.
-TrialSummary run_trials(const MeshShape& shape, std::int64_t f, int trials,
-                        std::uint64_t seed, const LambOptions& options,
-                        std::int64_t grain) {
+// Trials land in a records vector indexed by trial number and are
+// aggregated in trial order afterwards, and every trial's RNG is seeded
+// from (seed, trial_index) alone, so all summary statistics are
+// bit-identical at any thread count; only the wall-clock in runtime_s
+// varies.
+TrialSummary run_lamb_trials(const MeshShape& shape, std::int64_t f,
+                             int trials, std::uint64_t seed,
+                             const LambOptions& options) {
   struct TrialRecord {
     double lambs = 0, ses = 0, des = 0, cover = 0, seconds = 0;
   };
@@ -40,7 +36,9 @@ TrialSummary run_trials(const MeshShape& shape, std::int64_t f, int trials,
   // counters without contending on a shared cache line.
   obs::Counter& trial_count = obs::counter("expt.trials");
   obs::Histogram& trial_seconds = obs::histogram("expt.trial.seconds");
-  par::parallel_for(0, trials, grain, [&](std::int64_t t0, std::int64_t t1) {
+  // Grain 1: every trial is a schedulable task, which load-balances the
+  // heavy-tailed lamb1 runtimes across the pool.
+  par::parallel_for(0, trials, 1, [&](std::int64_t t0, std::int64_t t1) {
     for (std::int64_t t = t0; t < t1; ++t) {
       Rng rng(seeds[static_cast<std::size_t>(t)]);
       const FaultSet faults = FaultSet::random_nodes(shape, f, rng);
@@ -69,31 +67,6 @@ TrialSummary run_trials(const MeshShape& shape, std::int64_t f, int trials,
     if (rec.lambs > 0) ++summary.trials_needing_lambs;
   }
   return summary;
-}
-
-}  // namespace
-
-TrialSummary run_lamb_trials(const MeshShape& shape, std::int64_t f,
-                             int trials, std::uint64_t seed,
-                             const LambOptions& options) {
-  // Grain 1: every trial is a schedulable task, which load-balances the
-  // heavy-tailed lamb1 runtimes across the pool.
-  return run_trials(shape, f, trials, seed, options, 1);
-}
-
-TrialSummary run_lamb_trials_parallel(const MeshShape& shape, std::int64_t f,
-                                      int trials, std::uint64_t seed,
-                                      const LambOptions& options,
-                                      int threads) {
-  if (threads <= 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  threads = std::min(threads, std::max(1, trials));
-  // The historical contract: trials statically partitioned into at most
-  // `threads` consecutive blocks. One block per chunk reproduces that
-  // schedule on the shared pool.
-  const std::int64_t grain = (trials + threads - 1) / threads;
-  return run_trials(shape, f, trials, seed, options, grain);
 }
 
 }  // namespace lamb::expt

@@ -30,16 +30,4 @@ TrialSummary run_lamb_trials(const MeshShape& shape, std::int64_t f,
                              int trials, std::uint64_t seed,
                              const LambOptions& options = {});
 
-// Variant with an explicit static partition: trials are split into at
-// most `threads` consecutive blocks (hardware_concurrency when 0), each
-// block one pool task. Per-trial seeds are derived exactly as in
-// run_lamb_trials and results are aggregated in trial order, so every
-// statistic except the wall-clock runtime_s is bit-identical to
-// run_lamb_trials' regardless of thread count — determinism is not
-// traded for speed.
-TrialSummary run_lamb_trials_parallel(const MeshShape& shape, std::int64_t f,
-                                      int trials, std::uint64_t seed,
-                                      const LambOptions& options = {},
-                                      int threads = 0);
-
 }  // namespace lamb::expt

@@ -6,7 +6,6 @@
 
 #include "core/bit_matrix.hpp"
 #include "core/reach_matrices.hpp"
-#include "graph/bipartite_wvc.hpp"
 #include "reach/flood_oracle.hpp"
 
 namespace lamb {
@@ -147,56 +146,21 @@ GenericLambResult generic_lamb_from_rows(
   result.num_sec = static_cast<std::int64_t>(first_sec.members.size());
   result.num_dec = static_cast<std::int64_t>(last_dec.members.size());
 
-  // Bipartite WVC over the relevant classes, exactly as in Lamb1.
-  std::vector<std::int64_t> relevant_rows;
-  for (std::int64_t i = 0; i < acc.rows(); ++i) {
-    if (!acc.row_full(i)) relevant_rows.push_back(i);
-  }
-  const Bits col_all = acc.column_all();
-  std::vector<std::int64_t> relevant_cols;
-  std::vector<std::int64_t> col_slot(static_cast<std::size_t>(acc.cols()), -1);
-  for (std::int64_t j = 0; j < acc.cols(); ++j) {
-    if (!col_all.test(j)) {
-      col_slot[static_cast<std::size_t>(j)] =
-          static_cast<std::int64_t>(relevant_cols.size());
-      relevant_cols.push_back(j);
-    }
-  }
-  std::vector<double> left_weights, right_weights;
-  for (std::int64_t i : relevant_rows) {
-    left_weights.push_back(class_weight(
-        first_sec.members[static_cast<std::size_t>(i)], node_values));
-  }
-  for (std::int64_t j : relevant_cols) {
-    right_weights.push_back(class_weight(
-        last_dec.members[static_cast<std::size_t>(j)], node_values));
-  }
-  std::vector<BipartiteEdge> edges;
-  for (std::size_t li = 0; li < relevant_rows.size(); ++li) {
-    const std::int64_t i = relevant_rows[li];
-    for (std::int64_t j = 0; j < acc.cols(); ++j) {
-      if (!acc.get(i, j)) {
-        edges.push_back(
-            BipartiteEdge{static_cast<int>(li),
-                          static_cast<int>(col_slot[static_cast<std::size_t>(j)])});
-      }
-    }
-  }
-  const BipartiteCover cover =
-      min_weight_bipartite_cover(left_weights, right_weights, edges);
+  const auto side = [&](const Classes& classes) {
+    return CoverSide{
+        [&](std::int64_t i) {
+          return class_weight(classes.members[static_cast<std::size_t>(i)],
+                              node_values);
+        },
+        [&](std::int64_t i, std::vector<NodeId>* out) {
+          const auto& members = classes.members[static_cast<std::size_t>(i)];
+          out->insert(out->end(), members.begin(), members.end());
+        }};
+  };
+  ReachCover cover =
+      min_weight_reach_cover(acc, side(first_sec), side(last_dec));
   result.cover_weight = cover.weight;
-  for (int li : cover.left) {
-    const auto& members =
-        first_sec.members[static_cast<std::size_t>(
-            relevant_rows[static_cast<std::size_t>(li)])];
-    result.lambs.insert(result.lambs.end(), members.begin(), members.end());
-  }
-  for (int rj : cover.right) {
-    const auto& members =
-        last_dec.members[static_cast<std::size_t>(
-            relevant_cols[static_cast<std::size_t>(rj)])];
-    result.lambs.insert(result.lambs.end(), members.begin(), members.end());
-  }
+  result.lambs = std::move(cover.lambs);
   std::sort(result.lambs.begin(), result.lambs.end());
   result.lambs.erase(std::unique(result.lambs.begin(), result.lambs.end()),
                      result.lambs.end());

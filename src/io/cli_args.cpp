@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <optional>
 
 #include "obs/obs.hpp"
 #include "support/env.hpp"
@@ -51,6 +52,17 @@ long long parse_option_integer(const std::string& key,
     throw ArgError("--" + key + " expects an integer, got '" + value + "'");
   }
   return parsed;
+}
+
+// The destination of dump flag --<name>, parsed in the one dump grammar.
+std::optional<obs::DumpDest> dump_flag(const CliArgs& args, const char* name,
+                                       unsigned formats) {
+  if (!args.has(name)) return std::nullopt;
+  std::string error;
+  std::optional<obs::DumpDest> dest =
+      obs::parse_dump_dest(args.get(name), formats, &error);
+  if (!dest) throw ArgError(std::string("--") + name + ": " + error);
+  return dest;
 }
 
 }  // namespace
@@ -213,9 +225,13 @@ std::string usage_text(const std::string& program, const CliSpec& spec) {
 }
 
 bool apply_process_flags(const CliArgs& args) {
+  const std::optional<obs::DumpDest> metrics =
+      dump_flag(args, "metrics", obs::kMetricsDumps);
+  const std::optional<obs::DumpDest> telemetry =
+      dump_flag(args, "telemetry", obs::kTelemetryDumps);
   if (args.has("threads")) par::set_threads(args.get_int("threads", 0, 0));
-  obs::init(args.get("metrics"));
-  if (args.has("telemetry")) obs::telemetry_init(args.get("telemetry"));
+  obs::init(metrics);
+  if (telemetry) obs::telemetry_init(args.get("telemetry"));
   if (args.has("flight")) {
     obs::FlightRecorder& recorder = obs::FlightRecorder::global();
     const std::string path = args.get("flight");

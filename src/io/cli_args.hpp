@@ -64,7 +64,7 @@ inline constexpr Flag kProcessFlags[] = {
 // them; apply_process_flags applies them when given.
 inline constexpr Flag kTelemetryFlag{
     "telemetry", "DEST", kAllCommands,
-    "wormhole telemetry dump: csv:PATH or json:PATH\n"
+    "wormhole telemetry dump: csv:PATH\n"
     "                        (over LAMBMESH_TELEMETRY)"};
 inline constexpr Flag kFlightFlag{
     "flight", "PATH", kAllCommands,
@@ -115,8 +115,9 @@ std::string usage_text(const std::string& program, const CliSpec& spec);
 // sets the exit dump, --serve starts the exposition server, and
 // --telemetry / --flight (when declared) configure those tiers. Flags
 // override the LAMBMESH_* variables. Throws ArgError on a malformed
-// --threads; returns false after an error line when --serve (or
-// LAMBMESH_SERVE) cannot start.
+// --threads or a --metrics / --telemetry DEST outside the dump grammar
+// (obs::parse_dump_dest); returns false after an error line when --serve
+// (or LAMBMESH_SERVE) cannot start.
 bool apply_process_flags(const CliArgs& args);
 
 // parse + apply_process_flags for main(): a usage error prints

@@ -6,6 +6,8 @@
 #include <limits>
 #include <sstream>
 
+#include "support/json.hpp"
+
 namespace lamb::io {
 
 namespace {
@@ -201,9 +203,9 @@ std::string write_string(const MeshShape& shape, const FaultSet& faults,
 
 void write_file(const std::string& path, const MeshShape& shape,
                 const FaultSet& faults, const std::vector<NodeId>* lambs) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot write " + path);
-  write(out, shape, faults, lambs);
+  if (!support::write_file(path, write_string(shape, faults, lambs))) {
+    throw std::runtime_error("cannot write " + path);
+  }
 }
 
 MeshShape parse_geometry(const std::string& spec) {

@@ -55,6 +55,7 @@ void write(std::ostream& out, const MeshShape& shape, const FaultSet& faults,
            const std::vector<NodeId>* lambs = nullptr);
 std::string write_string(const MeshShape& shape, const FaultSet& faults,
                          const std::vector<NodeId>* lambs = nullptr);
+// Throws std::runtime_error when `path` cannot be written.
 void write_file(const std::string& path, const MeshShape& shape,
                 const FaultSet& faults,
                 const std::vector<NodeId>* lambs = nullptr);

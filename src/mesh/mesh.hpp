@@ -119,11 +119,4 @@ class MeshShape {
   bool wraps_ = false;
 };
 
-// Visits every node of the shape in index order.
-template <typename Fn>
-void for_each_node(const MeshShape& shape, Fn&& fn) {
-  const NodeId n = shape.size();
-  for (NodeId id = 0; id < n; ++id) fn(id, shape.point(id));
-}
-
 }  // namespace lamb

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <string_view>
+#include <utility>
 
 #include "obs/recorder.hpp"
 #include "obs/slo.hpp"
@@ -17,8 +17,8 @@ namespace {
 // static locks of global()) and by init() from main; read by the atexit
 // handler.
 struct ExitConfig {
-  std::string metrics_dest;  // empty = no metrics dump
-  std::string trace_path;    // empty = no trace dump
+  std::optional<DumpDest> metrics;  // nullopt = no metrics dump
+  std::string trace_path;           // empty = no trace dump
   bool atexit_registered = false;
 };
 
@@ -27,21 +27,26 @@ ExitConfig& exit_config() {
   return config;
 }
 
+void report_unwritten(bool written, const std::string& path) {
+  if (!written) std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+}
+
 void dump_at_exit() {
   const ExitConfig& config = exit_config();
-  if (!config.metrics_dest.empty()) {
+  if (config.metrics) {
     const MetricsRegistry& registry = MetricsRegistry::global();
-    const std::string_view dest = config.metrics_dest;
-    if (dest.rfind("json:", 0) == 0) {
-      write_json(registry, std::string(dest.substr(5)));
-    } else if (dest.rfind("csv:", 0) == 0) {
-      write_csv(registry, std::string(dest.substr(4)));
-    } else {
+    const DumpDest& dest = *config.metrics;
+    if (dest.format == kDumpTable) {
       print_table(registry, stderr);
+    } else {
+      report_unwritten(dest.format == kDumpJson ? write_json(registry, dest.path)
+                                                : write_csv(registry, dest.path),
+                       dest.path);
     }
   }
   if (!config.trace_path.empty()) {
-    TraceSink::global().write_chrome_json(config.trace_path);
+    report_unwritten(TraceSink::global().write_chrome_json(config.trace_path),
+                     config.trace_path);
   }
 }
 
@@ -63,9 +68,10 @@ double histogram_rate(std::int64_t hits, std::int64_t misses) {
 namespace detail {
 
 void bootstrap_global_metrics(MetricsRegistry* registry) {
-  const std::string dest = env_string("LAMBMESH_METRICS", "");
-  if (dest.empty()) return;
-  exit_config().metrics_dest = dest;
+  std::optional<DumpDest> dest =
+      env_dump_dest("LAMBMESH_METRICS", kMetricsDumps);
+  if (!dest) return;
+  exit_config().metrics = std::move(dest);
   registry->set_enabled(true);
   ensure_atexit();
 }
@@ -79,6 +85,39 @@ void bootstrap_global_trace(TraceSink* sink) {
 }
 
 }  // namespace detail
+
+std::optional<DumpDest> parse_dump_dest(std::string_view spec,
+                                        unsigned formats,
+                                        std::string* error) {
+  static constexpr std::pair<DumpFormat, std::string_view> kForms[] = {
+      {kDumpTable, "stderr"}, {kDumpJson, "json:"}, {kDumpCsv, "csv:"}};
+  std::string grammar;
+  for (const auto& [format, prefix] : kForms) {
+    if ((formats & format) == 0) continue;
+    // The table takes no path; a file dump needs one.
+    const bool table = format == kDumpTable;
+    if (spec.starts_with(prefix) && (spec.size() > prefix.size()) != table) {
+      return DumpDest{format, std::string(spec.substr(prefix.size()))};
+    }
+    grammar.append(grammar.empty() ? "" : " | ")
+        .append(prefix)
+        .append(table ? "" : "PATH");
+  }
+  if (error != nullptr) {
+    *error = "bad destination '" + std::string(spec) + "' (expected " +
+             grammar + ")";
+  }
+  return std::nullopt;
+}
+
+std::optional<DumpDest> env_dump_dest(const char* var, unsigned formats) {
+  const std::string spec = env_string(var, "");
+  if (spec.empty()) return std::nullopt;
+  std::string error;
+  std::optional<DumpDest> dest = parse_dump_dest(spec, formats, &error);
+  if (!dest) std::fprintf(stderr, "error: %s: %s\n", var, error.c_str());
+  return dest;
+}
 
 void print_table(const MetricsRegistry& registry, std::FILE* out) {
   const auto counters = registry.counters();
@@ -130,55 +169,31 @@ void print_table(const MetricsRegistry& registry, std::FILE* out) {
 }
 
 bool write_json(const MetricsRegistry& registry, const std::string& path) {
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) return false;
-  std::fputs("{\n  \"counters\": {", out);
-  bool first = true;
-  for (const Counter* c : registry.counters()) {
-    std::fputs(first ? "\n    " : ",\n    ", out);
-    first = false;
-    std::fprintf(out, "%s: %lld", support::json_string(c->name()).c_str(),
-                 static_cast<long long>(c->value()));
-  }
-  std::fputs("\n  },\n  \"gauges\": {", out);
-  first = true;
-  for (const Gauge* g : registry.gauges()) {
-    std::fputs(first ? "\n    " : ",\n    ", out);
-    first = false;
-    std::fprintf(out, "%s: %s", support::json_string(g->name()).c_str(),
-                 support::json_number(g->value()).c_str());
-  }
-  std::fputs("\n  },\n  \"histograms\": {", out);
-  first = true;
+  support::JsonWriter w;
+  w.begin_object().object("counters");
+  for (const Counter* c : registry.counters()) w.field(c->name(), c->value());
+  w.end().object("gauges");
+  for (const Gauge* g : registry.gauges()) w.field(g->name(), g->value());
+  w.end().object("histograms");
   for (const Histogram* h : registry.histograms()) {
-    std::fputs(first ? "\n    " : ",\n    ", out);
-    first = false;
-    std::fprintf(out,
-                 "%s: {\"count\": %lld, \"sum\": %s, \"min\": %s, "
-                 "\"max\": %s, \"buckets\": [",
-                 support::json_string(h->name()).c_str(),
-                 static_cast<long long>(h->count()),
-                 support::json_number(h->sum()).c_str(),
-                 support::json_number(h->min()).c_str(),
-                 support::json_number(h->max()).c_str());
+    w.key(h->name())
+        .begin_object(support::JsonWriter::kInline)
+        .fields({{"count", h->count()},
+                 {"sum", h->sum()},
+                 {"min", h->min()},
+                 {"max", h->max()}})
+        .array("buckets");
     const auto& bounds = h->bounds();
     const auto counts = h->bucket_counts();
     for (std::size_t b = 0; b < counts.size(); ++b) {
-      if (b > 0) std::fputc(',', out);
-      if (b < bounds.size()) {
-        std::fprintf(out, "{\"le\": %s, \"count\": %lld}",
-                     support::json_number(bounds[b]).c_str(),
-                     static_cast<long long>(counts[b]));
-      } else {
-        std::fprintf(out, "{\"le\": \"inf\", \"count\": %lld}",
-                     static_cast<long long>(counts[b]));
-      }
+      w.record({{"le", b < bounds.size() ? support::JsonScalar(bounds[b])
+                                         : support::JsonScalar("inf")},
+                {"count", counts[b]}});
     }
-    std::fputs("]}", out);
+    w.end().end();
   }
-  std::fputs("\n  }\n}\n", out);
-  std::fclose(out);
-  return true;
+  w.end().end();
+  return support::write_file(path, w.str());
 }
 
 bool write_csv(const MetricsRegistry& registry, const std::string& path) {
@@ -199,11 +214,10 @@ bool write_csv(const MetricsRegistry& registry, const std::string& path) {
                  h->sum(), h->min(), h->max(), h->quantile(0.5),
                  h->quantile(0.95), h->quantile(0.99));
   }
-  std::fclose(out);
-  return true;
+  return support::close_written(out);
 }
 
-void init(const std::string& metrics_dest) {
+void init(const std::optional<DumpDest>& metrics) {
   // Touch the globals so the env bootstraps have run even when no
   // instrumented code executed yet. FlightRecorder::global() also arms
   // the LAMBMESH_FLIGHT file backing and crash handler.
@@ -211,8 +225,8 @@ void init(const std::string& metrics_dest) {
   TraceSink::global();
   FlightRecorder::global();
   SloTracker::global();
-  if (metrics_dest.empty()) return;
-  exit_config().metrics_dest = metrics_dest;
+  if (!metrics) return;
+  exit_config().metrics = metrics;
   registry.set_enabled(true);
   ensure_atexit();
 }

@@ -6,7 +6,9 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "obs/export.hpp"
 #include "support/env.hpp"
+#include "support/json.hpp"
 
 namespace lamb::obs {
 
@@ -24,10 +26,10 @@ std::uint8_t sat8(std::int64_t v) {
 TelemetryConfig& mutable_default() {
   static TelemetryConfig config = [] {
     TelemetryConfig c;
-    const std::string dest = env_string("LAMBMESH_TELEMETRY", "");
-    if (!dest.empty()) {
+    if (const std::optional<DumpDest> dest =
+            env_dump_dest("LAMBMESH_TELEMETRY", kTelemetryDumps)) {
       c.enabled = true;
-      c.dump = dest;
+      c.dump = "csv:" + dest->path;
     }
     c.sample_every =
         std::max<long>(1, env_long("LAMBMESH_TELEMETRY_SAMPLE", 64));
@@ -88,8 +90,6 @@ struct Telemetry::Series {
 
 struct Telemetry::NodeSeries {
   NodeId node = 0;
-  std::int64_t injected_total = 0;  // synced from the flat counters
-  std::int64_t ejected_total = 0;   // at each window close
   std::int64_t first_window = 0;
   std::size_t head = 0;
   std::vector<std::pair<std::uint16_t, std::uint16_t>> ring;
@@ -321,8 +321,6 @@ void Telemetry::end_window(std::int64_t cycle, OccupancyProbe occ, void* ctx,
     NodeSeries& s = nodes_[static_cast<std::size_t>(node)];
     node_inj_window_[static_cast<std::size_t>(node)] = 0;
     node_ej_window_[static_cast<std::size_t>(node)] = 0;
-    s.injected_total += inj;
-    s.ejected_total += ej;
     s.push(sat16(inj), sat16(ej), config_.ring_windows);
     for (std::int64_t w = 1; w < n; ++w) s.push(0, 0, config_.ring_windows);
   }
@@ -564,141 +562,16 @@ bool Telemetry::write_csv(const std::string& path, std::int64_t cycles) const {
                    e.on_cycle ? 1 : 0);
     }
   }
-  std::fclose(out);
-  return true;
+  return support::close_written(out);
 }
 
-bool Telemetry::write_json(const std::string& path, std::int64_t cycles) const {
-  materialize_rings();
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) return false;
-  std::fprintf(out, "{\n  \"shape\": \"%s\",\n  \"dims\": [",
-               shape_.to_string().c_str());
-  for (int j = 0; j < shape_.dim(); ++j) {
-    std::fprintf(out, "%s%d", j > 0 ? ", " : "", shape_.width(j));
-  }
-  std::fprintf(out,
-               "],\n  \"vcs\": %d,\n  \"sample_every\": %lld,\n"
-               "  \"cycles\": %lld,\n  \"windows\": %lld,\n",
-               vcs_, static_cast<long long>(config_.sample_every),
-               static_cast<long long>(cycles),
-               static_cast<long long>(windows_done_));
-  std::fputs("  \"channels\": [", out);
-  bool first = true;
-  for (const std::int64_t slot : active_) {
-    const Series& s = channels_[static_cast<std::size_t>(slot)];
-    std::fprintf(out,
-                 "%s\n    {\"link\": %lld, \"node\": %lld, \"dim\": %d, "
-                 "\"dir\": %d, \"vc\": %d, \"total_flits\": %lld, "
-                 "\"first_window\": %lld, \"flits\": [",
-                 first ? "" : ",", static_cast<long long>(s.link),
-                 static_cast<long long>(s.from), s.dim, s.dir, s.vc,
-                 static_cast<long long>(s.total),
-                 static_cast<long long>(s.first_window));
-    first = false;
-    for (std::size_t i = 0; i < s.ring.size(); ++i) {
-      std::fprintf(out, "%s%u", i > 0 ? "," : "",
-                   s.ring[(s.head + i) % s.ring.size()].flits);
-    }
-    std::fputs("], \"occupancy\": [", out);
-    for (std::size_t i = 0; i < s.ring.size(); ++i) {
-      std::fprintf(out, "%s%u", i > 0 ? "," : "",
-                   s.ring[(s.head + i) % s.ring.size()].occupancy);
-    }
-    std::fputs("]}", out);
-  }
-  std::fputs("\n  ],\n  \"nodes\": [", out);
-  first = true;
-  for (const NodeId node : active_nodes_) {
-    const NodeSeries& s = nodes_[static_cast<std::size_t>(node)];
-    std::fprintf(out,
-                 "%s\n    {\"node\": %lld, \"injected\": %lld, "
-                 "\"ejected\": %lld, \"first_window\": %lld}",
-                 first ? "" : ",", static_cast<long long>(s.node),
-                 static_cast<long long>(s.injected_total),
-                 static_cast<long long>(s.ejected_total),
-                 static_cast<long long>(s.first_window));
-    first = false;
-  }
-  std::fputs("\n  ],\n  \"latency\": [", out);
-  first = true;
-  for (const LatencyRecord& r : latencies_) {
-    std::fprintf(out,
-                 "%s\n    {\"msg\": %lld, \"queue\": %lld, \"transit\": %lld, "
-                 "\"stall\": %lld}",
-                 first ? "" : ",", static_cast<long long>(r.msg),
-                 static_cast<long long>(r.queue_cycles()),
-                 static_cast<long long>(r.transit_cycles()),
-                 static_cast<long long>(r.stall_cycles()));
-    first = false;
-  }
-  std::fputs("\n  ],\n  \"events\": [", out);
-  first = true;
-  for (const LifecycleEvent& e : events_) {
-    std::fprintf(out,
-                 "%s\n    {\"msg\": %lld, \"cycle\": %lld, \"kind\": \"%s\", "
-                 "\"link\": %lld, \"vc\": %d}",
-                 first ? "" : ",", static_cast<long long>(e.msg),
-                 static_cast<long long>(e.cycle), msg_event_name(e.kind),
-                 static_cast<long long>(e.slot < 0 ? -1 : e.slot / vcs_),
-                 e.slot < 0 ? -1 : static_cast<int>(e.slot % vcs_));
-    first = false;
-  }
-  std::fputs("\n  ],\n  \"route_load\": [", out);
-  first = true;
-  for (std::size_t id = 0; id < route_load_.size(); ++id) {
-    if (route_load_[id] == 0) continue;
-    std::fprintf(out, "%s\n    {\"node\": %zu, \"count\": %d}",
-                 first ? "" : ",", id, route_load_[id]);
-    first = false;
-  }
-  if (stall_report_ != nullptr) {
-    std::fprintf(out,
-                 "\n  ],\n  \"stall\": {\"cycle\": %lld, \"stalled_cycles\": "
-                 "%lld, \"deadlock\": %s, \"cycle_msgs\": [",
-                 static_cast<long long>(stall_report_->cycle),
-                 static_cast<long long>(stall_report_->stalled_cycles),
-                 stall_report_->has_cycle() ? "true" : "false");
-    first = true;
-    for (const std::int64_t m : stall_report_->cycle_msgs) {
-      std::fprintf(out, "%s%lld", first ? "" : ", ",
-                   static_cast<long long>(m));
-      first = false;
-    }
-    std::fputs("], \"edges\": [", out);
-    first = true;
-    for (const WaitEdge& e : stall_report_->edges) {
-      std::fprintf(out,
-                   "%s\n    {\"waiter\": %lld, \"holder\": %lld, \"link\": "
-                   "%lld, \"vc\": %d, \"at\": %lld, \"reason\": \"%s\", "
-                   "\"on_cycle\": %s}",
-                   first ? "" : ",", static_cast<long long>(e.waiter),
-                   static_cast<long long>(e.holder),
-                   static_cast<long long>(e.link), e.vc,
-                   static_cast<long long>(e.at), e.reason,
-                   e.on_cycle ? "true" : "false");
-      first = false;
-    }
-    std::fputs("]}\n}\n", out);
-  } else {
-    std::fputs("\n  ]\n}\n", out);
-  }
-  std::fclose(out);
-  return true;
-}
-
-bool Telemetry::write(std::int64_t cycles, std::int64_t run) const {
-  if (config_.dump.empty()) return false;
-  std::string dest = config_.dump;
-  bool csv = false;
-  if (dest.rfind("csv:", 0) == 0) {
-    csv = true;
-    dest = dest.substr(4);
-  } else if (dest.rfind("json:", 0) == 0) {
-    dest = dest.substr(5);
-  }
-  const std::string path = telemetry_run_path(dest, run);
-  return csv ? write_csv(path, cycles) : write_json(path, cycles);
+bool Telemetry::write(std::int64_t cycles) const {
+  // Process-wide count of dumping runs.
+  static std::atomic<std::int64_t> next_run{0};
+  const std::int64_t run = next_run.fetch_add(1, std::memory_order_relaxed);
+  const std::optional<DumpDest> dest =
+      parse_dump_dest(config_.dump, kTelemetryDumps);
+  return dest && write_csv(telemetry_run_path(dest->path, run), cycles);
 }
 
 // --- Process-level plumbing ------------------------------------------------
@@ -713,11 +586,6 @@ void telemetry_init(const std::string& dest) {
 
 std::string telemetry_run_path(const std::string& dest, std::int64_t run) {
   return run == 0 ? dest : dest + "." + std::to_string(run);
-}
-
-std::int64_t telemetry_next_run() {
-  static std::atomic<std::int64_t> next{0};
-  return next.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace lamb::obs

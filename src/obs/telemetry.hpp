@@ -42,9 +42,9 @@ struct TelemetryConfig {
   std::int64_t watchdog_cycles = 0;
   // Cap on retained lifecycle events (drops record a counter, never fail).
   std::int64_t max_events = 1 << 20;
-  // Dump destination: "" (none), "csv:<path>", "json:<path>", or a bare
-  // path (JSON). With several Network::run()s per process, run r > 0
-  // appends ".r" to the path so every dump survives.
+  // Dump destination: "" (none) or "csv:<path>". With several
+  // Network::run()s per process, run r > 0 appends ".r" to the path so
+  // every dump survives.
   std::string dump;
 };
 
@@ -237,12 +237,11 @@ class Telemetry {
                       std::vector<ChannelSample>* out) const;
 
   // --- Export ---------------------------------------------------------
-  // Writes to config().dump (resolving csv:/json: prefixes); `run`
-  // uniquifies the path for repeated runs in one process. Returns false
-  // when the file cannot be opened (or no dump is configured).
-  bool write(std::int64_t cycles, std::int64_t run) const;
+  // Writes the CSV dump to config().dump, at telemetry_run_path for the
+  // process's next dumping run. Returns false when the file cannot be
+  // opened, written or closed, or no csv:<path> dump is configured.
+  bool write(std::int64_t cycles) const;
   bool write_csv(const std::string& path, std::int64_t cycles) const;
-  bool write_json(const std::string& path, std::int64_t cycles) const;
 
  private:
   struct Series;
@@ -317,21 +316,20 @@ class Telemetry {
 };
 
 // Process-default telemetry configuration, bootstrapped once from the
-// environment: LAMBMESH_TELEMETRY (dump destination, enables the tier),
+// environment: LAMBMESH_TELEMETRY (csv:<path> dump, enables the tier; a
+// value outside that grammar prints one error line and leaves it off),
 // LAMBMESH_TELEMETRY_SAMPLE (window size, cycles), LAMBMESH_TELEMETRY_RING
 // (windows retained), LAMBMESH_TELEMETRY_WATCHDOG (0 disables). Benches
 // copy this into SimConfig::telemetry.
 TelemetryConfig default_telemetry();
 
-// Enables telemetry with dump destination `dest` (csv:<path>,
-// json:<path> or <path>), overriding LAMBMESH_TELEMETRY: the
-// `--telemetry DEST` flag of io::apply_process_flags.
+// Enables telemetry with dump destination `dest` (csv:<path>),
+// overriding LAMBMESH_TELEMETRY: the `--telemetry DEST` flag of
+// io::apply_process_flags, which checks DEST first.
 void telemetry_init(const std::string& dest);
 
 // Dump path for the `run`-th dumping Network of this process: the base
 // destination path for run 0, "<path>.<run>" afterwards.
 std::string telemetry_run_path(const std::string& dest, std::int64_t run);
-// Process-wide dump counter, incremented per dumping run.
-std::int64_t telemetry_next_run();
 
 }  // namespace lamb::obs

@@ -1,5 +1,7 @@
 #include "obs/trace.hpp"
 
+#include <cmath>
+
 #include "obs/metrics.hpp"
 #include "support/json.hpp"
 
@@ -45,40 +47,29 @@ void TraceSink::clear() {
   events_.clear();
 }
 
-void TraceSink::write_chrome_json(std::FILE* out) const {
-  const std::vector<TraceEvent> snapshot = events();
-  std::fputs("{\"traceEvents\":[", out);
-  bool first = true;
-  for (const TraceEvent& e : snapshot) {
-    if (!first) std::fputc(',', out);
-    first = false;
-    std::fprintf(out, "\n{\"name\":%s,\"cat\":%s",
-                 support::json_string(e.name).c_str(),
-                 support::json_string(e.category).c_str());
-    std::fprintf(out, ",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d",
-                 e.ts_us, e.dur_us, e.tid);
-    if (!e.args.empty()) {
-      std::fputs(",\"args\":{", out);
-      bool first_arg = true;
-      for (const auto& [key, value] : e.args) {
-        if (!first_arg) std::fputc(',', out);
-        first_arg = false;
-        std::fprintf(out, "%s:%s", support::json_string(key).c_str(),
-                     support::json_number(value).c_str());
-      }
-      std::fputc('}', out);
-    }
-    std::fputc('}', out);
-  }
-  std::fputs("\n],\"displayTimeUnit\":\"ms\"}\n", out);
-}
-
 bool TraceSink::write_chrome_json(const std::string& path) const {
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) return false;
-  write_chrome_json(out);
-  std::fclose(out);
-  return true;
+  // Whole nanoseconds: the precision of a microsecond field to 3 places.
+  const auto ns = [](double us) { return std::round(us * 1e3) / 1e3; };
+  support::JsonWriter w;
+  w.begin_object().array("traceEvents");
+  for (const TraceEvent& e : events()) {
+    w.begin_object(support::JsonWriter::kInline)
+        .fields({{"name", e.name},
+                 {"cat", e.category},
+                 {"ph", "X"},
+                 {"ts", ns(e.ts_us)},
+                 {"dur", ns(e.dur_us)},
+                 {"pid", 1},
+                 {"tid", e.tid}});
+    if (!e.args.empty()) {
+      w.key("args").begin_object();
+      for (const auto& [key, value] : e.args) w.field(key, value);
+      w.end();
+    }
+    w.end();
+  }
+  w.end().field("displayTimeUnit", "ms").end();
+  return support::write_file(path, w.str());
 }
 
 Span::Span(const char* name, const char* category)

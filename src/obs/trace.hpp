@@ -16,7 +16,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -60,8 +59,8 @@ class TraceSink {
   std::vector<TraceEvent> events() const;  // snapshot copy
   void clear();
 
-  // Chrome trace event format JSON ({"traceEvents":[...]}).
-  void write_chrome_json(std::FILE* out) const;
+  // Chrome trace event format JSON ({"traceEvents":[...]}); false when
+  // the file cannot be opened, written or closed.
   bool write_chrome_json(const std::string& path) const;
 
  private:

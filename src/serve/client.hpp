@@ -69,7 +69,6 @@ class Client {
   bool settled() const { return state_ == State::kIdle; }
 
   std::uint64_t id() const { return id_; }
-  std::int64_t issued() const { return seq_; }
 
  private:
   enum class State { kIdle, kPending, kBackoff };

@@ -41,6 +41,10 @@ bool write_file(const std::string& path, std::string_view text) {
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) return false;
   std::fwrite(text.data(), 1, text.size(), out);
+  return close_written(out);
+}
+
+bool close_written(std::FILE* out) {
   const bool written = std::ferror(out) == 0;
   return std::fclose(out) == 0 && written;
 }

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <concepts>
+#include <cstdio>
 #include <initializer_list>
 #include <string>
 #include <string_view>
@@ -20,6 +21,9 @@ std::string json_string(std::string_view s);
 std::string json_number(double v);
 // False when `path` cannot be opened, written or closed.
 bool write_file(const std::string& path, std::string_view text);
+// Closes a file opened for writing; false when a write to it or the
+// close failed.
+bool close_written(std::FILE* out);
 
 // A scalar rendered on construction; integers print as integers.
 class JsonScalar {

@@ -25,7 +25,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 namespace lamb::par {
 
@@ -51,18 +50,5 @@ bool in_parallel_region();
 // the remaining chunks drain.
 void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
                   const std::function<void(std::int64_t, std::int64_t)>& chunk);
-
-// fn(i) for i in [0, n), results in index order regardless of schedule.
-template <typename Fn>
-auto parallel_map(std::int64_t n, std::int64_t grain, Fn&& fn)
-    -> std::vector<decltype(fn(std::int64_t{}))> {
-  std::vector<decltype(fn(std::int64_t{}))> out(static_cast<std::size_t>(n));
-  parallel_for(0, n, grain, [&](std::int64_t b, std::int64_t e) {
-    for (std::int64_t i = b; i < e; ++i) {
-      out[static_cast<std::size_t>(i)] = fn(i);
-    }
-  });
-  return out;
-}
 
 }  // namespace lamb::par

@@ -1,7 +1,6 @@
 #include "support/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace lamb {
 
@@ -18,8 +17,6 @@ double Accumulator::variance() const {
   if (count_ < 2) return 0.0;
   return m2_ / static_cast<double>(count_ - 1);
 }
-
-double Accumulator::stddev() const { return std::sqrt(variance()); }
 
 std::vector<double> best_of_interleaved(
     int reps, std::size_t variants,

@@ -25,7 +25,6 @@ class Accumulator {
   double sum() const { return mean_ * static_cast<double>(count_); }
   // Sample variance (n-1 denominator); 0 for fewer than two samples.
   double variance() const;
-  double stddev() const;
 
  private:
   std::int64_t count_ = 0;

@@ -693,7 +693,7 @@ SimResult Network::run() {
   if (telemetry_) {
     telemetry_->end_window(cycle_, occupancy_of, this, /*final=*/true);
     if (!config_.telemetry.dump.empty()) {
-      telemetry_->write(cycle_, obs::telemetry_next_run());
+      telemetry_->write(cycle_);
     }
   }
 

@@ -38,6 +38,10 @@ constexpr io::Flag kFileFlags[] = {{"", "FILE", io::kAllCommands, "input"},
                                    {"tail", "N", io::kAllCommands, "last N"}};
 constexpr io::CliSpec kFileSpec{{}, kFileFlags};
 
+// A binary that honours --telemetry.
+constexpr io::Flag kTelemetryFlags[] = {io::kTelemetryFlag};
+constexpr io::CliSpec kTelemetrySpec{{}, kTelemetryFlags};
+
 CliArgs parse(const std::vector<std::string>& tokens,
               const io::CliSpec& spec = kSpec) {
   return CliArgs::parse(tokens, spec);
@@ -245,6 +249,24 @@ TEST(ProcessFlags, RejectsMalformedThreadCounts) {
       std::string::npos);
 }
 
+TEST(ProcessFlags, DumpDestinationsFollowTheOneGrammar) {
+  const auto apply_error = [&](const std::vector<std::string>& tokens) {
+    try {
+      io::apply_process_flags(parse(tokens, kTelemetrySpec));
+    } catch (const ArgError& e) {
+      return std::string(e.what());
+    }
+    return std::string("(no error)");
+  };
+  EXPECT_EQ(apply_error({"--metrics=jsn:x"}),
+            "--metrics: bad destination 'jsn:x' "
+            "(expected stderr | json:PATH | csv:PATH)");
+  EXPECT_EQ(apply_error({"--telemetry=json:x"}),
+            "--telemetry: bad destination 'json:x' (expected csv:PATH)");
+  EXPECT_EQ(apply_error({"--telemetry", "x"}),
+            "--telemetry: bad destination 'x' (expected csv:PATH)");
+}
+
 TEST(ProcessFlagsDeathTest, ParseCliExitsTwoWithTheError) {
   const char* unknown[] = {"prog", "solve", "--no-such-flag"};
   EXPECT_EXIT(io::parse_cli(3, unknown, kSpec), ::testing::ExitedWithCode(2),
@@ -255,6 +277,10 @@ TEST(ProcessFlagsDeathTest, ParseCliExitsTwoWithTheError) {
   const char* bad_count[] = {"prog", "solve", "--threads=-2"};
   EXPECT_EXIT(io::parse_cli(3, bad_count, kSpec),
               ::testing::ExitedWithCode(2), "out of range");
+  const char* bad_dump[] = {"prog", "solve", "--metrics=jsn:x"};
+  EXPECT_EXIT(io::parse_cli(3, bad_dump, kSpec), ::testing::ExitedWithCode(2),
+              "^error: --metrics: bad destination 'jsn:x' \\(expected "
+              "stderr [|] json:PATH [|] csv:PATH\\)\n$");
   // No arguments at all: the error and then the usage text.
   const char* bare[] = {"/path/to/prog"};
   EXPECT_EXIT(io::parse_cli(1, bare, kSpec), ::testing::ExitedWithCode(2),

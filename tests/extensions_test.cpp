@@ -1,5 +1,4 @@
 // Tests for the library extensions beyond the paper's core pipeline: the
-// parallel Monte-Carlo trial runner (bit-identical aggregation), the
 // load-aware intermediate policy, simulator load/latency statistics, and
 // wormhole routing on tori.
 #include <gtest/gtest.h>
@@ -8,7 +7,6 @@
 #include <set>
 
 #include "core/lamb.hpp"
-#include "expt/trial.hpp"
 #include "generic/generic_solver.hpp"
 #include "support/rng.hpp"
 #include "wormhole/network.hpp"
@@ -17,30 +15,6 @@
 
 namespace lamb {
 namespace {
-
-TEST(ParallelTrials, BitIdenticalToSerial) {
-  const MeshShape shape = MeshShape::cube(2, 16);
-  for (int threads : {1, 2, 4, 7}) {
-    const expt::TrialSummary serial = expt::run_lamb_trials(shape, 12, 9, 55);
-    const expt::TrialSummary parallel =
-        expt::run_lamb_trials_parallel(shape, 12, 9, 55, {}, threads);
-    EXPECT_EQ(serial.lambs.mean(), parallel.lambs.mean()) << threads;
-    EXPECT_EQ(serial.lambs.max(), parallel.lambs.max());
-    EXPECT_EQ(serial.lambs.variance(), parallel.lambs.variance());
-    EXPECT_EQ(serial.ses.mean(), parallel.ses.mean());
-    EXPECT_EQ(serial.des.mean(), parallel.des.mean());
-    EXPECT_EQ(serial.cover_weight.mean(), parallel.cover_weight.mean());
-    EXPECT_EQ(serial.trials_needing_lambs, parallel.trials_needing_lambs);
-  }
-}
-
-TEST(ParallelTrials, MoreThreadsThanTrials) {
-  const MeshShape shape = MeshShape::cube(2, 8);
-  const expt::TrialSummary s =
-      expt::run_lamb_trials_parallel(shape, 4, 3, 1, {}, 16);
-  EXPECT_EQ(s.trials, 3);
-  EXPECT_EQ(s.lambs.count(), 3);
-}
 
 TEST(LoadAwareRoutes, RoutesStayMinimalAndValid) {
   const MeshShape shape = MeshShape::cube(2, 10);

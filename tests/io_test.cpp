@@ -3,6 +3,8 @@
 // geometry specs.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <sstream>
 
 #include "io/text_format.hpp"
@@ -140,6 +142,13 @@ TEST(IoGeometry, RejectsGarbage) {
 
 TEST(IoFile, MissingFileThrows) {
   EXPECT_THROW(io::parse_file("/nonexistent/path.lamb"), std::runtime_error);
+}
+
+TEST(IoFile, UnwritableFileThrows) {
+  if (::access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full";
+  const MeshShape shape = MeshShape::cube(2, 4);
+  EXPECT_THROW(io::write_file("/dev/full", shape, FaultSet(shape)),
+               std::runtime_error);
 }
 
 }  // namespace

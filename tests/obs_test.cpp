@@ -15,6 +15,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -235,6 +237,92 @@ TEST(Export, JsonAndCsvSnapshots) {
   std::remove(csv_path.c_str());
 }
 
+// /dev/full opens for writing and fails every flush: a dump writer that
+// ignores ferror/fclose reports success there.
+bool have_dev_full() { return ::access("/dev/full", W_OK) == 0; }
+
+TEST(Export, JsonSnapshotReportsAFullDevice) {
+  if (!have_dev_full()) GTEST_SKIP() << "no /dev/full";
+  MetricsRegistry reg(/*enabled=*/true);
+  reg.counter("a.count").add(5);
+  EXPECT_FALSE(write_json(reg, "/dev/full"));
+}
+
+TEST(Export, CsvSnapshotReportsAFullDevice) {
+  if (!have_dev_full()) GTEST_SKIP() << "no /dev/full";
+  MetricsRegistry reg(/*enabled=*/true);
+  reg.counter("a.count").add(5);
+  EXPECT_FALSE(write_csv(reg, "/dev/full"));
+}
+
+TEST(Trace, ChromeJsonReportsAFullDevice) {
+  if (!have_dev_full()) GTEST_SKIP() << "no /dev/full";
+  EXPECT_FALSE(TraceSink::global().write_chrome_json("/dev/full"));
+}
+
+TEST(ExportDeathTest, UnwritableExitDumpPrintsAnError) {
+  if (!have_dev_full()) GTEST_SKIP() << "no /dev/full";
+  EXPECT_EXIT(
+      {
+        init(DumpDest{kDumpCsv, "/dev/full"});
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(0), "error: cannot write /dev/full\n");
+}
+
+TEST(DumpDest, OneGrammarForEveryDump) {
+  const auto parsed = [](const char* spec, unsigned formats) {
+    const std::optional<DumpDest> dest = parse_dump_dest(spec, formats);
+    return dest ? std::to_string(dest->format) + ":" + dest->path
+                : std::string("(none)");
+  };
+  EXPECT_EQ(parsed("stderr", kMetricsDumps), "1:");
+  EXPECT_EQ(parsed("json:m.json", kMetricsDumps), "2:m.json");
+  EXPECT_EQ(parsed("csv:dir/m.csv", kMetricsDumps), "4:dir/m.csv");
+  EXPECT_EQ(parsed("csv:t.csv", kTelemetryDumps), "4:t.csv");
+  for (const char* bad : {"", "jsn:/tmp/m", "json:", "csv:", "m.json",
+                          "stderr:", "STDERR"}) {
+    EXPECT_EQ(parsed(bad, kMetricsDumps), "(none)") << bad;
+  }
+  for (const char* bad : {"stderr", "json:t.json", "t.csv"}) {
+    EXPECT_EQ(parsed(bad, kTelemetryDumps), "(none)") << bad;
+  }
+  std::string error;
+  EXPECT_FALSE(parse_dump_dest("jsn:x", kMetricsDumps, &error));
+  EXPECT_EQ(error,
+            "bad destination 'jsn:x' (expected stderr | json:PATH | csv:PATH)");
+  EXPECT_FALSE(parse_dump_dest("json:x", kTelemetryDumps, &error));
+  EXPECT_EQ(error, "bad destination 'json:x' (expected csv:PATH)");
+}
+
+TEST(DumpDest, BadEnvironmentValuePrintsOneErrorAndLeavesTheDumpOff) {
+  const auto env_error = [](const char* var, const char* value,
+                            unsigned formats) {
+    ::setenv(var, value, 1);
+    ::testing::internal::CaptureStderr();
+    const std::optional<DumpDest> dest = env_dump_dest(var, formats);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    ::unsetenv(var);
+    EXPECT_FALSE(dest.has_value()) << var << "=" << value;
+    return err;
+  };
+  EXPECT_EQ(env_error("LAMBMESH_METRICS", "jsn:/tmp/m", kMetricsDumps),
+            "error: LAMBMESH_METRICS: bad destination 'jsn:/tmp/m' "
+            "(expected stderr | json:PATH | csv:PATH)\n");
+  EXPECT_EQ(env_error("LAMBMESH_TELEMETRY", "out.csv", kTelemetryDumps),
+            "error: LAMBMESH_TELEMETRY: bad destination 'out.csv' "
+            "(expected csv:PATH)\n");
+  // Unset or empty is no dump and no error.
+  EXPECT_EQ(env_error("LAMBMESH_METRICS", "", kMetricsDumps), "");
+  ::setenv("LAMBMESH_METRICS", "csv:m.csv", 1);
+  const std::optional<DumpDest> good =
+      env_dump_dest("LAMBMESH_METRICS", kMetricsDumps);
+  ::unsetenv("LAMBMESH_METRICS");
+  ASSERT_TRUE(good.has_value());
+  EXPECT_EQ(good->format, kDumpCsv);
+  EXPECT_EQ(good->path, "m.csv");
+}
+
 TEST(Trace, DisabledSpansRecordNothing) {
   MetricsRegistry::global().set_enabled(false);
   TraceSink::global().set_enabled(false);
@@ -294,12 +382,12 @@ TEST(Trace, ChromeJsonIsWellFormed) {
   const std::string path = ::testing::TempDir() + "obs_test_trace.json";
   ASSERT_TRUE(TraceSink::global().write_chrome_json(path));
   const std::string json = read_file(path);
-  EXPECT_EQ(json.rfind("{\"traceEvents\":[", 0), 0u);
-  EXPECT_NE(json.find("\"name\":\"json.outer\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"json.inner\""), std::string::npos);
-  EXPECT_NE(json.find("\"cat\":\"testcat\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"args\":{\"epoch\":3}"), std::string::npos);
+  EXPECT_EQ(json.rfind("{\n  \"traceEvents\": [", 0), 0u);
+  EXPECT_NE(json.find("\"name\": \"json.outer\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\": \"json.inner\""), std::string::npos);
+  EXPECT_NE(json.find("\"cat\": \"testcat\""), std::string::npos);
+  EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
+  EXPECT_NE(json.find("\"args\": {\"epoch\": 3}"), std::string::npos);
   int braces = 0, brackets = 0;
   for (const char c : json) {
     braces += c == '{' ? 1 : c == '}' ? -1 : 0;

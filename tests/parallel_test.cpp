@@ -99,16 +99,6 @@ TEST(ParallelFor, FirstExceptionPropagates) {
   EXPECT_EQ(total.load(), 16);
 }
 
-TEST(ParallelMap, ResultsInIndexOrder) {
-  PoolWidthGuard guard;
-  par::set_threads(4);
-  const auto squares =
-      par::parallel_map(20, 3, [](std::int64_t i) { return i * i; });
-  for (std::int64_t i = 0; i < 20; ++i) {
-    EXPECT_EQ(squares[static_cast<std::size_t>(i)], i * i);
-  }
-}
-
 TEST(SetThreads, ReconfiguresAndRestoresDefault) {
   PoolWidthGuard guard;
   par::set_threads(3);

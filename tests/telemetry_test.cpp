@@ -6,6 +6,8 @@
 // and determinism of simulation outcomes with telemetry on vs off.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -414,6 +416,15 @@ TEST(TelemetryDump, WritesCsvSchema) {
   EXPECT_EQ(std::string(line).rfind("# lambmesh telemetry v1", 0), 0u)
       << "unexpected header: " << line;
   std::remove(found.c_str());
+}
+
+TEST(TelemetryDump, CsvReportsAFullDevice) {
+  if (::access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full";
+  const MeshShape shape = MeshShape::cube(2, 4);
+  Telemetry telemetry(shape, 2, enabled_config());
+  telemetry.on_inject_flit(0);
+  telemetry.end_window(64, nullptr, nullptr, /*final=*/true);
+  EXPECT_FALSE(telemetry.write_csv("/dev/full", 64));
 }
 
 TEST(TelemetryDump, RunPathUniquifiesRepeatedRuns) {
