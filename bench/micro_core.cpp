@@ -150,16 +150,14 @@ std::pair<BitMatrix, BitMatrix> random_factors(std::int64_t m,
   return {std::move(a), std::move(b)};
 }
 
-// The factors R_t and I_t captured from one full matrix-backend run at
-// k = 2.
+// The factors R_t and I_t captured from one full run at k = 2.
 struct ChainCase : Faulted {
   ReachCapture cap;
   ReachComputation reach;
 
   ChainCase(int dim, Coord width, std::int64_t f)
       : Faulted(MeshShape::cube(dim, width), f, 13) {
-    reach = compute_reachability(shape, faults, ascending_rounds(dim, 2),
-                                 ReachBackend::kMatrix, &cap);
+    reach = compute_reachability(shape, faults, ascending_rounds(dim, 2), &cap);
   }
 };
 
@@ -201,8 +199,7 @@ struct ReachDeltaCase {
         orders(ascending_rounds(3, 2)),
         before(make_faults(shape, 164, 11)),
         after(before) {
-    reach = compute_reachability(shape, before, orders, ReachBackend::kMatrix,
-                                 &cap);
+    reach = compute_reachability(shape, before, orders, &cap);
     Rng rng(12);
     for (;;) {
       const Point p = random_point(shape, rng);
@@ -241,8 +238,7 @@ struct ReachDeltaCase {
   // full path does.
   ReachComputation full() const {
     ReachCapture full_cap;
-    return compute_reachability(shape, after, orders, ReachBackend::kMatrix,
-                                &full_cap);
+    return compute_reachability(shape, after, orders, &full_cap);
   }
   bool incremental_equals_full() const {
     ReachComputation inc;
@@ -501,7 +497,7 @@ void add_cases(Suite& s) {
            "M_3(16), 164 node faults (seed 11), k = 2, one new "
            "bidirectional link fault");
   s.family("ReachFull",
-           "the full matrix-backend solve, with capture, of the "
+           "the full Find-Reachability, with capture, of the "
            "ReachIncrementalNode fault set");
   auto node_delta = std::make_shared<const ReachDeltaCase>(/*link=*/false);
   auto link_delta = std::make_shared<const ReachDeltaCase>(/*link=*/true);

@@ -30,7 +30,7 @@ namespace {
 
 // Repetition counts and the k-series solver pool width, echoed in the
 // JSON.
-constexpr int kSimPairs = 100;     // interleaved schedule-off/storm-on runs
+constexpr int kSimPairs = 100;     // order-alternating off/on pairs
 constexpr int kSeriesReps = 20;    // timed k-series repetitions
 constexpr int kSolverThreads = 1;  // pool width during the k-series
 
@@ -172,7 +172,8 @@ std::vector<SeriesPoint> storm_series(const MeshShape& shape, int initial,
 }
 
 void write_json(const std::string& path, const std::vector<Result>& results,
-                double overhead_pct, const std::vector<SeriesPoint>& series,
+                double overhead_pct, double overhead_iqr_pct,
+                const std::vector<SeriesPoint>& series,
                 double incremental_speedup, bool equivalent) {
   support::BenchDoc doc("bench", "micro_recovery");
   // Speedup of the O(delta) reconfigure over the from-scratch solve at the
@@ -187,6 +188,7 @@ void write_json(const std::string& path, const std::vector<Result>& results,
               {"series_reps", kSeriesReps},
               {"solver_threads", kSolverThreads},
               {"storm_on_overhead_pct", overhead_pct},
+              {"storm_on_overhead_iqr_pct", overhead_iqr_pct},
               {"incremental_reconfigure_speedup", incremental_speedup},
               {"incremental_equivalent", equivalent ? 1 : 0}})
       .array("results");
@@ -235,8 +237,8 @@ int main(int argc, char** argv) {
       generate_traffic(shape, faults, lambs.lambs, routes, tc, rng);
   const int reps = 3;
 
-  std::printf("micro_recovery: %zu messages, best of %d interleaved "
-              "off/on pairs\n\n",
+  std::printf("micro_recovery: %zu messages, median of %d order-"
+              "alternating off/on pairs\n\n",
               traffic.messages.size(), kSimPairs);
   std::vector<Result> results;
 
@@ -246,26 +248,24 @@ int main(int argc, char** argv) {
   time_sim(shape, faults, traffic.messages, off, &warmup);
   const wormhole::FaultSchedule storm = wormhole::FaultSchedule::random_storm(
       shape, faults, 3, 1, warmup.cycles, rng);
-  // Interleaved pairs (off, on, off, on, ...), so host-speed drift hits
-  // both modes alike; each mode keeps its best run.
+  // The overhead is the median of the per-pair storm/off time ratios
+  // over order-alternating pairs (paired_overhead), so a load spike moves
+  // one ratio rather than one side's best; each mode's row keeps its best
+  // run.
   Result sim[] = {{"schedule_off"}, {"storm_on"}};
   const wormhole::FaultSchedule* schedules[] = {&off, &storm};
-  const std::vector<double> best =
-      best_of_interleaved(kSimPairs, 2, [&](std::size_t v) {
-        return time_sim(shape, faults, traffic.messages, *schedules[v],
-                        &sim[v]);
-      });
+  const PairedOverhead storm_overhead = paired_overhead(kSimPairs, [&](int v) {
+    return time_sim(shape, faults, traffic.messages, *schedules[v], &sim[v]);
+  });
   for (std::size_t v = 0; v < 2; ++v) {
-    set_best(&sim[v], best[v]);
+    set_best(&sim[v], storm_overhead.best[v]);
     results.push_back(sim[v]);
   }
 
   results.push_back(time_recovery_epoch(shape, scaled_trials(400), reps));
 
-  const double overhead_pct =
-      results[0].seconds > 0
-          ? (results[1].seconds / results[0].seconds - 1.0) * 100.0
-          : 0.0;
+  const double overhead_pct = storm_overhead.median_pct;
+  const double overhead_iqr_pct = storm_overhead.iqr_pct;
   for (const Result& r : results) {
     std::printf("  %-15s %9.4f s  %12.0f cycles/s  (%lld cycles, %lld "
                 "delivered, %lld lost/poisoned|rollbacks)\n",
@@ -274,8 +274,9 @@ int main(int argc, char** argv) {
                 static_cast<long long>(r.delivered),
                 static_cast<long long>(r.resolved_by_fault));
   }
-  std::printf("\n  storm-on overhead vs empty schedule: %+.1f%%\n",
-              overhead_pct);
+  std::printf("\n  storm-on overhead vs empty schedule: %+.1f%% median, "
+              "IQR %.1f\n",
+              overhead_pct, overhead_iqr_pct);
 
   // k-th-fault storm series: incremental vs from-scratch reconfigure.
   // 20 background faults (~4% of M_3(8)) put the mesh in the damaged
@@ -309,8 +310,8 @@ int main(int argc, char** argv) {
               equivalent ? "bit-identical" : "MISMATCH");
 
   if (!json_path.empty()) {
-    write_json(json_path, results, overhead_pct, series, incremental_speedup,
-               equivalent);
+    write_json(json_path, results, overhead_pct, overhead_iqr_pct, series,
+               incremental_speedup, equivalent);
   }
   return equivalent ? 0 : 1;
 }

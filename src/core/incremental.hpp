@@ -23,9 +23,9 @@
 // same cumulative fault set at any thread count: the two layers reproduce
 // the exact matrices, and the cover phase is the same code. On any
 // condition that voids the reuse (escalated or uncovered previous
-// outcome, merged partition regions, changed orderings, flood-backend
-// regime, budget exhaustion mid-reuse) the call falls back to the full
-// solve_lambs — the caller always gets a valid SolveOutcome.
+// outcome, merged partition regions, changed orderings, budget
+// exhaustion mid-reuse) the call falls back to the full solve_lambs —
+// the caller always gets a valid SolveOutcome.
 #pragma once
 
 #include <cstdint>

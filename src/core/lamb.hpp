@@ -54,9 +54,6 @@ struct LambOptions {
   const std::vector<double>* node_values = nullptr;
   // Nodes that must be lambs in the output (Section 7); must be good.
   std::vector<NodeId> predetermined;
-  // R^(k) computation strategy (footnote 7: matrices for small f, flood
-  // "spanning trees" when f is comparable to the mesh size).
-  ReachBackend backend = ReachBackend::kAuto;
   // Wall-clock deadline for one solve; 0 disables the check. Enforced
   // cooperatively between solver phases (a running phase is never
   // interrupted), so short budgets overshoot by up to one phase. Note
@@ -138,8 +135,8 @@ struct SolveOutcome {
   // Whether result.lambs carries the full survivor-to-survivor guarantee.
   bool certified() const { return status != SolveStatus::kUncovered; }
 
-  // Set when LambOptions::keep_context was on and the solve left reusable
-  // intermediates; read by solve_lambs_incremental. Null otherwise.
+  // Set when LambOptions::keep_context was on and a rung completed (never
+  // on kUncovered); read by solve_lambs_incremental. Null otherwise.
   std::shared_ptr<const SolveContext> context;
 };
 

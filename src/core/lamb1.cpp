@@ -66,7 +66,7 @@ LambResult lamb1_core(const MeshShape& shape, const FaultSet& faults,
   deadline.check("setup");
 
   ReachComputation reach =
-      compute_reachability(shape, faults, orders, options.backend,
+      compute_reachability(shape, faults, orders,
                            capture != nullptr ? &capture->rcap : nullptr);
   deadline.check("reachability");
 
@@ -74,10 +74,7 @@ LambResult lamb1_core(const MeshShape& shape, const FaultSet& faults,
       cover_phase(shape, reach, options, predetermined, deadline);
   result.stats.seconds_partition = reach.seconds_partition;
   result.stats.seconds_matrices = reach.seconds_matrices;
-  if (capture != nullptr) {
-    capture->reach = std::move(reach);
-    capture->valid = capture->rcap.valid;
-  }
+  if (capture != nullptr) capture->reach = std::move(reach);
   span.arg("lambs", static_cast<double>(result.size()));
   return result;
 }

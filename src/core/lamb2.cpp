@@ -20,8 +20,7 @@ LambResult lamb2(const MeshShape& shape, const FaultSet& faults,
   deadline.check("setup");
 
   LambResult result;
-  const ReachComputation reach =
-      compute_reachability(shape, faults, orders, options.backend);
+  const ReachComputation reach = compute_reachability(shape, faults, orders);
   result.stats.seconds_partition = reach.seconds_partition;
   result.stats.seconds_matrices = reach.seconds_matrices;
   deadline.check("reachability");

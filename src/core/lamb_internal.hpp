@@ -91,13 +91,12 @@ inline void finalize_lambs(std::vector<NodeId>* lambs,
 // Everything one Lamb1 run leaves behind for the incremental re-solve:
 // the reachability computation plus its capture.
 struct LambCapture {
-  bool valid = false;
   ReachComputation reach;
   ReachCapture rcap;
 };
 
 // Lamb1 with optional capture of reusable intermediates. `capture`, when
-// non-null, is filled whenever the matrix backend ran (capture->valid).
+// non-null, is filled by every run that returns.
 LambResult lamb1_core(const MeshShape& shape, const FaultSet& faults,
                       const LambOptions& options, LambCapture* capture);
 

@@ -5,7 +5,6 @@
 
 #include "graph/bipartite_wvc.hpp"
 #include "obs/obs.hpp"
-#include "reach/flood_oracle.hpp"
 #include "support/parallel.hpp"
 #include "support/stats.hpp"
 
@@ -71,30 +70,6 @@ std::vector<DimOrder> distinct_orders(const MultiRoundOrder& orders,
     (*round_part)[static_cast<std::size_t>(t)] = found;
   }
   return distinct;
-}
-
-// Whether the flood backend should replace the matrix product chain:
-// true when the per-representative product work (~q^2/64 word operations
-// for q last-round DES cells) exceeds the per-representative flood work,
-// modelled as 2 k d N node visits. Both sides are stale models and have
-// not been re-derived. The flood cost is measured instead:
-// abl08_backend_crossover's reach-only columns (M_2(48), k = 2, width 1,
-// three runs) time the flood backend's compute_reachability at ~0.17 ms
-// at 1% faults and 0.5-1.7 ms at 5-60% (p = 155-568 SES cells), against
-// ~0.17 ms and 0.7-7 ms for the matrix chain. The floods, word-parallel
-// and clipped to their frontier's words, tie at 1% and win from 5% on,
-// where this model still picks the matrix path; the q^2/64 product cost
-// predates the right-to-left chain and the saturating kernel. The
-// constant stays until a re-derivation also weighs what a switch costs:
-// the flood backend keeps no intermediates, so the incremental path
-// loses its block reuse. For random faults at a few percent on the
-// paper's meshes this keeps the matrix path; for fault counts comparable
-// to N (the Section 9 gadgets) it picks flood.
-bool flood_backend_wins(const MeshShape& shape, int k, std::int64_t q) {
-  const double qd = static_cast<double>(q);
-  const double flood_cost = 2.0 * static_cast<double>(k) * shape.dim() *
-                            static_cast<double>(shape.size());
-  return qd * qd / 64.0 > flood_cost;
 }
 
 }  // namespace
@@ -175,7 +150,6 @@ ReachCover min_weight_reach_cover(const BitMatrix& rk, const CoverSide& rows,
 ReachComputation compute_reachability(const MeshShape& shape,
                                       const FaultSet& faults,
                                       const MultiRoundOrder& orders,
-                                      ReachBackend backend,
                                       ReachCapture* capture) {
   if (orders.empty()) {
     throw std::invalid_argument("compute_reachability: need at least 1 round");
@@ -205,35 +179,6 @@ ReachComputation compute_reachability(const MeshShape& shape,
 
   watch.reset();
   obs::Span matrices_timer("solver.reach_matrices");
-  if (backend == ReachBackend::kAuto) {
-    backend = flood_backend_wins(shape, k, out.last_des().size())
-                  ? ReachBackend::kFlood
-                  : ReachBackend::kMatrix;
-  }
-  if (backend == ReachBackend::kFlood) {
-    const FloodOracle flood(shape, faults);
-    const EquivPartition& first = out.first_ses();
-    const EquivPartition& last = out.last_des();
-    std::vector<NodeId> des_reps(static_cast<std::size_t>(last.size()));
-    for (std::int64_t j = 0; j < last.size(); ++j) {
-      des_reps[static_cast<std::size_t>(j)] = shape.index(last.rep(j));
-    }
-    BitMatrix rk(first.size(), last.size());
-    // One k-round flood per SES representative; representatives are
-    // independent and each fills its own row of rk.
-    par::parallel_for(0, first.size(), 1, [&](std::int64_t i0, std::int64_t i1) {
-      for (std::int64_t i = i0; i < i1; ++i) {
-        const Bits rows = flood.reach_from(first.rep(i), orders);
-        for (std::int64_t j = 0; j < last.size(); ++j) {
-          if (rows.test(des_reps[static_cast<std::size_t>(j)])) rk.set(i, j);
-        }
-      }
-    });
-    out.rk = std::move(rk);
-    out.seconds_matrices = watch.seconds();
-    return out;
-  }
-
   obs::Span blocks_timer("solver.reach.blocks");
   const ReachOracle oracle(shape, faults);
   std::vector<BitMatrix> r(distinct.size());
@@ -265,7 +210,6 @@ ReachComputation compute_reachability(const MeshShape& shape,
     capture->distinct = distinct;
     capture->r = std::move(r);
     capture->inters = std::move(inters);
-    capture->valid = true;
   }
   out.seconds_matrices = watch.seconds();
   return out;
@@ -277,7 +221,7 @@ bool compute_reachability_incremental(
     const std::vector<LinkFault>& delta_links, const ReachComputation& prev,
     const ReachCapture& prev_cap, ReachComputation* out, ReachCapture* out_cap,
     ReachDelta* delta) {
-  if (orders.empty() || !prev_cap.valid) return false;
+  if (orders.empty()) return false;
   // The route masks below assume a route moves monotonically from its
   // source to its destination in every dimension; torus routes may wrap,
   // so the incremental path only handles plain meshes.
@@ -327,10 +271,6 @@ bool compute_reachability_incremental(
 
   watch.reset();
   obs::Span matrices_timer("solver.reach_matrices");
-  // Once the fault count grows into the flood backend's regime, hand back
-  // to the full computation.
-  if (flood_backend_wins(shape, k, res.last_des().size())) return false;
-
   obs::Span maps_timer("solver.reach.maps");
   // The old-of-new maps from partition repair are monotone, so they
   // decompose into a handful of identity-with-offset runs. Every splice
@@ -636,7 +576,6 @@ bool compute_reachability_incremental(
   res.rk = reach_chain(r, cap.inters, res.round_part);
 
   cap.r = std::move(r);
-  cap.valid = true;
   res.seconds_matrices = watch.seconds();
   *out = std::move(res);
   *out_cap = std::move(cap);

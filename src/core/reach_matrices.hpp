@@ -80,24 +80,12 @@ struct ReachComputation {
   }
 };
 
-// How R^(k) is computed.
-//   kMatrix: the Section 6.2 chain of Boolean matrix products — time
-//            polynomial in f, independent of the mesh size N.
-//   kFlood:  one k-round set-valued flood ("spanning tree", footnote 7)
-//            per SES representative — time O(p * k * d * N), superior
-//            when f is large relative to N (e.g. the Section 9 gadgets).
-//   kAuto:   picks kFlood when the estimated product cost q^2/64 exceeds
-//            the estimated flood cost 2 k d N per representative.
-enum class ReachBackend { kAuto, kMatrix, kFlood };
-
-// Intermediate state of one matrix-backend Find-Reachability run, kept so
-// a later solve over a superset fault set can reuse it (the incremental
-// reconfiguration path): the partitions' spans and the chain's factors
-// R_u and I_t. The chain's products are not kept; the incremental path
-// recomputes them in full. `valid` is false when the flood backend ran —
-// floods keep no reusable intermediates.
+// Intermediate state of one Find-Reachability run, kept so a later solve
+// over a superset fault set can reuse it (the incremental reconfiguration
+// path): the partitions' spans and the chain's factors R_u and I_t. The
+// chain's products are not kept; the incremental path recomputes them in
+// full.
 struct ReachCapture {
-  bool valid = false;
   std::vector<DimOrder> distinct;          // distinct orderings, in order
   std::vector<PartitionSpans> ses_spans;   // per distinct ordering
   std::vector<PartitionSpans> des_spans;
@@ -118,32 +106,30 @@ struct ReachDelta {
 };
 
 // Runs Find-SES/DES-Partition for each distinct ordering in `orders` and
-// computes R^(k) with the chosen backend. Identical orderings share one
+// computes R^(k) as the Section 6.2 chain. Identical orderings share one
 // partition and one R_t, the simplification the paper notes at the end
-// of Section 6.2. When `capture` is non-null and the matrix backend runs,
-// the intermediates are recorded for incremental reuse.
+// of Section 6.2. When `capture` is non-null the intermediates are
+// recorded for incremental reuse.
 ReachComputation compute_reachability(const MeshShape& shape,
                                       const FaultSet& faults,
                                       const MultiRoundOrder& orders,
-                                      ReachBackend backend = ReachBackend::kAuto,
                                       ReachCapture* capture = nullptr);
 
 // Incremental Find-Reachability: recomputes `prev` (captured as
 // `prev_cap`) after `delta_nodes` / `delta_links` were added, producing
-// exactly what compute_reachability(shape, faults, orders, kMatrix)
-// would. `faults` is the new cumulative set. Partitions are repaired
-// locally; R_t rows and columns are copied from the previous matrices
-// (a split cell's from the old cell containing its representative), and
-// the delta is applied with exact bit masks: an entry turns 0 iff its
-// dimension-ordered route holds a new faulty node, or both endpoints of a
-// new bidirectional link, or both endpoints of a new directed link with
-// the route's source on the link's `from` side. No reachability oracle
-// is queried. Intersection matrices splice their mapped entries, and the
+// exactly what compute_reachability(shape, faults, orders) would. `faults`
+// is the new cumulative set. Partitions are repaired locally; R_t rows
+// and columns are copied from the previous matrices (a split cell's from
+// the old cell containing its representative), and the delta is applied
+// with exact bit masks: an entry turns 0 iff its dimension-ordered route
+// holds a new faulty node, or both endpoints of a new bidirectional link,
+// or both endpoints of a new directed link with the route's source on the
+// link's `from` side. No reachability oracle is queried. Intersection matrices splice their mapped entries, and the
 // chain is recomputed in full by reach_chain. Returns false — caller must
 // fall back to the full computation — when the partition repair bails,
-// the orderings do not match the capture, the mesh wraps, the fault count
-// has grown into the flood backend's regime, or a new cell has no old cell
-// containing its representative (an invariant break, never expected).
+// the orderings do not match the capture, the mesh wraps, or a new cell
+// has no old cell containing its representative (an invariant break,
+// never expected).
 bool compute_reachability_incremental(
     const MeshShape& shape, const FaultSet& faults,
     const MultiRoundOrder& orders, const std::vector<Point>& delta_nodes,

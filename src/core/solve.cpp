@@ -72,7 +72,7 @@ SolveOutcome solve_ladder(const MeshShape& shape, const FaultSet& faults,
         obs::counter("solver.degrade.escalations")
             .add(outcome.escalations);
       }
-      if (options.keep_context && capture.valid) {
+      if (options.keep_context) {
         if (sealed == nullptr) sealed = seal(faults);
         outcome.context = std::make_shared<const SolveContext>(SolveContext{
             std::move(sealed), *attempt.orders, std::move(capture)});

@@ -43,7 +43,7 @@ SolveOutcome solve_lambs_incremental(
     return solve_lambs(snapshot, options, max_rounds);
   };
 
-  if (prev.context == nullptr || !prev.context->capture.valid) {
+  if (prev.context == nullptr) {
     return fall_back(IncrementalFallback::kNoContext);
   }
   if (!prev.certified()) return fall_back(IncrementalFallback::kNotCertified);
@@ -96,7 +96,6 @@ SolveOutcome solve_lambs_incremental(
     result.stats.seconds_partition = reach.seconds_partition;
     result.stats.seconds_matrices = reach.seconds_matrices;
     ncap.reach = std::move(reach);
-    ncap.valid = ncap.rcap.valid;
 
     outcome.result = std::move(result);
     outcome.status = SolveStatus::kCertified;

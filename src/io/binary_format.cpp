@@ -39,12 +39,6 @@ std::string LoadError::to_string() const {
   return out;
 }
 
-std::uint32_t crc32c(std::string_view data, std::uint32_t seed) {
-  // Single implementation in support/ (the flight recorder seals crash
-  // dumps below the io layer); this forward keeps io's API stable.
-  return support::crc32c(data, seed);
-}
-
 // ------------------------------------------------------------ ByteWriter
 
 void ByteWriter::u32(std::uint32_t v) {
@@ -614,7 +608,7 @@ std::string seal(const char* magic8, std::uint32_t version,
   w.bytes(std::string_view(magic8, kMagicSize));
   w.u32(version);
   w.u64(payload.size());
-  w.u32(crc32c(payload));
+  w.u32(support::crc32c(payload));
   w.bytes(payload);
   return w.take();
 }
@@ -659,7 +653,7 @@ LoadError unseal(std::string_view file, const char* magic8,
     return fail(LoadError::Code::kMalformed, kSealHeaderSize + payload_len,
                 "trailing bytes after the payload");
   }
-  if (crc32c(body) != payload_crc) {
+  if (support::crc32c(body) != payload_crc) {
     return fail(LoadError::Code::kBadCrc, kSealHeaderSize,
                 "payload checksum mismatch");
   }
@@ -672,7 +666,7 @@ LoadError unseal(std::string_view file, const char* magic8,
 void append_record_frame(std::string* out, std::string_view payload) {
   ByteWriter w;
   w.u32(static_cast<std::uint32_t>(payload.size()));
-  w.u32(crc32c(payload));
+  w.u32(support::crc32c(payload));
   w.bytes(payload);
   out->append(w.data());
 }
@@ -707,7 +701,7 @@ RecordScan scan_records(std::string_view data) {
       break;
     }
     const std::string_view payload = data.substr(pos + 8, len);
-    if (crc32c(payload) != crc) {
+    if (support::crc32c(payload) != crc) {
       scan.tail.code = LoadError::Code::kBadCrc;
       scan.tail.offset = pos;
       scan.tail.detail = "record checksum mismatch";

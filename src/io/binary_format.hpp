@@ -59,9 +59,6 @@ struct LoadError {
 
 const char* load_error_code_name(LoadError::Code code);
 
-// CRC32C (Castagnoli), table-driven; `seed` chains partial computations.
-std::uint32_t crc32c(std::string_view data, std::uint32_t seed = 0);
-
 // Little-endian byte sink. Append-only; take() moves the buffer out.
 class ByteWriter {
  public:

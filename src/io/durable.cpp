@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "obs/obs.hpp"
+#include "support/crc32c.hpp"
 
 namespace lamb::io {
 
@@ -60,7 +61,7 @@ std::string journal_header(std::uint64_t bound_seq) {
   body.u32(kJournalVersion);
   body.u64(bound_seq);
   w.bytes(body.data());
-  w.u32(crc32c(body.data()));
+  w.u32(support::crc32c(body.data()));
   return w.take();
 }
 
@@ -88,7 +89,7 @@ LoadError parse_journal_header(std::string_view file,
   r.u32(&version);
   r.u64(&seq);
   r.u32(&crc);
-  if (crc32c(body) != crc) {
+  if (support::crc32c(body) != crc) {
     err.code = LoadError::Code::kBadCrc;
     err.offset = kMagicSize;
     err.detail = "journal header checksum mismatch";

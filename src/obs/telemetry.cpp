@@ -213,21 +213,6 @@ void Telemetry::set_route_load(std::vector<std::int32_t> counts) {
   route_load_ = std::move(counts);
 }
 
-void Telemetry::end_window(std::int64_t cycle,
-                           const std::function<int(LinkId, int)>& occupancy,
-                           bool final) {
-  if (!occupancy) {
-    end_window(cycle, nullptr, nullptr, final);
-    return;
-  }
-  const auto trampoline = [](void* ctx, LinkId link, int vc) -> int {
-    return (*static_cast<const std::function<int(LinkId, int)>*>(ctx))(link,
-                                                                       vc);
-  };
-  end_window(cycle, +trampoline,
-             const_cast<void*>(static_cast<const void*>(&occupancy)), final);
-}
-
 void Telemetry::end_window(std::int64_t cycle, OccupancyProbe occ, void* ctx,
                            bool final) {
   std::int64_t target = cycle / config_.sample_every;
@@ -571,7 +556,11 @@ bool Telemetry::write(std::int64_t cycles) const {
   const std::int64_t run = next_run.fetch_add(1, std::memory_order_relaxed);
   const std::optional<DumpDest> dest =
       parse_dump_dest(config_.dump, kTelemetryDumps);
-  return dest && write_csv(telemetry_run_path(dest->path, run), cycles);
+  if (!dest) return false;
+  const std::string path = telemetry_run_path(dest->path, run);
+  if (write_csv(path, cycles)) return true;
+  std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+  return false;
 }
 
 // --- Process-level plumbing ------------------------------------------------

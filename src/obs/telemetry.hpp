@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -207,15 +206,11 @@ class Telemetry {
   void set_route_load(std::vector<std::int32_t> counts);
 
   // Closes every window up to cycle / sample_every (plus the trailing
-  // partial window when `final` is set). `occupancy(link, vc)` returns
-  // the current buffer occupancy of a channel; it is consulted once per
-  // active series per call.
-  void end_window(std::int64_t cycle,
-                  const std::function<int(LinkId, int)>& occupancy,
-                  bool final = false);
-  // Raw-probe form used by the simulator's per-cycle path: a plain
-  // function pointer plus context avoids std::function dispatch on every
-  // active series at every close. `occ` may be null (occupancy reads 0).
+  // partial window when `final` is set). `occ(ctx, link, vc)` returns the
+  // current buffer occupancy of a channel; it is consulted once per
+  // active series per call, and may be null (occupancy reads 0). A plain
+  // function pointer plus context keeps the simulator's per-cycle close
+  // free of std::function dispatch.
   using OccupancyProbe = int (*)(void* ctx, LinkId link, int vc);
   void end_window(std::int64_t cycle, OccupancyProbe occ, void* ctx,
                   bool final = false);
@@ -238,8 +233,9 @@ class Telemetry {
 
   // --- Export ---------------------------------------------------------
   // Writes the CSV dump to config().dump, at telemetry_run_path for the
-  // process's next dumping run. Returns false when the file cannot be
-  // opened, written or closed, or no csv:<path> dump is configured.
+  // process's next dumping run. Returns false when no csv:<path> dump is
+  // configured, or, after printing "error: cannot write <path>" to
+  // stderr, when the file cannot be opened, written or closed.
   bool write(std::int64_t cycles) const;
   bool write_csv(const std::string& path, std::int64_t cycles) const;
 

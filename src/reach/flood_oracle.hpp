@@ -46,12 +46,13 @@ class FloodOracle {
   // { w : w is (F, pi)-reachable from v }.
   Bits reach1_from(const Point& v, const DimOrder& order) const;
   // Union of reach1_from over all (good) members of `sources`, at the cost
-  // of a single-source flood. This is the engine of the "spanning tree"
-  // k-round backend (paper footnote 7).
+  // of a single-source flood: each middle round of reach_from.
   Bits reach1_from_set(const Bits& sources, const DimOrder& order) const;
   // { u : u can (F, pi)-reach w }.
   Bits reach1_to(const Point& w, const DimOrder& order) const;
-  // { w : w is (k, F, pi_vec)-reachable from v } (Definition 2.5.2).
+  // { w : w is (k, F, pi_vec)-reachable from v } (Definition 2.5.2). Per
+  // SES representative, this is footnote 7's "spanning tree" R^(k): the
+  // reference the Section 6.2 chain is tested and benchmarked against.
   Bits reach_from(const Point& v, const MultiRoundOrder& orders) const;
 
  private:

@@ -1,7 +1,8 @@
 // CRC32C (Castagnoli). Lives in support/ rather than io/ so the flight
 // recorder (obs/recorder.cpp) can seal its crash dumps without linking
-// the io layer (io links obs; the reverse edge would be a cycle).
-// io::crc32c forwards here, so the two are always the same polynomial.
+// the io layer (io links obs; the reverse edge would be a cycle). The
+// binary formats and the durable store call it directly, so every
+// checksum in the repo is this one polynomial.
 #pragma once
 
 #include <cstdint>

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "support/quantiles.hpp"
+
 namespace lamb {
 
 void Accumulator::add(double x) {
@@ -28,6 +30,26 @@ std::vector<double> best_of_interleaved(
     }
   }
   return best;
+}
+
+PairedOverhead paired_overhead(int pairs,
+                               const std::function<double(int)>& run) {
+  PairedOverhead out;
+  std::vector<double> ratios;
+  for (int p = 0; p < pairs; ++p) {
+    double t[2];
+    const int first = p % 2;
+    t[first] = run(first);
+    t[1 - first] = run(1 - first);
+    for (int v = 0; v < 2; ++v) out.best[v] = std::min(out.best[v], t[v]);
+    ratios.push_back(t[1] / t[0]);
+  }
+  std::sort(ratios.begin(), ratios.end());
+  out.median_pct = (support::quantile_sorted(ratios, 0.5) - 1.0) * 100.0;
+  out.iqr_pct = (support::quantile_sorted(ratios, 0.75) -
+                 support::quantile_sorted(ratios, 0.25)) *
+                100.0;
+  return out;
 }
 
 }  // namespace lamb

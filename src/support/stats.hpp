@@ -1,5 +1,6 @@
 // Streaming statistics accumulators, a wall-clock stopwatch and the
-// micro benches' interleaved best-of-N timer, used by the experiment
+// micro benches' interleaved timers (best-of-N, and the median of paired
+// on/off ratios for small overheads), used by the experiment
 // harness (paper Section 8 reports averages and maxima over 1000-trial
 // sweeps, plus running times in Figure 26).
 #pragma once
@@ -59,5 +60,21 @@ class Stopwatch {
 std::vector<double> best_of_interleaved(
     int reps, std::size_t variants,
     const std::function<double(std::size_t)>& run);
+
+// An on/off overhead from order-alternating interleaved pairs: `pairs`
+// rounds, each timing run(0) (the baseline) and run(1) (the variant) back
+// to back — baseline first in even rounds, variant first in odd ones, so
+// neither side always runs second on a warm cache. A load spike lands
+// inside one pair and moves that pair's ratio run(1) / run(0), which the
+// median shrugs off where it can swing either side's best. `run` times
+// one run of side v itself and returns the seconds.
+struct PairedOverhead {
+  double median_pct = 0.0;  // (median ratio - 1) * 100
+  double iqr_pct = 0.0;     // interquartile range of the ratios, * 100
+  double best[2] = {std::numeric_limits<double>::infinity(),
+                    std::numeric_limits<double>::infinity()};  // per side
+};
+PairedOverhead paired_overhead(int pairs,
+                               const std::function<double(int)>& run);
 
 }  // namespace lamb

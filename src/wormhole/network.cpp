@@ -692,9 +692,8 @@ SimResult Network::run() {
 
   if (telemetry_) {
     telemetry_->end_window(cycle_, occupancy_of, this, /*final=*/true);
-    if (!config_.telemetry.dump.empty()) {
-      telemetry_->write(cycle_);
-    }
+    // A failed write reports itself on stderr; the run's result stands.
+    if (!config_.telemetry.dump.empty()) telemetry_->write(cycle_);
   }
 
   if (obs::MetricsRegistry::global().enabled()) {

@@ -1,9 +1,11 @@
-// Tests for the two R^(k) backends (paper footnote 7): the Section 6.2
-// matrix chain and the per-representative flood ("spanning tree")
-// computation must agree bit for bit, through every solver entry point,
-// and the set-valued flood primitive must equal the union of per-node
-// floods. Also covers the route picker (RouteCache) against a brute-force
-// reference and the Samples quantile helper added for latency reporting.
+// Tests for R^(k) against footnote 7's "spanning tree" reference: the
+// Section 6.2 chain (compute_reachability) must equal one k-round flood
+// per SES representative bit for bit (tests/flood_reference.hpp), and
+// lamb1's cover over either matrix must be the same lamb set, which the
+// verifier accepts. The set-valued flood primitive must equal the union
+// of per-node floods. Also covers the route picker (RouteCache) against a
+// brute-force reference and the Samples quantile helper added for latency
+// reporting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +17,7 @@
 #include <vector>
 
 #include "core/lamb.hpp"
+#include "core/lamb_internal.hpp"
 #include "core/verifier.hpp"
 #include "manager/machine_manager.hpp"
 #include "reach/flood_oracle.hpp"
@@ -23,6 +26,7 @@
 #include "support/rng.hpp"
 #include "support/samples.hpp"
 #include "wormhole/route_cache.hpp"
+#include "flood_reference.hpp"
 #include "sweep_name.hpp"
 
 namespace lamb {
@@ -48,11 +52,8 @@ TEST_P(BackendSweep, MatrixAndFloodAgreeBitForBit) {
   Rng rng(p.seed);
   const FaultSet faults = FaultSet::random_nodes(shape, p.faults, rng);
   const auto orders = ascending_rounds(shape.dim(), p.rounds);
-  const ReachComputation matrix =
-      compute_reachability(shape, faults, orders, ReachBackend::kMatrix);
-  const ReachComputation flood =
-      compute_reachability(shape, faults, orders, ReachBackend::kFlood);
-  EXPECT_EQ(matrix.rk, flood.rk);
+  const ReachComputation reach = compute_reachability(shape, faults, orders);
+  EXPECT_EQ(reach.rk, flood_reference(shape, faults, orders, reach));
 }
 
 TEST_P(BackendSweep, Lamb1IdenticalUnderBothBackends) {
@@ -60,13 +61,17 @@ TEST_P(BackendSweep, Lamb1IdenticalUnderBothBackends) {
   const MeshShape shape = MeshShape::mesh(p.widths);
   Rng rng(p.seed ^ 0x77);
   const FaultSet faults = FaultSet::random_nodes(shape, p.faults, rng);
-  LambOptions matrix_opts;
-  matrix_opts.rounds = p.rounds;
-  matrix_opts.backend = ReachBackend::kMatrix;
-  LambOptions flood_opts = matrix_opts;
-  flood_opts.backend = ReachBackend::kFlood;
-  EXPECT_EQ(lamb1(shape, faults, matrix_opts).lambs,
-            lamb1(shape, faults, flood_opts).lambs);
+  const auto orders = ascending_rounds(shape.dim(), p.rounds);
+  LambOptions options;
+  options.rounds = p.rounds;
+  const LambResult got = lamb1(shape, faults, options);
+  EXPECT_TRUE(is_lamb_set(shape, faults, orders, got.lambs));
+  // The same cover over the flood reference's R^(k).
+  ReachComputation reach = compute_reachability(shape, faults, orders);
+  reach.rk = flood_reference(shape, faults, orders, reach);
+  EXPECT_EQ(got.lambs, internal::cover_phase(shape, reach, options, {},
+                                             internal::Deadline(0.0))
+                           .lambs);
 }
 
 INSTANTIATE_TEST_SUITE_P(

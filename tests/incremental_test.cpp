@@ -173,11 +173,11 @@ TEST(Incremental, ReachDeltaAppliesDirectedAndHalfDeadLinksExactly) {
   after.add_link(c, 1, Dir::Pos);
 
   ReachCapture before_cap;
-  const ReachComputation before_reach = compute_reachability(
-      shape, before, orders, ReachBackend::kMatrix, &before_cap);
+  const ReachComputation before_reach =
+      compute_reachability(shape, before, orders, &before_cap);
   ReachCapture want_cap;
-  const ReachComputation want = compute_reachability(
-      shape, after, orders, ReachBackend::kMatrix, &want_cap);
+  const ReachComputation want =
+      compute_reachability(shape, after, orders, &want_cap);
 
   // The fixture must reach every case, judged by route walks over the new
   // partitions (independent of the masks under test).

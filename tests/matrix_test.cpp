@@ -405,9 +405,8 @@ TEST(ReachComputation, ChainMatchesNaiveLeftToRight) {
     };
     for (const auto& [orders, round_part] : runs) {
       ReachCapture cap;
-      const ReachComputation reach = compute_reachability(
-          shape, faults, orders, ReachBackend::kMatrix, &cap);
-      ASSERT_TRUE(cap.valid);
+      const ReachComputation reach =
+          compute_reachability(shape, faults, orders, &cap);
       ASSERT_EQ(reach.round_part, round_part);
       ASSERT_EQ(cap.inters.size(), orders.size() - 1);
       BitMatrix want = cap.r[static_cast<std::size_t>(round_part[0])];
@@ -450,8 +449,8 @@ std::uint64_t rk_digest(const BitMatrix& m) {
 }
 
 TEST(ReachComputation, PaperScaleChainPinned) {
-  // The paper's two simulation meshes at k = 2 on the matrix backend,
-  // with uniformly random node faults: M_2(181) at 1.5% and M_3(32) at 1%.
+  // The paper's two simulation meshes at k = 2 with uniformly random node
+  // faults: M_2(181) at 1.5% and M_3(32) at 1%.
   // The pinned values were computed with the chain evaluated left to
   // right, so they check the right-to-left reach_chain and the product
   // kernel at the paper's scale: a flipped bit of R^(2) or a changed
@@ -473,11 +472,9 @@ TEST(ReachComputation, PaperScaleChainPinned) {
     const MeshShape shape = MeshShape::cube(c.dim, c.width);
     Rng rng(c.seed);
     const FaultSet faults = FaultSet::random_nodes(shape, c.faults, rng);
-    const ReachComputation reach = compute_reachability(
-        shape, faults, ascending_rounds(c.dim, 2), ReachBackend::kMatrix);
-    LambOptions options;
-    options.backend = ReachBackend::kMatrix;
-    const LambResult lambs = lamb1(shape, faults, options);
+    const ReachComputation reach =
+        compute_reachability(shape, faults, ascending_rounds(c.dim, 2));
+    const LambResult lambs = lamb1(shape, faults, {});
     EXPECT_EQ(reach.rk.rows(), c.p) << "M_" << c.dim << "(" << c.width << ")";
     EXPECT_EQ(reach.rk.cols(), c.q) << "M_" << c.dim << "(" << c.width << ")";
     EXPECT_EQ(rk_digest(reach.rk), c.digest)

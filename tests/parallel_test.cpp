@@ -17,6 +17,7 @@
 #include "mesh/fault_set.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
+#include "flood_reference.hpp"
 
 namespace lamb {
 namespace {
@@ -137,26 +138,12 @@ TEST(Determinism, ReachabilityMatricesIdenticalAcrossThreadCounts) {
   PoolWidthGuard guard;
   const MeshShape shape = MeshShape::cube(2, 12);
   const FaultSet faults = fixed_faults(shape, 10, 4242);
-  par::set_threads(1);
-  const BitMatrix rk_matrix =
-      compute_reachability(shape, faults, ascending_rounds(2, 2),
-                           ReachBackend::kMatrix)
-          .rk;
-  const BitMatrix rk_flood =
-      compute_reachability(shape, faults, ascending_rounds(2, 2),
-                           ReachBackend::kFlood)
-          .rk;
-  for (int threads : {2, 8}) {
+  const MultiRoundOrder orders = ascending_rounds(2, 2);
+  const BitMatrix want = flood_reference(
+      shape, faults, orders, compute_reachability(shape, faults, orders));
+  for (int threads : {1, 2, 8}) {
     par::set_threads(threads);
-    EXPECT_EQ(compute_reachability(shape, faults, ascending_rounds(2, 2),
-                                   ReachBackend::kMatrix)
-                  .rk,
-              rk_matrix)
-        << threads << " threads";
-    EXPECT_EQ(compute_reachability(shape, faults, ascending_rounds(2, 2),
-                                   ReachBackend::kFlood)
-                  .rk,
-              rk_flood)
+    EXPECT_EQ(compute_reachability(shape, faults, orders).rk, want)
         << threads << " threads";
   }
 }

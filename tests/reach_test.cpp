@@ -563,8 +563,8 @@ INSTANTIATE_TEST_SUITE_P(
         KernelCase{{4, 3, 3, 5}, false, false, 10}),
     ::testing::PrintToStringParamName());
 
-// One const oracle serves many threads at once (the flood backend's
-// parallel_for, the verifier and RouteTable share one), so a flood may
+// One const oracle serves many threads at once (the verifier and
+// RouteTable share one), so a flood may
 // keep no state in the oracle: four threads must get the serial sets.
 TEST(FloodOracle, ConcurrentFloodsMatchSerial) {
   const MeshShape shape = MeshShape::torus({9, 8, 7});

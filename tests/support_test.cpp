@@ -204,6 +204,24 @@ TEST(BestOfInterleaved, OneVariantAlone) {
   EXPECT_EQ(best, (std::vector<double>{0.1}));
 }
 
+// Pairs alternate which side runs first; every ratio is variant over
+// baseline whatever the order (here 1.5, 0.5, 1.5), and each side keeps
+// its own minimum.
+TEST(PairedOverhead, AlternatesOrderAndTakesTheMedianRatio) {
+  const double times[2][3] = {{2.0, 4.0, 1.0}, {3.0, 2.0, 1.5}};
+  std::vector<int> calls;
+  int rep[2] = {0, 0};
+  const PairedOverhead got = paired_overhead(3, [&](int v) {
+    calls.push_back(v);
+    return times[v][rep[v]++];
+  });
+  EXPECT_EQ(calls, (std::vector<int>{0, 1, 1, 0, 0, 1}));
+  EXPECT_DOUBLE_EQ(got.median_pct, 50.0);
+  EXPECT_DOUBLE_EQ(got.iqr_pct, 100.0);
+  EXPECT_EQ(got.best[0], 1.0);
+  EXPECT_EQ(got.best[1], 1.5);
+}
+
 TEST(Bits, SetTestReset) {
   Bits b(130);
   b.set(0);

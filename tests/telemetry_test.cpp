@@ -53,13 +53,15 @@ TEST(TelemetryRing, RetainsMostRecentWindows) {
   config.ring_windows = 4;
   Telemetry telemetry(shape, 1, config);
   const LinkId link = shape.link_id(shape.index(Point{1, 1}), 0, Dir::Pos);
-  auto occupancy = [](LinkId, int) { return 3; };
+  const Telemetry::OccupancyProbe occupancy = [](void*, LinkId, int) {
+    return 3;
+  };
 
   // Ten windows of one flit each through a 4-deep ring: only the last
   // four survive, and the series reports where its history begins.
   for (std::int64_t cycle = 1; cycle <= 10; ++cycle) {
     telemetry.on_flit(shape.index(Point{1, 1}), link, 0);
-    telemetry.end_window(cycle, occupancy);
+    telemetry.end_window(cycle, occupancy, nullptr);
   }
   EXPECT_EQ(telemetry.windows(), 10);
 
@@ -83,12 +85,14 @@ TEST(TelemetryRing, PadsIdleWindowsOnFlush) {
   config.ring_windows = 8;
   Telemetry telemetry(shape, 2, config);
   const LinkId link = shape.link_id(shape.index(Point{0, 0}), 1, Dir::Pos);
-  auto occupancy = [](LinkId, int) { return 0; };
+  const Telemetry::OccupancyProbe occupancy = [](void*, LinkId, int) {
+    return 0;
+  };
 
   // Three flits early on, then the simulator fast-forwards an idle gap:
   // the flits land in the first pending window, the rest pad with zeros.
   for (int i = 0; i < 3; ++i) telemetry.on_flit(shape.index(Point{0, 0}), link, 1);
-  telemetry.end_window(40, occupancy);
+  telemetry.end_window(40, occupancy, nullptr);
   EXPECT_EQ(telemetry.windows(), 4);
 
   std::int64_t first_window = -1;
@@ -101,9 +105,9 @@ TEST(TelemetryRing, PadsIdleWindowsOnFlush) {
 
   // A trailing partial window only closes on the final flush.
   telemetry.on_flit(shape.index(Point{0, 0}), link, 1);
-  telemetry.end_window(45, occupancy);
+  telemetry.end_window(45, occupancy, nullptr);
   EXPECT_EQ(telemetry.windows(), 4);
-  telemetry.end_window(45, occupancy, /*final=*/true);
+  telemetry.end_window(45, occupancy, nullptr, /*final=*/true);
   EXPECT_EQ(telemetry.windows(), 5);
   ASSERT_TRUE(telemetry.channel_series(link, 1, &first_window, &samples));
   EXPECT_EQ(samples.back().flits, 1);
