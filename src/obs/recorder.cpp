@@ -14,6 +14,7 @@
 #include <new>
 
 #include "support/crc32c.hpp"
+#include "support/env.hpp"
 
 namespace lamb::obs {
 
@@ -140,11 +141,11 @@ void FlightRecorder::record(FlightEventType type, std::uint16_t code,
   slot.stamp.store(seq + 1, std::memory_order_release);
 }
 
-std::vector<FlightEvent> FlightRecorder::tail(std::size_t max_events) const {
+std::vector<FlightEvent> FlightRecorder::tail(std::size_t limit) const {
   std::vector<FlightEvent> out;
   const std::uint64_t next = next_seq_.load(std::memory_order_acquire);
   const std::uint64_t window =
-      std::min<std::uint64_t>({next, capacity_, max_events});
+      std::min<std::uint64_t>({next, capacity_, limit});
   out.reserve(window);
   for (std::uint64_t seq = next - window; seq < next; ++seq) {
     const Slot& slot = slots_[seq % capacity_];
@@ -305,12 +306,9 @@ FlightRecorder& FlightRecorder::global() {
   // Leaked so instrumented code may record during static destruction
   // (mirrors MetricsRegistry::global()).
   static FlightRecorder* instance = [] {
-    std::size_t capacity = kDefaultCapacity;
-    if (const char* env = std::getenv("LAMBMESH_FLIGHT_EVENTS")) {
-      const long parsed = std::strtol(env, nullptr, 10);
-      if (parsed > 0) capacity = static_cast<std::size_t>(parsed);
-    }
-    auto* rec = new FlightRecorder(capacity);
+    const long events = env_long("LAMBMESH_FLIGHT_EVENTS", 0);
+    auto* rec = new FlightRecorder(
+        events > 0 ? static_cast<std::size_t>(events) : kDefaultCapacity);
     const char* spec = std::getenv("LAMBMESH_FLIGHT");
     if (spec != nullptr && spec[0] != '\0') {
       const std::string value = spec;

@@ -144,9 +144,9 @@ class FlightRecorder {
   void record(FlightEventType type, std::uint16_t code = 0,
               std::int64_t a = 0, std::int64_t b = 0);
 
-  // Most-recent-last copy of the valid tail (at most `max_events`,
+  // Most-recent-last copy of the valid tail (at most `limit` events,
   // bounded by capacity). Torn slots are skipped.
-  std::vector<FlightEvent> tail(std::size_t max_events) const;
+  std::vector<FlightEvent> tail(std::size_t limit) const;
 
   // Serializes the current tail into a sealed "LAMBFREC" container at
   // `path`. Async-signal-safe once a dump path has been configured (the

@@ -1,18 +1,17 @@
 #include "obs/slo.hpp"
 
-#include <cstdlib>
 #include <memory>
+
+#include "support/env.hpp"
 
 namespace lamb::obs {
 
 namespace {
 
+// A positive number of seconds from the environment, else `fallback`.
 double env_seconds(const char* name, double fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || env[0] == '\0') return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(env, &end);
-  return (end != env && parsed > 0.0) ? parsed : fallback;
+  const double parsed = env_double(name, fallback);
+  return parsed > 0.0 ? parsed : fallback;
 }
 
 }  // namespace

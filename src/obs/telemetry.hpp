@@ -6,9 +6,9 @@
 // layer answers "where in the mesh and when in simulated time": every
 // `sample_every` cycles the simulator closes a window, and each
 // (directed link, virtual channel) that has carried traffic gets one
-// ring-buffered sample of flit-traversals and buffer occupancy. Ring
-// capacity bounds memory — long runs keep the most recent
-// `ring_windows` windows per series.
+// sample of flit-traversals and buffer occupancy. Samples live in a
+// window-major ring, so long runs keep the most recent `ring_windows`
+// windows per series and memory stays bounded.
 //
 // The whole tier is opt-in per Network via SimConfig::telemetry and
 // costs nothing when disabled (the simulator guards every hook with one
@@ -16,6 +16,8 @@
 // follow the LAMBMESH_METRICS plumbing (see docs/OBSERVABILITY.md).
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -39,8 +41,6 @@ struct TelemetryConfig {
   // always attached no later than the cycle that declares deadlock — a
   // value larger than the threshold behaves exactly like 0.
   std::int64_t watchdog_cycles = 0;
-  // Cap on retained lifecycle events (drops record a counter, never fail).
-  std::int64_t max_events = 1 << 20;
   // Dump destination: "" (none) or "csv:<path>". With several
   // Network::run()s per process, run r > 0 appends ".r" to the path so
   // every dump survives.
@@ -72,7 +72,7 @@ const char* msg_event_name(MsgEvent kind);
 // Packed to 16 bytes: saturated runs log one event per channel
 // acquisition and release, so the buffer streams megabytes through the
 // cache — half-width fields halve that traffic. The narrow types cover
-// every reachable value: the buffer caps at max_events (default 1M)
+// every reachable value: the buffer caps at Telemetry::kMaxEvents (1M)
 // long before a sim could overflow an int32 cycle or message id, and no
 // mesh has 2^31 channels. The channel is kept as the flat slot
 // (link * vcs + vc, -1 for endpoint events) exactly as the simulator
@@ -138,47 +138,44 @@ struct StallReport {
   std::string render(const MeshShape& shape) const;
 };
 
-// Per-Network telemetry collector. All recording hooks are O(1)
-// amortized and never throw; the owning simulator is expected to call
-// them only when telemetry is enabled, and to close windows via
-// end_window(). Not thread-safe — one collector per (single-threaded)
-// simulation, matching wormhole::Network.
+// Per-Network telemetry collector. The channel series are read straight
+// from the simulator's own per-slot arrays (slot = link * vcs + vc over
+// the dense link_id space): its cumulative flit counters and its buffer
+// occupancy, saturated to a byte. Each window close reads both, so the
+// simulator's advance path carries no per-flit channel hook. The
+// recording hooks are O(1) amortized and never throw; the owning
+// simulator calls them only when telemetry is enabled. Not thread-safe —
+// one collector per (single-threaded) simulation, matching
+// wormhole::Network.
 class Telemetry {
  public:
-  Telemetry(const MeshShape& shape, int vcs_per_link, TelemetryConfig config);
-  ~Telemetry();  // out-of-line: Series/NodeSeries are private to the .cpp
+  // Lifecycle events retained per run; later ones count as dropped.
+  static constexpr std::size_t kMaxEvents = std::size_t{1} << 20;
+
+  // `channel_flits` and `occupancy` hold one entry per channel slot and
+  // must outlive the collector.
+  Telemetry(const MeshShape& shape, int vcs_per_link, TelemetryConfig config,
+            const std::int32_t* channel_flits, const std::uint8_t* occupancy);
 
   const TelemetryConfig& config() const { return config_; }
   const MeshShape& shape() const { return shape_; }
 
   // --- Recording hooks -----------------------------------------------
-  // Inline: these sit on the simulator's per-flit path (hundreds of
-  // thousands of calls per run), so each must compile down to a flat
-  // array increment at the call site. The cold first-touch and growth
-  // paths stay out of line in the .cpp.
-  // A flit traversed (link, vc) out of node `from` this cycle.
-  void on_flit(NodeId from, LinkId link, int vc) {
-    (void)from;  // series_at decodes the source node from the link id
-    const auto slot = static_cast<std::size_t>(link * vcs_ + vc);
-    if (!ch_live_[slot]) series_at(link, vc);
-    ++ch_window_[slot];
-  }
-  // A flit left its source queue / was ejected at its destination. Pure
-  // increments: node discovery happens at the window close, which scans
-  // the flat counters (the close of the window a node's first flit lands
-  // in — the same window hook-time discovery would record).
+  // Inline: the endpoint hooks run once per injected or ejected flit, so
+  // each is a bare increment of a cumulative per-node counter; the next
+  // window close reads the deltas, as it does for the channel counters.
   void on_inject_flit(NodeId src) {
-    ++node_inj_window_[static_cast<std::size_t>(src)];
+    ++node_flits_[static_cast<std::size_t>(src)].injected;
   }
   void on_eject_flit(NodeId dst) {
-    ++node_ej_window_[static_cast<std::size_t>(dst)];
+    ++node_flits_[static_cast<std::size_t>(dst)].ejected;
   }
   void on_event(MsgEvent kind, std::int64_t msg, std::int64_t cycle,
                 std::int64_t slot = -1) {
     // One predictable branch on the hot path: events_headroom_ folds the
-    // lifecycle-enabled, max_events, and capacity checks into a single
-    // bound (0 when lifecycle is off; min(capacity, max_events) once a
-    // buffer exists), so the slow path only runs on growth or overflow.
+    // lifecycle-enabled, kMaxEvents, and capacity checks into a single
+    // bound (0 until the first recorded event reserves the buffer), so the
+    // slow path only runs once, when lifecycle is off, or on overflow.
     if (events_.size() >= events_headroom_) {
       on_event_slow(kind, msg, cycle, slot);
       return;
@@ -188,36 +185,21 @@ class Telemetry {
                                      static_cast<std::int32_t>(slot), kind});
   }
   void on_delivered(const LatencyRecord& record);
-  // Zero-hook channel feed: `per_slot_flits` points at the simulator's
-  // own cumulative per-(link * vcs + vc) flit counters (one entry per
-  // channel slot, same layout as this collector's series table, must
-  // outlive it). When set, on_flit is never needed — each window close
-  // reads the counter deltas instead, so the simulator's advance path
-  // carries no per-flit telemetry work at all. Window samples land in a
-  // flat arena and are folded into the per-series rings lazily, on the
-  // first read after a close. `occupancy` optionally points at a dense
-  // per-slot buffer occupancy array (one byte per slot), replacing the
-  // end_window probe with a linear skim.
-  void set_flit_source(const std::int32_t* per_slot_flits,
-                       const std::uint8_t* occupancy = nullptr);
   void set_stall_report(StallReport report);
   // Per-node route-construction load (RouteCache/NodeLoad counts), so
   // lamb-induced load concentration is plottable from the same dump.
   void set_route_load(std::vector<std::int32_t> counts);
 
   // Closes every window up to cycle / sample_every (plus the trailing
-  // partial window when `final` is set). `occ(ctx, link, vc)` returns the
-  // current buffer occupancy of a channel; it is consulted once per
-  // active series per call, and may be null (occupancy reads 0). A plain
-  // function pointer plus context keeps the simulator's per-cycle close
-  // free of std::function dispatch.
-  using OccupancyProbe = int (*)(void* ctx, LinkId link, int vc);
-  void end_window(std::int64_t cycle, OccupancyProbe occ, void* ctx,
-                  bool final = false);
+  // partial window when `final` is set). Counts since the last close
+  // belong to its first window; any further windows of the same close are
+  // idle padding (the simulator fast-forwarded, so nothing moved and
+  // occupancy held).
+  void end_window(std::int64_t cycle, bool final = false);
 
   // --- Introspection (tests, exporters) ------------------------------
   std::int64_t windows() const { return windows_done_; }
-  std::int64_t total_channel_flits() const;  // sums every series
+  std::int64_t total_channel_flits() const;  // sums the simulator's counters
   std::int64_t events_recorded() const {
     return static_cast<std::int64_t>(events_.size());
   }
@@ -225,9 +207,9 @@ class Telemetry {
   const std::vector<LatencyRecord>& latencies() const { return latencies_; }
   const StallReport* stall_report() const { return stall_report_.get(); }
 
-  // Oldest-first unrolled samples of one channel's ring, with the window
-  // index of the first entry. Returns false when the channel never
-  // carried a flit (no series was allocated).
+  // Oldest-first retained samples of one channel, with the window index
+  // of the first entry. Returns false when the channel had carried no
+  // flit by the last window close.
   bool channel_series(LinkId link, int vc, std::int64_t* first_window,
                       std::vector<ChannelSample>* out) const;
 
@@ -240,68 +222,75 @@ class Telemetry {
   bool write_csv(const std::string& path, std::int64_t cycles) const;
 
  private:
-  struct Series;
-  struct NodeSeries;
+  struct NodeFlits {
+    std::int32_t injected = 0;
+    std::int32_t ejected = 0;
+  };
+  struct NodeSample {
+    std::uint16_t injected = 0;
+    std::uint16_t ejected = 0;
+  };
 
-  Series& series_at(LinkId link, int vc);
-  NodeSeries& node_series_at(NodeId node);
-  void grow_events();  // out of line: amortized vector growth for events_
-  // Cold path of on_event: lifecycle disabled, buffer growth, or the
-  // max_events drop. Re-derives events_headroom_ after growing.
+  // Window-major sample ring, shared by the channel and the node series:
+  // buffer w % capacity holds window w, indexed directly by slot. A
+  // close writes each pending window's buffer once, sequentially — a
+  // slot-major layout would put every slot's sample on its own cache line
+  // and turn each close into a miss stream. Buffers are allocated
+  // uninitialized at full slot count on first use and recycled in place
+  // as the ring wraps; only windows at or after a slot's `first` are
+  // ever read back for it.
+  template <class Sample>
+  struct Ring {
+    Ring(std::size_t slots, int capacity)
+        : windows(static_cast<std::size_t>(capacity)), first(slots, -1) {}
+
+    // Points `pending` at the surviving windows of [base, base + n). When
+    // n outruns the ring, window `base` is already evicted and so are the
+    // counts that belong to it.
+    void open(std::int64_t base, std::int64_t n);
+    // Records one slot's samples for the open close: `counted` for window
+    // `base`, `idle` for every later pending window.
+    void put(std::size_t slot, Sample counted, Sample idle) {
+      pending[0][slot] = base_survives ? counted : idle;
+      for (std::size_t k = 1; k < pending.size(); ++k) pending[k][slot] = idle;
+    }
+    // First retained window of a slot once `done` windows have closed.
+    std::int64_t retained_from(std::size_t slot, std::int64_t done) const {
+      return std::max<std::int64_t>(
+          first[slot], done - static_cast<std::int64_t>(windows.size()));
+    }
+    const Sample& at(std::int64_t window, std::size_t slot) const {
+      return windows[static_cast<std::size_t>(window) % windows.size()][slot];
+    }
+
+    std::vector<std::unique_ptr<Sample[]>> windows;
+    // Per slot, the window its first count landed in; -1 until then.
+    std::vector<std::int64_t> first;
+    std::vector<Sample*> pending;
+    bool base_survives = true;
+  };
+
+  // Cold path of on_event: lifecycle disabled, the first event (which
+  // reserves the whole buffer), or the kMaxEvents drop.
   void on_event_slow(MsgEvent kind, std::int64_t msg, std::int64_t cycle,
                      std::int64_t slot);
-  // Source-fed mode: fold the flat sample arena into the per-series
-  // rings so the read paths (accessors, dumps) see ordinary Series
-  // state. No-op when hook-fed or already current.
-  void materialize_rings() const;
 
   MeshShape shape_;
   int vcs_ = 1;
   TelemetryConfig config_;
   std::int64_t windows_done_ = 0;
 
-  // (link * vcs + vc) -> series, stored by value so window flushes walk
-  // contiguous memory instead of chasing per-slot heap pointers; the
-  // live flags mark first-flit initialization and active_ lists the live
-  // slots so flushes touch only channels that have carried traffic.
-  std::vector<Series> channels_;
-  std::vector<char> ch_live_;
-  std::vector<std::int64_t> active_;
-  std::vector<NodeSeries> nodes_;
-  std::vector<char> node_live_;
-  std::vector<NodeId> active_nodes_;
-
-  // Flat per-slot counters for the current (still-open) window. The
-  // per-flit hooks touch only these; end_window folds them into the
-  // Series/NodeSeries rings and totals. Keeping the hot path to a plain
-  // array increment holds the telemetry-enabled budget (see
-  // BENCH_wormhole.json telemetry_on_overhead_pct).
-  std::vector<std::int64_t> ch_window_;
-  std::vector<std::int64_t> node_inj_window_;
-  std::vector<std::int64_t> node_ej_window_;
-
-  // External cumulative channel counters (set_flit_source) and the value
-  // of each at the last close; null when channels are hook-fed.
-  const std::int32_t* flit_source_ = nullptr;
-  std::vector<std::int32_t> flit_synced_;
-  // Dense per-slot occupancy feed (set_flit_source); null falls back
-  // to the end_window probe.
-  const std::uint8_t* occ_source_ = nullptr;
-  // Source-fed window samples, window-major: entry w % ring_windows is
-  // window w's buffer, indexed directly by slot. A window's buffer is
-  // written once, sequentially, at its close — row-major layouts put
-  // every slot's sample on its own cache line and turn each close into a
-  // 6000-line miss stream. Buffers are allocated uninitialized at full
-  // slot capacity and recycled in place as the ring wraps.
-  // materialize_rings() folds them into the Series rings when a reader
-  // needs them (tracked by arena_synced_windows_).
-  std::vector<std::unique_ptr<ChannelSample[]>> ring_arena_;
-  std::vector<ChannelSample*> arena_pending_;  // close-time scratch
-  // Per slot, the window the slot's first flit landed in, or -1 once
-  // materialize_rings() has built the slot's Series metadata (the close
-  // sweep defers that cold work to the first read).
-  std::vector<std::int32_t> src_first_window_;
-  mutable std::int64_t arena_synced_windows_ = -1;
+  // The simulator's cumulative per-slot flit counters and occupancy
+  // bytes, and each counter's value at the last close.
+  const std::int32_t* channel_flits_;
+  const std::uint8_t* occupancy_;
+  std::vector<std::int32_t> channel_synced_;
+  Ring<ChannelSample> channels_;
+  // Cumulative per-node endpoint counters (the hooks above) and their
+  // values at the last close.
+  std::vector<NodeFlits> node_flits_;
+  std::vector<NodeFlits> node_synced_;
+  Ring<NodeSample> nodes_;
 
   std::vector<LifecycleEvent> events_;
   std::size_t events_headroom_ = 0;  // see on_event

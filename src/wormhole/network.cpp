@@ -74,25 +74,15 @@ Network::Network(const MeshShape& shape, const FaultSet& faults,
   link_used_.assign(static_cast<std::size_t>(num_links), 0);
   // Per (link, vc), the buffers_ index: the run epilogue folds VCs back
   // into per-link load, and the telemetry channel series read the same
-  // array as their window feed (Telemetry::set_flit_source) so the
+  // array, with the occupancy mirror, at every window close, so the
   // advance path carries no per-flit telemetry call at all.
   link_flits_.assign(buffers_.size(), 0);
   if (config_.telemetry.enabled) {
+    occ_shadow_.assign(buffers_.size(), 0);
+    occ_mirror_ = occ_shadow_.data();
     telemetry_ = std::make_unique<obs::Telemetry>(
-        shape, config_.vcs_per_link, config_.telemetry);
-    // Occupancy feed: buffers_ and the telemetry slot table share the
-    // (link * vcs + vc) indexing. Mirror each buffer's occupancy into a
-    // dense byte array so the window close skims 6KB linearly instead
-    // of striding a cache line per two slots through the Buffer array.
-    // If a buffer could outgrow a byte, skip the mirror and let the
-    // close fall back to the per-slot probe.
-    if (config_.buffer_flits <= 255) {
-      occ_shadow_.assign(buffers_.size(), 0);
-      occ_mirror_ = occ_shadow_.data();
-      telemetry_->set_flit_source(link_flits_.data(), occ_mirror_);
-    } else {
-      telemetry_->set_flit_source(link_flits_.data());
-    }
+        shape, config_.vcs_per_link, config_.telemetry, link_flits_.data(),
+        occ_mirror_);
   }
   if (!config_.fault_schedule.empty()) {
     pending_faults_ = config_.fault_schedule.events;
@@ -180,7 +170,7 @@ Network::Advance Network::try_advance(MessageState& st, int p) {
     const std::int64_t prev_index = buffer_index(prev_from, prev);
     Buffer& sb = buffers_[static_cast<std::size_t>(prev_index)];
     --sb.occupancy;
-    if (occ_mirror_) --occ_mirror_[static_cast<std::size_t>(prev_index)];
+    mirror_occupancy(prev_index, sb.occupancy);
     ++sb.passed;
     --st.count_at[static_cast<std::size_t>(p)];
     if (sb.passed == st.msg.length_flits) {
@@ -202,7 +192,7 @@ Network::Advance Network::try_advance(MessageState& st, int p) {
   }
   tb.owner = m;
   ++tb.occupancy;
-  if (occ_mirror_) ++occ_mirror_[static_cast<std::size_t>(target_index)];
+  mirror_occupancy(target_index, tb.occupancy);
   ++st.count_at[static_cast<std::size_t>(q)];
   ++st.crossed[static_cast<std::size_t>(q)];
   link_used_[static_cast<std::size_t>(link)] = 1;
@@ -318,7 +308,7 @@ void Network::step_message(std::int64_t m, SimResult* result) {
     const std::int64_t index = buffer_index(from, last);
     Buffer& b = buffers_[static_cast<std::size_t>(index)];
     --b.occupancy;
-    if (occ_mirror_) --occ_mirror_[static_cast<std::size_t>(index)];
+    mirror_occupancy(index, b.occupancy);
     ++b.passed;
     --st.count_at[static_cast<std::size_t>(h - 1)];
     bool released = false;
@@ -504,16 +494,6 @@ SimResult Network::run() {
     result.turns.add(static_cast<double>(st.msg.route.turns()));
   }
 
-  // Window-flush probe for the telemetry series: a capture-free lambda so
-  // the close loop dispatches through a plain function pointer.
-  const obs::Telemetry::OccupancyProbe occupancy_of =
-      [](void* ctx, LinkId link, int vc) -> int {
-    auto* self = static_cast<Network*>(ctx);
-    return self
-        ->buffers_[static_cast<std::size_t>(
-            link * self->config_.vcs_per_link + vc)]
-        .occupancy;
-  };
   // The watchdog fires once per run, `watchdog_cycles` motionless cycles
   // into a streak (default: just before the deadlock threshold trips).
   // Precedence rule (see SimConfig::deadlock_threshold): the trigger is
@@ -547,7 +527,7 @@ SimResult Network::run() {
       ++stagnant;
     }
     if (telemetry_) {
-      telemetry_->end_window(cycle_, occupancy_of, this);
+      telemetry_->end_window(cycle_);
       if (stagnant >= watchdog_at && !watchdog_fired) {
         watchdog_fired = true;
         obs::StallReport report = build_stall_report(stagnant);
@@ -691,7 +671,7 @@ SimResult Network::run() {
                  : 0.0;
 
   if (telemetry_) {
-    telemetry_->end_window(cycle_, occupancy_of, this, /*final=*/true);
+    telemetry_->end_window(cycle_, /*final=*/true);
     // A failed write reports itself on stderr; the run's result stands.
     if (!config_.telemetry.dump.empty()) telemetry_->write(cycle_);
   }
@@ -873,7 +853,7 @@ void Network::drain_message(MessageState& st, SimResult* result) {
     if (b.owner == m) {
       b.owner = -1;
       b.occupancy = 0;
-      if (occ_mirror_) occ_mirror_[static_cast<std::size_t>(index)] = 0;
+      mirror_occupancy(index, 0);
       b.passed = 0;
     }
     st.count_at[p] = 0;

@@ -31,6 +31,7 @@
 // bit-identical SimResults on every workload; only wall-clock differs.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -255,6 +256,13 @@ class Network {
                                 std::int64_t target_index);
   void commit_eject_telemetry(const MessageState& st, std::int64_t index,
                               bool released);
+  // Stores a buffer's new occupancy into the telemetry mirror, if any.
+  void mirror_occupancy(std::int64_t index, int occupancy) {
+    if (occ_mirror_) {
+      occ_mirror_[static_cast<std::size_t>(index)] =
+          static_cast<std::uint8_t>(std::min(occupancy, 255));
+    }
+  }
   // --- Live fault injection (no-ops without a schedule) ---------------
   // Applies every schedule event due at the current cycle: marks the
   // killed channels dead, drains affected messages, cascades losses to
@@ -278,12 +286,11 @@ class Network {
   // flits within the default cycle cap, and the narrow rows halve the
   // footprint of the telemetry window sweep that reads them.
   std::vector<std::int32_t> link_flits_;
-  // Telemetry-only shadow of per-slot occupancy, one byte per channel.
-  // The window sweep would otherwise stride through the whole Buffer
-  // array (a cache line per two slots) every close; mirroring the
-  // counter into a dense 6KB array turns that into a linear skim. Empty
-  // (null data) when telemetry is off or buffer_flits overflows a byte —
-  // the sweep then falls back to the strided read.
+  // Telemetry-only shadow of per-slot occupancy, one byte per channel:
+  // the window close skims this dense array instead of striding a cache
+  // line per two slots through the Buffer array. Each change stores
+  // min(occupancy, 255), so it is exact for every buffer_flits (the
+  // telemetry sample is a byte). Null data when telemetry is off.
   std::vector<std::uint8_t> occ_shadow_;
   std::uint8_t* occ_mirror_ = nullptr;  // occ_shadow_.data() or null
   std::int64_t cycle_ = 0;

@@ -1,5 +1,6 @@
-// Tests for the flit-level telemetry tier: ring-buffered window series
-// (retention and idle-gap padding), histogram quantiles against a
+// Tests for the flit-level telemetry tier: window series fed from
+// cumulative counters (retention, idle-gap padding and eviction, the
+// lifecycle-event cap), histogram quantiles against a
 // reference sort, lifecycle/latency decomposition invariants, the
 // stall watchdog on a hand-built two-message wait-for cycle (and its
 // silence when a VC per round is available), zero-cost disabled mode,
@@ -44,24 +45,43 @@ TelemetryConfig enabled_config() {
   return config;
 }
 
-// --- Ring-buffered window series --------------------------------------
+// --- Window series over the simulator's counter feed ----------------
+
+// Stand-in for the simulator's per-slot arrays: cumulative flit
+// counters and occupancy bytes over the dense link_id slot space.
+struct CounterFeed {
+  CounterFeed(const MeshShape& shape, int vcs)
+      : vcs(vcs),
+        flits(static_cast<std::size_t>(shape.size() * shape.dim() * 2 * vcs)),
+        occupancy(flits.size()) {}
+
+  Telemetry collector(const MeshShape& shape, TelemetryConfig config) {
+    return Telemetry(shape, vcs, config, flits.data(), occupancy.data());
+  }
+  std::size_t slot(LinkId link, int vc) const {
+    return static_cast<std::size_t>(link * vcs + vc);
+  }
+
+  int vcs;
+  std::vector<std::int32_t> flits;
+  std::vector<std::uint8_t> occupancy;
+};
 
 TEST(TelemetryRing, RetainsMostRecentWindows) {
   const MeshShape shape = MeshShape::cube(2, 4);
   TelemetryConfig config = enabled_config();
   config.sample_every = 1;  // one window per cycle
   config.ring_windows = 4;
-  Telemetry telemetry(shape, 1, config);
+  CounterFeed feed(shape, 1);
+  Telemetry telemetry = feed.collector(shape, config);
   const LinkId link = shape.link_id(shape.index(Point{1, 1}), 0, Dir::Pos);
-  const Telemetry::OccupancyProbe occupancy = [](void*, LinkId, int) {
-    return 3;
-  };
+  feed.occupancy[feed.slot(link, 0)] = 3;
 
   // Ten windows of one flit each through a 4-deep ring: only the last
   // four survive, and the series reports where its history begins.
   for (std::int64_t cycle = 1; cycle <= 10; ++cycle) {
-    telemetry.on_flit(shape.index(Point{1, 1}), link, 0);
-    telemetry.end_window(cycle, occupancy, nullptr);
+    ++feed.flits[feed.slot(link, 0)];
+    telemetry.end_window(cycle);
   }
   EXPECT_EQ(telemetry.windows(), 10);
 
@@ -83,16 +103,14 @@ TEST(TelemetryRing, PadsIdleWindowsOnFlush) {
   TelemetryConfig config = enabled_config();
   config.sample_every = 10;
   config.ring_windows = 8;
-  Telemetry telemetry(shape, 2, config);
+  CounterFeed feed(shape, 2);
+  Telemetry telemetry = feed.collector(shape, config);
   const LinkId link = shape.link_id(shape.index(Point{0, 0}), 1, Dir::Pos);
-  const Telemetry::OccupancyProbe occupancy = [](void*, LinkId, int) {
-    return 0;
-  };
 
   // Three flits early on, then the simulator fast-forwards an idle gap:
   // the flits land in the first pending window, the rest pad with zeros.
-  for (int i = 0; i < 3; ++i) telemetry.on_flit(shape.index(Point{0, 0}), link, 1);
-  telemetry.end_window(40, occupancy, nullptr);
+  feed.flits[feed.slot(link, 1)] += 3;
+  telemetry.end_window(40);
   EXPECT_EQ(telemetry.windows(), 4);
 
   std::int64_t first_window = -1;
@@ -104,24 +122,61 @@ TEST(TelemetryRing, PadsIdleWindowsOnFlush) {
   for (std::size_t i = 1; i < samples.size(); ++i) EXPECT_EQ(samples[i].flits, 0);
 
   // A trailing partial window only closes on the final flush.
-  telemetry.on_flit(shape.index(Point{0, 0}), link, 1);
-  telemetry.end_window(45, occupancy, nullptr);
+  ++feed.flits[feed.slot(link, 1)];
+  telemetry.end_window(45);
   EXPECT_EQ(telemetry.windows(), 4);
-  telemetry.end_window(45, occupancy, nullptr, /*final=*/true);
+  telemetry.end_window(45, /*final=*/true);
   EXPECT_EQ(telemetry.windows(), 5);
   ASSERT_TRUE(telemetry.channel_series(link, 1, &first_window, &samples));
   EXPECT_EQ(samples.back().flits, 1);
   EXPECT_EQ(telemetry.total_channel_flits(), 4);
 }
 
+TEST(TelemetryRing, IdleGapLongerThanTheRingKeepsNoEvictedFlits) {
+  // One close spanning more windows than the ring holds: the flits belong
+  // to window 0, which the same close evicts, so every surviving window
+  // is idle padding.
+  const MeshShape shape = MeshShape::cube(2, 4);
+  TelemetryConfig config = enabled_config();
+  config.sample_every = 1;
+  config.ring_windows = 4;
+  CounterFeed feed(shape, 1);
+  Telemetry telemetry = feed.collector(shape, config);
+  const LinkId link = shape.link_id(shape.index(Point{1, 1}), 0, Dir::Pos);
+  feed.flits[feed.slot(link, 0)] = 3;
+  telemetry.end_window(10);
+
+  std::int64_t first_window = -1;
+  std::vector<ChannelSample> samples;
+  ASSERT_TRUE(telemetry.channel_series(link, 0, &first_window, &samples));
+  EXPECT_EQ(first_window, 6);
+  ASSERT_EQ(samples.size(), 4u);
+  for (const ChannelSample& s : samples) EXPECT_EQ(s.flits, 0);
+  EXPECT_EQ(telemetry.total_channel_flits(), 3);
+}
+
 TEST(TelemetryRing, UnusedChannelHasNoSeries) {
   const MeshShape shape = MeshShape::cube(2, 4);
-  Telemetry telemetry(shape, 2, enabled_config());
+  CounterFeed feed(shape, 2);
+  Telemetry telemetry = feed.collector(shape, enabled_config());
   std::int64_t first_window = -1;
   std::vector<ChannelSample> samples;
   EXPECT_FALSE(telemetry.channel_series(
       shape.link_id(shape.index(Point{2, 2}), 0, Dir::Neg), 1, &first_window,
       &samples));
+}
+
+TEST(TelemetryEvents, DropsEventsPastTheCap) {
+  const MeshShape shape = MeshShape::cube(2, 4);
+  CounterFeed feed(shape, 1);
+  Telemetry telemetry = feed.collector(shape, enabled_config());
+  const std::int64_t cap = std::int64_t{1} << 20;
+  ASSERT_EQ(Telemetry::kMaxEvents, static_cast<std::size_t>(cap));
+  for (std::int64_t i = 0; i < cap + 5; ++i) {
+    telemetry.on_event(obs::MsgEvent::kInject, i, i);
+  }
+  EXPECT_EQ(telemetry.events_recorded(), cap);
+  EXPECT_EQ(telemetry.events_dropped(), 5);
 }
 
 // --- Histogram quantiles vs a reference sort --------------------------
@@ -425,9 +480,10 @@ TEST(TelemetryDump, WritesCsvSchema) {
 TEST(TelemetryDump, CsvReportsAFullDevice) {
   if (::access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full";
   const MeshShape shape = MeshShape::cube(2, 4);
-  Telemetry telemetry(shape, 2, enabled_config());
+  CounterFeed feed(shape, 2);
+  Telemetry telemetry = feed.collector(shape, enabled_config());
   telemetry.on_inject_flit(0);
-  telemetry.end_window(64, nullptr, nullptr, /*final=*/true);
+  telemetry.end_window(64, /*final=*/true);
   EXPECT_FALSE(telemetry.write_csv("/dev/full", 64));
 }
 
