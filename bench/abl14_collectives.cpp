@@ -33,8 +33,7 @@ int main(int argc, char** argv) {
     const std::int64_t f = (std::int64_t)((double)shape.size() * pct / 100.0);
     const FaultSet faults = FaultSet::random_nodes(shape, f, rng);
     const LambResult lambs = lamb1(shape, faults, {});
-    const auto survivors =
-        collective::survivor_list(shape, faults, lambs.lambs);
+    const auto survivors = survivor_nodes(faults, lambs.lambs);
     wormhole::RouteCache routes(shape, faults, ascending_rounds(3, 2));
 
     const auto bcast = collective::simulate_schedule(

@@ -1,6 +1,5 @@
 #include "collective/schedule.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -113,19 +112,6 @@ CollectiveResult simulate_schedule(const MeshShape& shape,
   result.phases = schedule.phases;
   result.messages = submitted;
   return result;
-}
-
-std::vector<NodeId> survivor_list(const MeshShape& shape,
-                                  const FaultSet& faults,
-                                  const std::vector<NodeId>& lambs) {
-  std::vector<NodeId> out;
-  for (NodeId id = 0; id < shape.size(); ++id) {
-    if (faults.node_good(id) &&
-        !std::binary_search(lambs.begin(), lambs.end(), id)) {
-      out.push_back(id);
-    }
-  }
-  return out;
 }
 
 }  // namespace lamb::collective

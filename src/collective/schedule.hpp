@@ -64,9 +64,4 @@ CollectiveResult simulate_schedule(const MeshShape& shape,
                                    const wormhole::SimConfig& config,
                                    int message_flits, Rng& rng);
 
-// Survivor list helper: good nodes not in `lambs` (sorted input).
-std::vector<NodeId> survivor_list(const MeshShape& shape,
-                                  const FaultSet& faults,
-                                  const std::vector<NodeId>& lambs);
-
 }  // namespace lamb::collective

@@ -92,6 +92,12 @@ struct LambResult {
   double value(const LambOptions& opts) const;
 };
 
+// Definition 2.6's survivors, ascending: the good nodes not in `lambs` (any
+// order, ids in the mesh). `mask`, when given, gets one byte per node.
+std::vector<NodeId> survivor_nodes(const FaultSet& faults,
+                                   const std::vector<NodeId>& lambs,
+                                   std::vector<std::uint8_t>* mask = nullptr);
+
 // Algorithm Lamb1 (2-approximation, polynomial time).
 LambResult lamb1(const MeshShape& shape, const FaultSet& faults,
                  const LambOptions& options = {});

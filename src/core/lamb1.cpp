@@ -16,6 +16,24 @@ double LambResult::value(const LambOptions& opts) const {
   return total;
 }
 
+std::vector<NodeId> survivor_nodes(const FaultSet& faults,
+                                   const std::vector<NodeId>& lambs,
+                                   std::vector<std::uint8_t>* mask) {
+  const NodeId n = faults.shape().size();
+  std::vector<std::uint8_t> local;
+  std::vector<std::uint8_t>& member = mask != nullptr ? *mask : local;
+  member.assign(static_cast<std::size_t>(n), 1);
+  for (NodeId id : lambs) member[static_cast<std::size_t>(id)] = 0;
+  std::vector<NodeId> out;
+  out.reserve(static_cast<std::size_t>(n));
+  for (NodeId id = 0; id < n; ++id) {
+    std::uint8_t& in = member[static_cast<std::size_t>(id)];
+    in = in != 0 && faults.node_good(id) ? 1 : 0;
+    if (in != 0) out.push_back(id);
+  }
+  return out;
+}
+
 namespace internal {
 
 LambResult cover_phase(const MeshShape& shape, const ReachComputation& reach,

@@ -1,8 +1,8 @@
 #include "core/verifier.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
+#include "core/lamb.hpp"
 #include "reach/flood_oracle.hpp"
 
 namespace lamb {
@@ -68,15 +68,12 @@ std::vector<std::pair<NodeId, NodeId>> unreachable_survivor_pairs(
     const MultiRoundOrder& orders, const std::vector<NodeId>& lambs,
     std::size_t max_pairs) {
   const std::vector<Bits> rows = full_reach_rows(shape, faults, orders);
-  std::vector<char> excluded(static_cast<std::size_t>(shape.size()), 0);
-  for (NodeId id : lambs) excluded[static_cast<std::size_t>(id)] = 1;
-
+  const std::vector<NodeId> survivors = survivor_nodes(faults, lambs);
   std::vector<std::pair<NodeId, NodeId>> bad;
-  for (NodeId v = 0; v < shape.size() && bad.size() < max_pairs; ++v) {
-    if (faults.node_faulty(v) || excluded[static_cast<std::size_t>(v)]) continue;
+  for (const NodeId v : survivors) {
     const Bits& row = rows[static_cast<std::size_t>(v)];
-    for (NodeId w = 0; w < shape.size() && bad.size() < max_pairs; ++w) {
-      if (faults.node_faulty(w) || excluded[static_cast<std::size_t>(w)]) continue;
+    for (const NodeId w : survivors) {
+      if (bad.size() == max_pairs) return bad;
       if (!row.test(w)) bad.emplace_back(v, w);
     }
   }

@@ -27,6 +27,7 @@ constexpr std::uint32_t kSnapshotVersion = 3;
 constexpr std::uint32_t kJournalVersion = 1;
 constexpr std::size_t kJournalHeaderSize = kMagicSize + 4 + 8 + 4;
 constexpr char kJournalName[] = "journal.lmj";
+constexpr std::size_t kKeepSnapshots = 2;  // roll-back targets on recovery
 
 LoadError io_error(std::string detail) {
   LoadError err;
@@ -215,7 +216,6 @@ bool short_read(const std::string& path, std::uint64_t max_bytes,
 
 StateDir::StateDir(std::string dir, DurableOptions options)
     : dir_(std::move(dir)), options_(options) {
-  if (options_.keep_snapshots < 1) options_.keep_snapshots = 1;
   // Never reuse a seq already present (even a corrupt one), so a fresh
   // lineage started over dead state sorts strictly newer.
   std::error_code ec;
@@ -319,9 +319,8 @@ void StateDir::prune_snapshots() {
     }
   }
   std::sort(snaps.begin(), snaps.end());
-  const std::size_t keep = static_cast<std::size_t>(options_.keep_snapshots);
-  if (snaps.size() <= keep) return;
-  for (std::size_t i = 0; i + keep < snaps.size(); ++i) {
+  if (snaps.size() <= kKeepSnapshots) return;
+  for (std::size_t i = 0; i + kKeepSnapshots < snaps.size(); ++i) {
     fs::remove(snaps[i].second, ec);
   }
 }

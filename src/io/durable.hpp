@@ -36,9 +36,6 @@ struct DurableOptions {
   // point. Disable only for tests/benchmarks where the failure model is
   // process death, not power loss.
   bool fsync = true;
-  // Snapshots retained after a fresh one lands (>= 1). Older ones are
-  // the roll-back targets when the newest turns out corrupt on recovery.
-  int keep_snapshots = 2;
 };
 
 // Whole-file helpers (binary, no newline translation).
@@ -106,7 +103,7 @@ class StateDir {
   std::uint64_t seq() const { return seq_; }
 
   // Writes snapshot seq+1, atomically resets the journal to extend it,
-  // and prunes snapshots beyond keep_snapshots. Creates the directory on
+  // and prunes all but the newest two snapshots. Creates the directory on
   // first use. On failure the previous snapshot + journal stay intact.
   LoadError write_snapshot(std::string_view payload);
 

@@ -26,6 +26,22 @@ constexpr std::uint8_t kRecLinkFault = 2;    // i64 from id, i32 dim, u8 dir
 constexpr std::uint8_t kRecDegrade = 3;      // i64 node id, f64 value
 constexpr std::uint8_t kRecReconfigure = 4;  // i32 epoch produced
 
+// The one builder of an epoch record. `last` reports the solve that
+// produced `lambs` (nullptr before any).
+std::shared_ptr<const EpochConfig> make_epoch_config(
+    int epoch, std::shared_ptr<const FaultSnapshot> snapshot,
+    MultiRoundOrder orders, std::vector<NodeId> lambs,
+    const EpochReport* last) {
+  // SolveOutcome::certified(): the epoch routes with escalated orders, so
+  // escalated rounds certify too.
+  auto config = std::make_shared<EpochConfig>(EpochConfig{
+      epoch, std::move(snapshot), std::move(orders), std::move(lambs), {}, {},
+      last != nullptr && last->solve_status != SolveStatus::kUncovered});
+  config->survivors = survivor_nodes(config->snapshot->faults, config->lambs,
+                                     &config->survivor_mask);
+  return config;
+}
+
 }  // namespace
 
 MachineManager::MachineManager(const MeshShape& shape, LambOptions options,
@@ -33,17 +49,19 @@ MachineManager::MachineManager(const MeshShape& shape, LambOptions options,
     : shape_(std::make_shared<const MeshShape>(shape)),
       options_(std::move(options)),
       max_rounds_(max_rounds),
-      orders_(options_.resolved_orders(shape.dim())),
       values_(static_cast<std::size_t>(shape.size()), 1.0),
       faults_(*shape_),
-      snapshot_(seal(shape_, faults_)),
-      routes_(std::make_unique<wormhole::RouteCache>(snapshot_, orders_)),
+      config_(make_epoch_config(0, seal(shape_, faults_),
+                                options_.resolved_orders(shape.dim()), {},
+                                nullptr)),
+      routes_(std::make_unique<wormhole::RouteCache>(config_->snapshot,
+                                                     config_->orders)),
       load_(*shape_) {
   if (!options_.predetermined.empty()) {
     throw std::invalid_argument(
         "MachineManager manages predetermined lambs itself");
   }
-  if (max_rounds_ < static_cast<int>(orders_.size())) {
+  if (max_rounds_ < rounds()) {
     throw std::invalid_argument(
         "MachineManager: max_rounds below the configured routing rounds");
   }
@@ -149,9 +167,9 @@ EpochReport MachineManager::reconfigure() {
   // Faults only grow between seals, so the new ones are the count over
   // the previous epoch's snapshot.
   const std::int64_t new_node_faults =
-      faults_.num_node_faults() - snapshot_->faults.num_node_faults();
+      faults_.num_node_faults() - snapshot()->faults.num_node_faults();
   const std::int64_t new_link_faults =
-      faults_.num_link_faults() - snapshot_->faults.num_link_faults();
+      faults_.num_link_faults() - snapshot()->faults.num_link_faults();
   obs::FlightRecorder::global().record(
       obs::FlightEventType::kReconfigureBegin, 0, new_node_faults,
       new_link_faults);
@@ -181,9 +199,9 @@ EpochReport MachineManager::reconfigure() {
   // Previous lambs that are still good stay lambs (monotone growth).
   LambOptions options = options_;
   options.node_values = &values_;
-  options.orders = orders_;
+  options.orders = config_->orders;
   options.predetermined.clear();
-  for (NodeId id : lambs_) {
+  for (NodeId id : config_->lambs) {
     if (faults_.node_good(id)) options.predetermined.push_back(id);
   }
   options.keep_context = incremental_enabled_;
@@ -208,39 +226,32 @@ EpochReport MachineManager::reconfigure() {
   report.solve_escalations = outcome.escalations;
   report.uncovered_pairs =
       static_cast<std::int64_t>(outcome.uncovered_pairs.size());
+  MultiRoundOrder orders = config_->orders;
   if (outcome.certified() && outcome.rounds > rounds()) {
     // The budget forced extra rounds; escalation is monotone, so fold
-    // them into the manager's configured orders for every later epoch.
-    while (static_cast<int>(orders_.size()) < outcome.rounds) {
-      orders_.push_back(DimOrder::ascending(shape_->dim()));
+    // them into the configured orders for every later epoch.
+    while (static_cast<int>(orders.size()) < outcome.rounds) {
+      orders.push_back(DimOrder::ascending(shape_->dim()));
     }
   }
 
   report.lambs_new =
       result.size() - static_cast<std::int64_t>(options.predetermined.size());
-  lambs_ = result.lambs;
-  report.lambs_total = static_cast<std::int64_t>(lambs_.size());
+  report.lambs_total = result.size();
   report.total_faults = faults_.f();
-
-  report.survivors = 0;
-  report.survivor_value = 0.0;
-  // lambs_ is sorted: one merge-style walk instead of a binary search per
-  // node keeps this O(N) — reconfigure latency is on the recovery path.
-  auto next_lamb = lambs_.begin();
-  for (NodeId id = 0; id < shape_->size(); ++id) {
-    while (next_lamb != lambs_.end() && *next_lamb < id) ++next_lamb;
-    if (faults_.node_faulty(id) ||
-        (next_lamb != lambs_.end() && *next_lamb == id)) {
-      continue;
-    }
-    ++report.survivors;
+  std::shared_ptr<const EpochConfig> config = make_epoch_config(
+      report.epoch, std::move(sealed), std::move(orders), result.lambs,
+      &report);
+  report.survivors = static_cast<std::int64_t>(config->survivors.size());
+  for (const NodeId id : config->survivors) {  // ascending: a fixed sum order
     report.survivor_value += values_[static_cast<std::size_t>(id)];
   }
 
   // Route cache: a new cache over the new snapshot, carrying forward the
   // floods the new faults cannot have changed. Escalated orders carry
   // none forward.
-  auto routes = std::make_unique<wormhole::RouteCache>(sealed, orders_);
+  auto routes = std::make_unique<wormhole::RouteCache>(config->snapshot,
+                                                       config->orders);
   if (const auto adopted = routes->adopt(*routes_)) {
     report.routes_retained = adopted->retained;
     report.routes_dropped = adopted->dropped;
@@ -248,7 +259,7 @@ EpochReport MachineManager::reconfigure() {
     report.routes_dropped = routes_->cached_entries();
   }
   routes_ = std::move(routes);
-  snapshot_ = std::move(sealed);
+  config_ = std::move(config);
   last_outcome_ = std::move(outcome);
   pending_ = false;
   history_.push_back(report);
@@ -320,11 +331,11 @@ Checkpoint MachineManager::snapshot_state() const {
   snapshot.epoch = epoch();
   snapshot.node_faults = faults_.node_faults();
   snapshot.link_faults = faults_.link_faults();
-  snapshot.lambs = lambs_;
+  snapshot.lambs = config_->lambs;
   snapshot.values = values_;
   snapshot.history = history_;
-  snapshot.orders = orders_;
-  snapshot.rounds = static_cast<int>(orders_.size());
+  snapshot.orders = config_->orders;
+  snapshot.rounds = rounds();
   snapshot.route_load = load_.counts;
   snapshot.routes_vended = routes_vended_;
   snapshot.pending = pending_;
@@ -352,10 +363,8 @@ void MachineManager::apply_state(const Checkpoint& snapshot) {
   for (NodeId id : snapshot.node_faults) faults.add_node(id);
   for (const LinkFault& lf : snapshot.link_faults) faults.add(lf);
   faults_ = std::move(faults);
-  lambs_ = snapshot.lambs;
   values_ = snapshot.values;
   history_ = snapshot.history;
-  orders_ = snapshot.orders;
   // Restore (not reset) the mid-epoch route-vending state so load-aware
   // tie-breaking stays deterministic across a crash-and-resume. Older
   // checkpoints without counts fall back to the historical reset.
@@ -373,8 +382,11 @@ void MachineManager::apply_state(const Checkpoint& snapshot) {
   // at, so the post-roll-back reconfigure — the recovery critical path —
   // stays incremental. The route cache starts cold: its floods belong to
   // the abandoned timeline.
-  snapshot_ = seal(shape_, faults_);
-  routes_ = std::make_unique<wormhole::RouteCache>(snapshot_, orders_);
+  config_ = make_epoch_config(epoch(), seal(shape_, faults_), snapshot.orders,
+                              snapshot.lambs,
+                              history_.empty() ? nullptr : &history_.back());
+  routes_ = std::make_unique<wormhole::RouteCache>(config_->snapshot,
+                                                   config_->orders);
   // Epoch 0 only exists once reconfigure() establishes it, and a durable
   // snapshot taken while reports were pending restores that obligation.
   pending_ = snapshot.pending || history_.empty();
@@ -385,21 +397,6 @@ void MachineManager::require_configured() const {
     throw std::logic_error(
         "MachineManager: configuration is stale; call reconfigure() first");
   }
-}
-
-bool MachineManager::is_survivor(NodeId id) const {
-  require_configured();
-  return faults_.node_good(id) &&
-         !std::binary_search(lambs_.begin(), lambs_.end(), id);
-}
-
-std::vector<NodeId> MachineManager::survivors() const {
-  require_configured();
-  std::vector<NodeId> out;
-  for (NodeId id = 0; id < shape_->size(); ++id) {
-    if (is_survivor(id)) out.push_back(id);
-  }
-  return out;
 }
 
 std::optional<wormhole::Route> MachineManager::route(NodeId src, NodeId dst,

@@ -9,11 +9,11 @@
 // epochs. Diagnostics are queued with report_* / degrade_node; a call to
 // reconfigure() recomputes the lamb set — monotonically, using the
 // Section 7 predetermined-lamb extension, so nodes once sacrificed stay
-// sacrificed — and logs an epoch record. Each reconfigure() seals the
-// epoch's faults into one immutable FaultSnapshot, shared by the solver
-// context, the manager's route picker (wormhole::RouteCache, through which
-// it vends verified survivor routes between reconfigurations) and every
-// serving table captured from the epoch.
+// sacrificed — and logs an epoch report. Each reconfigure() and restore()
+// builds one immutable EpochConfig (sealed faults, orders, lambs,
+// survivors, certification), shared by the manager's route picker
+// (wormhole::RouteCache, through which it vends verified survivor routes
+// between reconfigurations) and every serving table of the epoch.
 #pragma once
 
 #include <cstdint>
@@ -74,6 +74,24 @@ struct EpochReport {
   std::int64_t blocks_reused = 0;
   std::int64_t routes_retained = 0;
   std::int64_t routes_dropped = 0;
+};
+
+// One epoch's configuration (paper Section 1: the faults, the lamb set and
+// the survivors), worked out once per reconfigure() or restore() and
+// shared by the manager and every serving table of the epoch.
+struct EpochConfig {
+  int epoch = 0;
+  std::shared_ptr<const FaultSnapshot> snapshot;
+  MultiRoundOrder orders;                   // possibly escalated rounds
+  std::vector<NodeId> lambs;                // sorted
+  std::vector<NodeId> survivors;            // ascending
+  std::vector<std::uint8_t> survivor_mask;  // one byte per node
+  bool certified = false;  // kCertified or kEscalated, at orders.size()
+
+  bool is_survivor(NodeId id) const {  // false outside the mesh
+    return id >= 0 && id < static_cast<NodeId>(survivor_mask.size()) &&
+           survivor_mask[static_cast<std::size_t>(id)] != 0;
+  }
 };
 
 // A full snapshot of the manager's configuration state — the paper's
@@ -150,9 +168,9 @@ class MachineManager {
   // restore() (empty before either). Unlike faults() it never changes in
   // place; the next epoch seals a new snapshot.
   const std::shared_ptr<const FaultSnapshot>& snapshot() const {
-    return snapshot_;
+    return config_->snapshot;
   }
-  const std::vector<NodeId>& lambs() const { return lambs_; }
+  const std::vector<NodeId>& lambs() const { return config_->lambs; }
   int epoch() const { return static_cast<int>(history_.size()); }
   const std::vector<EpochReport>& history() const { return history_; }
 
@@ -191,15 +209,15 @@ class MachineManager {
   // the predetermined-lamb guarantee certified at the higher k. A
   // wormhole simulation of this configuration needs at least rounds()
   // virtual channels per link.
-  int rounds() const { return static_cast<int>(orders_.size()); }
-  const MultiRoundOrder& orders() const { return orders_; }
+  int rounds() const { return static_cast<int>(config_->orders.size()); }
+  const MultiRoundOrder& orders() const { return config_->orders; }
 
   // --- Checkpoint / roll-back (paper Section 1's recovery loop) ---
   // Snapshots the CURRENT configuration; throws std::logic_error while
   // reports are pending (a stale configuration is not a valid roll-back
   // target). restore() replaces all manager state with the checkpoint,
-  // seals its faults and starts a cold route cache, leaving no reports
-  // pending; diagnostics discovered after the checkpoint must be
+  // rebuilds the epoch record and starts a cold route cache, leaving no
+  // reports pending; diagnostics discovered after the checkpoint must be
   // re-reported.
   Checkpoint checkpoint() const;
   void restore(const Checkpoint& snapshot);
@@ -207,8 +225,16 @@ class MachineManager {
   // --- Queries against the CURRENT configuration ---
   // Throws std::logic_error while reports are pending (the configuration
   // is stale — the paper's model requires reconfiguring first).
-  bool is_survivor(NodeId id) const;
-  std::vector<NodeId> survivors() const;
+  // The current epoch's record, as serve::RouteTable shares it.
+  const std::shared_ptr<const EpochConfig>& epoch_config() const {
+    require_configured();
+    return config_;
+  }
+  // False for an id outside the mesh.
+  bool is_survivor(NodeId id) const { return epoch_config()->is_survivor(id); }
+  const std::vector<NodeId>& survivors() const {
+    return epoch_config()->survivors;
+  }
   // k-round route between survivors; nullopt is impossible for survivor
   // pairs by the lamb guarantee (and is verified in tests). Every vended
   // route charges the per-node load counters (load-aware tie-breaking).
@@ -266,13 +292,11 @@ class MachineManager {
   std::shared_ptr<const MeshShape> shape_;
   LambOptions options_;
   int max_rounds_ = 3;
-  MultiRoundOrder orders_;  // current (possibly escalated) rounds
   std::vector<double> values_;
-  FaultSet faults_;  // working set: snapshot_ plus pending reports
-  std::shared_ptr<const FaultSnapshot> snapshot_;
-  std::vector<NodeId> lambs_;  // sorted
+  FaultSet faults_;  // working set: the epoch's faults plus pending reports
+  std::shared_ptr<const EpochConfig> config_;  // orders: next solve's rounds
   std::vector<EpochReport> history_;
-  std::unique_ptr<wormhole::RouteCache> routes_;  // over snapshot_
+  std::unique_ptr<wormhole::RouteCache> routes_;  // over config_
   wormhole::NodeLoad load_;
   std::int64_t routes_vended_ = 0;
   bool pending_ = true;  // epoch 0 must be established by reconfigure()

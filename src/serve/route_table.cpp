@@ -1,32 +1,24 @@
 #include "serve/route_table.hpp"
 
+#include <utility>
+
 #include "obs/obs.hpp"
 #include "reach/dim_order.hpp"
 #include "reach/route.hpp"
 
 namespace lamb::serve {
 
-RouteTable::RouteTable(const manager::MachineManager& manager,
+RouteTable::RouteTable(std::shared_ptr<const manager::EpochConfig> config,
                        std::int64_t published_tick)
-    : orders_(manager.orders()),
-      epoch_(manager.epoch()),
-      certified_(!manager.history().empty() &&
-                 manager.history().back().solve_status ==
-                     SolveStatus::kCertified),
+    : config_(std::move(config)),
       published_tick_(published_tick),
-      survivors_(manager.survivors()),
-      is_survivor_(static_cast<std::size_t>(manager.shape().size()), 0),
-      cache_(manager.snapshot(), orders_) {
-  for (const NodeId id : survivors_) {
-    is_survivor_[static_cast<std::size_t>(id)] = 1;
-  }
-}
+      cache_(config_->snapshot, config_->orders) {}
 
 std::shared_ptr<const RouteTable> RouteTable::capture(
     const manager::MachineManager& manager, std::int64_t published_tick,
     const RouteTable* prev, BuildStats* stats) {
   std::shared_ptr<RouteTable> table(
-      new RouteTable(manager, published_tick));
+      new RouteTable(manager.epoch_config(), published_tick));
   BuildStats build;
   if (prev != nullptr) {
     std::lock_guard<std::mutex> lock(prev->mu_);

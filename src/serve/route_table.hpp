@@ -1,11 +1,11 @@
 // Epoch-versioned, read-mostly route tables for the serving layer.
 //
 // A RouteTable is an immutable view of one manager epoch: the epoch's
-// sealed FaultSnapshot (shared with the manager, not copied), round
-// orders, and survivor set frozen at publish time, plus a memoizing flood
-// cache so a repeated vend against the epoch costs one scan of the
-// intersection of two cached floods. RouteService swaps
-// tables with a single atomic shared_ptr store (RCU-style), so readers
+// manager::EpochConfig (sealed faults, orders, lambs, survivors and
+// certification; shared with the manager, not copied or recomputed) plus
+// a memoizing flood cache of its own, so a repeated vend against the epoch
+// costs one scan of the intersection of two cached floods. RouteService
+// swaps tables with a single atomic shared_ptr store (RCU-style), so readers
 // never block on the solver — they route against whichever epoch they
 // snapshotted, and the old table dies when its last in-flight reader
 // drops the reference.
@@ -39,7 +39,7 @@ class RouteTable {
 
   // Captures the manager's CURRENT configuration (the manager must have
   // no pending reports — publish after reconfigure()), sharing its
-  // sealed manager.snapshot(). When `prev` is the table of an earlier
+  // manager.epoch_config(). When `prev` is the table of an earlier
   // epoch of the same timeline with identical shape and orders, its
   // surviving floods are adopted; any mismatch (order escalation, shape
   // change, a fault `prev` knew that this epoch does not) silently falls
@@ -51,20 +51,17 @@ class RouteTable {
   RouteTable(const RouteTable&) = delete;
   RouteTable& operator=(const RouteTable&) = delete;
 
-  int epoch() const { return epoch_; }
-  // True when the epoch's solve certified full k-round survivor
-  // coverage; an uncertified table may legitimately miss pairs.
-  bool certified() const { return certified_; }
+  int epoch() const { return config_->epoch; }
+  // Certified at rounds(), escalated rounds included; an uncertified
+  // table may legitimately miss pairs.
+  bool certified() const { return config_->certified; }
   std::int64_t published_tick() const { return published_tick_; }
-  int rounds() const { return static_cast<int>(orders_.size()); }
-  const MeshShape& shape() const { return *cache_.snapshot()->shape; }
-  const FaultSet& faults() const { return cache_.snapshot()->faults; }
+  int rounds() const { return static_cast<int>(config_->orders.size()); }
+  const MeshShape& shape() const { return *config_->snapshot->shape; }
+  const FaultSet& faults() const { return config_->snapshot->faults; }
 
-  const std::vector<NodeId>& survivors() const { return survivors_; }
-  bool covers(NodeId id) const {
-    return id >= 0 && id < static_cast<NodeId>(is_survivor_.size()) &&
-           is_survivor_[static_cast<std::size_t>(id)] != 0;
-  }
+  const std::vector<NodeId>& survivors() const { return config_->survivors; }
+  bool covers(NodeId id) const { return config_->is_survivor(id); }
   bool covers(NodeId src, NodeId dst) const {
     return covers(src) && covers(dst) && src != dst;
   }
@@ -85,15 +82,11 @@ class RouteTable {
   std::int64_t cached_floods() const;
 
  private:
-  RouteTable(const manager::MachineManager& manager,
+  RouteTable(std::shared_ptr<const manager::EpochConfig> config,
              std::int64_t published_tick);
 
-  MultiRoundOrder orders_;
-  int epoch_ = 0;
-  bool certified_ = false;
+  std::shared_ptr<const manager::EpochConfig> config_;
   std::int64_t published_tick_ = 0;
-  std::vector<NodeId> survivors_;
-  std::vector<std::uint8_t> is_survivor_;
   mutable std::mutex mu_;  // guards cache_ memoization only
   mutable wormhole::RouteCache cache_;
 };

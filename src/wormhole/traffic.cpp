@@ -4,6 +4,8 @@
 #include <cmath>
 #include <sstream>
 
+#include "core/lamb.hpp"
+
 namespace lamb::wormhole {
 
 std::string TrafficResult::summary() const {
@@ -36,14 +38,7 @@ TrafficResult generate_traffic(const MeshShape& shape, const FaultSet& faults,
                                const std::vector<NodeId>& lambs,
                                RouteCache& routes, const TrafficConfig& config,
                                Rng& rng, NodeLoad* load) {
-  std::vector<char> excluded(static_cast<std::size_t>(shape.size()), 0);
-  for (NodeId id : lambs) excluded[static_cast<std::size_t>(id)] = 1;
-  std::vector<NodeId> survivors;
-  for (NodeId id = 0; id < shape.size(); ++id) {
-    if (faults.node_good(id) && !excluded[static_cast<std::size_t>(id)]) {
-      survivors.push_back(id);
-    }
-  }
+  const std::vector<NodeId> survivors = survivor_nodes(faults, lambs);
 
   TrafficResult out;
   if (survivors.size() < 2) return out;

@@ -192,7 +192,7 @@ TEST(StateDir, PruneKeepsConfiguredSnapshotCount) {
     ASSERT_TRUE(state.write_snapshot("v" + std::to_string(i)).ok());
   }
   const StateDir::Scan scan = StateDir::scan(dir);
-  EXPECT_EQ(scan.snapshots.size(), 2u);  // keep_snapshots default
+  EXPECT_EQ(scan.snapshots.size(), 2u);  // the two newest are kept
   EXPECT_EQ(scan.snapshots.front().seq, 5u);
   EXPECT_TRUE(scan.recoverable);
 }

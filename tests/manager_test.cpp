@@ -1,14 +1,20 @@
 // Tests for the reconfiguration manager and the collective schedules:
-// monotone lamb growth across epochs, stale-configuration guards,
+// monotone lamb growth across epochs, stale-configuration guards, the
+// epoch record every path (reconfigure, restore, open) rebuilds,
 // survivor routing, degraded-node preferences, broadcast / exchange
 // schedule structure, and dependency-ordered simulation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <memory>
 #include <set>
+#include <string>
 
 #include "collective/schedule.hpp"
 #include "core/verifier.hpp"
 #include "manager/machine_manager.hpp"
+#include "serve/route_table.hpp"
 #include "support/rng.hpp"
 
 namespace lamb {
@@ -87,6 +93,142 @@ TEST(Manager, FaultOnLambIsAbsorbed) {
       std::binary_search(mgr.lambs().begin(), mgr.lambs().end(), victim));
   EXPECT_TRUE(is_lamb_set(mgr.shape(), mgr.faults(), ascending_rounds(2, 2),
                           mgr.lambs()));
+}
+
+// Out-of-mesh ids are not survivors; they must not index the fault set.
+TEST(Manager, IsSurvivorOutsideTheMeshIsFalse) {
+  manager::MachineManager mgr(MeshShape::cube(2, 8));
+  mgr.reconfigure();
+  EXPECT_FALSE(mgr.is_survivor(-1));
+  EXPECT_FALSE(mgr.is_survivor(64));
+  EXPECT_TRUE(mgr.is_survivor(0));
+  EXPECT_TRUE(mgr.is_survivor(63));
+}
+
+// The current epoch's survivors from first principles (Definition 2.6:
+// the good nodes that are not lambs), against every view of the epoch
+// record: the manager's queries and a route table captured from it.
+void expect_survivors_match_brute(const manager::MachineManager& mgr) {
+  const NodeId n = mgr.shape().size();
+  const std::vector<NodeId>& lambs = mgr.lambs();
+  std::vector<NodeId> brute;
+  for (NodeId id = 0; id < n; ++id) {
+    if (mgr.faults().node_good(id) &&
+        std::find(lambs.begin(), lambs.end(), id) == lambs.end()) {
+      brute.push_back(id);
+    }
+  }
+  EXPECT_EQ(mgr.survivors(), brute);
+  const auto table = serve::RouteTable::capture(mgr, /*published_tick=*/0);
+  EXPECT_EQ(table->survivors(), brute);
+  EXPECT_EQ(table->epoch(), mgr.epoch());
+  for (NodeId id = -1; id <= n; ++id) {
+    const bool want = std::binary_search(brute.begin(), brute.end(), id);
+    EXPECT_EQ(mgr.is_survivor(id), want) << id;
+    EXPECT_EQ(table->covers(id), want) << id;
+  }
+}
+
+// Random node and link faults on M_2(8), one batch per epoch.
+void report_random_faults(manager::MachineManager& mgr, Rng& rng, int nodes,
+                          int links) {
+  const auto n = static_cast<std::uint64_t>(mgr.shape().size());
+  for (int i = 0; i < nodes; ++i) {
+    mgr.report_node_fault(static_cast<NodeId>(rng.below(n)));
+  }
+  for (int i = 0; i < links; ++i) {
+    const Point from = mgr.shape().point(static_cast<NodeId>(rng.below(n)));
+    const int dim = static_cast<int>(rng.below(2));
+    const Dir dir = rng.below(2) == 0 ? Dir::Pos : Dir::Neg;
+    Point to;
+    if (mgr.shape().neighbor(from, dim, dir, &to)) {
+      mgr.report_link_fault(from, dim, dir);
+    }
+  }
+}
+
+TEST(EpochConfig, ReconfigureRebuildsTheRecord) {
+  manager::MachineManager mgr(MeshShape::cube(2, 8));
+  Rng rng(101);
+  mgr.reconfigure();
+  expect_survivors_match_brute(mgr);
+  for (int epoch = 0; epoch < 4; ++epoch) {
+    report_random_faults(mgr, rng, 3, 2);
+    const auto report = mgr.reconfigure();
+    EXPECT_EQ(report.survivors,
+              static_cast<std::int64_t>(mgr.survivors().size()));
+    expect_survivors_match_brute(mgr);
+  }
+  EXPECT_GT(mgr.lambs().size(), 0u);
+}
+
+TEST(EpochConfig, RestoreRebuildsTheRecord) {
+  manager::MachineManager mgr(MeshShape::cube(2, 8));
+  Rng rng(103);
+  report_random_faults(mgr, rng, 4, 2);
+  mgr.reconfigure();
+  const manager::Checkpoint early = mgr.checkpoint();
+  report_random_faults(mgr, rng, 4, 2);
+  mgr.reconfigure();
+  expect_survivors_match_brute(mgr);
+
+  mgr.restore(early);
+  EXPECT_EQ(mgr.lambs(), early.lambs);
+  expect_survivors_match_brute(mgr);
+
+  // A checkpoint with reports pending restores the obligation to
+  // reconfigure first; the record the reconfigure builds matches again.
+  manager::Checkpoint pending = early;
+  for (NodeId id = 0; id < mgr.shape().size(); ++id) {
+    if (!std::binary_search(early.node_faults.begin(),
+                            early.node_faults.end(), id) &&
+        !std::binary_search(early.lambs.begin(), early.lambs.end(), id)) {
+      pending.node_faults.push_back(id);
+      break;
+    }
+  }
+  std::sort(pending.node_faults.begin(), pending.node_faults.end());
+  pending.pending = true;
+  mgr.restore(pending);
+  EXPECT_TRUE(mgr.has_pending_reports());
+  EXPECT_THROW(mgr.survivors(), std::logic_error);
+  EXPECT_THROW(mgr.is_survivor(0), std::logic_error);
+  EXPECT_THROW(serve::RouteTable::capture(mgr, 0), std::logic_error);
+  mgr.reconfigure();
+  expect_survivors_match_brute(mgr);
+}
+
+TEST(EpochConfig, OpenRebuildsTheRecord) {
+  namespace fs = std::filesystem;
+  const std::string dir = testing::TempDir() + "lamb_epoch_config_open";
+  fs::remove_all(dir);
+  io::DurableOptions options;
+  options.fsync = false;
+  Rng rng(107);
+  {
+    manager::MachineManager mgr(MeshShape::cube(2, 8));
+    mgr.enable_durability(dir, options);
+    report_random_faults(mgr, rng, 4, 2);
+    mgr.reconfigure();
+    report_random_faults(mgr, rng, 4, 2);
+    mgr.reconfigure();
+  }
+  {
+    const auto mgr = manager::MachineManager::open(dir, {}, 3, nullptr,
+                                                   nullptr, options);
+    ASSERT_NE(mgr, nullptr);
+    EXPECT_EQ(mgr->epoch(), 2);
+    expect_survivors_match_brute(*mgr);
+    // Journaled reports with no reconfigure reopen as pending.
+    report_random_faults(*mgr, rng, 3, 1);
+  }
+  const auto mgr =
+      manager::MachineManager::open(dir, {}, 3, nullptr, nullptr, options);
+  ASSERT_NE(mgr, nullptr);
+  EXPECT_TRUE(mgr->has_pending_reports());
+  mgr->reconfigure();
+  expect_survivors_match_brute(*mgr);
+  fs::remove_all(dir);
 }
 
 TEST(Manager, RoutesExistBetweenAllSurvivors) {
@@ -201,7 +343,7 @@ TEST(Collective, BroadcastSimulationDeliversInPhaseOrder) {
   Rng frng(84);
   const FaultSet faults = FaultSet::random_nodes(shape, 5, frng);
   const LambResult lambs = lamb1(shape, faults, {});
-  const auto survivors = collective::survivor_list(shape, faults, lambs.lambs);
+  const auto survivors = survivor_nodes(faults, lambs.lambs);
   ASSERT_GE(survivors.size(), 8u);
 
   wormhole::RouteCache routes(shape, faults, ascending_rounds(2, 2));
@@ -219,7 +361,7 @@ TEST(Collective, BroadcastSimulationDeliversInPhaseOrder) {
 TEST(Collective, ExchangeSimulationCompletes) {
   const MeshShape shape = MeshShape::cube(2, 8);
   const FaultSet faults(shape);
-  const auto survivors = collective::survivor_list(shape, faults, {});
+  const auto survivors = survivor_nodes(faults, {});
   wormhole::RouteCache routes(shape, faults, ascending_rounds(2, 2));
   Rng rng(86);
   const auto schedule = collective::recursive_doubling_exchange(survivors);

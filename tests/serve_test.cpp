@@ -147,6 +147,26 @@ TEST(RouteService, DegradationLadderStaleThenFallbackThenReject) {
   EXPECT_EQ(stats.publishes, 2);  // constructor + explicit publish
 }
 
+// Escalated rounds certify the epoch: the table routes with the
+// escalated orders, so the lamb guarantee holds at them. The table and
+// the service's last certified table read the epoch record's one
+// certification rule (which also types a covered-pair route failure
+// kError, not kRejected).
+TEST(RouteService, EscalatedEpochIsCertified) {
+  ServiceFixture f;
+  manager::Checkpoint cp = f.mgr.checkpoint();
+  ASSERT_TRUE(f.mgr.history().back().solve_status == SolveStatus::kCertified);
+  cp.orders.push_back(DimOrder::ascending(2));
+  cp.rounds = 3;
+  cp.history.back().solve_status = SolveStatus::kEscalated;
+  cp.history.back().rounds = 3;
+  f.mgr.restore(cp);
+  RouteService svc(f.mgr, ServiceOptions{}, /*now=*/0);
+  ASSERT_EQ(svc.table()->rounds(), 3);
+  EXPECT_TRUE(svc.table()->certified());
+  EXPECT_EQ(svc.last_certified(), svc.table());
+}
+
 // The fallback rung walks one e-cube path instead of flooding: for every
 // ordered pair it must equal "dst is in src's ascending one-round flood"
 // plus the ascending dimension-ordered hops on VC 0, with node faults and
