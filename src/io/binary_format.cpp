@@ -366,68 +366,6 @@ bool decode(ByteReader& r, int dim, MultiRoundOrder* out) {
   return true;
 }
 
-void encode(ByteWriter& w, const EquivPartition& partition, int dim) {
-  w.u64(static_cast<std::uint64_t>(partition.size()));
-  for (const RectSet& set : partition.sets) {
-    for (int j = 0; j < dim; ++j) {
-      w.i32(set.lo(j));
-      w.i32(set.hi(j));
-    }
-  }
-}
-
-bool decode(ByteReader& r, const MeshShape& shape, EquivPartition* out) {
-  std::uint64_t n = 0;
-  if (!r.count(&n, 8ull * static_cast<std::uint64_t>(shape.dim()))) {
-    return false;
-  }
-  EquivPartition partition;
-  partition.sets.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    RectSet set(shape);
-    for (int j = 0; j < shape.dim(); ++j) {
-      std::int32_t lo = 0;
-      std::int32_t hi = 0;
-      if (!r.i32(&lo) || !r.i32(&hi)) return false;
-      if (lo < 0 || lo > hi || hi >= shape.width(j)) {
-        return r.fail(LoadError::Code::kMalformed, "bad rect interval");
-      }
-      set.clamp(j, lo, hi);
-    }
-    partition.sets.push_back(std::move(set));
-  }
-  *out = std::move(partition);
-  return true;
-}
-
-void encode(ByteWriter& w, const LambResult& result) {
-  encode_nodes(w, result.lambs);
-  const LambStats& s = result.stats;
-  w.i64(s.p);
-  w.i64(s.q);
-  w.i64(s.relevant_ses);
-  w.i64(s.relevant_des);
-  w.f64(s.cover_weight);
-  w.f64(s.seconds_partition);
-  w.f64(s.seconds_matrices);
-  w.f64(s.seconds_cover);
-  w.f64(s.rk_density);
-}
-
-bool decode(ByteReader& r, const MeshShape& shape, LambResult* out) {
-  LambResult result;
-  if (!decode_nodes(r, shape, &result.lambs)) return false;
-  LambStats& s = result.stats;
-  if (!r.i64(&s.p) || !r.i64(&s.q) || !r.i64(&s.relevant_ses) ||
-      !r.i64(&s.relevant_des) || !r.f64(&s.cover_weight) ||
-      !r.f64(&s.seconds_partition) || !r.f64(&s.seconds_matrices) ||
-      !r.f64(&s.seconds_cover) || !r.f64(&s.rk_density)) {
-    return false;
-  }
-  *out = std::move(result);
-  return true;
-}
-
 void encode(ByteWriter& w, const manager::EpochReport& report) {
   w.i32(report.epoch);
   w.i64(report.new_node_faults);
@@ -487,44 +425,27 @@ bool decode(ByteReader& r, manager::EpochReport* out) {
   return true;
 }
 
-void encode(ByteWriter& w, const manager::Checkpoint& checkpoint, int dim) {
-  w.i32(checkpoint.epoch);
-  encode_nodes(w, checkpoint.node_faults);
-  w.u64(checkpoint.link_faults.size());
-  for (const LinkFault& lf : checkpoint.link_faults) {
+namespace {
+
+void encode_links(ByteWriter& w, const std::vector<LinkFault>& links,
+                  int dim) {
+  w.u64(links.size());
+  for (const LinkFault& lf : links) {
     encode(w, lf.from, dim);
     w.i32(lf.dim);
     w.u8(lf.dir == Dir::Pos ? 1 : 0);
     w.u8(lf.bidirectional ? 1 : 0);
   }
-  encode_nodes(w, checkpoint.lambs);
-  w.u64(checkpoint.values.size());
-  for (double v : checkpoint.values) w.f64(v);
-  w.u64(checkpoint.history.size());
-  for (const manager::EpochReport& report : checkpoint.history) {
-    encode(w, report);
-  }
-  encode(w, checkpoint.orders);
-  w.i32(checkpoint.rounds);
-  w.u64(checkpoint.route_load.size());
-  for (std::int32_t c : checkpoint.route_load) w.i32(c);
-  w.i64(checkpoint.routes_vended);
-  w.u8(checkpoint.pending ? 1 : 0);
 }
 
-bool decode(ByteReader& r, const MeshShape& shape,
-            manager::Checkpoint* out) {
-  manager::Checkpoint cp;
-  if (!r.i32(&cp.epoch)) return false;
-  if (cp.epoch < 0) {
-    return r.fail(LoadError::Code::kMalformed, "negative epoch");
-  }
-  if (!decode_nodes(r, shape, &cp.node_faults)) return false;
+bool decode_links(ByteReader& r, const MeshShape& shape,
+                  std::vector<LinkFault>* out) {
   std::uint64_t link_count = 0;
   if (!r.count(&link_count, 4ull * static_cast<std::uint64_t>(shape.dim()) +
                                 4 + 2)) {
     return false;
   }
+  std::vector<LinkFault> links;
   for (std::uint64_t i = 0; i < link_count; ++i) {
     LinkFault lf;
     std::uint8_t dir = 0;
@@ -541,9 +462,46 @@ bool decode(ByteReader& r, const MeshShape& shape,
       return r.fail(LoadError::Code::kMalformed,
                     "link fault leaves the mesh");
     }
-    cp.link_faults.push_back(lf);
+    links.push_back(lf);
   }
-  if (!decode_nodes(r, shape, &cp.lambs)) return false;
+  *out = std::move(links);
+  return true;
+}
+
+}  // namespace
+
+void encode(ByteWriter& w, const manager::Checkpoint& checkpoint, int dim) {
+  w.i32(checkpoint.epoch);
+  encode_nodes(w, checkpoint.node_faults);
+  encode_links(w, checkpoint.link_faults, dim);
+  encode_nodes(w, checkpoint.lambs);
+  w.u64(checkpoint.values.size());
+  for (double v : checkpoint.values) w.f64(v);
+  w.u64(checkpoint.history.size());
+  for (const manager::EpochReport& report : checkpoint.history) {
+    encode(w, report);
+  }
+  encode(w, checkpoint.orders);
+  w.u64(checkpoint.route_load.size());
+  for (std::int32_t c : checkpoint.route_load) w.i32(c);
+  w.i64(checkpoint.routes_vended);
+  w.u8(checkpoint.pending ? 1 : 0);
+  encode_nodes(w, checkpoint.pending_node_faults);
+  encode_links(w, checkpoint.pending_link_faults, dim);
+}
+
+bool decode(ByteReader& r, const MeshShape& shape,
+            manager::Checkpoint* out) {
+  manager::Checkpoint cp;
+  if (!r.i32(&cp.epoch)) return false;
+  if (cp.epoch < 0) {
+    return r.fail(LoadError::Code::kMalformed, "negative epoch");
+  }
+  if (!decode_nodes(r, shape, &cp.node_faults) ||
+      !decode_links(r, shape, &cp.link_faults) ||
+      !decode_nodes(r, shape, &cp.lambs)) {
+    return false;
+  }
   std::uint64_t value_count = 0;
   if (!r.count(&value_count, 8)) return false;
   if (static_cast<std::int64_t>(value_count) != shape.size()) {
@@ -567,11 +525,6 @@ bool decode(ByteReader& r, const MeshShape& shape,
     cp.history.push_back(report);
   }
   if (!decode(r, shape.dim(), &cp.orders)) return false;
-  if (!r.i32(&cp.rounds)) return false;
-  if (cp.rounds != static_cast<int>(cp.orders.size())) {
-    return r.fail(LoadError::Code::kMalformed,
-                  "round count does not match the orders");
-  }
   std::uint64_t load_count = 0;
   if (!r.count(&load_count, 4)) return false;
   if (load_count != 0 &&
@@ -596,6 +549,15 @@ bool decode(ByteReader& r, const MeshShape& shape,
     return r.fail(LoadError::Code::kMalformed, "bad pending flag");
   }
   cp.pending = pending != 0;
+  if (!decode_nodes(r, shape, &cp.pending_node_faults) ||
+      !decode_links(r, shape, &cp.pending_link_faults)) {
+    return false;
+  }
+  if (!cp.pending &&
+      (!cp.pending_node_faults.empty() || !cp.pending_link_faults.empty())) {
+    return r.fail(LoadError::Code::kMalformed,
+                  "pending faults without the pending flag");
+  }
   *out = std::move(cp);
   return true;
 }

@@ -23,8 +23,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/lamb.hpp"
-#include "core/partition.hpp"
 #include "mesh/fault_set.hpp"
 #include "mesh/mesh.hpp"
 #include "reach/dim_order.hpp"
@@ -143,12 +141,6 @@ void encode(ByteWriter& w, const DimOrder& order);
 bool decode(ByteReader& r, int dim, DimOrder* out);
 void encode(ByteWriter& w, const MultiRoundOrder& orders);
 bool decode(ByteReader& r, int dim, MultiRoundOrder* out);
-
-void encode(ByteWriter& w, const EquivPartition& partition, int dim);
-bool decode(ByteReader& r, const MeshShape& shape, EquivPartition* out);
-
-void encode(ByteWriter& w, const LambResult& result);
-bool decode(ByteReader& r, const MeshShape& shape, LambResult* out);
 
 void encode(ByteWriter& w, const manager::EpochReport& report);
 bool decode(ByteReader& r, manager::EpochReport* out);

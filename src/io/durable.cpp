@@ -125,6 +125,111 @@ bool parse_snapshot_name(const std::string& name, std::uint64_t* seq) {
   return true;
 }
 
+// The snap-<seq>.lms files in `dir`, ascending by seq (none when the
+// directory cannot be listed); other files renamed aside by recovery go
+// to *quarantined when it is given.
+std::vector<std::pair<std::uint64_t, std::string>> list_snapshots(
+    const std::string& dir, std::vector<std::string>* quarantined = nullptr) {
+  std::vector<std::pair<std::uint64_t, std::string>> snaps;
+  std::error_code ec;
+  for (const auto& entry : fs::directory_iterator(dir, ec)) {
+    std::string name = entry.path().filename().string();
+    std::uint64_t seq = 0;
+    if (parse_snapshot_name(name, &seq)) {
+      snaps.emplace_back(seq, std::move(name));
+    } else if (quarantined != nullptr &&
+               name.find(".quarantine-") != std::string::npos) {
+      quarantined->push_back(std::move(name));
+    }
+  }
+  std::sort(snaps.begin(), snaps.end());
+  return snaps;
+}
+
+// The one reader of a state directory (see StateDir::Scan). Snapshots are
+// examined newest first; unless `examine_all`, the survey stops at the
+// first that validates, which is the one recovery loads.
+StateDir::Scan survey(const std::string& dir,
+                      const StateDir::PayloadValidator& validate,
+                      bool examine_all) {
+  StateDir::Scan scan;
+  std::error_code ec;
+  if (!fs::is_directory(dir, ec)) {
+    scan.error.code = LoadError::Code::kIo;
+    scan.error.detail = "no state directory at " + dir;
+    return scan;
+  }
+  const auto snaps = list_snapshots(dir, &scan.quarantine_files);
+  bool loaded = false;
+  scan.error.code = LoadError::Code::kTruncated;
+  scan.error.detail = "no snapshot in " + dir;
+  for (auto it = snaps.rbegin(); it != snaps.rend(); ++it) {
+    if (loaded && !examine_all) break;
+    StateDir::SnapshotInfo info;
+    info.seq = it->first;
+    info.name = it->second;
+    std::string file;
+    std::string_view payload;
+    if (read_file_bytes(dir + "/" + info.name, &file, &info.error)) {
+      info.bytes = file.size();
+      info.error = unseal(file, kSnapshotMagic, kSnapshotVersion, &payload);
+      if (info.error.ok() && validate && !validate(payload, &info.error) &&
+          info.error.ok()) {
+        info.error.code = LoadError::Code::kMalformed;
+        info.error.detail = "snapshot payload rejected";
+      }
+    }
+    if (!loaded && info.error.ok()) {
+      loaded = true;
+      scan.error = LoadError{};
+      scan.seq = info.seq;
+      scan.snapshot_payload.assign(payload.data(), payload.size());
+    } else if (!loaded) {  // the reason if no older snapshot loads either
+      scan.error = info.error;
+      scan.error.detail = info.name + ": " + info.error.detail;
+    }
+    scan.snapshots.push_back(std::move(info));
+  }
+
+  const std::string journal_path = dir + "/" + kJournalName;
+  std::string journal;
+  if (fs::exists(journal_path, ec)) {
+    scan.journal_present = true;
+    if (!read_file_bytes(journal_path, &journal, &scan.journal_header)) {
+      // Recovery cannot tell what the journal holds.
+      if (loaded) scan.error = scan.journal_header;
+      return scan;
+    }
+    scan.journal_header =
+        parse_journal_header(journal, &scan.journal_bound_seq);
+  }
+  scan.recoverable = loaded;
+  if (!loaded || !scan.journal_present) return scan;
+  if (!scan.journal_header.ok()) {
+    scan.journal_action = StateDir::JournalAction::kQuarantine;
+    scan.journal_tail = scan.journal_header;
+  } else if (scan.journal_bound_seq > scan.seq) {
+    // The journal extends a snapshot that did not load; its deltas are
+    // unusable against the older state recovery falls back to.
+    scan.journal_action = StateDir::JournalAction::kQuarantine;
+    scan.journal_tail.code = LoadError::Code::kMalformed;
+    scan.journal_tail.detail = "journal extends snapshot seq " +
+                               std::to_string(scan.journal_bound_seq) +
+                               ", recovered seq " + std::to_string(scan.seq);
+  } else if (scan.journal_bound_seq == scan.seq) {
+    RecordScan records =
+        scan_records(std::string_view(journal).substr(kJournalHeaderSize));
+    scan.journal_action = StateDir::JournalAction::kReplay;
+    scan.journal_records = std::move(records.payloads);
+    scan.journal_intact_bytes = kJournalHeaderSize + records.valid_prefix;
+    scan.journal_tail = records.tail;
+  }
+  // Otherwise the journal is stale: a crash landed between the snapshot
+  // rename and the journal reset, and its records are already folded into
+  // the snapshot. Recovery resets it.
+  return scan;
+}
+
 }  // namespace
 
 bool read_file_bytes(const std::string& path, std::string* out,
@@ -178,53 +283,14 @@ bool atomic_write_file(const std::string& path, std::string_view bytes,
   return true;
 }
 
-namespace storage_fault {
-
-bool torn_write(const std::string& path, std::uint64_t keep_bytes) {
-  std::error_code ec;
-  fs::resize_file(path, keep_bytes, ec);
-  return !ec;
-}
-
-bool bit_flip(const std::string& path, std::uint64_t offset, int bit) {
-  std::FILE* f = std::fopen(path.c_str(), "r+b");
-  if (f == nullptr) return false;
-  bool ok = std::fseek(f, static_cast<long>(offset), SEEK_SET) == 0;
-  int c = 0;
-  if (ok) {
-    c = std::fgetc(f);
-    ok = c != EOF;
-  }
-  if (ok) {
-    ok = std::fseek(f, static_cast<long>(offset), SEEK_SET) == 0 &&
-         std::fputc(c ^ (1 << bit), f) != EOF;
-  }
-  return (std::fclose(f) == 0) && ok;
-}
-
-bool short_read(const std::string& path, std::uint64_t max_bytes,
-                std::string* out) {
-  std::string all;
-  if (!read_file_bytes(path, &all, nullptr)) return false;
-  *out = all.substr(0, max_bytes);
-  return true;
-}
-
-}  // namespace storage_fault
-
 // -------------------------------------------------------------- StateDir
 
 StateDir::StateDir(std::string dir, DurableOptions options)
     : dir_(std::move(dir)), options_(options) {
   // Never reuse a seq already present (even a corrupt one), so a fresh
   // lineage started over dead state sorts strictly newer.
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir_, ec)) {
-    std::uint64_t seq = 0;
-    if (parse_snapshot_name(entry.path().filename().string(), &seq)) {
-      seq_ = std::max(seq_, seq);
-    }
-  }
+  const auto snaps = list_snapshots(dir_);
+  if (!snaps.empty()) seq_ = snaps.back().first;
 }
 
 StateDir::~StateDir() { close_journal(); }
@@ -310,18 +376,10 @@ LoadError StateDir::append_journal(std::string_view record_payload) {
 }
 
 void StateDir::prune_snapshots() {
+  const auto snaps = list_snapshots(dir_);
   std::error_code ec;
-  std::vector<std::pair<std::uint64_t, std::string>> snaps;
-  for (const auto& entry : fs::directory_iterator(dir_, ec)) {
-    std::uint64_t seq = 0;
-    if (parse_snapshot_name(entry.path().filename().string(), &seq)) {
-      snaps.emplace_back(seq, entry.path().string());
-    }
-  }
-  std::sort(snaps.begin(), snaps.end());
-  if (snaps.size() <= kKeepSnapshots) return;
   for (std::size_t i = 0; i + kKeepSnapshots < snaps.size(); ++i) {
-    fs::remove(snaps[i].second, ec);
+    fs::remove(dir_ + "/" + snaps[i].second, ec);
   }
 }
 
@@ -340,105 +398,44 @@ std::string StateDir::quarantine(const std::string& name) {
 
 LoadError StateDir::recover(Recovered* out, const PayloadValidator& validate) {
   obs::Span span("durable.recover", "io");
+  Scan scan = survey(dir_, validate, /*examine_all=*/false);
   *out = Recovered{};
-  LoadError err;
-  std::error_code ec;
-  if (!fs::is_directory(dir_, ec)) {
-    err.code = LoadError::Code::kIo;
-    err.detail = "no state directory at " + dir_;
-    return err;
+  // Corrupt snapshots newer than the one loaded (all of them when none
+  // loads) are renamed aside so they never shadow good state again.
+  for (const SnapshotInfo& snap : scan.snapshots) {
+    if (snap.error.ok()) break;
+    out->quarantined.push_back(quarantine(snap.name));
   }
+  if (!scan.recoverable) {
+    close_journal();
+    return scan.error;
+  }
+  out->seq = scan.seq;
+  out->snapshot_payload = std::move(scan.snapshot_payload);
+  out->journal_records = std::move(scan.journal_records);
+  out->journal_tail = scan.journal_tail;
+  out->journal_tail_dropped = !scan.journal_tail.ok();
 
-  // Newest snapshot whose seal and payload validate wins; corrupt newer
-  // ones are quarantined so they never shadow good state again.
-  std::vector<std::pair<std::uint64_t, std::string>> snaps;
-  for (const auto& entry : fs::directory_iterator(dir_, ec)) {
-    std::uint64_t seq = 0;
-    if (parse_snapshot_name(entry.path().filename().string(), &seq)) {
-      snaps.emplace_back(seq, entry.path().filename().string());
-    }
-  }
-  std::sort(snaps.rbegin(), snaps.rend());
-  bool found = false;
-  LoadError last_snapshot_error;
-  last_snapshot_error.code = LoadError::Code::kTruncated;
-  last_snapshot_error.detail = "no snapshot in " + dir_;
-  for (const auto& [seq, name] : snaps) {
-    std::string file;
-    LoadError snap_err;
-    std::string_view payload;
-    if (read_file_bytes(dir_ + "/" + name, &file, &snap_err)) {
-      snap_err = unseal(file, kSnapshotMagic, kSnapshotVersion, &payload);
-      if (snap_err.ok() && validate && !validate(payload, &snap_err)) {
-        if (snap_err.ok()) {
-          snap_err.code = LoadError::Code::kMalformed;
-          snap_err.detail = "snapshot payload rejected";
+  LoadError err;
+  switch (scan.journal_action) {
+    case JournalAction::kQuarantine:
+      out->quarantined.push_back(quarantine(kJournalName));
+      err = reset_journal(scan.seq);
+      break;
+    case JournalAction::kReset:
+      err = reset_journal(scan.seq);
+      break;
+    case JournalAction::kReplay:
+      if (out->journal_tail_dropped) {
+        std::error_code ec;
+        fs::resize_file(dir_ + "/" + kJournalName, scan.journal_intact_bytes,
+                        ec);
+        if (ec) {
+          return io_error("cannot truncate torn journal tail in " + dir_);
         }
       }
-    }
-    if (snap_err.ok()) {
-      out->seq = seq;
-      out->snapshot_payload.assign(payload.data(), payload.size());
-      found = true;
+      err = open_journal_for_append();
       break;
-    }
-    snap_err.detail = name + ": " + snap_err.detail;
-    last_snapshot_error = snap_err;
-    out->quarantined.push_back(quarantine(name));
-  }
-  if (!found) {
-    close_journal();
-    return last_snapshot_error;
-  }
-
-  // Journal: replay its intact record prefix iff it extends the loaded
-  // snapshot; truncate a torn tail; quarantine an unusable journal.
-  const std::string journal_path = dir_ + "/" + kJournalName;
-  std::string file;
-  if (!fs::exists(journal_path, ec)) {
-    err = reset_journal(out->seq);
-    if (err.ok()) seq_ = std::max(seq_, out->seq);
-    obs::counter("durable.opens").add();
-    return err;
-  }
-  if (!read_file_bytes(journal_path, &file, &err)) return err;
-  std::uint64_t bound_seq = 0;
-  LoadError header_err = parse_journal_header(file, &bound_seq);
-  if (!header_err.ok()) {
-    out->quarantined.push_back(quarantine(kJournalName));
-    out->journal_tail_dropped = true;
-    out->journal_tail = header_err;
-    err = reset_journal(out->seq);
-  } else if (bound_seq != out->seq) {
-    if (bound_seq < out->seq) {
-      // Stale: a crash landed between the snapshot rename and the journal
-      // reset. Its records are already folded into the snapshot.
-      err = reset_journal(out->seq);
-    } else {
-      // The journal extends a snapshot we could not load; its deltas are
-      // unusable against the older state we fell back to.
-      out->quarantined.push_back(quarantine(kJournalName));
-      out->journal_tail_dropped = true;
-      out->journal_tail.code = LoadError::Code::kMalformed;
-      out->journal_tail.detail =
-          "journal extends snapshot seq " + std::to_string(bound_seq) +
-          ", recovered seq " + std::to_string(out->seq);
-      err = reset_journal(out->seq);
-    }
-  } else {
-    RecordScan scan = scan_records(
-        std::string_view(file).substr(kJournalHeaderSize));
-    out->journal_records = std::move(scan.payloads);
-    if (!scan.tail.ok()) {
-      out->journal_tail_dropped = true;
-      out->journal_tail = scan.tail;
-      fs::resize_file(journal_path, kJournalHeaderSize + scan.valid_prefix,
-                      ec);
-      if (ec) {
-        return io_error("cannot truncate torn journal tail in " + dir_);
-      }
-    }
-    err = open_journal_for_append();
   }
   if (err.ok()) seq_ = std::max(seq_, out->seq);
   obs::counter("durable.opens").add();
@@ -450,62 +447,7 @@ LoadError StateDir::recover(Recovered* out, const PayloadValidator& validate) {
 
 StateDir::Scan StateDir::scan(const std::string& dir,
                               const PayloadValidator& validate) {
-  Scan result;
-  std::error_code ec;
-  std::vector<std::pair<std::uint64_t, std::string>> snaps;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    std::uint64_t seq = 0;
-    if (parse_snapshot_name(name, &seq)) {
-      snaps.emplace_back(seq, name);
-    } else if (name.find(".quarantine-") != std::string::npos) {
-      result.quarantine_files.push_back(name);
-    }
-  }
-  std::sort(snaps.rbegin(), snaps.rend());
-  std::uint64_t valid_seq = 0;
-  bool have_valid = false;
-  for (const auto& [seq, name] : snaps) {
-    SnapshotInfo info;
-    info.name = name;
-    info.seq = seq;
-    std::string file;
-    std::string_view payload;
-    if (read_file_bytes(dir + "/" + name, &file, &info.error)) {
-      info.bytes = file.size();
-      info.error = unseal(file, kSnapshotMagic, kSnapshotVersion, &payload);
-      if (info.error.ok() && validate && !validate(payload, &info.error)) {
-        if (info.error.ok()) {
-          info.error.code = LoadError::Code::kMalformed;
-          info.error.detail = "snapshot payload rejected";
-        }
-      }
-    }
-    if (info.error.ok() && !have_valid) {
-      have_valid = true;
-      valid_seq = seq;
-    }
-    result.snapshots.push_back(std::move(info));
-  }
-
-  const std::string journal_path = dir + "/" + kJournalName;
-  std::string file;
-  if (fs::exists(journal_path, ec) &&
-      read_file_bytes(journal_path, &file, &result.journal_header)) {
-    result.journal_present = true;
-    result.journal_header =
-        parse_journal_header(file, &result.journal_bound_seq);
-    if (result.journal_header.ok()) {
-      const RecordScan scan = scan_records(
-          std::string_view(file).substr(kJournalHeaderSize));
-      result.journal_records =
-          static_cast<std::int64_t>(scan.payloads.size());
-      result.journal_tail = scan.tail;
-    }
-  }
-  result.recoverable = have_valid;
-  (void)valid_seq;
-  return result;
+  return survey(dir, validate, /*examine_all=*/true);
 }
 
 }  // namespace lamb::io

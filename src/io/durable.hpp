@@ -14,9 +14,12 @@
 // the journal header binds the snapshot seq it extends, so a journal
 // paired with the wrong snapshot generation is detected and ignored.
 //
-// Recovery (recover()) loads the newest snapshot whose seal and payload
-// validate, quarantines any newer corrupt one, replays the journal's
-// intact record prefix, and truncates a torn tail. Every corruption path
+// Recovery reads the directory through one read-only survey (scan()):
+// the newest snapshot whose seal and payload validate, the journal's
+// header and intact record prefix, and the repairs they call for.
+// recover() carries those repairs out (quarantines any newer corrupt
+// snapshot and an unusable journal, truncates a torn tail), so fsck's
+// report and what a restart loads cannot disagree. Every corruption path
 // degrades to a reported LoadError; none throws.
 #pragma once
 
@@ -45,19 +48,6 @@ bool read_file_bytes(const std::string& path, std::string* out,
 bool atomic_write_file(const std::string& path, std::string_view bytes,
                        bool do_fsync, LoadError* err);
 
-// Storage fault injector used by tests and the fsck self-checks: every
-// corruption a disk or a crash can inflict, applied deterministically.
-namespace storage_fault {
-// Truncates the file to its first `keep_bytes` bytes (a torn write).
-bool torn_write(const std::string& path, std::uint64_t keep_bytes);
-// Flips bit `bit` (0-7) of byte `offset`.
-bool bit_flip(const std::string& path, std::uint64_t offset, int bit);
-// Reads only the first `max_bytes` bytes (a short read); feed the result
-// to a decoder to exercise its truncation paths.
-bool short_read(const std::string& path, std::uint64_t max_bytes,
-                std::string* out);
-}  // namespace storage_fault
-
 class StateDir {
  public:
   // Validates a snapshot payload during recovery; return false (and
@@ -74,24 +64,39 @@ class StateDir {
     std::vector<std::string> quarantined;  // file names renamed aside
   };
 
-  // A read-only description of the directory, for fsck.
   struct SnapshotInfo {
     std::string name;
     std::uint64_t seq = 0;
     std::uint64_t bytes = 0;
     LoadError error;  // ok() when seal + (optional) payload validate
   };
+  // What recovery does with the journal.
+  enum class JournalAction : std::uint8_t {
+    kReset,       // absent, or stale (extends an older snapshot): start empty
+    kReplay,      // extends the loaded snapshot: replay its intact records
+                  // and truncate a torn tail
+    kQuarantine,  // bad header, or extends a snapshot that cannot be
+                  // loaded: rename it aside and start empty
+  };
+  // The one read-only survey of a directory, and recover()'s plan.
   struct Scan {
     std::vector<SnapshotInfo> snapshots;  // newest first
+    std::vector<std::string> quarantine_files;  // renamed aside earlier
+    // True when recover() succeeds; otherwise `error` says why not.
+    bool recoverable = false;
+    LoadError error;
+    // The snapshot recovery loads: the newest one that validates.
+    // Recovery quarantines every snapshot listed before it (all of them
+    // when none validates).
+    std::uint64_t seq = 0;
+    std::string snapshot_payload;
     bool journal_present = false;
     std::uint64_t journal_bound_seq = 0;  // snapshot seq the journal extends
     LoadError journal_header;             // ok() when the header validates
-    std::int64_t journal_records = 0;     // intact records
-    LoadError journal_tail;               // ok() on clean EOF
-    std::vector<std::string> quarantine_files;
-    // True when recover() would succeed: some snapshot validates and the
-    // journal is absent, stale, or has an intact prefix for it.
-    bool recoverable = false;
+    JournalAction journal_action = JournalAction::kReset;
+    std::vector<std::string> journal_records;  // the intact records replayed
+    std::uint64_t journal_intact_bytes = 0;    // header + those records
+    LoadError journal_tail;  // why recovery drops journal bytes; ok() if none
   };
 
   StateDir(std::string dir, DurableOptions options = {});
@@ -111,13 +116,15 @@ class StateDir {
   // recover) must have been called first.
   LoadError append_journal(std::string_view record_payload);
 
-  // Loads the newest valid snapshot + the journal's intact record
-  // prefix. Corrupt snapshots newer than the chosen one and unusable
-  // journals are renamed aside (quarantined); a torn journal tail is
-  // truncated in place. After recover() the journal is open for appends.
+  // Loads what scan() plans: the newest valid snapshot and the journal's
+  // intact record prefix. Corrupt snapshots newer than the chosen one and
+  // unusable journals are renamed aside (quarantined); a torn journal
+  // tail is truncated in place. After recover() the journal is open for
+  // appends. Reads no snapshot older than the one it loads.
   LoadError recover(Recovered* out, const PayloadValidator& validate = {});
 
-  // Read-only inspection; never modifies the directory.
+  // Read-only survey; never modifies the directory. Unlike recover() it
+  // also examines the snapshots older than the one recovery loads.
   static Scan scan(const std::string& dir,
                    const PayloadValidator& validate = {});
 

@@ -127,15 +127,18 @@ LoadError decode_flight_ring(std::string_view bytes, FlightDump* out) {
   return LoadError{};
 }
 
+LoadError decode_flight_file(std::string_view bytes, FlightDump* out) {
+  if (bytes.substr(0, 8) == std::string_view(obs::kFlightRingMagic, 8)) {
+    return decode_flight_ring(bytes, out);
+  }
+  return decode_flight_dump(bytes, out);
+}
+
 LoadError load_flight_file(const std::string& path, FlightDump* out) {
   std::string bytes;
   LoadError err;
   if (!read_file_bytes(path, &bytes, &err)) return err;
-  if (bytes.size() >= 8 &&
-      bytes.substr(0, 8) == std::string(obs::kFlightRingMagic, 8)) {
-    return decode_flight_ring(bytes, out);
-  }
-  return decode_flight_dump(bytes, out);
+  return decode_flight_file(bytes, out);
 }
 
 }  // namespace lamb::io

@@ -7,8 +7,9 @@
 //               to the instant of death — so decoding validates each
 //               slot's seqlock stamp instead and skips torn slots.
 //
-// load_flight_file() sniffs the magic and dispatches; this is what
-// tools/lambmesh_blackbox and lambmesh_fsck use. Lives in io/ (not
+// decode_flight_file() sniffs the magic and dispatches; this is what
+// tools/lambmesh_blackbox (through load_flight_file()) and lambmesh_fsck
+// use. Lives in io/ (not
 // obs/) because it depends on the ByteReader / LoadError machinery and
 // io already links obs.
 #pragma once
@@ -39,7 +40,9 @@ struct FlightDump {
 LoadError decode_flight_dump(std::string_view bytes, FlightDump* out);
 LoadError decode_flight_ring(std::string_view bytes, FlightDump* out);
 
-// Reads the file and dispatches on the magic.
+// Dispatches on the magic: a LAMBRING ring, else a sealed dump.
+LoadError decode_flight_file(std::string_view bytes, FlightDump* out);
+// Reads the file and decodes it with decode_flight_file().
 LoadError load_flight_file(const std::string& path, FlightDump* out);
 
 // True when the first 8 bytes match either flight magic (used by

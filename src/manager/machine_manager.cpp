@@ -329,16 +329,23 @@ Checkpoint MachineManager::checkpoint() const {
 Checkpoint MachineManager::snapshot_state() const {
   Checkpoint snapshot;
   snapshot.epoch = epoch();
-  snapshot.node_faults = faults_.node_faults();
-  snapshot.link_faults = faults_.link_faults();
+  const FaultSet& sealed = config_->snapshot->faults;
+  snapshot.node_faults = sealed.node_faults();
+  snapshot.link_faults = sealed.link_faults();
   snapshot.lambs = config_->lambs;
   snapshot.values = values_;
   snapshot.history = history_;
   snapshot.orders = config_->orders;
-  snapshot.rounds = rounds();
   snapshot.route_load = load_.counts;
   snapshot.routes_vended = routes_vended_;
   snapshot.pending = pending_;
+  if (pending_) {
+    // Faults only grow between seals, so the working set contains the
+    // sealed one.
+    FaultDelta reported = fault_delta(sealed, faults_).value();
+    snapshot.pending_node_faults = std::move(reported.nodes);
+    snapshot.pending_link_faults = std::move(reported.links);
+  }
   return snapshot;
 }
 
@@ -357,8 +364,8 @@ void MachineManager::restore(const Checkpoint& snapshot) {
 }
 
 void MachineManager::apply_state(const Checkpoint& snapshot) {
-  // Rebuild the fault set from the checkpoint's plain lists; everything
-  // else is value state.
+  // Rebuild the epoch's fault set from the checkpoint's plain lists;
+  // everything else is value state.
   FaultSet faults(*shape_);
   for (NodeId id : snapshot.node_faults) faults.add_node(id);
   for (const LinkFault& lf : snapshot.link_faults) faults.add(lf);
@@ -387,6 +394,10 @@ void MachineManager::apply_state(const Checkpoint& snapshot) {
                               history_.empty() ? nullptr : &history_.back());
   routes_ = std::make_unique<wormhole::RouteCache>(config_->snapshot,
                                                    config_->orders);
+  // Reports pending at capture time join the working set only, so the
+  // next reconfigure() counts them as new.
+  for (NodeId id : snapshot.pending_node_faults) faults_.add_node(id);
+  for (const LinkFault& lf : snapshot.pending_link_faults) faults_.add(lf);
   // Epoch 0 only exists once reconfigure() establishes it, and a durable
   // snapshot taken while reports were pending restores that obligation.
   pending_ = snapshot.pending || history_.empty();
@@ -415,10 +426,26 @@ std::optional<wormhole::Route> MachineManager::route(NodeId src, NodeId dst,
 
 // ------------------------------------------------------------ durability
 
+void encode_machine_state(io::ByteWriter& w, const MeshShape& shape,
+                          const Checkpoint& checkpoint) {
+  io::encode(w, shape);
+  io::encode(w, checkpoint, shape.dim());
+}
+
+io::LoadError decode_machine_state(std::string_view payload,
+                                   MachineState* out) {
+  io::ByteReader r(payload);
+  MachineState state;
+  if (io::decode(r, &state.shape) &&
+      io::decode(r, *state.shape, &state.checkpoint) && r.expect_end()) {
+    *out = std::move(state);
+  }
+  return r.error();
+}
+
 std::string MachineManager::encode_state() const {
   io::ByteWriter w;
-  io::encode(w, *shape_);
-  io::encode(w, snapshot_state(), shape_->dim());
+  encode_machine_state(w, *shape_, snapshot_state());
   return w.take();
 }
 
@@ -463,21 +490,6 @@ void MachineManager::enable_durability(const std::string& dir,
   }
   state_ = std::move(state);
 }
-
-namespace {
-
-// Full decode of a snapshot payload: shape followed by checkpoint, with
-// no trailing bytes.
-bool decode_state(std::string_view payload, std::unique_ptr<MeshShape>* shape,
-                  Checkpoint* snapshot, io::LoadError* err) {
-  io::ByteReader r(payload);
-  const bool ok = io::decode(r, shape) && io::decode(r, **shape, snapshot) &&
-                  r.expect_end();
-  if (!ok && err != nullptr) *err = r.error();
-  return ok;
-}
-
-}  // namespace
 
 bool MachineManager::replay_record(std::string_view record) {
   io::ByteReader r(record);
@@ -544,31 +556,31 @@ std::unique_ptr<MachineManager> MachineManager::open(
 
   auto state = std::make_unique<io::StateDir>(dir, durable_options);
   io::StateDir::Recovered rec;
-  *err = state->recover(
-      &rec, [](std::string_view payload, io::LoadError* e) {
-        std::unique_ptr<MeshShape> shape;
-        Checkpoint snapshot;
-        return decode_state(payload, &shape, &snapshot, e);
-      });
+  // Recovery stops at the first snapshot that validates, so the last
+  // decode the validator keeps is the snapshot it loads.
+  MachineState decoded;
+  *err = state->recover(&rec, [&decoded](std::string_view payload,
+                                         io::LoadError* e) {
+    *e = decode_machine_state(payload, &decoded);
+    return e->ok();
+  });
   report->quarantined = rec.quarantined;
   report->journal_tail_dropped = rec.journal_tail_dropped;
   if (!err->ok()) return nullptr;
 
-  // The validator above accepted the payload, so this decode succeeds.
-  std::unique_ptr<MeshShape> shape;
-  Checkpoint snapshot;
-  decode_state(rec.snapshot_payload, &shape, &snapshot, err);
+  const Checkpoint& snapshot = decoded.checkpoint;
   report->snapshot_seq = rec.seq;
   report->snapshot_epoch = snapshot.epoch;
-  if (snapshot.rounds > max_rounds) {
+  if (static_cast<int>(snapshot.orders.size()) > max_rounds) {
     err->code = io::LoadError::Code::kMalformed;
-    err->detail = "snapshot uses " + std::to_string(snapshot.rounds) +
+    err->detail = "snapshot uses " + std::to_string(snapshot.orders.size()) +
                   " routing rounds, above max_rounds " +
                   std::to_string(max_rounds);
     return nullptr;
   }
 
-  auto manager = std::make_unique<MachineManager>(*shape, std::move(options),
+  auto manager = std::make_unique<MachineManager>(*decoded.shape,
+                                                  std::move(options),
                                                   max_rounds);
   manager->apply_state(snapshot);
 

@@ -101,13 +101,13 @@ struct EpochConfig {
 // after the simulated traffic reveals new faults mid-flight.
 struct Checkpoint {
   int epoch = 0;
+  // The epoch's faults, as its reconfigure sealed them.
   std::vector<NodeId> node_faults;
   std::vector<LinkFault> link_faults;
   std::vector<NodeId> lambs;
   std::vector<double> values;
   std::vector<EpochReport> history;
-  MultiRoundOrder orders;
-  int rounds = 0;
+  MultiRoundOrder orders;  // one per routing round
   // Mid-epoch route-vending state. Restoring it (rather than zeroing)
   // keeps load-aware route tie-breaking deterministic across a
   // crash-and-resume: the same request stream yields the same routes.
@@ -118,7 +118,25 @@ struct Checkpoint {
   // sets it (it refuses a stale configuration); durable snapshots use it
   // so recovery restores the must-reconfigure-first obligation.
   bool pending = false;
+  // The faults reported since the epoch was sealed (empty unless
+  // `pending`); the next reconfigure() counts them as new.
+  std::vector<NodeId> pending_node_faults;
+  std::vector<LinkFault> pending_link_faults;
 };
+
+// A machine-state payload: the mesh shape, then a Checkpoint over it, and
+// nothing after. It is a durable snapshot's payload (open(),
+// lambmesh_fsck) and fault_storm's resume checkpoint.
+struct MachineState {
+  std::unique_ptr<MeshShape> shape;
+  Checkpoint checkpoint;
+};
+void encode_machine_state(io::ByteWriter& w, const MeshShape& shape,
+                          const Checkpoint& checkpoint);
+// The one decoder of that payload; on failure returns the error and
+// leaves *out untouched.
+io::LoadError decode_machine_state(std::string_view payload,
+                                   MachineState* out);
 
 // What MachineManager::open() found in the state directory.
 struct OpenReport {

@@ -11,7 +11,6 @@
 #include "manager/machine_manager.hpp"
 #include "mesh/fault_set.hpp"
 #include "mesh/mesh.hpp"
-#include "mesh/rect_set.hpp"
 #include "support/crc32c.hpp"
 #include "support/rng.hpp"
 
@@ -98,39 +97,6 @@ TEST(BinaryFormat, DimOrderRejectsNonPermutation) {
   EXPECT_EQ(r.error().code, LoadError::Code::kMalformed);
 }
 
-TEST(BinaryFormat, PartitionRoundtripAndBadInterval) {
-  const MeshShape shape = MeshShape::cube(2, 6);
-  EquivPartition partition;
-  RectSet a(shape);
-  a.clamp(0, 1, 3);
-  RectSet b(shape);
-  b.clamp(1, 0, 0);
-  partition.sets.push_back(a);
-  partition.sets.push_back(b);
-  ByteWriter w;
-  io::encode(w, partition, shape.dim());
-  {
-    ByteReader r(w.data());
-    EquivPartition out;
-    ASSERT_TRUE(io::decode(r, shape, &out));
-    ASSERT_EQ(out.size(), 2u);
-    EXPECT_EQ(out.sets[0].lo(0), 1);
-    EXPECT_EQ(out.sets[0].hi(0), 3);
-    EXPECT_EQ(out.sets[1].hi(1), 0);
-  }
-  // An interval past the mesh edge must be rejected, not clamped.
-  ByteWriter bad;
-  bad.u64(1);
-  bad.i32(0);
-  bad.i32(6);  // hi == width
-  bad.i32(0);
-  bad.i32(5);
-  ByteReader r(bad.data());
-  EquivPartition out;
-  EXPECT_FALSE(io::decode(r, shape, &out));
-  EXPECT_EQ(r.error().code, LoadError::Code::kMalformed);
-}
-
 manager::Checkpoint sample_checkpoint(const MeshShape& shape) {
   manager::MachineManager mgr(shape);
   mgr.reconfigure();
@@ -160,7 +126,6 @@ TEST(BinaryFormat, CheckpointRoundtrip) {
   EXPECT_EQ(out.link_faults, cp.link_faults);
   EXPECT_EQ(out.lambs, cp.lambs);
   EXPECT_EQ(out.values, cp.values);
-  EXPECT_EQ(out.rounds, cp.rounds);
   EXPECT_EQ(out.route_load, cp.route_load);
   EXPECT_EQ(out.routes_vended, cp.routes_vended);
   EXPECT_EQ(out.pending, cp.pending);

@@ -14,6 +14,7 @@
 #include "io/durable.hpp"
 #include "manager/machine_manager.hpp"
 #include "mesh/mesh.hpp"
+#include "storage_fault.hpp"
 #include "support/rng.hpp"
 
 namespace lamb {
@@ -197,6 +198,158 @@ TEST(StateDir, PruneKeepsConfiguredSnapshotCount) {
   EXPECT_TRUE(scan.recoverable);
 }
 
+// A file name recover() renamed aside, with its ".quarantine-<n>" suffix
+// removed.
+std::string quarantined_original(const std::string& name) {
+  return name.substr(0, name.rfind(".quarantine-"));
+}
+
+// scan() is fsck's prediction of recover(): for each kind of damage the
+// durable tests inflict, the read-only scan must name the snapshot that
+// loads, the journal records that replay, why any journal content is
+// dropped, and exactly the files recovery renames aside.
+TEST(StateDir, ScanAgreesWithRecover) {
+  struct Case {
+    const char* name;
+    void (*damage)(const std::string& dir);
+    // What recover() does, so each case is known to reach its branch.
+    bool recoverable;
+    std::size_t records;
+    std::size_t quarantined;
+  };
+  const std::string journal_name = "journal.lmj";
+  const Case cases[] = {
+      {"clean", [](const std::string&) {}, true, 2, 0},
+      {"corrupt_newest_snapshot",
+       [](const std::string& dir) {
+         ASSERT_TRUE(io::storage_fault::bit_flip(newest_snapshot_path(dir),
+                                                 io::kSealHeaderSize + 1, 3));
+       },
+       true, 0, 2},
+      {"torn_snapshot",
+       [](const std::string& dir) {
+         ASSERT_TRUE(io::storage_fault::torn_write(newest_snapshot_path(dir),
+                                                   io::kSealHeaderSize + 1));
+       },
+       true, 0, 2},
+      {"torn_journal_tail",
+       [](const std::string& dir) {
+         const std::string journal = dir + "/journal.lmj";
+         ASSERT_TRUE(io::storage_fault::torn_write(
+             journal, fs::file_size(journal) - 3));
+       },
+       true, 1, 0},
+      {"stale_journal",
+       [](const std::string& dir) {
+         // The journal of snapshot 1, left behind by a crash between
+         // snapshot 2's rename and the journal reset.
+         StateDir older(dir + "/older", fast());
+         ASSERT_TRUE(older.write_snapshot("v1").ok());
+         ASSERT_TRUE(older.append_journal("stale-delta").ok());
+         std::string stale;
+         ASSERT_TRUE(
+             io::read_file_bytes(dir + "/older/journal.lmj", &stale, nullptr));
+         LoadError err;
+         ASSERT_TRUE(io::atomic_write_file(dir + "/journal.lmj", stale, false,
+                                           &err));
+         fs::remove_all(dir + "/older");
+       },
+       true, 0, 0},
+      {"journal_extends_unloadable_snapshot",
+       [](const std::string& dir) {
+         ASSERT_TRUE(io::storage_fault::bit_flip(newest_snapshot_path(dir), 0,
+                                                 1));
+       },
+       true, 0, 2},
+      {"bad_journal_header",
+       [](const std::string& dir) {
+         ASSERT_TRUE(io::storage_fault::bit_flip(dir + "/journal.lmj", 2, 5));
+       },
+       true, 0, 1},
+      {"every_snapshot_corrupt",
+       [](const std::string& dir) {
+         for (const auto& snap : StateDir::scan(dir).snapshots) {
+           ASSERT_TRUE(io::storage_fault::bit_flip(
+               dir + "/" + snap.name, io::kSealHeaderSize + 1, 3));
+         }
+       },
+       false, 0, 2},
+      {"empty_directory",
+       [](const std::string& dir) {
+         fs::remove_all(dir);
+         fs::create_directories(dir);
+       },
+       false, 0, 0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string dir = state_dir(std::string("agree_") + c.name);
+    {
+      StateDir state(dir, fast());
+      ASSERT_TRUE(state.write_snapshot("v1").ok());
+      ASSERT_TRUE(state.append_journal("delta-1").ok());
+      ASSERT_TRUE(state.write_snapshot("v2").ok());
+      ASSERT_TRUE(state.append_journal("delta-2").ok());
+      ASSERT_TRUE(state.append_journal("delta-3").ok());
+    }
+    c.damage(dir);
+
+    const StateDir::Scan scan = StateDir::scan(dir);
+    StateDir state(dir, fast());
+    StateDir::Recovered rec;
+    const LoadError err = state.recover(&rec);
+    EXPECT_EQ(scan.recoverable, err.ok()) << err.to_string();
+    EXPECT_EQ(err.ok(), c.recoverable);
+    EXPECT_EQ(rec.journal_records.size(), c.records);
+    EXPECT_EQ(rec.quarantined.size(), c.quarantined);
+
+    // Recovery loads the newest snapshot that validates and renames aside
+    // every invalid one newer than it (all of them when none validates).
+    std::vector<std::string> expect_quarantined;
+    const StateDir::SnapshotInfo* chosen = nullptr;
+    for (const auto& snap : scan.snapshots) {
+      if (snap.error.ok()) {
+        chosen = &snap;
+        break;
+      }
+      expect_quarantined.push_back(snap.name);
+    }
+    EXPECT_EQ(chosen != nullptr, scan.recoverable);
+    if (chosen != nullptr && err.ok()) {
+      EXPECT_EQ(rec.seq, chosen->seq);
+      // The journal replays iff it extends the loaded snapshot; a bad
+      // header or one extending a newer (unloadable) snapshot is renamed
+      // aside; an absent or stale one is simply reset.
+      const bool present = scan.journal_present;
+      const bool replay = present && scan.journal_header.ok() &&
+                          scan.journal_bound_seq == chosen->seq;
+      const bool unusable =
+          present && (!scan.journal_header.ok() ||
+                      scan.journal_bound_seq > chosen->seq);
+      const std::size_t expect_records =
+          replay ? scan.journal_records.size() : 0;
+      LoadError::Code expect_tail = LoadError::Code::kNone;
+      if (replay) {
+        expect_tail = scan.journal_tail.code;
+      } else if (present && !scan.journal_header.ok()) {
+        expect_tail = scan.journal_header.code;
+      } else if (unusable) {
+        expect_tail = LoadError::Code::kMalformed;
+      }
+      EXPECT_EQ(rec.journal_records.size(), expect_records);
+      EXPECT_EQ(rec.journal_tail.code, expect_tail);
+      EXPECT_EQ(rec.journal_tail_dropped,
+                expect_tail != LoadError::Code::kNone);
+      if (unusable) expect_quarantined.push_back(journal_name);
+    }
+    std::vector<std::string> quarantined;
+    for (const std::string& name : rec.quarantined) {
+      quarantined.push_back(quarantined_original(name));
+    }
+    EXPECT_EQ(quarantined, expect_quarantined);
+  }
+}
+
 // ------------------------------------------------- MachineManager::open
 
 TEST(DurableManager, ReopenRestoresStateAndPendingReports) {
@@ -229,6 +382,45 @@ TEST(DurableManager, ReopenRestoresStateAndPendingReports) {
   EXPECT_TRUE(mgr->faults().link_faulty(shape.point(0), 1, Dir::Pos));
   const auto epoch_report = mgr->reconfigure();
   EXPECT_EQ(epoch_report.epoch, epoch_before + 1);
+}
+
+// A snapshot written while reports are pending keeps the epoch's faults
+// apart from the pending ones, so the reconfigure after a reopen counts
+// the pending reports as new, exactly as the live manager does.
+TEST(DurableManager, ReopenCountsPendingReportsAsNew) {
+  const std::string dir = state_dir("mgr_pending_new");
+  const MeshShape shape = MeshShape::cube(2, 8);
+  manager::MachineManager live(shape);
+  live.report_node_fault(NodeId{10});
+  live.reconfigure();
+  live.report_node_fault(NodeId{40});
+  live.report_link_fault(shape.point(0), 1, Dir::Pos);
+  const manager::EpochReport want = live.reconfigure();
+  ASSERT_EQ(want.new_node_faults, 1);
+  ASSERT_EQ(want.new_link_faults, 1);
+
+  {
+    manager::MachineManager mgr(shape);
+    mgr.report_node_fault(NodeId{10});
+    mgr.reconfigure();
+    mgr.enable_durability(dir, fast());
+    mgr.report_node_fault(NodeId{40});
+    mgr.report_link_fault(shape.point(0), 1, Dir::Pos);
+    mgr.compact();  // the pending reports move from the journal into it
+  }
+  manager::OpenReport report;
+  LoadError err;
+  auto mgr = manager::MachineManager::open(dir, {}, 3, &report, &err);
+  ASSERT_NE(mgr, nullptr) << err.to_string();
+  EXPECT_EQ(report.records_replayed, 0);
+  ASSERT_TRUE(mgr->has_pending_reports());
+  EXPECT_EQ(mgr->snapshot()->faults.num_node_faults(), 1);
+  EXPECT_EQ(mgr->faults().num_node_faults(), 2);
+  const manager::EpochReport got = mgr->reconfigure();
+  EXPECT_EQ(got.new_node_faults, want.new_node_faults);
+  EXPECT_EQ(got.new_link_faults, want.new_link_faults);
+  EXPECT_EQ(got.total_faults, want.total_faults);
+  EXPECT_EQ(mgr->lambs(), live.lambs());
 }
 
 // A link report whose forward direction is already faulty (a restored

@@ -198,6 +198,51 @@ TEST(EpochConfig, RestoreRebuildsTheRecord) {
   expect_survivors_match_brute(mgr);
 }
 
+// A checkpoint's pending reports are not the epoch's faults: restoring
+// it seals the epoch's faults only, so the next reconfigure counts the
+// pending ones as new, as the live manager did. The machine-state codec
+// carries both lists.
+TEST(Manager, RestoredPendingReportsCountAsNew) {
+  const MeshShape shape = MeshShape::cube(2, 8);
+  manager::MachineManager mgr(shape);
+  mgr.report_node_fault(NodeId{10});
+  mgr.reconfigure();
+  manager::Checkpoint cp = mgr.checkpoint();
+  mgr.report_node_fault(NodeId{40});
+  mgr.report_link_fault(shape.point(0), 1, Dir::Pos);
+  const manager::EpochReport want = mgr.reconfigure();
+  ASSERT_EQ(want.new_node_faults, 1);
+  ASSERT_EQ(want.new_link_faults, 1);
+
+  cp.pending = true;
+  cp.pending_node_faults = {NodeId{40}};
+  cp.pending_link_faults = {LinkFault{shape.point(0), 1, Dir::Pos, true}};
+  io::ByteWriter w;
+  manager::encode_machine_state(w, shape, cp);
+  manager::MachineState decoded;
+  ASSERT_TRUE(manager::decode_machine_state(w.data(), &decoded).ok());
+  EXPECT_EQ(decoded.checkpoint.pending_node_faults, cp.pending_node_faults);
+  EXPECT_EQ(decoded.checkpoint.pending_link_faults, cp.pending_link_faults);
+
+  manager::MachineManager restored(shape);
+  restored.restore(decoded.checkpoint);
+  ASSERT_TRUE(restored.has_pending_reports());
+  EXPECT_EQ(restored.snapshot()->faults.f(), 1);
+  EXPECT_EQ(restored.faults().f(), 3);
+  const manager::EpochReport got = restored.reconfigure();
+  EXPECT_EQ(got.new_node_faults, want.new_node_faults);
+  EXPECT_EQ(got.new_link_faults, want.new_link_faults);
+  EXPECT_EQ(got.total_faults, want.total_faults);
+  EXPECT_EQ(restored.lambs(), mgr.lambs());
+
+  // Pending faults without the pending flag are a malformed payload.
+  cp.pending = false;
+  io::ByteWriter bad;
+  manager::encode_machine_state(bad, shape, cp);
+  EXPECT_EQ(manager::decode_machine_state(bad.data(), &decoded).code,
+            io::LoadError::Code::kMalformed);
+}
+
 TEST(EpochConfig, OpenRebuildsTheRecord) {
   namespace fs = std::filesystem;
   const std::string dir = testing::TempDir() + "lamb_epoch_config_open";

@@ -157,7 +157,6 @@ TEST(RouteService, EscalatedEpochIsCertified) {
   manager::Checkpoint cp = f.mgr.checkpoint();
   ASSERT_TRUE(f.mgr.history().back().solve_status == SolveStatus::kCertified);
   cp.orders.push_back(DimOrder::ascending(2));
-  cp.rounds = 3;
   cp.history.back().solve_status = SolveStatus::kEscalated;
   cp.history.back().rounds = 3;
   f.mgr.restore(cp);
@@ -180,7 +179,6 @@ TEST(RouteTable, DimOrderRouteMatchesOneRoundFlood) {
     manager::MachineManager mgr(shape);
     manager::Checkpoint cp;
     cp.orders = ascending_rounds(shape.dim(), 2);
-    cp.rounds = 2;
     cp.history.emplace_back();
     Rng frng(31);
     for (int i = 0; i < 3; ++i) {

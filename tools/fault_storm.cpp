@@ -122,8 +122,8 @@ struct TrialTotals {
 // epoch about to run: in [1, epochs) the checkpoint + rng state rewind
 // the current trial; >= epochs the next trial starts from its own seed.
 // The payload embeds a manager::Checkpoint, so the version must move
-// whenever the snapshot codec's does.
-constexpr std::uint32_t kProgressVersion = 2;
+// whenever the snapshot codec's does (3: the snapshot's version 4).
+constexpr std::uint32_t kProgressVersion = 3;
 
 struct Progress {
   bool complete = false;
@@ -155,10 +155,7 @@ std::string encode_progress(const Progress& p, std::uint64_t fingerprint,
   w.i64(p.totals.failures);
   for (std::uint64_t word : p.rng_state) w.u64(word);
   w.u8(p.has_checkpoint ? 1 : 0);
-  if (p.has_checkpoint) {
-    io::encode(w, shape);
-    io::encode(w, p.checkpoint, shape.dim());
-  }
+  if (p.has_checkpoint) manager::encode_machine_state(w, shape, p.checkpoint);
   return io::seal("LAMBPROG", kProgressVersion, w.data());
 }
 
@@ -198,13 +195,15 @@ bool decode_progress(std::string_view bytes, std::uint64_t fingerprint,
   }
   if (!r.u8(&has_checkpoint) || has_checkpoint > 1) return false;
   out->has_checkpoint = has_checkpoint == 1;
-  if (out->has_checkpoint) {
-    std::unique_ptr<MeshShape> saved_shape;
-    if (!io::decode(r, &saved_shape)) return false;
-    if (saved_shape->to_string() != shape.to_string()) return false;
-    if (!io::decode(r, *saved_shape, &out->checkpoint)) return false;
+  if (!out->has_checkpoint) return r.expect_end();
+  // The machine state runs to the end of the payload.
+  manager::MachineState saved;
+  if (!manager::decode_machine_state(payload.substr(r.pos()), &saved).ok() ||
+      saved.shape->to_string() != shape.to_string()) {
+    return false;
   }
-  return r.expect_end();
+  out->checkpoint = std::move(saved.checkpoint);
+  return true;
 }
 
 int cmd_run(const Args& args) {

@@ -1,14 +1,16 @@
 // lambmesh_fsck — inspect and repair a durable state directory
 // (docs/RECOVERY.md "Durability"). Three subcommands:
 //
-//   verify <dir>   read-only health report; exit 0 iff recoverable
-//   dump <dir>     verify + decode the newest valid snapshot and print
-//                  the machine state it would recover to
+//   verify <dir>   read-only health report and the repairs recovery
+//                  would make; exit 0 iff recoverable
+//   dump <dir>     verify + print the machine state of the snapshot
+//                  recovery loads
 //   compact <dir>  full recovery (quarantines corrupt files, truncates a
 //                  torn journal tail) followed by a fresh snapshot
 //
-// verify/dump never modify the directory; compact performs exactly the
-// repairs MachineManager::open() would.
+// verify/dump never modify the directory: they print the survey that
+// StateDir::recover() (so MachineManager::open()) carries out, and
+// compact performs exactly those repairs.
 //
 // verify/dump also accept a flight-recorder artifact (a LAMBRING live
 // ring or a LAMBFREC sealed dump, see obs/recorder.hpp) instead of a
@@ -16,25 +18,23 @@
 // the full-featured decoder, this is the health check.
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
+#include <string_view>
 
 #include "io/binary_format.hpp"
 #include "io/cli_args.hpp"
 #include "io/durable.hpp"
 #include "io/recorder_codec.hpp"
 #include "manager/machine_manager.hpp"
-#include "mesh/mesh.hpp"
 
 namespace {
 
-using lamb::MeshShape;
 using lamb::io::LoadError;
 using lamb::io::StateDir;
 
 constexpr lamb::io::Command kCommands[] = {
     {"verify", "read-only health report; exit 0 iff recoverable"},
-    {"dump", "verify + print the state the newest snapshot recovers to"},
+    {"dump", "verify + print the machine state recovery loads"},
     {"compact", "full recovery (repairs) followed by a fresh snapshot"},
 };
 
@@ -43,26 +43,13 @@ constexpr lamb::io::Flag kFlags[] = {
      "state directory, or a flight-recorder file (verify, dump)"},
 };
 
-bool validate_manager_payload(std::string_view payload, LoadError* err) {
-  lamb::io::ByteReader r(payload);
-  std::unique_ptr<MeshShape> shape;
-  lamb::manager::Checkpoint snapshot;
-  const bool ok = lamb::io::decode(r, &shape) &&
-                  lamb::io::decode(r, *shape, &snapshot) && r.expect_end();
-  if (!ok && err != nullptr) *err = r.error();
-  return ok;
-}
-
-void print_error(const char* label, const LoadError& err) {
-  if (err.ok()) {
-    std::printf("%s: ok\n", label);
-  } else {
-    std::printf("%s: %s\n", label, err.to_string().c_str());
-  }
-}
-
 int cmd_verify(const std::string& dir, bool dump) {
-  const StateDir::Scan scan = StateDir::scan(dir, validate_manager_payload);
+  const StateDir::Scan scan = StateDir::scan(
+      dir, [](std::string_view payload, LoadError* err) {
+        lamb::manager::MachineState state;
+        *err = lamb::manager::decode_machine_state(payload, &state);
+        return err->ok();
+      });
   std::printf("state directory: %s\n", dir.c_str());
   if (scan.snapshots.empty()) {
     std::printf("snapshots: none\n");
@@ -77,47 +64,66 @@ int cmd_verify(const std::string& dir, bool dump) {
   if (!scan.journal_present) {
     std::printf("journal: none\n");
   } else if (!scan.journal_header.ok()) {
-    print_error("journal header", scan.journal_header);
+    std::printf("journal header: %s\n",
+                scan.journal_header.to_string().c_str());
   } else {
-    std::printf("journal: bound to seq %llu, %lld intact record(s)\n",
-                static_cast<unsigned long long>(scan.journal_bound_seq),
-                static_cast<long long>(scan.journal_records));
-    print_error("journal tail", scan.journal_tail);
+    std::printf("journal: bound to seq %llu\n",
+                static_cast<unsigned long long>(scan.journal_bound_seq));
   }
   for (const auto& name : scan.quarantine_files) {
     std::printf("quarantined: %s\n", name.c_str());
   }
-  std::printf("recoverable: %s\n", scan.recoverable ? "yes" : "NO");
-
-  if (dump && scan.recoverable) {
-    lamb::io::LoadError err;
-    // Replaying may re-run a reconfigure; dump must stay read-only, so
-    // decode the newest valid snapshot directly instead of open()ing.
-    for (const auto& snap : scan.snapshots) {
-      if (!snap.error.ok()) continue;
-      std::string file;
-      if (!lamb::io::read_file_bytes(dir + "/" + snap.name, &file, &err)) {
-        break;
-      }
-      // The scan already validated the seal, so skip straight past it.
-      lamb::io::ByteReader r(
-          std::string_view(file).substr(lamb::io::kSealHeaderSize));
-      std::unique_ptr<MeshShape> shape;
-      lamb::manager::Checkpoint cp;
-      if (!lamb::io::decode(r, &shape) || !lamb::io::decode(r, *shape, &cp)) {
-        break;
-      }
-      std::printf("mesh: %s\n", shape->to_string().c_str());
-      std::printf("epoch: %d (rounds %d)\n", cp.epoch, cp.rounds);
-      std::printf("node faults: %zu\n", cp.node_faults.size());
-      std::printf("link faults: %zu\n", cp.link_faults.size());
-      std::printf("lambs: %zu\n", cp.lambs.size());
-      std::printf("routes vended this epoch: %lld\n",
-                  static_cast<long long>(cp.routes_vended));
-      break;
-    }
+  if (!scan.recoverable) {
+    std::printf("recoverable: NO (%s)\n", scan.error.to_string().c_str());
+    return 1;
   }
-  return scan.recoverable ? 0 : 1;
+
+  // What recover() -- and so MachineManager::open() -- does here.
+  for (const auto& snap : scan.snapshots) {
+    if (snap.error.ok()) break;
+    std::printf("recovery quarantines %s\n", snap.name.c_str());
+  }
+  std::printf("recovery loads seq %llu and replays %zu journal record(s)\n",
+              static_cast<unsigned long long>(scan.seq),
+              scan.journal_records.size());
+  switch (scan.journal_action) {
+    case StateDir::JournalAction::kReset:
+      std::printf("recovery starts a fresh journal\n");
+      break;
+    case StateDir::JournalAction::kQuarantine:
+      std::printf("recovery quarantines the journal: %s\n",
+                  scan.journal_tail.to_string().c_str());
+      break;
+    case StateDir::JournalAction::kReplay:
+      if (!scan.journal_tail.ok()) {
+        std::printf("recovery truncates the journal to %llu bytes: %s\n",
+                    static_cast<unsigned long long>(scan.journal_intact_bytes),
+                    scan.journal_tail.to_string().c_str());
+      }
+      break;
+  }
+  std::printf("recoverable: yes\n");
+
+  if (dump) {
+    // Replaying may re-run a reconfigure; dump must stay read-only, so it
+    // prints the snapshot recovery loads instead of open()ing.
+    lamb::manager::MachineState state;
+    lamb::manager::decode_machine_state(scan.snapshot_payload, &state);
+    const lamb::manager::Checkpoint& cp = state.checkpoint;
+    std::printf("mesh: %s\n", state.shape->to_string().c_str());
+    std::printf("epoch: %d (rounds %zu)\n", cp.epoch, cp.orders.size());
+    std::printf("node faults: %zu\n", cp.node_faults.size());
+    std::printf("link faults: %zu\n", cp.link_faults.size());
+    if (cp.pending) {
+      std::printf("pending reports: %zu node fault(s), %zu link fault(s)\n",
+                  cp.pending_node_faults.size(),
+                  cp.pending_link_faults.size());
+    }
+    std::printf("lambs: %zu\n", cp.lambs.size());
+    std::printf("routes vended this epoch: %lld\n",
+                static_cast<long long>(cp.routes_vended));
+  }
+  return 0;
 }
 
 int cmd_compact(const std::string& dir) {
@@ -151,11 +157,7 @@ int cmd_compact(const std::string& dir) {
 int cmd_flight(const std::string& path, const std::string& bytes,
                bool dump) {
   lamb::io::FlightDump flight;
-  const LoadError err = bytes.size() >= 8 &&
-                                bytes.compare(0, 8, lamb::obs::kFlightRingMagic,
-                                              8) == 0
-                            ? lamb::io::decode_flight_ring(bytes, &flight)
-                            : lamb::io::decode_flight_dump(bytes, &flight);
+  const LoadError err = lamb::io::decode_flight_file(bytes, &flight);
   std::printf("flight file: %s\n", path.c_str());
   if (!err.ok()) {
     std::printf("decode: %s\nrecoverable: NO\n", err.to_string().c_str());
