@@ -133,9 +133,7 @@ struct SolveOutcome {
   int escalations = 0;  // extra rounds spent beyond options.rounds
   double seconds = 0.0;
   // kUncovered only: sample of survivor pairs (under result.lambs) with
-  // no certified k-round route, capped at 16; may be empty when even the
-  // diagnostic flood was out of reach (meshes beyond the verifier's
-  // 2^14-node guard).
+  // no certified k-round route, capped at 16 (core/verifier.hpp).
   std::vector<std::pair<NodeId, NodeId>> uncovered_pairs;
 
   // Whether result.lambs carries the full survivor-to-survivor guarantee.

@@ -13,23 +13,11 @@
 #include <optional>
 #include <vector>
 
-#include "graph/graph.hpp"
 #include "mesh/fault_set.hpp"
 #include "mesh/mesh.hpp"
 #include "reach/dim_order.hpp"
 
 namespace lamb {
-
-// The bad-pair graph: one vertex per good node that appears in some
-// unreachable pair, an (undirected) edge per unreachable ordered pair.
-// `vertex_nodes` maps graph vertex -> mesh node id.
-struct BadPairGraph {
-  WeightedGraph graph;
-  std::vector<NodeId> vertex_nodes;
-};
-
-BadPairGraph bad_pair_graph(const MeshShape& shape, const FaultSet& faults,
-                            const MultiRoundOrder& orders);
 
 // Minimum-size lamb set, or nullopt when the branch-and-bound budget is
 // exhausted. Exponential worst case; intended for small meshes.

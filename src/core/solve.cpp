@@ -88,18 +88,15 @@ SolveOutcome solve_ladder(const MeshShape& shape, const FaultSet& faults,
 
   // Every rung timed out: fall back to the predetermined lambs (the
   // previous epoch's configuration) without a certificate, and name a
-  // sample of the survivor pairs it leaves uncovered. The diagnostic
-  // flood is itself skipped on meshes beyond the verifier's guard.
+  // sample of the survivor pairs it leaves uncovered.
   outcome.status = SolveStatus::kUncovered;
   outcome.rounds = 0;
   outcome.escalations = max_rounds - base_rounds;
   outcome.result = LambResult{};
   outcome.result.lambs = internal::checked_predetermined(faults, options);
-  if (shape.size() <= (NodeId{1} << 14)) {
-    outcome.uncovered_pairs = unreachable_survivor_pairs(
-        shape, faults, options.resolved_orders(shape.dim()),
-        outcome.result.lambs);
-  }
+  outcome.uncovered_pairs = unreachable_survivor_pairs(
+      shape, faults, options.resolved_orders(shape.dim()),
+      outcome.result.lambs);
   outcome.seconds = watch.seconds();
   obs::counter("solver.degrade.uncovered").add();
   span.arg("rounds", 0);

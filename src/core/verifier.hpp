@@ -1,7 +1,11 @@
-// Brute-force verification of lamb sets, by explicit whole-mesh k-round
-// reachability (the O(N^2) "spanning tree" approach of paper Section 4).
-// Used by tests and the optimal solver; memory is Theta(N^2) bits, so it
-// is guarded to meshes of at most 2^14 nodes.
+// Independent verification of lamb sets by explicit k-round reachability:
+// footnote 7's "spanning tree" check (paper Section 4), one k-round flood
+// (FloodOracle::reach_from) per survivor, read against the survivor mask.
+// It shares no code with the Section 6.2 chain the solver runs. Memory is
+// O(N) bits beyond the oracle, with no mesh-size limit; a valid verdict
+// costs one flood per survivor, and a pair list stops at its cap. Used
+// by the solver's uncovered fallback, `lambmesh_cli verify`, the exact
+// optimal solver and the tests.
 #pragma once
 
 #include <cstdint>
@@ -11,15 +15,8 @@
 #include "mesh/fault_set.hpp"
 #include "mesh/mesh.hpp"
 #include "reach/dim_order.hpp"
-#include "support/bitset.hpp"
 
 namespace lamb {
-
-// rows[v] = bitset of nodes (k, F, orders)-reachable from v (empty when v
-// is faulty). Throws for meshes larger than 2^14 nodes.
-std::vector<Bits> full_reach_rows(const MeshShape& shape,
-                                  const FaultSet& faults,
-                                  const MultiRoundOrder& orders);
 
 // Whether `lambs` (sorted or not) is a (k, F, orders)-lamb set: every good
 // node outside it reaches every other good node outside it.
@@ -27,8 +24,9 @@ bool is_lamb_set(const MeshShape& shape, const FaultSet& faults,
                  const MultiRoundOrder& orders,
                  const std::vector<NodeId>& lambs);
 
-// Ordered survivor pairs (v, w) with w not reachable from v, up to
-// `max_pairs`; empty means the lamb set is valid.
+// Ordered survivor pairs (v, w) with w not reachable from v, ascending by
+// v then w, up to `max_pairs` (the scan stops there); empty means the lamb
+// set is valid. Throws std::invalid_argument when `orders` is empty.
 std::vector<std::pair<NodeId, NodeId>> unreachable_survivor_pairs(
     const MeshShape& shape, const FaultSet& faults,
     const MultiRoundOrder& orders, const std::vector<NodeId>& lambs,

@@ -1,7 +1,9 @@
 // Set-valued ("spanning tree") reachability, the approach the paper
 // mentions in Section 4 and footnote 7, computed with the word-parallel
 // Boolean operations of Section 6.2 (Lemma 5.1, Fig. 12). Used for:
-//   * brute-force verification of lamb sets and of SES/DES partitions,
+//   * verification of lamb sets: core/verifier runs one k-round
+//     reach_from per survivor and reads it against the survivor mask,
+//   * test references for SES/DES partitions and the Sec. 6.2 chain,
 //   * choosing intermediate nodes for k-round routes (wormhole RouteCache),
 //   * the generic-topology solver.
 //

@@ -7,12 +7,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/lamb.hpp"
 #include "core/optimal.hpp"
 #include "core/theory.hpp"
 #include "core/verifier.hpp"
+#include "reach/route.hpp"
 #include "support/rng.hpp"
 #include "sweep_name.hpp"
 
@@ -296,11 +301,134 @@ TEST(Extensions, ValueOfResultUsesNodeValues) {
 
 // --- Verifier edge cases ----------------------------------------------------
 
-TEST(Verifier, RejectsHugeMeshes) {
-  const MeshShape shape = MeshShape::cube(3, 32);  // 32768 > 2^14
-  const FaultSet faults(shape);
-  EXPECT_THROW(full_reach_rows(shape, faults, ascending_rounds(3, 2)),
-               std::invalid_argument);
+TEST(Verifier, ChecksMeshesBeyondSixteenThousandNodes) {
+  const MeshShape shape = MeshShape::cube(2, 129);  // 16641 > 2^14
+  Rng rng(11);
+  const FaultSet faults = FaultSet::random_nodes(shape, 500, rng);
+  const MultiRoundOrder orders = ascending_rounds(2, 2);
+  const LambResult result = lamb1(shape, faults, {});
+  ASSERT_FALSE(result.lambs.empty());
+  EXPECT_TRUE(
+      unreachable_survivor_pairs(shape, faults, orders, result.lambs).empty());
+  const std::vector<NodeId> dropped(result.lambs.begin() + 1,
+                                    result.lambs.end());
+  EXPECT_FALSE(
+      unreachable_survivor_pairs(shape, faults, orders, dropped).empty());
+}
+
+// The reference: Definition 2.5's k-round relation composed from
+// route_clear walks (reach/route.hpp), with no flood anywhere, read as
+// the ordered survivor pairs (v, w) with w not reachable from v.
+std::vector<std::pair<NodeId, NodeId>> walked_unreachable_pairs(
+    const MeshShape& shape, const FaultSet& faults,
+    const MultiRoundOrder& orders, const std::vector<NodeId>& lambs) {
+  const auto n = static_cast<std::size_t>(shape.size());
+  using Relation = std::vector<std::vector<bool>>;
+  auto one_round = [&](const DimOrder& order) {
+    Relation rel(n, std::vector<bool>(n));
+    for (std::size_t v = 0; v < n; ++v) {
+      for (std::size_t w = 0; w < n; ++w) {
+        rel[v][w] = route_clear(shape, faults, shape.point(NodeId(v)),
+                                shape.point(NodeId(w)), order);
+      }
+    }
+    return rel;
+  };
+  Relation reach = one_round(orders.front());
+  for (std::size_t r = 1; r < orders.size(); ++r) {
+    const Relation step = one_round(orders[r]);
+    Relation next(n, std::vector<bool>(n));
+    for (std::size_t v = 0; v < n; ++v) {
+      for (std::size_t u = 0; u < n; ++u) {
+        if (!reach[v][u]) continue;
+        for (std::size_t w = 0; w < n; ++w) {
+          if (step[u][w]) next[v][w] = true;
+        }
+      }
+    }
+    reach = std::move(next);
+  }
+  std::vector<NodeId> survivors;
+  for (NodeId v = 0; v < shape.size(); ++v) {
+    if (faults.node_good(v) &&
+        std::find(lambs.begin(), lambs.end(), v) == lambs.end()) {
+      survivors.push_back(v);
+    }
+  }
+  std::vector<std::pair<NodeId, NodeId>> bad;
+  for (const NodeId v : survivors) {
+    for (const NodeId w : survivors) {
+      if (!reach[static_cast<std::size_t>(v)][static_cast<std::size_t>(w)]) {
+        bad.emplace_back(v, w);
+      }
+    }
+  }
+  return bad;
+}
+
+TEST(Verifier, MatchesRouteWalkReference) {
+  struct Case {
+    MeshShape shape;
+    int node_faults, links, directed_links;
+  };
+  const Case cases[] = {
+      {MeshShape::cube(2, 6), 4, 2, 2},
+      {MeshShape::mesh({7, 5}), 3, 0, 4},
+      {MeshShape::cube(3, 4), 4, 2, 2},
+      {MeshShape::torus({5, 5}), 2, 2, 2},
+  };
+  for (const Case& c : cases) {
+    const MeshShape& shape = c.shape;
+    const int d = shape.dim();
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      Rng rng(seed);
+      FaultSet faults = FaultSet::random_nodes(shape, c.node_faults, rng);
+      for (int added = 0; added < c.links + c.directed_links;) {
+        const Point p = shape.point(static_cast<NodeId>(
+            rng.below(static_cast<std::uint64_t>(shape.size()))));
+        const int dim =
+            static_cast<int>(rng.below(static_cast<std::uint64_t>(d)));
+        const Dir dir = rng.bernoulli(0.5) ? Dir::Pos : Dir::Neg;
+        Point other;
+        if (!shape.neighbor(p, dim, dir, &other)) continue;
+        if (added++ < c.links) {
+          faults.add_link(p, dim, dir);
+        } else {
+          faults.add_directed_link(p, dim, dir);
+        }
+      }
+      // A few good nodes as lambs, unsorted.
+      std::vector<NodeId> lambs;
+      for (NodeId v = shape.size() - 1; v >= 0; v -= 7) {
+        if (faults.node_good(v)) lambs.push_back(v);
+      }
+      const MultiRoundOrder order_sets[] = {
+          ascending_rounds(d, 1),
+          ascending_rounds(d, 2),
+          {DimOrder::ascending(d), DimOrder::descending(d)},
+          {DimOrder::descending(d), DimOrder::descending(d),
+           DimOrder::ascending(d)},
+      };
+      for (const MultiRoundOrder& orders : order_sets) {
+        for (const auto& chosen : {std::vector<NodeId>{}, lambs}) {
+          SCOPED_TRACE(shape.to_string() + " seed " + std::to_string(seed) +
+                       " k=" + std::to_string(orders.size()) + " lambs " +
+                       std::to_string(chosen.size()));
+          const auto want =
+              walked_unreachable_pairs(shape, faults, orders, chosen);
+          EXPECT_EQ(unreachable_survivor_pairs(
+                        shape, faults, orders, chosen,
+                        std::numeric_limits<std::size_t>::max()),
+                    want);
+          EXPECT_EQ(is_lamb_set(shape, faults, orders, chosen), want.empty());
+          const auto capped = unreachable_survivor_pairs(shape, faults,
+                                                         orders, chosen, 5);
+          ASSERT_EQ(capped.size(), std::min<std::size_t>(want.size(), 5));
+          EXPECT_TRUE(std::equal(capped.begin(), capped.end(), want.begin()));
+        }
+      }
+    }
+  }
 }
 
 TEST(Verifier, DetectsMissingLamb) {

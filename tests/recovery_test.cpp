@@ -364,21 +364,26 @@ TEST(Degradation, UnlimitedBudgetIsCertified) {
 }
 
 TEST(Degradation, ExhaustedBudgetReportsUncoveredInsteadOfThrowing) {
-  const MeshShape shape = MeshShape::cube(2, 8);
-  FaultSet faults(shape);
-  Rng rng(7);
-  faults = FaultSet::random_nodes(shape, 10, rng);
-  LambOptions options;
-  options.budget_seconds = 1e-12;  // adversarial: every phase overruns
-  const SolveOutcome outcome = solve_lambs(shape, faults, options);
-  EXPECT_EQ(outcome.status, SolveStatus::kUncovered);
-  EXPECT_FALSE(outcome.certified());
-  EXPECT_EQ(outcome.rounds, 0);
-  EXPECT_GT(outcome.escalations, 0);
-  // Fallback keeps the predetermined lambs (none here) and names a
-  // sample of survivor pairs the stale configuration leaves uncovered.
-  EXPECT_TRUE(outcome.result.lambs.empty());
-  EXPECT_FALSE(outcome.uncovered_pairs.empty());
+  // The second mesh has more than 2^14 nodes: the sample of uncovered
+  // pairs is named at every size.
+  const std::pair<MeshShape, std::int64_t> inputs[] = {
+      {MeshShape::cube(2, 8), 10}, {MeshShape::cube(2, 129), 500}};
+  for (const auto& [shape, fault_count] : inputs) {
+    SCOPED_TRACE(shape.to_string());
+    Rng rng(7);
+    const FaultSet faults = FaultSet::random_nodes(shape, fault_count, rng);
+    LambOptions options;
+    options.budget_seconds = 1e-12;  // adversarial: every phase overruns
+    const SolveOutcome outcome = solve_lambs(shape, faults, options);
+    EXPECT_EQ(outcome.status, SolveStatus::kUncovered);
+    EXPECT_FALSE(outcome.certified());
+    EXPECT_EQ(outcome.rounds, 0);
+    EXPECT_GT(outcome.escalations, 0);
+    // Fallback keeps the predetermined lambs (none here) and names a
+    // sample of survivor pairs the stale configuration leaves uncovered.
+    EXPECT_TRUE(outcome.result.lambs.empty());
+    EXPECT_FALSE(outcome.uncovered_pairs.empty());
+  }
 }
 
 TEST(Degradation, ManagerSurvivesAdversarialBudget) {

@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "core/lamb.hpp"
 #include "core/verifier.hpp"
 #include "graph/general_wvc.hpp"
+#include "reach/flood_oracle.hpp"
 #include "reduction/vc_gadget.hpp"
 
 namespace lamb {
@@ -70,8 +72,11 @@ TEST_P(GadgetTest, ReachabilityProperties123) {
   const WeightedGraph g = input_graph();
   const VcGadget gadget(g);
   const MeshShape& shape = gadget.shape();
-  const auto rows =
-      full_reach_rows(shape, gadget.faults(), ascending_rounds(3, 2));
+  const FloodOracle flood(shape, gadget.faults());
+  std::vector<Bits> rows;
+  for (NodeId id = 0; id < shape.size(); ++id) {
+    rows.push_back(flood.reach_from(shape.point(id), ascending_rounds(3, 2)));
+  }
 
   auto column_nodes = [&](int t) {
     std::vector<NodeId> nodes;

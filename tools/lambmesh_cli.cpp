@@ -159,9 +159,18 @@ int cmd_verify(const Args& args) {
     return 0;
   }
   std::printf("INVALID: %zu unreachable survivor pair(s), e.g.", bad.size());
+  auto print_point = [&](NodeId id) {
+    const Point p = doc.shape->point(id);
+    for (int j = 0; j < doc.shape->dim(); ++j) {
+      std::printf("%c%d", j == 0 ? '(' : ',', p[j]);
+    }
+    std::printf(")");
+  };
   for (const auto& [v, w] : bad) {
-    const Point a = doc.shape->point(v), b = doc.shape->point(w);
-    std::printf(" (%d,%d)->(%d,%d)", a[0], a[1], b[0], b[1]);
+    std::printf(" ");
+    print_point(v);
+    std::printf("->");
+    print_point(w);
   }
   std::printf("\n");
   return 1;
