@@ -150,14 +150,13 @@ std::pair<BitMatrix, BitMatrix> random_factors(std::int64_t m,
   return {std::move(a), std::move(b)};
 }
 
-// The factors R_t and I_t captured from one full run at k = 2.
+// The factors R_t and I_t of one full run at k = 2.
 struct ChainCase : Faulted {
-  ReachCapture cap;
   ReachComputation reach;
 
   ChainCase(int dim, Coord width, std::int64_t f)
       : Faulted(MeshShape::cube(dim, width), f, 13) {
-    reach = compute_reachability(shape, faults, ascending_rounds(dim, 2), &cap);
+    reach = compute_reachability(shape, faults, ascending_rounds(dim, 2));
   }
 };
 
@@ -180,8 +179,8 @@ struct WvcCase {
 };
 
 // The solver's reach layer on one incremental reconfigure: M_3(16) with
-// 4% node faults and k = 2, captured once, then one new node fault or one
-// new bidirectional link fault applied to the captured matrices by
+// 4% node faults and k = 2, solved once in full, then one new node fault
+// or one new bidirectional link fault applied to that solve's factors by
 // compute_reachability_incremental. The delta is the first random
 // candidate the call accepts (one whose partition repair does not bail).
 struct ReachDeltaCase {
@@ -190,7 +189,6 @@ struct ReachDeltaCase {
   FaultSet before;
   FaultSet after;
   ReachComputation reach;
-  ReachCapture cap;
   std::vector<Point> delta_nodes;
   std::vector<LinkFault> delta_links;
 
@@ -199,7 +197,7 @@ struct ReachDeltaCase {
         orders(ascending_rounds(3, 2)),
         before(make_faults(shape, 164, 11)),
         after(before) {
-    reach = compute_reachability(shape, before, orders, &cap);
+    reach = compute_reachability(shape, before, orders);
     Rng rng(12);
     for (;;) {
       const Point p = random_point(shape, rng);
@@ -226,19 +224,15 @@ struct ReachDeltaCase {
 
   bool step(ReachComputation* result = nullptr) const {
     ReachComputation out;
-    ReachCapture out_cap;
     ReachDelta delta;
     const bool ok = compute_reachability_incremental(
-        shape, after, orders, delta_nodes, delta_links, reach, cap, &out,
-        &out_cap, &delta);
+        shape, after, orders, delta_nodes, delta_links, reach, &out, &delta);
     if (result != nullptr) *result = std::move(out);
     return ok;
   }
-  // The full solve of the same fault set, capturing as the manager's
-  // full path does.
+  // The full solve of the same fault set.
   ReachComputation full() const {
-    ReachCapture full_cap;
-    return compute_reachability(shape, after, orders, &full_cap);
+    return compute_reachability(shape, after, orders);
   }
   bool incremental_equals_full() const {
     ReachComputation inc;
@@ -479,7 +473,7 @@ void add_cases(Suite& s) {
   }
 
   s.family("ReachChain",
-           "reach_chain alone on captured k = 2 factors: /0 M_3(16) 4%, "
+           "reach_chain alone on one full run's k = 2 factors: /0 M_3(16) 4%, "
            "/1 M_2(181) 1.5%, /2 M_3(32) 2% (seed 13)");
   const std::shared_ptr<const ChainCase> chains[] = {
       std::make_shared<const ChainCase>(3, 16, 164),
@@ -487,7 +481,7 @@ void add_cases(Suite& s) {
       std::make_shared<const ChainCase>(3, 32, 655)};
   for (int w = 0; w < 3; ++w) {
     s.add("ReachChain/" + std::to_string(w), [c = chains[w]] {
-      return reach_chain(c->cap.r, c->cap.inters, c->reach.round_part);
+      return reach_chain(c->reach.r, c->reach.inters, c->reach.round_part);
     });
   }
 
@@ -497,8 +491,8 @@ void add_cases(Suite& s) {
            "M_3(16), 164 node faults (seed 11), k = 2, one new "
            "bidirectional link fault");
   s.family("ReachFull",
-           "the full Find-Reachability, with capture, of the "
-           "ReachIncrementalNode fault set");
+           "the full Find-Reachability of the ReachIncrementalNode fault "
+           "set");
   auto node_delta = std::make_shared<const ReachDeltaCase>(/*link=*/false);
   auto link_delta = std::make_shared<const ReachDeltaCase>(/*link=*/true);
   s.incremental_equivalent = node_delta->incremental_equals_full() &&

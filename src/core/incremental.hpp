@@ -8,15 +8,16 @@
 //      recomputed only in the outer-level peel subtrees a new fault
 //      landed in; untouched subtrees are spliced from the previous
 //      partition. Bails when the damage merges regions.
-//   2. Reach-matrix block reuse (core/reach_matrices.*): R_t rows and
-//      columns are copied from the previous matrices, then every entry
-//      whose dimension-ordered route runs through a delta fault (a node
-//      on it, or a link it traverses in a now-faulty direction) is
-//      cleared by exact bit masks; intersection matrices splice their
-//      mapped entries. No reachability oracle is kept or queried. The
-//      R-chain itself is recomputed in full (core/reach_matrices.hpp,
-//      reach_chain), which the saturating product makes cheaper than
-//      splicing its rows.
+//   2. Reach-matrix block reuse (core/reach_matrices.*): every R_t row
+//      and column is copied from its parent's (the old cell holding the
+//      new cell's representative), then every entry whose
+//      dimension-ordered route runs through a delta fault (a node on it,
+//      or a link it traverses in a now-faulty direction) is cleared by
+//      exact bit masks; intersection matrices splice the entries of cells
+//      the repair kept verbatim. No reachability oracle is kept or
+//      queried. The R-chain itself is recomputed in full
+//      (core/reach_matrices.hpp, reach_chain), which the saturating
+//      product makes cheaper than splicing its rows.
 //
 // The cover is then found by the same cold min-cut (internal::cover_phase)
 // the full solve runs. The result is bit-identical to solve_lambs on the
@@ -33,20 +34,21 @@
 #include <vector>
 
 #include "core/lamb.hpp"
-#include "core/lamb_internal.hpp"
 #include "core/reach_matrices.hpp"
 #include "mesh/fault_set.hpp"
 #include "mesh/mesh.hpp"
 
 namespace lamb {
 
-// Solver state retained on a SolveOutcome (LambOptions::keep_context).
-// Immutable once built: it shares the sealed snapshot it was solved
-// against, and an incremental step reads it without consuming it.
+// Solver state retained on a SolveOutcome (LambOptions::keep_context):
+// the certified solve's one ReachComputation, every factor an
+// incremental step reuses. Immutable once built: it shares the sealed
+// snapshot it was solved against, and an incremental step reads it
+// without consuming it.
 struct SolveContext {
   std::shared_ptr<const FaultSnapshot> snapshot;  // cumulative faults
   MultiRoundOrder orders;  // the orders the outcome was certified with
-  internal::LambCapture capture;
+  ReachComputation reach;
 };
 
 // Why an incremental attempt fell back to the full solve (or kNone).

@@ -74,7 +74,7 @@ LambResult cover_phase(const MeshShape& shape, const ReachComputation& reach,
 }
 
 LambResult lamb1_core(const MeshShape& shape, const FaultSet& faults,
-                      const LambOptions& options, LambCapture* capture) {
+                      const LambOptions& options, ReachComputation* reach_out) {
   obs::Span span("solver.lamb1", "solver");
   obs::counter("solver.lamb1.calls").add();
   const internal::Deadline deadline(options.budget_seconds);
@@ -83,16 +83,14 @@ LambResult lamb1_core(const MeshShape& shape, const FaultSet& faults,
       internal::checked_predetermined(faults, options);
   deadline.check("setup");
 
-  ReachComputation reach =
-      compute_reachability(shape, faults, orders,
-                           capture != nullptr ? &capture->rcap : nullptr);
+  ReachComputation reach = compute_reachability(shape, faults, orders);
   deadline.check("reachability");
 
   LambResult result =
       cover_phase(shape, reach, options, predetermined, deadline);
   result.stats.seconds_partition = reach.seconds_partition;
   result.stats.seconds_matrices = reach.seconds_matrices;
-  if (capture != nullptr) capture->reach = std::move(reach);
+  if (reach_out != nullptr) *reach_out = std::move(reach);
   span.arg("lambs", static_cast<double>(result.size()));
   return result;
 }

@@ -88,17 +88,11 @@ inline void finalize_lambs(std::vector<NodeId>* lambs,
   lambs->erase(std::unique(lambs->begin(), lambs->end()), lambs->end());
 }
 
-// Everything one Lamb1 run leaves behind for the incremental re-solve:
-// the reachability computation plus its capture.
-struct LambCapture {
-  ReachComputation reach;
-  ReachCapture rcap;
-};
-
-// Lamb1 with optional capture of reusable intermediates. `capture`, when
-// non-null, is filled by every run that returns.
+// Lamb1 that hands back its reachability computation (the state an
+// incremental re-solve reuses). `reach_out`, when non-null, is filled by
+// every run that returns.
 LambResult lamb1_core(const MeshShape& shape, const FaultSet& faults,
-                      const LambOptions& options, LambCapture* capture);
+                      const LambOptions& options, ReachComputation* reach_out);
 
 // The cover phase of Lamb1 (relevant rows/cols -> WVC -> lamb assembly),
 // shared verbatim by the from-scratch and incremental paths so their

@@ -149,30 +149,25 @@ ReachCover min_weight_reach_cover(const BitMatrix& rk, const CoverSide& rows,
 
 ReachComputation compute_reachability(const MeshShape& shape,
                                       const FaultSet& faults,
-                                      const MultiRoundOrder& orders,
-                                      ReachCapture* capture) {
+                                      const MultiRoundOrder& orders) {
   if (orders.empty()) {
     throw std::invalid_argument("compute_reachability: need at least 1 round");
   }
-  if (capture != nullptr) *capture = ReachCapture{};
   ReachComputation out;
   const int k = static_cast<int>(orders.size());
-  const std::vector<DimOrder> distinct = distinct_orders(orders, &out.round_part);
+  out.distinct = distinct_orders(orders, &out.round_part);
+  const std::size_t nu = out.distinct.size();
 
   Stopwatch watch;
   {
     obs::Span partition_timer("solver.partition");
-    for (const DimOrder& order : distinct) {
-      PartitionSpans ses_spans;
-      PartitionSpans des_spans;
-      out.ses.push_back(find_ses_partition(
-          shape, faults, order, capture != nullptr ? &ses_spans : nullptr));
-      out.des.push_back(find_des_partition(
-          shape, faults, order, capture != nullptr ? &des_spans : nullptr));
-      if (capture != nullptr) {
-        capture->ses_spans.push_back(std::move(ses_spans));
-        capture->des_spans.push_back(std::move(des_spans));
-      }
+    out.ses_spans.resize(nu);
+    out.des_spans.resize(nu);
+    for (std::size_t u = 0; u < nu; ++u) {
+      out.ses.push_back(find_ses_partition(shape, faults, out.distinct[u],
+                                           &out.ses_spans[u]));
+      out.des.push_back(find_des_partition(shape, faults, out.distinct[u],
+                                           &out.des_spans[u]));
     }
   }
   out.seconds_partition = watch.seconds();
@@ -181,18 +176,16 @@ ReachComputation compute_reachability(const MeshShape& shape,
   obs::Span matrices_timer("solver.reach_matrices");
   obs::Span blocks_timer("solver.reach.blocks");
   const ReachOracle oracle(shape, faults);
-  std::vector<BitMatrix> r(distinct.size());
-  for (std::size_t u = 0; u < distinct.size(); ++u) {
-    r[u] = one_round_reach_matrix(oracle, out.ses[u], out.des[u], distinct[u]);
+  for (std::size_t u = 0; u < nu; ++u) {
+    out.r.push_back(one_round_reach_matrix(oracle, out.ses[u], out.des[u],
+                                           out.distinct[u]));
   }
   blocks_timer.stop();
 
   // Intersection matrices depend only on the (previous, next) ordering
   // pair, so a repeated pair copies the step that first built it.
   obs::Span chain_timer("solver.reach.chain");
-  const std::size_t nu = distinct.size();
   std::vector<int> first_step(nu * nu, -1);
-  std::vector<BitMatrix> inters;
   for (int t = 1; t < k; ++t) {
     const std::size_t prev =
         static_cast<std::size_t>(out.round_part[static_cast<std::size_t>(t - 1)]);
@@ -200,17 +193,12 @@ ReachComputation compute_reachability(const MeshShape& shape,
         static_cast<std::size_t>(out.round_part[static_cast<std::size_t>(t)]);
     int& first = first_step[prev * nu + next];
     BitMatrix inter = first >= 0
-                          ? inters[static_cast<std::size_t>(first)]
+                          ? out.inters[static_cast<std::size_t>(first)]
                           : intersection_matrix(out.des[prev], out.ses[next]);
     if (first < 0) first = t - 1;
-    inters.push_back(std::move(inter));
+    out.inters.push_back(std::move(inter));
   }
-  out.rk = reach_chain(r, inters, out.round_part);
-  if (capture != nullptr) {
-    capture->distinct = distinct;
-    capture->r = std::move(r);
-    capture->inters = std::move(inters);
-  }
+  out.rk = reach_chain(out.r, out.inters, out.round_part);
   out.seconds_matrices = watch.seconds();
   return out;
 }
@@ -219,8 +207,7 @@ bool compute_reachability_incremental(
     const MeshShape& shape, const FaultSet& faults,
     const MultiRoundOrder& orders, const std::vector<Point>& delta_nodes,
     const std::vector<LinkFault>& delta_links, const ReachComputation& prev,
-    const ReachCapture& prev_cap, ReachComputation* out, ReachCapture* out_cap,
-    ReachDelta* delta) {
+    ReachComputation* out, ReachDelta* delta) {
   if (orders.empty()) return false;
   // The route masks below assume a route moves monotonically from its
   // source to its destination in every dimension; torus routes may wrap,
@@ -229,19 +216,19 @@ bool compute_reachability_incremental(
   const int k = static_cast<int>(orders.size());
 
   ReachComputation res;
-  const std::vector<DimOrder> distinct = distinct_orders(orders, &res.round_part);
-  if (distinct != prev_cap.distinct || res.round_part != prev.round_part) {
+  res.distinct = distinct_orders(orders, &res.round_part);
+  if (res.distinct != prev.distinct || res.round_part != prev.round_part) {
     return false;
   }
+  const std::vector<DimOrder>& distinct = res.distinct;
   const std::size_t nu = distinct.size();
-  assert(prev_cap.r.size() == nu && prev_cap.ses_spans.size() == nu &&
-         prev_cap.des_spans.size() == nu);
-
-  ReachCapture cap;
-  cap.distinct = distinct;
+  assert(prev.r.size() == nu && prev.ses_spans.size() == nu &&
+         prev.des_spans.size() == nu);
 
   // Layer 1: local partition repair. Bails (and we fall back to the full
   // solve) when the new damage merges previously independent regions.
+  // `ses_map` / `des_map` are the repairs' cell-identity maps: the old
+  // index of every new cell the repair kept verbatim, else -1.
   Stopwatch watch;
   std::vector<std::vector<std::int64_t>> ses_map(nu);
   std::vector<std::vector<std::int64_t>> des_map(nu);
@@ -250,19 +237,19 @@ bool compute_reachability_incremental(
     for (std::size_t u = 0; u < nu; ++u) {
       auto sr = repair_partition(shape, faults, delta_nodes, delta_links,
                                  distinct[u], /*des=*/false, prev.ses[u],
-                                 prev_cap.ses_spans[u]);
+                                 prev.ses_spans[u]);
       if (!sr) return false;
       auto dr = repair_partition(shape, faults, delta_nodes, delta_links,
                                  distinct[u], /*des=*/true, prev.des[u],
-                                 prev_cap.des_spans[u]);
+                                 prev.des_spans[u]);
       if (!dr) return false;
       delta->partition_cells_reused += sr->cells_reused + dr->cells_reused;
       delta->partition_cells_recomputed +=
           sr->cells_recomputed + dr->cells_recomputed;
       res.ses.push_back(std::move(sr->partition));
       res.des.push_back(std::move(dr->partition));
-      cap.ses_spans.push_back(std::move(sr->spans));
-      cap.des_spans.push_back(std::move(dr->spans));
+      res.ses_spans.push_back(std::move(sr->spans));
+      res.des_spans.push_back(std::move(dr->spans));
       ses_map[u] = std::move(sr->old_of_new);
       des_map[u] = std::move(dr->old_of_new);
     }
@@ -272,108 +259,74 @@ bool compute_reachability_incremental(
   watch.reset();
   obs::Span matrices_timer("solver.reach_matrices");
   obs::Span maps_timer("solver.reach.maps");
-  // The old-of-new maps from partition repair are monotone, so they
-  // decompose into a handful of identity-with-offset runs. Every splice
-  // below copies run-by-run at word granularity rather than entry by
+  // Old-of-new maps are near monotone, so they decompose into a handful
+  // of identity-with-offset runs (unmapped entries skipped). Every splice
+  // below copies run by run at word granularity rather than entry by
   // entry.
-  struct MapRuns {
-    struct Run {
-      std::int64_t dst;  // first new index of the run
-      std::int64_t src;  // first old index of the run
-      std::int64_t len;
-    };
-    std::vector<Run> runs;
-    Bits unmapped_new;  // new indices with no old counterpart
+  struct Run {
+    std::int64_t dst;  // first new index of the run
+    std::int64_t src;  // first old index of the run
+    std::int64_t len;
   };
-  auto make_runs = [](const std::vector<std::int64_t>& old_of_new) {
-    MapRuns mr;
-    const std::int64_t n = static_cast<std::int64_t>(old_of_new.size());
-    mr.unmapped_new = Bits(n);
-    for (std::int64_t j = 0; j < n; ++j) {
-      const std::int64_t o = old_of_new[static_cast<std::size_t>(j)];
-      if (o < 0) {
-        mr.unmapped_new.set(j);
-        continue;
-      }
-      if (!mr.runs.empty() && mr.runs.back().dst + mr.runs.back().len == j &&
-          mr.runs.back().src + mr.runs.back().len == o) {
-        ++mr.runs.back().len;
+  auto runs_of = [](const std::vector<std::int64_t>& old_of_new) {
+    std::vector<Run> runs;
+    for (std::size_t j = 0; j < old_of_new.size(); ++j) {
+      const std::int64_t o = old_of_new[j];
+      if (o < 0) continue;
+      const std::int64_t jj = static_cast<std::int64_t>(j);
+      if (!runs.empty() && runs.back().dst + runs.back().len == jj &&
+          runs.back().src + runs.back().len == o) {
+        ++runs.back().len;
       } else {
-        mr.runs.push_back({j, o, 1});
+        runs.push_back({jj, o, 1});
       }
     }
-    return mr;
+    return runs;
   };
-  // Content maps: R entries depend only on the representatives and the
-  // fault set, never on cell extents, so a new cell whose representative
-  // matches an old cell's (the usual outcome of a split — one piece keeps
-  // the lower corner) reuses that row or column by value. Cell-identity
-  // maps are kept alongside for the intersection splice, which does
-  // depend on extents.
-  std::vector<std::vector<std::int64_t>> cses_map = ses_map;
-  std::vector<std::vector<std::int64_t>> cdes_map = des_map;
-  auto upgrade_by_rep = [&shape](const EquivPartition& old_part,
-                                 const EquivPartition& new_part,
-                                 std::vector<std::int64_t>* map) {
-    // Cells are disjoint and the representative is the lower corner, so
-    // representatives are unique on both sides and the map stays
-    // injective. Unmapped cells are rare (a handful per repair), so a
-    // linear scan over the old representatives beats building an index.
+  // Parent maps: the old cell containing a new cell's representative. A
+  // cell the repair kept verbatim is its own parent. R entries depend only
+  // on the representatives and the fault set, never on cell extents, and
+  // by the old partition's uniformity reach under the OLD faults between
+  // any members of two old cells equals reach between their
+  // representatives; so every new row and column is its parent's under
+  // the old faults, and the delta masks below apply the new faults
+  // exactly. Every new cell has a parent: its representative is good
+  // under the new faults, hence under the old ones, hence in an old cell.
+  // A cell without one means that invariant broke, and the caller's full
+  // computation is the safe answer. Returns how many cells have a parent
+  // whose representative differs (the columns counted as recomputed), or
+  // -1 on a cell without a parent.
+  auto parents = [](const EquivPartition& old_part,
+                    const EquivPartition& new_part,
+                    std::vector<std::int64_t>* map) -> std::int64_t {
+    std::int64_t moved = 0;
     for (std::size_t i = 0; i < map->size(); ++i) {
       if ((*map)[i] >= 0) continue;
-      const NodeId target =
-          shape.index(new_part.rep(static_cast<std::int64_t>(i)));
+      const Point rep = new_part.rep(static_cast<std::int64_t>(i));
       for (std::int64_t o = 0; o < old_part.size(); ++o) {
-        if (shape.index(old_part.rep(o)) == target) {
+        if (old_part.sets[static_cast<std::size_t>(o)].contains(rep)) {
           (*map)[i] = o;
           break;
         }
       }
+      if ((*map)[i] < 0) return -1;
+      if (old_part.rep((*map)[i]) != rep) ++moved;
     }
+    return moved;
   };
-  // Parent maps: the old-partition cell containing a new cell's
-  // representative. By the partition's uniformity guarantee, reach under
-  // the OLD fault set between any members of two old cells equals reach
-  // between their representatives — so even a brand-new cell (a split
-  // piece that kept neither corner) sources its row or column from the
-  // parent's, and the delta masks below apply the new faults exactly.
-  // Unlike the content maps these are not injective (several pieces may
-  // share a parent), so they are value-reuse only, never run splices.
-  // Every new cell has a parent: its representative is good under the
-  // new faults, hence under the old ones, hence in an old cell.
-  // A cell without one means that invariant broke, and the caller's full
-  // computation is the safe answer.
-  auto parents = [](const EquivPartition& old_part,
-                    const EquivPartition& new_part,
-                    const std::vector<std::int64_t>& content_map,
-                    std::vector<std::int64_t>* out) {
-    out->assign(content_map.size(), -1);
-    for (std::size_t i = 0; i < content_map.size(); ++i) {
-      if (content_map[i] >= 0) continue;
-      const Point rep = new_part.rep(static_cast<std::int64_t>(i));
-      for (std::int64_t o = 0; o < old_part.size(); ++o) {
-        if (old_part.sets[static_cast<std::size_t>(o)].contains(rep)) {
-          (*out)[i] = o;
-          break;
-        }
-      }
-      if ((*out)[i] < 0) return false;
-    }
-    return true;
-  };
-  std::vector<MapRuns> ses_runs(nu);
-  std::vector<MapRuns> cdes_runs(nu);
-  std::vector<std::vector<std::int64_t>> pses_map(nu);
-  std::vector<std::vector<std::int64_t>> pdes_map(nu);
+  std::vector<std::vector<std::int64_t>> pses_map = ses_map;
+  std::vector<std::vector<std::int64_t>> pdes_map = des_map;
+  std::vector<std::vector<Run>> ses_runs(nu);   // identity, for the I_t splice
+  std::vector<std::vector<Run>> pdes_runs(nu);  // parents, for the R_u copies
+  std::vector<std::int64_t> moved_cols(nu);
   for (std::size_t u = 0; u < nu; ++u) {
-    upgrade_by_rep(prev.ses[u], res.ses[u], &cses_map[u]);
-    upgrade_by_rep(prev.des[u], res.des[u], &cdes_map[u]);
-    if (!parents(prev.ses[u], res.ses[u], cses_map[u], &pses_map[u]) ||
-        !parents(prev.des[u], res.des[u], cdes_map[u], &pdes_map[u])) {
+    moved_cols[u] = parents(prev.des[u], res.des[u], &pdes_map[u]);
+    if (parents(prev.ses[u], res.ses[u], &pses_map[u]) < 0 ||
+        moved_cols[u] < 0) {
       return false;
     }
-    ses_runs[u] = make_runs(ses_map[u]);
-    cdes_runs[u] = make_runs(cdes_map[u]);
+    ses_runs[u] = runs_of(ses_map[u]);
+    pdes_runs[u] = runs_of(pdes_map[u]);
   }
   maps_timer.stop();
 
@@ -393,14 +346,12 @@ bool compute_reachability_incremental(
   // Layer 2: per-ordering R_u with entry-level reuse.
   obs::Span blocks_timer("solver.reach.blocks");
   const int d = shape.dim();
-  std::vector<BitMatrix> r(nu);
+  res.r.resize(nu);
   for (std::size_t u = 0; u < nu; ++u) {
     const EquivPartition& ses = res.ses[u];
     const EquivPartition& des = res.des[u];
-    const BitMatrix& old_r = prev_cap.r[u];
-    const std::vector<std::int64_t>& smap = cses_map[u];
+    const BitMatrix& old_r = prev.r[u];
     const std::vector<std::int64_t>& pses = pses_map[u];
-    const std::vector<std::int64_t>& pdes = pdes_map[u];
     const std::int64_t p = ses.size();
     const std::int64_t q = des.size();
 
@@ -429,10 +380,9 @@ bool compute_reachability_incremental(
     Bits all_cols(q);
     for (std::int64_t j = 0; j < q; ++j) all_cols.set(j);
 
-    r[u] = BitMatrix(p, q);
+    res.r[u] = BitMatrix(p, q);
     std::vector<std::int64_t> recomputed(static_cast<std::size_t>(p), 0);
-    const MapRuns& druns = cdes_runs[u];
-    BitMatrix& ru = r[u];
+    BitMatrix& ru = res.r[u];
     // Row bands, each writing disjoint rows and its own counters:
     // deterministic at any thread count.
     par::parallel_for(0, p, 0, [&](std::int64_t i0, std::int64_t i1) {
@@ -444,9 +394,7 @@ bool compute_reachability_incremental(
       Bits pe(q);
       Bits term(q);
       for (std::int64_t i = i0; i < i1; ++i) {
-        const std::int64_t oic = smap[static_cast<std::size_t>(i)];
-        const std::int64_t oi =
-            oic >= 0 ? oic : pses[static_cast<std::size_t>(i)];
+        const std::int64_t oi = pses[static_cast<std::size_t>(i)];
         const Point v = ses.rep(i);
         // Columns j whose dimension-ordered route from v to rep_j passes
         // through endpoint x. The route corrects dimensions in `order`;
@@ -506,21 +454,13 @@ bool compute_reachability_incremental(
           m &= m2;
           dirty |= m;
         }
-        // Clean mapped entries are copied run-by-run at word granularity;
-        // the row itself may be a parent copy (oic < 0), which is the old
-        // reachability of every member of the parent cell, v included.
-        for (const auto& run : druns.runs) {
+        // The row and every column come from their parents' old entries,
+        // copied run by run at word granularity.
+        for (const Run& run : pdes_runs[u]) {
           ru.copy_row_range(i, run.dst, old_r, oi, run.src, run.len);
         }
-        // Brand-new columns source their old value from the parent cell
-        // the same way.
-        std::int64_t rec = 0;
-        druns.unmapped_new.for_each([&](std::int64_t j) {
-          if (old_r.get(oi, pdes[static_cast<std::size_t>(j)])) ru.set(i, j);
-          ++rec;
-        });
-        rec += ru.row_clear_masked(i, dirty);
-        recomputed[static_cast<std::size_t>(i)] = rec;
+        recomputed[static_cast<std::size_t>(i)] =
+            moved_cols[u] + ru.row_clear_masked(i, dirty);
       }
     });
     for (std::int64_t i = 0; i < p; ++i) {
@@ -538,18 +478,18 @@ bool compute_reachability_incremental(
         static_cast<std::size_t>(res.round_part[static_cast<std::size_t>(t - 1)]);
     const std::size_t su =
         static_cast<std::size_t>(res.round_part[static_cast<std::size_t>(t)]);
-    const BitMatrix& old_inter = prev_cap.inters[static_cast<std::size_t>(t - 1)];
-    const MapRuns& sruns = ses_runs[su];
+    const BitMatrix& old_inter = prev.inters[static_cast<std::size_t>(t - 1)];
     const EquivPartition& dprev = res.des[pu];
     const EquivPartition& snext = res.ses[su];
-    // A mapped cell is the old RectSet verbatim (the repair either splices
-    // it or equality-matches it), so mapped-row x mapped-col intersection
-    // entries are the old entries: splice them and call intersects only
-    // for brand-new rows and columns.
-    BitMatrix inter(dprev.size(), snext.size());
+    // A cell the repair kept verbatim is the old RectSet, so kept-row x
+    // kept-col intersection entries are the old entries: splice them
+    // through the identity maps and call intersects only for the other
+    // rows and columns.
     std::vector<std::int64_t> new_cols;
-    sruns.unmapped_new.for_each(
-        [&](std::int64_t j) { new_cols.push_back(j); });
+    for (std::int64_t j = 0; j < snext.size(); ++j) {
+      if (ses_map[su][static_cast<std::size_t>(j)] < 0) new_cols.push_back(j);
+    }
+    BitMatrix inter(dprev.size(), snext.size());
     for (std::int64_t rr = 0; rr < inter.rows(); ++rr) {
       const std::int64_t orr = des_map[pu][static_cast<std::size_t>(rr)];
       if (orr < 0) {
@@ -561,7 +501,7 @@ bool compute_reachability_incremental(
         }
         continue;
       }
-      for (const auto& run : sruns.runs) {
+      for (const Run& run : ses_runs[su]) {
         inter.copy_row_range(rr, run.dst, old_inter, orr, run.src, run.len);
       }
       for (const std::int64_t j : new_cols) {
@@ -571,14 +511,12 @@ bool compute_reachability_incremental(
         }
       }
     }
-    cap.inters.push_back(std::move(inter));
+    res.inters.push_back(std::move(inter));
   }
-  res.rk = reach_chain(r, cap.inters, res.round_part);
+  res.rk = reach_chain(res.r, res.inters, res.round_part);
 
-  cap.r = std::move(r);
   res.seconds_matrices = watch.seconds();
   *out = std::move(res);
-  *out_cap = std::move(cap);
   return true;
 }
 

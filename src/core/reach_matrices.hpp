@@ -62,13 +62,23 @@ ReachCover min_weight_reach_cover(
     const BitMatrix& rk, const CoverSide& rows, const CoverSide& cols,
     const std::function<void()>& before_cover = {});
 
-// Everything the lamb solvers need about reachability, for one fault set.
+// One Find-Reachability run over one fault set: what the lamb solvers
+// need (the round-1 SES and round-k DES partitions and R^(k)) and every
+// factor the chain was built from, which a later solve over a superset
+// fault set reuses (the incremental reconfiguration path). The chain's
+// intermediate products are not kept; the incremental path recomputes
+// them in full.
 struct ReachComputation {
-  // Per distinct round ordering; round t uses partition index round_part[t].
+  std::vector<DimOrder> distinct;  // distinct orderings, in order of first use
+  std::vector<int> round_part;     // size k: round t uses index round_part[t]
+  // Per distinct ordering: the partitions, their splice metadata and R_u.
   std::vector<EquivPartition> ses;
   std::vector<EquivPartition> des;
-  std::vector<int> round_part;  // size k
-  BitMatrix rk;                 // p_1 x q_k k-round reachability
+  std::vector<PartitionSpans> ses_spans;
+  std::vector<PartitionSpans> des_spans;
+  std::vector<BitMatrix> r;
+  std::vector<BitMatrix> inters;  // I_t per chain step t = 1..k-1
+  BitMatrix rk;                   // p_1 x q_k k-round reachability
   double seconds_partition = 0.0;
   double seconds_matrices = 0.0;
 
@@ -80,27 +90,14 @@ struct ReachComputation {
   }
 };
 
-// Intermediate state of one Find-Reachability run, kept so a later solve
-// over a superset fault set can reuse it (the incremental reconfiguration
-// path): the partitions' spans and the chain's factors R_u and I_t. The
-// chain's products are not kept; the incremental path recomputes them in
-// full.
-struct ReachCapture {
-  std::vector<DimOrder> distinct;          // distinct orderings, in order
-  std::vector<PartitionSpans> ses_spans;   // per distinct ordering
-  std::vector<PartitionSpans> des_spans;
-  std::vector<BitMatrix> r;                // R_u per distinct ordering
-  std::vector<BitMatrix> inters;           // I_t per chain step t = 1..k-1
-};
-
 // Per-layer reuse counters of one incremental Find-Reachability run.
 struct ReachDelta {
   std::int64_t partition_cells_reused = 0;
   std::int64_t partition_cells_recomputed = 0;
   // "Blocks" are the reuse units of the matrix layer: R_t entries copied
-  // from the previous run versus entries recomputed (brand-new columns,
-  // entries a delta fault flipped). The chain products are recomputed in
-  // full and not counted.
+  // from the previous run versus entries recomputed (columns whose cell
+  // keeps no old representative, entries a delta fault flipped). The
+  // chain products are recomputed in full and not counted.
   std::int64_t blocks_reused = 0;
   std::int64_t blocks_recomputed = 0;
 };
@@ -108,33 +105,32 @@ struct ReachDelta {
 // Runs Find-SES/DES-Partition for each distinct ordering in `orders` and
 // computes R^(k) as the Section 6.2 chain. Identical orderings share one
 // partition and one R_t, the simplification the paper notes at the end
-// of Section 6.2. When `capture` is non-null the intermediates are
-// recorded for incremental reuse.
+// of Section 6.2.
 ReachComputation compute_reachability(const MeshShape& shape,
                                       const FaultSet& faults,
-                                      const MultiRoundOrder& orders,
-                                      ReachCapture* capture = nullptr);
+                                      const MultiRoundOrder& orders);
 
-// Incremental Find-Reachability: recomputes `prev` (captured as
-// `prev_cap`) after `delta_nodes` / `delta_links` were added, producing
-// exactly what compute_reachability(shape, faults, orders) would. `faults`
-// is the new cumulative set. Partitions are repaired locally; R_t rows
-// and columns are copied from the previous matrices (a split cell's from
-// the old cell containing its representative), and the delta is applied
-// with exact bit masks: an entry turns 0 iff its dimension-ordered route
-// holds a new faulty node, or both endpoints of a new bidirectional link,
-// or both endpoints of a new directed link with the route's source on the
-// link's `from` side. No reachability oracle is queried. Intersection matrices splice their mapped entries, and the
-// chain is recomputed in full by reach_chain. Returns false — caller must
-// fall back to the full computation — when the partition repair bails,
-// the orderings do not match the capture, the mesh wraps, or a new cell
-// has no old cell containing its representative (an invariant break,
-// never expected).
+// Incremental Find-Reachability: recomputes `prev` after `delta_nodes` /
+// `delta_links` were added, producing exactly what
+// compute_reachability(shape, faults, orders) would. `faults` is the new
+// cumulative set. Partitions are repaired locally. Every new cell has a
+// parent, the old cell holding its representative (a spliced cell is its
+// own parent); by Lemma 4.1 and the old partition's uniformity its R_t row
+// or column under the old faults is the parent's, so R_t is copied
+// through the parent maps and the delta applied with exact bit masks: an
+// entry turns 0 iff its dimension-ordered route holds a new faulty node,
+// or both endpoints of a new bidirectional link, or both endpoints of a
+// new directed link with the route's source on the link's `from` side. No
+// reachability oracle is queried. Intersection matrices splice the entries
+// of cells the repair kept verbatim, and the chain is recomputed in full
+// by reach_chain. Returns false — caller must fall back to the full
+// computation — when the partition repair bails, the orderings do not
+// match `prev`, the mesh wraps, or a new cell has no parent (an invariant
+// break, never expected).
 bool compute_reachability_incremental(
     const MeshShape& shape, const FaultSet& faults,
     const MultiRoundOrder& orders, const std::vector<Point>& delta_nodes,
     const std::vector<LinkFault>& delta_links, const ReachComputation& prev,
-    const ReachCapture& prev_cap, ReachComputation* out, ReachCapture* out_cap,
-    ReachDelta* delta);
+    ReachComputation* out, ReachDelta* delta);
 
 }  // namespace lamb

@@ -60,9 +60,8 @@ SolveOutcome solve_ladder(const MeshShape& shape, const FaultSet& faults,
                        kMinBudget)
             : 0.0;
     try {
-      internal::LambCapture capture;
-      outcome.result = internal::lamb1_core(
-          shape, faults, attempt, options.keep_context ? &capture : nullptr);
+      ReachComputation reach;
+      outcome.result = internal::lamb1_core(shape, faults, attempt, &reach);
       outcome.rounds = rounds;
       outcome.escalations = rounds - base_rounds;
       outcome.status = outcome.escalations == 0 ? SolveStatus::kCertified
@@ -75,7 +74,7 @@ SolveOutcome solve_ladder(const MeshShape& shape, const FaultSet& faults,
       if (options.keep_context) {
         if (sealed == nullptr) sealed = seal(faults);
         outcome.context = std::make_shared<const SolveContext>(SolveContext{
-            std::move(sealed), *attempt.orders, std::move(capture)});
+            std::move(sealed), *attempt.orders, std::move(reach)});
       }
       span.arg("rounds", rounds);
       span.arg("escalations", outcome.escalations);

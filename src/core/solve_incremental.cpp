@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/lamb_internal.hpp"
 #include "obs/obs.hpp"
 #include "support/stats.hpp"
 
@@ -78,15 +79,13 @@ SolveOutcome solve_lambs_incremental(
   LambOptions attempt = options;
   attempt.orders = orders;
   SolveOutcome outcome;
-  internal::LambCapture ncap;
+  ReachComputation reach;
   ReachDelta rdelta;
   try {
     deadline.check("setup");
-    ReachComputation reach;
-    if (!compute_reachability_incremental(
-            shape, faults, orders, delta_nodes, delta_links,
-            ctx.capture.reach, ctx.capture.rcap, &reach, &ncap.rcap,
-            &rdelta)) {
+    if (!compute_reachability_incremental(shape, faults, orders, delta_nodes,
+                                          delta_links, ctx.reach, &reach,
+                                          &rdelta)) {
       return fall_back(IncrementalFallback::kReachBailed);
     }
     deadline.check("reachability");
@@ -95,7 +94,6 @@ SolveOutcome solve_lambs_incremental(
         internal::cover_phase(shape, reach, attempt, predetermined, deadline);
     result.stats.seconds_partition = reach.seconds_partition;
     result.stats.seconds_matrices = reach.seconds_matrices;
-    ncap.reach = std::move(reach);
 
     outcome.result = std::move(result);
     outcome.status = SolveStatus::kCertified;
@@ -122,7 +120,7 @@ SolveOutcome solve_lambs_incremental(
 
   if (options.keep_context) {
     outcome.context = std::make_shared<const SolveContext>(
-        SolveContext{snapshot, orders, std::move(ncap)});
+        SolveContext{snapshot, orders, std::move(reach)});
   }
   return outcome;
 }

@@ -209,7 +209,9 @@ TEST(Degenerate, ManyRoundsConvergeToConnectivity) {
     LambOptions options;
     options.rounds = k;
     const std::int64_t size = lamb1(shape, faults, options).size();
-    if (prev >= 0) EXPECT_LE(size, prev) << "k=" << k;
+    if (prev >= 0) {
+      EXPECT_LE(size, prev) << "k=" << k;
+    }
     prev = size;
   }
 }

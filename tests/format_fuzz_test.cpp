@@ -105,7 +105,7 @@ TEST(TextFormatFuzz, RandomMutationsNeverEscapeParseError) {
 }
 
 TEST(TextFormatFuzz, GeometrySpecCorpus) {
-  for (const std::string& bad :
+  for (const char* bad :
        {"", "x", "8x", "8x8x", "0x4", "-2x4", "4xx4", "99999999999x2",
         "8x8y", "txt", "8 x 8", "1x1"}) {
     SCOPED_TRACE(bad);

@@ -172,12 +172,9 @@ TEST(Incremental, ReachDeltaAppliesDirectedAndHalfDeadLinksExactly) {
   after.add_directed_link(a, 0, Dir::Pos);
   after.add_link(c, 1, Dir::Pos);
 
-  ReachCapture before_cap;
   const ReachComputation before_reach =
-      compute_reachability(shape, before, orders, &before_cap);
-  ReachCapture want_cap;
-  const ReachComputation want =
-      compute_reachability(shape, after, orders, &want_cap);
+      compute_reachability(shape, before, orders);
+  const ReachComputation want = compute_reachability(shape, after, orders);
 
   // The fixture must reach every case, judged by route walks over the new
   // partitions (independent of the masks under test).
@@ -199,7 +196,7 @@ TEST(Incremental, ReachDeltaAppliesDirectedAndHalfDeadLinksExactly) {
           if (v[0] < a[0]) ++flips_below;
           if (v[0] == a[0]) ++flips_at;
         }
-        if (v[0] > b[0] && want_cap.r[u].get(i, j) &&
+        if (v[0] > b[0] && want.r[u].get(i, j) &&
             route_steps(shape, v, w, orders[u], b, a)) {
           ++open_beyond;
         }
@@ -219,15 +216,70 @@ TEST(Incremental, ReachDeltaAppliesDirectedAndHalfDeadLinksExactly) {
   ASSERT_TRUE(delta->nodes.empty());
   ASSERT_EQ(delta->links.size(), 2u);
   ReachComputation got;
-  ReachCapture got_cap;
   ReachDelta counts;
   ASSERT_TRUE(compute_reachability_incremental(
-      shape, after, orders, {}, delta->links, before_reach, before_cap, &got,
-      &got_cap, &counts));
+      shape, after, orders, {}, delta->links, before_reach, &got, &counts));
   EXPECT_EQ(got.rk, want.rk);
-  EXPECT_EQ(got_cap.r, want_cap.r);
-  EXPECT_EQ(got_cap.inters, want_cap.inters);
+  EXPECT_EQ(got.r, want.r);
+  EXPECT_EQ(got.inters, want.inters);
   EXPECT_GT(counts.blocks_recomputed, 0);
+}
+
+// micro_core's ReachDeltaCase: M_3(16) with 164 random node faults (seed
+// 11), k = 2, and the first candidate delta (Rng seed 12) whose partition
+// repair does not bail: one new node fault, or one new bidirectional
+// link from a good node to its good +e0 neighbour. Pins the reuse
+// counters that EpochReport, the flight recorder and micro_recovery
+// report.
+TEST(Incremental, ReachDeltaCountersPinned) {
+  const MeshShape shape = MeshShape::cube(3, 16);
+  const MultiRoundOrder orders = ascending_rounds(3, 2);
+  Rng fault_rng(11);
+  const FaultSet before = FaultSet::random_nodes(shape, 164, fault_rng);
+  const ReachComputation prev = compute_reachability(shape, before, orders);
+  for (const bool link : {false, true}) {
+    SCOPED_TRACE(link ? "link" : "node");
+    Rng rng(12);
+    ReachDelta counts;
+    ReachComputation got;
+    for (;;) {
+      const Point p = shape.point(static_cast<NodeId>(
+          rng.below(static_cast<std::uint64_t>(shape.size()))));
+      Point nb = p;
+      nb[0] += 1;
+      if (before.node_faulty(p) || (link && nb[0] >= shape.width(0)) ||
+          (link && before.node_faulty(nb))) {
+        continue;
+      }
+      std::vector<Point> delta_nodes;
+      std::vector<LinkFault> delta_links;
+      FaultSet after(before, shape);
+      if (link) {
+        delta_links.push_back(LinkFault{p, 0, Dir::Pos, true});
+        after.add(delta_links.back());
+      } else {
+        delta_nodes.push_back(p);
+        after.add_node(p);
+      }
+      counts = ReachDelta{};
+      if (compute_reachability_incremental(shape, after, orders, delta_nodes,
+                                           delta_links, prev, &got, &counts)) {
+        const ReachComputation full =
+            compute_reachability(shape, after, orders);
+        EXPECT_EQ(got.rk, full.rk);
+        EXPECT_EQ(got.r, full.r);
+        EXPECT_EQ(got.inters, full.inters);
+        break;
+      }
+    }
+    const ReachDelta want = link ? ReachDelta{636, 15, 105747, 147}
+                                 : ReachDelta{609, 45, 106059, 806};
+    EXPECT_EQ(counts.partition_cells_reused, want.partition_cells_reused);
+    EXPECT_EQ(counts.partition_cells_recomputed,
+              want.partition_cells_recomputed);
+    EXPECT_EQ(counts.blocks_reused, want.blocks_reused);
+    EXPECT_EQ(counts.blocks_recomputed, want.blocks_recomputed);
+  }
 }
 
 TEST(Incremental, BurstStormMatchesFullSolve) {

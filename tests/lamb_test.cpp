@@ -431,6 +431,32 @@ TEST(Verifier, MatchesRouteWalkReference) {
   }
 }
 
+// The count is every unreachable pair the uncapped list holds, while the
+// sample stays the list's first `max_sample` pairs.
+TEST(Verifier, CountsEveryPairAndCapsTheSample) {
+  const MeshShape shape = MeshShape::cube(3, 6);
+  Rng rng(3);
+  const FaultSet faults = FaultSet::random_nodes(shape, 20, rng);
+  for (const DimOrder& order :
+       {DimOrder::ascending(3), DimOrder::descending(3)}) {
+    const MultiRoundOrder orders = {order};
+    const auto all = unreachable_survivor_pairs(
+        shape, faults, orders, {}, std::numeric_limits<std::size_t>::max());
+    ASSERT_GT(all.size(), 4u);
+    const UnreachableCount counted =
+        count_unreachable_survivor_pairs(shape, faults, orders, {}, 4);
+    EXPECT_EQ(counted.pairs, static_cast<std::int64_t>(all.size()));
+    ASSERT_EQ(counted.sample.size(), 4u);
+    EXPECT_TRUE(
+        std::equal(counted.sample.begin(), counted.sample.end(), all.begin()));
+  }
+  const LambResult result = lamb1(shape, faults, {});
+  const UnreachableCount valid = count_unreachable_survivor_pairs(
+      shape, faults, ascending_rounds(3, 2), result.lambs);
+  EXPECT_EQ(valid.pairs, 0);
+  EXPECT_TRUE(valid.sample.empty());
+}
+
 TEST(Verifier, DetectsMissingLamb) {
   const MeshShape shape = paper_mesh();
   const FaultSet faults = paper_faults(shape);

@@ -404,19 +404,19 @@ TEST(ReachComputation, ChainMatchesNaiveLeftToRight) {
         {{desc, asc, asc, desc}, {0, 1, 1, 0}},
     };
     for (const auto& [orders, round_part] : runs) {
-      ReachCapture cap;
       const ReachComputation reach =
-          compute_reachability(shape, faults, orders, &cap);
+          compute_reachability(shape, faults, orders);
       ASSERT_EQ(reach.round_part, round_part);
-      ASSERT_EQ(cap.inters.size(), orders.size() - 1);
-      BitMatrix want = cap.r[static_cast<std::size_t>(round_part[0])];
+      ASSERT_EQ(reach.inters.size(), orders.size() - 1);
+      BitMatrix want = reach.r[static_cast<std::size_t>(round_part[0])];
       for (std::size_t t = 1; t < orders.size(); ++t) {
-        want = naive_multiply(want, cap.inters[t - 1]);
-        want = naive_multiply(want, cap.r[static_cast<std::size_t>(round_part[t])]);
+        want = naive_multiply(want, reach.inters[t - 1]);
+        want = naive_multiply(
+            want, reach.r[static_cast<std::size_t>(round_part[t])]);
       }
       EXPECT_EQ(reach.rk, want)
           << "M_" << c.dim << "(" << c.width << ") k=" << orders.size();
-      EXPECT_EQ(reach_chain(cap.r, cap.inters, reach.round_part), want);
+      EXPECT_EQ(reach_chain(reach.r, reach.inters, reach.round_part), want);
     }
   }
 }

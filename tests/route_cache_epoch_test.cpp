@@ -317,7 +317,9 @@ TEST(FaultSnapshotSharing, ConcurrentVendsAcrossEpochsWhilePublishing) {
   for (int i = 0; i < 40; ++i) {
     const NodeId src = survivors[rng.below(survivors.size())];
     const NodeId dst = survivors[rng.below(survivors.size())];
-    if (src != dst) EXPECT_TRUE(mgr.route(src, dst, rng).has_value());
+    if (src != dst) {
+      EXPECT_TRUE(mgr.route(src, dst, rng).has_value());
+    }
     service.publish(2 + i);
   }
   for (std::thread& reader : readers) reader.join();

@@ -8,7 +8,7 @@
 //   simulate  run survivor traffic through the wormhole simulator
 //
 // Examples:
-//   lambmesh_cli solve --geometry 32x32x32 --random-faults 983 --seed 7 \
+//   lambmesh_cli solve --geometry 32x32x32 --random-faults 983 --seed 7
 //                      --output config.lamb
 //   lambmesh_cli verify --input config.lamb
 //   lambmesh_cli simulate --input config.lamb --messages 500 --pattern hotspot
@@ -147,9 +147,9 @@ int cmd_solve(const Args& args) {
 int cmd_verify(const Args& args) {
   const io::Document doc = load_document(args);
   const MultiRoundOrder orders = rounds_of(args, doc.shape->dim());
-  const auto bad = unreachable_survivor_pairs(*doc.shape, *doc.faults, orders,
-                                              doc.lambs, 4);
-  if (bad.empty()) {
+  const UnreachableCount bad = count_unreachable_survivor_pairs(
+      *doc.shape, *doc.faults, orders, doc.lambs, 4);
+  if (bad.pairs == 0) {
     std::printf("VALID: %zu lambs, %lld survivors all mutually %zu-round "
                 "reachable\n",
                 doc.lambs.size(),
@@ -158,7 +158,8 @@ int cmd_verify(const Args& args) {
                 orders.size());
     return 0;
   }
-  std::printf("INVALID: %zu unreachable survivor pair(s), e.g.", bad.size());
+  std::printf("INVALID: %lld unreachable survivor pair(s), e.g.",
+              (long long)bad.pairs);
   auto print_point = [&](NodeId id) {
     const Point p = doc.shape->point(id);
     for (int j = 0; j < doc.shape->dim(); ++j) {
@@ -166,7 +167,7 @@ int cmd_verify(const Args& args) {
     }
     std::printf(")");
   };
-  for (const auto& [v, w] : bad) {
+  for (const auto& [v, w] : bad.sample) {
     std::printf(" ");
     print_point(v);
     std::printf("->");
