@@ -27,18 +27,29 @@ constexpr std::uint8_t kRecDegrade = 3;      // i64 node id, f64 value
 constexpr std::uint8_t kRecReconfigure = 4;  // i32 epoch produced
 
 // The one builder of an epoch record. `last` reports the solve that
-// produced `lambs` (nullptr before any).
+// produced `lambs` (nullptr before any). The record's flood memo carries
+// forward `prev`'s floods (nullptr: it starts cold).
 std::shared_ptr<const EpochConfig> make_epoch_config(
     int epoch, std::shared_ptr<const FaultSnapshot> snapshot,
     MultiRoundOrder orders, std::vector<NodeId> lambs,
-    const EpochReport* last) {
+    const EpochReport* last, const EpochConfig* prev) {
+  obs::Span span("manager.epoch_record", "manager");
   // SolveOutcome::certified(): the epoch routes with escalated orders, so
-  // escalated rounds certify too.
-  auto config = std::make_shared<EpochConfig>(EpochConfig{
-      epoch, std::move(snapshot), std::move(orders), std::move(lambs), {}, {},
-      last != nullptr && last->solve_status != SolveStatus::kUncovered});
+  // escalated rounds certify too. (A braced list evaluates left to right:
+  // the copies are taken before the memo's moves.)
+  std::shared_ptr<EpochConfig> config(new EpochConfig{
+      epoch, snapshot, orders, std::move(lambs), {}, {},
+      last != nullptr && last->solve_status != SolveStatus::kUncovered,
+      wormhole::RouteCache(std::move(snapshot), std::move(orders)), {}});
   config->survivors = survivor_nodes(config->snapshot->faults, config->lambs,
                                      &config->survivor_mask);
+  if (prev != nullptr) {
+    if (const auto adopted = config->routes.adopt(prev->routes)) {
+      config->carried = *adopted;
+    } else {  // escalated orders carry nothing forward
+      config->carried.dropped = prev->routes.cached_entries();
+    }
+  }
   return config;
 }
 
@@ -53,9 +64,7 @@ MachineManager::MachineManager(const MeshShape& shape, LambOptions options,
       faults_(*shape_),
       config_(make_epoch_config(0, seal(shape_, faults_),
                                 options_.resolved_orders(shape.dim()), {},
-                                nullptr)),
-      routes_(std::make_unique<wormhole::RouteCache>(config_->snapshot,
-                                                     config_->orders)),
+                                nullptr, nullptr)),
       load_(*shape_) {
   if (!options_.predetermined.empty()) {
     throw std::invalid_argument(
@@ -241,24 +250,13 @@ EpochReport MachineManager::reconfigure() {
   report.total_faults = faults_.f();
   std::shared_ptr<const EpochConfig> config = make_epoch_config(
       report.epoch, std::move(sealed), std::move(orders), result.lambs,
-      &report);
+      &report, config_.get());
   report.survivors = static_cast<std::int64_t>(config->survivors.size());
   for (const NodeId id : config->survivors) {  // ascending: a fixed sum order
     report.survivor_value += values_[static_cast<std::size_t>(id)];
   }
-
-  // Route cache: a new cache over the new snapshot, carrying forward the
-  // floods the new faults cannot have changed. Escalated orders carry
-  // none forward.
-  auto routes = std::make_unique<wormhole::RouteCache>(config->snapshot,
-                                                       config->orders);
-  if (const auto adopted = routes->adopt(*routes_)) {
-    report.routes_retained = adopted->retained;
-    report.routes_dropped = adopted->dropped;
-  } else {
-    report.routes_dropped = routes_->cached_entries();
-  }
-  routes_ = std::move(routes);
+  report.routes_retained = config->carried.retained;
+  report.routes_dropped = config->carried.dropped;
   config_ = std::move(config);
   last_outcome_ = std::move(outcome);
   pending_ = false;
@@ -309,8 +307,8 @@ EpochReport MachineManager::reconfigure() {
                     report.rounds, report.uncovered_pairs);
   }
   // The reconfigure-latency objective counts the whole epoch turnaround
-  // (solve + route-cache rebuild + snapshot), which is what recovery
-  // blocks on.
+  // (solve + epoch record with its flood carry-forward + snapshot), which
+  // is what recovery blocks on.
   static obs::Slo* slo_latency =
       obs::SloTracker::global().find(obs::kSloReconfigureLatency);
   if (slo_latency != nullptr) slo_latency->observe_latency(watch.seconds());
@@ -387,13 +385,12 @@ void MachineManager::apply_state(const Checkpoint& snapshot) {
   // snapshot (kNotSuperset) or diverges in orders/rounds. The recovery
   // loop's roll-back restores precisely the state the context was solved
   // at, so the post-roll-back reconfigure — the recovery critical path —
-  // stays incremental. The route cache starts cold: its floods belong to
+  // stays incremental. The flood memo starts cold: its floods belong to
   // the abandoned timeline.
   config_ = make_epoch_config(epoch(), seal(shape_, faults_), snapshot.orders,
                               snapshot.lambs,
-                              history_.empty() ? nullptr : &history_.back());
-  routes_ = std::make_unique<wormhole::RouteCache>(config_->snapshot,
-                                                   config_->orders);
+                              history_.empty() ? nullptr : &history_.back(),
+                              nullptr);
   // Reports pending at capture time join the working set only, so the
   // next reconfigure() counts them as new.
   for (NodeId id : snapshot.pending_node_faults) faults_.add_node(id);
@@ -414,7 +411,7 @@ std::optional<wormhole::Route> MachineManager::route(NodeId src, NodeId dst,
                                                      Rng& rng) {
   require_configured();
   Stopwatch watch;
-  auto route = routes_->build(src, dst, rng, &load_);
+  auto route = config_->routes.build(src, dst, rng, &load_);
   if (route) ++routes_vended_;
   obs::FlightRecorder::global().record(
       obs::FlightEventType::kRouteVend, route ? 1 : 0, src, dst);

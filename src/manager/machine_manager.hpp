@@ -10,10 +10,10 @@
 // reconfigure() recomputes the lamb set — monotonically, using the
 // Section 7 predetermined-lamb extension, so nodes once sacrificed stay
 // sacrificed — and logs an epoch report. Each reconfigure() and restore()
-// builds one immutable EpochConfig (sealed faults, orders, lambs,
-// survivors, certification), shared by the manager's route picker
-// (wormhole::RouteCache, through which it vends verified survivor routes
-// between reconfigurations) and every serving table of the epoch.
+// builds one EpochConfig (sealed faults, orders, lambs, survivors,
+// certification and the epoch's one flood memo, a wormhole::RouteCache),
+// shared by the manager, which vends verified survivor routes through it
+// between reconfigurations, and every serving table of the epoch.
 #pragma once
 
 #include <cstdint>
@@ -67,8 +67,8 @@ struct EpochReport {
   // Incremental-reconfigure telemetry: whether the O(delta) path produced
   // this epoch (false = full solve, including every fallback), the
   // per-layer reuse counters (see core/incremental.hpp), and how many of
-  // the previous epoch's cached floods the new route cache adopted or
-  // dropped (RouteCache::adopt).
+  // the previous epoch's memoized floods the new epoch's memo adopted or
+  // dropped (EpochConfig::carried).
   bool incremental = false;
   std::int64_t partition_cells_recomputed = 0;
   std::int64_t blocks_reused = 0;
@@ -78,7 +78,9 @@ struct EpochReport {
 
 // One epoch's configuration (paper Section 1: the faults, the lamb set and
 // the survivors), worked out once per reconfigure() or restore() and
-// shared by the manager and every serving table of the epoch.
+// shared by the manager and every serving table of the epoch. It is
+// immutable apart from its flood memo, which only caches: a vend's route
+// does not depend on what the memo holds.
 struct EpochConfig {
   int epoch = 0;
   std::shared_ptr<const FaultSnapshot> snapshot;
@@ -87,6 +89,13 @@ struct EpochConfig {
   std::vector<NodeId> survivors;            // ascending
   std::vector<std::uint8_t> survivor_mask;  // one byte per node
   bool certified = false;  // kCertified or kEscalated, at orders.size()
+  // The epoch's one flood memo over (snapshot, orders). reconfigure()
+  // seeds it from the previous epoch's memo (RouteCache::adopt);
+  // restore() and a new manager start it cold.
+  mutable wormhole::RouteCache routes;
+  // That carry-forward: floods adopted, and floods the new faults made
+  // stale (every flood when the orders escalated). Zeroes when cold.
+  wormhole::RouteCache::AdoptStats carried;
 
   bool is_survivor(NodeId id) const {  // false outside the mesh
     return id >= 0 && id < static_cast<NodeId>(survivor_mask.size()) &&
@@ -234,7 +243,7 @@ class MachineManager {
   // Snapshots the CURRENT configuration; throws std::logic_error while
   // reports are pending (a stale configuration is not a valid roll-back
   // target). restore() replaces all manager state with the checkpoint,
-  // rebuilds the epoch record and starts a cold route cache, leaving no
+  // rebuilds the epoch record with a cold flood memo, leaving no
   // reports pending; diagnostics discovered after the checkpoint must be
   // re-reported.
   Checkpoint checkpoint() const;
@@ -253,9 +262,10 @@ class MachineManager {
   const std::vector<NodeId>& survivors() const {
     return epoch_config()->survivors;
   }
-  // k-round route between survivors; nullopt is impossible for survivor
-  // pairs by the lamb guarantee (and is verified in tests). Every vended
-  // route charges the per-node load counters (load-aware tie-breaking).
+  // k-round route between survivors, through the epoch's flood memo;
+  // nullopt is impossible for survivor pairs by the lamb guarantee (and is
+  // verified in tests). Every vended route charges the per-node load
+  // counters (load-aware tie-breaking).
   std::optional<wormhole::Route> route(NodeId src, NodeId dst, Rng& rng);
 
   // Per-node load of routes vended since the last reconfigure; feed the
@@ -314,7 +324,6 @@ class MachineManager {
   FaultSet faults_;  // working set: the epoch's faults plus pending reports
   std::shared_ptr<const EpochConfig> config_;  // orders: next solve's rounds
   std::vector<EpochReport> history_;
-  std::unique_ptr<wormhole::RouteCache> routes_;  // over config_
   wormhole::NodeLoad load_;
   std::int64_t routes_vended_ = 0;
   bool pending_ = true;  // epoch 0 must be established by reconfigure()

@@ -1,24 +1,20 @@
 // Epoch-versioned, read-mostly route tables for the serving layer.
 //
-// A RouteTable is an immutable view of one manager epoch: the epoch's
-// manager::EpochConfig (sealed faults, orders, lambs, survivors and
-// certification; shared with the manager, not copied or recomputed) plus
-// a memoizing flood cache of its own, so a repeated vend against the epoch
-// costs one scan of the intersection of two cached floods. RouteService
-// swaps tables with a single atomic shared_ptr store (RCU-style), so readers
-// never block on the solver — they route against whichever epoch they
-// snapshotted, and the old table dies when its last in-flight reader
-// drops the reference.
-//
-// capture() carries the previous table's surviving floods forward via
-// RouteCache::adopt, so an epoch swap only re-floods endpoints the new
-// faults could have touched.
+// A RouteTable is a view of one manager epoch: the epoch's
+// manager::EpochConfig (sealed faults, orders, lambs, survivors,
+// certification and the epoch's one flood memo, which the manager fills
+// too) plus the tick it was published at. RouteService swaps tables with
+// a single atomic shared_ptr store (RCU-style), so readers never block on
+// the solver — they route against whichever epoch they snapshotted, and
+// the old table dies when its last in-flight reader drops the reference.
+// The manager carries floods across an epoch swap once, when it builds
+// the epoch record; a capture only reports that carry-forward.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "manager/machine_manager.hpp"
@@ -31,7 +27,7 @@ namespace lamb::serve {
 
 class RouteTable {
  public:
-  // Flood carry-forward outcome of a capture (zeroes for a cold table).
+  // Flood carry-forward into the captured epoch's memo.
   struct BuildStats {
     std::int64_t floods_retained = 0;
     std::int64_t floods_dropped = 0;
@@ -39,11 +35,10 @@ class RouteTable {
 
   // Captures the manager's CURRENT configuration (the manager must have
   // no pending reports — publish after reconfigure()), sharing its
-  // manager.epoch_config(). When `prev` is the table of an earlier
-  // epoch of the same timeline with identical shape and orders, its
-  // surviving floods are adopted; any mismatch (order escalation, shape
-  // change, a fault `prev` knew that this epoch does not) silently falls
-  // back to a cold cache.
+  // manager.epoch_config(). *stats gets the carry-forward recorded on
+  // that record (EpochConfig::carried), or zeroes when `prev` already
+  // shares the record (a re-publish of one epoch); `prev` is used for
+  // nothing else.
   static std::shared_ptr<const RouteTable> capture(
       const manager::MachineManager& manager, std::int64_t published_tick,
       const RouteTable* prev = nullptr, BuildStats* stats = nullptr);
@@ -67,10 +62,10 @@ class RouteTable {
   }
 
   // k-round route between survivors of THIS epoch. Thread-safe; the
-  // table-local mutex only serializes flood memoization, never the
-  // solver. Deterministic in (src, dst, rng state) — cache warmth cannot
-  // change the result. nullopt is impossible for covered pairs of a
-  // certified table (the lamb guarantee).
+  // memo's own lock serializes flood memoization, never the solver.
+  // Deterministic in (src, dst, rng state) — memo warmth cannot change
+  // the result. nullopt is impossible for covered pairs of a certified
+  // table (the lamb guarantee).
   std::optional<wormhole::Route> route(NodeId src, NodeId dst, Rng& rng) const;
 
   // One-round dimension-ordered route against this table's fault set —
@@ -79,16 +74,18 @@ class RouteTable {
   std::optional<wormhole::Route> dim_order_route(NodeId src,
                                                  NodeId dst) const;
 
-  std::int64_t cached_floods() const;
+  // Floods in the epoch's memo.
+  std::int64_t cached_floods() const {
+    return config_->routes.cached_entries();
+  }
 
  private:
   RouteTable(std::shared_ptr<const manager::EpochConfig> config,
-             std::int64_t published_tick);
+             std::int64_t published_tick)
+      : config_(std::move(config)), published_tick_(published_tick) {}
 
   std::shared_ptr<const manager::EpochConfig> config_;
   std::int64_t published_tick_ = 0;
-  mutable std::mutex mu_;  // guards cache_ memoization only
-  mutable wormhole::RouteCache cache_;
 };
 
 }  // namespace lamb::serve

@@ -327,6 +327,7 @@ std::optional<RouteCache::AdoptStats> RouteCache::adopt(
   const std::optional<FaultDelta> delta =
       fault_delta(prev.snapshot_->faults, snapshot_->faults);
   if (!delta) return std::nullopt;
+  std::scoped_lock lock(mu_, prev.mu_);
   static obs::Counter& adopts = obs::counter("wormhole.route_cache.adopts");
   static obs::Counter& retained =
       obs::counter("wormhole.route_cache.retained");
@@ -454,6 +455,7 @@ std::optional<Route> RouteCache::build(NodeId src, NodeId dst, Rng& rng,
   if (src < 0 || dst < 0 || src >= shape.size() || dst >= shape.size()) {
     return std::nullopt;
   }
+  std::lock_guard<std::mutex> lock(mu_);
   const std::size_t k = orders_.size();
   const Point src_p = shape.point(src);
   const Point dst_p = shape.point(dst);

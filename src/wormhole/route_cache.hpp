@@ -23,11 +23,15 @@
 // its floods never go stale; all of them come from one FloodOracle, built
 // on the first miss. A new epoch gets a new cache, which adopt()s the
 // floods of the previous epoch's cache that the new faults cannot have
-// changed.
+// changed. The manager's epoch record (manager::EpochConfig) holds one
+// cache per epoch, shared by the manager and every serving table of the
+// epoch, so every public member is thread-safe: one mutex serializes the
+// memoization.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -121,17 +125,25 @@ class RouteCache {
   // returns nullopt when the shapes or orders differ or when this
   // snapshot does not contain every fault of prev's (a restore to a
   // divergent timeline). Floods this cache already holds for an adopted
-  // endpoint are kept; they were built against the newer snapshot.
+  // endpoint are kept; they were built against the newer snapshot. `prev`
+  // is read under its own lock, so its vends may run concurrently.
   std::optional<AdoptStats> adopt(const RouteCache& prev);
 
   std::int64_t cached_entries() const {
+    std::lock_guard<std::mutex> lock(mu_);
     return static_cast<std::int64_t>(forward_.size() + backward_.size());
   }
-
-  std::int64_t hits() const { return hits_; }
-  std::int64_t misses() const { return misses_; }
+  std::int64_t hits() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return hits_;
+  }
+  std::int64_t misses() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return misses_;
+  }
 
  private:
+  // build()'s helpers; the caller holds mu_.
   const FloodOracle& oracle();
   const Bits& forward_of(NodeId src);
   const Bits& backward_of(NodeId dst);
@@ -140,6 +152,7 @@ class RouteCache {
 
   std::shared_ptr<const FaultSnapshot> snapshot_;
   MultiRoundOrder orders_;
+  mutable std::mutex mu_;  // guards every member below
   std::optional<FloodOracle> oracle_;  // over *snapshot_, built lazily
   std::unordered_map<NodeId, Bits> forward_;
   std::unordered_map<NodeId, Bits> backward_;

@@ -263,10 +263,10 @@ TEST(FaultSnapshotSharing, ManagerSolverAndTablesShareOneFaultSet) {
 
 // Four threads vend from an old and a new epoch's table (both kept alive)
 // and from the newest certified table, while this thread vends through
-// the manager and publishes new tables, each adopting from the table the
-// readers are vending on. Every route must stay clear of its own table's
-// faults; run under ThreadSanitizer this is the shared-snapshot race
-// check.
+// the manager into the flood memo the new table shares and publishes new
+// tables of that epoch. Every route must stay clear of its own table's
+// faults; run under ThreadSanitizer this is the shared-snapshot and
+// shared-memo race check.
 TEST(FaultSnapshotSharing, ConcurrentVendsAcrossEpochsWhilePublishing) {
   const MeshShape shape = MeshShape::cube(2, 12);
   manager::MachineManager mgr(shape);
@@ -326,6 +326,89 @@ TEST(FaultSnapshotSharing, ConcurrentVendsAcrossEpochsWhilePublishing) {
   EXPECT_EQ(illegal.load(), 0);
   EXPECT_GT(vended.load(), 0);
   EXPECT_EQ(&service.table()->faults(), &mgr.snapshot()->faults);
+}
+
+// One flood memo per epoch: the manager's vends and every table captured
+// from the epoch fill and read the same memo, and the carry-forward into
+// the next epoch's memo runs once, when the manager builds that epoch.
+TEST(EpochFloodMemo, ManagerAndTablesShareOneMemo) {
+  manager::MachineManager mgr(MeshShape::cube(2, 8));
+  mgr.reconfigure();
+  const NodeId a = mgr.survivors().front();
+  const NodeId b = mgr.survivors().back();
+  Rng rng(7);
+  ASSERT_TRUE(mgr.route(a, b, rng).has_value());
+
+  // a's forward and b's backward flood, memoized by the manager's vend.
+  const auto table = serve::RouteTable::capture(mgr, 0);
+  EXPECT_EQ(table->cached_floods(), 2);
+  ASSERT_TRUE(table->route(a, b, rng).has_value());
+  EXPECT_EQ(table->cached_floods(), 2);
+
+  const auto again = serve::RouteTable::capture(mgr, 1, table.get());
+  ASSERT_TRUE(again->route(b, a, rng).has_value());
+  EXPECT_EQ(again->cached_floods(), 4);
+  EXPECT_EQ(table->cached_floods(), 4);
+
+  // The next epoch's memo carried those four floods forward once; every
+  // report of that carry-forward agrees, and a re-publish of the epoch
+  // reports none.
+  mgr.report_node_fault(mgr.survivors()[5]);
+  const manager::EpochReport report = mgr.reconfigure();
+  EXPECT_EQ(report.routes_retained + report.routes_dropped, 4);
+  serve::RouteTable::BuildStats stats;
+  const auto next = serve::RouteTable::capture(mgr, 2, again.get(), &stats);
+  EXPECT_EQ(stats.floods_retained, report.routes_retained);
+  EXPECT_EQ(stats.floods_dropped, report.routes_dropped);
+  EXPECT_EQ(next->cached_floods(), report.routes_retained);
+  EXPECT_EQ(table->cached_floods(), 4);  // the old epoch's memo is untouched
+
+  stats = {-1, -1};
+  serve::RouteTable::capture(mgr, 3, next.get(), &stats);
+  EXPECT_EQ(stats.floods_retained, 0);
+  EXPECT_EQ(stats.floods_dropped, 0);
+}
+
+// Readers vend on one epoch's table while this thread vends through the
+// manager into the same memo and reconfigures, each new epoch adopting
+// from the memo the readers are still filling. Under ThreadSanitizer this
+// is the race check of the shared memo and of adoption under its lock.
+TEST(EpochFloodMemo, ConcurrentVendsWhileReconfiguring) {
+  const MeshShape shape = MeshShape::cube(2, 12);
+  manager::MachineManager mgr(shape);
+  mgr.reconfigure();
+  std::shared_ptr<const serve::RouteTable> table =
+      serve::RouteTable::capture(mgr, 0);
+
+  std::atomic<int> failed{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&, t] {
+      Rng rng(200 + static_cast<std::uint64_t>(t));
+      const std::vector<NodeId>& survivors = table->survivors();
+      for (int i = 0; i < 150; ++i) {
+        const NodeId src = survivors[rng.below(survivors.size())];
+        const NodeId dst = survivors[rng.below(survivors.size())];
+        if (src != dst && !table->route(src, dst, rng)) ++failed;
+      }
+    });
+  }
+  Rng rng(11);
+  for (int epoch = 0; epoch < 6; ++epoch) {
+    const std::vector<NodeId> survivors = mgr.survivors();
+    for (int i = 0; i < 10; ++i) {
+      const NodeId src = survivors[rng.below(survivors.size())];
+      const NodeId dst = survivors[rng.below(survivors.size())];
+      if (src != dst) {
+        EXPECT_TRUE(mgr.route(src, dst, rng).has_value());
+      }
+    }
+    mgr.report_node_fault(survivors[rng.below(survivors.size())]);
+    const manager::EpochReport report = mgr.reconfigure();
+    EXPECT_GT(report.routes_retained + report.routes_dropped, 0);
+  }
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(failed.load(), 0);
 }
 
 }  // namespace
