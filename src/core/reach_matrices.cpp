@@ -303,12 +303,7 @@ bool compute_reachability_incremental(
     for (std::size_t i = 0; i < map->size(); ++i) {
       if ((*map)[i] >= 0) continue;
       const Point rep = new_part.rep(static_cast<std::int64_t>(i));
-      for (std::int64_t o = 0; o < old_part.size(); ++o) {
-        if (old_part.sets[static_cast<std::size_t>(o)].contains(rep)) {
-          (*map)[i] = o;
-          break;
-        }
-      }
+      (*map)[i] = old_part.find(rep);
       if ((*map)[i] < 0) return -1;
       if (old_part.rep((*map)[i]) != rep) ++moved;
     }

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "manager/machine_manager.hpp"
+#include "mesh/fault_set.hpp"
 #include "support/crc32c.hpp"
 
 namespace lamb::io {
@@ -229,61 +230,6 @@ bool decode(ByteReader& r, const MeshShape& shape, Point* out) {
     return r.fail(LoadError::Code::kMalformed, "point out of bounds");
   }
   *out = p;
-  return true;
-}
-
-void encode(ByteWriter& w, const FaultSet& faults) {
-  const auto& nodes = faults.node_faults();
-  w.u64(nodes.size());
-  for (NodeId id : nodes) w.i64(id);
-  const int dim = faults.shape().dim();
-  const auto& links = faults.link_faults();
-  w.u64(links.size());
-  for (const LinkFault& lf : links) {
-    encode(w, lf.from, dim);
-    w.i32(lf.dim);
-    w.u8(lf.dir == Dir::Pos ? 1 : 0);
-    w.u8(lf.bidirectional ? 1 : 0);
-  }
-}
-
-bool decode(ByteReader& r, const MeshShape& shape, FaultSet* out) {
-  FaultSet faults(shape);
-  std::uint64_t node_count = 0;
-  if (!r.count(&node_count, 8)) return false;
-  for (std::uint64_t i = 0; i < node_count; ++i) {
-    std::int64_t id = 0;
-    if (!r.i64(&id)) return false;
-    if (id < 0 || id >= shape.size()) {
-      return r.fail(LoadError::Code::kMalformed,
-                    "node fault id " + std::to_string(id) + " out of range");
-    }
-    faults.add_node(id);
-  }
-  std::uint64_t link_count = 0;
-  if (!r.count(&link_count, 4ull * static_cast<std::uint64_t>(shape.dim()) +
-                                4 + 2)) {
-    return false;
-  }
-  for (std::uint64_t i = 0; i < link_count; ++i) {
-    Point from;
-    std::int32_t dim = 0;
-    std::uint8_t dir = 0;
-    std::uint8_t bidir = 0;
-    if (!decode(r, shape, &from)) return false;
-    if (!r.i32(&dim) || !r.u8(&dir) || !r.u8(&bidir)) return false;
-    if (dim < 0 || dim >= shape.dim() || dir > 1 || bidir > 1) {
-      return r.fail(LoadError::Code::kMalformed, "bad link fault fields");
-    }
-    const Dir d = dir ? Dir::Pos : Dir::Neg;
-    Point to;
-    if (!shape.neighbor(from, dim, d, &to)) {
-      return r.fail(LoadError::Code::kMalformed,
-                    "link fault leaves the mesh");
-    }
-    faults.add(LinkFault{from, dim, d, bidir != 0});
-  }
-  *out = std::move(faults);
   return true;
 }
 

@@ -23,7 +23,6 @@
 #include <string_view>
 #include <vector>
 
-#include "mesh/fault_set.hpp"
 #include "mesh/mesh.hpp"
 #include "reach/dim_order.hpp"
 
@@ -128,9 +127,6 @@ bool decode(ByteReader& r, std::unique_ptr<MeshShape>* out);
 
 void encode(ByteWriter& w, const Point& p, int dim);
 bool decode(ByteReader& r, const MeshShape& shape, Point* out);
-
-void encode(ByteWriter& w, const FaultSet& faults);
-bool decode(ByteReader& r, const MeshShape& shape, FaultSet* out);
 
 // Sorted unique node-id list (lamb sets, predetermined sets).
 void encode_nodes(ByteWriter& w, const std::vector<NodeId>& nodes);

@@ -23,7 +23,8 @@ constexpr char kSnapshotMagic[kMagicSize + 1] = "LAMBSNAP";
 constexpr char kJournalMagic[kMagicSize + 1] = "LAMBJRNL";
 // Version 2: EpochReport gained the incremental-reconfigure fields.
 // Version 3: EpochReport dropped the cover warm-start retention field.
-constexpr std::uint32_t kSnapshotVersion = 3;
+// Version 4: Checkpoint dropped `rounds` and gained the pending fault lists.
+constexpr std::uint32_t kSnapshotVersion = 4;
 constexpr std::uint32_t kJournalVersion = 1;
 constexpr std::size_t kJournalHeaderSize = kMagicSize + 4 + 8 + 4;
 constexpr char kJournalName[] = "journal.lmj";

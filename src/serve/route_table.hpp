@@ -3,12 +3,13 @@
 // A RouteTable is a view of one manager epoch: the epoch's
 // manager::EpochConfig (sealed faults, orders, lambs, survivors,
 // certification and the epoch's one flood memo, which the manager fills
-// too) plus the tick it was published at. RouteService swaps tables with
-// a single atomic shared_ptr store (RCU-style), so readers never block on
-// the solver — they route against whichever epoch they snapshotted, and
-// the old table dies when its last in-flight reader drops the reference.
-// The manager carries floods across an epoch swap once, when it builds
-// the epoch record; a capture only reports that carry-forward.
+// too) plus the tick it was published at. RouteService swaps tables by
+// replacing one shared_ptr under its mutex (RCU-style: the critical
+// section is a pointer copy), so readers never block on the solver —
+// they route against whichever epoch they snapshotted, and the old table
+// dies when its last in-flight reader drops the reference. The manager
+// carries floods across an epoch swap once, when it builds the epoch
+// record, by sharing them; a capture only reports that carry-forward.
 #pragma once
 
 #include <cstdint>

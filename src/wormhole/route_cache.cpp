@@ -335,16 +335,13 @@ std::optional<RouteCache::AdoptStats> RouteCache::adopt(
   adopts.add();
   const StaleTest stale(*snapshot_->shape, delta->nodes, delta->links);
   AdoptStats stats;
-  const std::pair<const std::unordered_map<NodeId, Bits>*,
-                  std::unordered_map<NodeId, Bits>*>
-      sides[] = {{&prev.forward_, &forward_}, {&prev.backward_, &backward_}};
-  for (const auto& [from, to] : sides) {
-    for (const auto& [node, flood] : *from) {
-      if (stale(flood)) {
-        ++stats.dropped;
-      } else if (to->emplace(node, flood).second) {
-        ++stats.retained;
-      }
+  // Sized for prev's memo, so the vends that refill it do not rehash.
+  floods_.reserve(prev.floods_.size());
+  for (const auto& [key, flood] : prev.floods_) {
+    if (stale(*flood)) {
+      ++stats.dropped;
+    } else if (floods_.emplace(key, flood).second) {
+      ++stats.retained;
     }
   }
   retained.add(stats.retained);
@@ -357,32 +354,21 @@ const FloodOracle& RouteCache::oracle() {
   return *oracle_;
 }
 
-const Bits& RouteCache::forward_of(NodeId src) {
-  auto it = forward_.find(src);
-  if (it != forward_.end()) {
+const Bits& RouteCache::flood(NodeId endpoint, Side side) {
+  const std::int64_t key = 2 * endpoint + static_cast<std::int64_t>(side);
+  auto it = floods_.find(key);
+  if (it != floods_.end()) {
     ++hits_;
     hit_counter().add();
-    return it->second;
+    return *it->second;
   }
   ++misses_;
   miss_counter().add();
-  const Point src_p = snapshot_->shape->point(src);
-  return forward_.emplace(src, oracle().reach1_from(src_p, orders_.front()))
-      .first->second;
-}
-
-const Bits& RouteCache::backward_of(NodeId dst) {
-  auto it = backward_.find(dst);
-  if (it != backward_.end()) {
-    ++hits_;
-    hit_counter().add();
-    return it->second;
-  }
-  ++misses_;
-  miss_counter().add();
-  const Point dst_p = snapshot_->shape->point(dst);
-  return backward_.emplace(dst, oracle().reach1_to(dst_p, orders_.back()))
-      .first->second;
+  const Point p = snapshot_->shape->point(endpoint);
+  auto built = std::make_shared<const Bits>(
+      side == Side::kForward ? oracle().reach1_from(p, orders_.front())
+                             : oracle().reach1_to(p, orders_.back()));
+  return *floods_.emplace(key, std::move(built)).first->second;
 }
 
 // The shortest-intermediate DP. cost[r][u] = fewest hops to be at u after
@@ -393,7 +379,7 @@ const Bits& RouteCache::backward_of(NodeId dst) {
 std::vector<NodeId> RouteCache::pick_chain(NodeId src, NodeId dst, Rng& rng) {
   constexpr std::int64_t kUnreachable = std::numeric_limits<std::int64_t>::max();
   const MeshShape& shape = *snapshot_->shape;
-  const FloodOracle& flood = oracle();
+  const FloodOracle& middle = oracle();  // floods the middle rounds
   const int k = static_cast<int>(orders_.size());
   const std::size_t n = static_cast<std::size_t>(shape.size());
   const Point src_p = shape.point(src);
@@ -403,7 +389,7 @@ std::vector<NodeId> RouteCache::pick_chain(NodeId src, NodeId dst, Rng& rng) {
   std::vector<std::vector<NodeId>> pred(static_cast<std::size_t>(k - 1),
                                         std::vector<NodeId>(n, -1));
 
-  forward_of(src).for_each([&](NodeId u) {
+  flood(src, Side::kForward).for_each([&](NodeId u) {
     cost[0][static_cast<std::size_t>(u)] =
         shape.l1_distance(src_p, shape.point(u));
   });
@@ -412,7 +398,7 @@ std::vector<NodeId> RouteCache::pick_chain(NodeId src, NodeId dst, Rng& rng) {
       const std::int64_t c = cost[r - 1][u];
       if (c == kUnreachable) continue;
       const Point u_p = shape.point(static_cast<NodeId>(u));
-      flood.reach1_from(u_p, orders_[r]).for_each([&](NodeId w) {
+      middle.reach1_from(u_p, orders_[r]).for_each([&](NodeId w) {
         const std::int64_t nc = c + shape.l1_distance(u_p, shape.point(w));
         if (nc < cost[r][static_cast<std::size_t>(w)]) {
           cost[r][static_cast<std::size_t>(w)] = nc;
@@ -426,7 +412,7 @@ std::vector<NodeId> RouteCache::pick_chain(NodeId src, NodeId dst, Rng& rng) {
   std::int64_t best = kUnreachable;
   NodeId chosen = -1;
   std::int64_t ties = 0;
-  backward_of(dst).for_each([&](NodeId u) {
+  flood(dst, Side::kBackward).for_each([&](NodeId u) {
     const std::int64_t c = last[static_cast<std::size_t>(u)];
     if (c == kUnreachable) return;
     const std::int64_t total = c + shape.l1_distance(shape.point(u), dst_p);
@@ -463,10 +449,10 @@ std::optional<Route> RouteCache::build(NodeId src, NodeId dst, Rng& rng,
   route.src = src;
   route.dst = dst;
   if (k == 1) {
-    if (!forward_of(src).test(dst)) return std::nullopt;
+    if (!flood(src, Side::kForward).test(dst)) return std::nullopt;
   } else if (k == 2) {
-    const Bits& forward = forward_of(src);
-    const Bits& backward = backward_of(dst);
+    const Bits& forward = flood(src, Side::kForward);
+    const Bits& backward = flood(dst, Side::kBackward);
     IntermediateScan scan(shape, forward, backward, src_p, dst_p,
                           &scan_tables_, rng, load);
     const NodeId chosen = scan.run();

@@ -18,15 +18,17 @@
 //     intersection of the two cached floods for the intermediate;
 //   * k >= 3 runs the exact shortest-intermediate DP, flooding the middle
 //     rounds directly.
-// Memory is one N-bit set per distinct endpoint seen. A cache is bound to
-// one sealed FaultSnapshot and one set of orders for its whole life, so
-// its floods never go stale; all of them come from one FloodOracle, built
-// on the first miss. A new epoch gets a new cache, which adopt()s the
-// floods of the previous epoch's cache that the new faults cannot have
-// changed. The manager's epoch record (manager::EpochConfig) holds one
-// cache per epoch, shared by the manager and every serving table of the
-// epoch, so every public member is thread-safe: one mutex serializes the
-// memoization.
+// Memory is one N-bit set per distinct (endpoint, side) seen. A cache is
+// bound to one sealed FaultSnapshot and one set of orders for its whole
+// life, so its floods never go stale; it builds them from one
+// FloodOracle, built on the first miss. A flood is an immutable value
+// that depends only on the faults, the order and the endpoint, so a new
+// epoch's cache adopt()s every flood of the previous epoch's cache that
+// the new faults cannot have changed by sharing it, not copying it: the
+// flood lives as long as the last epoch that holds it. The manager's
+// epoch record (manager::EpochConfig) holds one cache per epoch, shared
+// by the manager and every serving table of the epoch, so every public
+// member is thread-safe: one mutex serializes the memoization.
 #pragma once
 
 #include <cstdint>
@@ -118,20 +120,21 @@ class RouteCache {
 
   // Carry-forward across an epoch swap: seeds this cache with every flood
   // of `prev` that the fault delta between the two snapshots cannot have
-  // changed, leaving `prev` untouched. A flood is stale when it contains
-  // a delta node, or both endpoints of a delta link: any route through
-  // the dead element puts it (or both its endpoints) in the flood, so a
-  // flood failing the test is provably unchanged. Adopts nothing and
-  // returns nullopt when the shapes or orders differ or when this
-  // snapshot does not contain every fault of prev's (a restore to a
-  // divergent timeline). Floods this cache already holds for an adopted
-  // endpoint are kept; they were built against the newer snapshot. `prev`
-  // is read under its own lock, so its vends may run concurrently.
+  // changed, sharing each with `prev` and leaving `prev`'s memo
+  // untouched. A flood is stale when it contains a delta node, or both
+  // endpoints of a delta link: any route through the dead element puts it
+  // (or both its endpoints) in the flood, so a flood failing the test is
+  // provably unchanged. Adopts nothing and returns nullopt when the
+  // shapes or orders differ or when this snapshot does not contain every
+  // fault of prev's (a restore to a divergent timeline). Floods this cache
+  // already holds for an adopted endpoint are kept; they were built
+  // against the newer snapshot. `prev` is read under its own lock, so its
+  // vends may run concurrently.
   std::optional<AdoptStats> adopt(const RouteCache& prev);
 
   std::int64_t cached_entries() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return static_cast<std::int64_t>(forward_.size() + backward_.size());
+    return static_cast<std::int64_t>(floods_.size());
   }
   std::int64_t hits() const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -143,10 +146,14 @@ class RouteCache {
   }
 
  private:
+  // Which flood of an endpoint: the first round's set it reaches, or the
+  // last round's set that reaches it.
+  enum class Side : std::int64_t { kForward = 0, kBackward = 1 };
+
   // build()'s helpers; the caller holds mu_.
   const FloodOracle& oracle();
-  const Bits& forward_of(NodeId src);
-  const Bits& backward_of(NodeId dst);
+  // The memoized flood of (endpoint, side), built on a miss.
+  const Bits& flood(NodeId endpoint, Side side);
   // k >= 3: the intermediates u_1 .. u_{k-1} (empty when unreachable).
   std::vector<NodeId> pick_chain(NodeId src, NodeId dst, Rng& rng);
 
@@ -154,8 +161,8 @@ class RouteCache {
   MultiRoundOrder orders_;
   mutable std::mutex mu_;  // guards every member below
   std::optional<FloodOracle> oracle_;  // over *snapshot_, built lazily
-  std::unordered_map<NodeId, Bits> forward_;
-  std::unordered_map<NodeId, Bits> backward_;
+  // Keyed 2 * endpoint + side. adopt() shares entries across epochs.
+  std::unordered_map<std::int64_t, std::shared_ptr<const Bits>> floods_;
   std::vector<std::int64_t> scan_tables_;  // build()'s cost windows, reused
   std::int64_t hits_ = 0;
   std::int64_t misses_ = 0;

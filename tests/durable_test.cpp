@@ -596,36 +596,43 @@ TEST(DurableManager, HostileStateDirNeverThrows) {
 
 TEST(DurableManager, RefusesSnapshotSealedAtVersion2) {
   // Version 2 snapshots carried one more EpochReport field than this
-  // build decodes. The seal must stop such a file with a typed error
-  // before any of its payload is read as the current layout.
-  const std::string dir = state_dir("mgr_v2_snapshot");
-  const MeshShape shape = MeshShape::cube(2, 6);
-  {
-    manager::MachineManager mgr(shape);
-    mgr.reconfigure();
-    mgr.report_node_fault(NodeId{8});
-    mgr.reconfigure();  // history holds a second EpochReport
-    mgr.enable_durability(dir, fast());
+  // build decodes, and version 3 ones a Checkpoint with a `rounds` field
+  // and no pending fault lists. The seal must stop such a file with a
+  // typed error before any of its payload is read as the current layout.
+  for (const std::uint32_t version : {2u, 3u}) {
+    SCOPED_TRACE(version);
+    const std::string dir =
+        state_dir("mgr_v" + std::to_string(version) + "_snapshot");
+    const MeshShape shape = MeshShape::cube(2, 6);
+    {
+      manager::MachineManager mgr(shape);
+      mgr.reconfigure();
+      mgr.report_node_fault(NodeId{8});
+      mgr.reconfigure();  // history holds a second EpochReport
+      mgr.enable_durability(dir, fast());
+    }
+    const std::string path = newest_snapshot_path(dir);
+    std::string file;
+    ASSERT_TRUE(io::read_file_bytes(path, &file, nullptr));
+    const std::string old = io::seal(
+        "LAMBSNAP", version,
+        std::string_view(file).substr(io::kSealHeaderSize));
+    LoadError err;
+    ASSERT_TRUE(io::atomic_write_file(path, old, false, &err));
+
+    const StateDir::Scan scan = StateDir::scan(dir);
+    ASSERT_EQ(scan.snapshots.size(), 1u);
+    EXPECT_EQ(scan.snapshots.front().error.code,
+              LoadError::Code::kBadVersion);
+    EXPECT_FALSE(scan.recoverable);
+
+    manager::OpenReport report;
+    std::unique_ptr<manager::MachineManager> mgr;
+    ASSERT_NO_THROW(
+        mgr = manager::MachineManager::open(dir, {}, 3, &report, &err));
+    EXPECT_EQ(mgr, nullptr);
+    EXPECT_EQ(err.code, LoadError::Code::kBadVersion);
   }
-  const std::string path = newest_snapshot_path(dir);
-  std::string file;
-  ASSERT_TRUE(io::read_file_bytes(path, &file, nullptr));
-  const std::string v2 = io::seal(
-      "LAMBSNAP", 2, std::string_view(file).substr(io::kSealHeaderSize));
-  LoadError err;
-  ASSERT_TRUE(io::atomic_write_file(path, v2, false, &err));
-
-  const StateDir::Scan scan = StateDir::scan(dir);
-  ASSERT_EQ(scan.snapshots.size(), 1u);
-  EXPECT_EQ(scan.snapshots.front().error.code, LoadError::Code::kBadVersion);
-  EXPECT_FALSE(scan.recoverable);
-
-  manager::OpenReport report;
-  std::unique_ptr<manager::MachineManager> mgr;
-  ASSERT_NO_THROW(
-      mgr = manager::MachineManager::open(dir, {}, 3, &report, &err));
-  EXPECT_EQ(mgr, nullptr);
-  EXPECT_EQ(err.code, LoadError::Code::kBadVersion);
 }
 
 TEST(DurableManager, RejectsHostileJournalRecordAndCompacts) {

@@ -11,6 +11,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
+#include <optional>
 #include <set>
 #include <thread>
 #include <vector>
@@ -409,6 +411,75 @@ TEST(EpochFloodMemo, ConcurrentVendsWhileReconfiguring) {
   }
   for (std::thread& reader : readers) reader.join();
   EXPECT_EQ(failed.load(), 0);
+}
+
+// An adopted flood is shared by two epochs' memos. Freeing the previous
+// epoch's record -- RouteService::publish drops the last reference to the
+// old table -- must leave it intact for the threads vending on the new
+// epoch from it, and their routes must equal a cold cache's. Under
+// ThreadSanitizer this is the race check of a flood whose lifetime spans
+// two epochs.
+TEST(EpochFloodMemo, AdoptedFloodsOutliveThePreviousEpoch) {
+  const MeshShape shape = MeshShape::cube(2, 12);
+  manager::MachineManager mgr(shape);
+  mgr.report_node_fault(Point{4, 4});
+  mgr.reconfigure();
+  serve::RouteService service(mgr, serve::ServiceOptions{}, 0);
+  const std::weak_ptr<const serve::RouteTable> old_table = service.table();
+
+  // Warm the old epoch's memo through the service's table only, so the
+  // service holds the last reference to the old record.
+  Rng rng(41);
+  const auto pairs = survivor_pairs(service.table()->survivors(), 96, rng);
+  for (const auto& [src, dst] : pairs) {
+    ASSERT_TRUE(service.table()->route(src, dst, rng).has_value());
+  }
+  mgr.report_node_fault(Point{9, 2});
+  const manager::EpochReport report = mgr.reconfigure();
+  ASSERT_GT(report.routes_retained, 0);
+  const auto next = serve::RouteTable::capture(mgr, 1);
+  ASSERT_EQ(next->cached_floods(), report.routes_retained);
+  std::vector<std::pair<NodeId, NodeId>> covered;
+  for (const auto& [src, dst] : pairs) {
+    if (next->covers(src, dst)) covered.push_back({src, dst});
+  }
+
+  // Readers vend on the new epoch while this thread publishes it.
+  constexpr int kReaders = 4;
+  constexpr int kPasses = 3;
+  std::vector<std::vector<std::optional<Route>>> routes(kReaders);
+  std::atomic<int> started{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      ++started;
+      for (int pass = 0; pass < kPasses; ++pass) {
+        for (std::size_t i = 0; i < covered.size(); ++i) {
+          Rng tie(i);
+          routes[static_cast<std::size_t>(t)].push_back(
+              next->route(covered[i].first, covered[i].second, tie));
+        }
+      }
+    });
+  }
+  while (started.load() < kReaders) std::this_thread::yield();
+  service.publish(1);
+  EXPECT_TRUE(old_table.expired());  // the old record and memo are freed
+  for (std::thread& reader : readers) reader.join();
+
+  RouteCache cold(mgr.snapshot(), mgr.orders());
+  for (const auto& vended : routes) {
+    ASSERT_EQ(vended.size(), kPasses * covered.size());
+    for (std::size_t j = 0; j < vended.size(); ++j) {
+      const auto& [src, dst] = covered[j % covered.size()];
+      Rng tie(j % covered.size());
+      const auto expected = cold.build(src, dst, tie);
+      ASSERT_TRUE(expected.has_value());
+      ASSERT_TRUE(vended[j].has_value()) << src << "->" << dst;
+      EXPECT_EQ(vended[j]->intermediates, expected->intermediates);
+      EXPECT_EQ(walk(shape, *vended[j]), walk(shape, *expected));
+    }
+  }
 }
 
 }  // namespace
