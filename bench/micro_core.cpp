@@ -3,7 +3,8 @@
 // oracle (construction O(dN), queries O(d)) vs the O(dn) route walk, the
 // word-parallel floods of FloodOracle, the saturating Boolean matrix
 // product and the R-chain built on it, one incremental Find-Reachability
-// step against the full one, Dinic on the WVC network, the full Lamb1
+// step against the full one and its partition repairs against fresh
+// partitions, Dinic on the WVC network, the full Lamb1
 // pipeline scaling in f, and one served k = 2 vend (warm, cold, and
 // through RouteService::submit).
 //
@@ -233,6 +234,26 @@ struct ReachDeltaCase {
   // The full solve of the same fault set.
   ReachComputation full() const {
     return compute_reachability(shape, after, orders);
+  }
+  // The layer-1 work of each: the full run's SES + DES partitions of the
+  // new fault set, and the step's two repairs of the previous ones (k = 2
+  // ascending has one distinct ordering).
+  std::int64_t partitions() const {
+    PartitionSpans ses_spans;
+    PartitionSpans des_spans;
+    return find_ses_partition(shape, after, orders[0], &ses_spans).size() +
+           find_des_partition(shape, after, orders[0], &des_spans).size();
+  }
+  std::int64_t repairs() const {
+    std::int64_t cells = 0;
+    for (const bool des : {false, true}) {
+      const std::optional<PartitionRepair> rep = repair_partition(
+          shape, after, delta_nodes, delta_links, orders[0], des,
+          des ? reach.des[0] : reach.ses[0],
+          des ? reach.des_spans[0] : reach.ses_spans[0]);
+      cells += rep ? rep->partition.size() : -1;
+    }
+    return cells;
   }
   bool incremental_equals_full() const {
     ReachComputation inc;
@@ -500,6 +521,18 @@ void add_cases(Suite& s) {
   s.add("ReachIncrementalNode", [node_delta] { return node_delta->step(); });
   s.add("ReachIncrementalLink", [link_delta] { return link_delta->step(); });
   s.add("ReachFull", [node_delta] { return node_delta->full(); });
+
+  s.family("PartitionFull",
+           "SES + DES partitions of the ReachIncrementalNode fault set");
+  s.family("PartitionRepairNode",
+           "the SES and DES repairs of the ReachIncrementalNode delta");
+  s.family("PartitionRepairLink",
+           "the SES and DES repairs of the ReachIncrementalLink delta");
+  s.add("PartitionFull", [node_delta] { return node_delta->partitions(); });
+  s.add("PartitionRepairNode",
+        [node_delta] { return node_delta->repairs(); });
+  s.add("PartitionRepairLink",
+        [link_delta] { return link_delta->repairs(); });
 
   s.family("BipartiteWvc",
            "n + n vertices, weights 1..50, edge probability 0.1 (seed 8)");

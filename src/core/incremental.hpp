@@ -4,18 +4,18 @@
 // solve_lambs_incremental recomputes only what the new faults touched.
 // Two reuse layers:
 //
-//   1. Partition repair (core/partition.*): SES/DES membership is
-//      recomputed only in the outer-level peel subtrees a new fault
-//      landed in; untouched subtrees are spliced from the previous
+//   1. Partition repair (core/partition.*): the Find-Partition run
+//      itself, recursing only into the outer-level peel subtrees a new
+//      fault landed in; untouched subtrees are spliced from the previous
 //      partition. Bails when the damage merges regions.
 //   2. Reach-matrix block reuse (core/reach_matrices.*): every R_t row
 //      and column is copied from its parent's (the old cell holding the
 //      new cell's representative), then every entry whose
 //      dimension-ordered route runs through a delta fault (a node on it,
 //      or a link it traverses in a now-faulty direction) is cleared by
-//      exact bit masks; intersection matrices splice the entries of cells
-//      the repair kept verbatim. No reachability oracle is kept or
-//      queried. The R-chain itself is recomputed in full
+//      exact bit masks; the full run's intersection builder splices the
+//      entries of cells the repair kept verbatim. No reachability oracle
+//      is kept or queried. The R-chain itself is recomputed in full
 //      (core/reach_matrices.hpp, reach_chain), which the saturating
 //      product makes cheaper than splicing its rows.
 //

@@ -15,152 +15,112 @@ std::int64_t EquivPartition::find(const Point& p) const {
 
 namespace {
 
-// Recursive worker shared by the SES and DES variants. `peel` lists the
-// dimensions from outermost (peeled first; the last-routed dimension for
-// an SES partition) to innermost. `box` carries the constants fixed by
-// enclosing levels. Fault lists are pre-filtered to the current submesh.
+// What a repair run splices at the outermost peel level: the previous
+// partition and its spans, the previous span of every outer hyperplane
+// coordinate (-1 where none was blocked), and the hyperplanes the delta
+// touched.
+struct Splice {
+  const EquivPartition& prev;
+  const PartitionSpans& prev_spans;
+  std::vector<std::int64_t> prev_span_at;
+  std::vector<char> dirty;
+
+  // A blocked hyperplane the delta left alone receives the same fault set
+  // as the previous run (the output of recurse depends only on the set,
+  // not the list order), so its previous span is valid verbatim.
+  bool kept(Coord c) const {
+    const auto at = static_cast<std::size_t>(c);
+    return !dirty[at] && prev_span_at[at] >= 0;
+  }
+  std::pair<std::int64_t, std::int64_t> prev_span(Coord c) const {
+    const std::int64_t s = prev_span_at[static_cast<std::size_t>(c)];
+    return s < 0 ? std::pair<std::int64_t, std::int64_t>{0, 0}
+                 : prev_spans.spans[static_cast<std::size_t>(s)];
+  }
+};
+
+// Recursive worker shared by the SES and DES variants and the repair.
+// `peel` lists the dimensions from outermost (peeled first; the
+// last-routed dimension for an SES partition) to innermost. `box` carries
+// the constants fixed by enclosing levels. Fault lists are pre-filtered
+// to the current submesh.
 class PartitionBuilder {
  public:
   PartitionBuilder(const MeshShape& shape, std::vector<int> peel)
       : shape_(shape), peel_(std::move(peel)) {}
 
-  EquivPartition run(const FaultSet& faults, PartitionSpans* spans) {
+  // One Find-Partition run; with `splice`, the outermost level copies the
+  // previous span of every kept hyperplane instead of recursing into it.
+  EquivPartition run(const FaultSet& faults, PartitionSpans* spans,
+                     const Splice* splice = nullptr) {
     std::vector<Point> nodes;
     nodes.reserve(faults.node_faults().size());
     for (NodeId id : faults.node_faults()) nodes.push_back(shape_.point(id));
     EquivPartition out;
     RectSet box(shape_);
-    recurse(0, box, nodes, faults.link_faults(), &out, spans);
+    recurse(0, box, nodes, faults.link_faults(), &out, spans, splice);
     return out;
   }
 
-  // Incremental Find-Partition: recompute only the outer-hyperplane
-  // subtrees the delta touches, splice everything else from `prev`.
-  // A subtree with no delta fault in its hyperplane receives the same
-  // fault set as the previous run (the output of recurse depends only on
-  // the set, not the list order), so its previous output span is valid
-  // verbatim. The level-0 intervals are always recomputed (O(width + f)).
+  // Incremental Find-Partition: the run above, splicing every outer
+  // hyperplane the delta did not touch from `prev`. The level-0 intervals
+  // are always recomputed (O(width + f)).
   std::optional<PartitionRepair> repair(
       const FaultSet& faults, const std::vector<Point>& delta_nodes,
       const std::vector<LinkFault>& delta_links, const EquivPartition& prev,
       const PartitionSpans& prev_spans) {
     if (peel_.size() == 1) return std::nullopt;  // no subtrees to splice
     const int j = peel_[0];
-    const Coord width = shape_.width(j);
-
-    std::vector<Point> nodes;
-    nodes.reserve(faults.node_faults().size());
-    for (NodeId id : faults.node_faults()) nodes.push_back(shape_.point(id));
-    const std::vector<LinkFault>& links = faults.link_faults();
-
-    std::vector<char> blocked(static_cast<std::size_t>(width), 0);
-    std::vector<char> cut(static_cast<std::size_t>(width), 0);
-    std::vector<char> dirty(static_cast<std::size_t>(width), 0);
-    for (const Point& p : nodes) blocked[static_cast<std::size_t>(p[j])] = 1;
-    for (const LinkFault& lf : links) {
-      if (lf.dim == j) {
-        cut[static_cast<std::size_t>(low_end(lf))] = 1;
-      } else {
-        blocked[static_cast<std::size_t>(lf.from[j])] = 1;
-      }
-    }
-    for (const Point& p : delta_nodes) {
-      dirty[static_cast<std::size_t>(p[j])] = 1;
-    }
-    for (const LinkFault& lf : delta_links) {
-      if (lf.dim != j) dirty[static_cast<std::size_t>(lf.from[j])] = 1;
-    }
-
-    std::vector<std::int64_t> prev_span_at(static_cast<std::size_t>(width), -1);
+    const auto width = static_cast<std::size_t>(shape_.width(j));
+    Splice splice{prev, prev_spans, std::vector<std::int64_t>(width, -1),
+                  std::vector<char>(width, 0)};
     for (std::size_t s = 0; s < prev_spans.coords.size(); ++s) {
-      prev_span_at[static_cast<std::size_t>(prev_spans.coords[s])] =
+      splice.prev_span_at[static_cast<std::size_t>(prev_spans.coords[s])] =
           static_cast<std::int64_t>(s);
     }
+    for (const Point& p : delta_nodes) {
+      splice.dirty[static_cast<std::size_t>(p[j])] = 1;
+    }
+    for (const LinkFault& lf : delta_links) {
+      if (lf.dim != j) splice.dirty[static_cast<std::size_t>(lf.from[j])] = 1;
+    }
 
+    // Merged-regions bail: when most hyperplanes are touched, splicing
+    // would redo most of the work with extra bookkeeping on top. `faults`
+    // is the previous set plus the delta, so the blocked hyperplanes are
+    // the previous ones plus the dirty ones.
     std::int64_t blocked_count = 0;
     std::int64_t dirty_count = 0;
-    for (Coord c = 0; c < width; ++c) {
-      if (!blocked[static_cast<std::size_t>(c)]) continue;
-      ++blocked_count;
-      if (dirty[static_cast<std::size_t>(c)] ||
-          prev_span_at[static_cast<std::size_t>(c)] < 0) {
-        ++dirty_count;
-      }
+    for (std::size_t c = 0; c < splice.dirty.size(); ++c) {
+      dirty_count += splice.dirty[c];
+      blocked_count += splice.dirty[c] || splice.prev_span_at[c] >= 0;
     }
-    // Merged-regions bail: when most hyperplanes are touched, splicing
-    // would redo most of the work with extra bookkeeping on top.
     if (2 * dirty_count > blocked_count) return std::nullopt;
 
     PartitionRepair out;
-    RectSet box(shape_);
-    for (Coord c = 0; c < width; ++c) {
-      if (!blocked[static_cast<std::size_t>(c)]) continue;
-      std::vector<Point> sub_nodes;
-      for (const Point& p : nodes) {
-        if (p[j] == c) sub_nodes.push_back(p);
-      }
-      std::vector<LinkFault> sub_links;
-      for (const LinkFault& lf : links) {
-        if (lf.dim != j && lf.from[j] == c) sub_links.push_back(lf);
-      }
-      if (sub_nodes.empty() && sub_links.empty()) continue;  // impossible
-      const std::int64_t prev_span = prev_span_at[static_cast<std::size_t>(c)];
-      const std::int64_t begin =
-          static_cast<std::int64_t>(out.partition.sets.size());
-      if (prev_span >= 0 && !dirty[static_cast<std::size_t>(c)]) {
-        const auto [ob, oe] =
-            prev_spans.spans[static_cast<std::size_t>(prev_span)];
-        for (std::int64_t s = ob; s < oe; ++s) {
-          out.partition.sets.push_back(prev.sets[static_cast<std::size_t>(s)]);
-          out.old_of_new.push_back(s);
+    out.partition = run(faults, &out.spans, &splice);
+    // Spliced spans map to their old cells one for one; recomputed spans
+    // and the level-0 intervals are matched against the previous run's
+    // cells at the same place.
+    for (std::size_t s = 0; s < out.spans.coords.size(); ++s) {
+      const Coord c = out.spans.coords[s];
+      const auto [nb, ne] = out.spans.spans[s];
+      const auto [ob, oe] = splice.prev_span(c);
+      if (splice.kept(c)) {
+        for (std::int64_t t = 0; t < ne - nb; ++t) {
+          out.old_of_new.push_back(ob + t);
         }
-        out.cells_reused += oe - ob;
+        out.cells_reused += ne - nb;
       } else {
-        box.clamp(j, c, c);
-        recurse(1, box, sub_nodes, sub_links, &out.partition, nullptr);
-        box.clamp(j, 0, width - 1);
-        const std::int64_t end =
-            static_cast<std::int64_t>(out.partition.sets.size());
-        out.cells_recomputed += end - begin;
-        if (prev_span >= 0) {
-          const auto [ob, oe] =
-              prev_spans.spans[static_cast<std::size_t>(prev_span)];
-          match_span(prev.sets, ob, oe, out.partition.sets, begin, end,
-                     &out.old_of_new);
-        } else {
-          out.old_of_new.resize(
-              static_cast<std::size_t>(end), -1);
-        }
-      }
-      out.spans.coords.push_back(c);
-      out.spans.spans.emplace_back(
-          begin, static_cast<std::int64_t>(out.partition.sets.size()));
-    }
-
-    const std::int64_t tail_begin =
-        static_cast<std::int64_t>(out.partition.sets.size());
-    out.spans.tail_begin = tail_begin;
-    Coord start = -1;
-    for (Coord c = 0; c <= width; ++c) {
-      const bool usable = c < width && !blocked[static_cast<std::size_t>(c)];
-      if (usable && start < 0) start = c;
-      const bool interval_ends =
-          start >= 0 &&
-          (!usable || (c < width && cut[static_cast<std::size_t>(c)]));
-      if (interval_ends) {
-        const Coord end = usable ? c : c - 1;
-        RectSet set = box;
-        set.clamp(j, start, end);
-        out.partition.sets.push_back(set);
-        start = -1;
+        match_span(prev.sets, ob, oe, out.partition.sets, nb, ne,
+                   &out.old_of_new);
+        out.cells_recomputed += ne - nb;
       }
     }
-    const std::int64_t tail_end =
-        static_cast<std::int64_t>(out.partition.sets.size());
-    out.cells_recomputed += tail_end - tail_begin;
-    match_span(prev.sets, prev_spans.tail_begin,
-               static_cast<std::int64_t>(prev.sets.size()), out.partition.sets,
-               tail_begin, tail_end, &out.old_of_new);
+    match_span(prev.sets, prev_spans.tail_begin, prev.size(),
+               out.partition.sets, out.spans.tail_begin, out.partition.size(),
+               &out.old_of_new);
+    out.cells_recomputed += out.partition.size() - out.spans.tail_begin;
     return out;
   }
 
@@ -195,7 +155,7 @@ class PartitionBuilder {
 
   void recurse(std::size_t level, RectSet& box, const std::vector<Point>& nodes,
                const std::vector<LinkFault>& links, EquivPartition* out,
-               PartitionSpans* spans) {
+               PartitionSpans* spans, const Splice* splice) {
     const int j = peel_[level];
     const Coord width = shape_.width(j);
     const bool innermost = level + 1 == peel_.size();
@@ -217,34 +177,37 @@ class PartitionBuilder {
     }
 
     if (!innermost) {
-      // Step 2(b): recurse into every blocked hyperplane.
+      // Step 2(b): recurse into every blocked hyperplane, or copy a kept
+      // one's previous output.
       for (Coord c = 0; c < width; ++c) {
         if (!blocked[static_cast<std::size_t>(c)]) continue;
-        std::vector<Point> sub_nodes;
-        for (const Point& p : nodes) {
-          if (p[j] == c) sub_nodes.push_back(p);
+        const std::int64_t begin = out->size();
+        if (splice != nullptr && splice->kept(c)) {
+          const auto [ob, oe] = splice->prev_span(c);
+          const auto& prev = splice->prev.sets;
+          out->sets.insert(out->sets.end(), prev.begin() + ob,
+                           prev.begin() + oe);
+        } else {
+          std::vector<Point> sub_nodes;
+          for (const Point& p : nodes) {
+            if (p[j] == c) sub_nodes.push_back(p);
+          }
+          std::vector<LinkFault> sub_links;
+          for (const LinkFault& lf : links) {
+            if (lf.dim != j && lf.from[j] == c) sub_links.push_back(lf);
+          }
+          box.clamp(j, c, c);
+          recurse(level + 1, box, sub_nodes, sub_links, out, nullptr, nullptr);
+          box.clamp(j, 0, width - 1);
         }
-        std::vector<LinkFault> sub_links;
-        for (const LinkFault& lf : links) {
-          if (lf.dim != j && lf.from[j] == c) sub_links.push_back(lf);
-        }
-        if (sub_nodes.empty() && sub_links.empty()) continue;  // impossible
-        const std::int64_t begin =
-            static_cast<std::int64_t>(out->sets.size());
-        box.clamp(j, c, c);
-        recurse(level + 1, box, sub_nodes, sub_links, out, nullptr);
-        box.clamp(j, 0, width - 1);
         if (spans != nullptr) {
           spans->coords.push_back(c);
-          spans->spans.emplace_back(
-              begin, static_cast<std::int64_t>(out->sets.size()));
+          spans->spans.emplace_back(begin, out->size());
         }
       }
     }
 
-    if (spans != nullptr) {
-      spans->tail_begin = static_cast<std::int64_t>(out->sets.size());
-    }
+    if (spans != nullptr) spans->tail_begin = out->size();
 
     // Steps 1 / 2(c)+2(d): maximal fault-free intervals over the unblocked
     // positions, additionally split at dimension-j link-fault cuts.

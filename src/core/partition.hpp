@@ -69,10 +69,12 @@ EquivPartition find_des_partition(const MeshShape& shape,
                                   PartitionSpans* spans = nullptr);
 
 // Result of an incremental partition repair: the repaired partition
-// (byte-identical to a from-scratch Find-Partition over `faults`), fresh
-// splice metadata, and the old-index of every new set (-1 when the set
-// was recomputed or is new). `cells_reused` counts sets spliced from the
-// previous partition, `cells_recomputed` those rebuilt.
+// (byte-identical to a from-scratch Find-Partition over `faults`), its
+// splice metadata, and the old index of every new set: a spliced set's
+// own, a recomputed set's equal old set at the same place (the previous
+// span of its hyperplane, or the previous level-0 intervals), else -1.
+// `cells_reused` counts sets spliced from the previous partition,
+// `cells_recomputed` those rebuilt.
 struct PartitionRepair {
   EquivPartition partition;
   PartitionSpans spans;
@@ -82,14 +84,15 @@ struct PartitionRepair {
 };
 
 // Repairs a previous partition after `delta_nodes` / `delta_links` were
-// added to the fault set (`faults` is the new cumulative set and must
-// contain them). Only the outer-hyperplane subtrees touched by the delta
-// are recomputed; untouched subtrees receive byte-identical inputs and
-// are spliced through verbatim. Returns nullopt — caller must recompute
-// from scratch — when the damage is too widespread (more than half the
-// blocked hyperplanes dirty: the "merged regions" regime where repair
-// would redo most of the work anyway) or the mesh is one-dimensional.
-// `des` selects the DES peel order, as in find_des_partition.
+// added to the fault set (`faults` is the previous set plus them). It is
+// the Find-Partition run over `faults`, except that at the outermost peel
+// level a blocked hyperplane the delta does not touch copies its span
+// from `prev` instead of being recursed into: its subtree would receive
+// the same faults. Returns nullopt — caller must recompute from scratch —
+// when the damage is too widespread (more than half the blocked
+// hyperplanes dirty: the "merged regions" regime where repair would redo
+// most of the work anyway) or the mesh is one-dimensional. `des` selects
+// the DES peel order, as in find_des_partition.
 std::optional<PartitionRepair> repair_partition(
     const MeshShape& shape, const FaultSet& faults,
     const std::vector<Point>& delta_nodes,

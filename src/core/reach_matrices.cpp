@@ -33,20 +33,6 @@ BitMatrix one_round_reach_matrix(const ReachOracle& oracle,
   return r;
 }
 
-BitMatrix intersection_matrix(const EquivPartition& des_prev,
-                              const EquivPartition& ses_next) {
-  BitMatrix m(des_prev.size(), ses_next.size());
-  for (std::int64_t j = 0; j < des_prev.size(); ++j) {
-    const RectSet& d = des_prev.sets[static_cast<std::size_t>(j)];
-    for (std::int64_t i = 0; i < ses_next.size(); ++i) {
-      if (RectSet::intersects(d, ses_next.sets[static_cast<std::size_t>(i)])) {
-        m.set(j, i);
-      }
-    }
-  }
-  return m;
-}
-
 namespace {
 
 // Distinct orderings -> shared partitions and matrices.
@@ -72,7 +58,104 @@ std::vector<DimOrder> distinct_orders(const MultiRoundOrder& orders,
   return distinct;
 }
 
+// Old-of-new maps are near monotone, so they decompose into a handful of
+// identity-with-offset runs (unmapped entries skipped). Every splice
+// copies run by run at word granularity rather than entry by entry.
+struct Run {
+  std::int64_t dst;  // first new index of the run
+  std::int64_t src;  // first old index of the run
+  std::int64_t len;
+};
+
+std::vector<Run> runs_of(const std::vector<std::int64_t>& old_of_new) {
+  std::vector<Run> runs;
+  for (std::size_t j = 0; j < old_of_new.size(); ++j) {
+    const std::int64_t o = old_of_new[j];
+    if (o < 0) continue;
+    const std::int64_t jj = static_cast<std::int64_t>(j);
+    if (!runs.empty() && runs.back().dst + runs.back().len == jj &&
+        runs.back().src + runs.back().len == o) {
+      ++runs.back().len;
+    } else {
+      runs.push_back({jj, o, 1});
+    }
+  }
+  return runs;
+}
+
+// The I_t of every chain step t = 1..k-1 of `out`, whose partitions are
+// built. I_t depends only on its (previous, next) ordering pair, so a
+// repeated pair copies the step that first built it. A delta run passes
+// the previous run and the repairs' identity maps per distinct ordering,
+// and every step it builds splices the previous run's same step.
+void build_intersections(
+    ReachComputation* out, const ReachComputation* prev = nullptr,
+    const std::vector<std::vector<std::int64_t>>* ses_map = nullptr,
+    const std::vector<std::vector<std::int64_t>>* des_map = nullptr) {
+  const std::size_t nu = out->distinct.size();
+  const std::size_t k = out->round_part.size();
+  std::vector<int> first_step(nu * nu, -1);
+  for (std::size_t t = 1; t < k; ++t) {
+    const auto pu = static_cast<std::size_t>(out->round_part[t - 1]);
+    const auto su = static_cast<std::size_t>(out->round_part[t]);
+    int& first = first_step[pu * nu + su];
+    if (first >= 0) {
+      BitMatrix copy = out->inters[static_cast<std::size_t>(first)];
+      out->inters.push_back(std::move(copy));
+      continue;
+    }
+    first = static_cast<int>(t) - 1;
+    if (prev == nullptr) {
+      out->inters.push_back(intersection_matrix(out->des[pu], out->ses[su]));
+    } else {
+      const IntersectionSplice splice{prev->inters[t - 1], (*des_map)[pu],
+                                      (*ses_map)[su]};
+      out->inters.push_back(
+          intersection_matrix(out->des[pu], out->ses[su], &splice));
+    }
+  }
+}
+
 }  // namespace
+
+BitMatrix intersection_matrix(const EquivPartition& des_prev,
+                              const EquivPartition& ses_next,
+                              const IntersectionSplice* splice) {
+  BitMatrix m(des_prev.size(), ses_next.size());
+  // A kept cell is the old RectSet, so the entries between kept cells are
+  // the previous I_t's.
+  std::vector<Run> kept_cols;
+  std::vector<std::int64_t> new_cols;
+  if (splice != nullptr) {
+    kept_cols = runs_of(splice->ses_old_of_new);
+    for (std::int64_t i = 0; i < ses_next.size(); ++i) {
+      if (splice->ses_old_of_new[static_cast<std::size_t>(i)] < 0) {
+        new_cols.push_back(i);
+      }
+    }
+  }
+  for (std::int64_t j = 0; j < des_prev.size(); ++j) {
+    const RectSet& d = des_prev.sets[static_cast<std::size_t>(j)];
+    auto test = [&](std::int64_t i) {
+      if (RectSet::intersects(d, ses_next.sets[static_cast<std::size_t>(i)])) {
+        m.set(j, i);
+      }
+    };
+    const std::int64_t old_row =
+        splice != nullptr
+            ? splice->des_old_of_new[static_cast<std::size_t>(j)]
+            : -1;
+    if (old_row < 0) {
+      for (std::int64_t i = 0; i < ses_next.size(); ++i) test(i);
+      continue;
+    }
+    for (const Run& run : kept_cols) {
+      m.copy_row_range(j, run.dst, splice->prev, old_row, run.src, run.len);
+    }
+    for (const std::int64_t i : new_cols) test(i);
+  }
+  return m;
+}
 
 BitMatrix reach_chain(const std::vector<BitMatrix>& r,
                       const std::vector<BitMatrix>& inters,
@@ -154,7 +237,6 @@ ReachComputation compute_reachability(const MeshShape& shape,
     throw std::invalid_argument("compute_reachability: need at least 1 round");
   }
   ReachComputation out;
-  const int k = static_cast<int>(orders.size());
   out.distinct = distinct_orders(orders, &out.round_part);
   const std::size_t nu = out.distinct.size();
 
@@ -182,22 +264,8 @@ ReachComputation compute_reachability(const MeshShape& shape,
   }
   blocks_timer.stop();
 
-  // Intersection matrices depend only on the (previous, next) ordering
-  // pair, so a repeated pair copies the step that first built it.
   obs::Span chain_timer("solver.reach.chain");
-  std::vector<int> first_step(nu * nu, -1);
-  for (int t = 1; t < k; ++t) {
-    const std::size_t prev =
-        static_cast<std::size_t>(out.round_part[static_cast<std::size_t>(t - 1)]);
-    const std::size_t next =
-        static_cast<std::size_t>(out.round_part[static_cast<std::size_t>(t)]);
-    int& first = first_step[prev * nu + next];
-    BitMatrix inter = first >= 0
-                          ? out.inters[static_cast<std::size_t>(first)]
-                          : intersection_matrix(out.des[prev], out.ses[next]);
-    if (first < 0) first = t - 1;
-    out.inters.push_back(std::move(inter));
-  }
+  build_intersections(&out);
   out.rk = reach_chain(out.r, out.inters, out.round_part);
   out.seconds_matrices = watch.seconds();
   return out;
@@ -213,7 +281,6 @@ bool compute_reachability_incremental(
   // source to its destination in every dimension; torus routes may wrap,
   // so the incremental path only handles plain meshes.
   if (shape.wraps()) return false;
-  const int k = static_cast<int>(orders.size());
 
   ReachComputation res;
   res.distinct = distinct_orders(orders, &res.round_part);
@@ -259,30 +326,6 @@ bool compute_reachability_incremental(
   watch.reset();
   obs::Span matrices_timer("solver.reach_matrices");
   obs::Span maps_timer("solver.reach.maps");
-  // Old-of-new maps are near monotone, so they decompose into a handful
-  // of identity-with-offset runs (unmapped entries skipped). Every splice
-  // below copies run by run at word granularity rather than entry by
-  // entry.
-  struct Run {
-    std::int64_t dst;  // first new index of the run
-    std::int64_t src;  // first old index of the run
-    std::int64_t len;
-  };
-  auto runs_of = [](const std::vector<std::int64_t>& old_of_new) {
-    std::vector<Run> runs;
-    for (std::size_t j = 0; j < old_of_new.size(); ++j) {
-      const std::int64_t o = old_of_new[j];
-      if (o < 0) continue;
-      const std::int64_t jj = static_cast<std::int64_t>(j);
-      if (!runs.empty() && runs.back().dst + runs.back().len == jj &&
-          runs.back().src + runs.back().len == o) {
-        ++runs.back().len;
-      } else {
-        runs.push_back({jj, o, 1});
-      }
-    }
-    return runs;
-  };
   // Parent maps: the old cell containing a new cell's representative. A
   // cell the repair kept verbatim is its own parent. R entries depend only
   // on the representatives and the fault set, never on cell extents, and
@@ -311,8 +354,7 @@ bool compute_reachability_incremental(
   };
   std::vector<std::vector<std::int64_t>> pses_map = ses_map;
   std::vector<std::vector<std::int64_t>> pdes_map = des_map;
-  std::vector<std::vector<Run>> ses_runs(nu);   // identity, for the I_t splice
-  std::vector<std::vector<Run>> pdes_runs(nu);  // parents, for the R_u copies
+  std::vector<std::vector<Run>> pdes_runs(nu);  // for the R_u copies
   std::vector<std::int64_t> moved_cols(nu);
   for (std::size_t u = 0; u < nu; ++u) {
     moved_cols[u] = parents(prev.des[u], res.des[u], &pdes_map[u]);
@@ -320,7 +362,6 @@ bool compute_reachability_incremental(
         moved_cols[u] < 0) {
       return false;
     }
-    ses_runs[u] = runs_of(ses_map[u]);
     pdes_runs[u] = runs_of(pdes_map[u]);
   }
   maps_timer.stop();
@@ -468,46 +509,7 @@ bool compute_reachability_incremental(
   // Layer 2b: intersection matrices spliced from the previous run, then
   // the chain recomputed in full by the shared right-to-left helper.
   obs::Span chain_timer("solver.reach.chain");
-  for (int t = 1; t < k; ++t) {
-    const std::size_t pu =
-        static_cast<std::size_t>(res.round_part[static_cast<std::size_t>(t - 1)]);
-    const std::size_t su =
-        static_cast<std::size_t>(res.round_part[static_cast<std::size_t>(t)]);
-    const BitMatrix& old_inter = prev.inters[static_cast<std::size_t>(t - 1)];
-    const EquivPartition& dprev = res.des[pu];
-    const EquivPartition& snext = res.ses[su];
-    // A cell the repair kept verbatim is the old RectSet, so kept-row x
-    // kept-col intersection entries are the old entries: splice them
-    // through the identity maps and call intersects only for the other
-    // rows and columns.
-    std::vector<std::int64_t> new_cols;
-    for (std::int64_t j = 0; j < snext.size(); ++j) {
-      if (ses_map[su][static_cast<std::size_t>(j)] < 0) new_cols.push_back(j);
-    }
-    BitMatrix inter(dprev.size(), snext.size());
-    for (std::int64_t rr = 0; rr < inter.rows(); ++rr) {
-      const std::int64_t orr = des_map[pu][static_cast<std::size_t>(rr)];
-      if (orr < 0) {
-        for (std::int64_t j = 0; j < inter.cols(); ++j) {
-          if (RectSet::intersects(dprev.sets[static_cast<std::size_t>(rr)],
-                                  snext.sets[static_cast<std::size_t>(j)])) {
-            inter.set(rr, j);
-          }
-        }
-        continue;
-      }
-      for (const Run& run : ses_runs[su]) {
-        inter.copy_row_range(rr, run.dst, old_inter, orr, run.src, run.len);
-      }
-      for (const std::int64_t j : new_cols) {
-        if (RectSet::intersects(dprev.sets[static_cast<std::size_t>(rr)],
-                                snext.sets[static_cast<std::size_t>(j)])) {
-          inter.set(rr, j);
-        }
-      }
-    }
-    res.inters.push_back(std::move(inter));
-  }
+  build_intersections(&res, &prev, &ses_map, &des_map);
   res.rk = reach_chain(res.r, res.inters, res.round_part);
 
   res.seconds_matrices = watch.seconds();

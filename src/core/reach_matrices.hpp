@@ -23,9 +23,24 @@ BitMatrix one_round_reach_matrix(const ReachOracle& oracle,
                                  const EquivPartition& des,
                                  const DimOrder& order);
 
-// I_t(j, i) = 1 iff des_prev[j] and ses_next[i] share a node.
+// What a delta run splices into I_t from the previous run's same chain
+// step: that step's matrix, and the partition repairs' identity maps (the
+// old index of every cell kept verbatim, else -1) of the DES partition
+// behind its rows and the SES partition behind its columns.
+struct IntersectionSplice {
+  const BitMatrix& prev;
+  const std::vector<std::int64_t>& des_old_of_new;
+  const std::vector<std::int64_t>& ses_old_of_new;
+};
+
+// I_t(j, i) = 1 iff des_prev[j] and ses_next[i] share a node. With
+// `splice`, a row whose DES cell was kept copies its kept columns from the
+// previous I_t (a kept cell is the old RectSet, so those entries are the
+// old ones) and tests only the new columns; every other row tests all
+// columns. The one I_t builder of the full and incremental runs.
 BitMatrix intersection_matrix(const EquivPartition& des_prev,
-                              const EquivPartition& ses_next);
+                              const EquivPartition& ses_next,
+                              const IntersectionSplice* splice = nullptr);
 
 // R^(k) = R_{u_1} I_1 R_{u_2} ... I_{k-1} R_{u_k} with u_t = round_part[t-1]:
 // `r` holds one R per distinct ordering, `inters` one I_t per chain step
@@ -121,9 +136,10 @@ ReachComputation compute_reachability(const MeshShape& shape,
 // entry turns 0 iff its dimension-ordered route holds a new faulty node,
 // or both endpoints of a new bidirectional link, or both endpoints of a
 // new directed link with the route's source on the link's `from` side. No
-// reachability oracle is queried. Intersection matrices splice the entries
-// of cells the repair kept verbatim, and the chain is recomputed in full
-// by reach_chain. Returns false — caller must fall back to the full
+// reachability oracle is queried. Intersection matrices come from the
+// full run's step loop, each splicing the entries of cells the repair
+// kept verbatim (intersection_matrix), and the chain is recomputed in
+// full by reach_chain. Returns false — caller must fall back to the full
 // computation — when the partition repair bails, the orderings do not
 // match `prev`, the mesh wraps, or a new cell has no parent (an invariant
 // break, never expected).

@@ -3,11 +3,13 @@
 // (pairwise disjoint, union = good nodes, genuine source/destination
 // equivalence per Definition 4.1) over randomized sweeps, the Theorem 6.4
 // size bound, its tightness constructions (Proposition 6.5, node and link
-// variants), and the diagonal (2d-1)f+1 example.
+// variants), the diagonal (2d-1)f+1 example, and the incremental repair
+// (repair_partition) against a fresh run on seeded fault deltas.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <tuple>
 
 #include "core/partition.hpp"
@@ -324,6 +326,132 @@ TEST(Partition, FindLocatesContainingSet) {
   ASSERT_GE(idx, 0);
   EXPECT_EQ(ses.sets[static_cast<std::size_t>(idx)].size(), 1);
   EXPECT_EQ(ses.find(Point{9, 1}), -1);  // faulty node is in no set
+}
+
+// --- Incremental repair ----------------------------------------------------
+
+// Adds 1-3 random new faults to `faults`, each a node, a bidirectional
+// link or a directed link, and lists them as the delta the repair takes.
+void add_random_delta(const MeshShape& shape, FaultSet& faults, Rng& rng,
+                      std::vector<Point>* delta_nodes,
+                      std::vector<LinkFault>* delta_links) {
+  const int count = 1 + static_cast<int>(rng.below(3));
+  for (int added = 0; added < count;) {
+    const Point p = shape.point(static_cast<NodeId>(
+        rng.below(static_cast<std::uint64_t>(shape.size()))));
+    const int kind = static_cast<int>(rng.below(3));
+    if (kind == 0) {
+      if (faults.node_faulty(p)) continue;
+      faults.add_node(p);
+      delta_nodes->push_back(p);
+      ++added;
+      continue;
+    }
+    const int dim =
+        static_cast<int>(rng.below(static_cast<std::uint64_t>(shape.dim())));
+    const Dir dir = rng.below(2) == 0 ? Dir::Pos : Dir::Neg;
+    Point nb;
+    if (!shape.neighbor(p, dim, dir, &nb) || faults.link_faulty(p, dim, dir)) {
+      continue;
+    }
+    faults.add(LinkFault{p, dim, dir, /*bidirectional=*/kind == 1});
+    delta_links->push_back(faults.link_faults().back());  // as recorded
+    ++added;
+  }
+}
+
+// A non-ascending ordering: dimension t + 1 routed at step t, wrapping.
+DimOrder rotated_order(int d) {
+  std::vector<int> perm(static_cast<std::size_t>(d));
+  for (int t = 0; t < d; ++t) perm[static_cast<std::size_t>(t)] = (t + 1) % d;
+  return DimOrder(perm);
+}
+
+void expect_same_spans(const PartitionSpans& got, const PartitionSpans& want) {
+  EXPECT_EQ(got.coords, want.coords);
+  EXPECT_EQ(got.spans, want.spans);
+  EXPECT_EQ(got.tail_begin, want.tail_begin);
+}
+
+// Every repair that returns is a fresh Find-Partition of the new fault
+// set, set for set and span for span; every kept cell names an equal old
+// cell, and the counters add up to the partition size.
+TEST(PartitionRepair, MatchesFreshPartitionOnSeededDeltas) {
+  const std::vector<std::vector<Coord>> meshes = {{16, 16}, {8, 8, 8},
+                                                  {6, 5, 4}};
+  std::uint64_t seed = 40;
+  for (const std::vector<Coord>& widths : meshes) {
+    const MeshShape shape = MeshShape::mesh(widths);
+    const int d = shape.dim();
+    for (const DimOrder& order : {DimOrder::ascending(d), rotated_order(d)}) {
+      for (const bool des : {false, true}) {
+        SCOPED_TRACE(sweep_name(widths, false, seed) + " " +
+                     order.to_string() + (des ? " DES" : " SES"));
+        const auto find = des ? find_des_partition : find_ses_partition;
+        Rng rng(seed++);
+        FaultSet before = FaultSet::random_nodes(
+            shape, std::max<std::int64_t>(2, shape.size() / 25), rng);
+        before.add_link(shape.point(shape.size() / 2), 0, Dir::Pos);
+        PartitionSpans prev_spans;
+        const EquivPartition prev = find(shape, before, order, &prev_spans);
+        int repaired = 0;
+        for (int trial = 0; trial < 30; ++trial) {
+          FaultSet after(before, shape);
+          std::vector<Point> delta_nodes;
+          std::vector<LinkFault> delta_links;
+          add_random_delta(shape, after, rng, &delta_nodes, &delta_links);
+          const std::optional<PartitionRepair> rep =
+              repair_partition(shape, after, delta_nodes, delta_links, order,
+                               des, prev, prev_spans);
+          if (!rep) continue;
+          ++repaired;
+          PartitionSpans want_spans;
+          const EquivPartition want = find(shape, after, order, &want_spans);
+          ASSERT_EQ(rep->partition.sets, want.sets) << "trial " << trial;
+          expect_same_spans(rep->spans, want_spans);
+          ASSERT_EQ(rep->old_of_new.size(), want.sets.size());
+          for (std::size_t i = 0; i < rep->old_of_new.size(); ++i) {
+            const std::int64_t o = rep->old_of_new[i];
+            if (o < 0) continue;
+            ASSERT_LT(o, prev.size());
+            EXPECT_EQ(prev.sets[static_cast<std::size_t>(o)], want.sets[i])
+                << "trial " << trial << " cell " << i;
+          }
+          EXPECT_EQ(rep->cells_reused + rep->cells_recomputed, want.size());
+        }
+        EXPECT_GT(repaired, 0);
+      }
+    }
+  }
+}
+
+// New faults in three fresh outer hyperplanes against two blocked ones
+// dirty three of five: the repair bails to a full run.
+TEST(PartitionRepair, MostHyperplanesDirtyBails) {
+  const MeshShape shape = MeshShape::cube(2, 16);
+  FaultSet before(shape);
+  before.add_node(Point{3, 7});
+  before.add_node(Point{9, 14});
+  for (const bool des : {false, true}) {
+    SCOPED_TRACE(des ? "DES" : "SES");
+    const DimOrder order = DimOrder::ascending(2);
+    PartitionSpans prev_spans;
+    const EquivPartition prev =
+        des ? find_des_partition(shape, before, order, &prev_spans)
+            : find_ses_partition(shape, before, order, &prev_spans);
+    ASSERT_EQ(prev_spans.coords.size(), 2u);
+    const std::vector<Point> delta = {Point{1, 1}, Point{5, 5},
+                                      Point{12, 12}};
+    FaultSet after(before, shape);
+    for (const Point& p : delta) after.add_node(p);
+    EXPECT_FALSE(repair_partition(shape, after, delta, {}, order, des, prev,
+                                  prev_spans));
+    // One fresh hyperplane of three blocked ones is spliced, not bailed.
+    FaultSet one(before, shape);
+    one.add_node(delta[0]);
+    EXPECT_TRUE(repair_partition(shape, one, {delta[0]}, {}, order, des, prev,
+                                 prev_spans));
+  }
 }
 
 }  // namespace

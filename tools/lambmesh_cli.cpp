@@ -81,7 +81,14 @@ io::Document load_document(const Args& args) {
   } else {
     throw io::ArgError("need --input or --geometry");
   }
-  const long random_faults = args.get_long("random-faults", 0);
+  const long random_faults = args.get_long("random-faults", 0, 0);
+  const NodeId good = doc.faults->num_good_nodes();
+  if (random_faults > good) {
+    throw io::ArgError(std::to_string(random_faults) +
+                       " random node faults do not fit " +
+                       doc.shape->to_string() + " (" + std::to_string(good) +
+                       " good nodes)");
+  }
   if (random_faults > 0) {
     Rng rng((std::uint64_t)args.get_long("seed", (long)default_seed()));
     long added = 0;
