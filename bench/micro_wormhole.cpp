@@ -2,7 +2,10 @@
 //
 //   1. abl07 saturated workload (M_3(8), 2-round XYZ, 2 VCs, uniform
 //      survivor traffic) with telemetry disabled vs enabled — holds the
-//      enabled-path budget (<= 15%) to a number.
+//      enabled-path budget (<= 15%) to a number. Three ungated variants
+//      price its parts: enabled with lifecycle events off, with the
+//      watchdog off, and with window closes off (one window per 2^30
+//      cycles), each against telemetry disabled.
 //   2. The same workload with the flight recorder off vs on (<= 2%).
 //   3. The same saturated workload under the cycle vs event engine — the
 //      event core must not be slower than -2% where every router is busy
@@ -10,6 +13,9 @@
 //   4. An idle-mesh workload (M_3(16), 1% active injectors, long
 //      injection gaps) under both engines — the event core's showcase:
 //      wall time tracks active worms, not mesh volume.
+//
+// The event engine's ns per flit traversal on the saturated workload is
+// recorded too, so the simulator's own speed is a committed row.
 //
 // The two on/off overheads (1, 2) are gated within a few percent of a
 // ~20 ms run, tighter than best-of-N separates on a shared host (the
@@ -47,6 +53,7 @@ struct Result {
   double cycles_per_s = 0.0;  // simulated cycles per wall second
   std::int64_t cycles = 0;
   std::int64_t delivered = 0;
+  std::int64_t flits_moved = 0;  // flit traversals over every link
 };
 
 struct Variant {
@@ -75,6 +82,7 @@ double time_run(const Variant& variant, const MeshShape& shape,
   out->mode = variant.mode;
   out->cycles = result.cycles;
   out->delivered = result.delivered;
+  out->flits_moved = result.flits_moved;
   return s;
 }
 
@@ -199,19 +207,55 @@ int main(int argc, char** argv) {
   doc.field("telemetry_on_overhead_pct", telemetry.median_pct);
   doc.field("telemetry_on_overhead_iqr_pct", telemetry.iqr_pct);
   doc.gate_max("telemetry_on_overhead_pct", 15.0);
-  {
-    const auto sat = time_variants({{"saturated_cycle", kCycle, &off},
-                                    {"saturated_event", kEvent, &off}},
-                                   sat_shape, sat_faults, sat_traffic.messages,
-                                   sat_reps);
-    results.insert(results.end(), sat.begin(), sat.end());
+  // Where the enabled path's time goes: the same pairs with one part
+  // switched off. Recorded, not gated.
+  obs::TelemetryConfig no_lifecycle = on;
+  no_lifecycle.lifecycle = false;
+  obs::TelemetryConfig no_watchdog = on;
+  no_watchdog.watchdog = false;
+  obs::TelemetryConfig no_closes = on;
+  no_closes.sample_every = std::int64_t{1} << 30;
+  const struct {
+    const char* field;
+    const char* iqr_field;
+    Variant variant;
+  } parts[] = {
+      {"telemetry_lifecycle_off_overhead_pct",
+       "telemetry_lifecycle_off_overhead_iqr_pct",
+       {"telemetry_lifecycle_off", kEvent, &no_lifecycle}},
+      {"telemetry_watchdog_off_overhead_pct",
+       "telemetry_watchdog_off_overhead_iqr_pct",
+       {"telemetry_watchdog_off", kEvent, &no_watchdog}},
+      {"telemetry_closes_off_overhead_pct",
+       "telemetry_closes_off_overhead_iqr_pct",
+       {"telemetry_closes_off", kEvent, &no_closes}},
+  };
+  std::vector<PairedOverhead> part_overheads;
+  for (const auto& part : parts) {
+    std::vector<Result> rows;
+    part_overheads.push_back(time_overhead({"telemetry_off", kEvent, &off},
+                                           part.variant, sat_shape,
+                                           sat_faults, sat_traffic.messages,
+                                           overhead_pairs, &rows));
+    results.push_back(rows[1]);  // the off side repeats the row above
+    doc.field(part.field, part_overheads.back().median_pct);
+    doc.field(part.iqr_field, part_overheads.back().iqr_pct);
   }
+  const auto sat = time_variants({{"saturated_cycle", kCycle, &off},
+                                  {"saturated_event", kEvent, &off}},
+                                 sat_shape, sat_faults, sat_traffic.messages,
+                                 sat_reps);
+  results.insert(results.end(), sat.begin(), sat.end());
   const double saturated_overhead =
-      results[2].seconds > 0
-          ? (results[3].seconds / results[2].seconds - 1.0) * 100.0
-          : 0.0;
+      sat[0].seconds > 0 ? (sat[1].seconds / sat[0].seconds - 1.0) * 100.0
+                         : 0.0;
   doc.field("event_saturated_overhead_pct", saturated_overhead);
   doc.gate_max("event_saturated_overhead_pct", 2.0);
+  const double ns_per_flit =
+      sat[1].flits_moved > 0
+          ? sat[1].seconds * 1e9 / static_cast<double>(sat[1].flits_moved)
+          : 0.0;
+  doc.field("saturated_event_ns_per_flit", ns_per_flit);
   // Flight recorder (docs/OBSERVABILITY.md): always-on in production, so
   // its enabled-path tax on the same saturated abl07 workload is held to
   // a number the way telemetry's is.
@@ -254,15 +298,13 @@ int main(int argc, char** argv) {
   std::printf("\nmicro_wormhole: idle-mesh %zu messages, best of %d runs\n\n",
               idle_traffic.messages.size(), reps);
 
-  {
-    const auto idle = time_variants({{"idle_cycle", kCycle, &off},
-                                     {"idle_event", kEvent, &off}},
-                                    idle_shape, idle_faults,
-                                    idle_traffic.messages, reps);
-    results.insert(results.end(), idle.begin(), idle.end());
-  }
+  const auto idle = time_variants({{"idle_cycle", kCycle, &off},
+                                   {"idle_event", kEvent, &off}},
+                                  idle_shape, idle_faults,
+                                  idle_traffic.messages, reps);
+  results.insert(results.end(), idle.begin(), idle.end());
   const double idle_speedup =
-      results[7].seconds > 0 ? results[6].seconds / results[7].seconds : 0.0;
+      idle[1].seconds > 0 ? idle[0].seconds / idle[1].seconds : 0.0;
   // CI gate: never slower than the cycle engine. The measured value (the
   // >= 5x claim) is recorded in the JSON for the trajectory.
   doc.field("event_idle_speedup_x", idle_speedup);
@@ -272,8 +314,15 @@ int main(int argc, char** argv) {
   std::printf("\n  telemetry-on overhead:     %+.1f%% median, IQR %.1f "
               "(gate <= +15%%)\n",
               telemetry.median_pct, telemetry.iqr_pct);
+  for (std::size_t i = 0; i < part_overheads.size(); ++i) {
+    std::printf("    %-24s %+.1f%% median, IQR %.1f\n",
+                parts[i].variant.mode, part_overheads[i].median_pct,
+                part_overheads[i].iqr_pct);
+  }
   std::printf("  event saturated overhead:  %+.1f%% (gate <= +2%%)\n",
               saturated_overhead);
+  std::printf("  event saturated:           %.1f ns per flit traversal\n",
+              ns_per_flit);
   std::printf("  recorder-on overhead:      %+.1f%% median, IQR %.1f "
               "(gate <= +2%%)\n",
               recorder.median_pct, recorder.iqr_pct);
@@ -285,7 +334,7 @@ int main(int argc, char** argv) {
     for (const Result& r : results) {
       doc.record({{"mode", r.mode}, {"seconds", r.seconds},
                   {"cycles", r.cycles}, {"cycles_per_s", r.cycles_per_s},
-                  {"delivered", r.delivered}});
+                  {"delivered", r.delivered}, {"flits_moved", r.flits_moved}});
     }
     doc.end().field(
         "how_to_reproduce",

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdio>
+#include <cstring>
 #include <sstream>
 
 #include "obs/export.hpp"
@@ -15,6 +17,10 @@ namespace {
 
 std::uint16_t sat16(std::int64_t v) {
   return static_cast<std::uint16_t>(std::clamp<std::int64_t>(v, 0, 0xFFFF));
+}
+
+std::uint8_t sat8(std::int32_t v) {
+  return static_cast<std::uint8_t>(std::clamp<std::int32_t>(v, 0, 0xFF));
 }
 
 // At least one cycle per window and one window per ring.
@@ -66,20 +72,71 @@ const char* msg_event_name(MsgEvent kind) {
 // --- Window-major series ---------------------------------------------------
 
 template <class Sample>
-void Telemetry::Ring<Sample>::open(std::int64_t base, std::int64_t n) {
+std::vector<typename Telemetry::Ring<Sample>::Record>&
+Telemetry::Ring<Sample>::open(std::int64_t base, std::int64_t n) {
   const auto cap = static_cast<std::int64_t>(windows.size());
-  base_survives = n <= cap;
-  pending.clear();
-  for (std::int64_t w = std::max(base, base + n - cap); w < base + n; ++w) {
-    auto& buf = windows[static_cast<std::size_t>(w % cap)];
-    if (!buf) buf = std::make_unique_for_overwrite<Sample[]>(first.size());
-    pending.push_back(buf.get());
+  const std::int64_t done = base + n;
+  for (std::int64_t w = std::max<std::int64_t>(0, base - cap);
+       w < std::min(base, done - cap); ++w) {
+    std::vector<Record>& evicted = at(w);
+    for (const Record& r : evicted) carry[r.slot] = r.sample;
+    evicted.clear();
+  }
+  return at(std::max(base, done - cap));
+}
+
+template <class Sample>
+std::size_t Telemetry::Ring<Sample>::collect() {
+  std::uint32_t* out = touched.data();
+  std::uint8_t* mark = marks.data();
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    if (blocks[b] == 0) continue;
+    blocks[b] = 0;
+    const std::size_t end = std::min(marks.size(), (b + 1) * kBlock);
+    for (std::size_t i = b * kBlock; i < end; i += 8) {
+      std::uint64_t word;
+      std::memcpy(&word, mark + i, sizeof word);
+      if (word == 0) continue;
+      std::memset(mark + i, 0, sizeof word);
+      // Each mark is 0 or 1, so a marked slot is one set bit; take them
+      // in memory order.
+      while (word != 0) {
+        if constexpr (std::endian::native == std::endian::little) {
+          *out++ = static_cast<std::uint32_t>(
+              i + static_cast<std::size_t>(std::countr_zero(word)) / 8);
+          word &= word - 1;
+        } else {
+          const int top = std::countl_zero(word);
+          *out++ = static_cast<std::uint32_t>(
+              i + static_cast<std::size_t>(top) / 8);
+          word &= ~(std::uint64_t{1} << (63 - top));
+        }
+      }
+    }
+  }
+  return static_cast<std::size_t>(out - touched.data());
+}
+
+template <class Sample>
+template <class Count>
+void Telemetry::Ring<Sample>::close(std::int64_t base, std::int64_t n,
+                                    Count&& count) {
+  std::vector<Record>& list = open(base, n);
+  const bool base_survives = n <= static_cast<std::int64_t>(windows.size());
+  const std::size_t k = collect();
+  list.reserve(list.size() + k);
+  const std::uint32_t* slot = touched.data();
+  for (std::size_t i = 0; i < k; ++i) {
+    Sample counted;
+    if (!count(slot[i], &counted)) continue;
+    list.push_back(
+        Record{slot[i], base_survives ? counted : idle_after(counted)});
   }
 }
 
 Telemetry::Telemetry(const MeshShape& shape, int vcs_per_link,
                      TelemetryConfig config, const std::int32_t* channel_flits,
-                     const std::uint8_t* occupancy)
+                     const std::int32_t* occupancy)
     : shape_(shape),
       vcs_(std::max(1, vcs_per_link)),
       config_(normalized(std::move(config))),
@@ -130,33 +187,33 @@ void Telemetry::end_window(std::int64_t cycle, bool final) {
   if (target <= windows_done_) return;
   const std::int64_t base = windows_done_;
   const std::int64_t n = target - base;
-  // One linear pass over each set of cumulative counters. A slot goes
+  // Only the slots and nodes touched since the last close. A slot goes
   // live at the first close after its first count, which is the window
   // that count belongs to; a zero synced value means no earlier close saw
   // a count.
-  channels_.open(base, n);
-  for (std::size_t slot = 0; slot < channel_synced_.size(); ++slot) {
-    const std::int32_t total = channel_flits_[slot];
-    if (total == 0) continue;
-    const std::int32_t synced = channel_synced_[slot];
-    if (synced == 0) channels_.first[slot] = base;
-    channel_synced_[slot] = total;
-    const std::uint8_t occ = occupancy_[slot];
-    channels_.put(slot, ChannelSample{sat16(total - synced), occ},
-                  ChannelSample{0, occ});
-  }
-  nodes_.open(base, n);
-  for (std::size_t node = 0; node < node_flits_.size(); ++node) {
+  const std::int32_t* flits = channel_flits_;
+  const std::int32_t* occupancy = occupancy_;
+  std::int32_t* synced = channel_synced_.data();
+  std::int64_t* first = channels_.first.data();
+  channels_.close(base, n, [&](std::uint32_t slot, ChannelSample* sample) {
+    const std::int32_t total = flits[slot];
+    if (total == 0) return false;
+    const std::int32_t was = synced[slot];
+    if (was == 0) first[slot] = base;
+    synced[slot] = total;
+    *sample = ChannelSample{sat16(total - was), sat8(occupancy[slot])};
+    return true;
+  });
+  nodes_.close(base, n, [&](std::uint32_t node, NodeSample* sample) {
     const NodeFlits total = node_flits_[node];
-    if ((total.injected | total.ejected) == 0) continue;
-    const NodeFlits synced = node_synced_[node];
-    if ((synced.injected | synced.ejected) == 0) nodes_.first[node] = base;
+    if ((total.injected | total.ejected) == 0) return false;
+    const NodeFlits was = node_synced_[node];
+    if ((was.injected | was.ejected) == 0) nodes_.first[node] = base;
     node_synced_[node] = total;
-    nodes_.put(node,
-               NodeSample{sat16(total.injected - synced.injected),
-                          sat16(total.ejected - synced.ejected)},
-               NodeSample{});
-  }
+    *sample = NodeSample{sat16(total.injected - was.injected),
+                         sat16(total.ejected - was.ejected)};
+    return true;
+  });
   windows_done_ = target;
 }
 
@@ -180,9 +237,10 @@ bool Telemetry::channel_series(LinkId link, int vc, std::int64_t* first_window,
   if (first_window != nullptr) *first_window = from;
   if (out != nullptr) {
     out->clear();
-    for (std::int64_t w = from; w < windows_done_; ++w) {
-      out->push_back(channels_.at(w, row));
-    }
+    channels_.series(row, from, windows_done_,
+                     [&](std::int64_t, ChannelSample smp) {
+                       out->push_back(smp);
+                     });
   }
   return true;
 }
@@ -288,13 +346,13 @@ bool Telemetry::write_csv(const std::string& path, std::int64_t cycles) const {
   // channel,link,node,dim,dir,vc,window,flits,occupancy
   for (std::size_t slot = 0; slot < channel_synced_.size(); ++slot) {
     if (channels_.first[slot] < 0) continue;
-    for (std::int64_t w = channels_.retained_from(slot, windows_done_);
-         w < windows_done_; ++w) {
-      const ChannelSample& smp = channels_.at(w, slot);
-      channel_prefix("channel", slot);
-      std::fprintf(out, "%lld,%u,%u\n", static_cast<long long>(w), smp.flits,
-                   smp.occupancy);
-    }
+    channels_.series(slot, channels_.retained_from(slot, windows_done_),
+                     windows_done_, [&](std::int64_t w, ChannelSample smp) {
+                       channel_prefix("channel", slot);
+                       std::fprintf(out, "%lld,%u,%u\n",
+                                    static_cast<long long>(w), smp.flits,
+                                    smp.occupancy);
+                     });
   }
   // node,id,window,injected,ejected — nodes in discovery order: the
   // window of their first endpoint flit, then id.
@@ -308,12 +366,13 @@ bool Telemetry::write_csv(const std::string& path, std::int64_t cycles) const {
   });
   for (const NodeId node : nodes) {
     const auto row = static_cast<std::size_t>(node);
-    for (std::int64_t w = nodes_.retained_from(row, windows_done_);
-         w < windows_done_; ++w) {
-      const NodeSample& smp = nodes_.at(w, row);
-      std::fprintf(out, "node,%lld,%lld,%u,%u\n", static_cast<long long>(node),
-                   static_cast<long long>(w), smp.injected, smp.ejected);
-    }
+    nodes_.series(row, nodes_.retained_from(row, windows_done_),
+                  windows_done_, [&](std::int64_t w, NodeSample smp) {
+                    std::fprintf(out, "node,%lld,%lld,%u,%u\n",
+                                 static_cast<long long>(node),
+                                 static_cast<long long>(w), smp.injected,
+                                 smp.ejected);
+                  });
   }
   // latency,msg,inject,start,finish,queue,transit,stall
   for (const LatencyRecord& r : latencies_) {

@@ -141,34 +141,43 @@ struct StallReport {
 // Per-Network telemetry collector. The channel series are read straight
 // from the simulator's own per-slot arrays (slot = link * vcs + vc over
 // the dense link_id space): its cumulative flit counters and its buffer
-// occupancy, saturated to a byte. Each window close reads both, so the
-// simulator's advance path carries no per-flit channel hook. The
-// recording hooks are O(1) amortized and never throw; the owning
-// simulator calls them only when telemetry is enabled. Not thread-safe —
-// one collector per (single-threaded) simulation, matching
-// wormhole::Network.
+// occupancies, sampled saturated to a byte. Before each window close
+// the simulator marks, with touch_channel(), every slot that may have
+// changed since the last one, and reports each node's injected and
+// ejected flits with on_endpoint_flits(); the close reads only those:
+// O(touched slots and nodes), not O(mesh). A live slot left untouched
+// samples {0 flits, its last occupancy}; those idle samples are never
+// stored, only computed when a series is read. The recording hooks are
+// O(1) amortized and never throw; the owning simulator calls them only
+// when telemetry is enabled. Not thread-safe — one collector per
+// (single-threaded) simulation, matching wormhole::Network.
 class Telemetry {
  public:
   // Lifecycle events retained per run; later ones count as dropped.
   static constexpr std::size_t kMaxEvents = std::size_t{1} << 20;
 
   // `channel_flits` and `occupancy` hold one entry per channel slot and
-  // must outlive the collector.
+  // must outlive the collector; a slot whose entries changed must be
+  // touched before the next end_window.
   Telemetry(const MeshShape& shape, int vcs_per_link, TelemetryConfig config,
-            const std::int32_t* channel_flits, const std::uint8_t* occupancy);
+            const std::int32_t* channel_flits, const std::int32_t* occupancy);
 
   const TelemetryConfig& config() const { return config_; }
   const MeshShape& shape() const { return shape_; }
 
   // --- Recording hooks -----------------------------------------------
-  // Inline: the endpoint hooks run once per injected or ejected flit, so
-  // each is a bare increment of a cumulative per-node counter; the next
-  // window close reads the deltas, as it does for the channel counters.
-  void on_inject_flit(NodeId src) {
-    ++node_flits_[static_cast<std::size_t>(src)].injected;
-  }
-  void on_eject_flit(NodeId dst) {
-    ++node_flits_[static_cast<std::size_t>(dst)].ejected;
+  // Marks a channel slot whose flit counter or occupancy may have
+  // changed since the last close.
+  void touch_channel(std::size_t slot) { channels_.touch(slot); }
+  // Adds flits that left `node`'s source queue or ejected there since the
+  // last close, and marks the node when either is nonzero.
+  void on_endpoint_flits(NodeId node, std::int32_t injected,
+                         std::int32_t ejected) {
+    if ((injected | ejected) == 0) return;
+    NodeFlits& flits = node_flits_[static_cast<std::size_t>(node)];
+    flits.injected += injected;
+    flits.ejected += ejected;
+    nodes_.touch(static_cast<std::size_t>(node));
   }
   void on_event(MsgEvent kind, std::int64_t msg, std::int64_t cycle,
                 std::int64_t slot = -1) {
@@ -194,8 +203,14 @@ class Telemetry {
   // partial window when `final` is set). Counts since the last close
   // belong to its first window; any further windows of the same close are
   // idle padding (the simulator fast-forwarded, so nothing moved and
-  // occupancy held).
+  // occupancy held). Visits only the slots and nodes touched since the
+  // last close.
   void end_window(std::int64_t cycle, bool final = false);
+  // Whether end_window(cycle) would close a window; the simulator marks
+  // what moved only then.
+  bool window_due(std::int64_t cycle) const {
+    return cycle / config_.sample_every > windows_done_;
+  }
 
   // --- Introspection (tests, exporters) ------------------------------
   std::int64_t windows() const { return windows_done_; }
@@ -231,43 +246,95 @@ class Telemetry {
     std::uint16_t ejected = 0;
   };
 
-  // Window-major sample ring, shared by the channel and the node series:
-  // buffer w % capacity holds window w, indexed directly by slot. A
-  // close writes each pending window's buffer once, sequentially — a
-  // slot-major layout would put every slot's sample on its own cache line
-  // and turn each close into a miss stream. Buffers are allocated
-  // uninitialized at full slot count on first use and recycled in place
-  // as the ring wraps; only windows at or after a slot's `first` are
-  // ever read back for it.
+  // The sample of a window in which a slot was not touched, given the
+  // sample of the window before it: no flits, occupancy held.
+  static ChannelSample idle_after(ChannelSample last) {
+    return ChannelSample{0, last.occupancy};
+  }
+  static NodeSample idle_after(NodeSample) { return NodeSample{}; }
+
+  // Sparse window-major ring, shared by the channel and the node series.
+  // A close appends one record per touched live slot, in slot order, to
+  // the list of the window its counts belong to; in a window without a
+  // record a live slot was untouched, so its sample is idle_after() its
+  // sample in the window before. List w % capacity holds window w. When
+  // the ring wraps, each evicted record folds into `carry`: the sample a
+  // slot held just before the oldest retained window.
   template <class Sample>
   struct Ring {
-    Ring(std::size_t slots, int capacity)
-        : windows(static_cast<std::size_t>(capacity)), first(slots, -1) {}
+    struct Record {
+      std::uint32_t slot;
+      Sample sample;
+    };
 
-    // Points `pending` at the surviving windows of [base, base + n). When
-    // n outruns the ring, window `base` is already evicted and so are the
-    // counts that belong to it.
-    void open(std::int64_t base, std::int64_t n);
-    // Records one slot's samples for the open close: `counted` for window
-    // `base`, `idle` for every later pending window.
-    void put(std::size_t slot, Sample counted, Sample idle) {
-      pending[0][slot] = base_survives ? counted : idle;
-      for (std::size_t k = 1; k < pending.size(); ++k) pending[k][slot] = idle;
+    Ring(std::size_t slots, int capacity)
+        : windows(static_cast<std::size_t>(capacity)),
+          first(slots, -1),
+          carry(slots),
+          marks((slots + 7) / 8 * 8, 0),
+          blocks((slots + kBlock - 1) / kBlock, 0),
+          touched(slots) {}
+
+    static constexpr std::size_t kBlock = 512;  // slots per block mark
+
+    void touch(std::size_t slot) {
+      marks[slot] = 1;
+      blocks[slot / kBlock] = 1;
     }
+    // Closes windows [base, base + n) for the slots touched since the
+    // last close, visited in slot order: count(slot, &sample) returns
+    // whether the slot is live and, if so, its sample for window base.
+    // The records go to window base, or, when n outruns the ring, to the
+    // oldest surviving window as idle samples (base, and the counts that
+    // belong to it, are evicted by the same close). Clears the marks.
+    template <class Count>
+    void close(std::int64_t base, std::int64_t n, Count&& count);
+    // Moves the touched slots, in slot order, into `touched` (returns how
+    // many) and clears their marks. A mark is two plain byte stores, no
+    // load or branch; this skips unmarked blocks whole and reads a marked
+    // block eight marks to a word, so it costs one byte per kBlock slots
+    // plus the marked blocks.
+    std::size_t collect();
+    // Evicts the windows that [base, base + n) push out of the ring, and
+    // returns the list that takes the close's records.
+    std::vector<Record>& open(std::int64_t base, std::int64_t n);
     // First retained window of a slot once `done` windows have closed.
     std::int64_t retained_from(std::size_t slot, std::int64_t done) const {
       return std::max<std::int64_t>(
           first[slot], done - static_cast<std::int64_t>(windows.size()));
     }
-    const Sample& at(std::int64_t window, std::size_t slot) const {
-      return windows[static_cast<std::size_t>(window) % windows.size()][slot];
+    // Calls f(window, sample) for each window of a live slot's series
+    // from `from` (retained_from) up to `done`, oldest first.
+    template <class F>
+    void series(std::size_t slot, std::int64_t from, std::int64_t done,
+                F&& f) const {
+      Sample last = carry[slot];
+      for (std::int64_t w = from; w < done; ++w) {
+        const std::vector<Record>& list = at(w);
+        const auto it = std::lower_bound(
+            list.begin(), list.end(), slot,
+            [](const Record& r, std::size_t s) { return r.slot < s; });
+        last = it != list.end() && it->slot == slot ? it->sample
+                                                    : idle_after(last);
+        f(w, last);
+      }
+    }
+    std::vector<Record>& at(std::int64_t window) {
+      return windows[static_cast<std::size_t>(window) % windows.size()];
+    }
+    const std::vector<Record>& at(std::int64_t window) const {
+      return windows[static_cast<std::size_t>(window) % windows.size()];
     }
 
-    std::vector<std::unique_ptr<Sample[]>> windows;
+    std::vector<std::vector<Record>> windows;
     // Per slot, the window its first count landed in; -1 until then.
     std::vector<std::int64_t> first;
-    std::vector<Sample*> pending;
-    bool base_survives = true;
+    std::vector<Sample> carry;
+    // Slots touched since the last close: one byte per slot (padded to
+    // whole words), and one per block of kBlock slots.
+    std::vector<std::uint8_t> marks;
+    std::vector<std::uint8_t> blocks;
+    std::vector<std::uint32_t> touched;  // collect()'s output, per slot
   };
 
   // Cold path of on_event: lifecycle disabled, the first event (which
@@ -280,10 +347,10 @@ class Telemetry {
   TelemetryConfig config_;
   std::int64_t windows_done_ = 0;
 
-  // The simulator's cumulative per-slot flit counters and occupancy
-  // bytes, and each counter's value at the last close.
+  // The simulator's cumulative per-slot flit counters and occupancies,
+  // and each counter's value at the last close.
   const std::int32_t* channel_flits_;
-  const std::uint8_t* occupancy_;
+  const std::int32_t* occupancy_;
   std::vector<std::int32_t> channel_synced_;
   Ring<ChannelSample> channels_;
   // Cumulative per-node endpoint counters (the hooks above) and their

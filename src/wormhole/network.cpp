@@ -70,19 +70,21 @@ Network::Network(const MeshShape& shape, const FaultSet& faults,
   engine_ = engine_from_env(config_.engine);
   event_mode_ = engine_ == Engine::kEvent;
   const std::int64_t num_links = shape.size() * shape.dim() * 2;
+  if (num_links * config_.vcs_per_link > INT32_MAX) {
+    throw std::invalid_argument("Network: 2^31 or more (link, vc) slots");
+  }
   buffers_.resize(static_cast<std::size_t>(num_links * config_.vcs_per_link));
   link_used_.assign(static_cast<std::size_t>(num_links), 0);
+  occupancy_.assign(buffers_.size(), 0);
   // Per (link, vc), the buffers_ index: the run epilogue folds VCs back
   // into per-link load, and the telemetry channel series read the same
-  // array, with the occupancy mirror, at every window close, so the
-  // advance path carries no per-flit telemetry call at all.
+  // array, with occupancy_, for the slots marked at each window close,
+  // so the advance path carries no per-flit telemetry call.
   link_flits_.assign(buffers_.size(), 0);
   if (config_.telemetry.enabled) {
-    occ_shadow_.assign(buffers_.size(), 0);
-    occ_mirror_ = occ_shadow_.data();
     telemetry_ = std::make_unique<obs::Telemetry>(
         shape, config_.vcs_per_link, config_.telemetry, link_flits_.data(),
-        occ_mirror_);
+        occupancy_.data());
   }
   if (!config_.fault_schedule.empty()) {
     pending_faults_ = config_.fault_schedule.events;
@@ -105,118 +107,42 @@ Network::Network(const MeshShape& shape, const FaultSet& faults,
 }
 
 void Network::submit(Message message) {
-  MessageState st;
-  st.msg = std::move(message);
-  const std::size_t h = st.msg.route.hops.size();
-  st.count_at.assign(h, 0);
-  st.crossed.assign(h, 0);
-  st.nodes.reserve(h + 1);
-  st.nodes.push_back(st.msg.route.src);
-  Point at = shape_->point(st.msg.route.src);
-  for (const Hop& hop : st.msg.route.hops) {
-    Point next;
-    if (!shape_->neighbor(at, hop.dim, hop.dir, &next)) {
-      throw std::invalid_argument("Network::submit: route leaves the mesh");
-    }
-    at = next;
-    st.nodes.push_back(shape_->index(at));
+  const Route& route = message.route;
+  const auto reject = [](const char* why) {
+    throw std::invalid_argument(std::string("Network::submit: ") + why);
+  };
+  if (message.length_flits < 1) reject("length_flits < 1");
+  if (route.src < 0 || route.src >= shape_->size() || route.dst < 0 ||
+      route.dst >= shape_->size()) {
+    reject("route endpoint outside the mesh");
   }
+  MessageState st;
+  // Resolve every hop's buffer and link once.
+  st.hops.reserve(route.hops.size());
+  NodeId from = route.src;
+  Point at = shape_->point(from);
+  for (const Hop& hop : route.hops) {
+    Point next;
+    if (hop.dim < 0 || hop.dim >= shape_->dim() ||
+        !shape_->neighbor(at, hop.dim, hop.dir, &next)) {
+      reject("route leaves the mesh");
+    }
+    if (hop.vc < 0) reject("negative virtual channel");
+    const LinkId link = shape_->link_id(from, hop.dim, hop.dir);
+    st.hops.push_back(
+        {static_cast<std::int32_t>(link * config_.vcs_per_link +
+                                   hop.vc % config_.vcs_per_link),
+         0, static_cast<std::int32_t>(link), 0});
+    at = next;
+    from = shape_->index(at);
+  }
+  if (from != route.dst) reject("route does not end at its dst");
+  st.msg = std::move(message);
   st.flits_at_source = st.msg.length_flits;
   messages_.push_back(std::move(st));
 }
 
-std::int64_t Network::buffer_index(NodeId from, const Hop& hop) const {
-  const LinkId link = shape_->link_id(from, hop.dim, hop.dir);
-  return link * config_.vcs_per_link + (hop.vc % config_.vcs_per_link);
-}
-
-NodeId Network::node_before_hop(const MessageState& st, int p) const {
-  return st.nodes[static_cast<std::size_t>(p)];
-}
-
-Network::Advance Network::try_advance(MessageState& st, int p) {
-  const std::int64_t m = &st - messages_.data();
-  const int q = p + 1;  // hop to traverse
-  assert(q >= 0 && q < static_cast<int>(st.msg.route.hops.size()));
-  const Hop& hop = st.msg.route.hops[static_cast<std::size_t>(q)];
-  const NodeId from = node_before_hop(st, q);
-  const LinkId link = shape_->link_id(from, hop.dim, hop.dir);
-  if (link_used_[static_cast<std::size_t>(link)]) {
-    ++stall_link_busy_;
-    return Advance::kLinkBusy;
-  }
-  const std::int64_t target_index = buffer_index(from, hop);
-  Buffer& tb = buffers_[static_cast<std::size_t>(target_index)];
-  if (tb.owner != m) {
-    // Only the head flit may allocate a fresh virtual channel.
-    if (tb.owner >= 0 || st.crossed[static_cast<std::size_t>(q)] != 0) {
-      ++stall_vc_busy_;
-      blocked_buffer_ = target_index;
-      return Advance::kVcBusy;
-    }
-  }
-  if (tb.occupancy >= config_.buffer_flits) {
-    ++stall_credit_;
-    blocked_buffer_ = target_index;
-    return Advance::kCredit;
-  }
-
-  // Commit the move.
-  const bool acquired = tb.owner != m;  // head allocating a fresh channel
-  std::int64_t released_buffer = -1;
-  if (p >= 0) {
-    const Hop& prev = st.msg.route.hops[static_cast<std::size_t>(p)];
-    const NodeId prev_from = node_before_hop(st, p);
-    const std::int64_t prev_index = buffer_index(prev_from, prev);
-    Buffer& sb = buffers_[static_cast<std::size_t>(prev_index)];
-    --sb.occupancy;
-    mirror_occupancy(prev_index, sb.occupancy);
-    ++sb.passed;
-    --st.count_at[static_cast<std::size_t>(p)];
-    if (sb.passed == st.msg.length_flits) {
-      assert(sb.occupancy == 0);
-      sb.owner = -1;  // tail released the channel
-      sb.passed = 0;
-      released_buffer = prev_index;
-    }
-    // The credit return (and possibly the release) is what the worms
-    // sleeping on this buffer were waiting for.
-    if (event_mode_) wake_buffer_waiters(prev_index);
-  } else {
-    --st.flits_at_source;
-    if (st.start_cycle < 0) st.start_cycle = cycle_;
-    // Endpoint hook inline: a bare counter bump on a node-indexed array
-    // is cheaper than routing every source flit through the outlined
-    // commit below.
-    if (telemetry_) telemetry_->on_inject_flit(st.msg.route.src);
-  }
-  tb.owner = m;
-  ++tb.occupancy;
-  mirror_occupancy(target_index, tb.occupancy);
-  ++st.count_at[static_cast<std::size_t>(q)];
-  ++st.crossed[static_cast<std::size_t>(q)];
-  link_used_[static_cast<std::size_t>(link)] = 1;
-  if (event_mode_) touched_links_.push_back(link);
-  ++link_flits_[static_cast<std::size_t>(target_index)];
-  moved_this_cycle_ = true;
-  // Channel flit counts flow to the telemetry series via the link_flits_
-  // window deltas, and endpoint counters bump inline above, so the
-  // outlined commit only runs when a lifecycle event fires: first flit
-  // of a message leaving its source, a channel acquisition, or a
-  // release. Bitwise | keeps the common mid-route move at a single
-  // (rarely taken) branch instead of a short-circuit cascade.
-  if (telemetry_ &&
-      (static_cast<int>(p < 0 && st.flits_at_source ==
-                                     st.msg.length_flits - 1) |
-       static_cast<int>(acquired) |
-       static_cast<int>(released_buffer >= 0)) != 0) {
-    commit_advance_telemetry(st, q, p, acquired, released_buffer,
-                             target_index);
-  }
-  return Advance::kMoved;
-}
-
-__attribute__((noinline)) void Network::commit_advance_telemetry(
+inline void Network::commit_advance_telemetry(
     const MessageState& st, int q, std::int64_t p, bool acquired,
     std::int64_t released_buffer, std::int64_t target_index) {
   if (p < 0 && cycle_ == st.start_cycle &&
@@ -237,6 +163,86 @@ __attribute__((noinline)) void Network::commit_advance_telemetry(
     telemetry_->on_event(obs::MsgEvent::kRelease, st.msg.id, cycle_,
                          released_buffer);
   }
+}
+
+Network::Advance Network::try_advance(MessageState& st, HopRecord* hops,
+                                      int p) {
+  const std::int64_t m = &st - messages_.data();
+  const int q = p + 1;  // hop to traverse
+  assert(q >= 0 && q < static_cast<int>(st.msg.route.hops.size()));
+  HopRecord& to = hops[q];
+  if (link_used_[static_cast<std::size_t>(to.link)]) {
+    ++stall_link_busy_;
+    return Advance::kLinkBusy;
+  }
+  const std::int64_t target_index = to.buffer;
+  Buffer& tb = buffers_[static_cast<std::size_t>(target_index)];
+  if (tb.owner != m) {
+    // Only the head flit may allocate a fresh virtual channel.
+    if (tb.owner >= 0 || to.crossed != 0) {
+      ++stall_vc_busy_;
+      blocked_buffer_ = target_index;
+      return Advance::kVcBusy;
+    }
+  }
+  std::int32_t& target_occupancy =
+      occupancy_[static_cast<std::size_t>(target_index)];
+  if (target_occupancy >= config_.buffer_flits) {
+    ++stall_credit_;
+    blocked_buffer_ = target_index;
+    return Advance::kCredit;
+  }
+
+  // Commit the move.
+  const bool acquired = tb.owner != m;  // head allocating a fresh channel
+  std::int64_t released_buffer = -1;
+  bool left = false;  // position p emptied
+  if (p >= 0) {
+    HopRecord& from = hops[p];
+    const std::int64_t prev_index = from.buffer;
+    Buffer& sb = buffers_[static_cast<std::size_t>(prev_index)];
+    --occupancy_[static_cast<std::size_t>(prev_index)];
+    ++sb.passed;
+    left = --from.count == 0;
+    if (sb.passed == st.msg.length_flits) {
+      assert(occupancy_[static_cast<std::size_t>(prev_index)] == 0);
+      sb.owner = -1;  // tail released the channel
+      sb.passed = 0;
+      released_buffer = prev_index;
+    }
+    // The credit return (and possibly the release) is what the worms
+    // sleeping on this buffer were waiting for.
+    if (event_mode_) wake_buffer_waiters(prev_index);
+  } else {
+    left = --st.flits_at_source == 0;
+    if (st.start_cycle < 0) st.start_cycle = cycle_;
+  }
+  // No flit sits below the tail, so the tail just left p when p empties.
+  if (left && p == st.low) st.low = q;
+  if (q > st.front) st.front = q;
+  tb.owner = m;
+  ++target_occupancy;
+  ++to.count;
+  ++to.crossed;
+  link_used_[static_cast<std::size_t>(to.link)] = 1;
+  if (event_mode_) touched_links_.push_back(to.link);
+  ++link_flits_[static_cast<std::size_t>(target_index)];
+  moved_this_cycle_ = true;
+  // Channel and endpoint counts reach the telemetry series at the next
+  // window close (flush_moved_worms), so the commit only runs when a
+  // lifecycle event fires: first flit of a message leaving its source, a
+  // channel acquisition, or a release. Bitwise | keeps the common
+  // mid-route move at a single (rarely taken) branch instead of a
+  // short-circuit cascade.
+  if (telemetry_ &&
+      (static_cast<int>(p < 0 && st.flits_at_source ==
+                                     st.msg.length_flits - 1) |
+       static_cast<int>(acquired) |
+       static_cast<int>(released_buffer >= 0)) != 0) {
+    commit_advance_telemetry(st, q, p, acquired, released_buffer,
+                             target_index);
+  }
+  return Advance::kMoved;
 }
 
 __attribute__((noinline)) void Network::commit_eject_telemetry(
@@ -300,17 +306,19 @@ void Network::step_message(std::int64_t m, SimResult* result) {
 
   bool advanced = false;   // some flit of this worm moved this turn
   bool link_wait = false;  // an attempt lost only the physical link
+  HopRecord* hops = st.hops.data();
+  const int low_before = st.low;
+  const int source_before = st.flits_at_source;
+  const std::int64_t ejected_before = st.ejected;
   // Eject one flit from the final buffer, then pipeline the worm
   // forward one position per buffer, head first.
-  if (st.count_at[static_cast<std::size_t>(h - 1)] > 0) {
-    const Hop& last = st.msg.route.hops[static_cast<std::size_t>(h - 1)];
-    const NodeId from = node_before_hop(st, h - 1);
-    const std::int64_t index = buffer_index(from, last);
+  HopRecord& last = hops[h - 1];
+  if (last.count > 0) {
+    const std::int64_t index = last.buffer;
     Buffer& b = buffers_[static_cast<std::size_t>(index)];
-    --b.occupancy;
-    mirror_occupancy(index, b.occupancy);
+    --occupancy_[static_cast<std::size_t>(index)];
     ++b.passed;
-    --st.count_at[static_cast<std::size_t>(h - 1)];
+    if (--last.count == 0 && st.low == h - 1) st.low = h;
     bool released = false;
     if (b.passed == st.msg.length_flits) {
       b.owner = -1;
@@ -323,7 +331,7 @@ void Network::step_message(std::int64_t m, SimResult* result) {
     advanced = true;
     if (event_mode_) wake_buffer_waiters(index);
     if (telemetry_) {
-      telemetry_->on_eject_flit(st.msg.route.dst);
+      note_moved(st, m, low_before, source_before, ejected_before);
       if (released) commit_eject_telemetry(st, index, true);
     }
     if (st.done()) {
@@ -341,12 +349,14 @@ void Network::step_message(std::int64_t m, SimResult* result) {
   }
   std::int64_t head_block = -1;  // buffer the leading flit is stuck on
   bool head_attempted = false;
-  for (int p = h - 2; p >= -1; --p) {
+  // Only [low, front] can hold flits. A move out of the tail's position
+  // raises low past the next p, which ends the walk exactly where the
+  // full-route scan would have found nothing more to move.
+  for (int p = std::min(st.front, h - 2); p >= st.low; --p) {
     const bool have_flit =
-        p >= 0 ? st.count_at[static_cast<std::size_t>(p)] > 0
-               : st.flits_at_source > 0;
+        p >= 0 ? hops[p].count > 0 : st.flits_at_source > 0;
     if (!have_flit) continue;
-    const Advance a = try_advance(st, p);
+    const Advance a = try_advance(st, hops, p);
     if (a == Advance::kMoved) {
       advanced = true;
     } else if (a == Advance::kLinkBusy) {
@@ -356,6 +366,9 @@ void Network::step_message(std::int64_t m, SimResult* result) {
     }
     head_attempted = true;
   }
+  if (telemetry_ && advanced) {
+    note_moved(st, m, low_before, source_before, ejected_before);
+  }
   // Sleep rule: with no motion and no transient link contention, the
   // whole worm is backed up behind its leading flit's buffer — nothing
   // changes until that buffer returns a credit or releases its channel.
@@ -363,6 +376,23 @@ void Network::step_message(std::int64_t m, SimResult* result) {
   if (event_mode_ && !advanced && !link_wait && head_block >= 0) {
     sleep_on_buffer(m, head_block);
   }
+}
+
+void Network::flush_moved_worms() {
+  for (const std::int64_t m : moved_worms_) {
+    const MessageState& st = messages_[static_cast<std::size_t>(m)];
+    const HopRecord* hops = st.hops.data();
+    for (int p = std::max(st.epoch_low, 0); p <= st.front; ++p) {
+      telemetry_->touch_channel(static_cast<std::size_t>(hops[p].buffer));
+    }
+    telemetry_->on_endpoint_flits(st.msg.route.src,
+                                  st.epoch_source - st.flits_at_source, 0);
+    telemetry_->on_endpoint_flits(st.msg.route.dst, 0,
+                                  static_cast<std::int32_t>(
+                                      st.ejected - st.epoch_ejected));
+  }
+  moved_worms_.clear();
+  ++epoch_;
 }
 
 bool Network::try_fast_forward(std::int64_t* stagnant) {
@@ -478,6 +508,13 @@ void Network::clear_awake(std::int64_t m) {
 }
 
 SimResult Network::run() {
+  // `after` may name a message submitted later, so it is checked here.
+  for (const MessageState& st : messages_) {
+    if (st.msg.after >= static_cast<std::int64_t>(messages_.size())) {
+      throw std::invalid_argument(
+          "Network::run: Message::after names no submitted message");
+    }
+  }
   obs::Span span("sim.run", "wormhole");
   // Streak lengths of motionless cycles that ended with motion again: the
   // watchdog near-misses (a gap of deadlock_threshold trips the watchdog).
@@ -527,7 +564,10 @@ SimResult Network::run() {
       ++stagnant;
     }
     if (telemetry_) {
-      telemetry_->end_window(cycle_);
+      if (telemetry_->window_due(cycle_)) {
+        flush_moved_worms();
+        telemetry_->end_window(cycle_);
+      }
       if (stagnant >= watchdog_at && !watchdog_fired) {
         watchdog_fired = true;
         obs::StallReport report = build_stall_report(stagnant);
@@ -671,6 +711,7 @@ SimResult Network::run() {
                  : 0.0;
 
   if (telemetry_) {
+    flush_moved_worms();
     telemetry_->end_window(cycle_, /*final=*/true);
     // A failed write reports itself on stderr; the run's result stands.
     if (!config_.telemetry.dump.empty()) telemetry_->write(cycle_);
@@ -824,15 +865,15 @@ bool Network::route_poisoned(const MessageState& st) const {
   // Any hop not yet fully crossed that uses a dead channel or touches a
   // dead node kills the whole worm; hops every flit has already crossed
   // are behind the tail and harmless.
-  for (std::size_t q = 0; q < route.hops.size(); ++q) {
-    if (st.crossed[q] >= st.msg.length_flits) continue;
-    const Hop& hop = route.hops[q];
-    const NodeId at_id = st.nodes[q];
-    const NodeId next_id = st.nodes[q + 1];
+  const HopRecord* hops = st.hops.data();
+  const std::size_t h = route.hops.size();
+  for (std::size_t q = 0; q < h; ++q) {
+    if (hops[q].crossed >= st.msg.length_flits) continue;
+    const NodeId at_id = hop_source(hops[q]);
+    const NodeId next_id = q + 1 < h ? hop_source(hops[q + 1]) : route.dst;
     if (node_dead_[static_cast<std::size_t>(at_id)] ||
         node_dead_[static_cast<std::size_t>(next_id)] ||
-        link_dead_[static_cast<std::size_t>(
-            shape_->link_id(at_id, hop.dim, hop.dir))]) {
+        link_dead_[static_cast<std::size_t>(hops[q].link)]) {
       return true;
     }
   }
@@ -845,18 +886,26 @@ void Network::drain_message(MessageState& st, SimResult* result) {
   // sitting whole in its source queue (or gated on a dead dependency) is
   // merely lost.
   const bool in_flight = st.start_cycle >= 0;
+  HopRecord* hops = st.hops.data();
   for (std::size_t p = 0; p < st.msg.route.hops.size(); ++p) {
-    const Hop& hop = st.msg.route.hops[p];
-    const NodeId from = node_before_hop(st, static_cast<int>(p));
-    const std::int64_t index = buffer_index(from, hop);
+    const std::int64_t index = hops[p].buffer;
     Buffer& b = buffers_[static_cast<std::size_t>(index)];
     if (b.owner == m) {
       b.owner = -1;
-      b.occupancy = 0;
-      mirror_occupancy(index, 0);
+      occupancy_[static_cast<std::size_t>(index)] = 0;
+      if (telemetry_) {
+        telemetry_->touch_channel(static_cast<std::size_t>(index));
+      }
       b.passed = 0;
     }
-    st.count_at[p] = 0;
+    hops[p].count = 0;
+  }
+  // The drain empties the source queue without injecting: settle the
+  // flits this epoch's moves did inject before that.
+  if (telemetry_ && st.moved_epoch == epoch_) {
+    telemetry_->on_endpoint_flits(st.msg.route.src,
+                                  st.epoch_source - st.flits_at_source, 0);
+    st.epoch_source = 0;
   }
   st.flits_at_source = 0;
   st.outcome =
@@ -891,30 +940,23 @@ obs::StallReport Network::build_stall_report(std::int64_t stagnant) const {
     }
     const int h = static_cast<int>(st.msg.route.hops.size());
     if (h == 0) continue;
-    int head = -1;  // furthest occupied position; -1: all flits at source
-    for (int p = h - 1; p >= 0; --p) {
-      if (st.count_at[static_cast<std::size_t>(p)] > 0) {
-        head = p;
-        break;
-      }
-    }
+    const HopRecord* hops = st.hops.data();
+    int head = st.front;  // furthest occupied position; -1: at the source
+    while (head >= 0 && hops[head].count == 0) --head;
     // Heads in the final buffer eject unconditionally and so never block.
     if (head == h - 1) continue;
     if (head < 0 && st.flits_at_source == 0) continue;
-    const int q = head + 1;  // the hop the head cannot take
-    const Hop& hop = st.msg.route.hops[static_cast<std::size_t>(q)];
-    const NodeId from = node_before_hop(st, q);
-    const Buffer& tb =
-        buffers_[static_cast<std::size_t>(buffer_index(from, hop))];
+    const HopRecord& next = hops[head + 1];  // the hop the head cannot take
+    const Buffer& tb = buffers_[static_cast<std::size_t>(next.buffer)];
     obs::WaitEdge edge;
     edge.waiter = st.msg.id;
-    edge.link = shape_->link_id(from, hop.dim, hop.dir);
-    edge.vc = hop.vc % config_.vcs_per_link;
-    edge.at = from;
-    if (tb.owner != m &&
-        (tb.owner >= 0 || st.crossed[static_cast<std::size_t>(q)] != 0)) {
+    edge.link = next.link;
+    edge.vc = static_cast<int>(next.buffer - next.link * config_.vcs_per_link);
+    edge.at = hop_source(next);
+    if (tb.owner != m && (tb.owner >= 0 || next.crossed != 0)) {
       edge.reason = "vc_busy";
-    } else if (tb.occupancy >= config_.buffer_flits) {
+    } else if (occupancy_[static_cast<std::size_t>(next.buffer)] >=
+               config_.buffer_flits) {
       edge.reason = "credit";
     } else {
       // Only transiently blocked (the physical link was taken this

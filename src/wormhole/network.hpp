@@ -175,9 +175,9 @@ class Network {
   const obs::Telemetry* telemetry() const { return telemetry_.get(); }
 
  private:
+  // One (link, vc) input buffer; its flit count lives in occupancy_.
   struct Buffer {
     std::int64_t owner = -1;  // message index or -1
-    int occupancy = 0;
     std::int64_t passed = 0;  // flits that have left this buffer
     // Event engine: head of the intrusive list (linked through
     // MessageState::next_waiter) of messages sleeping until this buffer
@@ -185,17 +185,40 @@ class Network {
     std::int64_t waiter_head = -1;
   };
 
+  // One hop of a submitted route, resolved once by submit(): the (link,
+  // vc) buffer the hop enters and its physical link, with the worm's
+  // flits now in that buffer ("position" p is the buffer downstream of
+  // hop p) and the flits that have crossed the hop. 32-bit: the
+  // constructor caps the slot count below 2^31. `count` and `crossed`
+  // are not adjacent, so the compiler cannot fuse their increments into
+  // one 8-byte access, which the next position's 4-byte decrement of
+  // `count` would then stall on (a store-forwarding miss every
+  // pipelined move).
+  struct HopRecord {
+    std::int32_t buffer = 0;
+    std::int32_t count = 0;
+    std::int32_t link = 0;
+    std::int32_t crossed = 0;
+  };
+
   struct MessageState {
     Message msg;
-    // Flits at "position" p sit in the buffer downstream of hop p;
-    // position -1 is the source queue, position H means ejected.
-    std::vector<int> count_at;       // size H (positions 0..H-1)
-    std::vector<std::int64_t> crossed;  // flits that have traversed hop p
-    // nodes[p] is the node the worm occupies before hop p (nodes[0] is
-    // the source, nodes[H] the destination); precomputed at submit() so
-    // node_before_hop is O(1) instead of an O(p) walk.
-    std::vector<NodeId> nodes;
+    std::vector<HopRecord> hops;  // one per route hop
+    // Occupied span. Position -1 is the source queue, position H means
+    // ejected. No flit sits below `low` (the tail's position), and none
+    // above `front` (the furthest position the head has reached), so a
+    // step walks [low, front] instead of the whole route.
+    int low = -1;
+    int front = -1;
     int flits_at_source = 0;
+    // Telemetry: the window-close epoch in which the worm last moved, and
+    // its tail position, source queue and ejected count before its first
+    // move of that epoch. The next close expands them into the slots and
+    // endpoint counts the worm changed (flush_moved_worms).
+    std::int64_t moved_epoch = -1;
+    int epoch_low = -1;
+    int epoch_source = 0;
+    std::int64_t epoch_ejected = 0;
     std::int64_t ejected = 0;
     std::int64_t start_cycle = -1;   // first flit left the source queue
     std::int64_t finish_cycle = -1;
@@ -219,11 +242,14 @@ class Network {
   // channel release on the target buffer — sleep there until it happens.
   enum class Advance : std::uint8_t { kMoved, kLinkBusy, kVcBusy, kCredit };
 
-  std::int64_t buffer_index(NodeId from, const Hop& hop) const;
+  // The node a hop leaves from, decoded from its link id (the inverse of
+  // MeshShape::link_id); only the fault and stall-report paths need it.
+  NodeId hop_source(const HopRecord& rec) const {
+    return rec.link / (2 * shape_->dim());
+  }
   // Attempts to move one flit of message m from position p to p+1. On
   // kVcBusy/kCredit, blocked_buffer_ holds the buffer that refused.
-  Advance try_advance(MessageState& st, int p);
-  NodeId node_before_hop(const MessageState& st, int p) const;
+  Advance try_advance(MessageState& st, HopRecord* hops, int p);
   // One simulation turn for message m at the current cycle: eligibility
   // checks, ejection, then head-first pipeline advance. Shared verbatim
   // by both engines — this is what makes their results bit-identical.
@@ -247,22 +273,32 @@ class Network {
   // wait-for cycle identified.
   obs::StallReport build_stall_report(std::int64_t stagnant) const;
   void record_delivery(const MessageState& st, SimResult* result);
-  // Cold telemetry commits, kept out of line so the advance and eject
-  // hot loops stay lean when telemetry is enabled (the inlined hook
-  // bodies otherwise cost more in spills and icache than they execute).
+  // Lifecycle-event commits. The advance commit runs on about a third of
+  // the moves of a saturated run, so it is inlined: a call there cost
+  // more than the events it records. The eject commit stays out of line.
   void commit_advance_telemetry(const MessageState& st, int q,
                                 std::int64_t p, bool acquired,
                                 std::int64_t released_buffer,
                                 std::int64_t target_index);
   void commit_eject_telemetry(const MessageState& st, std::int64_t index,
                               bool released);
-  // Stores a buffer's new occupancy into the telemetry mirror, if any.
-  void mirror_occupancy(std::int64_t index, int occupancy) {
-    if (occ_mirror_) {
-      occ_mirror_[static_cast<std::size_t>(index)] =
-          static_cast<std::uint8_t>(std::min(occupancy, 255));
-    }
+  // Telemetry: records that message m moved this close epoch, with its
+  // state before the step that moved it. One check per advancing step
+  // replaces a mark per flit move.
+  void note_moved(MessageState& st, std::int64_t m, int low, int source,
+                  std::int64_t ejected) {
+    if (st.moved_epoch == epoch_) return;
+    st.moved_epoch = epoch_;
+    st.epoch_low = low;
+    st.epoch_source = source;
+    st.epoch_ejected = ejected;
+    moved_worms_.push_back(m);
   }
+  // Marks, for the window close about to run, every slot a worm that
+  // moved this epoch could have changed — its positions from the tail it
+  // had before its first move up to its head — and adds its injected and
+  // ejected flits to its endpoints; then opens the next epoch.
+  void flush_moved_worms();
   // --- Live fault injection (no-ops without a schedule) ---------------
   // Applies every schedule event due at the current cycle: marks the
   // killed channels dead, drains affected messages, cascades losses to
@@ -281,18 +317,14 @@ class Network {
   bool event_mode_ = false;         // engine_ == Engine::kEvent
   std::vector<MessageState> messages_;
   std::vector<Buffer> buffers_;          // (directed link, vc) -> buffer
+  // Per (link, vc), the flits in the buffer. Dense, so the telemetry
+  // window close reads a touched slot's occupancy straight from it.
+  std::vector<std::int32_t> occupancy_;
   std::vector<char> link_used_;          // per directed link, this cycle
-  // Per (link, vc), whole run. int32: a single channel cannot carry 2^31
-  // flits within the default cycle cap, and the narrow rows halve the
-  // footprint of the telemetry window sweep that reads them.
+  // Per (link, vc), flits that entered the buffer over the whole run.
+  // int32: a single channel cannot carry 2^31 flits within the default
+  // cycle cap.
   std::vector<std::int32_t> link_flits_;
-  // Telemetry-only shadow of per-slot occupancy, one byte per channel:
-  // the window close skims this dense array instead of striding a cache
-  // line per two slots through the Buffer array. Each change stores
-  // min(occupancy, 255), so it is exact for every buffer_flits (the
-  // telemetry sample is a byte). Null data when telemetry is off.
-  std::vector<std::uint8_t> occ_shadow_;
-  std::uint8_t* occ_mirror_ = nullptr;  // occ_shadow_.data() or null
   std::int64_t cycle_ = 0;
   bool moved_this_cycle_ = false;
   std::int64_t delivered_ = 0;           // messages delivered this run
@@ -318,6 +350,8 @@ class Network {
   // Telemetry collector, allocated only when config_.telemetry.enabled;
   // every hook in the hot path hides behind one null check.
   std::unique_ptr<obs::Telemetry> telemetry_;
+  std::int64_t epoch_ = 0;                 // window closes so far
+  std::vector<std::int64_t> moved_worms_;  // messages that moved this epoch
   // Blocked-advance tallies for the whole run, flushed to the metrics
   // registry by run(): physical link already used this cycle, virtual
   // channel owned by another worm, and credit (buffer-full) stalls.

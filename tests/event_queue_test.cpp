@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/lamb.hpp"
+#include "env_guard.hpp"
 #include "support/rng.hpp"
 #include "wormhole/event_queue.hpp"
 #include "wormhole/fault_schedule.hpp"
@@ -32,32 +33,6 @@ using wormhole::Network;
 using wormhole::SimConfig;
 using wormhole::SimResult;
 using wormhole::TrafficConfig;
-
-// Saves/restores an environment variable around a test so engine
-// override tests compose with the CI lane that runs the whole suite
-// under LAMBMESH_ENGINE=cycle|event.
-class EnvGuard {
- public:
-  explicit EnvGuard(const char* name) : name_(name) {
-    const char* v = std::getenv(name);
-    had_ = v != nullptr;
-    if (had_) saved_ = v;
-  }
-  ~EnvGuard() {
-    if (had_) {
-      ::setenv(name_, saved_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-  EnvGuard(const EnvGuard&) = delete;
-  EnvGuard& operator=(const EnvGuard&) = delete;
-
- private:
-  const char* name_;
-  bool had_ = false;
-  std::string saved_;
-};
 
 // --- EventQueue -------------------------------------------------------------
 

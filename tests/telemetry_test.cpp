@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -48,7 +49,8 @@ TelemetryConfig enabled_config() {
 // --- Window series over the simulator's counter feed ----------------
 
 // Stand-in for the simulator's per-slot arrays: cumulative flit
-// counters and occupancy bytes over the dense link_id slot space.
+// counters and occupancies over the dense link_id slot space. Like the
+// simulator, add_flits marks the slot it changed.
 struct CounterFeed {
   CounterFeed(const MeshShape& shape, int vcs)
       : vcs(vcs),
@@ -61,10 +63,14 @@ struct CounterFeed {
   std::size_t slot(LinkId link, int vc) const {
     return static_cast<std::size_t>(link * vcs + vc);
   }
+  void add_flits(Telemetry& telemetry, LinkId link, int vc, int n) {
+    flits[slot(link, vc)] += n;
+    telemetry.touch_channel(slot(link, vc));
+  }
 
   int vcs;
   std::vector<std::int32_t> flits;
-  std::vector<std::uint8_t> occupancy;
+  std::vector<std::int32_t> occupancy;
 };
 
 TEST(TelemetryRing, RetainsMostRecentWindows) {
@@ -80,7 +86,7 @@ TEST(TelemetryRing, RetainsMostRecentWindows) {
   // Ten windows of one flit each through a 4-deep ring: only the last
   // four survive, and the series reports where its history begins.
   for (std::int64_t cycle = 1; cycle <= 10; ++cycle) {
-    ++feed.flits[feed.slot(link, 0)];
+    feed.add_flits(telemetry, link, 0, 1);
     telemetry.end_window(cycle);
   }
   EXPECT_EQ(telemetry.windows(), 10);
@@ -109,7 +115,7 @@ TEST(TelemetryRing, PadsIdleWindowsOnFlush) {
 
   // Three flits early on, then the simulator fast-forwards an idle gap:
   // the flits land in the first pending window, the rest pad with zeros.
-  feed.flits[feed.slot(link, 1)] += 3;
+  feed.add_flits(telemetry, link, 1, 3);
   telemetry.end_window(40);
   EXPECT_EQ(telemetry.windows(), 4);
 
@@ -122,7 +128,7 @@ TEST(TelemetryRing, PadsIdleWindowsOnFlush) {
   for (std::size_t i = 1; i < samples.size(); ++i) EXPECT_EQ(samples[i].flits, 0);
 
   // A trailing partial window only closes on the final flush.
-  ++feed.flits[feed.slot(link, 1)];
+  feed.add_flits(telemetry, link, 1, 1);
   telemetry.end_window(45);
   EXPECT_EQ(telemetry.windows(), 4);
   telemetry.end_window(45, /*final=*/true);
@@ -143,7 +149,7 @@ TEST(TelemetryRing, IdleGapLongerThanTheRingKeepsNoEvictedFlits) {
   CounterFeed feed(shape, 1);
   Telemetry telemetry = feed.collector(shape, config);
   const LinkId link = shape.link_id(shape.index(Point{1, 1}), 0, Dir::Pos);
-  feed.flits[feed.slot(link, 0)] = 3;
+  feed.add_flits(telemetry, link, 0, 3);
   telemetry.end_window(10);
 
   std::int64_t first_window = -1;
@@ -443,6 +449,150 @@ TEST(StallWatchdog, SilentWithOneVcPerRound) {
   EXPECT_EQ(net.telemetry()->stall_report(), nullptr);
 }
 
+// --- Pinned window closes ---------------------------------------------
+
+// FNV-1a over `n` bytes, chained through `h`.
+std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h = (h ^ bytes[i]) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+struct DumpHashes {
+  std::uint64_t series = 0xcbf29ce484222325ULL;  // every channel_series
+  std::uint64_t nodes = 0xcbf29ce484222325ULL;   // the CSV's node rows
+  std::uint64_t csv = 0xcbf29ce484222325ULL;     // the whole CSV
+};
+
+DumpHashes dump_hashes(const MeshShape& shape,
+                       const std::vector<Message>& msgs,
+                       const SimConfig& config) {
+  const FaultSet faults(shape);
+  Network net(shape, faults, config);
+  for (const Message& m : msgs) net.submit(m);
+  const SimResult result = net.run();
+  const Telemetry& telemetry = *net.telemetry();
+  DumpHashes out;
+  const LinkId links = shape.size() * shape.dim() * 2;
+  std::vector<ChannelSample> samples;
+  for (LinkId link = 0; link < links; ++link) {
+    for (int vc = 0; vc < config.vcs_per_link; ++vc) {
+      std::int64_t first = -1;
+      if (!telemetry.channel_series(link, vc, &first, &samples)) continue;
+      const std::int64_t head[] = {link, vc, first,
+                                   static_cast<std::int64_t>(samples.size())};
+      out.series = fnv1a(out.series, head, sizeof head);
+      for (const ChannelSample& s : samples) {
+        const unsigned values[] = {s.flits, s.occupancy};
+        out.series = fnv1a(out.series, values, sizeof values);
+      }
+    }
+  }
+  const std::string path =
+      ::testing::TempDir() + "lambmesh_pinned_telemetry.csv";
+  EXPECT_TRUE(telemetry.write_csv(path, result.cycles));
+  FILE* f = std::fopen(path.c_str(), "r");
+  EXPECT_NE(f, nullptr);
+  if (f == nullptr) return out;
+  char line[256];
+  while (std::fgets(line, sizeof line, f) != nullptr) {
+    const std::size_t n = std::strlen(line);
+    out.csv = fnv1a(out.csv, line, n);
+    if (std::strncmp(line, "node,", 5) == 0) {
+      out.nodes = fnv1a(out.nodes, line, n);
+    }
+  }
+  std::fclose(f);
+  std::remove(path.c_str());
+  return out;
+}
+
+// The figures were recorded from the close that walked every slot and
+// node each window; the touched-slot close and its lazily written idle
+// samples must reproduce them byte for byte.
+void expect_dump(const MeshShape& shape, const std::vector<Message>& msgs,
+                 const SimConfig& config, const DumpHashes& expected) {
+  const DumpHashes got = dump_hashes(shape, msgs, config);
+  EXPECT_EQ(got.series, expected.series) << std::hex << got.series;
+  EXPECT_EQ(got.nodes, expected.nodes) << std::hex << got.nodes;
+  EXPECT_EQ(got.csv, expected.csv) << std::hex << got.csv;
+}
+
+Message row_message(const MeshShape& shape, std::int64_t id, Point from,
+                    const std::vector<Hop>& hops, int flits,
+                    std::int64_t when) {
+  Message m;
+  m.id = id;
+  m.route.src = shape.index(from);
+  Point at = from;
+  for (const Hop& hop : hops) {
+    m.route.hops.push_back(hop);
+    at[hop.dim] += static_cast<Coord>(dir_sign(hop.dir));
+  }
+  m.route.dst = shape.index(at);
+  m.length_flits = flits;
+  m.inject_cycle = when;
+  return m;
+}
+
+// A 40-flit worm holds row 1 while a second worm stalls behind it with
+// full buffers for ~10 windows; then two idle fast-forwards: one longer
+// than an 8-window ring but inside a 64-window one, and one longer than
+// both, after which a worm reuses the first worm's channels.
+std::vector<Message> phased_traffic(const MeshShape& shape) {
+  const Hop xp{0, Dir::Pos, 0};
+  const Hop yp{1, Dir::Pos, 0};
+  return {row_message(shape, 0, {0, 1}, {xp, xp, xp, xp, xp}, 40, 0),
+          row_message(shape, 1, {2, 0}, {yp, xp, xp, xp}, 6, 2),
+          row_message(shape, 2, {0, 4}, {xp, xp, xp}, 5, 200),
+          row_message(shape, 3, {0, 1}, {xp, xp, xp}, 6, 700)};
+}
+
+TEST(TelemetryPinned, StallAndFastForwardThroughAShortRing) {
+  const MeshShape shape = MeshShape::cube(2, 6);
+  SimConfig config;
+  config.vcs_per_link = 1;
+  config.buffer_flits = 2;
+  config.telemetry = enabled_config();
+  config.telemetry.sample_every = 4;
+  config.telemetry.ring_windows = 8;
+  expect_dump(shape, phased_traffic(shape), config,
+              {0x0255c2a21311333eULL, 0x91403d1f8d50fa35ULL,
+               0x688623c61f966501ULL});
+}
+
+TEST(TelemetryPinned, StallAndFastForwardThroughALongRing) {
+  const MeshShape shape = MeshShape::cube(2, 6);
+  SimConfig config;
+  config.vcs_per_link = 1;
+  config.buffer_flits = 2;
+  config.telemetry = enabled_config();
+  config.telemetry.sample_every = 4;
+  config.telemetry.ring_windows = 64;
+  expect_dump(shape, phased_traffic(shape), config,
+              {0x9d10b2e025c185ceULL, 0x3eecd8ce451e2fa1ULL,
+               0xb66c19d91acd3ee5ULL});
+}
+
+// The crossed pair deadlocks: every channel freezes with full buffers
+// for 50 windows, and the dump carries the watchdog's report.
+TEST(TelemetryPinned, FrozenDeadlockKeepsItsOccupancy) {
+  const MeshShape shape = MeshShape::cube(2, 6);
+  SimConfig config;
+  config.vcs_per_link = 1;
+  config.buffer_flits = 2;
+  config.deadlock_threshold = 200;
+  config.telemetry = enabled_config();
+  config.telemetry.sample_every = 4;
+  config.telemetry.ring_windows = 16;
+  config.telemetry.watchdog_cycles = 50;
+  expect_dump(shape, crossed_pair(shape), config,
+              {0xc8d0bd49342b1437ULL, 0x7a221ca87202b96fULL,
+               0xa857d437ad5918bdULL});
+}
+
 // --- Dump plumbing -----------------------------------------------------
 
 TEST(TelemetryDump, WritesCsvSchema) {
@@ -482,7 +632,7 @@ TEST(TelemetryDump, CsvReportsAFullDevice) {
   const MeshShape shape = MeshShape::cube(2, 4);
   CounterFeed feed(shape, 2);
   Telemetry telemetry = feed.collector(shape, enabled_config());
-  telemetry.on_inject_flit(0);
+  telemetry.on_endpoint_flits(0, 1, 0);
   telemetry.end_window(64, /*final=*/true);
   EXPECT_FALSE(telemetry.write_csv("/dev/full", 64));
 }

@@ -5,9 +5,14 @@
 // per round), and traffic generation invariants.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/lamb.hpp"
+#include "env_guard.hpp"
 #include "reach/flood_oracle.hpp"
 #include "support/rng.hpp"
 #include "wormhole/network.hpp"
@@ -17,6 +22,8 @@
 namespace lamb {
 namespace {
 
+using wormhole::DeliveryOutcome;
+using wormhole::Engine;
 using wormhole::Hop;
 using wormhole::Message;
 using wormhole::Network;
@@ -287,6 +294,277 @@ TEST(Network, RejectsBadConfig) {
   SimConfig config;
   config.vcs_per_link = 0;
   EXPECT_THROW(Network(shape, faults, config), std::invalid_argument);
+  // 64 directed links x 2^26 VCs: more (link, vc) slots than the 32-bit
+  // hop records index.
+  config.vcs_per_link = 1 << 26;
+  EXPECT_THROW(Network(shape, faults, config), std::invalid_argument);
+}
+
+TEST(Network, SubmitRejectsZeroLengthMessages) {
+  const MeshShape shape = MeshShape::cube(2, 4);
+  const FaultSet faults(shape);
+  Network net(shape, faults, SimConfig{});
+  Message msg;
+  msg.route.src = shape.index(Point{0, 0});
+  msg.route.dst = shape.index(Point{1, 0});
+  msg.route.hops = {Hop{0, Dir::Pos, 0}};
+  msg.length_flits = 0;
+  EXPECT_THROW(net.submit(msg), std::invalid_argument);
+}
+
+TEST(Network, SubmitRejectsEndpointsOutsideTheMesh) {
+  const MeshShape shape = MeshShape::cube(2, 4);
+  const FaultSet faults(shape);
+  Network net(shape, faults, SimConfig{});
+  Message msg;
+  msg.route.src = 100;
+  msg.route.dst = 100;
+  EXPECT_THROW(net.submit(msg), std::invalid_argument);
+  msg.route.src = -1;
+  msg.route.dst = 0;
+  EXPECT_THROW(net.submit(msg), std::invalid_argument);
+  msg.route.src = 0;
+  msg.route.dst = shape.size();
+  EXPECT_THROW(net.submit(msg), std::invalid_argument);
+}
+
+TEST(Network, SubmitRejectsAWalkThatMissesTheDestination) {
+  const MeshShape shape = MeshShape::cube(2, 4);
+  const FaultSet faults(shape);
+  Network net(shape, faults, SimConfig{});
+  Message msg;
+  msg.route.src = shape.index(Point{0, 0});
+  msg.route.dst = shape.index(Point{2, 0});
+  msg.route.hops = {Hop{0, Dir::Pos, 0}};  // ends at (1,0)
+  EXPECT_THROW(net.submit(msg), std::invalid_argument);
+}
+
+TEST(Network, SubmitRejectsANegativeVirtualChannel) {
+  const MeshShape shape = MeshShape::cube(2, 4);
+  const FaultSet faults(shape);
+  Network net(shape, faults, SimConfig{});
+  Message msg;
+  msg.route.src = shape.index(Point{0, 0});
+  msg.route.dst = shape.index(Point{1, 0});
+  msg.route.hops = {Hop{0, Dir::Pos, -1}};
+  EXPECT_THROW(net.submit(msg), std::invalid_argument);
+  // The rejected routes left nothing behind: a valid message still runs.
+  msg.route.hops = {Hop{0, Dir::Pos, 0}};
+  net.submit(msg);
+  EXPECT_TRUE(net.run().all_delivered());
+}
+
+TEST(Network, RunRejectsAnAfterPastTheLastMessage) {
+  const MeshShape shape = MeshShape::cube(2, 4);
+  const FaultSet faults(shape);
+  Network net(shape, faults, SimConfig{});
+  Message msg;
+  msg.route.src = shape.index(Point{0, 0});
+  msg.route.dst = shape.index(Point{1, 0});
+  msg.route.hops = {Hop{0, Dir::Pos, 0}};
+  msg.after = 5;  // only one message is ever submitted
+  net.submit(msg);
+  EXPECT_THROW(net.run(), std::invalid_argument);
+}
+
+// --- Pinned step outcomes --------------------------------------------------
+
+// Both engines call the same per-message step, so EngineEquivalence
+// cannot see a change to it. The figures below were recorded from the
+// full-route scan that the occupied-span step replaced; any change to
+// what a step attempts, moves or stalls on shows up here under either
+// engine.
+
+// A two-round route: dimension order (x, then y) to `mid` on VC 0, then
+// to `to` on VC 1.
+Message two_round(const MeshShape& shape, std::int64_t id, Point from,
+                  Point mid, Point to, int flits, std::int64_t when,
+                  std::int64_t after = -1) {
+  Message m;
+  m.id = id;
+  m.route.src = shape.index(from);
+  m.route.dst = shape.index(to);
+  Point at = from;
+  auto extend = [&](const Point& tgt, int round) {
+    for (int dim = 0; dim < shape.dim(); ++dim) {
+      while (at[dim] != tgt[dim]) {
+        const Dir dir = tgt[dim] > at[dim] ? Dir::Pos : Dir::Neg;
+        m.route.hops.push_back(Hop{dim, dir, round});
+        at[dim] += static_cast<Coord>(dir_sign(dir));
+      }
+    }
+  };
+  extend(mid, 0);
+  extend(to, 1);
+  m.length_flits = flits;
+  m.inject_cycle = when;
+  m.after = after;
+  return m;
+}
+
+struct PinnedRun {
+  std::int64_t delivered = 0;
+  std::int64_t cycles = 0;
+  std::int64_t flits_moved = 0;
+  // Sums of the delivered messages' cycle counts, rounded: Accumulator
+  // keeps a running mean, so sum() carries rounding error.
+  std::int64_t latency_sum = 0;
+  std::int64_t queue_sum = 0;
+  std::int64_t stall_sum = 0;
+  std::int64_t lost = 0;
+  std::int64_t poisoned = 0;
+  bool deadlocked = false;
+  // One letter per message: D delivered, L lost, P poisoned, - pending
+  // (empty when the run reports no outcomes).
+  std::string outcomes;
+
+  friend bool operator==(const PinnedRun&, const PinnedRun&) = default;
+};
+
+std::string describe(const PinnedRun& r) {
+  char text[256];
+  std::snprintf(text, sizeof text,
+                "{%lld, %lld, %lld, %lld, %lld, %lld, %lld, %lld, %s, \"%s\"}",
+                static_cast<long long>(r.delivered),
+                static_cast<long long>(r.cycles),
+                static_cast<long long>(r.flits_moved),
+                static_cast<long long>(r.latency_sum),
+                static_cast<long long>(r.queue_sum),
+                static_cast<long long>(r.stall_sum),
+                static_cast<long long>(r.lost),
+                static_cast<long long>(r.poisoned),
+                r.deadlocked ? "true" : "false", r.outcomes.c_str());
+  return text;
+}
+
+PinnedRun pinned_run(const MeshShape& shape, const std::vector<Message>& msgs,
+                     SimConfig config, Engine engine) {
+  config.engine = engine;
+  const FaultSet faults(shape);
+  Network net(shape, faults, config);
+  for (const Message& m : msgs) net.submit(m);
+  const SimResult r = net.run();
+  EXPECT_EQ(r.engine, engine);
+  PinnedRun out{r.delivered,
+                r.cycles,
+                r.flits_moved,
+                std::llround(r.latency.sum()),
+                std::llround(r.queue_cycles.sum()),
+                std::llround(r.stall_cycles.sum()),
+                r.lost,
+                r.poisoned,
+                r.deadlocked,
+                ""};
+  for (const DeliveryOutcome o : r.outcomes) {
+    out.outcomes += "-DLP"[static_cast<int>(o)];
+  }
+  return out;
+}
+
+void expect_pinned(const MeshShape& shape, const std::vector<Message>& msgs,
+                   const SimConfig& config, const PinnedRun& expected) {
+  EnvGuard guard("LAMBMESH_ENGINE");
+  ::unsetenv("LAMBMESH_ENGINE");
+  for (const Engine engine : {Engine::kCycle, Engine::kEvent}) {
+    const PinnedRun got = pinned_run(shape, msgs, config, engine);
+    EXPECT_EQ(got, expected) << wormhole::engine_name(engine) << " gave "
+                             << describe(got);
+  }
+}
+
+// 0-, 1- and 2-hop routes, 1-flit messages, worms longer than their
+// route's whole buffering, crossing worms that stall on links, channels
+// and credits, and `after` chains (one gated on a 0-hop message).
+TEST(Network, StepOutcomesPinnedOnMixedRoutes) {
+  const MeshShape shape = MeshShape::cube(2, 6);
+  SimConfig config;
+  config.buffer_flits = 2;
+  std::vector<Message> msgs;
+  msgs.push_back(two_round(shape, 0, {2, 2}, {2, 2}, {2, 2}, 3, 0));
+  msgs.push_back(two_round(shape, 1, {0, 0}, {1, 0}, {1, 0}, 1, 0));
+  msgs.push_back(two_round(shape, 2, {0, 1}, {1, 1}, {1, 2}, 1, 1));
+  msgs.push_back(two_round(shape, 3, {0, 0}, {3, 0}, {3, 0}, 10, 0));
+  msgs.push_back(two_round(shape, 4, {3, 0}, {3, 0}, {3, 3}, 4, 0, 3));
+  msgs.push_back(two_round(shape, 5, {3, 3}, {1, 3}, {1, 4}, 5, 0, 4));
+  msgs.push_back(two_round(shape, 6, {2, 2}, {5, 2}, {5, 5}, 7, 0, 0));
+  msgs.push_back(two_round(shape, 7, {1, 0}, {1, 1}, {2, 1}, 1, 2));
+  msgs.push_back(two_round(shape, 8, {1, 0}, {1, 4}, {1, 4}, 6, 0));
+  msgs.push_back(two_round(shape, 9, {0, 2}, {5, 2}, {5, 2}, 12, 3));
+  msgs.push_back(two_round(shape, 10, {2, 0}, {2, 5}, {4, 5}, 9, 1));
+  msgs.push_back(two_round(shape, 11, {4, 4}, {0, 4}, {0, 0}, 14, 2));
+  msgs.push_back(two_round(shape, 12, {0, 3}, {4, 3}, {4, 0}, 8, 4, 9));
+  msgs.push_back(two_round(shape, 13, {5, 5}, {5, 5}, {5, 4}, 2, 0));
+  expect_pinned(shape, msgs, config,
+                {14, 37, 421, 181, 58, 4, 0, 0, false, ""});
+}
+
+// Seeded random two-round traffic: every 7th message waits on an earlier
+// one, lengths run from 1 to 12 flits through 2-flit buffers.
+TEST(Network, StepOutcomesPinnedOnRandomTraffic) {
+  const MeshShape shape = MeshShape::cube(2, 8);
+  SimConfig config;
+  config.buffer_flits = 2;
+  Rng rng(57);
+  auto point = [&] {
+    return Point{static_cast<Coord>(rng.below(8)),
+                 static_cast<Coord>(rng.below(8))};
+  };
+  std::vector<Message> msgs;
+  for (std::int64_t i = 0; i < 80; ++i) {
+    const Point from = point();
+    const Point mid = point();
+    const Point to = point();
+    const int flits = 1 + static_cast<int>(rng.below(12));
+    const auto when = static_cast<std::int64_t>(rng.below(60));
+    const std::int64_t after =
+        i % 7 == 6 ? static_cast<std::int64_t>(rng.below(
+                         static_cast<std::uint64_t>(i)))
+                   : -1;
+    msgs.push_back(two_round(shape, i, from, mid, to, flits, when, after));
+  }
+  expect_pinned(shape, msgs, config,
+                {80, 117, 5134, 2361, 477, 632, 0, 0, false, ""});
+}
+
+// Live faults: one worm is poisoned with flits still at its source, one
+// after its tail has left the source, one is lost before it starts and
+// takes its `after` dependent with it, one dies with its source node.
+TEST(Network, StepOutcomesPinnedUnderLiveFaults) {
+  const MeshShape shape = MeshShape::cube(2, 6);
+  SimConfig config;
+  config.buffer_flits = 2;
+  std::vector<Message> msgs;
+  msgs.push_back(two_round(shape, 0, {0, 0}, {5, 0}, {5, 0}, 20, 0));
+  msgs.push_back(two_round(shape, 1, {0, 2}, {4, 2}, {4, 2}, 3, 0));
+  msgs.push_back(two_round(shape, 2, {0, 4}, {5, 4}, {5, 4}, 4, 30));
+  msgs.push_back(two_round(shape, 3, {5, 0}, {5, 0}, {5, 3}, 4, 0, 2));
+  msgs.push_back(two_round(shape, 4, {0, 5}, {3, 5}, {3, 5}, 5, 0));
+  msgs.push_back(two_round(shape, 5, {3, 5}, {3, 5}, {3, 3}, 3, 0, 4));
+  msgs.push_back(two_round(shape, 6, {5, 3}, {1, 3}, {1, 3}, 10, 0));
+  msgs.push_back(two_round(shape, 7, {1, 1}, {2, 1}, {2, 3}, 6, 2));
+  config.fault_schedule.kill_node(6, shape.index(Point{4, 0}));
+  config.fault_schedule.kill_link(4, shape.index(Point{3, 2}), 0, Dir::Pos);
+  config.fault_schedule.kill_node(10, shape.index(Point{4, 4}));
+  config.fault_schedule.kill_node(3, shape.index(Point{5, 3}));
+  expect_pinned(shape, msgs, config,
+                {3, 12, 74, 26, 7, 0, 2, 3, false, "PPLLDDPD"});
+}
+
+// abl06's ring of second-round turns on one VC: the run deadlocks, and
+// the stall streak that declares it is part of the pinned cycle count.
+TEST(Network, StepOutcomesPinnedOnADeadlock) {
+  const MeshShape shape = MeshShape::cube(2, 6);
+  SimConfig config;
+  config.vcs_per_link = 1;
+  config.buffer_flits = 2;
+  config.deadlock_threshold = 200;
+  std::vector<Message> msgs;
+  msgs.push_back(two_round(shape, 0, {1, 1}, {4, 1}, {4, 4}, 24, 0));
+  msgs.push_back(two_round(shape, 1, {4, 1}, {4, 4}, {1, 4}, 24, 0));
+  msgs.push_back(two_round(shape, 2, {4, 4}, {1, 4}, {1, 1}, 24, 0));
+  msgs.push_back(two_round(shape, 3, {1, 4}, {1, 1}, {4, 1}, 24, 0));
+  expect_pinned(shape, msgs, config,
+                {0, 206, 48, 0, 0, 0, 0, 0, true, "----"});
 }
 
 // --- Traffic ----------------------------------------------------------------
